@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .chern import (
+    CurvatureAtPoint,
     FdSteps,
     chern_connection,
     compatibility_residuals,
@@ -50,7 +51,7 @@ from .kernels import (
 )
 from .linalg import frob
 from .polys import MatrixPolynomial
-from .positivity import griffiths_verdict
+from .positivity import GriffithsReport, griffiths_verdict
 from .selfcheck import run_selfcheck
 
 __all__ = [
@@ -332,11 +333,19 @@ class AnalysisConfig:
 
 @dataclass
 class RunContext:
+    """One run's config and grid, plus the results its tasks share.
+
+    The metric, the analytic curvature at each grid point and the
+    Griffiths report are computed on first use and reused by every task
+    of the run.
+    """
+
     config: AnalysisConfig
     points: np.ndarray
     points_total: int
-    threads: int = 1
     _metric: object = dataclass_field(default=None, repr=False)
+    _curvatures: list | None = dataclass_field(default=None, repr=False)
+    _griffiths: GriffithsReport | None = dataclass_field(default=None, repr=False)
 
     @property
     def kernel(self) -> KernelSpec:
@@ -358,12 +367,28 @@ class RunContext:
         return self._metric
 
     def map_points(self, fn):
-        if self.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(fn, self.points))
         return [fn(z) for z in self.points]
+
+    def curvatures(self) -> list[CurvatureAtPoint]:
+        """Analytic-expansion curvature at each grid point, in grid order."""
+        if self._curvatures is None:
+            metric = self.metric()
+            self._curvatures = self.map_points(lambda z: curvature(metric, z, self.steps))
+        return self._curvatures
+
+    def griffiths(self) -> GriffithsReport:
+        if self._griffiths is None:
+            by_point = {z.tobytes(): c for z, c in zip(self.points, self.curvatures())}
+            self._griffiths = griffiths_verdict(
+                self.metric(),
+                lambda z: by_point[z.tobytes()],
+                self.points,
+                directions=self.config.direction_count,
+                seed=self.config.seed,
+                pos_tol=self.tol["pos"],
+                neg_tol=self.tol["neg"],
+            )
+        return self._griffiths
 
 
 def _point_columns(points: np.ndarray) -> list[dict]:
@@ -484,8 +509,7 @@ def _task_connection(ctx: RunContext) -> dict:
 def _task_curvature(ctx: RunContext) -> dict:
     metric = ctx.metric()
 
-    def work(z):
-        analytic = curvature(metric, z, ctx.steps, method="analytic_expansion")
+    def work(z, analytic):
         nested = curvature(metric, z, ctx.steps, method="nested_fd")
         scale = max(1.0, max(frob(m) for m in analytic.form.r11.reshape((-1, metric.fiber_dim, metric.fiber_dim))))
         agreement = (
@@ -499,7 +523,7 @@ def _task_curvature(ctx: RunContext) -> dict:
         purity = nested.purity_residual / scale
         return analytic, agreement, purity
 
-    results = ctx.map_points(work)
+    results = [work(z, c) for z, c in zip(ctx.points, ctx.curvatures())]
     agreement = max(a for _, a, _ in results)
     purity = max(p for _, _, p in results)
     pairing = max(c.pairing_residual for c, _, _ in results)
@@ -571,19 +595,6 @@ def _task_subbundle(ctx: RunContext) -> dict:
     }
 
 
-def _griffiths_report(ctx: RunContext):
-    metric = ctx.metric()
-    return griffiths_verdict(
-        metric,
-        lambda z: curvature(metric, z, ctx.steps),
-        ctx.points,
-        directions=ctx.config.direction_count,
-        seed=ctx.config.seed,
-        pos_tol=ctx.tol["pos"],
-        neg_tol=ctx.tol["neg"],
-    )
-
-
 def _griffiths_data(ctx: RunContext, report) -> dict:
     return {
         "verdict": report.verdict,
@@ -600,7 +611,7 @@ def _griffiths_data(ctx: RunContext, report) -> dict:
 
 
 def _task_griffiths(ctx: RunContext) -> dict:
-    report = _griffiths_report(ctx)
+    report = ctx.griffiths()
     return {
         "passed": report.verdict != "indefinite",
         "data": _griffiths_data(ctx, report),
@@ -650,7 +661,7 @@ def _task_theorem55(ctx: RunContext) -> dict:
             "status": "hypothesis_not_met",
             "data": {"premise": premise, "conclusion": None},
         }
-    report = _griffiths_report(ctx)
+    report = ctx.griffiths()
     return {
         "passed": report.verdict != "indefinite",
         "status": "verified" if report.verdict != "indefinite" else "conclusion_failed",
@@ -726,7 +737,7 @@ def _error_kind(exc: Exception) -> str:
     return "numeric"
 
 
-def run_analyze(config: AnalysisConfig, threads: int = 1) -> AnalysisReport:
+def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     """Execute the requested tasks and assemble the report.
 
     Tasks run in dependency order; a failure in one is recorded and does
@@ -747,7 +758,6 @@ def run_analyze(config: AnalysisConfig, threads: int = 1) -> AnalysisReport:
         config=config,
         points=points,
         points_total=all_points.shape[0],
-        threads=max(1, int(threads)),
     )
     tasks = {}
     for name in config.tasks:
@@ -855,7 +865,6 @@ def main(argv=None) -> int:
     analyze.add_argument("--config", required=True, help="path to the JSON config")
     analyze.add_argument("--out", default=None, help="report path (overrides config)")
     analyze.add_argument("--csv", default=None, help="directory for CSV field tables")
-    analyze.add_argument("--threads", type=int, default=1, help="per-point worker threads")
     selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     selftest.add_argument("--seed", type=int, default=0)
     sub.add_parser("version", help="print the package version")
@@ -890,7 +899,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = run_analyze(config, threads=args.threads)
+        report = run_analyze(config)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

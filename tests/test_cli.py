@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import bck.cli
 import bck.forms
 from bck.cli import (
     AnalysisConfig,
@@ -182,6 +183,32 @@ def test_theorem55_verified_for_disc():
     assert section["data"]["conclusion"]["verdict"] == "positive"
 
 
+def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
+    calls = []
+    curvature, verdict = bck.cli.curvature, bck.cli.griffiths_verdict
+
+    def counted_curvature(*args, **kwargs):
+        calls.append(kwargs.get("method", "analytic_expansion"))
+        return curvature(*args, **kwargs)
+
+    def counted_verdict(*args, **kwargs):
+        calls.append("griffiths_verdict")
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(bck.cli, "curvature", counted_curvature)
+    monkeypatch.setattr(bck.cli, "griffiths_verdict", counted_verdict)
+    cfg = base_config(tasks=["curvature", "griffiths", "theorem55"])
+    report = run_analyze(AnalysisConfig.from_dict(cfg))
+    points = report.data["grid"]["points_used"]
+    assert points > 0
+    assert calls.count("analytic_expansion") == points
+    assert calls.count("nested_fd") == points
+    assert calls.count("griffiths_verdict") == 1
+    tasks = json.loads(report.to_json())["tasks"]
+    assert tasks["theorem55"]["status"] == "verified"
+    assert tasks["theorem55"]["data"]["conclusion"] == tasks["griffiths"]["data"]
+
+
 def test_subbundle_task_from_config():
     cfg = base_config(
         kernel={"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
@@ -225,16 +252,6 @@ def test_report_and_csv_outputs(tmp_path):
     assert lines[0].startswith("re_z1,im_z1,")
     assert len(lines) == 1 + data["grid"]["points_used"]
     assert "," in lines[1] and "." in lines[1]
-
-
-def test_threads_do_not_change_results():
-    cfg = base_config(tasks=["curvature"])
-    a = run_analyze(AnalysisConfig.from_dict(copy.deepcopy(cfg)), threads=1)
-    b = run_analyze(AnalysisConfig.from_dict(copy.deepcopy(cfg)), threads=4)
-    assert (
-        a.data["tasks"]["curvature"]["data"]["closed_form_max_rel_err"]
-        == b.data["tasks"]["curvature"]["data"]["closed_form_max_rel_err"]
-    )
 
 
 def test_version_command(capsys):

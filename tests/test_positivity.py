@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bck.chern import FdSteps, MetricField, curvature, metric_from_kernel
+from bck.chern import CurvatureAtPoint, FdSteps, MetricField, curvature, metric_from_kernel
 from bck.errors import StructuralError
 from bck.forms import Form2
 from bck.grids import ChartGrid
 from bck.kernels import ConstantKernel, DiscPowerKernel, SectionKernel
+from bck.linalg import frob, hermitize
 from bck.positivity import (
     BilinearSamples,
     direction_samples,
@@ -244,6 +246,68 @@ def test_verdict_congruence_invariance():
     b = _verdict_for_metric(mg, pts)
     assert a.verdict == b.verdict
     assert np.sign(a.min_margin) == np.sign(b.min_margin)
+
+
+def _block_field(rng, dim, n, count, hermitian_pairing=True):
+    """`count` points, each with a random positive-definite h and curvature
+    r11[k, j] = h^-1 B[k, j], with arbitrary nonzero (2,0)/(0,2) blocks.
+    With `hermitian_pairing`, B[k, j]* = B[j, k], so every G(x) is Hermitian."""
+    points = np.arange(count)[:, None] * np.full(dim, 0.1 + 0.05j)
+    fields = {}
+    for z in points:
+        a = cmat(rng, n, n)
+        h = hermitize(a @ a.conj().T + np.eye(n))
+        b = cmat(rng, dim, dim, n, n)
+        if hermitian_pairing:
+            b = 0.5 * (b + np.conj(np.swapaxes(b, 0, 1).swapaxes(2, 3)))
+        form = Form2(cmat(rng, dim, dim, n, n), np.linalg.solve(h, b), cmat(rng, dim, dim, n, n))
+        curv = CurvatureAtPoint(
+            form=form, point=z, method="analytic_expansion",
+            purity_residual=float(rng.uniform()), pairing_residual=0.0,
+        )
+        fields[z.tobytes()] = (h, curv)
+    metric = MetricField(lambda z: fields[z.tobytes()][0], dim, n)
+    return metric, (lambda z: fields[z.tobytes()][1]), points, fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(1, 3),
+    count=st.integers(1, 4),
+    directions=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_verdict_matches_per_pair_reference(dim, n, count, directions, seed):
+    rng = np.random.default_rng(seed)
+    metric, field, points, fields = _block_field(rng, dim, n, count)
+    report = griffiths_verdict(metric, field, points, directions=directions, seed=seed)
+
+    dirs = direction_samples(dim, directions, seed)
+    reference = np.empty((count, dirs.shape[0]))
+    scale = 1.0
+    for i, z in enumerate(points):
+        h, curv = fields[z.tobytes()]
+        for m, x in enumerate(dirs):
+            g = griffiths_form(h, curv.form, x)
+            scale = max(scale, frob(g))
+            reference[i, m] = np.linalg.eigvalsh(hermitize(g))[0]
+    assert np.max(np.abs(report.margins - reference)) <= 1e-12 * scale
+    worst = np.unravel_index(np.argmin(reference), reference.shape)
+    assert np.array_equal(report.witness_point, points[worst[0]])
+    lowest = reference.min()
+    expected = "positive" if lowest > 1e-6 else "indefinite" if lowest < -1e-6 else "nonnegative"
+    assert report.verdict == expected
+    assert report.max_purity_residual == max(c.purity_residual for _, c in fields.values())
+
+
+def test_verdict_hermiticity_gate():
+    # n = 2 with a non-Hermitian pairing h r11: every G(x) fails the gate
+    metric, field, points, _ = _block_field(
+        np.random.default_rng(8), 2, 2, 2, hermitian_pairing=False
+    )
+    with pytest.raises(StructuralError, match="Hermitian"):
+        griffiths_verdict(metric, field, points, directions=4)
 
 
 def test_direction_samples_deterministic_and_normalized():
