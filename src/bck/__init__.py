@@ -14,13 +14,17 @@ from .chern import (
     CurvatureAtPoint,
     FdSteps,
     MetricField,
+    analytic_curvature_field,
     chern_connection,
+    chern_connection_field,
     compatibility_residuals,
     covariant_derivative,
     curvature,
     dual_curvature_check,
     hs_connection_check,
     metric_from_kernel,
+    metric_jet,
+    nested_curvature_field,
     subbundle_split,
 )
 from .errors import BckError, DomainError, SingularMetricError, StructuralError

@@ -16,6 +16,14 @@ Cross-validating the two replaces a symbolic derivation as the
 correctness argument.  All (1,1) coefficients are stored in the
 dzbar ^ dz orientation, so the unit-disc weight (1 - |z|^2)^(-nu)
 yields the positive coefficient nu / (1 - |z|^2)^2.
+
+Everything is computed over whole arrays of points: `metric_jet`
+evaluates the metric once on every stencil node of every point, and the
+connection, both curvature routes, the compatibility residuals and the
+dual check are fields derived from such evaluations.  The point
+functions (`chern_connection`, `curvature`, ...) are the one-point case.
+Field arrays put the point axis between the form indices and the fiber
+matrix, e.g. (d, N, n, n) for connection coefficients.
 """
 
 from __future__ import annotations
@@ -25,30 +33,39 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularMetricError, StructuralError
+from .errors import BckError, DomainError, SingularMetricError, StructuralError
 from .forms import (
     Form0,
     Form1,
     Form2,
+    Stencil,
     as_point,
+    as_points,
     exterior_derivative,
     wedge,
     wirtinger_first,
-    wirtinger_mixed,
 )
-from .kernels import KernelSpec, dual_kernel, eval_kernel
-from .linalg import frob, hermitize, mgs_orthonormalize
+from .kernels import KernelSpec, dual_kernel
+from .linalg import frob, mgs_orthonormalize
 
 __all__ = [
     "FdSteps",
     "MetricField",
     "metric_from_kernel",
+    "MetricJet",
+    "metric_jet",
     "ConnectionAtPoint",
+    "ConnectionField",
     "chern_connection",
+    "chern_connection_field",
     "connection_curvature",
     "CurvatureAtPoint",
+    "CurvatureField",
     "curvature",
+    "analytic_curvature_field",
+    "nested_curvature_field",
     "compatibility_residuals",
+    "compatibility_field",
     "covariant_derivative",
     "second_covariant_residual",
     "holomorphic_section_residual",
@@ -56,7 +73,9 @@ __all__ = [
     "SubbundleSplit",
     "subbundle_split",
     "DualCurvatureResult",
+    "DualCurvatureField",
     "dual_curvature_check",
+    "dual_curvature_field",
 ]
 
 
@@ -86,6 +105,25 @@ class FdSteps:
         return max(self.first, self.second)
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the two trailing (matrix) axes."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _contains(domain, points: np.ndarray) -> np.ndarray:
+    if isinstance(domain, KernelSpec):
+        return domain.contains_batch(points)
+    return np.array([bool(domain.contains(z)) for z in points], dtype=bool)
+
+
 @dataclass
 class MetricField:
     """A map z -> positive-definite Hermitian fiber metric h(z).
@@ -93,6 +131,8 @@ class MetricField:
     Every evaluation is validated: Hermitian within 1e-12 (relative) and
     smallest eigenvalue above 1e-12 of the largest, otherwise the metric
     counts as singular and evaluation aborts rather than regularizing.
+    `batch_func`, if given, maps an (M, d) array of points to the (M, n, n)
+    values at once; otherwise `func` is called point by point.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -101,6 +141,7 @@ class MetricField:
     scale: np.ndarray = field(default=None)
     domain: object = None
     name: str = "metric"
+    batch_func: Callable[[np.ndarray], np.ndarray] | None = None
 
     _HERM_TOL = 1e-12
     _SING_TOL = 1e-12
@@ -114,27 +155,84 @@ class MetricField:
             ).copy()
 
     def __call__(self, z) -> np.ndarray:
-        z = as_point(z, self.dim)
-        if self.domain is not None and not self.domain.contains(z):
-            raise DomainError(f"point {z} is outside the domain of {self.name}")
-        h = np.atleast_2d(np.asarray(self.func(z), dtype=complex))
-        if h.shape != (self.fiber_dim, self.fiber_dim):
-            raise StructuralError(
-                f"{self.name} returned shape {h.shape}, expected "
-                f"({self.fiber_dim}, {self.fiber_dim})"
+        return self.batch(as_point(z, self.dim)[None])[0]
+
+    def batch(self, points) -> np.ndarray:
+        """h at each row of an (M, d) array of points, shape (M, n, n).
+
+        Rows pass the checks of a single evaluation, in its order: domain,
+        the function's own checks, shape, finiteness, hermiticity and
+        singularity.  The error raised is the one a row-by-row loop would
+        raise: each check runs only on the rows before the first failure of
+        an earlier check, and the earliest failing row wins.
+        """
+        pts = as_points(points, self.dim).reshape(-1, self.dim)
+        error = None
+        if self.domain is not None:
+            i = _first_false(_contains(self.domain, pts))
+            if i is not None:
+                error = DomainError(f"point {pts[i]} is outside the domain of {self.name}")
+                pts = pts[:i]
+        h, func_error = self._values(pts)
+        if func_error is not None:
+            error, pts = func_error, pts[: len(h)]
+        i = _first_false(np.isfinite(h).all(axis=(1, 2)))
+        if i is not None:
+            error = StructuralError(f"{self.name} has non-finite entries at {pts[i]}")
+            pts, h = pts[:i], h[:i]
+        h_adj = _adjoint(h)
+        i = _first_false(_norms(h - h_adj) <= self._HERM_TOL * np.maximum(1.0, _norms(h)))
+        if i is not None:
+            error = StructuralError(f"{self.name} is not Hermitian at {pts[i]}")
+            pts, h, h_adj = pts[:i], h[:i], h_adj[:i]
+        evals = np.linalg.eigvalsh(0.5 * (h + h_adj))
+        i = _first_false(evals[:, 0] > self._SING_TOL * np.maximum(evals[:, -1], 0.0))
+        if i is not None:
+            error = SingularMetricError(
+                f"{self.name} is numerically singular at {pts[i]} "
+                f"(eigenvalue range [{evals[i, 0]:.3e}, {evals[i, -1]:.3e}])"
             )
-        if not np.all(np.isfinite(h)):
-            raise StructuralError(f"{self.name} has non-finite entries at {z}")
-        scale = max(1.0, frob(h))
-        if frob(h - h.conj().T) > self._HERM_TOL * scale:
-            raise StructuralError(f"{self.name} is not Hermitian at {z}")
-        evals = np.linalg.eigvalsh(hermitize(h))
-        if evals[0] <= self._SING_TOL * max(evals[-1], 0.0):
-            raise SingularMetricError(
-                f"{self.name} is numerically singular at {z} "
-                f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
-            )
+        if error is not None:
+            raise error
         return h
+
+    def _values(self, pts: np.ndarray) -> tuple[np.ndarray, BckError | None]:
+        """The function's values on the rows before the first row it fails
+        on, and that failure (None if every row passes)."""
+        try:
+            return self._evaluate(pts), None
+        except BckError as exc:
+            error = exc
+        # bisect for the first failing row: a prefix fails iff it holds one
+        lo, hi = 0, len(pts) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                self._evaluate(pts[: mid + 1])
+            except BckError as exc:
+                hi, error = mid, exc
+            else:
+                lo = mid + 1
+        return self._evaluate(pts[:lo]), error
+
+    def _evaluate(self, pts: np.ndarray) -> np.ndarray:
+        n = self.fiber_dim
+        if not len(pts):
+            return np.empty((0, n, n), dtype=complex)
+        if self.batch_func is not None:
+            h = np.asarray(self.batch_func(pts), dtype=complex)
+            if h.shape != (len(pts), n, n):
+                raise StructuralError(
+                    f"{self.name} returned shape {h.shape[1:]}, expected ({n}, {n})"
+                )
+            return h
+        rows = []
+        for z in pts:
+            h = np.atleast_2d(np.asarray(self.func(z), dtype=complex))
+            if h.shape != (n, n):
+                raise StructuralError(f"{self.name} returned shape {h.shape}, expected ({n}, {n})")
+            rows.append(h)
+        return np.array(rows)
 
     def boundary_distance(self, z) -> float:
         if self.domain is None:
@@ -149,23 +247,80 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
     diagonal kernel block fails the admissibility margin.
     """
 
-    def func(z):
-        block = eval_kernel(spec, z, z)
-        svals = np.linalg.svd(block, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] < admissibility_tol * svals[0]:
+    def batch_func(z):
+        blocks = spec.eval_batch(z, z)
+        svals = np.linalg.svd(blocks, compute_uv=False)
+        i = _first_false((svals[:, 0] != 0.0) & (svals[:, -1] >= admissibility_tol * svals[:, 0]))
+        if i is not None:
             raise SingularMetricError(
-                f"kernel {spec.variant} is not admissible at {np.asarray(z)} "
-                f"(singular values in [{svals[-1]:.3e}, {svals[0]:.3e}])"
+                f"kernel {spec.variant} is not admissible at {z[i]} "
+                f"(singular values in [{svals[i, -1]:.3e}, {svals[i, 0]:.3e}])"
             )
-        return spec.fiber_metric(z) @ block
+        return spec.fiber_metric_batch(z) @ blocks
 
     return MetricField(
-        func=func,
+        func=lambda z: batch_func(z[None])[0],
         dim=spec.base_dim,
         fiber_dim=spec.fiber_dim,
         domain=spec,
         name=f"{spec.variant} kernel metric",
+        batch_func=batch_func,
     )
+
+
+# ---------------------------------------------------------------------------
+# the metric jet
+# ---------------------------------------------------------------------------
+
+
+def _by_node(values: np.ndarray, count: int, nodes: int) -> np.ndarray:
+    """Rows (axis -3) of a batch over count x nodes stencil points, node axis first."""
+    split = values.reshape(values.shape[:-3] + (count, nodes) + values.shape[-2:])
+    return np.moveaxis(split, -3, 0)
+
+
+@dataclass(frozen=True)
+class MetricJet:
+    """h and its Wirtinger derivatives at an array of N chart points.
+
+    h is (N, n, n); dp[j] ~ dh/dz_j and dq[k] ~ dh/dzbar_k are stacked as
+    (d, N, n, n); mixed[k, j] ~ d^2 h / dzbar_k dz_j is (d, d, N, n, n),
+    or None for a first-order jet.
+    """
+
+    points: np.ndarray
+    h: np.ndarray
+    dp: np.ndarray
+    dq: np.ndarray
+    mixed: np.ndarray | None = None
+
+
+def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: int = 2) -> MetricJet:
+    """Evaluate the metric once on every stencil node of every point.
+
+    First derivatives use `steps.first`, mixed second derivatives (order 2)
+    `steps.second`, both times the per-axis chart scale.  Points are checked
+    in grid order: the first point whose evaluation or stencil fails raises.
+    """
+    pts = as_points(points, metric.dim).reshape(-1, metric.dim)
+    d = metric.dim
+    stencil = Stencil(
+        d,
+        first=steps.first_steps(metric.scale),
+        mixed=steps.second_steps(metric.scale) if order == 2 else None,
+        richardson=steps.richardson,
+        centre=True,
+    )
+    values = _by_node(
+        stencil.on_points(metric.batch, pts, metric.domain), len(pts), len(stencil.offsets)
+    )
+    dp, dq = stencil.first_derivatives(values)
+    mixed = None
+    if order == 2:
+        mixed = np.stack(
+            [np.stack([stencil.mixed_derivative(values, k, j) for j in range(d)]) for k in range(d)]
+        )
+    return MetricJet(points=pts, h=values[Stencil.CENTRE], dp=dp, dq=dq, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +344,30 @@ class ConnectionAtPoint:
         return max((frob(m) for m in self.form.q), default=0.0)
 
 
+@dataclass(frozen=True)
+class ConnectionField:
+    """A connection form over an array of points, with the first-order
+    metric jet it was computed from; form.p and form.q are (d, N, n, n)."""
+
+    jet: MetricJet
+    form: Form1
+
+    def at(self, i: int) -> ConnectionAtPoint:
+        return ConnectionAtPoint(
+            form=Form1(self.form.p[:, i], self.form.q[:, i]), point=self.jet.points[i]
+        )
+
+
+def chern_connection_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> ConnectionField:
+    """A = h^{-1} del h at every point, with the dzbar block zero by construction."""
+    jet = metric_jet(metric, points, steps, order=1)
+    p = np.linalg.solve(jet.h, jet.dp)
+    return ConnectionField(jet=jet, form=Form1(p, np.zeros_like(p)))
+
+
 def chern_connection(metric: MetricField, z, steps: FdSteps = FdSteps()) -> ConnectionAtPoint:
     """A = h^{-1} del h at z, with the dzbar block zero by construction."""
-    z = as_point(z, metric.dim)
-    h = metric(z)
-    dp, _ = wirtinger_first(
-        metric,
-        z,
-        steps.first_steps(metric.scale),
-        richardson=steps.richardson,
-        domain=metric.domain,
-    )
-    p = np.stack([np.linalg.solve(h, dp[j]) for j in range(metric.dim)])
-    return ConnectionAtPoint(form=Form1(p, np.zeros_like(p)), point=z)
+    return chern_connection_field(metric, as_point(z, metric.dim)[None], steps).at(0)
 
 
 def _connection_form(connection, z, steps) -> Form1:
@@ -257,15 +423,84 @@ class CurvatureAtPoint:
     pairing_residual: float
 
 
-def _pairing_residual(h: np.ndarray, r11: np.ndarray) -> float:
-    d = r11.shape[0]
-    weighted = np.stack([np.stack([h @ r11[k, j] for j in range(d)]) for k in range(d)])
-    scale = max(1.0, max(frob(weighted[k, j]) for k in range(d) for j in range(d)))
-    worst = 0.0
-    for k in range(d):
-        for j in range(d):
-            worst = max(worst, frob(weighted[k, j].conj().T - weighted[j, k]))
-    return worst / scale
+@dataclass(frozen=True)
+class CurvatureField:
+    """Curvature over an array of points: form blocks (d, d, N, n, n), the
+    metric h (N, n, n) and the residuals of CurvatureAtPoint as (N,) arrays."""
+
+    points: np.ndarray
+    h: np.ndarray
+    form: Form2
+    method: str
+    purity_residual: np.ndarray
+    pairing_residual: np.ndarray
+
+    def at(self, i: int) -> CurvatureAtPoint:
+        f = self.form
+        return CurvatureAtPoint(
+            form=Form2(f.c20[:, :, i], f.r11[:, :, i], f.c02[:, :, i]),
+            point=self.points[i],
+            method=self.method,
+            purity_residual=float(self.purity_residual[i]),
+            pairing_residual=float(self.pairing_residual[i]),
+        )
+
+
+def _max_norm(blocks: np.ndarray) -> np.ndarray:
+    """Largest Frobenius norm over the two form indices, per point."""
+    return _norms(blocks).max(axis=(0, 1))
+
+
+def _pairing_residuals(h: np.ndarray, r11: np.ndarray) -> np.ndarray:
+    weighted = h @ r11
+    scale = np.maximum(1.0, _max_norm(weighted))
+    return _max_norm(_adjoint(weighted) - np.swapaxes(weighted, 0, 1)) / scale
+
+
+def analytic_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> CurvatureField:
+    """The analytic expansion at every point, from one second-order metric jet."""
+    jet = metric_jet(metric, points, steps, order=2)
+    h = jet.h
+    hk = np.linalg.solve(h, jet.dq)
+    r11 = np.linalg.solve(h, jet.mixed) - hk[:, None] @ np.linalg.solve(h, jet.dp)[None, :]
+    zero = np.zeros_like(r11)
+    return CurvatureField(
+        points=jet.points,
+        h=h,
+        form=Form2(zero, r11, zero.copy()),
+        method="analytic_expansion",
+        purity_residual=np.zeros(len(jet.points)),
+        pairing_residual=_pairing_residuals(h, r11),
+    )
+
+
+def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> CurvatureField:
+    """d A + A ^ A at every point, A from the connection field at the nodes
+    of an outer stencil of step `steps.second` (the point itself included)."""
+    pts = as_points(points, metric.dim).reshape(-1, metric.dim)
+    outer = Stencil(
+        metric.dim,
+        first=steps.second_steps(metric.scale),
+        richardson=steps.richardson,
+        centre=True,
+    )
+    conn = outer.on_points(
+        lambda nodes: chern_connection_field(metric, nodes, steps), pts, metric.domain
+    )
+    count, nodes = len(pts), len(outer.offsets)
+    p = _by_node(conn.form.p, count, nodes)
+    q = _by_node(conn.form.q, count, nodes)
+    a0 = Form1(p[Stencil.CENTRE], q[Stencil.CENTRE])
+    theta = outer.exterior_derivative([Form1(pp, qq) for pp, qq in zip(p, q)]) + wedge(a0, a0)
+    h = _by_node(conn.jet.h, count, nodes)[Stencil.CENTRE]
+    return CurvatureField(
+        points=pts,
+        h=h,
+        form=theta,
+        method="nested_fd",
+        purity_residual=np.maximum(_max_norm(theta.c20), _max_norm(theta.c02)),
+        pairing_residual=_pairing_residuals(h, theta.r11),
+    )
 
 
 def curvature(
@@ -280,58 +515,37 @@ def curvature(
     must agree within 5e-5 relative on smooth metrics; the analytic
     expansion is the default (cheaper and with less noise amplification).
     """
-    z = as_point(z, metric.dim)
-    h = metric(z)
-    d = metric.dim
-    if method == "analytic_expansion":
-        dp, dq = wirtinger_first(
-            metric,
-            z,
-            steps.first_steps(metric.scale),
-            richardson=steps.richardson,
-            domain=metric.domain,
-        )
-        second = steps.second_steps(metric.scale)
-        r11 = np.empty((d, d, metric.fiber_dim, metric.fiber_dim), dtype=complex)
-        for k in range(d):
-            hk = np.linalg.solve(h, dq[k])
-            for j in range(d):
-                mixed = wirtinger_mixed(
-                    metric,
-                    z,
-                    k,
-                    j,
-                    second,
-                    richardson=steps.richardson,
-                    domain=metric.domain,
-                )
-                r11[k, j] = np.linalg.solve(h, mixed) - hk @ np.linalg.solve(h, dp[j])
-        zero = np.zeros_like(r11)
-        form = Form2(zero, r11, zero.copy())
-        purity = 0.0
-    elif method == "nested_fd":
-        form = connection_curvature(
-            lambda w: chern_connection(metric, w, steps),
-            z,
-            steps,
-            domain=metric.domain,
-            scale=metric.scale,
-        )
-        flat20 = form.c20.reshape((-1, metric.fiber_dim, metric.fiber_dim))
-        flat02 = form.c02.reshape((-1, metric.fiber_dim, metric.fiber_dim))
-        purity = max(
-            max((frob(m) for m in flat20), default=0.0),
-            max((frob(m) for m in flat02), default=0.0),
-        )
-    else:
+    fields = {
+        "analytic_expansion": analytic_curvature_field,
+        "nested_fd": nested_curvature_field,
+    }
+    if method not in fields:
         raise ValueError(f"unknown curvature method {method!r}")
-    return CurvatureAtPoint(
-        form=form,
-        point=z,
-        method=method,
-        purity_residual=purity,
-        pairing_residual=_pairing_residual(h, form.r11),
-    )
+    return fields[method](metric, as_point(z, metric.dim)[None], steps).at(0)
+
+
+def compatibility_field(connection: ConnectionField, structure: np.ndarray | None = None) -> dict:
+    """The residuals of `compatibility_residuals` at every point of a
+    connection field, as (N,) arrays.
+
+    `structure` is the (2,0) block (d, d, N, n, n) of the connection's
+    curvature; without it the structure residual reads zero.
+    """
+    jet, a = connection.jet, connection.form
+    h = jet.h
+    metric_res = np.maximum(
+        _norms(jet.dp - (h @ a.p + _adjoint(a.q) @ h)),
+        _norms(jet.dq - (h @ a.q + _adjoint(a.p) @ h)),
+    ).max(axis=0)
+    count = len(jet.points)
+    return {
+        "metric": metric_res,
+        "holo": _norms(a.q).max(axis=0),
+        "structure": np.zeros(count) if structure is None else _max_norm(structure),
+        "scale": np.maximum.reduce(
+            [np.ones(count), _norms(h), _norms(jet.dp).max(axis=0), _norms(jet.dq).max(axis=0)]
+        ),
+    }
 
 
 def compatibility_residuals(
@@ -353,43 +567,22 @@ def compatibility_residuals(
     measure how badly it violates the identities.
     """
     z = as_point(z, metric.dim)
-    h = metric(z)
-    if connection_field is None:
-        connection_field = lambda w: chern_connection(metric, w, steps)
-    a = _connection_form(
-        connection if connection is not None else connection_field(z), z, steps
-    )
-    dp, dq = wirtinger_first(
-        metric,
-        z,
-        steps.first_steps(metric.scale),
-        richardson=steps.richardson,
-        domain=metric.domain,
-    )
-    metric_res = 0.0
-    for j in range(metric.dim):
-        metric_res = max(
-            metric_res,
-            frob(dp[j] - (h @ a.p[j] + a.q[j].conj().T @ h)),
-            frob(dq[j] - (h @ a.q[j] + a.p[j].conj().T @ h)),
-        )
-    holo_res = max((frob(m) for m in a.q), default=0.0)
-
-    structure_res = 0.0
+    conn = chern_connection_field(metric, z[None], steps)
+    structure = None
     if metric.dim > 1:
-        theta = connection_curvature(
-            connection_field, z, steps, domain=metric.domain, scale=metric.scale
+        if connection_field is None:
+            structure = nested_curvature_field(metric, z[None], steps).form.c20
+        else:
+            theta = connection_curvature(
+                connection_field, z, steps, domain=metric.domain, scale=metric.scale
+            )
+            structure = theta.c20[:, :, None]
+    if connection is not None or connection_field is not None:
+        a = _connection_form(
+            connection if connection is not None else connection_field(z), z, steps
         )
-        flat = theta.c20.reshape((-1, metric.fiber_dim, metric.fiber_dim))
-        structure_res = max((frob(m) for m in flat), default=0.0)
-
-    scale = max(1.0, frob(h), max(frob(m) for m in dp), max(frob(m) for m in dq))
-    return {
-        "metric": metric_res,
-        "holo": holo_res,
-        "structure": structure_res,
-        "scale": scale,
-    }
+        conn = ConnectionField(jet=conn.jet, form=Form1(a.p[:, None], a.q[:, None]))
+    return {key: float(value[0]) for key, value in compatibility_field(conn, structure).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +734,8 @@ def subbundle_split(
     frame: Callable[[np.ndarray], np.ndarray],
     z,
     steps: FdSteps = FdSteps(),
+    connection: ConnectionAtPoint | None = None,
+    ambient: CurvatureAtPoint | None = None,
 ) -> SubbundleSplit:
     """Adapted-frame split of the metric connection along span(frame).
 
@@ -548,7 +743,9 @@ def subbundle_split(
     in the pointwise metric inner product by modified Gram-Schmidt with
     the triangular factor's diagonal kept real positive; fixing the
     complement columns once (chosen at z by largest projection residual)
-    keeps the frame field smooth across the stencil.
+    keeps the frame field smooth across the stencil.  The metric
+    connection and its analytic curvature at z are computed unless
+    passed in as `connection` and `ambient`.
     """
     z = as_point(z, metric.dim)
     n = metric.fiber_dim
@@ -576,7 +773,7 @@ def subbundle_split(
     u0, r_full = adapted(z)
     u0_inv = u0.conj().T @ h0  # h-unitarity makes this the inverse
 
-    a = chern_connection(metric, z, steps)
+    a = connection if connection is not None else chern_connection(metric, z, steps)
     du_p, du_q = wirtinger_first(
         lambda w: adapted(w)[0],
         z,
@@ -593,7 +790,7 @@ def subbundle_split(
         beta[j] = tilde_p[k:, :k]
         antiholo = max(antiholo, frob(tilde_q[k:, :k]))
 
-    amb = curvature(metric, z, steps, method="analytic_expansion")
+    amb = ambient if ambient is not None else curvature(metric, z, steps)
     block11 = np.empty((d, d, k, k), dtype=complex)
     block22 = np.empty((d, d, n - k, n - k), dtype=complex)
     for kk in range(d):
@@ -648,28 +845,61 @@ class DualCurvatureResult:
     residual: float
 
 
-def dual_curvature_check(
+@dataclass(frozen=True)
+class DualCurvatureField:
+    """DualCurvatureResult over an array of points: (d, d, N, n, n) blocks
+    and an (N,) residual."""
+
+    theta_r11: np.ndarray
+    theta_dual_r11: np.ndarray
+    residual: np.ndarray
+
+    def at(self, i: int) -> DualCurvatureResult:
+        return DualCurvatureResult(
+            theta_r11=self.theta_r11[:, :, i],
+            theta_dual_r11=self.theta_dual_r11[:, :, i],
+            residual=float(self.residual[i]),
+        )
+
+
+def dual_curvature_field(
     spec: KernelSpec,
-    z,
+    points,
     steps: FdSteps = FdSteps(),
-) -> DualCurvatureResult:
+    scale=None,
+    theta: CurvatureField | None = None,
+) -> DualCurvatureField:
     """Check that the dual-bundle curvature is the negative of the original.
 
     The dual kernel lives on the conjugated chart; the point matching z
     is conj(z), and pulling the (1,1) coefficients back to the original
     coordinates transposes the axis indices, conjugates the operator
-    entries and flips the orientation sign.
+    entries and flips the orientation sign.  Both metrics use the chart
+    `scale`; `theta`, the analytic curvature field of spec's metric over
+    the same points and scale, is reused when given.
     """
-    z = as_point(z, spec.base_dim)
-    theta = curvature(metric_from_kernel(spec), z, steps).form.r11
-    dual = dual_kernel(spec)
-    theta_dual_raw = curvature(metric_from_kernel(dual), np.conj(z), steps).form.r11
-    d = spec.base_dim
-    pulled = np.empty_like(theta_dual_raw)
-    for k in range(d):
-        for j in range(d):
-            pulled[k, j] = -np.conj(theta_dual_raw[j, k])
-    residual = max(
-        frob(pulled[k, j] + theta[k, j]) for k in range(d) for j in range(d)
+    pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
+
+    def metric(kernel):
+        m = metric_from_kernel(kernel)
+        m.scale = np.ones(kernel.base_dim) if scale is None else np.asarray(scale, dtype=float)
+        return m
+
+    if theta is None:
+        theta = analytic_curvature_field(metric(spec), pts, steps)
+    raw = analytic_curvature_field(metric(dual_kernel(spec)), np.conj(pts), steps).form.r11
+    pulled = -np.conj(np.swapaxes(raw, 0, 1))
+    return DualCurvatureField(
+        theta_r11=theta.form.r11,
+        theta_dual_r11=pulled,
+        residual=_max_norm(pulled + theta.form.r11),
     )
-    return DualCurvatureResult(theta_r11=theta, theta_dual_r11=pulled, residual=residual)
+
+
+def dual_curvature_check(
+    spec: KernelSpec,
+    z,
+    steps: FdSteps = FdSteps(),
+) -> DualCurvatureResult:
+    """`dual_curvature_field` at one point z."""
+    return dual_curvature_field(spec, as_point(z, spec.base_dim)[None], steps).at(0)

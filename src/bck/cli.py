@@ -19,7 +19,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import import_module
 from typing import Callable
 
@@ -27,13 +28,16 @@ import numpy as np
 
 from . import __version__
 from .chern import (
-    CurvatureAtPoint,
+    ConnectionField,
+    CurvatureField,
     FdSteps,
-    chern_connection,
-    compatibility_residuals,
-    curvature,
-    dual_curvature_check,
+    MetricField,
+    analytic_curvature_field,
+    chern_connection_field,
+    compatibility_field,
+    dual_curvature_field,
     metric_from_kernel,
+    nested_curvature_field,
     subbundle_split,
 )
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
@@ -49,7 +53,6 @@ from .kernels import (
     gram,
     psd_check,
 )
-from .linalg import frob
 from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
 from .selfcheck import run_selfcheck
@@ -117,8 +120,10 @@ def _parse_matrix(rows) -> np.ndarray:
         raise ConfigError(f"bad matrix literal: {exc}") from exc
 
 
-def _parse_polynomial(entry, dim: int) -> MatrixPolynomial:
-    """One polynomial: a list of monomials {"c": coeff, "p": powers-of-z}."""
+def _parse_polynomial(entry, dim: int) -> dict:
+    """One polynomial: a list of monomials {"c": coeff, "p": powers-of-z}.
+
+    Returns its terms, keyed as MatrixPolynomial keys them."""
     if not isinstance(entry, list):
         raise ConfigError("a polynomial entry must be a list of monomials")
     terms = {}
@@ -131,29 +136,24 @@ def _parse_polynomial(entry, dim: int) -> MatrixPolynomial:
         if len(powers) != dim:
             raise ConfigError(f"monomial powers {powers!r} do not match dimension {dim}")
         key = (tuple(int(x) for x in powers), (0,) * dim)
-        coeff = np.asarray(_as_complex(mono["c"]))
-        terms[key] = terms.get(key, 0) + coeff
-    if not terms:
-        terms[((0,) * dim, (0,) * dim)] = np.asarray(0.0 + 0.0j)
-    return MatrixPolynomial(dim, terms, shape=())
+        terms[key] = terms.get(key, 0) + np.asarray(_as_complex(mono["c"]))
+    return terms
 
 
-def _parse_polynomial_matrix(rows, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+def _parse_polynomial_matrix(rows, dim: int) -> MatrixPolynomial:
+    """An n x m matrix of polynomial entries as one MatrixPolynomial."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ConfigError("expected a matrix of polynomial entries")
-    polys = [[_parse_polynomial(entry, dim) for entry in row] for row in rows]
-    n, m = len(polys), len(polys[0])
-    if any(len(row) != m for row in polys):
+    entries = [[_parse_polynomial(entry, dim) for entry in row] for row in rows]
+    n, m = len(entries), len(entries[0])
+    if any(len(row) != m for row in entries):
         raise ConfigError("polynomial matrix rows have unequal lengths")
-
-    def matrix_field(z):
-        out = np.empty((n, m), dtype=complex)
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = polys[i][j](z)
-        return out
-
-    return matrix_field
+    terms = {}
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            for key, coeff in entry.items():
+                terms.setdefault(key, np.zeros((n, m), dtype=complex))[i, j] += coeff
+    return MatrixPolynomial(dim, terms, shape=(n, m))
 
 
 def build_kernel(cfg: dict) -> KernelSpec:
@@ -333,19 +333,16 @@ class AnalysisConfig:
 
 @dataclass
 class RunContext:
-    """One run's config and grid, plus the results its tasks share.
+    """One run's config and grid, plus the fields its tasks share.
 
-    The metric, the analytic curvature at each grid point and the
-    Griffiths report are computed on first use and reused by every task
-    of the run.
+    The metric, the connection field, both curvature fields and the
+    Griffiths report are each computed once, on first use, over all grid
+    points; the tasks are reductions over them.
     """
 
     config: AnalysisConfig
     points: np.ndarray
     points_total: int
-    _metric: object = dataclass_field(default=None, repr=False)
-    _curvatures: list | None = dataclass_field(default=None, repr=False)
-    _griffiths: GriffithsReport | None = dataclass_field(default=None, repr=False)
 
     @property
     def kernel(self) -> KernelSpec:
@@ -359,73 +356,60 @@ class RunContext:
     def tol(self) -> dict:
         return self.config.tolerances
 
-    def metric(self):
-        if self._metric is None:
-            metric = metric_from_kernel(self.kernel, self.tol["admissibility"])
-            metric.scale = np.asarray(self.config.grid.scale, dtype=float)
-            self._metric = metric
-        return self._metric
+    @cached_property
+    def metric(self) -> MetricField:
+        metric = metric_from_kernel(self.kernel, self.tol["admissibility"])
+        metric.scale = np.asarray(self.config.grid.scale, dtype=float)
+        return metric
 
-    def map_points(self, fn):
-        return [fn(z) for z in self.points]
+    @cached_property
+    def connection(self) -> ConnectionField:
+        return chern_connection_field(self.metric, self.points, self.steps)
 
-    def curvatures(self) -> list[CurvatureAtPoint]:
-        """Analytic-expansion curvature at each grid point, in grid order."""
-        if self._curvatures is None:
-            metric = self.metric()
-            self._curvatures = self.map_points(lambda z: curvature(metric, z, self.steps))
-        return self._curvatures
+    @cached_property
+    def analytic(self) -> CurvatureField:
+        return analytic_curvature_field(self.metric, self.points, self.steps)
 
+    @cached_property
+    def nested(self) -> CurvatureField:
+        return nested_curvature_field(self.metric, self.points, self.steps)
+
+    @cached_property
     def griffiths(self) -> GriffithsReport:
-        if self._griffiths is None:
-            by_point = {z.tobytes(): c for z, c in zip(self.points, self.curvatures())}
-            self._griffiths = griffiths_verdict(
-                self.metric(),
-                lambda z: by_point[z.tobytes()],
-                self.points,
-                directions=self.config.direction_count,
-                seed=self.config.seed,
-                pos_tol=self.tol["pos"],
-                neg_tol=self.tol["neg"],
-            )
-        return self._griffiths
+        return griffiths_verdict(
+            self.metric,
+            self.analytic,
+            self.points,
+            directions=self.config.direction_count,
+            seed=self.config.seed,
+            pos_tol=self.tol["pos"],
+            neg_tol=self.tol["neg"],
+        )
 
 
 def _point_columns(points: np.ndarray) -> list[dict]:
     cols = []
     for j in range(points.shape[1]):
-        cols.append({"name": f"re_z{j + 1}", "values": [float(z[j].real) for z in points]})
-        cols.append({"name": f"im_z{j + 1}", "values": [float(z[j].imag) for z in points]})
+        cols.append({"name": f"re_z{j + 1}", "values": points[:, j].real.tolist()})
+        cols.append({"name": f"im_z{j + 1}", "values": points[:, j].imag.tolist()})
     return cols
 
 
-def _matrix_field_columns(name: str, stacks: list[np.ndarray]) -> list[dict]:
-    """Flatten per-point coefficient stacks into named real columns."""
-    sample = stacks[0]
+def _matrix_field_columns(name: str, field: np.ndarray) -> list[dict]:
+    """Flatten a coefficient field, point axis third from the end, into
+    named real columns."""
+    by_point = np.moveaxis(field, -3, 0)
     cols = []
-    for index in np.ndindex(sample.shape):
+    for index in np.ndindex(by_point.shape[1:]):
         tag = "_".join(str(i) for i in index)
-        cols.append(
-            {
-                "name": f"{name}_{tag}_re",
-                "values": [float(s[index].real) for s in stacks],
-            }
-        )
-        cols.append(
-            {
-                "name": f"{name}_{tag}_im",
-                "values": [float(s[index].imag) for s in stacks],
-            }
-        )
+        values = by_point[(slice(None),) + index]
+        cols.append({"name": f"{name}_{tag}_re", "values": values.real.tolist()})
+        cols.append({"name": f"{name}_{tag}_im", "values": values.imag.tolist()})
     return cols
 
 
 def _task_selftest(ctx: RunContext) -> dict:
-    entries = run_selfcheck(seed=ctx.config.seed)
-    return {
-        "passed": all(e["passed"] for e in entries),
-        "data": {"checks": entries},
-    }
+    return run_selftest(seed=ctx.config.seed)
 
 
 def _task_psd(ctx: RunContext) -> dict:
@@ -472,122 +456,84 @@ def _task_admissibility(ctx: RunContext) -> dict:
 
 
 def _disc_connection_reference(nu, z):
-    return nu * np.conj(z[0]) / (1.0 - abs(z[0]) ** 2)
+    return nu * np.conj(z[..., 0]) / (1.0 - np.abs(z[..., 0]) ** 2)
 
 
 def _disc_curvature_reference(nu, z):
-    return nu / (1.0 - abs(z[0]) ** 2) ** 2
+    return nu / (1.0 - np.abs(z[..., 0]) ** 2) ** 2
 
 
 def _task_connection(ctx: RunContext) -> dict:
-    metric = ctx.metric()
-
-    def work(z):
-        conn = chern_connection(metric, z, ctx.steps)
-        resid = compatibility_residuals(metric, z, ctx.steps, connection=conn)
-        return conn, resid
-
-    results = ctx.map_points(work)
-    rel_metric = max(r["metric"] / r["scale"] for _, r in results)
-    holo = max(c.holo_defect for c, _ in results)
+    conn = ctx.connection
+    res = compatibility_field(conn)
     data = {
-        "max_relative_metric_residual": float(rel_metric),
-        "max_holo_defect": float(holo),
-        "fields": _point_columns(ctx.points)
-        + _matrix_field_columns("a", [c.form.p for c, _ in results]),
+        "max_relative_metric_residual": float(np.max(res["metric"] / res["scale"])),
+        "max_holo_defect": float(np.max(res["holo"])),
+        "fields": _point_columns(ctx.points) + _matrix_field_columns("a", conn.form.p),
     }
     if isinstance(ctx.kernel, DiscPowerKernel):
-        err = max(
-            abs(c.form.p[0, 0, 0] - _disc_connection_reference(ctx.kernel.nu, z))
-            for (c, _), z in zip(results, ctx.points)
-        )
-        data["closed_form_max_abs_err"] = float(err)
-    passed = rel_metric <= ctx.tol["compatibility"]
+        ref = _disc_connection_reference(ctx.kernel.nu, ctx.points)
+        data["closed_form_max_abs_err"] = float(np.max(np.abs(conn.form.p[0, :, 0, 0] - ref)))
+    passed = data["max_relative_metric_residual"] <= ctx.tol["compatibility"]
     return {"passed": bool(passed), "data": data}
 
 
 def _task_curvature(ctx: RunContext) -> dict:
-    metric = ctx.metric()
-
-    def work(z, analytic):
-        nested = curvature(metric, z, ctx.steps, method="nested_fd")
-        scale = max(1.0, max(frob(m) for m in analytic.form.r11.reshape((-1, metric.fiber_dim, metric.fiber_dim))))
-        agreement = (
-            max(
-                frob(analytic.form.r11[k, j] - nested.form.r11[k, j])
-                for k in range(metric.dim)
-                for j in range(metric.dim)
-            )
-            / scale
-        )
-        purity = nested.purity_residual / scale
-        return analytic, agreement, purity
-
-    results = [work(z, c) for z, c in zip(ctx.points, ctx.curvatures())]
-    agreement = max(a for _, a, _ in results)
-    purity = max(p for _, _, p in results)
-    pairing = max(c.pairing_residual for c, _, _ in results)
+    analytic, nested = ctx.analytic.form.r11, ctx.nested
+    scale = np.maximum(1.0, np.linalg.norm(analytic, axis=(-2, -1)).max(axis=(0, 1)))
+    disagreement = np.linalg.norm(analytic - nested.form.r11, axis=(-2, -1)).max(axis=(0, 1))
+    agreement = float(np.max(disagreement / scale))
+    purity = float(np.max(nested.purity_residual / scale))
     data = {
-        "max_method_disagreement": float(agreement),
-        "max_relative_purity_residual": float(purity),
-        "max_pairing_residual": float(pairing),
-        "fields": _point_columns(ctx.points)
-        + _matrix_field_columns("r11", [c.form.r11 for c, _, _ in results]),
+        "max_method_disagreement": agreement,
+        "max_relative_purity_residual": purity,
+        "max_pairing_residual": float(np.max(ctx.analytic.pairing_residual)),
+        "fields": _point_columns(ctx.points) + _matrix_field_columns("r11", analytic),
     }
     if isinstance(ctx.kernel, DiscPowerKernel):
-        err = max(
-            abs(c.form.r11[0, 0, 0, 0] - _disc_curvature_reference(ctx.kernel.nu, z))
-            / abs(_disc_curvature_reference(ctx.kernel.nu, z))
-            for (c, _, _), z in zip(results, ctx.points)
-        )
-        data["closed_form_max_rel_err"] = float(err)
+        ref = _disc_curvature_reference(ctx.kernel.nu, ctx.points)
+        data["closed_form_max_rel_err"] = float(np.max(np.abs(analytic[0, 0, :, 0, 0] - ref) / np.abs(ref)))
     passed = agreement <= ctx.tol["method_agreement"] and purity <= ctx.tol["purity"]
     return {"passed": bool(passed), "data": data}
 
 
 def _task_compatibility(ctx: RunContext) -> dict:
-    metric = ctx.metric()
-
-    def work(z):
-        return compatibility_residuals(metric, z, ctx.steps)
-
-    results = ctx.map_points(work)
-    rel = {
-        key: max(r[key] / r["scale"] for r in results)
-        for key in ("metric", "holo", "structure")
-    }
+    structure = ctx.nested.form.c20 if ctx.metric.dim > 1 else None
+    res = compatibility_field(ctx.connection, structure)
+    rel = {key: float(np.max(res[key] / res["scale"])) for key in ("metric", "holo", "structure")}
     passed = all(v <= ctx.tol["compatibility"] for v in rel.values())
     return {
         "passed": bool(passed),
-        "data": {f"max_relative_{k}_residual": float(v) for k, v in rel.items()},
+        "data": {f"max_relative_{k}_residual": v for k, v in rel.items()},
     }
 
 
 def _task_dual(ctx: RunContext) -> dict:
-    def work(z):
-        return dual_curvature_check(ctx.kernel, z, ctx.steps).residual
-
-    residual = max(ctx.map_points(work))
+    dual = dual_curvature_field(
+        ctx.kernel, ctx.points, ctx.steps, scale=ctx.metric.scale, theta=ctx.analytic
+    )
+    residual = float(np.max(dual.residual))
     return {
         "passed": bool(residual <= ctx.tol["dual"]),
-        "data": {"max_residual": float(residual)},
+        "data": {"max_residual": residual},
     }
 
 
 def _task_subbundle(ctx: RunContext) -> dict:
-    metric = ctx.metric()
-    frame = ctx.config.subbundle_frame
-
-    def work(z):
-        split = subbundle_split(metric, frame, z, ctx.steps)
-        return split.identity_residual, split.beta_antiholo_residual
-
-    results = ctx.map_points(work)
-    identity = max(r[0] for r in results)
-    antiholo = max(r[1] for r in results)
-    passed = identity <= ctx.tol["subbundle"]
+    identity = antiholo = 0.0
+    for i, z in enumerate(ctx.points):
+        split = subbundle_split(
+            ctx.metric,
+            ctx.config.subbundle_frame,
+            z,
+            ctx.steps,
+            connection=ctx.connection.at(i),
+            ambient=ctx.analytic.at(i),
+        )
+        identity = max(identity, split.identity_residual)
+        antiholo = max(antiholo, split.beta_antiholo_residual)
     return {
-        "passed": bool(passed),
+        "passed": bool(identity <= ctx.tol["subbundle"]),
         "data": {
             "max_identity_residual": float(identity),
             "max_beta_antiholo_residual": float(antiholo),
@@ -611,7 +557,7 @@ def _griffiths_data(ctx: RunContext, report) -> dict:
 
 
 def _task_griffiths(ctx: RunContext) -> dict:
-    report = ctx.griffiths()
+    report = ctx.griffiths
     return {
         "passed": report.verdict != "indefinite",
         "data": _griffiths_data(ctx, report),
@@ -661,7 +607,7 @@ def _task_theorem55(ctx: RunContext) -> dict:
             "status": "hypothesis_not_met",
             "data": {"premise": premise, "conclusion": None},
         }
-    report = ctx.griffiths()
+    report = ctx.griffiths
     return {
         "passed": report.verdict != "indefinite",
         "status": "verified" if report.verdict != "indefinite" else "conclusion_failed",
@@ -745,20 +691,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     task passed, with structural and domain error kinds mapped to their
     dedicated codes.
     """
-    margin = 4.0 * config.steps.max_step * max(config.grid.scale)
-    all_points = config.grid.points()
-    points = config.grid.interior_points(config.kernel, margin=margin)
     needs_grid = any(t not in _GRIDLESS_TASKS for t in config.tasks)
-    if needs_grid and points.shape[0] == 0:
-        raise DomainError(
-            "no grid point lies inside the kernel domain with the stencil margin "
-            f"{margin:.3e}"
-        )
-    ctx = RunContext(
-        config=config,
-        points=points,
-        points_total=all_points.shape[0],
-    )
+    ctx, margin = _run_context(config, require_points=needs_grid)
     tasks = {}
     for name in config.tasks:
         start = time.perf_counter()
@@ -793,8 +727,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
         "config": config.echo,
         "seed": config.seed,
         "grid": {
-            "points_total": int(all_points.shape[0]),
-            "points_used": int(points.shape[0]),
+            "points_total": int(ctx.points_total),
+            "points_used": int(ctx.points.shape[0]),
             "stencil_margin": margin,
             "order": "row-major over re/im of each axis in declaration order",
         },
@@ -805,13 +739,23 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     return AnalysisReport(report)
 
 
-def run_verify_theorem55(config: AnalysisConfig) -> dict:
-    """Premise-gated positivity verification as a standalone report section."""
+def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunContext, float]:
+    """The run context over the grid points that clear the stencil margin
+    (four times the largest step), and that margin."""
     margin = 4.0 * config.steps.max_step * max(config.grid.scale)
     points = config.grid.interior_points(config.kernel, margin=margin)
-    if points.shape[0] == 0:
-        raise DomainError("no grid point lies inside the kernel domain")
-    ctx = RunContext(config=config, points=points, points_total=points.shape[0])
+    if require_points and points.shape[0] == 0:
+        raise DomainError(
+            "no grid point lies inside the kernel domain with the stencil margin "
+            f"{margin:.3e}"
+        )
+    total = config.grid.points().shape[0]
+    return RunContext(config=config, points=points, points_total=total), margin
+
+
+def run_verify_theorem55(config: AnalysisConfig) -> dict:
+    """Premise-gated positivity verification as a standalone report section."""
+    ctx, _ = _run_context(config, require_points=True)
     return _task_theorem55(ctx)
 
 

@@ -14,7 +14,8 @@ coefficient nu / (1 - |z|^2)^2.
 
 Derivatives are central finite differences on the 2d underlying real
 coordinates (Wirtinger combinations), with optional Richardson
-extrapolation for one extra order pair.
+extrapolation for one extra order pair; `Stencil` holds the one table of
+stencil nodes and weights, for one point or a batch of points.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = [
     "del_delbar",
     "cauchy_riemann_residual",
     "as_point",
+    "as_points",
+    "Stencil",
 ]
 
 
@@ -52,6 +55,16 @@ def as_point(z, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise ValueError(f"chart point has {p.size} coordinates, expected {dim}")
     if not np.all(np.isfinite(p)):
+        raise ValueError("chart point has non-finite coordinates")
+    return p
+
+
+def as_points(z, dim: int) -> np.ndarray:
+    """Coerce a stack of chart points to a finite complex array of shape (..., dim)."""
+    p = np.asarray(z, dtype=complex)
+    if p.ndim < 1 or p.shape[-1] != dim:
+        raise ValueError(f"chart points must have {dim} coordinates along the last axis")
+    if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
     return p
 
@@ -390,6 +403,180 @@ def _check_stencil(domain, z: np.ndarray, radius: float) -> None:
         )
 
 
+def _axis_offset(dim: int, axis: int, h, imag: bool) -> np.ndarray:
+    e = np.zeros(dim, dtype=complex)
+    e[axis] = 1j * h if imag else h
+    return e
+
+
+def _extrapolate(estimates: list):
+    """The step-h estimate, or with a step-h/2 one (4 D(h/2) - D(h)) / 3."""
+    if len(estimates) == 1:
+        return estimates[0]
+    return (4.0 * estimates[1] - estimates[0]) / 3.0
+
+
+class Stencil:
+    """The central-difference stencils of the package: node offsets and weights.
+
+    Offsets from the base point z are stored once each, in order of first
+    use.  `first` registers, per axis j, the nodes z +- h e_j, z +- i h e_j
+    of the first Wirtinger derivatives; `mixed` registers, per pair
+    (k, j), the nodes of the second difference d^2 / dzbar_k dz_j (z and
+    four axis nodes when k == j, sixteen diagonal nodes otherwise).  Each
+    derivative is taken at the step h and, with `richardson`, also at h/2,
+    the two combined as (4 D(h/2) - D(h)) / 3.  With `centre` the point z
+    itself is node 0 (`CENTRE`).
+
+    `first_derivatives` and `mixed_derivative` combine field values taken
+    at z + offsets[s], indexed by node first; any trailing shape is
+    carried along, so a whole batch of points is differentiated at once
+    when the point axis sits in the value shape.  `radius` is the distance
+    from z that the domain must clear.
+    """
+
+    CENTRE = 0
+
+    def __init__(
+        self,
+        dim: int,
+        first=None,
+        mixed=None,
+        richardson: bool = False,
+        centre: bool = False,
+        pairs=None,
+    ):
+        self.dim = int(dim)
+        self._index: dict[bytes, int] = {}
+        self._offsets: list[np.ndarray] = []
+        self.radius = 0.0
+        levels = (1.0, 0.5) if richardson else (1.0,)
+        if centre:
+            self._node(np.zeros(self.dim, dtype=complex))
+        self._first = []
+        if first is not None:
+            steps = _steps_array(first, self.dim)
+            self.radius = 2.0 * float(np.max(steps))
+            for j in range(self.dim):
+                rule = []
+                for level in levels:
+                    h = steps[j] * level
+                    e = _axis_offset(self.dim, j, h, False)
+                    ie = 1j * e
+                    rule.append((h, [self._node(o) for o in (e, -e, ie, -ie)]))
+                self._first.append(rule)
+        self._mixed = {}
+        if mixed is not None:
+            steps = _steps_array(mixed, self.dim)
+            if pairs is None:
+                pairs = [(k, j) for k in range(self.dim) for j in range(self.dim)]
+            for k, j in pairs:
+                self.radius = max(self.radius, 2.0 * float(max(steps[k], steps[j])))
+                self._mixed[(k, j)] = [
+                    self._mixed_rule(k, j, steps[k] * level, steps[j] * level)
+                    for level in levels
+                ]
+
+    def _node(self, offset: np.ndarray) -> int:
+        key = offset.tobytes()
+        if key not in self._index:
+            self._index[key] = len(self._offsets)
+            self._offsets.append(offset)
+        return self._index[key]
+
+    def _mixed_rule(self, k, j, hk, hj):
+        if k == j:
+            ex = _axis_offset(self.dim, j, hj, False)
+            ey = _axis_offset(self.dim, j, hj, True)
+            zero = np.zeros(self.dim, dtype=complex)
+            return hk, hj, [self._node(o) for o in (zero, ex, -ex, ey, -ey)]
+        nodes = []
+        for u_imag, v_imag in ((False, False), (True, False), (False, True), (True, True)):
+            u = _axis_offset(self.dim, k, hk, u_imag)
+            v = _axis_offset(self.dim, j, hj, v_imag)
+            nodes += [self._node(o) for o in (u + v, u - v, -u + v, -u - v)]
+        return hk, hj, nodes
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Node offsets from the base point, shape (S, d)."""
+        return np.array(self._offsets)
+
+    def values_at(self, f: Callable[[np.ndarray], object], z: np.ndarray, domain=None) -> list:
+        """f at every node around one point, after the stencil-domain check."""
+        _check_stencil(domain, z, self.radius)
+        return [f(z + o) for o in self._offsets]
+
+    def on_points(self, evaluate: Callable[[np.ndarray], object], points: np.ndarray, domain=None):
+        """`evaluate` applied once to the (N S, d) array of all nodes of all points.
+
+        Nodes are listed point by point in grid order.  Points are checked
+        in that order as a per-point loop would: if the stencil of point i
+        leaves the domain, the nodes of the points before it and point i
+        itself are evaluated first (raising any earlier failure), then the
+        stencil's DomainError is raised.
+        """
+        nodes = points[:, None, :] + self.offsets
+        for i, z in enumerate(points):
+            try:
+                _check_stencil(domain, z, self.radius)
+            except DomainError:
+                evaluate(np.concatenate([nodes[:i].reshape(-1, self.dim), points[i : i + 1]]))
+                raise
+        return evaluate(nodes.reshape(-1, self.dim))
+
+    def first_derivatives(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """(p, q) of shape (d, ...) with p[j] ~ df/dz_j and q[k] ~ df/dzbar_k."""
+        ps, qs = [], []
+        for rule in self._first:
+            p_levels, q_levels = [], []
+            for h, (px, mx, py, my) in rule:
+                fx = (np.asarray(values[px]) - np.asarray(values[mx])) / (2.0 * h)
+                fy = (np.asarray(values[py]) - np.asarray(values[my])) / (2.0 * h)
+                p_levels.append(0.5 * (fx - 1j * fy))
+                q_levels.append(0.5 * (fx + 1j * fy))
+            ps.append(_extrapolate(p_levels))
+            qs.append(_extrapolate(q_levels))
+        return np.stack(ps), np.stack(qs)
+
+    def mixed_derivative(self, values, k: int, j: int) -> np.ndarray:
+        """d^2 f / dzbar_k dz_j.  For k == j the cross terms cancel exactly
+        and only the quarter-Laplacian on that axis survives."""
+        estimates = []
+        for hk, hj, nodes in self._mixed[(k, j)]:
+            f = [np.asarray(values[s]) for s in nodes]
+            if k == j:
+                dxx = (f[1] - 2.0 * f[0] + f[2]) / hj**2
+                dyy = (f[3] - 2.0 * f[0] + f[4]) / hj**2
+                estimates.append(0.25 * (dxx + dyy))
+            else:
+                cross = [
+                    (f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * hk * hj)
+                    for i in range(0, 16, 4)
+                ]
+                estimates.append(0.25 * (cross[0] + 1j * cross[1] - 1j * cross[2] + cross[3]))
+        return _extrapolate(estimates)
+
+    def exterior_derivative(self, values):
+        """d of a 0- or 1-form field from its values at the nodes.
+
+        Values are Form0/Form1 (bare arrays count as 0-forms).  The
+        coefficient fields are differentiated and reassembled into the
+        degree p+1 coefficients.
+        """
+        values = [_as_field_value(v) for v in values]
+        if values[0].degree == 0:
+            return Form1(*self.first_derivatives([v.value for v in values]))
+        # dp_p[m, j] ~ d P_j / dz_m ; dq_p[k, j] ~ d P_j / dzbar_k ; etc.
+        dp_p, dq_p = self.first_derivatives([v.p for v in values])
+        dp_q, dq_q = self.first_derivatives([v.q for v in values])
+        return Form2(
+            dp_p - np.swapaxes(dp_p, 0, 1),
+            dq_p - np.swapaxes(dp_q, 0, 1),
+            dq_q - np.swapaxes(dq_q, 0, 1),
+        )
+
+
 def wirtinger_first(
     f: Callable[[np.ndarray], np.ndarray],
     z,
@@ -405,28 +592,8 @@ def wirtinger_first(
     accuracy.
     """
     z = as_point(z)
-    d = z.size
-    steps = _steps_array(step, d)
-    _check_stencil(domain, z, 2.0 * float(np.max(steps)))
-
-    def central(j, h):
-        e = np.zeros(d, dtype=complex)
-        e[j] = h
-        fx = (np.asarray(f(z + e)) - np.asarray(f(z - e))) / (2.0 * h)
-        fy = (np.asarray(f(z + 1j * e)) - np.asarray(f(z - 1j * e))) / (2.0 * h)
-        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-    ps, qs = [], []
-    for j in range(d):
-        h = steps[j]
-        pj, qj = central(j, h)
-        if richardson:
-            pj2, qj2 = central(j, h / 2.0)
-            pj = (4.0 * pj2 - pj) / 3.0
-            qj = (4.0 * qj2 - qj) / 3.0
-        ps.append(pj)
-        qs.append(qj)
-    return np.stack(ps), np.stack(qs)
+    stencil = Stencil(z.size, first=step, richardson=richardson)
+    return stencil.first_derivatives(stencil.values_at(f, z, domain))
 
 
 def wirtinger_mixed(
@@ -441,54 +608,11 @@ def wirtinger_mixed(
     """Mixed second Wirtinger derivative d^2 f / dzbar_k dz_j.
 
     Assembled from second central differences on the real coordinates of
-    axes k and j.  For k == j the cross terms cancel exactly and only the
-    quarter-Laplacian on that axis survives.
+    axes k and j.
     """
     z = as_point(z)
-    d = z.size
-    steps = _steps_array(step, d)
-    _check_stencil(domain, z, 2.0 * float(max(steps[k], steps[j])))
-
-    def offset(axis, h, imag):
-        e = np.zeros(d, dtype=complex)
-        e[axis] = 1j * h if imag else h
-        return e
-
-    def same_axis(h):
-        ex = offset(j, h, False)
-        ey = offset(j, h, True)
-        f0 = np.asarray(f(z))
-        dxx = (np.asarray(f(z + ex)) - 2.0 * f0 + np.asarray(f(z - ex))) / h**2
-        dyy = (np.asarray(f(z + ey)) - 2.0 * f0 + np.asarray(f(z - ey))) / h**2
-        return 0.25 * (dxx + dyy)
-
-    def cross(u, v, hk, hj):
-        return (
-            np.asarray(f(z + u + v))
-            - np.asarray(f(z + u - v))
-            - np.asarray(f(z - u + v))
-            + np.asarray(f(z - u - v))
-        ) / (4.0 * hk * hj)
-
-    def distinct(hk, hj):
-        xk, yk = offset(k, hk, False), offset(k, hk, True)
-        xj, yj = offset(j, hj, False), offset(j, hj, True)
-        return 0.25 * (
-            cross(xk, xj, hk, hj)
-            + 1j * cross(yk, xj, hk, hj)
-            - 1j * cross(xk, yj, hk, hj)
-            + cross(yk, yj, hk, hj)
-        )
-
-    def estimate(scale):
-        if k == j:
-            return same_axis(steps[j] * scale)
-        return distinct(steps[k] * scale, steps[j] * scale)
-
-    val = estimate(1.0)
-    if richardson:
-        val = (4.0 * estimate(0.5) - val) / 3.0
-    return val
+    stencil = Stencil(z.size, mixed=step, richardson=richardson, pairs=[(k, j)])
+    return stencil.mixed_derivative(stencil.values_at(f, z, domain), k, j)
 
 
 # ---------------------------------------------------------------------------
@@ -512,39 +636,11 @@ def exterior_derivative(
     """Exterior derivative of a 0- or 1-form field at one point.
 
     The field maps chart points to Form0/Form1 values (bare arrays count
-    as 0-forms); its coefficient fields are differentiated by central
-    differences and reassembled into the degree p+1 coefficients.
+    as 0-forms) and is evaluated once per stencil node.
     """
     z = as_point(z)
-    probe = _as_field_value(field(z))
-    if probe.degree == 0:
-        p, q = wirtinger_first(
-            lambda w: _as_field_value(field(w)).value,
-            z,
-            step,
-            richardson=richardson,
-            domain=domain,
-        )
-        return Form1(p, q)
-
-    d = z.size
-    dp_p, dq_p = wirtinger_first(
-        lambda w: np.asarray(field(w).p), z, step, richardson=richardson, domain=domain
-    )
-    dp_q, dq_q = wirtinger_first(
-        lambda w: np.asarray(field(w).q), z, step, richardson=richardson, domain=domain
-    )
-    # dp_p[m, j] ~ d P_j / dz_m ; dq_p[k, j] ~ d P_j / dzbar_k ; etc.
-    vshape = probe.p.shape[1:]
-    c20 = np.zeros((d, d, *vshape), dtype=complex)
-    r11 = np.zeros_like(c20)
-    c02 = np.zeros_like(c20)
-    for m in range(d):
-        for j in range(d):
-            c20[m, j] = dp_p[m, j] - dp_p[j, m]
-            r11[m, j] = dq_p[m, j] - dp_q[j, m]
-            c02[m, j] = dq_q[m, j] - dq_q[j, m]
-    return Form2(c20, r11, c02)
+    stencil = Stencil(z.size, first=step, richardson=richardson)
+    return stencil.exterior_derivative(stencil.values_at(field, z, domain))
 
 
 def del_delbar(

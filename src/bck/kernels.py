@@ -20,6 +20,10 @@ Built-in families:
 * ``constant(M)`` - a fixed block; non-PSD blocks are accepted so that
   negative positivity tests have something to chew on.
 * user hooks wrapping arbitrary callables.
+
+`KernelSpec.eval_batch` evaluates blocks over whole stacks of point
+pairs with the checks of `eval_kernel`; the built-in families vectorise
+it, and a family that defines only the per-pair `eval` is looped.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .forms import as_point
+from .forms import as_point, as_points
 from .linalg import (
     eig_margin,
     frob,
@@ -39,6 +43,7 @@ from .linalg import (
     relative_rank,
     smallest_singular_value,
 )
+from .polys import MatrixPolynomial
 
 __all__ = [
     "KernelSpec",
@@ -80,14 +85,83 @@ class KernelSpec:
     holomorphic: bool = False  # whether sections z -> kappa(z, t) xi should be
 
     def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Raw kernel block kappa(z, w) for one pair of chart points."""
+        return self.eval_many(z, w)
+
+    def eval_many(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Raw kernel blocks over stacks of chart points.
+
+        z and w have shapes (..., d) that broadcast against each other; the
+        result has shape (..., n, n).  Families define this or `eval`; a
+        family that defines only `eval` is looped pair by pair.
+        """
+        if type(self).eval is KernelSpec.eval:
+            raise NotImplementedError(f"{type(self).__name__} defines neither eval nor eval_many")
+        zb, wb = np.broadcast_arrays(z, w)
+        d = zb.shape[-1]
+        blocks = []
+        for zz, ww in zip(zb.reshape(-1, d), wb.reshape(-1, d)):
+            block = np.asarray(self.eval(zz, ww), dtype=complex)
+            _check_block_shape(block.shape, self.fiber_dim)
+            blocks.append(block)
+        n = self.fiber_dim
+        return np.array(blocks, dtype=complex).reshape(zb.shape[:-1] + (n, n))
+
+    def eval_batch(self, z, w) -> np.ndarray:
+        """kappa(z, w) over broadcast stacks of chart points, with the checks
+        of `eval_kernel` on every pair.
+
+        z and w have shapes (..., d) that broadcast against each other; the
+        result has shape (..., n, n).  Pairs are taken in row-major order,
+        z before w: a point outside the domain raises DomainError once the
+        pairs before it have passed every check, and a block of the wrong
+        shape or with non-finite entries raises StructuralError.
+        """
+        z = as_points(z, self.base_dim)
+        w = as_points(w, self.base_dim)
+        z_in, w_in = self.contains_batch(z), self.contains_batch(w)
+        if not (z_in.all() and w_in.all()):
+            shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])
+            z_in, w_in = (np.broadcast_to(a, shape).ravel() for a in (z_in, w_in))
+            i = int(np.argmin(z_in & w_in))
+            flat = [np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, self.base_dim) for a in (z, w)]
+            if i:
+                self._checked_blocks(flat[0][:i], flat[1][:i])
+            point = flat[1][i] if z_in[i] else flat[0][i]
+            raise DomainError(f"point {point} lies outside the {self.variant} domain")
+        return self._checked_blocks(z, w)
+
+    def _checked_blocks(self, z, w) -> np.ndarray:
+        out = np.asarray(self.eval_many(z, w), dtype=complex)
+        _check_block_shape(out.shape[max(z.ndim, w.ndim) - 1 :], self.fiber_dim)
+        if not np.isfinite(out).all():
+            raise StructuralError("kernel block has non-finite entries")
+        return out
 
     def fiber_metric(self, z: np.ndarray) -> np.ndarray:
         """Base Hermitian structure h0(z) of the underlying bundle."""
         return np.eye(self.fiber_dim, dtype=complex)
 
+    def fiber_metric_batch(self, z: np.ndarray) -> np.ndarray:
+        """h0 over a stack of chart points (..., d) -> (..., n, n); looped for a
+        family that defines only the per-point `fiber_metric`."""
+        z = np.asarray(z, dtype=complex)
+        n = self.fiber_dim
+        if type(self).fiber_metric is KernelSpec.fiber_metric:
+            return np.broadcast_to(np.eye(n, dtype=complex), z.shape[:-1] + (n, n))
+        metrics = [np.asarray(self.fiber_metric(p), dtype=complex) for p in z.reshape(-1, z.shape[-1])]
+        return np.array(metrics, dtype=complex).reshape(z.shape[:-1] + (n, n))
+
     def contains(self, z) -> bool:
         return True
+
+    def contains_batch(self, z: np.ndarray) -> np.ndarray:
+        """`contains` over a stack of chart points (..., d) -> (...) booleans."""
+        z = np.asarray(z, dtype=complex)
+        if type(self).contains is KernelSpec.contains:
+            return np.ones(z.shape[:-1], dtype=bool)
+        inside = [self.contains(p) for p in z.reshape(-1, z.shape[-1])]
+        return np.array(inside, dtype=bool).reshape(z.shape[:-1])
 
     def boundary_distance(self, z) -> float:
         return np.inf
@@ -109,19 +183,15 @@ class KernelSpec:
         return out
 
 
+def _check_block_shape(shape: tuple, n: int) -> None:
+    if shape != (n, n):
+        raise StructuralError(f"kernel block has shape {shape}, expected ({n}, {n})")
+
+
 def eval_kernel(spec: KernelSpec, z, w) -> np.ndarray:
-    """Evaluate kappa(z, w) with domain and finiteness checks."""
-    zz = spec.point(z)
-    ww = spec.point(w)
-    out = np.asarray(spec.eval(zz, ww), dtype=complex)
-    if out.shape != (spec.fiber_dim, spec.fiber_dim):
-        raise StructuralError(
-            f"kernel block has shape {out.shape}, expected "
-            f"({spec.fiber_dim}, {spec.fiber_dim})"
-        )
-    if not np.all(np.isfinite(out)):
-        raise StructuralError("kernel block has non-finite entries")
-    return out
+    """Evaluate kappa(z, w) with domain and finiteness checks (one pair of
+    `KernelSpec.eval_batch`)."""
+    return spec.eval_batch(as_point(z, spec.base_dim), as_point(w, spec.base_dim))
 
 
 class DiscPowerKernel(KernelSpec):
@@ -137,12 +207,20 @@ class DiscPowerKernel(KernelSpec):
         self.fiber_dim = 1
         self.base_dim = 1
 
-    def eval(self, z, w):
-        val = (1.0 - z[0] * np.conj(w[0])) ** (-self.nu)
-        return np.array([[val]], dtype=complex)
+    def eval_many(self, z, w):
+        z, w = np.asarray(z)[..., 0], np.asarray(w)[..., 0]
+        # z conj(w) in real arithmetic: a fused complex multiply would leave
+        # round-off in the imaginary part of the diagonal z conj(z)
+        re = z.real * w.real + z.imag * w.imag
+        im = z.imag * w.real - z.real * w.imag
+        val = (1.0 - (re + 1j * im)) ** (-self.nu)
+        return np.asarray(val)[..., None, None]
 
     def contains(self, z):
-        return bool(np.abs(np.asarray(z, dtype=complex)).max() < 1.0)
+        return bool(self.contains_batch(z))
+
+    def contains_batch(self, z):
+        return np.abs(np.asarray(z, dtype=complex)).max(axis=-1) < 1.0
 
     def boundary_distance(self, z):
         return float(1.0 - np.abs(np.asarray(z, dtype=complex)).max())
@@ -165,8 +243,9 @@ class ConstantKernel(KernelSpec):
         self.fiber_dim = m.shape[0]
         self.base_dim = int(base_dim)
 
-    def eval(self, z, w):
-        return self.matrix.copy()
+    def eval_many(self, z, w):
+        shape = np.broadcast_shapes(np.shape(z)[:-1], np.shape(w)[:-1])
+        return np.broadcast_to(self.matrix, shape + self.matrix.shape).copy()
 
     def params(self):
         return {"matrix": self.matrix.tolist()}
@@ -206,15 +285,25 @@ class SectionKernel(KernelSpec):
         self._params = dict(params or {})
 
     def section_values(self, z) -> np.ndarray:
-        e = np.asarray(self.sections(as_point(z, self.base_dim)), dtype=complex)
-        if e.ndim == 1:
-            e = e[None, :]
+        """E at a chart point, or at each point of a stack (..., d) -> (..., n, m).
+
+        A polynomial section matrix is evaluated on the whole stack at once;
+        any other callable point by point.
+        """
+        z = as_points(z, self.base_dim)
+        if isinstance(self.sections, MatrixPolynomial):
+            e = self.sections(z)
+        else:
+            values = [np.asarray(self.sections(p), dtype=complex) for p in z.reshape(-1, self.base_dim)]
+            e = np.array(values, dtype=complex).reshape(z.shape[:-1] + values[0].shape)
+        if e.ndim == z.ndim:  # a single row given as a vector
+            e = e[..., None, :]
         return e
 
-    def eval(self, z, w):
+    def eval_many(self, z, w):
         ez = self.section_values(z)
         ew = self.section_values(w)
-        return ez @ np.linalg.solve(self.gram_matrix, ew.conj().T)
+        return ez @ np.linalg.solve(self.gram_matrix, np.swapaxes(ew.conj(), -1, -2))
 
     def evaluation_kernel_basis(self, z, tol: float = 1e-10) -> np.ndarray:
         """Orthonormal basis of the coefficient vectors whose section vanishes at z.
@@ -256,19 +345,24 @@ class GrassmannKernel(KernelSpec):
         self.base_dim = (self.ambient_dim - self.rank) * self.rank
 
     def frame(self, z) -> np.ndarray:
-        b = np.asarray(z, dtype=complex).reshape(
-            self.ambient_dim - self.rank, self.rank
-        )
-        return np.vstack([np.eye(self.rank, dtype=complex), b])
+        """F = [I_k; B] at a chart point, or at each point of a stack (..., d)."""
+        z = np.asarray(z, dtype=complex)
+        lead = z.shape[:-1]
+        b = z.reshape(lead + (self.ambient_dim - self.rank, self.rank))
+        eye = np.broadcast_to(np.eye(self.rank, dtype=complex), lead + (self.rank, self.rank))
+        return np.concatenate([eye, b], axis=-2)
 
-    def eval(self, z, w):
+    def eval_many(self, z, w):
         fz = self.frame(z)
-        fw = self.frame(w)
-        return np.linalg.solve(fz.conj().T @ fz, fz.conj().T @ fw)
+        fz_adj = np.swapaxes(fz.conj(), -1, -2)
+        return np.linalg.solve(fz_adj @ fz, fz_adj @ self.frame(w))
 
     def fiber_metric(self, z):
+        return self.fiber_metric_batch(z)
+
+    def fiber_metric_batch(self, z):
         fz = self.frame(z)
-        return fz.conj().T @ fz
+        return np.swapaxes(fz.conj(), -1, -2) @ fz
 
     def params(self):
         return {"ambient_dim": self.ambient_dim, "rank": self.rank}
@@ -334,14 +428,20 @@ class DualKernel(KernelSpec):
         self.base_dim = base.base_dim
         self.holomorphic = base.holomorphic
 
-    def eval(self, z, w):
-        return np.conj(self.base.eval(np.conj(z), np.conj(w)))
+    def eval_many(self, z, w):
+        return np.conj(self.base.eval_many(np.conj(z), np.conj(w)))
 
     def fiber_metric(self, z):
         return np.conj(self.base.fiber_metric(np.conj(z)))
 
+    def fiber_metric_batch(self, z):
+        return np.conj(self.base.fiber_metric_batch(np.conj(z)))
+
     def contains(self, z):
         return self.base.contains(np.conj(np.asarray(z, dtype=complex)))
+
+    def contains_batch(self, z):
+        return self.base.contains_batch(np.conj(np.asarray(z, dtype=complex)))
 
     def boundary_distance(self, z):
         return self.base.boundary_distance(np.conj(np.asarray(z, dtype=complex)))
@@ -405,14 +505,10 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
         )
     n = spec.fiber_dim
     npts = pts.shape[0]
-    blocks = np.empty((npts, npts, n, n), dtype=complex)
-    assembled = np.empty((npts * n, npts * n), dtype=complex)
-    metrics = [spec.fiber_metric(pts[l]) for l in range(npts)]
-    for l in range(npts):
-        for j in range(npts):
-            blk = eval_kernel(spec, pts[l], pts[j])
-            blocks[l, j] = blk
-            assembled[l * n : (l + 1) * n, j * n : (j + 1) * n] = metrics[l] @ blk
+    metrics = spec.fiber_metric_batch(pts)
+    blocks = spec.eval_batch(pts[:, None, :], pts[None, :, :])
+    # the weighted blocks are a temporary: only blocks and the assembly stay alive
+    assembled = (metrics[:, None] @ blocks).transpose(0, 2, 1, 3).reshape(npts * n, npts * n)
     return GramMatrix(points=pts, blocks=blocks, assembled=assembled)
 
 

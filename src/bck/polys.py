@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import as_point
+from .forms import as_points
 
 __all__ = ["MatrixPolynomial"]
 
@@ -44,16 +44,19 @@ class MatrixPolynomial:
         self.shape = shape
 
     def __call__(self, z) -> np.ndarray:
-        z = as_point(z, self.dim)
-        out = np.zeros(self.shape, dtype=complex)
+        """Value at a chart point (d,), or at each point of a stack (..., d)."""
+        z = as_points(z, self.dim)
+        lead = z.shape[:-1]
+        out = np.zeros(lead + self.shape, dtype=complex)
+        expand = (...,) + (None,) * len(self.shape)
         for (p, q), coeff in self.terms.items():
-            mono = 1.0 + 0.0j
+            mono = np.ones(lead, dtype=complex)
             for j in range(self.dim):
                 if p[j]:
-                    mono *= z[j] ** p[j]
+                    mono *= z[..., j] ** p[j]
                 if q[j]:
-                    mono *= np.conj(z[j]) ** q[j]
-            out = out + coeff * mono
+                    mono *= np.conj(z[..., j]) ** q[j]
+            out = out + coeff * mono[expand]
         return out
 
     @property

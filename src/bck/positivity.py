@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chern import CurvatureAtPoint, MetricField
+from .chern import CurvatureAtPoint, CurvatureField, MetricField
 from .errors import StructuralError
 from .forms import Form2, as_point, cauchy_riemann_residual
 from .kernels import SectionKernel
@@ -300,7 +300,7 @@ class GriffithsReport:
 
 def griffiths_verdict(
     metric: MetricField,
-    curvature_field: Callable[[np.ndarray], CurvatureAtPoint],
+    curvature_field: CurvatureField | Callable[[np.ndarray], CurvatureAtPoint],
     points,
     directions: int = 64,
     seed: int = 0,
@@ -310,7 +310,9 @@ def griffiths_verdict(
 ) -> GriffithsReport:
     """Spectral verdict of the curvature's Griffiths form over a grid.
 
-    Each grid point is reduced in one batch over all sampled directions.
+    `curvature_field` is either a CurvatureField over `points`, whose
+    metric values are reused, or a map z -> CurvatureAtPoint, with h(z)
+    then evaluated from `metric`.  Each grid point is reduced in one batch over all sampled directions.
     Under Form2's antisymmetrised evaluation the (2,0) and (0,2) blocks
     vanish on (x, i x), so for direction x_m
 
@@ -337,8 +339,10 @@ def griffiths_verdict(
     max_herm = 0.0
     max_purity = 0.0
     for i, z in enumerate(pts):
-        h = metric(z)
-        curv = curvature_field(z)
+        if isinstance(curvature_field, CurvatureField):
+            h, curv = curvature_field.h[i], curvature_field.at(i)
+        else:
+            h, curv = metric(z), curvature_field(z)
         max_purity = max(max_purity, curv.purity_residual)
         s = np.einsum("mk,mj,kjab->mab", dirs.conj(), dirs, curv.form.r11)
         g = 2.0 * np.matmul(h, s)

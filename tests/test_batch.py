@@ -1,0 +1,250 @@
+"""Batched evaluation: kernel blocks, metric fields and grid fields.
+
+Every batched result is checked against one-point calls, and every check
+that a single evaluation makes must still fire, naming the first failing
+point, when it sits inside a batch.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bck.chern import (
+    FdSteps,
+    MetricField,
+    analytic_curvature_field,
+    chern_connection,
+    chern_connection_field,
+    curvature,
+    metric_from_kernel,
+    nested_curvature_field,
+    subbundle_split,
+)
+from bck.cli import AnalysisConfig, build_kernel, main, run_analyze
+from bck.errors import DomainError, SingularMetricError, StructuralError
+from bck.kernels import (
+    ConstantKernel,
+    DiscPowerKernel,
+    GrassmannKernel,
+    UserKernel,
+    dual_kernel,
+    eval_kernel,
+)
+
+from _fields import poly_metric
+
+RICH = FdSteps(richardson=True)
+
+SECTIONS_CONFIG = {
+    "variant": "from_sections",
+    "base_dim": 2,
+    "entries": [
+        [[{"c": 1}], [{"c": [0.5, 0.2], "p": [1, 0]}, {"c": 1, "p": [0, 2]}], [{"c": 0.3, "p": [1, 1]}]],
+        [[{"c": 0}], [{"c": 1}], [{"c": [0, 1], "p": [0, 1]}]],
+    ],
+}
+
+
+def _user_disc():
+    return UserKernel(
+        lambda z, w: np.array([[(1.0 - z[0] * np.conj(w[0])) ** -1.5]]),
+        fiber_dim=1,
+        base_dim=1,
+        contains_fn=lambda z: abs(z[0]) < 1.0,
+        boundary_distance_fn=lambda z: 1.0 - abs(z[0]),
+        holomorphic=True,
+    )
+
+
+FAMILIES = {
+    "disc": DiscPowerKernel(2.5),
+    "constant": ConstantKernel([[2.0, 1j], [-1j, 3.0]], base_dim=2),
+    "from_sections": build_kernel(SECTIONS_CONFIG),
+    "grassmann": GrassmannKernel(4, 2),
+    "dual": dual_kernel(DiscPowerKernel(1.5)),
+    "user_hook": _user_disc(),
+}
+# families whose domain has a boundary; the others accept every point of C^d
+BOUNDED = ("disc", "dual", "user_hook")
+
+
+def _points(data, spec, count):
+    coords = st.floats(-0.55, 0.55)
+    raw = data.draw(
+        st.lists(st.tuples(coords, coords), min_size=count * spec.base_dim, max_size=count * spec.base_dim)
+    )
+    return np.array([re + 1j * im for re, im in raw]).reshape(count, spec.base_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(FAMILIES)), count=st.integers(1, 4))
+def test_eval_batch_matches_eval_kernel_pairwise(data, family, count):
+    spec = FAMILIES[family]
+    pts = _points(data, spec, count)
+    blocks = spec.eval_batch(pts[:, None, :], pts[None, :, :])
+    assert blocks.shape == (count, count, spec.fiber_dim, spec.fiber_dim)
+    for l in range(count):
+        for j in range(count):
+            single = eval_kernel(spec, pts[l], pts[j])
+            assert np.max(np.abs(blocks[l, j] - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
+    diagonal = spec.eval_batch(pts, pts)
+    assert np.array_equal(diagonal, blocks[np.arange(count), np.arange(count)])
+    h0 = spec.fiber_metric_batch(pts)
+    for l in range(count):
+        assert np.max(np.abs(h0[l] - spec.fiber_metric(pts[l]))) <= 1e-14 * max(1.0, np.max(np.abs(h0[l])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(FAMILIES)), count=st.integers(1, 4))
+def test_eval_batch_out_of_domain_point_raises(data, family, count):
+    spec = FAMILIES[family]
+    pts = _points(data, spec, count)
+    if family not in BOUNDED:
+        assert spec.contains_batch(10.0 * pts + 5.0).all()
+        return
+    bad = data.draw(st.integers(0, count - 1))
+    pts[bad] = 1.2 * np.exp(1j * data.draw(st.floats(-3.0, 3.0)))
+    with pytest.raises(DomainError, match="outside") as info:
+        spec.eval_batch(pts[:, None, :], pts[None, :, :])
+    assert str(pts[bad]) in str(info.value)  # the first failing pair holds it
+    with pytest.raises(DomainError):
+        spec.eval_batch(pts, pts)
+
+
+def test_metric_batch_names_first_failing_point_in_order():
+    bad = {1: np.array([[1.0, 1.0], [0.0, 1.0]]), 2: np.diag([1.0, 0.0])}
+    pts = np.array([[0.1], [0.2], [0.3], [0.4]], dtype=complex)
+
+    def func(z):
+        return bad.get(int(round(10 * z[0].real)) - 1, np.eye(2)).astype(complex)
+
+    class Left:  # everything left of re z = 0.35
+        def contains(self, z):
+            return z[0].real < 0.35
+
+        def boundary_distance(self, z):
+            return 0.35 - z[0].real
+
+    metric = MetricField(func, 1, 2, domain=Left())
+    with pytest.raises(StructuralError, match=r"Hermitian at \[0.2"):
+        metric.batch(pts)
+    with pytest.raises(SingularMetricError, match=r"singular at \[0.3"):
+        metric.batch(pts[[0, 2, 1]])
+    # a point outside the domain is reported only if the rows before it pass
+    with pytest.raises(StructuralError, match=r"Hermitian at \[0.2"):
+        metric.batch(pts[[1, 3]])
+    with pytest.raises(DomainError, match=r"\[0.4"):
+        metric.batch(pts[[0, 3, 1]])
+    assert np.array_equal(metric.batch(pts[:1]), np.eye(2)[None])
+
+
+def test_kernel_metric_batch_reports_row_order_across_its_own_checks():
+    # an inadmissible row after a non-Hermitian one: the kernel's own check
+    # must not pre-empt the earlier row's failure
+    spec = UserKernel(
+        lambda z, w: np.array([[1.0, 1.0], [0.0, 1.0]]) if z[0].real < 0 else np.diag([1.0, 0.0]),
+        fiber_dim=2,
+        base_dim=1,
+    )
+    metric = metric_from_kernel(spec)
+    pts = np.array([[-0.5], [-0.1], [0.2], [0.4]], dtype=complex)
+    with pytest.raises(StructuralError, match=r"Hermitian at \[-0.5"):
+        metric.batch(pts)
+    with pytest.raises(SingularMetricError, match=r"admissible at \[0.2"):
+        metric.batch(pts[2:])
+
+
+def test_batched_fields_match_point_calls():
+    # the point functions are the one-point case of the fields; batching
+    # must not change the arithmetic beyond round-off amplified by the
+    # stencils (first differences: 1e-10, second and nested: 1e-7)
+    rng = np.random.default_rng(5)
+    metrics = [
+        metric_from_kernel(DiscPowerKernel(2)),
+        metric_from_kernel(GrassmannKernel(3, 1)),
+        metric_from_kernel(FAMILIES["from_sections"]),
+        poly_metric(rng, 2, 2),
+    ]
+    for m in metrics:
+        pts = 0.4 * (rng.uniform(-1, 1, (5, m.dim)) + 1j * rng.uniform(-1, 1, (5, m.dim)))
+        conn = chern_connection_field(m, pts, RICH)
+        analytic = analytic_curvature_field(m, pts, RICH)
+        nested = nested_curvature_field(m, pts, RICH)
+        cscale = max(1.0, np.max(np.abs(conn.form.p)))
+        rscale = max(1.0, np.max(np.abs(analytic.form.r11)))
+        for i, z in enumerate(pts):
+            assert np.max(np.abs(conn.at(i).form.p - chern_connection(m, z, RICH).form.p)) <= 1e-10 * cscale
+            single = curvature(m, z, RICH)
+            assert np.max(np.abs(analytic.at(i).form.r11 - single.form.r11)) <= 1e-7 * rscale
+            assert analytic.pairing_residual[i] == pytest.approx(single.pairing_residual, abs=1e-12)
+            single = curvature(m, z, RICH, method="nested_fd")
+            assert np.max(np.abs(nested.at(i).form.r11 - single.form.r11)) <= 1e-7 * rscale
+            assert nested.purity_residual[i] == pytest.approx(single.purity_residual, abs=1e-7 * rscale)
+
+
+def test_subbundle_reuses_precomputed_connection_and_curvature():
+    rng = np.random.default_rng(101)
+    amb = poly_metric(rng, 1, 3)
+    frame = lambda z: np.array([[1.0, 0.0], [z[0], 1.0], [0.0, z[0] ** 2]], dtype=complex)
+    z = np.array([0.1 + 0.2j])
+    fresh = subbundle_split(amb, frame, z, RICH)
+    shared = subbundle_split(
+        amb, frame, z, RICH, connection=chern_connection(amb, z, RICH), ambient=curvature(amb, z, RICH)
+    )
+    assert fresh.identity_residual == shared.identity_residual
+    assert np.array_equal(fresh.beta, shared.beta)
+
+
+# -- failures inside a batched run keep their error kind and exit code --------------
+
+GRID_TASKS = ["connection", "curvature", "compatibility", "dual", "griffiths", "theorem55"]
+
+
+def _axis(lo, hi, res):
+    return {"re": [lo, hi], "im": [-0.5, 0.5], "re_res": res, "im_res": res}
+
+
+FAILURES = {
+    # sections vanishing at the origin: the metric is singular there
+    "inadmissible": (
+        {"variant": "from_sections", "entries": [[[{"c": 1, "p": [1]}]]]},
+        _axis(-0.5, 0.5, 5),
+        ("structural", 4, "not admissible at [0.+0.j]"),
+    ),
+    "non_hermitian": (
+        {"variant": "constant", "matrix": [[1.0, 1.0], [0.0, 1.0]]},
+        _axis(-0.5, 0.5, 4),
+        ("structural", 4, "not Hermitian at [-0.5-0.5j]"),
+    ),
+    # the hook claims more room than its domain has: stencils step outside
+    "stencil_crosses_boundary": (
+        {"variant": "user_hook", "target": "_hook:make_edge", "params": {"edge": 0.3}},
+        _axis(-0.5, 0.3 - 5e-6, 4),
+        ("domain", 3, "point [0.300005-0.5j] is outside the domain"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_batched_run_failures_keep_error_kind_and_exit_code(case, tmp_path):
+    kernel, axis, (kind, code, message) = FAILURES[case]
+    cfg = {
+        "kernel": kernel,
+        "grid": {"axes": [axis]},
+        "fd_steps": {"richardson": True},
+        "directions": {"count": 4, "seed": 1},
+        "tasks": GRID_TASKS,
+    }
+    report = run_analyze(AnalysisConfig.from_dict(cfg))
+    assert report.exit_code == code
+    failed = [t for t in GRID_TASKS if report.data["tasks"][t]["status"] == "error"]
+    assert "curvature" in failed
+    for name in failed:
+        task = report.data["tasks"][name]
+        assert task["error_kind"] == kind
+        assert message in task["error"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "r.json")]) == code

@@ -183,30 +183,43 @@ def test_theorem55_verified_for_disc():
     assert section["data"]["conclusion"]["verdict"] == "positive"
 
 
+GRASSMANN_D2 = {
+    "kernel": {"variant": "universal_grassmann", "ambient_dim": 3, "rank": 1},
+    "grid": {"axes": [{"re": [-0.4, 0.4], "im": [-0.4, 0.4], "re_res": 2, "im_res": 2}] * 2},
+}
+
+
 def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
+    # every grid field is built once per run, over all points, however many
+    # tasks read it
+    builders = (
+        "chern_connection_field",
+        "analytic_curvature_field",
+        "nested_curvature_field",
+        "griffiths_verdict",
+    )
     calls = []
-    curvature, verdict = bck.cli.curvature, bck.cli.griffiths_verdict
+    for name in builders:
 
-    def counted_curvature(*args, **kwargs):
-        calls.append(kwargs.get("method", "analytic_expansion"))
-        return curvature(*args, **kwargs)
+        def counted(*args, _real=getattr(bck.cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counted_verdict(*args, **kwargs):
-        calls.append("griffiths_verdict")
-        return verdict(*args, **kwargs)
-
-    monkeypatch.setattr(bck.cli, "curvature", counted_curvature)
-    monkeypatch.setattr(bck.cli, "griffiths_verdict", counted_verdict)
-    cfg = base_config(tasks=["curvature", "griffiths", "theorem55"])
-    report = run_analyze(AnalysisConfig.from_dict(cfg))
-    points = report.data["grid"]["points_used"]
-    assert points > 0
-    assert calls.count("analytic_expansion") == points
-    assert calls.count("nested_fd") == points
-    assert calls.count("griffiths_verdict") == 1
-    tasks = json.loads(report.to_json())["tasks"]
-    assert tasks["theorem55"]["status"] == "verified"
-    assert tasks["theorem55"]["data"]["conclusion"] == tasks["griffiths"]["data"]
+        monkeypatch.setattr(bck.cli, name, counted)
+    tasks = ["connection", "curvature", "compatibility", "dual", "griffiths", "theorem55"]
+    # the Grassmann kernel is not holomorphic: theorem55 stops at its premise
+    for overrides, status in (({}, "verified"), (GRASSMANN_D2, "hypothesis_not_met")):
+        calls.clear()
+        report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks, **overrides)))
+        assert report.data["grid"]["points_used"] > 0
+        assert sorted(calls) == sorted(builders)
+        data = json.loads(report.to_json())["tasks"]
+        assert all(data[t]["status"] != "error" for t in tasks)
+        assert data["theorem55"]["status"] == status
+    assert data["theorem55"]["data"]["conclusion"] is None
+    report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks)))
+    data = json.loads(report.to_json())["tasks"]
+    assert data["theorem55"]["data"]["conclusion"] == data["griffiths"]["data"]
 
 
 def test_subbundle_task_from_config():

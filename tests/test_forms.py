@@ -317,6 +317,19 @@ def test_exterior_derivative_stencil_domain_guard():
         exterior_derivative(field, np.array([1.5]), 1e-5, domain=disc)
 
 
+def test_exterior_derivative_evaluates_each_node_once():
+    calls = []
+
+    def field(w):
+        calls.append(w.tobytes())
+        return Form1(np.array([[np.conj(w[0]) ** 2, 1.0]]), np.zeros((1, 2)))
+
+    z0 = np.array([0.2 + 0.1j])
+    two = exterior_derivative(field, z0, 1e-5, richardson=True)
+    assert len(calls) == len(set(calls)) == 8  # 4 nodes per step level, z itself unused
+    assert abs(two.r11[0, 0, 0] - 2.0 * np.conj(z0[0])) <= 1e-8
+
+
 def test_form1_evaluation_additive_and_real_homogeneous():
     rng = np.random.default_rng(91)
     form = Form1(cmat(rng, 2, 2, 2), cmat(rng, 2, 2, 2))
