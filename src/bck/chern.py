@@ -19,8 +19,9 @@ yields the positive coefficient nu / (1 - |z|^2)^2.
 
 Everything is computed over whole arrays of points: `metric_jet`
 evaluates the metric once on every stencil node of every point, and the
-connection, both curvature routes, the compatibility residuals and the
-dual check are fields derived from such evaluations.  The point
+connection, both curvature routes, the compatibility residuals, the
+subbundle split and the dual check are fields derived from such
+evaluations.  The point
 functions (`chern_connection`, `curvature`, ...) are the one-point case.
 Field arrays put the point axis between the form indices and the fiber
 matrix, e.g. (d, N, n, n) for connection coefficients.
@@ -28,7 +29,7 @@ matrix, e.g. (d, N, n, n) for connection coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -42,10 +43,11 @@ from .forms import (
     as_point,
     as_points,
     exterior_derivative,
+    form_norm,
     wedge,
     wirtinger_first,
 )
-from .kernels import KernelSpec, dual_kernel
+from .kernels import AdmissibilityField, KernelSpec, dual_kernel
 from .linalg import frob, mgs_orthonormalize
 
 __all__ = [
@@ -71,6 +73,8 @@ __all__ = [
     "holomorphic_section_residual",
     "hs_connection_check",
     "SubbundleSplit",
+    "SubbundleField",
+    "subbundle_field",
     "subbundle_split",
     "DualCurvatureResult",
     "DualCurvatureField",
@@ -249,12 +253,12 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
 
     def batch_func(z):
         blocks = spec.eval_batch(z, z)
-        svals = np.linalg.svd(blocks, compute_uv=False)
-        i = _first_false((svals[:, 0] != 0.0) & (svals[:, -1] >= admissibility_tol * svals[:, 0]))
+        adm = AdmissibilityField.of_blocks(blocks, admissibility_tol)
+        i = _first_false(adm.invertible)
         if i is not None:
             raise SingularMetricError(
                 f"kernel {spec.variant} is not admissible at {z[i]} "
-                f"(singular values in [{svals[i, -1]:.3e}, {svals[i, 0]:.3e}])"
+                f"(singular values in [{adm.smallest_singular_value[i]:.3e}, {adm.norm[i]:.3e}])"
             )
         return spec.fiber_metric_batch(z) @ blocks
 
@@ -600,17 +604,10 @@ def covariant_derivative(
     """nabla sigma = d sigma + A ^ sigma for a section field at z."""
     z = as_point(z)
     a = _connection_form(connection, z, steps)
-    dp, dq = wirtinger_first(
-        section,
-        z,
-        steps.first_steps(np.ones(z.size)),
-        richardson=steps.richardson,
-        domain=domain,
-    )
+    step = steps.first_steps(np.ones(z.size))
+    dp, dq = wirtinger_first(section, z, step, richardson=steps.richardson, domain=domain)
     s0 = np.asarray(section(z), dtype=complex)
-    p = np.stack([dp[j] + a.p[j] @ s0 for j in range(z.size)])
-    q = np.stack([dq[k] + a.q[k] @ s0 for k in range(z.size)])
-    return Form1(p, q)
+    return Form1(dp + a.p @ s0, dq + a.q @ s0)
 
 
 def second_covariant_residual(
@@ -637,12 +634,7 @@ def second_covariant_residual(
     nabla2 = d_nabla + wedge(a0, nabla_field(z))
     theta = connection_curvature(connection_field, z, steps, domain=domain)
     expected = wedge(theta, Form0(np.asarray(section(z), dtype=complex)))
-    diff = nabla2 - expected
-    worst = 0.0
-    for block in (diff.c20, diff.r11, diff.c02):
-        flat = block.reshape((-1, *block.shape[2:]))
-        worst = max(worst, max((frob(m) for m in flat), default=0.0))
-    return worst
+    return form_norm(nabla2 - expected)
 
 
 def holomorphic_section_residual(
@@ -696,11 +688,10 @@ def hs_connection_check(
     a_super = chern_connection(big, z, steps).form.p
     a1 = chern_connection(h1, z, steps).form.p
     a2 = chern_connection(h2, z, steps).form.p
-    worst = 0.0
-    for j in range(h1.dim):
-        expected = np.kron(a2[j], np.eye(n1)) - np.kron(np.eye(n2), a1[j].T)
-        worst = max(worst, frob(a_super[j] - expected))
-    return worst
+    return max(
+        frob(a_super[j] - (np.kron(a2[j], np.eye(n1)) - np.kron(np.eye(n2), a1[j].T)))
+        for j in range(h1.dim)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +720,124 @@ class SubbundleSplit:
     beta_antiholo_residual: float
 
 
+@dataclass(frozen=True)
+class SubbundleField:
+    """SubbundleSplit over an array of points, in its field order: adapted
+    frames (N, n, n), beta (d, N, n-k, k), curvature blocks (d, d, N, ., .)
+    and (N,) residuals."""
+
+    adapted_frame: np.ndarray
+    beta: np.ndarray
+    theta_block11: np.ndarray
+    theta_block22: np.ndarray
+    theta_sub: np.ndarray
+    identity_residual: np.ndarray
+    beta_antiholo_residual: np.ndarray
+
+    def at(self, i: int) -> SubbundleSplit:
+        blocks = (self.theta_block11, self.theta_block22, self.theta_sub)
+        return SubbundleSplit(
+            self.adapted_frame[i],
+            self.beta[:, i],
+            *(b[:, :, i] for b in blocks),
+            float(self.identity_residual[i]),
+            float(self.beta_antiholo_residual[i]),
+        )
+
+
+def _frames(frame, nodes: np.ndarray, n: int) -> np.ndarray:
+    f = np.asarray(frame(nodes), dtype=complex)
+    if f.ndim != 3 or f.shape[:2] != (len(nodes), n):
+        raise ValueError(f"frame must return an {n} x k matrix")
+    if f.shape[2] > n:
+        raise ValueError("frame rank exceeds the fiber dimension")
+    return f
+
+
+def subbundle_field(
+    metric: MetricField,
+    frame: Callable[[np.ndarray], np.ndarray],
+    points,
+    steps: FdSteps = FdSteps(),
+    connection: ConnectionField | Form1 | None = None,
+    ambient: CurvatureField | Form2 | None = None,
+) -> SubbundleField:
+    """Adapted-frame split of the metric connection along span(frame) at
+    every point; `frame` maps an (M, d) stack of points to (M, n, k).
+
+    The adapted frame orthonormalizes [frame | fixed complement columns]
+    in the pointwise metric inner product by modified Gram-Schmidt with
+    the triangular factor's diagonal kept real positive; fixing each
+    point's complement columns (chosen there by largest projection
+    residual) keeps the frame field smooth across its stencil.  Metric
+    and frame are evaluated once on the first-derivative stencil nodes of
+    all points, which also give the metric connection unless it is passed
+    in as `connection` (a field or its form over the points); the ambient
+    analytic curvature is computed unless passed in as `ambient`.
+    """
+    pts = as_points(points, metric.dim).reshape(-1, metric.dim)
+    n, d = metric.fiber_dim, metric.dim
+    stencil = Stencil(
+        d, first=steps.first_steps(metric.scale), richardson=steps.richardson, centre=True
+    )
+    h, f = stencil.on_points(
+        lambda nodes: (metric.batch(nodes), _frames(frame, nodes, n)), pts, metric.domain
+    )
+    h, f = (a.reshape((len(pts), -1) + a.shape[1:]) for a in (h, f))
+    h0, k = h[:, Stencil.CENTRE], f.shape[-1]
+
+    q1, _ = mgs_orthonormalize(f[:, Stencil.CENTRE], inner=h0)
+    eye = np.eye(n, dtype=complex)
+    e, hc = eye[:, :, None], h0[:, None]  # e[i] is the column e_i
+    resid = e - q1[:, None] @ (_adjoint(q1)[:, None] @ (hc @ e))
+    scores = np.abs(_adjoint(resid) @ (hc @ resid))[..., 0, 0]
+    complement = np.sort(np.argsort(scores, axis=-1, kind="stable")[:, ::-1][:, : n - k], axis=-1)
+    fixed = np.swapaxes(eye[complement], -1, -2)[:, None]
+    u, r_full = mgs_orthonormalize(
+        np.concatenate([f, np.broadcast_to(fixed, f.shape[:2] + fixed.shape[2:])], axis=-1), inner=h
+    )
+    u0 = u[:, Stencil.CENTRE]
+    u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
+
+    du_p, du_q = stencil.first_derivatives(np.moveaxis(u, 1, 0))
+    if connection is None:
+        a_p = np.linalg.solve(h0, stencil.first_derivatives(np.moveaxis(h, 1, 0))[0])
+    else:
+        a_p = getattr(connection, "form", connection).p
+    beta = (u0_inv @ (a_p @ u0 + du_p))[..., k:, :k]
+    antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
+
+    if ambient is None:
+        ambient = analytic_curvature_field(metric, pts, steps)
+    tilde = u0_inv @ getattr(ambient, "form", ambient).r11 @ u0
+    block11, block22 = tilde[..., :k, :k], tilde[..., k:, k:]
+
+    def induced(w):
+        fw = _frames(frame, w, n)
+        return _adjoint(fw) @ metric.batch(w) @ fw
+
+    sub_metric = replace(
+        metric,
+        func=lambda w: induced(w[None])[0],
+        fiber_dim=k,
+        name="induced subbundle metric",
+        batch_func=induced,
+    )
+    sub = analytic_curvature_field(sub_metric, pts, steps).form.r11
+    r = r_full[:, Stencil.CENTRE, :k, :k]
+    theta_sub = r @ sub @ np.linalg.inv(r)
+    expected = theta_sub - _adjoint(beta)[:, None] @ beta[None, :]
+    return SubbundleField(
+        adapted_frame=u0,
+        beta=beta,
+        theta_block11=block11,
+        theta_block22=block22,
+        theta_sub=theta_sub,
+        identity_residual=_max_norm(block11 - expected),
+        beta_antiholo_residual=antiholo,
+    )
+
+
 def subbundle_split(
     metric: MetricField,
     frame: Callable[[np.ndarray], np.ndarray],
@@ -737,97 +846,17 @@ def subbundle_split(
     connection: ConnectionAtPoint | None = None,
     ambient: CurvatureAtPoint | None = None,
 ) -> SubbundleSplit:
-    """Adapted-frame split of the metric connection along span(frame).
-
-    The adapted frame orthonormalizes [frame | fixed complement columns]
-    in the pointwise metric inner product by modified Gram-Schmidt with
-    the triangular factor's diagonal kept real positive; fixing the
-    complement columns once (chosen at z by largest projection residual)
-    keeps the frame field smooth across the stencil.  The metric
-    connection and its analytic curvature at z are computed unless
-    passed in as `connection` and `ambient`.
-    """
+    """`subbundle_field` at one point z, for a frame z -> (n, k) matrix."""
     z = as_point(z, metric.dim)
-    n = metric.fiber_dim
-    h0 = metric(z)
-    f0 = np.atleast_2d(np.asarray(frame(z), dtype=complex))
-    if f0.ndim != 2 or f0.shape[0] != n:
-        raise ValueError(f"frame must return an {n} x k matrix")
-    k = f0.shape[1]
-    if k > n:
-        raise ValueError("frame rank exceeds the fiber dimension")
 
-    q1, _ = mgs_orthonormalize(f0, inner=h0)
-    eye = np.eye(n, dtype=complex)
-    scores = []
-    for i in range(n):
-        resid = eye[:, i] - q1 @ (q1.conj().T @ (h0 @ eye[:, i]))
-        scores.append(abs(resid.conj() @ (h0 @ resid)))
-    complement = np.argsort(np.asarray(scores), kind="stable")[::-1][: n - k]
-    complement = np.sort(complement)
+    def stacked(nodes):
+        return np.stack([np.atleast_2d(np.asarray(frame(w), dtype=complex)) for w in nodes])
 
-    def adapted(w):
-        cols = np.hstack([np.atleast_2d(np.asarray(frame(w), dtype=complex)), eye[:, complement]])
-        return mgs_orthonormalize(cols, inner=metric(w))
-
-    u0, r_full = adapted(z)
-    u0_inv = u0.conj().T @ h0  # h-unitarity makes this the inverse
-
-    a = connection if connection is not None else chern_connection(metric, z, steps)
-    du_p, du_q = wirtinger_first(
-        lambda w: adapted(w)[0],
-        z,
-        steps.first_steps(metric.scale),
-        richardson=steps.richardson,
-        domain=metric.domain,
-    )
-    d = metric.dim
-    beta = np.empty((d, n - k, k), dtype=complex)
-    antiholo = 0.0
-    for j in range(d):
-        tilde_p = u0_inv @ (a.form.p[j] @ u0 + du_p[j])
-        tilde_q = u0_inv @ du_q[j]
-        beta[j] = tilde_p[k:, :k]
-        antiholo = max(antiholo, frob(tilde_q[k:, :k]))
-
-    amb = ambient if ambient is not None else curvature(metric, z, steps)
-    block11 = np.empty((d, d, k, k), dtype=complex)
-    block22 = np.empty((d, d, n - k, n - k), dtype=complex)
-    for kk in range(d):
-        for j in range(d):
-            tilde = u0_inv @ amb.form.r11[kk, j] @ u0
-            block11[kk, j] = tilde[:k, :k]
-            block22[kk, j] = tilde[k:, k:]
-
-    sub_metric = MetricField(
-        func=lambda w: np.atleast_2d(np.asarray(frame(w), dtype=complex)).conj().T
-        @ metric(w)
-        @ np.atleast_2d(np.asarray(frame(w), dtype=complex)),
-        dim=d,
-        fiber_dim=k,
-        scale=metric.scale,
-        domain=metric.domain,
-        name="induced subbundle metric",
-    )
-    sub = curvature(sub_metric, z, steps, method="analytic_expansion")
-    r = r_full[:k, :k]
-    theta_sub = np.empty_like(block11)
-    residual = 0.0
-    for kk in range(d):
-        for j in range(d):
-            theta_sub[kk, j] = r @ sub.form.r11[kk, j] @ np.linalg.inv(r)
-            expected = theta_sub[kk, j] - beta[kk].conj().T @ beta[j]
-            residual = max(residual, frob(block11[kk, j] - expected))
-
-    return SubbundleSplit(
-        adapted_frame=u0,
-        beta=beta,
-        theta_block11=block11,
-        theta_block22=block22,
-        theta_sub=theta_sub,
-        identity_residual=residual,
-        beta_antiholo_residual=antiholo,
-    )
+    if connection is not None:
+        connection = Form1(connection.form.p[:, None], connection.form.q[:, None])
+    if ambient is not None:
+        ambient = Form2(*(b[:, :, None] for b in (ambient.form.c20, ambient.form.r11, ambient.form.c02)))
+    return subbundle_field(metric, stacked, z[None], steps, connection, ambient).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +867,7 @@ def subbundle_split(
 @dataclass(frozen=True)
 class DualCurvatureResult:
     """Curvatures of a kernel metric and of its dual, pulled back to the
-    original chart, with the residual of Theta_dual + Theta = 0."""
+    original chart, with the residual of Theta_dual = -(h Theta h^-1)^T."""
 
     theta_r11: np.ndarray  # (d, d, n, n)
     theta_dual_r11: np.ndarray  # (d, d, n, n), pulled back
@@ -869,14 +898,17 @@ def dual_curvature_field(
     scale=None,
     theta: CurvatureField | None = None,
 ) -> DualCurvatureField:
-    """Check that the dual-bundle curvature is the negative of the original.
+    """Check that the dual-bundle curvature is minus the transpose of the original.
 
     The dual kernel lives on the conjugated chart; the point matching z
-    is conj(z), and pulling the (1,1) coefficients back to the original
-    coordinates transposes the axis indices, conjugates the operator
-    entries and flips the orientation sign.  Both metrics use the chart
-    `scale`; `theta`, the analytic curvature field of spec's metric over
-    the same points and scale, is reused when given.
+    is conj(z).  Pulling its (1,1) coefficients back to the original
+    coordinates swaps the form indices and flips the orientation sign,
+    and leaves the operator values as they are.  The metric identifies
+    the dual kernel's frame with h times the dual frame, in which the
+    dual curvature is -Theta^T; so the pulled-back coefficients must equal
+    -(h Theta h^-1)^T, h taken from the analytic field.  Both metrics use
+    the chart `scale`; `theta`, the analytic curvature field of spec's
+    metric over the same points and scale, is reused when given.
     """
     pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
 
@@ -888,11 +920,12 @@ def dual_curvature_field(
     if theta is None:
         theta = analytic_curvature_field(metric(spec), pts, steps)
     raw = analytic_curvature_field(metric(dual_kernel(spec)), np.conj(pts), steps).form.r11
-    pulled = -np.conj(np.swapaxes(raw, 0, 1))
+    pulled = -np.swapaxes(raw, 0, 1)
+    expected = -np.swapaxes(theta.h @ theta.form.r11 @ np.linalg.inv(theta.h), -1, -2)
     return DualCurvatureField(
         theta_r11=theta.form.r11,
         theta_dual_r11=pulled,
-        residual=_max_norm(pulled + theta.form.r11),
+        residual=_max_norm(pulled - expected),
     )
 
 

@@ -38,18 +38,19 @@ from .chern import (
     dual_curvature_field,
     metric_from_kernel,
     nested_curvature_field,
-    subbundle_split,
+    subbundle_field,
 )
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import cauchy_riemann_residual
+from .forms import delbar_norms
 from .grids import ChartGrid
 from .kernels import (
+    AdmissibilityField,
     ConstantKernel,
     DiscPowerKernel,
     GrassmannKernel,
     KernelSpec,
     SectionKernel,
-    admissibility,
+    admissibility_field,
     gram,
     psd_check,
 )
@@ -335,9 +336,9 @@ class AnalysisConfig:
 class RunContext:
     """One run's config and grid, plus the fields its tasks share.
 
-    The metric, the connection field, both curvature fields and the
-    Griffiths report are each computed once, on first use, over all grid
-    points; the tasks are reductions over them.
+    The admissibility margins, the metric, the connection field, both
+    curvature fields and the Griffiths report are each computed once, on
+    first use, over all grid points; the tasks are reductions over them.
     """
 
     config: AnalysisConfig
@@ -355,6 +356,10 @@ class RunContext:
     @property
     def tol(self) -> dict:
         return self.config.tolerances
+
+    @cached_property
+    def admissibility(self) -> AdmissibilityField:
+        return admissibility_field(self.kernel, self.points, self.tol["admissibility"])
 
     @cached_property
     def metric(self) -> MetricField:
@@ -438,18 +443,14 @@ def _task_psd(ctx: RunContext) -> dict:
 
 
 def _task_admissibility(ctx: RunContext) -> dict:
-    worst = None
-    for z in ctx.points:
-        res = admissibility(ctx.kernel, z, tol=ctx.tol["admissibility"])
-        rel = res.smallest_singular_value / res.norm if res.norm > 0 else 0.0
-        if worst is None or rel < worst[0]:
-            worst = (rel, z, res.invertible)
-    all_invertible = worst is not None and worst[2] and worst[0] >= ctx.tol["admissibility"]
+    margins = ctx.admissibility.relative_margin
+    i = int(np.argmin(margins))
+    passed = ctx.admissibility.invertible[i] and margins[i] >= ctx.tol["admissibility"]
     return {
-        "passed": bool(all_invertible),
+        "passed": bool(passed),
         "data": {
-            "min_relative_margin": float(worst[0]),
-            "worst_point": worst[1],
+            "min_relative_margin": float(margins[i]),
+            "worst_point": ctx.points[i],
             "points": int(ctx.points.shape[0]),
         },
     }
@@ -520,18 +521,11 @@ def _task_dual(ctx: RunContext) -> dict:
 
 
 def _task_subbundle(ctx: RunContext) -> dict:
-    identity = antiholo = 0.0
-    for i, z in enumerate(ctx.points):
-        split = subbundle_split(
-            ctx.metric,
-            ctx.config.subbundle_frame,
-            z,
-            ctx.steps,
-            connection=ctx.connection.at(i),
-            ambient=ctx.analytic.at(i),
-        )
-        identity = max(identity, split.identity_residual)
-        antiholo = max(antiholo, split.beta_antiholo_residual)
+    split = subbundle_field(
+        ctx.metric, ctx.config.subbundle_frame, ctx.points, ctx.steps, ambient=ctx.analytic
+    )
+    identity = np.max(split.identity_residual)
+    antiholo = np.max(split.beta_antiholo_residual)
     return {
         "passed": bool(identity <= ctx.tol["subbundle"]),
         "data": {
@@ -577,19 +571,10 @@ def _task_theorem55(ctx: RunContext) -> dict:
         w0 = ctx.points[int(rng.integers(0, ctx.points.shape[0]))]
         xi = rng.standard_normal(kernel.fiber_dim) + 1j * rng.standard_normal(kernel.fiber_dim)
         xi /= np.linalg.norm(xi)
-
-        def section(z, w0=w0, xi=xi):
-            return kernel.eval(z, w0) @ xi
-
-        cr_worst = max(
-            cr_worst,
-            cauchy_riemann_residual(section, sub, ctx.steps.first, richardson=True),
-        )
-    adm_margin = np.inf
-    for z in ctx.points:
-        res = admissibility(kernel, z, tol=ctx.tol["admissibility"])
-        rel = res.smallest_singular_value / res.norm if res.norm > 0 else 0.0
-        adm_margin = min(adm_margin, rel)
+        # raw blocks: the probe's stencil nodes are not held to the domain
+        cr = delbar_norms(lambda w: kernel.eval_many(w, w0) @ xi, sub, ctx.steps.first, richardson=True)
+        cr_worst = max(cr_worst, float(cr.max()))
+    adm_margin = float(np.min(ctx.admissibility.relative_margin))
     premise_ok = (
         kernel.holomorphic
         and cr_worst <= ctx.tol["holomorphy"]

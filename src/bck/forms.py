@@ -20,7 +20,7 @@ stencil nodes and weights, for one point or a batch of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -35,12 +35,14 @@ __all__ = [
     "form_norm",
     "split_linear",
     "split_bilinear",
+    "probe_tensor",
     "wedge",
     "wirtinger_first",
     "wirtinger_mixed",
     "exterior_derivative",
     "del_delbar",
     "cauchy_riemann_residual",
+    "delbar_norms",
     "as_point",
     "as_points",
     "Stencil",
@@ -89,8 +91,29 @@ class Form0:
         return self.value
 
 
+class _Linear:
+    """Sums, differences and scalar multiples of forms of one degree,
+    taken coefficient array by coefficient array."""
+
+    def _combine(self, op, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*map(op, _blocks(self), _blocks(other)))
+
+    def __add__(self, other):
+        return self._combine(np.add, other)
+
+    def __sub__(self, other):
+        return self._combine(np.subtract, other)
+
+    def __mul__(self, scalar):
+        return type(self)(*(c * scalar for c in _blocks(self)))
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
-class Form1:
+class Form1(_Linear):
     """Degree-1 form value with coefficients p on dz_j and q on dzbar_k.
 
     Evaluation on a tangent vector v in C^d is
@@ -126,20 +149,9 @@ class Form1:
             v.conj(), self.q, axes=(0, 0)
         )
 
-    def __add__(self, other: "Form1") -> "Form1":
-        return Form1(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "Form1") -> "Form1":
-        return Form1(self.p - other.p, self.q - other.q)
-
-    def __mul__(self, scalar) -> "Form1":
-        return Form1(self.p * scalar, self.q * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
-class Form2:
+class Form2(_Linear):
     """Degree-2 form value split by type.
 
     c20[j, k] multiplies dz_j ^ dz_k and is antisymmetric in (j, k);
@@ -188,34 +200,20 @@ class Form2:
         # antisymmetrized evaluation: skewness holds exactly, not just to roundoff
         return 0.5 * (self._raw(v, w) - self._raw(w, v))
 
-    def __add__(self, other: "Form2") -> "Form2":
-        return Form2(self.c20 + other.c20, self.r11 + other.r11, self.c02 + other.c02)
 
-    def __sub__(self, other: "Form2") -> "Form2":
-        return Form2(self.c20 - other.c20, self.r11 - other.r11, self.c02 - other.c02)
-
-    def __mul__(self, scalar) -> "Form2":
-        return Form2(self.c20 * scalar, self.r11 * scalar, self.c02 * scalar)
-
-    __rmul__ = __mul__
+def _blocks(form) -> list:
+    """The coefficient arrays of a form, in constructor order."""
+    return [getattr(form, f.name) for f in fields(form)]
 
 
 def form_norm(form) -> float:
     """Max Frobenius norm over the coefficient matrices of a form."""
-    if isinstance(form, Form0):
-        return frob(form.value)
-    if isinstance(form, Form1):
-        return max(
-            max((frob(m) for m in form.p), default=0.0),
-            max((frob(m) for m in form.q), default=0.0),
-        )
-    if isinstance(form, Form2):
-        worst = 0.0
-        for block in (form.c20, form.r11, form.c02):
-            flat = block.reshape((-1, *block.shape[2:]))
-            worst = max(worst, max((frob(m) for m in flat), default=0.0))
-        return worst
-    raise TypeError(f"not a form: {type(form)!r}")
+    if not isinstance(form, (Form0, Form1, Form2)):
+        raise TypeError(f"not a form: {type(form)!r}")
+    return max(
+        max((frob(m) for m in c.reshape((-1, *c.shape[form.degree :]))), default=0.0)
+        for c in _blocks(form)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +235,21 @@ def split_linear(t: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple[Form1
         t10(v) + t01(v) = t(v) for every v.
     """
     basis = np.eye(dim, dtype=complex)
-    te = [np.asarray(t(basis[j]), dtype=complex) for j in range(dim)]
-    tie = [np.asarray(t(1j * basis[j]), dtype=complex) for j in range(dim)]
-    for m in (*te, *tie):
-        if not np.all(np.isfinite(m)):
-            raise ValueError("map returned non-finite values on probe directions")
-    p = np.stack([0.5 * (te[j] - 1j * tie[j]) for j in range(dim)])
-    q = np.stack([0.5 * (te[j] + 1j * tie[j]) for j in range(dim)])
+    te = np.array([t(e) for e in basis], dtype=complex)
+    tie = np.array([t(1j * e) for e in basis], dtype=complex)
+    if not (np.isfinite(te).all() and np.isfinite(tie).all()):
+        raise ValueError("map returned non-finite values on probe directions")
+    p, q = 0.5 * (te - 1j * tie), 0.5 * (te + 1j * tie)
     zero = np.zeros_like(p)
     return Form1(p, zero), Form1(zero.copy(), q)
+
+
+def probe_tensor(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """phi on every pair of the 2d probe directions e_0..e_{d-1},
+    i e_0..i e_{d-1}, as a (2d, 2d, ...) array."""
+    basis = np.eye(dim, dtype=complex)
+    probes = np.concatenate([basis, 1j * basis])
+    return np.array([[phi(v, w) for w in probes] for v in probes], dtype=complex)
 
 
 def split_bilinear(
@@ -265,47 +269,25 @@ def split_bilinear(
         If phi is not skew on the probe basis (the measured asymmetry is
         included in the message).
     """
-    basis = np.eye(dim, dtype=complex)
-    probes = [basis[j] for j in range(dim)] + [1j * basis[j] for j in range(dim)]
-    m = len(probes)
-    samples = np.empty((m, m), dtype=object)
-    for a in range(m):
-        for b in range(m):
-            samples[a, b] = np.asarray(phi(probes[a], probes[b]), dtype=complex)
-
-    scale = max(1.0, max(frob(samples[a, b]) for a in range(m) for b in range(m)))
-    asym = max(
-        frob(samples[a, b] + samples[b, a]) for a in range(m) for b in range(m)
-    )
+    samples = probe_tensor(phi, dim)
+    flat = samples.reshape(samples.shape[:2] + (-1,))
+    scale = max(1.0, float(np.linalg.norm(flat, axis=-1).max()))
+    asym = float(np.linalg.norm(flat + np.swapaxes(flat, 0, 1), axis=-1).max())
     if asym > skew_tol * scale:
         raise StructuralError(
             f"bilinear map is not skew: measured asymmetry {asym:.3e}"
         )
 
-    def rho(a):  # index and sign of i * basis_a within the probe list
-        return (a + dim, 1.0) if a < dim else (a - dim, -1.0)
-
-    vshape = samples[0, 0].shape
-    mixed = np.empty((m, m, *vshape), dtype=complex)
-    pure = np.empty_like(mixed)
-    for a in range(m):
-        for b in range(m):
-            ra, sa = rho(a)
-            rb, sb = rho(b)
-            rotated = sa * sb * samples[ra, rb]
-            mixed[a, b] = 0.5 * (samples[a, b] + rotated)
-            pure[a, b] = 0.5 * (samples[a, b] - rotated)
-
-    r11 = np.empty((dim, dim, *vshape), dtype=complex)
-    c20 = np.empty_like(r11)
-    c02 = np.empty_like(r11)
-    for k in range(dim):
-        for j in range(dim):
-            r11[k, j] = 0.5 * (mixed[k, j] + 1j * mixed[dim + k, j])
-            # rotate the first argument only: phi_p(i e_k, e_j)
-            rot1 = pure[dim + k, j]
-            c20[k, j] = 0.5 * (pure[k, j] - 1j * rot1)
-            c02[k, j] = 0.5 * (pure[k, j] + 1j * rot1)
+    # (v, w) -> (i v, i w) on the probes: i e_j is probe d + j, i (i e_j) = -e_j
+    rho = np.r_[dim : 2 * dim, 0:dim]
+    sign = np.r_[np.ones(dim), -np.ones(dim)]
+    expand = (...,) + (None,) * (samples.ndim - 2)
+    rotated = (sign[:, None] * sign[None, :])[expand] * samples[rho][:, rho]
+    mixed, pure = 0.5 * (samples + rotated), 0.5 * (samples - rotated)
+    r11 = 0.5 * (mixed[:dim, :dim] + 1j * mixed[dim:, :dim])
+    # rotate the first argument only: phi_p(i e_k, e_j)
+    c20 = 0.5 * (pure[:dim, :dim] - 1j * pure[dim:, :dim])
+    c02 = 0.5 * (pure[:dim, :dim] + 1j * pure[dim:, :dim])
     c20 = 0.5 * (c20 - np.swapaxes(c20, 0, 1))
     c02 = 0.5 * (c02 - np.swapaxes(c02, 0, 1))
     return Form2(c20, r11, c02)
@@ -324,6 +306,11 @@ def _default_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y
 
 
+def _each(f: Callable, block, depth: int):
+    """f applied to every coefficient of a (d,) * depth stack, restacked."""
+    return np.stack([_each(f, x, depth - 1) for x in block]) if depth else f(block)
+
+
 def wedge(a, b, multiply: Callable | None = None):
     """Exterior product of two point forms of total degree <= 2.
 
@@ -335,48 +322,24 @@ def wedge(a, b, multiply: Callable | None = None):
     """
     mul = multiply or _default_mul
     da, db = a.degree, b.degree
-    if da > db:
-        # degree-0 factor on the right: multiply every coefficient from the right
-        if db == 0:
-            if da == 1:
-                return Form1(
-                    np.stack([mul(m, b.value) for m in a.p]),
-                    np.stack([mul(m, b.value) for m in a.q]),
-                )
-            blocks = [
-                np.stack([np.stack([mul(m, b.value) for m in row]) for row in blk])
-                for blk in (a.c20, a.r11, a.c02)
-            ]
-            return Form2(*blocks)
-        raise ValueError(f"unsupported degree combination ({da}, {db})")
+    if db == 0:
+        return type(a)(*(_each(lambda m: mul(m, b.value), c, da) for c in _blocks(a)))
     if da == 0:
-        if db == 0:
-            return Form0(mul(a.value, b.value))
-        if db == 1:
-            return Form1(
-                np.stack([mul(a.value, m) for m in b.p]),
-                np.stack([mul(a.value, m) for m in b.q]),
-            )
-        blocks = [
-            np.stack([np.stack([mul(a.value, m) for m in row]) for row in blk])
-            for blk in (b.c20, b.r11, b.c02)
-        ]
-        return Form2(*blocks)
-    if da == 1 and db == 1:
-        d = a.dim
-        if d != b.dim:
-            raise ValueError("forms live on charts of different dimension")
-        vshape = mul(a.p[0], b.p[0]).shape
-        c20 = np.zeros((d, d, *vshape), dtype=complex)
-        r11 = np.zeros_like(c20)
-        c02 = np.zeros_like(c20)
-        for j in range(d):
-            for k in range(d):
-                c20[j, k] = mul(a.p[j], b.p[k]) - mul(a.p[k], b.p[j])
-                c02[j, k] = mul(a.q[j], b.q[k]) - mul(a.q[k], b.q[j])
-                r11[k, j] = mul(a.q[k], b.p[j]) - mul(a.p[j], b.q[k])
-        return Form2(c20, r11, c02)
-    raise ValueError(f"unsupported degree combination ({da}, {db})")
+        return type(b)(*(_each(lambda m: mul(a.value, m), c, db) for c in _blocks(b)))
+    if (da, db) != (1, 1):
+        raise ValueError(f"unsupported degree combination ({da}, {db})")
+    if a.dim != b.dim:
+        raise ValueError("forms live on charts of different dimension")
+
+    def table(x, y):  # [j, k] -> mul(x[j], y[k])
+        return np.stack([np.stack([mul(xj, yk) for yk in y]) for xj in x])
+
+    pp, qq = table(a.p, b.p), table(a.q, b.q)
+    return Form2(
+        pp - np.swapaxes(pp, 0, 1),
+        table(a.q, b.p) - np.swapaxes(table(a.p, b.q), 0, 1),
+        qq - np.swapaxes(qq, 0, 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +624,27 @@ def del_delbar(
     return Form1(p, zero), Form1(zero.copy(), q)
 
 
+def delbar_norms(
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    points,
+    step,
+    richardson: bool = False,
+    domain=None,
+) -> np.ndarray:
+    """|| delbar f || at each row of an (N, d) array of points: the largest
+    norm over k of df/dzbar_k.
+
+    `evaluate` maps the (N S, d) stack of all stencil nodes of all points
+    to the values of f there, (N S, ...); it is called once.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    stencil = Stencil(pts.shape[1], first=step, richardson=richardson)
+    values = np.asarray(stencil.on_points(evaluate, pts, domain))
+    values = values.reshape((len(pts), len(stencil.offsets)) + values.shape[1:])
+    _, q = stencil.first_derivatives(np.moveaxis(values, 1, 0))
+    return np.linalg.norm(q.reshape(q.shape[:2] + (-1,)), axis=-1).max(axis=0)
+
+
 def cauchy_riemann_residual(
     f: Callable[[np.ndarray], np.ndarray],
     points,
@@ -672,15 +656,16 @@ def cauchy_riemann_residual(
 
     Vanishes (up to finite-difference noise) exactly when f is
     numerically holomorphic on the sample.  `points` is an (N, d) array
-    or anything with a points() method.
+    or anything with a points() method; f maps one chart point to its
+    value and is called once per stencil node (see `delbar_norms`).
     """
     if hasattr(points, "points"):
         points = points.points()
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")
-    worst = 0.0
-    for zz in pts:
-        _, q = wirtinger_first(f, zz, step, richardson=richardson, domain=domain)
-        worst = max(worst, max(frob(m) for m in q))
-    return worst
+
+    def evaluate(nodes):
+        return np.stack([np.asarray(f(z), dtype=complex) for z in nodes])
+
+    return float(np.max(delbar_norms(evaluate, pts, step, richardson, domain)))

@@ -91,14 +91,9 @@ class ChartGrid:
 
     def points(self) -> np.ndarray:
         """All grid points, shape (N, d) complex, row-major order."""
-        axes = self.axis_samples()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        d = self.dim
-        pts = np.empty((flat[0].size, d), dtype=complex)
-        for j in range(d):
-            pts[:, j] = flat[2 * j] + 1j * flat[2 * j + 1]
-        return pts
+        mesh = np.meshgrid(*self.axis_samples(), indexing="ij")
+        flat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return flat[:, 0::2] + 1j * flat[:, 1::2]
 
     def interior_points(self, domain, margin: float = 0.0) -> np.ndarray:
         """Grid points inside `domain` with at least `margin` to its boundary.
@@ -108,11 +103,5 @@ class ChartGrid:
         stencil, are dropped.
         """
         pts = self.points()
-        keep = [
-            z
-            for z in pts
-            if domain.contains(z) and domain.boundary_distance(z) > margin
-        ]
-        if not keep:
-            return np.empty((0, self.dim), dtype=complex)
-        return np.asarray(keep)
+        keep = [bool(domain.contains(z) and domain.boundary_distance(z) > margin) for z in pts]
+        return pts[np.array(keep, dtype=bool)]

@@ -41,7 +41,6 @@ from .linalg import (
     hermitize,
     mgs_orthonormalize,
     relative_rank,
-    smallest_singular_value,
 )
 from .polys import MatrixPolynomial
 
@@ -66,7 +65,9 @@ __all__ = [
     "RkhsModel",
     "reproducing_check",
     "AdmissibilityResult",
+    "AdmissibilityField",
     "admissibility",
+    "admissibility_field",
     "smoothness_residual",
     "Lemma51Report",
     "lemma51_consistency",
@@ -580,11 +581,9 @@ class RkhsModel:
 
     def evaluate(self, c, t) -> np.ndarray:
         """Pointwise value of the span element sum c_(j,a) K_(e_a, t_j)."""
-        c = self._coeffs(c).reshape(-1, self.spec.fiber_dim)
-        out = np.zeros(self.spec.fiber_dim, dtype=complex)
-        for j in range(self.points.shape[0]):
-            out += eval_kernel(self.spec, t, self.points[j]) @ c[j]
-        return out
+        c = self._coeffs(c).reshape(-1, self.spec.fiber_dim, 1)
+        blocks = self.spec.eval_batch(as_point(t, self.spec.base_dim), self.points)
+        return (blocks @ c).sum(axis=0)[:, 0]
 
 
 def reproducing_check(model: RkhsModel, coeffs, eta, t) -> float:
@@ -620,12 +619,43 @@ class AdmissibilityResult:
     norm: float
 
 
+@dataclass(frozen=True)
+class AdmissibilityField:
+    """Invertibility margins of diagonal kernel blocks over an array of
+    points, as (N,) arrays: kappa(s, s) counts as invertible when its
+    largest singular value is positive and its smallest is at least `tol`
+    times the largest."""
+
+    invertible: np.ndarray
+    smallest_singular_value: np.ndarray
+    norm: np.ndarray
+
+    @classmethod
+    def of_blocks(cls, blocks: np.ndarray, tol: float = 1e-10) -> "AdmissibilityField":
+        s = np.linalg.svd(blocks, compute_uv=False)
+        return cls((s[:, 0] > 0.0) & (s[:, -1] >= tol * s[:, 0]), s[:, -1], s[:, 0])
+
+    @property
+    def relative_margin(self) -> np.ndarray:
+        """sigma_min / sigma_max, and 0 where the block vanishes."""
+        zero = np.zeros_like(self.norm)
+        return np.divide(self.smallest_singular_value, self.norm, out=zero, where=self.norm > 0.0)
+
+    def at(self, i: int) -> AdmissibilityResult:
+        return AdmissibilityResult(
+            bool(self.invertible[i]), float(self.smallest_singular_value[i]), float(self.norm[i])
+        )
+
+
+def admissibility_field(spec: KernelSpec, points, tol: float = 1e-10) -> AdmissibilityField:
+    """Invertibility margins of kappa(s, s) at every row s of an (N, d) array."""
+    pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
+    return AdmissibilityField.of_blocks(spec.eval_batch(pts, pts), tol)
+
+
 def admissibility(spec: KernelSpec, s, tol: float = 1e-10) -> AdmissibilityResult:
     """Invertibility margin of the diagonal block kappa(s, s)."""
-    block = eval_kernel(spec, s, s)
-    smin, smax = smallest_singular_value(block)
-    invertible = smax > 0.0 and smin >= tol * smax
-    return AdmissibilityResult(invertible, smin, smax)
+    return admissibility_field(spec, as_point(s, spec.base_dim)[None], tol).at(0)
 
 
 def smoothness_residual(spec: KernelSpec, s, step: float = 1e-3) -> float:

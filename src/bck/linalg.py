@@ -28,9 +28,9 @@ def frob(a: np.ndarray) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a*) / 2."""
+    """Hermitian part (a + a*) / 2, of each matrix of a stack (..., n, n)."""
     a = np.asarray(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -85,11 +85,12 @@ def mgs_orthonormalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
-    Orthonormalizes the columns of `a` with respect to the inner product
-    (u, v) -> v* @ inner @ u (Euclidean if `inner` is None).  The returned
-    triangular factor has real positive diagonal, which pins the phase of
-    each column; this keeps frames computed at nearby points smoothly
-    comparable.
+    Orthonormalizes the columns of `a` (..., n, k) with respect to the
+    inner product (u, v) -> v* @ inner @ u (Euclidean if `inner` is None;
+    otherwise (..., n, n), broadcast against the leading axes), each
+    matrix of a stack on its own.  The returned triangular factor has
+    real positive diagonal, which pins the phase of each column; this
+    keeps frames computed at nearby points smoothly comparable.
 
     Returns
     -------
@@ -98,27 +99,34 @@ def mgs_orthonormalize(
     Raises
     ------
     StructuralError
-        If a column is linearly dependent on the previous ones
-        (relative norm below `drop_tol`).
+        If a column is linearly dependent on the previous ones (relative
+        norm below `drop_tol`); in a stack, the first such matrix names it.
     """
     a = np.array(a, dtype=complex)
-    n, k = a.shape
-    g = np.eye(n) if inner is None else np.asarray(inner)
-    q = np.zeros((n, k), dtype=complex)
-    r = np.zeros((k, k), dtype=complex)
-    col_scale = max(float(np.max(np.abs(a))), 1e-300)
+    k = a.shape[-1]
+    g = np.eye(a.shape[-2]) if inner is None else np.asarray(inner)
+    q, r = np.zeros_like(a), np.zeros(a.shape[:-2] + (k, k), dtype=complex)
+    floor = drop_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1e-300)
+
+    def pair(u, v):  # v* g u per matrix, for (..., n) columns
+        return (v.conj()[..., None, :] @ (g @ u[..., None]))[..., 0, 0]
+
     for i in range(k):
-        v = a[:, i].copy()
+        v = a[..., i].copy()
         for _ in range(2):  # second pass restores orthogonality to ~1e-15
             for l in range(i):
-                c = q[:, l].conj() @ (g @ v)
-                r[l, i] += c
-                v = v - c * q[:, l]
-        nrm = np.sqrt(abs(v.conj() @ (g @ v)))
-        if nrm <= drop_tol * col_scale:
-            raise StructuralError(
-                f"column {i} is linearly dependent (residual norm {nrm:.3e})"
-            )
-        r[i, i] = nrm
-        q[:, i] = v / nrm
+                c = pair(v, q[..., l])
+                r[..., l, i] += c
+                v = v - c[..., None] * q[..., l]
+        nrm = np.sqrt(np.abs(pair(v, v)))
+        r[..., i, i] = nrm
+        q[..., i] = v / np.where(nrm <= floor, 1.0, nrm)[..., None]
+    norms = np.diagonal(r, axis1=-2, axis2=-1).real
+    dependent = np.argwhere(norms <= floor[..., None])
+    if len(dependent):
+        first = tuple(int(j) for j in dependent[0])
+        where = f" of matrix {first[:-1]}" if first[:-1] else ""
+        raise StructuralError(
+            f"column {first[-1]}{where} is linearly dependent (residual norm {norms[first]:.3e})"
+        )
     return q, r

@@ -31,9 +31,9 @@ import numpy as np
 
 from .chern import CurvatureAtPoint, CurvatureField, MetricField
 from .errors import StructuralError
-from .forms import Form2, as_point, cauchy_riemann_residual
+from .forms import Form2, as_point, cauchy_riemann_residual, probe_tensor
 from .kernels import SectionKernel
-from .linalg import frob, hermitize
+from .linalg import frob, hermiticity_defect, hermitize
 
 __all__ = [
     "BilinearSamples",
@@ -70,14 +70,7 @@ class BilinearSamples:
 
     @classmethod
     def from_callable(cls, fn: Callable, dim: int) -> "BilinearSamples":
-        basis = np.eye(dim, dtype=complex)
-        probes = [basis[j] for j in range(dim)] + [1j * basis[j] for j in range(dim)]
-        first = np.asarray(fn(probes[0], probes[0]), dtype=complex)
-        tensor = np.empty((2 * dim, 2 * dim, *first.shape), dtype=complex)
-        for a, va in enumerate(probes):
-            for b, vb in enumerate(probes):
-                tensor[a, b] = np.asarray(fn(va, vb), dtype=complex)
-        return cls(tensor, dim)
+        return cls(probe_tensor(fn, dim), dim)
 
     def __call__(self, v, w) -> np.ndarray:
         v = as_point(v, self.dim)
@@ -244,7 +237,7 @@ def griffiths_form(
     x = as_point(x)
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     g = -1j * h @ form(x, 1j * x)
-    defect = frob(g - g.conj().T) / max(1.0, frob(g))
+    defect = hermiticity_defect(g)
     if defect > herm_tol:
         raise StructuralError(
             f"Griffiths form is not Hermitian: relative defect {defect:.3e}"
@@ -311,17 +304,16 @@ def griffiths_verdict(
     """Spectral verdict of the curvature's Griffiths form over a grid.
 
     `curvature_field` is either a CurvatureField over `points`, whose
-    metric values are reused, or a map z -> CurvatureAtPoint, with h(z)
-    then evaluated from `metric`.  Each grid point is reduced in one batch over all sampled directions.
+    metric values are reused, or a map z -> CurvatureAtPoint, first
+    collected point by point in grid order with h(z) from `metric`.
     Under Form2's antisymmetrised evaluation the (2,0) and (0,2) blocks
-    vanish on (x, i x), so for direction x_m
+    vanish on (x, i x), so for point i and direction x_m
 
-        G_m = -i h Theta(x_m, i x_m) = 2 h sum_{k,j} conj(x_mk) x_mj r11[k, j],
+        G_im = -i h Theta(x_m, i x_m) = 2 h_i sum_{k,j} conj(x_mk) x_mj r11[k, j, i],
 
-    one contraction over the stacked directions.  Every G_m passes the
-    same relative hermiticity gate as `griffiths_form`, and one stacked
-    `eigh` of the hermitised G_m gives the margins.  Points are visited
-    one at a time, so memory stays at one point's (M, n, n) stack.
+    one contraction over all (point, direction) pairs.  Every G_im passes
+    the same relative hermiticity gate as `griffiths_form`, and one
+    stacked `eigh` of the hermitised G_im gives the margins.
 
     Deterministic for a fixed seed: the direction sample and the
     iteration order are pinned.  The reduction is a minimum; on ties the
@@ -334,53 +326,40 @@ def griffiths_verdict(
     if dirs.shape[0] == 0:
         raise ValueError("empty direction sample")
 
-    margins = np.empty((pts.shape[0], dirs.shape[0]))
-    best = None
-    max_herm = 0.0
-    max_purity = 0.0
-    for i, z in enumerate(pts):
-        if isinstance(curvature_field, CurvatureField):
-            h, curv = curvature_field.h[i], curvature_field.at(i)
-        else:
-            h, curv = metric(z), curvature_field(z)
-        max_purity = max(max_purity, curv.purity_residual)
-        s = np.einsum("mk,mj,kjab->mab", dirs.conj(), dirs, curv.form.r11)
-        g = 2.0 * np.matmul(h, s)
-        g_adj = np.swapaxes(g, -1, -2).conj()
-        defects = np.linalg.norm(g - g_adj, axis=(-2, -1)) / np.maximum(
-            1.0, np.linalg.norm(g, axis=(-2, -1))
-        )
-        max_herm = max(max_herm, float(defects.max()))
-        evals, evecs = np.linalg.eigh(0.5 * (g + g_adj))
-        margins[i] = evals[:, 0]
-        m = int(np.argmin(evals[:, 0]))
-        if best is None or evals[m, 0] < best[0]:
-            best = (float(evals[m, 0]), z.copy(), dirs[m].copy(), evecs[m, :, 0].copy())
-    min_margins = margins.min(axis=1)
+    if isinstance(curvature_field, CurvatureField):
+        h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
+    else:
+        h, curvs = zip(*[(metric(z), curvature_field(z)) for z in pts])
+        r11 = np.stack([c.form.r11 for c in curvs], axis=2)
+        purity = [c.purity_residual for c in curvs]
+    s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11)
+    g = 2.0 * np.matmul(np.asarray(h)[:, None], s)
+    g_adj = np.swapaxes(g, -1, -2).conj()
+    defects = np.linalg.norm(g - g_adj, axis=(-2, -1)) / np.maximum(
+        1.0, np.linalg.norm(g, axis=(-2, -1))
+    )
+    max_herm = float(defects.max())
     if max_herm > herm_tol:
         raise StructuralError(
             f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}"
         )
-
-    overall = float(best[0])
-    if overall > pos_tol:
-        verdict = "positive"
-    elif overall < -neg_tol:
-        verdict = "indefinite"
-    else:
-        verdict = "nonnegative"
+    evals, evecs = np.linalg.eigh(0.5 * (g + g_adj))
+    margins = evals[..., 0]
+    i, m = np.unravel_index(np.argmin(margins), margins.shape)
+    overall = float(margins[i, m])
+    verdict = "positive" if overall > pos_tol else "indefinite" if overall < -neg_tol else "nonnegative"
     return GriffithsReport(
         points=pts,
         directions=dirs,
         seed=seed,
         margins=margins,
-        min_margins=min_margins,
+        min_margins=margins.min(axis=1),
         min_margin=overall,
-        witness_point=best[1],
-        witness_direction=best[2],
-        witness_eigenvector=best[3],
+        witness_point=pts[i].copy(),
+        witness_direction=dirs[m].copy(),
+        witness_eigenvector=evecs[i, m, :, 0].copy(),
         max_hermiticity_residual=max_herm,
-        max_purity_residual=max_purity,
+        max_purity_residual=float(np.max(purity, initial=0.0)),
         verdict=verdict,
         pos_tol=pos_tol,
         neg_tol=neg_tol,
@@ -420,33 +399,21 @@ def global_generation_check(
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")
 
-    def field(z):
-        e = np.asarray(sections(z), dtype=complex)
-        return e[None, :] if e.ndim == 1 else e
-
-    cr = cauchy_riemann_residual(field, pts, cr_step)
+    cr = cauchy_riemann_residual(sections, pts, cr_step)
     if cr > cr_tol:
         raise StructuralError(
             f"section matrix is not holomorphic: Cauchy-Riemann residual {cr:.3e}"
         )
 
     spec = SectionKernel(sections, base_dim=pts.shape[1])
-    generated = True
-    min_sigma = np.inf
-    metric_margin = np.inf
-    for z in pts:
-        e = field(z)
-        svals = np.linalg.svd(e, compute_uv=False)
-        smin = float(svals[-1]) if e.shape[0] <= e.shape[1] else 0.0
-        smax = float(svals[0]) if svals.size else 0.0
-        if smax == 0.0 or smin < rank_tol * smax:
-            generated = False
-        min_sigma = min(min_sigma, smin)
-        block = spec.eval(z, z)
-        metric_margin = min(metric_margin, float(np.linalg.eigvalsh(hermitize(block))[0]))
+    e = spec.section_values(pts)
+    svals = np.linalg.svd(e, compute_uv=False)
+    smin = svals[:, -1] if e.shape[1] <= e.shape[2] else np.zeros(len(pts))
+    generated = bool(np.all((svals[:, 0] != 0.0) & (smin >= rank_tol * svals[:, 0])))
+    metric_margin = np.linalg.eigvalsh(hermitize(spec.eval_many(pts, pts)))[:, 0].min()
     return GlobalGenerationReport(
         generated=generated,
-        min_rank_margin=float(min_sigma),
+        min_rank_margin=float(np.min(smin)),
         cr_residual=float(cr),
         metric_margin=float(metric_margin),
     )

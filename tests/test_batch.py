@@ -20,6 +20,7 @@ from bck.chern import (
     curvature,
     metric_from_kernel,
     nested_curvature_field,
+    subbundle_field,
     subbundle_split,
 )
 from bck.cli import AnalysisConfig, build_kernel, main, run_analyze
@@ -32,8 +33,10 @@ from bck.kernels import (
     dual_kernel,
     eval_kernel,
 )
+from bck.linalg import mgs_orthonormalize
+from bck.polys import MatrixPolynomial
 
-from _fields import poly_metric
+from _fields import cmat, poly_metric
 
 RICH = FdSteps(richardson=True)
 
@@ -195,6 +198,74 @@ def test_subbundle_reuses_precomputed_connection_and_curvature():
     )
     assert fresh.identity_residual == shared.identity_residual
     assert np.array_equal(fresh.beta, shared.beta)
+
+
+def _grid_points(rng, count, dim, radius=0.4):
+    return radius * (rng.uniform(-1, 1, (count, dim)) + 1j * rng.uniform(-1, 1, (count, dim)))
+
+
+def test_subbundle_field_matches_point_splits():
+    # a rank-2 frame of a curved rank-3 metric: the field at point i is the
+    # one-point split at that point, bit for bit
+    rng = np.random.default_rng(101)
+    amb = poly_metric(rng, 1, 3)
+    frame = MatrixPolynomial(
+        1,
+        {
+            ((0,), (0,)): np.array([[1, 0], [0, 1], [0, 0]]),
+            ((1,), (0,)): np.array([[0, 0], [1, 0], [0, 0]]),
+            ((2,), (0,)): np.array([[0, 0], [0, 0], [0, 1]]),
+        },
+        shape=(3, 2),
+    )
+    pts = _grid_points(rng, 6, 1)
+    field = subbundle_field(amb, frame, pts, RICH)
+    assert field.beta.shape == (1, 6, 1, 2)
+    for i, z in enumerate(pts):
+        single = subbundle_split(amb, frame, z, RICH)
+        for name, value in vars(single).items():
+            assert np.array_equal(getattr(field.at(i), name), value), name
+        assert single.identity_residual <= 1e-4
+
+
+def test_subbundle_field_flat_graph_frame():
+    # span(1, z) in the flat C^2: theta_sub = 1 / (1 + |z|^2)^2 at every point
+    flat = metric_from_kernel(ConstantKernel(np.eye(2)))
+    pts = _grid_points(np.random.default_rng(3), 12, 1, radius=0.6)
+    frame = lambda z: np.stack([np.ones(len(z)), z[:, 0]], axis=-1)[..., None]  # (M, 2, 1)
+    field = subbundle_field(flat, frame, pts, RICH)
+    expected = 1.0 / (1.0 + np.abs(pts[:, 0]) ** 2) ** 2
+    assert np.max(np.abs(field.theta_sub[0, 0, :, 0, 0] - expected)) <= 1e-6
+    assert np.max(field.identity_residual) <= 1e-4
+    assert np.max(field.beta_antiholo_residual) <= 1e-8
+
+
+def test_subbundle_field_two_variable_graph_frame():
+    # span(1, z1, z2) in the flat C^3: the identity closes with a curved
+    # induced metric 1 + |z|^2, whose curvature is known in closed form
+    flat = metric_from_kernel(ConstantKernel(np.eye(3), base_dim=2))
+    pts = _grid_points(np.random.default_rng(5), 8, 2)
+    frame = lambda z: np.concatenate([np.ones((len(z), 1)), z], axis=-1)[..., None]  # (M, 3, 1)
+    field = subbundle_field(flat, frame, pts, RICH)
+    assert np.max(field.identity_residual) <= 1e-4
+    assert np.max(field.beta_antiholo_residual) <= 1e-8
+    w = 1.0 + np.sum(np.abs(pts) ** 2, axis=-1)
+    closed = np.eye(2)[:, :, None] / w - pts.T[:, None, :] * pts.conj().T[None, :, :] / w**2
+    assert np.max(np.abs(field.theta_sub[..., 0, 0] - closed)) <= 1e-6
+
+
+def test_mgs_over_a_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(11)
+    a = cmat(rng, 4, 5, 3, 2)
+    c = cmat(rng, 4, 5, 3, 3)
+    inner = c @ np.swapaxes(c.conj(), -1, -2) + np.eye(3)
+    q, r = mgs_orthonormalize(a, inner=inner)
+    for index in np.ndindex(4, 5):
+        q1, r1 = mgs_orthonormalize(a[index], inner=inner[index])
+        assert np.array_equal(q[index], q1) and np.array_equal(r[index], r1)
+    a[2, 3, :, 1] = (1 + 2j) * a[2, 3, :, 0]
+    with pytest.raises(StructuralError, match=r"column 1 of matrix \(2, 3\) is linearly dependent"):
+        mgs_orthonormalize(a, inner=inner)
 
 
 # -- failures inside a batched run keep their error kind and exit code --------------

@@ -19,7 +19,7 @@ from bck.chern import (
 )
 from bck.errors import SingularMetricError, StructuralError
 from bck.forms import Form1
-from bck.kernels import ConstantKernel, DiscPowerKernel, SectionKernel, dual_kernel
+from bck.kernels import ConstantKernel, DiscPowerKernel, GrassmannKernel, SectionKernel, dual_kernel
 from bck.polys import MatrixPolynomial
 
 from _fields import cmat, disc_connection, disc_curvature, disc_metric, full_rank_sections, poly_metric
@@ -375,6 +375,27 @@ def test_dual_curvature_generic_point_and_matrix_kernel():
     k = SectionKernel(full_rank_sections(rng, 1, 2))
     res = dual_curvature_check(k, np.array([0.3 - 0.2j]), RICH)
     assert res.residual <= 1e-5
+
+
+# in two variables the pull-back swaps the form indices and leaves the
+# operator values alone; the dual curvature is then -(h Theta h^-1)^T
+DUAL_POINTS_D2 = (np.array([0.1 + 0.2j, -0.2 + 0.1j]), np.array([0.3 - 0.1j, 0.2j]))
+
+
+def test_dual_curvature_grassmannian_two_variables():
+    for z in DUAL_POINTS_D2:
+        res = dual_curvature_check(GrassmannKernel(3, 1), z, RICH)
+        assert np.max(np.abs(res.theta_r11)) > 0.5  # curved, with off-diagonal form blocks
+        assert res.residual <= 1e-6
+
+
+def test_dual_curvature_rank_two_sections_two_variables():
+    rng = np.random.default_rng(43)
+    spec = SectionKernel(full_rank_sections(rng, 2, 2), base_dim=2)
+    for z in DUAL_POINTS_D2:
+        res = dual_curvature_check(spec, z, RICH)
+        assert np.max(np.abs(res.theta_r11)) > 0.1
+        assert res.residual <= 1e-6
 
 
 def test_connection_stencil_near_boundary_raises():

@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 
+import bck.chern
 import bck.cli
 import bck.forms
+import bck.kernels
 from bck.cli import (
     AnalysisConfig,
     ConfigError,
@@ -220,6 +222,35 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
     report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks)))
     data = json.loads(report.to_json())["tasks"]
     assert data["theorem55"]["data"]["conclusion"] == data["griffiths"]["data"]
+
+
+def test_subbundle_admissibility_and_premise_are_array_reductions(monkeypatch):
+    # no one-point metric evaluations and no per-point admissibility calls;
+    # the admissibility margins are built once for both tasks that read them
+    counts = {"point_metric": 0, "point_admissibility": 0, "margins": 0}
+
+    def counted(real, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        bck.chern.MetricField, "__call__", counted(bck.chern.MetricField.__call__, "point_metric")
+    )
+    point = counted(bck.kernels.admissibility, "point_admissibility")
+    monkeypatch.setattr(bck.kernels, "admissibility", point)
+    monkeypatch.setattr(bck.cli, "admissibility", point, raising=False)
+    monkeypatch.setattr(
+        bck.cli, "admissibility_field", counted(bck.cli.admissibility_field, "margins")
+    )
+    tasks = ["admissibility", "subbundle", "griffiths", "theorem55"]
+    cfg = base_config(tasks=tasks, subbundle={"frame": [[[{"c": 1}]]]})
+    report = run_analyze(AnalysisConfig.from_dict(cfg))
+    assert report.exit_code == 0
+    assert report.data["tasks"]["theorem55"]["status"] == "verified"
+    assert counts == {"point_metric": 0, "point_admissibility": 0, "margins": 1}
 
 
 def test_subbundle_task_from_config():
