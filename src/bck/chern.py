@@ -754,6 +754,21 @@ def _frames(frame, nodes: np.ndarray, n: int) -> np.ndarray:
     return f
 
 
+def _node_frames(a, inner, pts, offsets):
+    """`mgs_orthonormalize` of the frames [frame | complement] at the points
+    (N, n, k) or at their stencil nodes (N, S, n, k), with a dependent column
+    reported by its grid point and stencil node."""
+    try:
+        return mgs_orthonormalize(a, inner=inner)
+    except StructuralError as exc:
+        i, *node, column = exc.index
+        where = pts[i] + offsets[node[0] if node else Stencil.CENTRE]
+        raise StructuralError(
+            f"column {column} of [frame | complement] at grid point {pts[i]}, stencil node "
+            f"{where}, is linearly dependent (residual norm {exc.residual:.3e})"
+        ) from exc
+
+
 def subbundle_field(
     metric: MetricField,
     frame: Callable[[np.ndarray], np.ndarray],
@@ -786,16 +801,15 @@ def subbundle_field(
     h, f = (a.reshape((len(pts), -1) + a.shape[1:]) for a in (h, f))
     h0, k = h[:, Stencil.CENTRE], f.shape[-1]
 
-    q1, _ = mgs_orthonormalize(f[:, Stencil.CENTRE], inner=h0)
+    q1, _ = _node_frames(f[:, Stencil.CENTRE], h0, pts, stencil.offsets)
     eye = np.eye(n, dtype=complex)
     e, hc = eye[:, :, None], h0[:, None]  # e[i] is the column e_i
     resid = e - q1[:, None] @ (_adjoint(q1)[:, None] @ (hc @ e))
     scores = np.abs(_adjoint(resid) @ (hc @ resid))[..., 0, 0]
     complement = np.sort(np.argsort(scores, axis=-1, kind="stable")[:, ::-1][:, : n - k], axis=-1)
     fixed = np.swapaxes(eye[complement], -1, -2)[:, None]
-    u, r_full = mgs_orthonormalize(
-        np.concatenate([f, np.broadcast_to(fixed, f.shape[:2] + fixed.shape[2:])], axis=-1), inner=h
-    )
+    columns = np.concatenate([f, np.broadcast_to(fixed, f.shape[:2] + fixed.shape[2:])], axis=-1)
+    u, r_full = _node_frames(columns, h, pts, stencil.offsets)
     u0 = u[:, Stencil.CENTRE]
     u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
 

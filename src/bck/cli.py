@@ -395,8 +395,8 @@ class RunContext:
 def _point_columns(points: np.ndarray) -> list[dict]:
     cols = []
     for j in range(points.shape[1]):
-        cols.append({"name": f"re_z{j + 1}", "values": points[:, j].real.tolist()})
-        cols.append({"name": f"im_z{j + 1}", "values": points[:, j].imag.tolist()})
+        cols.append({"name": f"re_z{j + 1}", "values": points[:, j].real})
+        cols.append({"name": f"im_z{j + 1}", "values": points[:, j].imag})
     return cols
 
 
@@ -408,8 +408,8 @@ def _matrix_field_columns(name: str, field: np.ndarray) -> list[dict]:
     for index in np.ndindex(by_point.shape[1:]):
         tag = "_".join(str(i) for i in index)
         values = by_point[(slice(None),) + index]
-        cols.append({"name": f"{name}_{tag}_re", "values": values.real.tolist()})
-        cols.append({"name": f"{name}_{tag}_im", "values": values.imag.tolist()})
+        cols.append({"name": f"{name}_{tag}_re", "values": values.real})
+        cols.append({"name": f"{name}_{tag}_im", "values": values.imag})
     return cols
 
 
@@ -546,7 +546,7 @@ def _griffiths_data(ctx: RunContext, report) -> dict:
         "max_purity_residual": float(report.max_purity_residual),
         "sampled_directions_only": report.sampled_only,
         "fields": _point_columns(ctx.points)
-        + [{"name": "min_margin", "values": [float(v) for v in report.min_margins]}],
+        + [{"name": "min_margin", "values": report.min_margins}],
     }
 
 
@@ -643,6 +643,10 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":  # real: one finiteness check, then plain lists
+            if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+                raise StructuralError("report contains a non-finite numeric entry")
+            return obj.tolist()
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .linalg import frob
+from .linalg import max_frob
 
 __all__ = [
     "Form0",
@@ -46,6 +46,7 @@ __all__ = [
     "as_point",
     "as_points",
     "Stencil",
+    "clear_of_boundary",
 ]
 
 
@@ -56,7 +57,7 @@ def as_point(z, dim: int | None = None) -> np.ndarray:
         raise ValueError("chart point must be a vector of complex coordinates")
     if dim is not None and p.size != dim:
         raise ValueError(f"chart point has {p.size} coordinates, expected {dim}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
     return p
 
@@ -145,9 +146,9 @@ class Form1(_Linear):
 
     def __call__(self, v) -> np.ndarray:
         v = as_point(v, self.dim)
-        return np.tensordot(v, self.p, axes=(0, 0)) + np.tensordot(
-            v.conj(), self.q, axes=(0, 0)
-        )
+        coeffs = np.concatenate([self.p, self.q])
+        values = np.concatenate([v, v.conj()]) @ coeffs.reshape(len(coeffs), -1)
+        return values.reshape(self.p.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -185,20 +186,22 @@ class Form2(_Linear):
         z = np.zeros((dim, dim, *value_shape), dtype=complex)
         return cls(z, z.copy(), z.copy())
 
-    def _raw(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        def pair(t, a, b):
-            return np.tensordot(b, np.tensordot(a, t, axes=(0, 0)), axes=(0, 0))
-
-        out = pair(self.c20, v, w)
-        out = out + pair(self.r11, v.conj(), w) - pair(self.r11, w.conj(), v)
-        out = out + pair(self.c02, v.conj(), w.conj())
-        return out
-
     def __call__(self, v, w) -> np.ndarray:
+        """sum_jk of c20[j, k] / 2 (v_j w_k - w_j v_k)
+        + r11[j, k] (conj(v_j) w_k - conj(w_j) v_k)
+        + c02[j, k] / 2 (conj(v_j) conj(w_k) - conj(w_j) conj(v_k)),
+        one contraction of the three antisymmetrised outer products with
+        the stacked blocks.  Swapping v and w negates the products exactly,
+        so skewness holds exactly, not just to round-off."""
         v = as_point(v, self.dim)
         w = as_point(w, self.dim)
-        # antisymmetrized evaluation: skewness holds exactly, not just to roundoff
-        return 0.5 * (self._raw(v, w) - self._raw(w, v))
+        vc, wc = v.conj(), w.conj()
+        first = np.array([[v, vc, vc], [w, wc, wc]])
+        second = np.array([[w, w, wc], [v, v, vc]])
+        products = first[..., :, None] * second[..., None, :]
+        outer = (products[0] - products[1]) * np.array([0.5, 1.0, 0.5])[:, None, None]
+        blocks = np.array([self.c20, self.r11, self.c02])
+        return (outer.reshape(-1) @ blocks.reshape(outer.size, -1)).reshape(blocks.shape[3:])
 
 
 def _blocks(form) -> list:
@@ -210,10 +213,7 @@ def form_norm(form) -> float:
     """Max Frobenius norm over the coefficient matrices of a form."""
     if not isinstance(form, (Form0, Form1, Form2)):
         raise TypeError(f"not a form: {type(form)!r}")
-    return max(
-        max((frob(m) for m in c.reshape((-1, *c.shape[form.degree :]))), default=0.0)
-        for c in _blocks(form)
-    )
+    return max(max_frob(c, form.degree) for c in _blocks(form))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,22 @@ def _check_stencil(domain, z: np.ndarray, radius: float) -> None:
         )
 
 
+def clear_of_boundary(domain, points: np.ndarray, margin: float) -> np.ndarray:
+    """Per row of an (N, d) array of points: inside `domain` and farther
+    than `margin` from its boundary (the per-point `_check_stencil` rule).
+
+    A domain with `contains_batch` and `boundary_distance_batch` (every
+    KernelSpec) is checked in one pass, any other point by point; the
+    boundary distance is taken only of points inside the domain.
+    """
+    if not (hasattr(domain, "contains_batch") and hasattr(domain, "boundary_distance_batch")):
+        inside = [bool(domain.contains(z) and domain.boundary_distance(z) > margin) for z in points]
+        return np.array(inside, dtype=bool)
+    ok = np.array(domain.contains_batch(points), dtype=bool)
+    ok[ok] = domain.boundary_distance_batch(points[ok]) > margin
+    return ok
+
+
 def _axis_offset(dim: int, axis: int, h, imag: bool) -> np.ndarray:
     e = np.zeros(dim, dtype=complex)
     e[axis] = 1j * h if imag else h
@@ -473,19 +489,18 @@ class Stencil:
     def on_points(self, evaluate: Callable[[np.ndarray], object], points: np.ndarray, domain=None):
         """`evaluate` applied once to the (N S, d) array of all nodes of all points.
 
-        Nodes are listed point by point in grid order.  Points are checked
-        in that order as a per-point loop would: if the stencil of point i
-        leaves the domain, the nodes of the points before it and point i
-        itself are evaluated first (raising any earlier failure), then the
-        stencil's DomainError is raised.
+        Nodes are listed point by point in grid order.  Failures are
+        reported as a per-point loop would: if the stencil of point i is the
+        first to leave the domain, the nodes of the points before it and
+        point i itself are evaluated first (raising any earlier failure),
+        then the stencil's DomainError is raised.
         """
         nodes = points[:, None, :] + self.offsets
-        for i, z in enumerate(points):
-            try:
-                _check_stencil(domain, z, self.radius)
-            except DomainError:
-                evaluate(np.concatenate([nodes[:i].reshape(-1, self.dim), points[i : i + 1]]))
-                raise
+        clear = True if domain is None else clear_of_boundary(domain, points, self.radius)
+        if not np.all(clear):
+            i = int(np.argmin(clear))
+            evaluate(np.concatenate([nodes[:i].reshape(-1, self.dim), points[i : i + 1]]))
+            _check_stencil(domain, points[i], self.radius)
         return evaluate(nodes.reshape(-1, self.dim))
 
     def first_derivatives(self, values) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .forms import clear_of_boundary
+
 __all__ = ["ChartGrid"]
 
 
@@ -103,5 +105,4 @@ class ChartGrid:
         stencil, are dropped.
         """
         pts = self.points()
-        keep = [bool(domain.contains(z) and domain.boundary_distance(z) > margin) for z in pts]
-        return pts[np.array(keep, dtype=bool)]
+        return pts[clear_of_boundary(domain, pts, margin)]

@@ -167,6 +167,14 @@ class KernelSpec:
     def boundary_distance(self, z) -> float:
         return np.inf
 
+    def boundary_distance_batch(self, z: np.ndarray) -> np.ndarray:
+        """`boundary_distance` over a stack of chart points (..., d) -> (...) floats."""
+        z = np.asarray(z, dtype=complex)
+        if type(self).boundary_distance is KernelSpec.boundary_distance:
+            return np.full(z.shape[:-1], np.inf)
+        dist = [self.boundary_distance(p) for p in z.reshape(-1, z.shape[-1])]
+        return np.array(dist, dtype=float).reshape(z.shape[:-1])
+
     def params(self) -> dict:
         return {}
 
@@ -225,6 +233,9 @@ class DiscPowerKernel(KernelSpec):
 
     def boundary_distance(self, z):
         return float(1.0 - np.abs(np.asarray(z, dtype=complex)).max())
+
+    def boundary_distance_batch(self, z):
+        return 1.0 - np.abs(np.asarray(z, dtype=complex)).max(axis=-1)
 
     def params(self):
         return {"nu": self.nu}
@@ -446,6 +457,9 @@ class DualKernel(KernelSpec):
 
     def boundary_distance(self, z):
         return self.base.boundary_distance(np.conj(np.asarray(z, dtype=complex)))
+
+    def boundary_distance_batch(self, z):
+        return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
 
     def params(self):
         return {"base": self.base.describe()}

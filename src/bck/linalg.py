@@ -7,12 +7,15 @@ numpy are the right tool.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import StructuralError
 
 __all__ = [
     "frob",
+    "max_frob",
     "hermitize",
     "hermiticity_defect",
     "eig_margin",
@@ -25,6 +28,15 @@ __all__ = [
 def frob(a: np.ndarray) -> float:
     """Frobenius norm, as a plain float."""
     return float(np.linalg.norm(np.asarray(a)))
+
+
+def max_frob(a: np.ndarray, lead: int) -> float:
+    """Largest Frobenius norm over the values of a stack whose first `lead`
+    axes index the values; 0 for an empty stack."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.norm(a.reshape(math.prod(a.shape[:lead]), -1), axis=-1).max())
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -101,6 +113,8 @@ def mgs_orthonormalize(
     StructuralError
         If a column is linearly dependent on the previous ones (relative
         norm below `drop_tol`); in a stack, the first such matrix names it.
+        The error's `index` is (matrix index..., column) and its `residual`
+        the column's residual norm.
     """
     a = np.array(a, dtype=complex)
     k = a.shape[-1]
@@ -126,7 +140,9 @@ def mgs_orthonormalize(
     if len(dependent):
         first = tuple(int(j) for j in dependent[0])
         where = f" of matrix {first[:-1]}" if first[:-1] else ""
-        raise StructuralError(
+        error = StructuralError(
             f"column {first[-1]}{where} is linearly dependent (residual norm {norms[first]:.3e})"
         )
+        error.index, error.residual = first, float(norms[first])
+        raise error
     return q, r

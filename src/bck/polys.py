@@ -42,52 +42,52 @@ class MatrixPolynomial:
         if shape is None:
             raise ValueError("a polynomial needs at least one term or a shape")
         self.shape = shape
+        # evaluation tables: the distinct powers (conj, axis, exponent) the
+        # terms use, each term's factors as power-table columns (column 0 is
+        # the constant 1, padding on the left), and the coefficients by term
+        self._powers: list[tuple[bool, int, int]] = []
+        factors = []
+        for p, q in self.terms:
+            cols = []
+            for j in range(self.dim):
+                for conj, e in ((False, p[j]), (True, q[j])):
+                    if e:
+                        if (conj, j, e) not in self._powers:
+                            self._powers.append((conj, j, e))
+                        cols.append(1 + self._powers.index((conj, j, e)))
+            factors.append(cols)
+        width = max(map(len, factors), default=0)
+        self._factors = np.array([[0] * (width - len(c)) + c for c in factors], dtype=int).reshape(
+            len(factors), width
+        )
+        self._coeffs = np.array(list(self.terms.values()), dtype=complex).reshape((-1,) + shape)
 
     def __call__(self, z) -> np.ndarray:
-        """Value at a chart point (d,), or at each point of a stack (..., d)."""
+        """Value at a chart point (d,), or at each point of a stack (..., d).
+
+        One power table holds the distinct powers z_j^e and conj(z_j)^e
+        that the terms use; each term's monomial is the product of its
+        factors in axis order (z before conj z), all terms at once.  The
+        terms are added in order into one output, so that memory holds one
+        term's values at a time, not a stack of all of them.
+        """
         z = as_points(z, self.dim)
         lead = z.shape[:-1]
+        table = np.ones((1 + len(self._powers),) + lead, dtype=complex)
+        for col, (conj, j, e) in enumerate(self._powers, 1):
+            table[col] = (np.conj(z[..., j]) if conj else z[..., j]) ** e
+        mono = np.ones((len(self._factors),) + lead, dtype=complex)
+        for cols in self._factors.T:
+            mono *= table[cols]
         out = np.zeros(lead + self.shape, dtype=complex)
         expand = (...,) + (None,) * len(self.shape)
-        for (p, q), coeff in self.terms.items():
-            mono = np.ones(lead, dtype=complex)
-            for j in range(self.dim):
-                if p[j]:
-                    mono *= z[..., j] ** p[j]
-                if q[j]:
-                    mono *= np.conj(z[..., j]) ** q[j]
-            out = out + coeff * mono[expand]
+        for coeff, m in zip(self._coeffs, mono):
+            out += coeff * m[expand]
         return out
 
     @property
     def holomorphic(self) -> bool:
         return all(all(x == 0 for x in q) for (_, q) in self.terms)
-
-    def d_z(self, axis: int) -> "MatrixPolynomial":
-        """Exact derivative in z_axis."""
-        terms = {}
-        for (p, q), coeff in self.terms.items():
-            if p[axis] == 0:
-                continue
-            pp = list(p)
-            pp[axis] -= 1
-            key = (tuple(pp), q)
-            add = p[axis] * coeff
-            terms[key] = terms.get(key, 0) + add
-        return MatrixPolynomial(self.dim, terms, shape=self.shape)
-
-    def d_zbar(self, axis: int) -> "MatrixPolynomial":
-        """Exact derivative in conj(z_axis)."""
-        terms = {}
-        for (p, q), coeff in self.terms.items():
-            if q[axis] == 0:
-                continue
-            qq = list(q)
-            qq[axis] -= 1
-            key = (p, tuple(qq))
-            add = q[axis] * coeff
-            terms[key] = terms.get(key, 0) + add
-        return MatrixPolynomial(self.dim, terms, shape=self.shape)
 
     @classmethod
     def random(

@@ -33,7 +33,7 @@ from .chern import CurvatureAtPoint, CurvatureField, MetricField
 from .errors import StructuralError
 from .forms import Form2, as_point, cauchy_riemann_residual, probe_tensor
 from .kernels import SectionKernel
-from .linalg import frob, hermiticity_defect, hermitize
+from .linalg import frob, hermiticity_defect, hermitize, max_frob
 
 __all__ = [
     "BilinearSamples",
@@ -103,8 +103,7 @@ class BilinearSamples:
         return self.rotate_first().rotate_second()
 
     def norm(self) -> float:
-        flat = self.tensor.reshape((-1, *self.tensor.shape[2:]))
-        return max((frob(m) for m in flat), default=0.0)
+        return max_frob(self.tensor, 2)
 
     def combine(self, other: "BilinearSamples", ca, cb) -> "BilinearSamples":
         return BilinearSamples(ca * self.tensor + cb * other.tensor, self.dim)

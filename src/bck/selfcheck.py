@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import forms
-from .forms import Form0, Form1, exterior_derivative, form_norm, split_bilinear, split_linear
-from .linalg import frob
+from .forms import Form0, Form1, Stencil, form_norm, split_bilinear, split_linear
+from .linalg import frob, max_frob
 from .polys import MatrixPolynomial
 from .positivity import BilinearSamples, triple_join, triple_split
 
@@ -39,7 +39,7 @@ def _random_linear_map(rng, dim, n):
 
     def t(v):
         v = np.asarray(v, dtype=complex)
-        return np.tensordot(v, a, axes=(0, 0)) + np.tensordot(v.conj(), b, axes=(0, 0))
+        return (v @ a.reshape(dim, -1) + v.conj() @ b.reshape(dim, -1)).reshape(n, n)
 
     return t, a, b
 
@@ -104,39 +104,35 @@ def _check_wedge_skewness(rng, results):
     results.append(_entry("wedge skewness", worst, 1e-12))
 
 
+def _one_forms_at(form: Form1, nodes=slice(None)) -> list:
+    """The 1-form at each node of a field evaluated on a node stack (node
+    axis after the form index), for the given nodes."""
+    p, q = (np.moveaxis(c[:, nodes], 1, 0) for c in (form.p, form.q))
+    return [Form1(*pq) for pq in zip(p, q)]
+
+
 def _check_d_squared(rng, results):
     dim, n = 2, 2
+    inner = Stencil(dim, first=_STEP1, richardson=True)
+    outer = Stencil(dim, first=_STEP2)
     worst_dd = 0.0
     worst_delbar = 0.0
     worst_del = 0.0
     for _ in range(3):
         poly = MatrixPolynomial.random(rng, dim, (n, n), degree=3)
         z0 = 0.3 * _random_probe(rng, dim)
-
-        def first(w):
-            return exterior_derivative(poly, w, _STEP1, richardson=True)
-
-        dd = exterior_derivative(first, z0, _STEP2)
+        # df at every outer node, from one evaluation on the outer x inner nodes
+        values = inner.on_points(poly, z0 + outer.offsets).reshape((len(outer.offsets), -1, n, n))
+        df = Form1(*inner.first_derivatives(np.moveaxis(values, 1, 0)))
+        dd = outer.exterior_derivative(_one_forms_at(df))
         worst_dd = max(worst_dd, form_norm(dd))
         # Dolbeault refinements: the (0,2) block of d(delbar f) and the
         # (2,0) block of d(del f) are delbar^2 f and del^2 f.
-        flat02 = dd.c02.reshape((-1, n, n))
-        flat20 = dd.c20.reshape((-1, n, n))
-
-        def only_q(w):
-            df = exterior_derivative(poly, w, _STEP1, richardson=True)
-            return Form1(np.zeros_like(df.q), df.q)
-
-        def only_p(w):
-            df = exterior_derivative(poly, w, _STEP1, richardson=True)
-            return Form1(df.p, np.zeros_like(df.p))
-
-        ddbar = exterior_derivative(only_q, z0, _STEP2)
-        ddel = exterior_derivative(only_p, z0, _STEP2)
-        worst_delbar = max(
-            worst_delbar, max(frob(m) for m in ddbar.c02.reshape((-1, n, n)))
-        )
-        worst_del = max(worst_del, max(frob(m) for m in ddel.c20.reshape((-1, n, n))))
+        zero = np.zeros_like(df.p)
+        ddbar = outer.exterior_derivative(_one_forms_at(Form1(zero, df.q)))
+        ddel = outer.exterior_derivative(_one_forms_at(Form1(df.p, zero)))
+        worst_delbar = max(worst_delbar, max_frob(ddbar.c02, 2))
+        worst_del = max(worst_del, max_frob(ddel.c20, 2))
     results.append(_entry("d squared vanishes", worst_dd, 1e-5))
     results.append(_entry("delbar squared vanishes", worst_delbar, 1e-5))
     results.append(_entry("del squared vanishes", worst_del, 1e-5))
@@ -144,37 +140,47 @@ def _check_d_squared(rng, results):
 
 def _check_leibniz(rng, results):
     dim, n = 2, 2
+    fine = Stencil(dim, first=_STEP1, richardson=True, centre=True)
+    coarse = Stencil(dim, first=_STEP2)
+    at_fine, at_coarse = slice(0, len(fine.offsets)), slice(len(fine.offsets), None)
     worst = 0.0
     for _ in range(3):
         f = MatrixPolynomial.random(rng, dim, (n, n), degree=2)
         g = MatrixPolynomial.random(rng, dim, (n, n), degree=2)
         one_form = _poly_one_form(rng, dim, n, degree=2)
         z0 = 0.3 * _random_probe(rng, dim)
+        # every field once, on z0 (the fine stencil's centre) and the nodes
+        nodes = z0 + np.concatenate([fine.offsets, coarse.offsets])
+        fv, gv, beta = f(nodes), g(nodes), one_form(nodes)
+        f0, g0 = Form0(fv[Stencil.CENTRE]), Form0(gv[Stencil.CENTRE])
+        beta0 = Form1(beta.p[:, Stencil.CENTRE], beta.q[:, Stencil.CENTRE])
+        beta_coarse = Form1(beta.p[:, at_coarse], beta.q[:, at_coarse])
 
         # degree (0,0)
-        product = lambda w: Form0(f(w) @ g(w))
-        lhs = exterior_derivative(product, z0, _STEP1, richardson=True)
-        df = exterior_derivative(f, z0, _STEP1, richardson=True)
-        dg = exterior_derivative(g, z0, _STEP1, richardson=True)
-        rhs = forms.wedge(df, Form0(g(z0))) + forms.wedge(Form0(f(z0)), dg)
+        lhs = fine.exterior_derivative(fv[at_fine] @ gv[at_fine])
+        df = fine.exterior_derivative(fv[at_fine])
+        dg = fine.exterior_derivative(gv[at_fine])
+        rhs = forms.wedge(df, g0) + forms.wedge(f0, dg)
         worst = max(worst, form_norm(lhs - rhs))
 
         # degree (0,1)
-        product01 = lambda w: forms.wedge(Form0(f(w)), one_form(w))
-        lhs01 = exterior_derivative(product01, z0, _STEP2)
-        dbeta = exterior_derivative(one_form, z0, _STEP1, richardson=True)
-        rhs01 = forms.wedge(df, one_form(z0)) + forms.wedge(Form0(f(z0)), dbeta)
+        product01 = forms.wedge(Form0(fv[at_coarse]), beta_coarse)
+        lhs01 = coarse.exterior_derivative(_one_forms_at(product01))
+        dbeta = fine.exterior_derivative(_one_forms_at(beta, at_fine))
+        rhs01 = forms.wedge(df, beta0) + forms.wedge(f0, dbeta)
         worst = max(worst, form_norm(lhs01 - rhs01))
 
         # degree (1,0) picks up the sign of the graded product rule
-        product10 = lambda w: forms.wedge(one_form(w), Form0(g(w)))
-        lhs10 = exterior_derivative(product10, z0, _STEP2)
-        rhs10 = forms.wedge(dbeta, Form0(g(z0))) - forms.wedge(one_form(z0), dg)
+        product10 = forms.wedge(beta_coarse, Form0(gv[at_coarse]))
+        lhs10 = coarse.exterior_derivative(_one_forms_at(product10))
+        rhs10 = forms.wedge(dbeta, g0) - forms.wedge(beta0, dg)
         worst = max(worst, form_norm(lhs10 - rhs10))
     results.append(_entry("graded product rule", worst, 1e-5))
 
 
 def _poly_one_form(rng, dim, n, degree):
+    """A random polynomial 1-form field; on an (S, d) node stack its
+    coefficients are (d, S, n, n)."""
     ps = [MatrixPolynomial.random(rng, dim, (n, n), degree=degree) for _ in range(dim)]
     qs = [MatrixPolynomial.random(rng, dim, (n, n), degree=degree) for _ in range(dim)]
 
@@ -196,11 +202,7 @@ def _check_triple(rng, results):
                 c[k, j] = c[j, k].conj().T
 
         def herm(v, w):
-            out = np.zeros((n, n), dtype=complex)
-            for j in range(dim):
-                for k in range(dim):
-                    out += c[j, k] * v[j] * np.conj(w[k])
-            return out
+            return np.einsum("jkab,j,k->ab", c, v, np.conj(w))
 
         triple = triple_split(herm, dim)
         rebuilt = triple_join(triple.skew, dim)

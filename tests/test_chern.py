@@ -15,6 +15,7 @@ from bck.chern import (
     hs_connection_check,
     metric_from_kernel,
     second_covariant_residual,
+    subbundle_field,
     subbundle_split,
 )
 from bck.errors import SingularMetricError, StructuralError
@@ -351,6 +352,28 @@ def test_subbundle_rank_deficient_frame_rejected():
     frame = lambda z: np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(StructuralError, match="dependent"):
         subbundle_split(m, frame, np.zeros(1), FdSteps())
+
+
+def test_subbundle_field_names_grid_point_and_node_of_a_dependent_frame():
+    # independent columns everywhere except at the node right of z = 0.5
+    m = metric_from_kernel(ConstantKernel(np.eye(2)))
+
+    def frame(nodes):
+        out = np.zeros((len(nodes), 2, 2), dtype=complex)
+        out[:, 0] = 1.0
+        out[:, 1, 1] = np.where(nodes[:, 0].real > 0.5, 0.0, 1.0)
+        return out
+
+    pts = np.array([[0.0], [0.5]], dtype=complex)
+    with pytest.raises(
+        StructuralError,
+        match=r"column 1 of \[frame \| complement\] at grid point \[0.5\+0.j\], "
+        r"stencil node \[0.50001\+0.j\], is linearly dependent",
+    ):
+        subbundle_field(m, frame, pts, FdSteps())
+    # at the point itself the frame is already dependent there
+    with pytest.raises(StructuralError, match=r"grid point \[0.6\+0.j\], stencil node \[0.6\+0.j\]"):
+        subbundle_field(m, frame, np.array([[0.0], [0.6]], dtype=complex), FdSteps())
 
 
 # -- duals ----------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import bck.chern
 import bck.cli
 import bck.forms
 import bck.kernels
+import bck.polys
 from bck.cli import (
     AnalysisConfig,
     ConfigError,
@@ -19,6 +20,7 @@ from bck.cli import (
     run_selftest,
     run_verify_theorem55,
 )
+from bck.errors import StructuralError
 from bck.selfcheck import run_selfcheck
 
 
@@ -338,6 +340,22 @@ def test_selftest_detects_broken_wedge_sign(monkeypatch):
     assert not leibniz["passed"]
 
 
+def test_selftest_evaluates_each_polynomial_field_once_on_its_node_stack(monkeypatch):
+    # d(df): one call per polynomial on the 8 x 16 nested nodes; graded
+    # product rule: f, g and the 2 d one-form coefficients once each on z0,
+    # the 16 Richardson nodes and the 8 coarse nodes
+    calls = []
+    real = bck.polys.MatrixPolynomial.__call__
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return real(self, z)
+
+    monkeypatch.setattr(bck.polys.MatrixPolynomial, "__call__", counted)
+    assert all(e["passed"] for e in run_selfcheck(seed=0))
+    assert calls == [(128, 2)] * 3 + [(25, 2)] * 18
+
+
 def test_selftest_deterministic_across_runs():
     a = run_selfcheck(seed=0)
     b = run_selfcheck(seed=0)
@@ -381,3 +399,25 @@ def test_full_disc_grid_curvature_run():
     assert task["passed"]
     assert task["data"]["closed_form_max_rel_err"] <= 1e-5
     assert report.exit_code == 0
+
+
+def test_report_json_converts_arrays_in_one_step():
+    report = bck.cli.AnalysisReport(
+        {
+            "floats": np.array([[0.5, -0.0], [1e-300, 3.0]]),
+            "ints": np.arange(3),
+            "flags": np.array([True, False]),
+            "complex": np.array([1 + 2j]),
+            "nested": [np.float64(2.5), (np.int64(4), np.bool_(True))],
+        }
+    )
+    assert json.loads(report.to_json()) == {
+        "floats": [[0.5, -0.0], [1e-300, 3.0]],
+        "ints": [0, 1, 2],
+        "flags": [True, False],
+        "complex": [{"re": 1.0, "im": 2.0}],
+        "nested": [2.5, [4, True]],
+    }
+    for bad in (np.array([1.0, np.nan]), np.array([[np.inf]]), np.array([1j * np.nan])):
+        with pytest.raises(StructuralError, match="non-finite"):
+            bck.cli.AnalysisReport({"x": bad}).to_json()

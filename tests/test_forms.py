@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bck.errors import StructuralError
+from bck.errors import DomainError, StructuralError
 from bck.forms import (
     Form0,
     Form1,
     Form2,
+    Stencil,
     cauchy_riemann_residual,
     del_delbar,
     exterior_derivative,
@@ -17,6 +19,7 @@ from bck.forms import (
     wedge,
     wirtinger_first,
 )
+from bck.kernels import DiscPowerKernel
 from bck.polys import MatrixPolynomial
 
 from _fields import cmat
@@ -338,3 +341,106 @@ def test_form1_evaluation_additive_and_real_homogeneous():
         assert np.max(np.abs(form(v + w) - (form(v) + form(w)))) <= 1e-12
         for a in (-1.5, 0.25, 3.0):  # real scalars only; i mixes p and q
             assert np.max(np.abs(form(a * v) - a * form(v))) <= 1e-12
+
+
+# -- one-contraction evaluation against the term-by-term formulas -------------
+
+
+def _complex_arrays(draw, shape):
+    values = st.floats(-2.0, 2.0, allow_nan=False)
+    size = int(np.prod(shape, dtype=int))
+    re = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
+    im = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
+    return (re + 1j * im).reshape(shape)
+
+
+def _form2_by_tensordots(form, v, w):
+    """Form2 evaluation as sixteen tensordots: the raw pairing
+    raw(v, w) = c20(v, w) + r11(conj v, w) - r11(conj w, v) + c02(conj v, conj w),
+    antisymmetrised as (raw(v, w) - raw(w, v)) / 2."""
+
+    def pair(t, a, b):
+        return np.tensordot(b, np.tensordot(a, t, axes=(0, 0)), axes=(0, 0))
+
+    def raw(v, w):
+        out = pair(form.c20, v, w)
+        out = out + pair(form.r11, v.conj(), w) - pair(form.r11, w.conj(), v)
+        return out + pair(form.c02, v.conj(), w.conj())
+
+    return 0.5 * (raw(v, w) - raw(w, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), value_shape=st.sampled_from([(), (2,), (2, 2), (1, 3)]))
+def test_form2_call_matches_tensordot_formula(data, dim, value_shape):
+    blocks = [_complex_arrays(data.draw, (dim, dim) + value_shape) for _ in range(3)]
+    form = Form2(*blocks)
+    v, w = _complex_arrays(data.draw, (dim,)), _complex_arrays(data.draw, (dim,))
+    reference = _form2_by_tensordots(form, v, w)
+    value = form(v, w)
+    size = (1.0 + np.abs(v).max()) * (1.0 + np.abs(w).max())
+    scale = 1.0 + sum(np.abs(b).sum() for b in blocks) * size
+    assert value.shape == value_shape
+    assert np.max(np.abs(value - reference), initial=0.0) <= 1e-14 * scale
+    assert np.array_equal(form(w, v), -value)  # skew exactly, not to round-off
+
+
+def _poly_by_terms(poly, z):
+    """Sum over terms of C z^p conj(z)^q, one monomial at a time."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape[:-1] + poly.shape, dtype=complex)
+    expand = (...,) + (None,) * len(poly.shape)
+    for (p, q), coeff in poly.terms.items():
+        mono = np.ones(z.shape[:-1], dtype=complex)
+        for j in range(poly.dim):
+            mono = mono * z[..., j] ** p[j] * np.conj(z[..., j]) ** q[j]
+        out = out + coeff * mono[expand]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    shape=st.sampled_from([(), (3,), (2, 2), (2, 3)]),
+    degree=st.integers(0, 4),
+    terms=st.integers(0, 7),
+    lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+)
+def test_matrix_polynomial_matches_term_by_term_sum(seed, dim, shape, degree, terms, lead):
+    rng = np.random.default_rng(seed)
+    poly = MatrixPolynomial.random(rng, dim, shape, degree=degree, terms=terms)
+    z = 0.9 * (rng.standard_normal(lead + (dim,)) + 1j * rng.standard_normal(lead + (dim,)))
+    value = poly(z)
+    reference = _poly_by_terms(poly, z)
+    assert value.shape == lead + shape
+    bound = sum(np.abs(c).max() for c in poly.terms.values()) * max(1.0, np.abs(z).max()) ** (2 * degree)
+    assert np.max(np.abs(value - reference), initial=0.0) <= 1e-14 * max(1.0, bound)
+    if lead:  # each point alone gives its stack values, to round-off
+        flat = z.reshape(-1, dim)
+        single = np.array([poly(p) for p in flat]).reshape(value.shape)
+        assert np.max(np.abs(value - single), initial=0.0) <= 1e-14 * max(1.0, bound)
+
+
+# -- batched stencil-domain check ---------------------------------------------
+
+
+def test_on_points_names_first_failing_stencil_after_evaluating_earlier_nodes():
+    stencil = Stencil(1, first=0.01)
+    pts = np.array([[0.0], [0.5j], [0.995], [0.2], [1.5]], dtype=complex)
+    seen = []
+
+    def evaluate(nodes):
+        seen.append(nodes.copy())
+        return np.zeros(len(nodes))
+
+    disc = DiscPowerKernel(2)
+    with pytest.raises(DomainError, match=r"stencil of radius 2.000e-02 around \[0.995\+0.j\]"):
+        stencil.on_points(evaluate, pts, disc)
+    # the nodes of the two points before it and the failing point itself
+    assert len(seen) == 1 and seen[0].shape == (2 * 4 + 1, 1)
+    assert np.array_equal(seen[0][-1], pts[2])
+    with pytest.raises(DomainError, match=r"point \[1.5\+0.j\] is outside the chart domain"):
+        stencil.on_points(evaluate, pts[[0, 3, 4]], disc)
+    assert len(stencil.on_points(evaluate, pts[[0, 1, 3]], disc)) == 3 * 4
+    assert np.array_equal(disc.boundary_distance_batch(pts), [disc.boundary_distance(p) for p in pts])
