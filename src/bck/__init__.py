@@ -18,7 +18,6 @@ from .chern import (
     chern_connection,
     chern_connection_field,
     compatibility_residuals,
-    covariant_derivative,
     curvature,
     dual_curvature_check,
     hs_connection_check,

@@ -35,18 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import (
-    Form0,
-    Form1,
-    Form2,
-    Stencil,
-    as_point,
-    as_points,
-    exterior_derivative,
-    form_norm,
-    wedge,
-    wirtinger_first,
-)
+from .forms import Form1, Form2, Stencil, as_point, as_points, inside_domain, wedge
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
 from .linalg import frob, mgs_orthonormalize
 
@@ -60,7 +49,6 @@ __all__ = [
     "ConnectionField",
     "chern_connection",
     "chern_connection_field",
-    "connection_curvature",
     "CurvatureAtPoint",
     "CurvatureField",
     "curvature",
@@ -68,9 +56,6 @@ __all__ = [
     "nested_curvature_field",
     "compatibility_residuals",
     "compatibility_field",
-    "covariant_derivative",
-    "second_covariant_residual",
-    "holomorphic_section_residual",
     "hs_connection_check",
     "SubbundleSplit",
     "SubbundleField",
@@ -122,12 +107,6 @@ def _first_false(ok: np.ndarray) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _contains(domain, points: np.ndarray) -> np.ndarray:
-    if isinstance(domain, KernelSpec):
-        return domain.contains_batch(points)
-    return np.array([bool(domain.contains(z)) for z in points], dtype=bool)
-
-
 @dataclass
 class MetricField:
     """A map z -> positive-definite Hermitian fiber metric h(z).
@@ -136,10 +115,11 @@ class MetricField:
     smallest eigenvalue above 1e-12 of the largest, otherwise the metric
     counts as singular and evaluation aborts rather than regularizing.
     `batch_func`, if given, maps an (M, d) array of points to the (M, n, n)
-    values at once; otherwise `func` is called point by point.
+    values at once, and `func` may be None; otherwise `func` is called
+    point by point.
     """
 
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[np.ndarray], np.ndarray] | None
     dim: int
     fiber_dim: int
     scale: np.ndarray = field(default=None)
@@ -151,6 +131,8 @@ class MetricField:
     _SING_TOL = 1e-12
 
     def __post_init__(self):
+        if self.func is None and self.batch_func is None:
+            raise ValueError(f"{self.name} needs func or batch_func")
         if self.scale is None:
             self.scale = np.ones(self.dim)
         else:
@@ -173,7 +155,7 @@ class MetricField:
         pts = as_points(points, self.dim).reshape(-1, self.dim)
         error = None
         if self.domain is not None:
-            i = _first_false(_contains(self.domain, pts))
+            i = _first_false(inside_domain(self.domain, pts))
             if i is not None:
                 error = DomainError(f"point {pts[i]} is outside the domain of {self.name}")
                 pts = pts[:i]
@@ -238,11 +220,6 @@ class MetricField:
             rows.append(h)
         return np.array(rows)
 
-    def boundary_distance(self, z) -> float:
-        if self.domain is None:
-            return np.inf
-        return self.domain.boundary_distance(z)
-
 
 def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> MetricField:
     """The Hermitian structure z -> h0(z) kappa(z, z) induced by a kernel.
@@ -263,7 +240,7 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
         return spec.fiber_metric_batch(z) @ blocks
 
     return MetricField(
-        func=lambda z: batch_func(z[None])[0],
+        func=None,
         dim=spec.base_dim,
         fiber_dim=spec.fiber_dim,
         domain=spec,
@@ -372,42 +349,6 @@ def chern_connection_field(metric: MetricField, points, steps: FdSteps = FdSteps
 def chern_connection(metric: MetricField, z, steps: FdSteps = FdSteps()) -> ConnectionAtPoint:
     """A = h^{-1} del h at z, with the dzbar block zero by construction."""
     return chern_connection_field(metric, as_point(z, metric.dim)[None], steps).at(0)
-
-
-def _connection_form(connection, z, steps) -> Form1:
-    if callable(connection) and not isinstance(connection, (Form1, ConnectionAtPoint)):
-        connection = connection(z)
-    if isinstance(connection, ConnectionAtPoint):
-        return connection.form
-    if isinstance(connection, Form1):
-        return connection
-    raise TypeError("connection must be a Form1, a ConnectionAtPoint, or a field")
-
-
-def connection_curvature(
-    connection_field: Callable[[np.ndarray], object],
-    z,
-    steps: FdSteps = FdSteps(),
-    domain=None,
-    scale=None,
-) -> Form2:
-    """Full curvature d A + A ^ A of an arbitrary connection-form field."""
-    z = as_point(z)
-
-    def form_at(w):
-        return _connection_form(connection_field, w, steps)
-
-    a0 = form_at(z)
-    if scale is None:
-        scale = np.ones(z.size)
-    da = exterior_derivative(
-        form_at,
-        z,
-        steps.second_steps(scale),
-        richardson=steps.richardson,
-        domain=domain,
-    )
-    return da + wedge(a0, a0)
 
 
 @dataclass(frozen=True)
@@ -556,8 +497,7 @@ def compatibility_residuals(
     metric: MetricField,
     z,
     steps: FdSteps = FdSteps(),
-    connection=None,
-    connection_field=None,
+    connection: ConnectionAtPoint | Form1 | None = None,
 ) -> dict:
     """Residuals of the three structural identities of a metric connection.
 
@@ -567,87 +507,18 @@ def compatibility_residuals(
 
     All residuals are absolute; `scale` in the result carries
     max(1, ||h||, ||dh||) for callers that need relative gates.  A
-    non-metric connection can be supplied (point value and/or field) to
-    measure how badly it violates the identities.
+    non-metric connection value at z can be supplied as `connection` to
+    measure how badly it violates the metric and holomorphy identities.
     """
     z = as_point(z, metric.dim)
     conn = chern_connection_field(metric, z[None], steps)
     structure = None
     if metric.dim > 1:
-        if connection_field is None:
-            structure = nested_curvature_field(metric, z[None], steps).form.c20
-        else:
-            theta = connection_curvature(
-                connection_field, z, steps, domain=metric.domain, scale=metric.scale
-            )
-            structure = theta.c20[:, :, None]
-    if connection is not None or connection_field is not None:
-        a = _connection_form(
-            connection if connection is not None else connection_field(z), z, steps
-        )
+        structure = nested_curvature_field(metric, z[None], steps).form.c20
+    if connection is not None:
+        a = getattr(connection, "form", connection)
         conn = ConnectionField(jet=conn.jet, form=Form1(a.p[:, None], a.q[:, None]))
     return {key: float(value[0]) for key, value in compatibility_field(conn, structure).items()}
-
-
-# ---------------------------------------------------------------------------
-# covariant derivatives of section fields
-# ---------------------------------------------------------------------------
-
-
-def covariant_derivative(
-    connection,
-    section: Callable[[np.ndarray], np.ndarray],
-    z,
-    steps: FdSteps = FdSteps(),
-    domain=None,
-) -> Form1:
-    """nabla sigma = d sigma + A ^ sigma for a section field at z."""
-    z = as_point(z)
-    a = _connection_form(connection, z, steps)
-    step = steps.first_steps(np.ones(z.size))
-    dp, dq = wirtinger_first(section, z, step, richardson=steps.richardson, domain=domain)
-    s0 = np.asarray(section(z), dtype=complex)
-    return Form1(dp + a.p @ s0, dq + a.q @ s0)
-
-
-def second_covariant_residual(
-    connection_field,
-    section: Callable[[np.ndarray], np.ndarray],
-    z,
-    steps: FdSteps = FdSteps(),
-    domain=None,
-) -> float:
-    """|| nabla(nabla sigma) - Theta ^ sigma || at z (two difference layers)."""
-    z = as_point(z)
-
-    def nabla_field(w):
-        return covariant_derivative(connection_field, section, w, steps, domain=domain)
-
-    a0 = _connection_form(connection_field, z, steps)
-    d_nabla = exterior_derivative(
-        nabla_field,
-        z,
-        steps.second_steps(np.ones(z.size)),
-        richardson=steps.richardson,
-        domain=domain,
-    )
-    nabla2 = d_nabla + wedge(a0, nabla_field(z))
-    theta = connection_curvature(connection_field, z, steps, domain=domain)
-    expected = wedge(theta, Form0(np.asarray(section(z), dtype=complex)))
-    return form_norm(nabla2 - expected)
-
-
-def holomorphic_section_residual(
-    connection,
-    section: Callable[[np.ndarray], np.ndarray],
-    z,
-    steps: FdSteps = FdSteps(),
-    domain=None,
-) -> float:
-    """|| (nabla sigma)^(0,1) ||; near zero exactly for holomorphic sections
-    under a complex-structure-compatible connection."""
-    nabla = covariant_derivative(connection, section, z, steps, domain=domain)
-    return max((frob(m) for m in nabla.q), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -674,20 +545,20 @@ def hs_connection_check(
         raise ValueError("factor metrics live on charts of different dimension")
     n1, n2 = h1.fiber_dim, h2.fiber_dim
 
-    def super_metric(w):
-        return np.kron(h2(w), np.linalg.inv(h1(w)).T)
+    def super_metric(nodes):  # kron(h2, inv(h1)^T) at every node
+        a, b = h2.batch(nodes), np.swapaxes(np.linalg.inv(h1.batch(nodes)), -1, -2)
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(nodes), n2 * n1, n2 * n1)
 
     big = MetricField(
-        func=super_metric,
+        func=None,
         dim=h1.dim,
         fiber_dim=n1 * n2,
         scale=h1.scale,
         domain=h1.domain if h1.domain is not None else h2.domain,
         name="hs metric",
+        batch_func=super_metric,
     )
-    a_super = chern_connection(big, z, steps).form.p
-    a1 = chern_connection(h1, z, steps).form.p
-    a2 = chern_connection(h2, z, steps).form.p
+    a_super, a1, a2 = (chern_connection_field(m, z[None], steps).form.p[:, 0] for m in (big, h1, h2))
     return max(
         frob(a_super[j] - (np.kron(a2[j], np.eye(n1)) - np.kron(np.eye(n2), a1[j].T)))
         for j in range(h1.dim)
@@ -832,7 +703,7 @@ def subbundle_field(
 
     sub_metric = replace(
         metric,
-        func=lambda w: induced(w[None])[0],
+        func=None,
         fiber_dim=k,
         name="induced subbundle metric",
         batch_func=induced,

@@ -58,6 +58,11 @@ from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
 from .selfcheck import run_selfcheck
 
+# numpy loads numpy.random lazily; loading it with this module keeps its
+# import cost out of the timing of the first task that draws.  It comes
+# after the package imports: before them it raised the peak RSS of a run.
+import numpy.random  # noqa: E402,F401  # isort: skip
+
 __all__ = [
     "ConfigError",
     "AnalysisConfig",

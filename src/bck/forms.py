@@ -15,7 +15,8 @@ coefficient nu / (1 - |z|^2)^2.
 Derivatives are central finite differences on the 2d underlying real
 coordinates (Wirtinger combinations), with optional Richardson
 extrapolation for one extra order pair; `Stencil` holds the one table of
-stencil nodes and weights, for one point or a batch of points.
+stencil nodes and weights, and `Stencil.on_points` takes every difference:
+it evaluates a field once on the nodes of all points of an array.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "probe_tensor",
     "wedge",
     "wirtinger_first",
-    "wirtinger_mixed",
     "exterior_derivative",
     "del_delbar",
     "cauchy_riemann_residual",
@@ -46,6 +46,7 @@ __all__ = [
     "as_point",
     "as_points",
     "Stencil",
+    "inside_domain",
     "clear_of_boundary",
 ]
 
@@ -318,7 +319,10 @@ def wedge(a, b, multiply: Callable | None = None):
     operator composition (matrix product), with scalar values multiplied
     pointwise.  For 1-forms the normalization is
     (a ^ b)(v, w) = a(v) b(w) - a(w) b(v), and a degree-0 factor acts
-    pointwise on every coefficient.
+    pointwise on every coefficient.  For two 1-forms `multiply` is called
+    once per coefficient table, on the (d, 1, ...) and (1, d, ...)
+    coefficient stacks, so it must broadcast over leading axes as numpy's
+    matmul and multiply do.
     """
     mul = multiply or _default_mul
     da, db = a.degree, b.degree
@@ -331,8 +335,8 @@ def wedge(a, b, multiply: Callable | None = None):
     if a.dim != b.dim:
         raise ValueError("forms live on charts of different dimension")
 
-    def table(x, y):  # [j, k] -> mul(x[j], y[k])
-        return np.stack([np.stack([mul(xj, yk) for yk in y]) for xj in x])
+    def table(x, y):  # [j, k] -> mul(x[j], y[k]), one broadcast call
+        return mul(x[:, None], y[None])
 
     pp, qq = table(a.p, b.p), table(a.q, b.q)
     return Form2(
@@ -354,31 +358,30 @@ def _steps_array(step, dim: int) -> np.ndarray:
     return s
 
 
-def _check_stencil(domain, z: np.ndarray, radius: float) -> None:
-    if domain is None:
-        return
-    if not domain.contains(z):
-        raise DomainError(f"point {z} is outside the chart domain")
-    if domain.boundary_distance(z) <= radius:
-        raise DomainError(
-            f"finite-difference stencil of radius {radius:.3e} around {z} "
-            "leaves the chart domain"
-        )
+def inside_domain(domain, points: np.ndarray) -> np.ndarray:
+    """Per row of an (N, d) array of points: inside `domain`.  One
+    `contains_batch` call where the domain has it (every KernelSpec), else
+    `contains` point by point."""
+    if hasattr(domain, "contains_batch"):
+        return np.array(domain.contains_batch(points), dtype=bool)
+    return np.array([bool(domain.contains(z)) for z in points], dtype=bool)
 
 
 def clear_of_boundary(domain, points: np.ndarray, margin: float) -> np.ndarray:
     """Per row of an (N, d) array of points: inside `domain` and farther
-    than `margin` from its boundary (the per-point `_check_stencil` rule).
+    than `margin` from its boundary.
 
-    A domain with `contains_batch` and `boundary_distance_batch` (every
-    KernelSpec) is checked in one pass, any other point by point; the
-    boundary distance is taken only of points inside the domain.
+    Membership follows `inside_domain`; the boundary distance is taken
+    only of points inside, by one `boundary_distance_batch` call where the
+    domain has it, else point by point.
     """
-    if not (hasattr(domain, "contains_batch") and hasattr(domain, "boundary_distance_batch")):
-        inside = [bool(domain.contains(z) and domain.boundary_distance(z) > margin) for z in points]
-        return np.array(inside, dtype=bool)
-    ok = np.array(domain.contains_batch(points), dtype=bool)
-    ok[ok] = domain.boundary_distance_batch(points[ok]) > margin
+    ok = inside_domain(domain, points)
+    inner = points[ok]
+    if hasattr(domain, "boundary_distance_batch"):
+        dist = domain.boundary_distance_batch(inner)
+    else:
+        dist = [domain.boundary_distance(z) for z in inner]
+    ok[ok] = np.asarray(dist, dtype=float) > margin
     return ok
 
 
@@ -423,7 +426,6 @@ class Stencil:
         mixed=None,
         richardson: bool = False,
         centre: bool = False,
-        pairs=None,
     ):
         self.dim = int(dim)
         self._index: dict[bytes, int] = {}
@@ -447,9 +449,7 @@ class Stencil:
         self._mixed = {}
         if mixed is not None:
             steps = _steps_array(mixed, self.dim)
-            if pairs is None:
-                pairs = [(k, j) for k in range(self.dim) for j in range(self.dim)]
-            for k, j in pairs:
+            for k, j in np.ndindex(self.dim, self.dim):
                 self.radius = max(self.radius, 2.0 * float(max(steps[k], steps[j])))
                 self._mixed[(k, j)] = [
                     self._mixed_rule(k, j, steps[k] * level, steps[j] * level)
@@ -481,26 +481,28 @@ class Stencil:
         """Node offsets from the base point, shape (S, d)."""
         return np.array(self._offsets)
 
-    def values_at(self, f: Callable[[np.ndarray], object], z: np.ndarray, domain=None) -> list:
-        """f at every node around one point, after the stencil-domain check."""
-        _check_stencil(domain, z, self.radius)
-        return [f(z + o) for o in self._offsets]
-
     def on_points(self, evaluate: Callable[[np.ndarray], object], points: np.ndarray, domain=None):
         """`evaluate` applied once to the (N S, d) array of all nodes of all points.
 
-        Nodes are listed point by point in grid order.  Failures are
-        reported as a per-point loop would: if the stencil of point i is the
-        first to leave the domain, the nodes of the points before it and
-        point i itself are evaluated first (raising any earlier failure),
-        then the stencil's DomainError is raised.
+        Nodes are listed point by point in grid order.  With a `domain`,
+        every point must lie inside it and farther than `radius` from its
+        boundary (`clear_of_boundary`).  Failures are reported as a
+        per-point loop would: if point i is the first to fail, the nodes of
+        the points before it and point i itself are evaluated first
+        (raising any earlier failure), then a DomainError names point i.
         """
         nodes = points[:, None, :] + self.offsets
         clear = True if domain is None else clear_of_boundary(domain, points, self.radius)
         if not np.all(clear):
             i = int(np.argmin(clear))
-            evaluate(np.concatenate([nodes[:i].reshape(-1, self.dim), points[i : i + 1]]))
-            _check_stencil(domain, points[i], self.radius)
+            z = points[i]
+            evaluate(np.concatenate([nodes[:i].reshape(-1, self.dim), z[None]]))
+            if not inside_domain(domain, z[None])[0]:
+                raise DomainError(f"point {z} is outside the chart domain")
+            raise DomainError(
+                f"finite-difference stencil of radius {self.radius:.3e} around {z} "
+                "leaves the chart domain"
+            )
         return evaluate(nodes.reshape(-1, self.dim))
 
     def first_derivatives(self, values) -> tuple[np.ndarray, np.ndarray]:
@@ -555,6 +557,11 @@ class Stencil:
         )
 
 
+def _each_node(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], list]:
+    """A one-point field as an `on_points` evaluation: f at every node, in order."""
+    return lambda nodes: [f(w) for w in nodes]
+
+
 def wirtinger_first(
     f: Callable[[np.ndarray], np.ndarray],
     z,
@@ -571,26 +578,7 @@ def wirtinger_first(
     """
     z = as_point(z)
     stencil = Stencil(z.size, first=step, richardson=richardson)
-    return stencil.first_derivatives(stencil.values_at(f, z, domain))
-
-
-def wirtinger_mixed(
-    f: Callable[[np.ndarray], np.ndarray],
-    z,
-    k: int,
-    j: int,
-    step,
-    richardson: bool = False,
-    domain=None,
-) -> np.ndarray:
-    """Mixed second Wirtinger derivative d^2 f / dzbar_k dz_j.
-
-    Assembled from second central differences on the real coordinates of
-    axes k and j.
-    """
-    z = as_point(z)
-    stencil = Stencil(z.size, mixed=step, richardson=richardson, pairs=[(k, j)])
-    return stencil.mixed_derivative(stencil.values_at(f, z, domain), k, j)
+    return stencil.first_derivatives(stencil.on_points(_each_node(f), z[None], domain))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +606,7 @@ def exterior_derivative(
     """
     z = as_point(z)
     stencil = Stencil(z.size, first=step, richardson=richardson)
-    return stencil.exterior_derivative(stencil.values_at(field, z, domain))
+    return stencil.exterior_derivative(stencil.on_points(_each_node(field), z[None], domain))
 
 
 def del_delbar(

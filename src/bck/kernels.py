@@ -21,9 +21,13 @@ Built-in families:
   negative positivity tests have something to chew on.
 * user hooks wrapping arbitrary callables.
 
-`KernelSpec.eval_batch` evaluates blocks over whole stacks of point
-pairs with the checks of `eval_kernel`; the built-in families vectorise
-it, and a family that defines only the per-pair `eval` is looped.
+Every family defines the stack methods `eval_many`, `fiber_metric_batch`,
+`contains_batch` and `boundary_distance_batch` (the last three have
+defaults); `KernelSpec` derives the one-point `eval`, `fiber_metric`,
+`contains` and `boundary_distance` from them.  `UserKernel` wraps
+per-point callables and loops them in its stack methods.
+`KernelSpec.eval_batch` evaluates blocks over whole stacks of point pairs
+with the checks of `eval_kernel`.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ __all__ = [
     "AdmissibilityField",
     "admissibility",
     "admissibility_field",
-    "smoothness_residual",
     "Lemma51Report",
     "lemma51_consistency",
     "evaluation_adjoint_check",
@@ -85,28 +88,44 @@ class KernelSpec:
     base_dim: int = 1
     holomorphic: bool = False  # whether sections z -> kappa(z, t) xi should be
 
-    def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Raw kernel block kappa(z, w) for one pair of chart points."""
-        return self.eval_many(z, w)
-
     def eval_many(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Raw kernel blocks over stacks of chart points.
 
         z and w have shapes (..., d) that broadcast against each other; the
-        result has shape (..., n, n).  Families define this or `eval`; a
-        family that defines only `eval` is looped pair by pair.
+        result has shape (..., n, n).  Every family defines this.
         """
-        if type(self).eval is KernelSpec.eval:
-            raise NotImplementedError(f"{type(self).__name__} defines neither eval nor eval_many")
-        zb, wb = np.broadcast_arrays(z, w)
-        d = zb.shape[-1]
-        blocks = []
-        for zz, ww in zip(zb.reshape(-1, d), wb.reshape(-1, d)):
-            block = np.asarray(self.eval(zz, ww), dtype=complex)
-            _check_block_shape(block.shape, self.fiber_dim)
-            blocks.append(block)
+        raise NotImplementedError(f"{type(self).__name__} does not define eval_many")
+
+    def fiber_metric_batch(self, z: np.ndarray) -> np.ndarray:
+        """Base Hermitian structure h0 over a stack of chart points,
+        (..., d) -> (..., n, n); the identity by default."""
         n = self.fiber_dim
-        return np.array(blocks, dtype=complex).reshape(zb.shape[:-1] + (n, n))
+        return np.broadcast_to(np.eye(n, dtype=complex), np.shape(z)[:-1] + (n, n))
+
+    def contains_batch(self, z: np.ndarray) -> np.ndarray:
+        """Domain membership over a stack of chart points (..., d) -> (...)
+        booleans; all of C^d by default."""
+        return np.ones(np.shape(z)[:-1], dtype=bool)
+
+    def boundary_distance_batch(self, z: np.ndarray) -> np.ndarray:
+        """Distance to the domain boundary over a stack of chart points
+        (..., d) -> (...) floats; infinite by default."""
+        return np.full(np.shape(z)[:-1], np.inf)
+
+    # -- one-point forms of the stack methods --------------------------------
+
+    def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Raw kernel block kappa(z, w) for one pair of chart points."""
+        return self.eval_many(z, w)
+
+    def fiber_metric(self, z) -> np.ndarray:
+        return np.array(self.fiber_metric_batch(np.asarray(z, dtype=complex)))
+
+    def contains(self, z) -> bool:
+        return bool(self.contains_batch(np.asarray(z, dtype=complex)))
+
+    def boundary_distance(self, z) -> float:
+        return float(self.boundary_distance_batch(np.asarray(z, dtype=complex)))
 
     def eval_batch(self, z, w) -> np.ndarray:
         """kappa(z, w) over broadcast stacks of chart points, with the checks
@@ -138,42 +157,6 @@ class KernelSpec:
         if not np.isfinite(out).all():
             raise StructuralError("kernel block has non-finite entries")
         return out
-
-    def fiber_metric(self, z: np.ndarray) -> np.ndarray:
-        """Base Hermitian structure h0(z) of the underlying bundle."""
-        return np.eye(self.fiber_dim, dtype=complex)
-
-    def fiber_metric_batch(self, z: np.ndarray) -> np.ndarray:
-        """h0 over a stack of chart points (..., d) -> (..., n, n); looped for a
-        family that defines only the per-point `fiber_metric`."""
-        z = np.asarray(z, dtype=complex)
-        n = self.fiber_dim
-        if type(self).fiber_metric is KernelSpec.fiber_metric:
-            return np.broadcast_to(np.eye(n, dtype=complex), z.shape[:-1] + (n, n))
-        metrics = [np.asarray(self.fiber_metric(p), dtype=complex) for p in z.reshape(-1, z.shape[-1])]
-        return np.array(metrics, dtype=complex).reshape(z.shape[:-1] + (n, n))
-
-    def contains(self, z) -> bool:
-        return True
-
-    def contains_batch(self, z: np.ndarray) -> np.ndarray:
-        """`contains` over a stack of chart points (..., d) -> (...) booleans."""
-        z = np.asarray(z, dtype=complex)
-        if type(self).contains is KernelSpec.contains:
-            return np.ones(z.shape[:-1], dtype=bool)
-        inside = [self.contains(p) for p in z.reshape(-1, z.shape[-1])]
-        return np.array(inside, dtype=bool).reshape(z.shape[:-1])
-
-    def boundary_distance(self, z) -> float:
-        return np.inf
-
-    def boundary_distance_batch(self, z: np.ndarray) -> np.ndarray:
-        """`boundary_distance` over a stack of chart points (..., d) -> (...) floats."""
-        z = np.asarray(z, dtype=complex)
-        if type(self).boundary_distance is KernelSpec.boundary_distance:
-            return np.full(z.shape[:-1], np.inf)
-        dist = [self.boundary_distance(p) for p in z.reshape(-1, z.shape[-1])]
-        return np.array(dist, dtype=float).reshape(z.shape[:-1])
 
     def params(self) -> dict:
         return {}
@@ -225,14 +208,8 @@ class DiscPowerKernel(KernelSpec):
         val = (1.0 - (re + 1j * im)) ** (-self.nu)
         return np.asarray(val)[..., None, None]
 
-    def contains(self, z):
-        return bool(self.contains_batch(z))
-
     def contains_batch(self, z):
         return np.abs(np.asarray(z, dtype=complex)).max(axis=-1) < 1.0
-
-    def boundary_distance(self, z):
-        return float(1.0 - np.abs(np.asarray(z, dtype=complex)).max())
 
     def boundary_distance_batch(self, z):
         return 1.0 - np.abs(np.asarray(z, dtype=complex)).max(axis=-1)
@@ -369,9 +346,6 @@ class GrassmannKernel(KernelSpec):
         fz_adj = np.swapaxes(fz.conj(), -1, -2)
         return np.linalg.solve(fz_adj @ fz, fz_adj @ self.frame(w))
 
-    def fiber_metric(self, z):
-        return self.fiber_metric_batch(z)
-
     def fiber_metric_batch(self, z):
         fz = self.frame(z)
         return np.swapaxes(fz.conj(), -1, -2) @ fz
@@ -405,21 +379,39 @@ class UserKernel(KernelSpec):
         self.holomorphic = bool(holomorphic)
         self.variant = variant
 
-    def eval(self, z, w):
-        return np.atleast_2d(np.asarray(self._eval(z, w), dtype=complex))
+    def eval_many(self, z, w):
+        def block(zz, ww):
+            b = np.atleast_2d(np.asarray(self._eval(zz, ww), dtype=complex))
+            _check_block_shape(b.shape, self.fiber_dim)
+            return b
 
-    def fiber_metric(self, z):
+        return _looped(block, (self.fiber_dim, self.fiber_dim), complex, z, w)
+
+    def fiber_metric_batch(self, z):
         if self._metric is None:
-            return super().fiber_metric(z)
-        return np.asarray(self._metric(z), dtype=complex)
+            return super().fiber_metric_batch(z)
+        return _looped(self._metric, (self.fiber_dim, self.fiber_dim), complex, z)
 
-    def contains(self, z):
-        return True if self._contains is None else bool(self._contains(z))
+    def contains_batch(self, z):
+        if self._contains is None:
+            return super().contains_batch(z)
+        return _looped(self._contains, (), bool, z)
 
-    def boundary_distance(self, z):
-        if self._distance is None:
-            return np.inf if self._contains is None else 0.0
-        return float(self._distance(z))
+    def boundary_distance_batch(self, z):
+        if self._distance is not None:
+            return _looped(self._distance, (), float, z)
+        if self._contains is None:
+            return super().boundary_distance_batch(z)
+        return np.zeros(np.shape(z)[:-1])
+
+
+def _looped(fn: Callable, shape: tuple, dtype, *stacks) -> np.ndarray:
+    """fn at every row of (..., d) stacks broadcast together, as an
+    (..., *shape) array; an empty stack gives an empty array."""
+    rows = np.broadcast_arrays(*(np.asarray(s, dtype=complex) for s in stacks))
+    d = rows[0].shape[-1]
+    values = [fn(*args) for args in zip(*(r.reshape(-1, d) for r in rows))]
+    return np.array(values, dtype=dtype).reshape(rows[0].shape[:-1] + shape)
 
 
 class DualKernel(KernelSpec):
@@ -443,20 +435,11 @@ class DualKernel(KernelSpec):
     def eval_many(self, z, w):
         return np.conj(self.base.eval_many(np.conj(z), np.conj(w)))
 
-    def fiber_metric(self, z):
-        return np.conj(self.base.fiber_metric(np.conj(z)))
-
     def fiber_metric_batch(self, z):
         return np.conj(self.base.fiber_metric_batch(np.conj(z)))
 
-    def contains(self, z):
-        return self.base.contains(np.conj(np.asarray(z, dtype=complex)))
-
     def contains_batch(self, z):
         return self.base.contains_batch(np.conj(np.asarray(z, dtype=complex)))
-
-    def boundary_distance(self, z):
-        return self.base.boundary_distance(np.conj(np.asarray(z, dtype=complex)))
 
     def boundary_distance_batch(self, z):
         return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
@@ -670,28 +653,6 @@ def admissibility_field(spec: KernelSpec, points, tol: float = 1e-10) -> Admissi
 def admissibility(spec: KernelSpec, s, tol: float = 1e-10) -> AdmissibilityResult:
     """Invertibility margin of the diagonal block kappa(s, s)."""
     return admissibility_field(spec, as_point(s, spec.base_dim)[None], tol).at(0)
-
-
-def smoothness_residual(spec: KernelSpec, s, step: float = 1e-3) -> float:
-    """Finite-difference consistency of z -> kappa(z, s) at s.
-
-    Compares central-difference first derivatives at steps h and h/2,
-    relative to the derivative scale; for a twice-differentiable kernel
-    the defect shrinks like h^2, while a kink leaves it order one.  A
-    spot check for user-supplied kernels, whose smoothness the rest of
-    the machinery takes on trust.
-    """
-    from .forms import wirtinger_first  # local import: forms does not need kernels
-
-    s = spec.point(s)
-
-    def block_field(z):
-        return spec.eval(z, s)
-
-    coarse = np.concatenate(wirtinger_first(block_field, s, step))
-    fine = np.concatenate(wirtinger_first(block_field, s, step / 2.0))
-    scale = max(1.0, float(np.max(np.abs(fine))))
-    return float(np.max(np.abs(coarse - fine))) / scale
 
 
 @dataclass(frozen=True)

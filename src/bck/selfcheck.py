@@ -16,7 +16,7 @@ from . import forms
 from .forms import Form0, Form1, Stencil, form_norm, split_bilinear, split_linear
 from .linalg import frob, max_frob
 from .polys import MatrixPolynomial
-from .positivity import BilinearSamples, triple_join, triple_split
+from .positivity import triple_join, triple_split
 
 __all__ = ["run_selfcheck"]
 

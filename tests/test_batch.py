@@ -55,10 +55,18 @@ def _user_disc():
         lambda z, w: np.array([[(1.0 - z[0] * np.conj(w[0])) ** -1.5]]),
         fiber_dim=1,
         base_dim=1,
+        fiber_metric_fn=lambda z: np.array([[2.0]]),
         contains_fn=lambda z: abs(z[0]) < 1.0,
         boundary_distance_fn=lambda z: 1.0 - abs(z[0]),
         holomorphic=True,
     )
+
+
+def _user_plain():  # no hooks: identity fiber metric, all of C^2
+    def sections(z):
+        return np.array([[1.0, z[0]], [z[1], 1.0]])
+
+    return UserKernel(lambda z, w: sections(z) @ sections(w).conj().T, fiber_dim=2, base_dim=2)
 
 
 FAMILIES = {
@@ -68,6 +76,7 @@ FAMILIES = {
     "grassmann": GrassmannKernel(4, 2),
     "dual": dual_kernel(DiscPowerKernel(1.5)),
     "user_hook": _user_disc(),
+    "user_plain": _user_plain(),
 }
 # families whose domain has a boundary; the others accept every point of C^d
 BOUNDED = ("disc", "dual", "user_hook")
@@ -94,9 +103,20 @@ def test_eval_batch_matches_eval_kernel_pairwise(data, family, count):
             assert np.max(np.abs(blocks[l, j] - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
     diagonal = spec.eval_batch(pts, pts)
     assert np.array_equal(diagonal, blocks[np.arange(count), np.arange(count)])
+    # the one-point methods are the rows of the stack methods
     h0 = spec.fiber_metric_batch(pts)
+    raw = spec.eval_many(pts, pts[0])
+    inside, dist = spec.contains_batch(pts), spec.boundary_distance_batch(pts)
     for l in range(count):
         assert np.max(np.abs(h0[l] - spec.fiber_metric(pts[l]))) <= 1e-14 * max(1.0, np.max(np.abs(h0[l])))
+        assert np.max(np.abs(raw[l] - spec.eval(pts[l], pts[0]))) <= 1e-14 * max(1.0, np.max(np.abs(raw[l])))
+        assert spec.contains(pts[l]) is bool(inside[l])
+        assert spec.boundary_distance(pts[l]) == pytest.approx(dist[l], rel=1e-14)
+    # empty stacks give empty arrays
+    n, empty = spec.fiber_dim, np.empty((0, spec.base_dim), dtype=complex)
+    assert spec.eval_many(empty, empty).shape == spec.eval_batch(empty, empty).shape == (0, n, n)
+    assert spec.fiber_metric_batch(empty).shape == (0, n, n)
+    assert spec.contains_batch(empty).shape == spec.boundary_distance_batch(empty).shape == (0,)
 
 
 @settings(max_examples=40, deadline=None)

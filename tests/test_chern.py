@@ -8,20 +8,16 @@ from bck.chern import (
     MetricField,
     chern_connection,
     compatibility_residuals,
-    covariant_derivative,
     curvature,
     dual_curvature_check,
-    holomorphic_section_residual,
     hs_connection_check,
     metric_from_kernel,
-    second_covariant_residual,
     subbundle_field,
     subbundle_split,
 )
 from bck.errors import SingularMetricError, StructuralError
 from bck.forms import Form1
 from bck.kernels import ConstantKernel, DiscPowerKernel, GrassmannKernel, SectionKernel, dual_kernel
-from bck.polys import MatrixPolynomial
 
 from _fields import cmat, disc_connection, disc_curvature, disc_metric, full_rank_sections, poly_metric
 
@@ -220,56 +216,6 @@ def test_uniqueness_surrogate_perturbations_violate_residuals():
     q[0, 0, 0] += eps
     res = compatibility_residuals(m, z, RICH, connection=Form1(conn.form.p, q))
     assert res["holo"] > 1e-4
-
-
-# -- covariant derivatives ----------------------------------------------------------
-
-
-def test_covariant_derivative_flat_constant_section():
-    a = Form1(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-    sigma = lambda z: np.array([1.0, 2.0], dtype=complex)
-    nabla = covariant_derivative(a, sigma, np.array([0.1]), FdSteps())
-    assert np.max(np.abs(nabla.p)) <= 1e-12 and np.max(np.abs(nabla.q)) <= 1e-12
-
-
-def test_covariant_derivative_disc_unit_section():
-    m = disc_metric_field(1)
-    field = lambda w: chern_connection(m, w, RICH)
-    sigma = lambda z: np.array([1.0], dtype=complex)
-    at_zero = covariant_derivative(field, sigma, np.zeros(1), RICH)
-    assert np.max(np.abs(at_zero.p)) <= 1e-10
-    z = np.array([0.4])
-    nabla = covariant_derivative(field, sigma, z, RICH)
-    assert abs(nabla.p[0, 0] - disc_connection(1, z[0])) <= 1e-9
-
-
-def test_covariant_derivative_detects_non_holomorphic_section():
-    a = Form1(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
-    sigma = lambda z: np.array([np.conj(z[0])])
-    resid = holomorphic_section_residual(a, sigma, np.array([0.2]), FdSteps())
-    assert abs(resid - 1.0) <= 1e-10
-
-
-def test_holomorphic_sections_are_parallel_in_antiholomorphic_directions():
-    m = disc_metric_field(2)
-    field = lambda w: chern_connection(m, w, RICH)
-    sigma = lambda z: np.array([1.0 + 0.5 * z[0] ** 2])
-    assert holomorphic_section_residual(field, sigma, np.array([0.3 - 0.2j]), RICH) <= 1e-6
-
-
-def test_second_covariant_derivative_is_curvature_action():
-    rng = np.random.default_rng(79)
-    m = poly_metric(rng, 1, 2)
-    field = lambda w: chern_connection(m, w, RICH)
-    poly = MatrixPolynomial.random(rng, 1, (2,), degree=2)
-    resid = second_covariant_residual(field, poly, np.array([0.2 + 0.1j]), RICH)
-    assert resid <= 1e-4
-    mdisc = disc_metric_field(1)
-    fdisc = lambda w: chern_connection(mdisc, w, RICH)
-    resid = second_covariant_residual(
-        fdisc, lambda z: np.array([1.0 + 0j]), np.array([0.3]), RICH
-    )
-    assert resid <= 1e-4
 
 
 # -- Hilbert-Schmidt bundles ----------------------------------------------------------

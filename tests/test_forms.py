@@ -127,6 +127,14 @@ def test_wedge_dzbar_dz():
     v, w = 0.3 + 0.7j, -0.2 + 0.4j
     expected = np.conj(v) * w - np.conj(w) * v
     assert abs(product(np.array([v]), np.array([w])) - expected) <= 1e-15
+    # scalar values on a d = 2 chart: (a ^ b)(v, w) = a(v) b(w) - a(w) b(v)
+    rng = np.random.default_rng(5)
+    a, b = Form1(cmat(rng, 2), cmat(rng, 2)), Form1(cmat(rng, 2), cmat(rng, 2))
+    product = wedge(a, b)
+    assert product.r11.shape == (2, 2)
+    for _ in range(5):
+        v, w = cmat(rng, 2), cmat(rng, 2)
+        assert abs(product(v, w) - (a(v) * b(w) - a(w) * b(v))) <= 1e-13
 
 
 def test_wedge_scalar_zero_form_scales_pointwise():

@@ -405,24 +405,6 @@ def test_rkhs_model_rank_exposes_span_dimension():
     assert repeated.rank() == 2
 
 
-def test_smoothness_residual_flags_kinked_kernels():
-    from bck.kernels import UserKernel, smoothness_residual
-
-    assert smoothness_residual(DiscPowerKernel(2), np.array([0.3 + 0.1j])) <= 1e-6
-    rng = np.random.default_rng(61)
-    smooth = SectionKernel(full_rank_sections(rng, 1, 2))
-    assert smoothness_residual(smooth, np.array([0.2 - 0.4j])) <= 1e-6
-
-    def kinked(z, w):  # rank-one, Hermitian, but only C^0 across Re z = 0.2
-        f = lambda u: 1.0 + abs(u[0].real - 0.2)
-        return np.array([[f(z) * f(w)]], dtype=complex)
-
-    rough = UserKernel(kinked, fiber_dim=1, base_dim=1)
-    # probe just off the crease, inside the half-step stencil, where the
-    # two step sizes straddle the kink differently
-    assert smoothness_residual(rough, np.array([0.20025]), step=1e-3) > 1e-2
-
-
 def test_section_kernel_evaluation_null_space():
     k = SectionKernel(lambda z: np.array([[1.0, z[0]]], dtype=complex))
     z = np.array([0.4 - 0.3j])
