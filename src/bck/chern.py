@@ -645,7 +645,6 @@ def subbundle_field(
     frame: Callable[[np.ndarray], np.ndarray],
     points,
     steps: FdSteps = FdSteps(),
-    connection: ConnectionField | Form1 | None = None,
     ambient: CurvatureField | Form2 | None = None,
 ) -> SubbundleField:
     """Adapted-frame split of the metric connection along span(frame) at
@@ -657,9 +656,9 @@ def subbundle_field(
     point's complement columns (chosen there by largest projection
     residual) keeps the frame field smooth across its stencil.  Metric
     and frame are evaluated once on the first-derivative stencil nodes of
-    all points, which also give the metric connection unless it is passed
-    in as `connection` (a field or its form over the points); the ambient
-    analytic curvature is computed unless passed in as `ambient`.
+    all points, which also give the metric connection; the ambient
+    analytic curvature is computed unless passed in as `ambient` (a field
+    or its form over the points).
     """
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     n, d = metric.fiber_dim, metric.dim
@@ -685,10 +684,7 @@ def subbundle_field(
     u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
 
     du_p, du_q = stencil.first_derivatives(np.moveaxis(u, 1, 0))
-    if connection is None:
-        a_p = np.linalg.solve(h0, stencil.first_derivatives(np.moveaxis(h, 1, 0))[0])
-    else:
-        a_p = getattr(connection, "form", connection).p
+    a_p = np.linalg.solve(h0, stencil.first_derivatives(np.moveaxis(h, 1, 0))[0])
     beta = (u0_inv @ (a_p @ u0 + du_p))[..., k:, :k]
     antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
 
@@ -728,7 +724,6 @@ def subbundle_split(
     frame: Callable[[np.ndarray], np.ndarray],
     z,
     steps: FdSteps = FdSteps(),
-    connection: ConnectionAtPoint | None = None,
     ambient: CurvatureAtPoint | None = None,
 ) -> SubbundleSplit:
     """`subbundle_field` at one point z, for a frame z -> (n, k) matrix."""
@@ -737,11 +732,9 @@ def subbundle_split(
     def stacked(nodes):
         return np.stack([np.atleast_2d(np.asarray(frame(w), dtype=complex)) for w in nodes])
 
-    if connection is not None:
-        connection = Form1(connection.form.p[:, None], connection.form.q[:, None])
     if ambient is not None:
         ambient = Form2(*(b[:, :, None] for b in (ambient.form.c20, ambient.form.r11, ambient.form.c02)))
-    return subbundle_field(metric, stacked, z[None], steps, connection, ambient).at(0)
+    return subbundle_field(metric, stacked, z[None], steps, ambient).at(0)
 
 
 # ---------------------------------------------------------------------------

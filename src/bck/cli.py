@@ -191,9 +191,7 @@ def build_kernel(cfg: dict) -> KernelSpec:
         sections = _parse_polynomial_matrix(entries, base_dim)
         gram_matrix = _parse_matrix(cfg["gram"]) if "gram" in cfg else None
         try:
-            return SectionKernel(
-                sections, base_dim=base_dim, gram=gram_matrix, params={"entries": "polynomial"}
-            )
+            return SectionKernel(sections, base_dim=base_dim, gram=gram_matrix)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if variant == "universal_grassmann":
@@ -423,23 +421,24 @@ def _task_selftest(ctx: RunContext) -> dict:
 
 
 def _task_psd(ctx: RunContext) -> dict:
+    """PSD margin of the Gram matrix at `psd_points` uniform points of the
+    grid box inside the kernel domain.  Each round draws only the
+    shortfall, re before im per axis, so the points are the first accepted
+    ones of a point-by-point rejection loop; at most 1000 draws per point."""
     rng = np.random.default_rng(ctx.config.seed)
-    grid = ctx.config.grid
-    kernel = ctx.kernel
-    pts = []
-    attempts = 0
-    while len(pts) < ctx.config.psd_points:
-        attempts += 1
-        if attempts > 1000 * ctx.config.psd_points:
+    grid, wanted = ctx.config.grid, ctx.config.psd_points
+    lo = np.stack([grid.re_lo, grid.im_lo], axis=-1)
+    hi = np.stack([grid.re_hi, grid.im_hi], axis=-1)
+    pts, drawn = np.empty((0, grid.dim), dtype=complex), 0
+    while len(pts) < wanted:
+        count = min(wanted - len(pts), 1000 * wanted - drawn)
+        if count <= 0:
             raise DomainError("could not sample points inside the kernel domain")
-        z = np.empty(grid.dim, dtype=complex)
-        for j in range(grid.dim):
-            re = rng.uniform(grid.re_lo[j], grid.re_hi[j])
-            im = rng.uniform(grid.im_lo[j], grid.im_hi[j])
-            z[j] = re + 1j * im
-        if kernel.contains(z):
-            pts.append(z)
-    margin = psd_check(gram(kernel, np.asarray(pts)))
+        u = rng.uniform(lo, hi, size=(count, grid.dim, 2))
+        z = u[..., 0] + 1j * u[..., 1]
+        pts = np.concatenate([pts, z[ctx.kernel.contains_batch(z)]])
+        drawn += count
+    margin = psd_check(gram(ctx.kernel, pts))
     passed = margin >= -ctx.tol["psd"]
     return {
         "passed": bool(passed),

@@ -140,11 +140,6 @@ class Form1(_Linear):
     def dim(self) -> int:
         return self.p.shape[0]
 
-    @classmethod
-    def zero(cls, dim: int, value_shape: tuple[int, ...]) -> "Form1":
-        z = np.zeros((dim, *value_shape), dtype=complex)
-        return cls(z, z.copy())
-
     def __call__(self, v) -> np.ndarray:
         v = as_point(v, self.dim)
         coeffs = np.concatenate([self.p, self.q])
@@ -181,11 +176,6 @@ class Form2(_Linear):
     @property
     def dim(self) -> int:
         return self.c20.shape[0]
-
-    @classmethod
-    def zero(cls, dim: int, value_shape: tuple[int, ...]) -> "Form2":
-        z = np.zeros((dim, dim, *value_shape), dtype=complex)
-        return cls(z, z.copy(), z.copy())
 
     def __call__(self, v, w) -> np.ndarray:
         """sum_jk of c20[j, k] / 2 (v_j w_k - w_j v_k)
@@ -253,11 +243,7 @@ def probe_tensor(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int) 
     return np.array([[phi(v, w) for w in probes] for v in probes], dtype=complex)
 
 
-def split_bilinear(
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    dim: int,
-    skew_tol: float = 1e-12,
-) -> Form2:
+def split_bilinear(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int) -> Form2:
     """Decompose a skew real-bilinear map into its (2,0), (1,1), (0,2) blocks.
 
     The mixed block is the +1 eigenspace of the rotation
@@ -267,14 +253,14 @@ def split_bilinear(
     Raises
     ------
     StructuralError
-        If phi is not skew on the probe basis (the measured asymmetry is
-        included in the message).
+        If phi is not skew on the probe basis to 1e-12 relative (the
+        measured asymmetry is included in the message).
     """
     samples = probe_tensor(phi, dim)
     flat = samples.reshape(samples.shape[:2] + (-1,))
     scale = max(1.0, float(np.linalg.norm(flat, axis=-1).max()))
     asym = float(np.linalg.norm(flat + np.swapaxes(flat, 0, 1), axis=-1).max())
-    if asym > skew_tol * scale:
+    if asym > 1e-12 * scale:
         raise StructuralError(
             f"bilinear map is not skew: measured asymmetry {asym:.3e}"
         )
@@ -299,7 +285,8 @@ def split_bilinear(
 # ---------------------------------------------------------------------------
 
 
-def _default_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Operator composition (matrix product); scalar values multiply pointwise."""
     x = np.asarray(x)
     y = np.asarray(y)
     if x.ndim == 0 or y.ndim == 0:
@@ -312,31 +299,28 @@ def _each(f: Callable, block, depth: int):
     return np.stack([_each(f, x, depth - 1) for x in block]) if depth else f(block)
 
 
-def wedge(a, b, multiply: Callable | None = None):
+def wedge(a, b):
     """Exterior product of two point forms of total degree <= 2.
 
-    `multiply` combines a value of `a` with a value of `b`; the default is
-    operator composition (matrix product), with scalar values multiplied
-    pointwise.  For 1-forms the normalization is
-    (a ^ b)(v, w) = a(v) b(w) - a(w) b(v), and a degree-0 factor acts
-    pointwise on every coefficient.  For two 1-forms `multiply` is called
-    once per coefficient table, on the (d, 1, ...) and (1, d, ...)
-    coefficient stacks, so it must broadcast over leading axes as numpy's
-    matmul and multiply do.
+    Values of `a` and `b` are combined by operator composition (matrix
+    product), with scalar values multiplied pointwise.  For 1-forms the
+    normalization is (a ^ b)(v, w) = a(v) b(w) - a(w) b(v), and a degree-0
+    factor acts pointwise on every coefficient.  For two 1-forms each
+    coefficient table is one broadcast product of the (d, 1, ...) and
+    (1, d, ...) coefficient stacks.
     """
-    mul = multiply or _default_mul
     da, db = a.degree, b.degree
     if db == 0:
-        return type(a)(*(_each(lambda m: mul(m, b.value), c, da) for c in _blocks(a)))
+        return type(a)(*(_each(lambda m: _mul(m, b.value), c, da) for c in _blocks(a)))
     if da == 0:
-        return type(b)(*(_each(lambda m: mul(a.value, m), c, db) for c in _blocks(b)))
+        return type(b)(*(_each(lambda m: _mul(a.value, m), c, db) for c in _blocks(b)))
     if (da, db) != (1, 1):
         raise ValueError(f"unsupported degree combination ({da}, {db})")
     if a.dim != b.dim:
         raise ValueError("forms live on charts of different dimension")
 
-    def table(x, y):  # [j, k] -> mul(x[j], y[k]), one broadcast call
-        return mul(x[:, None], y[None])
+    def table(x, y):  # [j, k] -> _mul(x[j], y[k]), one broadcast call
+        return _mul(x[:, None], y[None])
 
     pp, qq = table(a.p, b.p), table(a.q, b.q)
     return Form2(
@@ -359,12 +343,9 @@ def _steps_array(step, dim: int) -> np.ndarray:
 
 
 def inside_domain(domain, points: np.ndarray) -> np.ndarray:
-    """Per row of an (N, d) array of points: inside `domain`.  One
-    `contains_batch` call where the domain has it (every KernelSpec), else
-    `contains` point by point."""
-    if hasattr(domain, "contains_batch"):
-        return np.array(domain.contains_batch(points), dtype=bool)
-    return np.array([bool(domain.contains(z)) for z in points], dtype=bool)
+    """Per row of an (N, d) array of points: inside `domain`, by one
+    `contains_batch` call (a domain provides it, as every KernelSpec does)."""
+    return np.array(domain.contains_batch(points), dtype=bool)
 
 
 def clear_of_boundary(domain, points: np.ndarray, margin: float) -> np.ndarray:
@@ -372,16 +353,10 @@ def clear_of_boundary(domain, points: np.ndarray, margin: float) -> np.ndarray:
     than `margin` from its boundary.
 
     Membership follows `inside_domain`; the boundary distance is taken
-    only of points inside, by one `boundary_distance_batch` call where the
-    domain has it, else point by point.
+    only of points inside, by one `boundary_distance_batch` call.
     """
     ok = inside_domain(domain, points)
-    inner = points[ok]
-    if hasattr(domain, "boundary_distance_batch"):
-        dist = domain.boundary_distance_batch(inner)
-    else:
-        dist = [domain.boundary_distance(z) for z in inner]
-    ok[ok] = np.asarray(dist, dtype=float) > margin
+    ok[ok] = np.asarray(domain.boundary_distance_batch(points[ok]), dtype=float) > margin
     return ok
 
 
@@ -488,16 +463,22 @@ class Stencil:
         every point must lie inside it and farther than `radius` from its
         boundary (`clear_of_boundary`).  Failures are reported as a
         per-point loop would: if point i is the first to fail, the nodes of
-        the points before it and point i itself are evaluated first
-        (raising any earlier failure), then a DomainError names point i.
+        the points before it, and point i itself if it lies inside the
+        domain, are evaluated first (raising any earlier failure), then a
+        DomainError names point i.
         """
         nodes = points[:, None, :] + self.offsets
         clear = True if domain is None else clear_of_boundary(domain, points, self.radius)
         if not np.all(clear):
             i = int(np.argmin(clear))
             z = points[i]
-            evaluate(np.concatenate([nodes[:i].reshape(-1, self.dim), z[None]]))
-            if not inside_domain(domain, z[None])[0]:
+            inside = bool(inside_domain(domain, z[None])[0])
+            head = nodes[:i].reshape(-1, self.dim)
+            if inside:
+                head = np.concatenate([head, z[None]])
+            if len(head):
+                evaluate(head)
+            if not inside:
                 raise DomainError(f"point {z} is outside the chart domain")
             raise DomainError(
                 f"finite-difference stencil of radius {self.radius:.3e} around {z} "
@@ -658,12 +639,10 @@ def cauchy_riemann_residual(
     """Max over sample points of || delbar f ||.
 
     Vanishes (up to finite-difference noise) exactly when f is
-    numerically holomorphic on the sample.  `points` is an (N, d) array
-    or anything with a points() method; f maps one chart point to its
-    value and is called once per stencil node (see `delbar_norms`).
+    numerically holomorphic on the sample.  `points` is an (N, d) array;
+    f maps one chart point to its value and is called once per stencil
+    node (see `delbar_norms`).
     """
-    if hasattr(points, "points"):
-        points = points.points()
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")

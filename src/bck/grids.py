@@ -100,9 +100,9 @@ class ChartGrid:
     def interior_points(self, domain, margin: float = 0.0) -> np.ndarray:
         """Grid points inside `domain` with at least `margin` to its boundary.
 
-        `domain` provides contains(z) and boundary_distance(z); points
-        outside, or too close to the boundary for a finite-difference
-        stencil, are dropped.
+        `domain` provides `contains_batch` and `boundary_distance_batch`
+        (every KernelSpec does); points outside, or too close to the
+        boundary for a finite-difference stencil, are dropped.
         """
         pts = self.points()
         return pts[clear_of_boundary(domain, pts, margin)]

@@ -158,9 +158,6 @@ class KernelSpec:
             raise StructuralError("kernel block has non-finite entries")
         return out
 
-    def params(self) -> dict:
-        return {}
-
     # -- helpers -----------------------------------------------------------
 
     def point(self, z) -> np.ndarray:
@@ -168,11 +165,6 @@ class KernelSpec:
         if not self.contains(z):
             raise DomainError(f"point {z} lies outside the {self.variant} domain")
         return z
-
-    def describe(self) -> dict:
-        out = {"variant": self.variant, "fiber_dim": self.fiber_dim, "base_dim": self.base_dim}
-        out.update(self.params())
-        return out
 
 
 def _check_block_shape(shape: tuple, n: int) -> None:
@@ -214,9 +206,6 @@ class DiscPowerKernel(KernelSpec):
     def boundary_distance_batch(self, z):
         return 1.0 - np.abs(np.asarray(z, dtype=complex)).max(axis=-1)
 
-    def params(self):
-        return {"nu": self.nu}
-
 
 class ConstantKernel(KernelSpec):
     """kappa(z, w) = M everywhere; M need not be positive (pseudo-kernels)."""
@@ -236,9 +225,6 @@ class ConstantKernel(KernelSpec):
         shape = np.broadcast_shapes(np.shape(z)[:-1], np.shape(w)[:-1])
         return np.broadcast_to(self.matrix, shape + self.matrix.shape).copy()
 
-    def params(self):
-        return {"matrix": self.matrix.tolist()}
-
 
 class SectionKernel(KernelSpec):
     """kappa(z, w) = E(z) G^{-1} E(w)* from an n x m section matrix field."""
@@ -251,7 +237,6 @@ class SectionKernel(KernelSpec):
         sections: Callable[[np.ndarray], np.ndarray],
         base_dim: int = 1,
         gram: np.ndarray | None = None,
-        params: dict | None = None,
     ):
         self.sections = sections
         self.base_dim = int(base_dim)
@@ -271,7 +256,6 @@ class SectionKernel(KernelSpec):
         if np.linalg.eigvalsh(hermitize(gram))[0] <= 0:
             raise ValueError("Gram matrix must be positive definite")
         self.gram_matrix = gram
-        self._params = dict(params or {})
 
     def section_values(self, z) -> np.ndarray:
         """E at a chart point, or at each point of a stack (..., d) -> (..., n, m).
@@ -305,11 +289,6 @@ class SectionKernel(KernelSpec):
         cutoff = tol * (svals[0] if svals.size and svals[0] > 0 else 1.0)
         rank = int(np.sum(svals > cutoff))
         return vh[rank:].conj().T
-
-    def params(self):
-        out = dict(self._params)
-        out["section_count"] = self.section_count
-        return out
 
 
 class GrassmannKernel(KernelSpec):
@@ -350,9 +329,6 @@ class GrassmannKernel(KernelSpec):
         fz = self.frame(z)
         return np.swapaxes(fz.conj(), -1, -2) @ fz
 
-    def params(self):
-        return {"ambient_dim": self.ambient_dim, "rank": self.rank}
-
 
 class UserKernel(KernelSpec):
     """Wrap arbitrary callables as a kernel."""
@@ -368,7 +344,6 @@ class UserKernel(KernelSpec):
         contains_fn=None,
         boundary_distance_fn=None,
         holomorphic: bool = False,
-        variant: str = "user_hook",
     ):
         self._eval = eval_fn
         self.fiber_dim = int(fiber_dim)
@@ -377,7 +352,6 @@ class UserKernel(KernelSpec):
         self._contains = contains_fn
         self._distance = boundary_distance_fn
         self.holomorphic = bool(holomorphic)
-        self.variant = variant
 
     def eval_many(self, z, w):
         def block(zz, ww):
@@ -444,9 +418,6 @@ class DualKernel(KernelSpec):
     def boundary_distance_batch(self, z):
         return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
 
-    def params(self):
-        return {"base": self.base.describe()}
-
 
 # -- constructor shorthands used by the config layer ------------------------
 
@@ -459,8 +430,8 @@ def constant_kernel(matrix, base_dim: int = 1) -> ConstantKernel:
     return ConstantKernel(matrix, base_dim=base_dim)
 
 
-def from_sections(sections, base_dim: int = 1, gram=None, params=None) -> SectionKernel:
-    return SectionKernel(sections, base_dim=base_dim, gram=gram, params=params)
+def from_sections(sections, base_dim: int = 1, gram=None) -> SectionKernel:
+    return SectionKernel(sections, base_dim=base_dim, gram=gram)
 
 
 def universal_grassmann(ambient_dim: int, rank: int) -> GrassmannKernel:
@@ -510,15 +481,15 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     return GramMatrix(points=pts, blocks=blocks, assembled=assembled)
 
 
-def psd_check(gram_matrix: GramMatrix, tol: float = 1e-10) -> float:
+def psd_check(gram_matrix: GramMatrix) -> float:
     """Smallest eigenvalue of the Hermitianized Gram assembly.
 
-    A margin >= -tol counts as positive semidefinite.  Raises
+    The caller compares the margin with its own tolerance.  Raises
     StructuralError if the assembly is not Hermitian within 1e-10
     (relative), which signals broken kernel symmetry rather than
     curable noise.
     """
-    return eig_margin(gram_matrix.assembled, herm_tol=1e-10)
+    return eig_margin(gram_matrix.assembled)
 
 
 def rkhs_inner(spec: KernelSpec, left: tuple, right: tuple) -> complex:
@@ -586,21 +557,20 @@ class RkhsModel:
 def reproducing_check(model: RkhsModel, coeffs, eta, t) -> float:
     """Residual of the reproducing identity <f, K_eta> = (f(t) | eta)_t.
 
-    The left side is accumulated generator by generator from the kernel
-    pairing values; the right side evaluates the span element first and
-    then takes the fiber inner product.
+    The left side is built by conjugate symmetry from the kernel sections
+    at the sample points, <K_(e_a, s_j), K_eta> = conj((kappa(s_j, t) eta
+    | e_a)_(s_j)), so it reads kappa(s_j, t) and h0(s_j); the right side
+    evaluates the span element at t through kappa(t, s_j) and then takes
+    the fiber inner product with h0(t).  The two agree only when the
+    kernel symmetry h0(t) kappa(t, s) = kappa(s, t)* h0(s) holds.
     """
     spec = model.spec
     eta = np.asarray(eta, dtype=complex).reshape(spec.fiber_dim)
     c = np.asarray(coeffs, dtype=complex).reshape(-1, spec.fiber_dim)
-    basis = np.eye(spec.fiber_dim, dtype=complex)
-    lhs = 0.0 + 0.0j
-    for j in range(model.points.shape[0]):
-        for a in range(spec.fiber_dim):
-            lhs += c[j, a] * rkhs_inner(spec, (basis[a], model.points[j]), (eta, t))
-    value = model.evaluate(c, t)
-    h = spec.fiber_metric(spec.point(t))
-    rhs = complex(eta.conj() @ (h @ value))
+    t = spec.point(t)
+    pairing = spec.fiber_metric_batch(model.points) @ spec.eval_batch(model.points, t) @ eta
+    lhs = complex(np.sum(c * pairing.conj()))
+    rhs = complex(eta.conj() @ (spec.fiber_metric(t) @ model.evaluate(c, t)))
     return abs(lhs - rhs)
 
 
@@ -678,7 +648,6 @@ def lemma51_consistency(
     spec: KernelSpec,
     s,
     tol: float = 1e-10,
-    extra_points=None,
     seed: int = 0,
 ) -> Lemma51Report:
     """Cross-check four finite-dimensional invertibility criteria at s.
@@ -687,8 +656,9 @@ def lemma51_consistency(
     (its eigenvalue margin), (2) invertibility of kappa(s, s) by singular
     values, (3) surjectivity of kappa(s, s) by numerical row rank, and
     (4) surjectivity of the evaluation at s of the sampled section span
-    by the rank of [kappa(s, t_1) ... kappa(s, t_m)].  In finite fiber
-    dimension the four answers must agree.
+    by the rank of [kappa(s, t_1) ... kappa(s, t_m)], with the t_i seeded
+    random points near s.  In finite fiber dimension the four answers
+    must agree.
     """
     s = spec.point(s)
     n = spec.fiber_dim
@@ -704,18 +674,13 @@ def lemma51_consistency(
 
     surjective = relative_rank(block, tol=tol) == n
 
-    if extra_points is None:
-        rng = np.random.default_rng(seed)
-        extra = []
-        for _ in range(max(4, n + 2)):
-            step = 0.1 * (rng.standard_normal(spec.base_dim) + 1j * rng.standard_normal(spec.base_dim))
-            cand = s + step
-            while not spec.contains(cand):
-                step = step / 2.0
-                cand = s + step
-            extra.append(cand)
-        extra_points = extra
-    sample = [s] + [spec.point(p) for p in extra_points]
+    rng = np.random.default_rng(seed)
+    sample = [s]
+    for _ in range(max(4, n + 2)):
+        step = 0.1 * (rng.standard_normal(spec.base_dim) + 1j * rng.standard_normal(spec.base_dim))
+        while not spec.contains(s + step):
+            step = step / 2.0
+        sample.append(s + step)
     ev_matrix = np.hstack([eval_kernel(spec, s, t) for t in sample])
     evaluation_surjective = relative_rank(ev_matrix, tol=tol) == n
 

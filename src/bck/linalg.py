@@ -21,7 +21,6 @@ __all__ = [
     "eig_margin",
     "mgs_orthonormalize",
     "relative_rank",
-    "smallest_singular_value",
 ]
 
 
@@ -51,35 +50,20 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frob(a - a.conj().T) / max(1.0, frob(a))
 
 
-def eig_margin(a: np.ndarray, herm_tol: float = 1e-10) -> float:
+def eig_margin(a: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitianized matrix.
 
     Raises
     ------
     StructuralError
-        If `a` is not Hermitian within `herm_tol` (relative to
-        max(1, ||a||)); a broken symmetry means the caller assembled the
-        matrix from an inconsistent source and an eigenvalue margin would
-        be meaningless.
+        If `a` is not Hermitian within 1e-10 (relative to max(1, ||a||));
+        a broken symmetry means the caller assembled the matrix from an
+        inconsistent source and an eigenvalue margin would be meaningless.
     """
     defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise StructuralError(
-            f"matrix is not Hermitian: relative defect {defect:.3e} > {herm_tol:.1e}"
-        )
+    if defect > 1e-10:
+        raise StructuralError(f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
     return float(np.linalg.eigvalsh(hermitize(a))[0])
-
-
-def smallest_singular_value(a: np.ndarray) -> tuple[float, float]:
-    """Return (sigma_min, sigma_max) of a rectangular matrix.
-
-    sigma_min is the k-th singular value where k = min(shape), i.e. the
-    margin against rank deficiency.
-    """
-    s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    if s.size == 0:
-        return 0.0, 0.0
-    return float(s[-1]), float(s[0])
 
 
 def relative_rank(a: np.ndarray, tol: float = 1e-10) -> int:
@@ -90,11 +74,7 @@ def relative_rank(a: np.ndarray, tol: float = 1e-10) -> int:
     return int(np.sum(s >= tol * s[0]))
 
 
-def mgs_orthonormalize(
-    a: np.ndarray,
-    inner: np.ndarray | None = None,
-    drop_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
+def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     Orthonormalizes the columns of `a` (..., n, k) with respect to the
@@ -112,7 +92,7 @@ def mgs_orthonormalize(
     ------
     StructuralError
         If a column is linearly dependent on the previous ones (relative
-        norm below `drop_tol`); in a stack, the first such matrix names it.
+        norm below 1e-12); in a stack, the first such matrix names it.
         The error's `index` is (matrix index..., column) and its `residual`
         the column's residual norm.
     """
@@ -120,7 +100,7 @@ def mgs_orthonormalize(
     k = a.shape[-1]
     g = np.eye(a.shape[-2]) if inner is None else np.asarray(inner)
     q, r = np.zeros_like(a), np.zeros(a.shape[:-2] + (k, k), dtype=complex)
-    floor = drop_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1e-300)
+    floor = 1e-12 * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1e-300)
 
     def pair(u, v):  # v* g u per matrix, for (..., n) columns
         return (v.conj()[..., None, :] @ (g @ u[..., None]))[..., 0, 0]

@@ -208,23 +208,21 @@ def _triple_residuals(herm, symm, skew) -> dict:
 # Griffiths forms and verdicts
 # ---------------------------------------------------------------------------
 
+# Relative hermiticity gate on every Griffiths form value: a larger defect
+# signals a curvature block inconsistent with the metric pairing.
+_HERM_TOL = 1e-6
 
-def griffiths_form(
-    h: np.ndarray,
-    theta,
-    x,
-    herm_tol: float = 1e-6,
-    purity_tol: float = 1e-5,
-) -> np.ndarray:
+
+def griffiths_form(h: np.ndarray, theta, x) -> np.ndarray:
     """Hermitian form G(x) = -i h Theta(x, i x) of a (1,1) curvature value.
 
-    `theta` may be a CurvatureAtPoint (its purity residual is gated) or a
-    bare Form2.  G scales as |lambda|^2 under x -> lambda x; its
-    hermiticity defect beyond `herm_tol` (relative) raises, since that
-    signals a curvature block inconsistent with the metric pairing.
+    `theta` may be a CurvatureAtPoint (its purity residual is gated at
+    1e-5 relative) or a bare Form2.  G scales as |lambda|^2 under
+    x -> lambda x; its hermiticity defect beyond `_HERM_TOL` (relative)
+    raises.
     """
     if isinstance(theta, CurvatureAtPoint):
-        if theta.purity_residual > purity_tol * max(1.0, frob(theta.form.r11)):
+        if theta.purity_residual > 1e-5 * max(1.0, frob(theta.form.r11)):
             raise StructuralError(
                 f"curvature is not (1,1)-pure: residual {theta.purity_residual:.3e}"
             )
@@ -237,7 +235,7 @@ def griffiths_form(
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     g = -1j * h @ form(x, 1j * x)
     defect = hermiticity_defect(g)
-    if defect > herm_tol:
+    if defect > _HERM_TOL:
         raise StructuralError(
             f"Griffiths form is not Hermitian: relative defect {defect:.3e}"
         )
@@ -298,7 +296,6 @@ def griffiths_verdict(
     seed: int = 0,
     pos_tol: float = 1e-6,
     neg_tol: float = 1e-6,
-    herm_tol: float = 1e-6,
 ) -> GriffithsReport:
     """Spectral verdict of the curvature's Griffiths form over a grid.
 
@@ -338,7 +335,7 @@ def griffiths_verdict(
         1.0, np.linalg.norm(g, axis=(-2, -1))
     )
     max_herm = float(defects.max())
-    if max_herm > herm_tol:
+    if max_herm > _HERM_TOL:
         raise StructuralError(
             f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}"
         )
@@ -378,18 +375,12 @@ class GlobalGenerationReport:
     metric_margin: float
 
 
-def global_generation_check(
-    sections: Callable[[np.ndarray], np.ndarray],
-    points,
-    cr_step: float = 1e-5,
-    cr_tol: float = 1e-6,
-    rank_tol: float = 1e-10,
-) -> GlobalGenerationReport:
+def global_generation_check(sections: Callable[[np.ndarray], np.ndarray], points) -> GlobalGenerationReport:
     """Do the given holomorphic sections span every sampled fiber?
 
     Gates holomorphy of the n x m section matrix by its Cauchy-Riemann
-    residual, then tests sigma_min(E(z)) >= rank_tol * ||E(z)|| at every
-    sample point.  The induced section kernel's metric E G^{-1} E* is the
+    residual (step 1e-5, at most 1e-6), then tests
+    sigma_min(E(z)) >= 1e-10 * ||E(z)|| at every sample point.  The induced section kernel's metric E G^{-1} E* is the
     Hermitian structure attached to a globally generated bundle, and its
     smallest eigenvalue over the sample is reported as `metric_margin`
     (equal to min sigma_min(E)^2 when G is the identity).
@@ -398,8 +389,8 @@ def global_generation_check(
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")
 
-    cr = cauchy_riemann_residual(sections, pts, cr_step)
-    if cr > cr_tol:
+    cr = cauchy_riemann_residual(sections, pts, 1e-5)
+    if cr > 1e-6:
         raise StructuralError(
             f"section matrix is not holomorphic: Cauchy-Riemann residual {cr:.3e}"
         )
@@ -408,7 +399,7 @@ def global_generation_check(
     e = spec.section_values(pts)
     svals = np.linalg.svd(e, compute_uv=False)
     smin = svals[:, -1] if e.shape[1] <= e.shape[2] else np.zeros(len(pts))
-    generated = bool(np.all((svals[:, 0] != 0.0) & (smin >= rank_tol * svals[:, 0])))
+    generated = bool(np.all((svals[:, 0] != 0.0) & (smin >= 1e-10 * svals[:, 0])))
     metric_margin = np.linalg.eigvalsh(hermitize(spec.eval_many(pts, pts)))[:, 0].min()
     return GlobalGenerationReport(
         generated=generated,

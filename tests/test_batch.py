@@ -144,11 +144,11 @@ def test_metric_batch_names_first_failing_point_in_order():
         return bad.get(int(round(10 * z[0].real)) - 1, np.eye(2)).astype(complex)
 
     class Left:  # everything left of re z = 0.35
-        def contains(self, z):
-            return z[0].real < 0.35
+        def contains_batch(self, z):
+            return z[..., 0].real < 0.35
 
-        def boundary_distance(self, z):
-            return 0.35 - z[0].real
+        def boundary_distance_batch(self, z):
+            return 0.35 - z[..., 0].real
 
     metric = MetricField(func, 1, 2, domain=Left())
     with pytest.raises(StructuralError, match=r"Hermitian at \[0.2"):
@@ -213,9 +213,7 @@ def test_subbundle_reuses_precomputed_connection_and_curvature():
     frame = lambda z: np.array([[1.0, 0.0], [z[0], 1.0], [0.0, z[0] ** 2]], dtype=complex)
     z = np.array([0.1 + 0.2j])
     fresh = subbundle_split(amb, frame, z, RICH)
-    shared = subbundle_split(
-        amb, frame, z, RICH, connection=chern_connection(amb, z, RICH), ambient=curvature(amb, z, RICH)
-    )
+    shared = subbundle_split(amb, frame, z, RICH, ambient=curvature(amb, z, RICH))
     assert fresh.identity_residual == shared.identity_residual
     assert np.array_equal(fresh.beta, shared.beta)
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from bck.cli import (
     run_selftest,
     run_verify_theorem55,
 )
-from bck.errors import StructuralError
+from bck.errors import DomainError, StructuralError
+from bck.kernels import UserKernel, gram, psd_check
 from bck.selfcheck import run_selfcheck
 
 
@@ -121,6 +123,46 @@ def test_failed_task_does_not_abort_others():
     assert not report.data["tasks"]["psd"]["passed"]
     assert report.data["tasks"]["selftest"]["passed"]
     assert report.exit_code == 1
+
+
+def test_psd_sample_matches_point_by_point_rejection_loop(monkeypatch):
+    # the unit disc rejects the corners of the box, so the batched draw must
+    # redraw; it must take the same points as a loop that draws re and im
+    # one point at a time and keeps the first accepted ones
+    cfg = base_config(
+        kernel={"variant": "disc_power", "nu": 2},
+        grid={"axes": [{"re": [-0.95, 0.95], "im": [-0.95, 0.95], "re_res": 4, "im_res": 4}]},
+        tasks=["psd"],
+        samples={"psd_points": 40},
+    )
+    config = AnalysisConfig.from_dict(cfg)
+    rng = np.random.default_rng(config.seed)
+    grid, pts, rejected = config.grid, [], 0
+    while len(pts) < config.psd_points:
+        z = np.empty(grid.dim, dtype=complex)
+        for j in range(grid.dim):
+            re = rng.uniform(grid.re_lo[j], grid.re_hi[j])
+            im = rng.uniform(grid.im_lo[j], grid.im_hi[j])
+            z[j] = re + 1j * im
+        if config.kernel.contains(z):
+            pts.append(z)
+        else:
+            rejected += 1
+    assert rejected > 0
+    sampled = []
+    monkeypatch.setattr(bck.cli, "gram", lambda spec, points: sampled.append(points) or gram(spec, points))
+    task = run_analyze(config).data["tasks"]["psd"]
+    assert np.array_equal(sampled[0], pts)
+    assert task["data"]["margin"] == psd_check(gram(config.kernel, np.array(pts)))
+
+
+def test_psd_sampling_gives_up_after_1000_draws_per_point():
+    drawn = []
+    nowhere = UserKernel(lambda z, w: np.eye(1), 1, 1, contains_fn=lambda z: drawn.append(z) or False)
+    config = AnalysisConfig.from_dict(base_config(samples={"psd_points": 2}))
+    with pytest.raises(DomainError, match="could not sample"):
+        bck.cli._task_psd(SimpleNamespace(config=config, kernel=nowhere))
+    assert len(drawn) == 2000
 
 
 def test_domain_violation_exit_code(tmp_path):
@@ -328,8 +370,8 @@ def test_selftest_section_shape():
 def test_selftest_detects_broken_wedge_sign(monkeypatch):
     real_wedge = bck.forms.wedge
 
-    def broken_wedge(a, b, multiply=None):
-        out = real_wedge(a, b, multiply)
+    def broken_wedge(a, b):
+        out = real_wedge(a, b)
         if a.degree == 1 and b.degree == 1:
             return type(out)(-out.c20, out.r11, out.c02)  # corrupt one block's sign
         return out

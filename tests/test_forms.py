@@ -140,7 +140,7 @@ def test_wedge_dzbar_dz():
 def test_wedge_scalar_zero_form_scales_pointwise():
     rng = np.random.default_rng(3)
     beta = Form1(cmat(rng, 2, 2, 2), cmat(rng, 2, 2, 2))
-    scaled = wedge(Form0(np.asarray(2.5 + 0j)), beta, multiply=np.multiply)
+    scaled = wedge(Form0(np.asarray(2.5 + 0j)), beta)
     assert np.max(np.abs(scaled.p - 2.5 * beta.p)) == 0.0
 
 
@@ -452,3 +452,21 @@ def test_on_points_names_first_failing_stencil_after_evaluating_earlier_nodes():
         stencil.on_points(evaluate, pts[[0, 3, 4]], disc)
     assert len(stencil.on_points(evaluate, pts[[0, 1, 3]], disc)) == 3 * 4
     assert np.array_equal(disc.boundary_distance_batch(pts), [disc.boundary_distance(p) for p in pts])
+
+
+def test_on_points_never_evaluates_a_failing_point_outside_the_domain():
+    # a field may raise its own error outside the domain; the DomainError
+    # must come first, and the point itself is never evaluated
+    disc = DiscPowerKernel(1)
+    calls = []
+
+    def field(z):
+        calls.append(complex(z[0]))
+        return np.asarray(z[0] ** 2)
+
+    with pytest.raises(DomainError, match="outside"):
+        exterior_derivative(field, [1.5], 1e-5, domain=disc)
+    assert calls == []
+    with pytest.raises(DomainError, match=r"point \[1.5\+0.j\] is outside"):
+        cauchy_riemann_residual(field, [[0.1], [1.5]], 1e-5, domain=disc)
+    assert len(calls) == 4 and 1.5 not in calls

@@ -11,6 +11,7 @@ from bck.kernels import (
     RkhsModel,
     SectionKernel,
     Subspace,
+    UserKernel,
     admissibility,
     dual_kernel,
     eval_kernel,
@@ -215,6 +216,25 @@ def test_reproducing_check_random_combination():
     coeffs = cmat(rng, 3, 1)
     resid = reproducing_check(model, coeffs, np.array([1.0]), np.array([0.2 - 0.3j]))
     assert resid <= 1e-9
+
+
+def test_reproducing_check_holds_with_a_fiber_metric():
+    # the Grassmannian kernel carries a non-trivial h0 on both sides
+    rng = np.random.default_rng(31)
+    k = GrassmannKernel(4, 2)
+    model = RkhsModel(k, 0.3 * cmat(rng, 6, k.base_dim))
+    coeffs = cmat(rng, 6, 2)
+    resid = reproducing_check(model, coeffs, cmat(rng, 2), 0.3 * cmat(rng, k.base_dim))
+    assert resid <= 1e-9
+
+
+def test_reproducing_check_detects_broken_kernel_symmetry():
+    # kappa(z, w) = 1 + z w is not Hermitian-symmetric: its kernel sections
+    # do not reproduce, and the check must say so
+    k = UserKernel(lambda z, w: np.array([[1.0 + z[0] * w[0]]]), fiber_dim=1, base_dim=1)
+    model = RkhsModel(k, np.array([[0.3 + 0.2j], [-0.1 + 0.4j]]))
+    resid = reproducing_check(model, np.array([[1.0], [0.5j]]), np.array([1.0]), np.array([0.2 - 0.3j]))
+    assert resid > 1e-3
 
 
 def test_gram_inner_matches_pairwise_kernel_values():
