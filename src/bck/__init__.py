@@ -10,8 +10,8 @@ oracles built in.
 __version__ = "0.1.0"
 
 from .chern import (
-    ConnectionAtPoint,
-    CurvatureAtPoint,
+    ConnectionField,
+    CurvatureField,
     FdSteps,
     MetricField,
     analytic_curvature_field,

@@ -21,10 +21,10 @@ Everything is computed over whole arrays of points: `metric_jet`
 evaluates the metric once on every stencil node of every point, and the
 connection, both curvature routes, the compatibility residuals, the
 subbundle split and the dual check are fields derived from such
-evaluations.  The point
-functions (`chern_connection`, `curvature`, ...) are the one-point case.
-Field arrays put the point axis between the form indices and the fiber
-matrix, e.g. (d, N, n, n) for connection coefficients.
+evaluations.  Field arrays put the point axis between the form indices
+and the fiber matrix, e.g. (d, N, n, n) for connection coefficients.
+`field.at(i)` is the same field class at point i (`forms.at_point`), and
+the point functions (`chern_connection`, `curvature`, ...) return it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import Form1, Form2, Stencil, as_point, as_points, inside_domain, wedge
+from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, wedge
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
 from .linalg import frob, mgs_orthonormalize
 
@@ -45,11 +45,9 @@ __all__ = [
     "metric_from_kernel",
     "MetricJet",
     "metric_jet",
-    "ConnectionAtPoint",
     "ConnectionField",
     "chern_connection",
     "chern_connection_field",
-    "CurvatureAtPoint",
     "CurvatureField",
     "curvature",
     "analytic_curvature_field",
@@ -57,11 +55,9 @@ __all__ = [
     "compatibility_residuals",
     "compatibility_field",
     "hs_connection_check",
-    "SubbundleSplit",
     "SubbundleField",
     "subbundle_field",
     "subbundle_split",
-    "DualCurvatureResult",
     "DualCurvatureField",
     "dual_curvature_check",
     "dual_curvature_field",
@@ -310,22 +306,6 @@ def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: i
 
 
 @dataclass(frozen=True)
-class ConnectionAtPoint:
-    """A connection form value at one chart point.
-
-    For metric connections of holomorphic structures the dzbar block is
-    zero; `holo_defect` measures any departure.
-    """
-
-    form: Form1
-    point: np.ndarray
-
-    @property
-    def holo_defect(self) -> float:
-        return max((frob(m) for m in self.form.q), default=0.0)
-
-
-@dataclass(frozen=True)
 class ConnectionField:
     """A connection form over an array of points, with the first-order
     metric jet it was computed from; form.p and form.q are (d, N, n, n)."""
@@ -333,10 +313,7 @@ class ConnectionField:
     jet: MetricJet
     form: Form1
 
-    def at(self, i: int) -> ConnectionAtPoint:
-        return ConnectionAtPoint(
-            form=Form1(self.form.p[:, i], self.form.q[:, i]), point=self.jet.points[i]
-        )
+    at = at_point
 
 
 def chern_connection_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> ConnectionField:
@@ -346,32 +323,21 @@ def chern_connection_field(metric: MetricField, points, steps: FdSteps = FdSteps
     return ConnectionField(jet=jet, form=Form1(p, np.zeros_like(p)))
 
 
-def chern_connection(metric: MetricField, z, steps: FdSteps = FdSteps()) -> ConnectionAtPoint:
+def chern_connection(metric: MetricField, z, steps: FdSteps = FdSteps()) -> ConnectionField:
     """A = h^{-1} del h at z, with the dzbar block zero by construction."""
     return chern_connection_field(metric, as_point(z, metric.dim)[None], steps).at(0)
 
 
 @dataclass(frozen=True)
-class CurvatureAtPoint:
-    """Curvature value at one point with its structural residuals.
+class CurvatureField:
+    """Curvature over an array of points: form blocks (d, d, N, n, n), the
+    metric h (N, n, n) and (N,) residuals.
 
     `purity_residual` measures the (2,0) + (0,2) leakage (zero for the
     analytic expansion, finite-difference noise for the nested route);
     `pairing_residual` measures the failure of h Theta to pair
     skew-Hermitianly, relative to its size.
     """
-
-    form: Form2
-    point: np.ndarray
-    method: str
-    purity_residual: float
-    pairing_residual: float
-
-
-@dataclass(frozen=True)
-class CurvatureField:
-    """Curvature over an array of points: form blocks (d, d, N, n, n), the
-    metric h (N, n, n) and the residuals of CurvatureAtPoint as (N,) arrays."""
 
     points: np.ndarray
     h: np.ndarray
@@ -380,15 +346,7 @@ class CurvatureField:
     purity_residual: np.ndarray
     pairing_residual: np.ndarray
 
-    def at(self, i: int) -> CurvatureAtPoint:
-        f = self.form
-        return CurvatureAtPoint(
-            form=Form2(f.c20[:, :, i], f.r11[:, :, i], f.c02[:, :, i]),
-            point=self.points[i],
-            method=self.method,
-            purity_residual=float(self.purity_residual[i]),
-            pairing_residual=float(self.pairing_residual[i]),
-        )
+    at = at_point
 
 
 def _max_norm(blocks: np.ndarray) -> np.ndarray:
@@ -453,7 +411,7 @@ def curvature(
     z,
     steps: FdSteps = FdSteps(),
     method: str = "analytic_expansion",
-) -> CurvatureAtPoint:
+) -> CurvatureField:
     """Curvature of the metric connection at z.
 
     The coefficient r11[k, j] multiplies dzbar_k ^ dz_j.  Both methods
@@ -493,12 +451,7 @@ def compatibility_field(connection: ConnectionField, structure: np.ndarray | Non
     }
 
 
-def compatibility_residuals(
-    metric: MetricField,
-    z,
-    steps: FdSteps = FdSteps(),
-    connection: ConnectionAtPoint | Form1 | None = None,
-) -> dict:
+def compatibility_residuals(metric: MetricField, z, steps: FdSteps = FdSteps()) -> dict:
     """Residuals of the three structural identities of a metric connection.
 
     metric    ||dh - h A - A* h|| over the coefficient basis,
@@ -506,18 +459,15 @@ def compatibility_residuals(
     structure ||del A + A ^ A|| (the (2,0) block; empty in one variable).
 
     All residuals are absolute; `scale` in the result carries
-    max(1, ||h||, ||dh||) for callers that need relative gates.  A
-    non-metric connection value at z can be supplied as `connection` to
-    measure how badly it violates the metric and holomorphy identities.
+    max(1, ||h||, ||dh||) for callers that need relative gates.  To
+    measure how badly another connection violates the metric and
+    holomorphy identities, pass it to `compatibility_field`.
     """
     z = as_point(z, metric.dim)
     conn = chern_connection_field(metric, z[None], steps)
     structure = None
     if metric.dim > 1:
         structure = nested_curvature_field(metric, z[None], steps).form.c20
-    if connection is not None:
-        a = getattr(connection, "form", connection)
-        conn = ConnectionField(jet=conn.jet, form=Form1(a.p[:, None], a.q[:, None]))
     return {key: float(value[0]) for key, value in compatibility_field(conn, structure).items()}
 
 
@@ -570,9 +520,10 @@ def hs_connection_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SubbundleSplit:
-    """Split of a metric bundle along a holomorphic subframe.
+@dataclass(frozen=True)
+class SubbundleField:
+    """Split of a metric bundle along a holomorphic subframe, over an array
+    of points.
 
     `beta[j]` is the (n-k) x k dz_j block of the ambient connection in
     the adapted frame (the shape operator of the subbundle); the
@@ -582,38 +533,15 @@ class SubbundleSplit:
     subbundle.
     """
 
-    adapted_frame: np.ndarray  # (n, n), orthonormal for the ambient metric
-    beta: np.ndarray  # (d, n-k, k)
-    theta_block11: np.ndarray  # (d, d, k, k) ambient curvature, sub block
-    theta_block22: np.ndarray  # (d, d, n-k, n-k)
-    theta_sub: np.ndarray  # (d, d, k, k) curvature of the induced metric
-    identity_residual: float
-    beta_antiholo_residual: float
+    adapted_frame: np.ndarray  # (N, n, n), orthonormal for the ambient metric
+    beta: np.ndarray  # (d, N, n-k, k)
+    theta_block11: np.ndarray  # (d, d, N, k, k) ambient curvature, sub block
+    theta_block22: np.ndarray  # (d, d, N, n-k, n-k)
+    theta_sub: np.ndarray  # (d, d, N, k, k) curvature of the induced metric
+    identity_residual: np.ndarray  # (N,)
+    beta_antiholo_residual: np.ndarray  # (N,)
 
-
-@dataclass(frozen=True)
-class SubbundleField:
-    """SubbundleSplit over an array of points, in its field order: adapted
-    frames (N, n, n), beta (d, N, n-k, k), curvature blocks (d, d, N, ., .)
-    and (N,) residuals."""
-
-    adapted_frame: np.ndarray
-    beta: np.ndarray
-    theta_block11: np.ndarray
-    theta_block22: np.ndarray
-    theta_sub: np.ndarray
-    identity_residual: np.ndarray
-    beta_antiholo_residual: np.ndarray
-
-    def at(self, i: int) -> SubbundleSplit:
-        blocks = (self.theta_block11, self.theta_block22, self.theta_sub)
-        return SubbundleSplit(
-            self.adapted_frame[i],
-            self.beta[:, i],
-            *(b[:, :, i] for b in blocks),
-            float(self.identity_residual[i]),
-            float(self.beta_antiholo_residual[i]),
-        )
+    at = at_point
 
 
 def _frames(frame, nodes: np.ndarray, n: int) -> np.ndarray:
@@ -645,7 +573,7 @@ def subbundle_field(
     frame: Callable[[np.ndarray], np.ndarray],
     points,
     steps: FdSteps = FdSteps(),
-    ambient: CurvatureField | Form2 | None = None,
+    ambient: CurvatureField | None = None,
 ) -> SubbundleField:
     """Adapted-frame split of the metric connection along span(frame) at
     every point; `frame` maps an (M, d) stack of points to (M, n, k).
@@ -657,8 +585,8 @@ def subbundle_field(
     residual) keeps the frame field smooth across its stencil.  Metric
     and frame are evaluated once on the first-derivative stencil nodes of
     all points, which also give the metric connection; the ambient
-    analytic curvature is computed unless passed in as `ambient` (a field
-    or its form over the points).
+    analytic curvature field over the points is computed unless passed in
+    as `ambient`.
     """
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     n, d = metric.fiber_dim, metric.dim
@@ -690,7 +618,7 @@ def subbundle_field(
 
     if ambient is None:
         ambient = analytic_curvature_field(metric, pts, steps)
-    tilde = u0_inv @ getattr(ambient, "form", ambient).r11 @ u0
+    tilde = u0_inv @ ambient.form.r11 @ u0
     block11, block22 = tilde[..., :k, :k], tilde[..., k:, k:]
 
     def induced(w):
@@ -724,17 +652,14 @@ def subbundle_split(
     frame: Callable[[np.ndarray], np.ndarray],
     z,
     steps: FdSteps = FdSteps(),
-    ambient: CurvatureAtPoint | None = None,
-) -> SubbundleSplit:
+) -> SubbundleField:
     """`subbundle_field` at one point z, for a frame z -> (n, k) matrix."""
     z = as_point(z, metric.dim)
 
     def stacked(nodes):
         return np.stack([np.atleast_2d(np.asarray(frame(w), dtype=complex)) for w in nodes])
 
-    if ambient is not None:
-        ambient = Form2(*(b[:, :, None] for b in (ambient.form.c20, ambient.form.r11, ambient.form.c02)))
-    return subbundle_field(metric, stacked, z[None], steps, ambient).at(0)
+    return subbundle_field(metric, stacked, z[None], steps).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -743,30 +668,16 @@ def subbundle_split(
 
 
 @dataclass(frozen=True)
-class DualCurvatureResult:
-    """Curvatures of a kernel metric and of its dual, pulled back to the
-    original chart, with the residual of Theta_dual = -(h Theta h^-1)^T."""
-
-    theta_r11: np.ndarray  # (d, d, n, n)
-    theta_dual_r11: np.ndarray  # (d, d, n, n), pulled back
-    residual: float
-
-
-@dataclass(frozen=True)
 class DualCurvatureField:
-    """DualCurvatureResult over an array of points: (d, d, N, n, n) blocks
-    and an (N,) residual."""
+    """Curvatures of a kernel metric and of its dual, pulled back to the
+    original chart, with the residual of Theta_dual = -(h Theta h^-1)^T,
+    over an array of points."""
 
-    theta_r11: np.ndarray
-    theta_dual_r11: np.ndarray
-    residual: np.ndarray
+    theta_r11: np.ndarray  # (d, d, N, n, n)
+    theta_dual_r11: np.ndarray  # (d, d, N, n, n), pulled back
+    residual: np.ndarray  # (N,)
 
-    def at(self, i: int) -> DualCurvatureResult:
-        return DualCurvatureResult(
-            theta_r11=self.theta_r11[:, :, i],
-            theta_dual_r11=self.theta_dual_r11[:, :, i],
-            residual=float(self.residual[i]),
-        )
+    at = at_point
 
 
 def dual_curvature_field(
@@ -811,6 +722,6 @@ def dual_curvature_check(
     spec: KernelSpec,
     z,
     steps: FdSteps = FdSteps(),
-) -> DualCurvatureResult:
+) -> DualCurvatureField:
     """`dual_curvature_field` at one point z."""
     return dual_curvature_field(spec, as_point(z, spec.base_dim)[None], steps).at(0)

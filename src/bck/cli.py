@@ -148,8 +148,8 @@ def _parse_polynomial(entry, dim: int) -> dict:
 
 def _parse_polynomial_matrix(rows, dim: int) -> MatrixPolynomial:
     """An n x m matrix of polynomial entries as one MatrixPolynomial."""
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ConfigError("expected a matrix of polynomial entries")
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) and r for r in rows):
+        raise ConfigError("expected a nonempty matrix of polynomial entries")
     entries = [[_parse_polynomial(entry, dim) for entry in row] for row in rows]
     n, m = len(entries), len(entries[0])
     if any(len(row) != m for row in entries):
@@ -311,6 +311,12 @@ class AnalysisConfig:
             if not isinstance(sub, dict) or "frame" not in sub:
                 raise ConfigError("subbundle config needs a 'frame' polynomial matrix")
             frame = _parse_polynomial_matrix(sub["frame"], kernel.base_dim)
+            n, k = frame.shape
+            if n != kernel.fiber_dim or not 1 <= k <= n:
+                raise ConfigError(
+                    f"subbundle frame is {n} x {k}; it must be n x k with n = "
+                    f"{kernel.fiber_dim}, the fiber dimension, and 1 <= k <= n"
+                )
         if "subbundle" in ordered and frame is None:
             raise ConfigError("task 'subbundle' requires a 'subbundle.frame' config")
         output = raw.get("output", {})

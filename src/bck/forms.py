@@ -21,7 +21,7 @@ it evaluates a field once on the nodes of all points of an array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "delbar_norms",
     "as_point",
     "as_points",
+    "at_point",
     "Stencil",
     "inside_domain",
     "clear_of_boundary",
@@ -71,6 +72,24 @@ def as_points(z, dim: int) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
     return p
+
+
+def at_point(value, i: int):
+    """A field result at its point i: the same class with the point axis dropped.
+
+    The point axis is the first axis of per-point scalars (N,), which
+    become Python scalars, and of points (N, d); in every larger array it
+    is third from the end, before the fiber matrix.  Dataclasses (fields,
+    forms, metric jets) are taken field by field; anything else, such as a
+    method name or a missing jet order, is kept as it is.
+    """
+    if is_dataclass(value):
+        return replace(value, **{f.name: at_point(getattr(value, f.name), i) for f in fields(value)})
+    if not isinstance(value, np.ndarray):
+        return value
+    if value.ndim == 1:
+        return value[i].item()
+    return value[i] if value.ndim == 2 else value[..., i, :, :]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .forms import as_point, as_points
+from .forms import as_point, as_points, at_point
 from .linalg import (
     eig_margin,
     frob,
@@ -68,7 +68,6 @@ __all__ = [
     "rkhs_inner",
     "RkhsModel",
     "reproducing_check",
-    "AdmissibilityResult",
     "AdmissibilityField",
     "admissibility",
     "admissibility_field",
@@ -580,13 +579,6 @@ def reproducing_check(model: RkhsModel, coeffs, eta, t) -> float:
 
 
 @dataclass(frozen=True)
-class AdmissibilityResult:
-    invertible: bool
-    smallest_singular_value: float
-    norm: float
-
-
-@dataclass(frozen=True)
 class AdmissibilityField:
     """Invertibility margins of diagonal kernel blocks over an array of
     points, as (N,) arrays: kappa(s, s) counts as invertible when its
@@ -608,10 +600,7 @@ class AdmissibilityField:
         zero = np.zeros_like(self.norm)
         return np.divide(self.smallest_singular_value, self.norm, out=zero, where=self.norm > 0.0)
 
-    def at(self, i: int) -> AdmissibilityResult:
-        return AdmissibilityResult(
-            bool(self.invertible[i]), float(self.smallest_singular_value[i]), float(self.norm[i])
-        )
+    at = at_point
 
 
 def admissibility_field(spec: KernelSpec, points, tol: float = 1e-10) -> AdmissibilityField:
@@ -620,7 +609,7 @@ def admissibility_field(spec: KernelSpec, points, tol: float = 1e-10) -> Admissi
     return AdmissibilityField.of_blocks(spec.eval_batch(pts, pts), tol)
 
 
-def admissibility(spec: KernelSpec, s, tol: float = 1e-10) -> AdmissibilityResult:
+def admissibility(spec: KernelSpec, s, tol: float = 1e-10) -> AdmissibilityField:
     """Invertibility margin of the diagonal block kappa(s, s)."""
     return admissibility_field(spec, as_point(s, spec.base_dim)[None], tol).at(0)
 
@@ -662,18 +651,6 @@ def lemma51_consistency(
     """
     s = spec.point(s)
     n = spec.fiber_dim
-    block = eval_kernel(spec, s, s)
-    h = spec.fiber_metric(s)
-
-    norm_form = hermitize(h @ block)
-    evals = np.linalg.eigvalsh(norm_form)
-    injective = bool(evals[-1] > 0.0 and evals[0] >= tol * abs(evals[-1]))
-
-    adm = admissibility(spec, s, tol=tol)
-    invertible = adm.invertible
-
-    surjective = relative_rank(block, tol=tol) == n
-
     rng = np.random.default_rng(seed)
     sample = [s]
     for _ in range(max(4, n + 2)):
@@ -681,18 +658,24 @@ def lemma51_consistency(
         while not spec.contains(s + step):
             step = step / 2.0
         sample.append(s + step)
-    ev_matrix = np.hstack([eval_kernel(spec, s, t) for t in sample])
-    evaluation_surjective = relative_rank(ev_matrix, tol=tol) == n
+    blocks = spec.eval_batch(s, np.array(sample))  # kappa(s, t) for t in the sample, s first
+    block = blocks[0]
+
+    evals = np.linalg.eigvalsh(hermitize(spec.fiber_metric(s) @ block))
+    injective = bool(evals[-1] > 0.0 and evals[0] >= tol * abs(evals[-1]))
+    adm = AdmissibilityField.of_blocks(blocks[:1], tol).at(0)
+    surjective = relative_rank(block, tol=tol) == n
+    evaluation_rank = relative_rank(np.hstack(blocks), tol=tol)
 
     return Lemma51Report(
         injective=injective,
-        invertible=invertible,
+        invertible=adm.invertible,
         surjective=surjective,
-        evaluation_surjective=evaluation_surjective,
+        evaluation_surjective=evaluation_rank == n,
         details={
             "norm_form_margin": float(evals[0]),
             "smallest_singular_value": adm.smallest_singular_value,
-            "evaluation_rank": relative_rank(ev_matrix, tol=tol),
+            "evaluation_rank": evaluation_rank,
             "sample_size": len(sample),
         },
     )

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chern import CurvatureAtPoint, CurvatureField, MetricField
+from .chern import CurvatureField, MetricField
 from .errors import StructuralError
 from .forms import Form2, as_point, cauchy_riemann_residual, probe_tensor
 from .kernels import SectionKernel
@@ -216,12 +216,12 @@ _HERM_TOL = 1e-6
 def griffiths_form(h: np.ndarray, theta, x) -> np.ndarray:
     """Hermitian form G(x) = -i h Theta(x, i x) of a (1,1) curvature value.
 
-    `theta` may be a CurvatureAtPoint (its purity residual is gated at
-    1e-5 relative) or a bare Form2.  G scales as |lambda|^2 under
+    `theta` may be a one-point CurvatureField (its purity residual is
+    gated at 1e-5 relative) or a bare Form2.  G scales as |lambda|^2 under
     x -> lambda x; its hermiticity defect beyond `_HERM_TOL` (relative)
     raises.
     """
-    if isinstance(theta, CurvatureAtPoint):
+    if isinstance(theta, CurvatureField) and np.ndim(theta.purity_residual) == 0:
         if theta.purity_residual > 1e-5 * max(1.0, frob(theta.form.r11)):
             raise StructuralError(
                 f"curvature is not (1,1)-pure: residual {theta.purity_residual:.3e}"
@@ -230,7 +230,7 @@ def griffiths_form(h: np.ndarray, theta, x) -> np.ndarray:
     elif isinstance(theta, Form2):
         form = theta
     else:
-        raise TypeError("theta must be a CurvatureAtPoint or a Form2")
+        raise TypeError("theta must be a one-point CurvatureField or a Form2")
     x = as_point(x)
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     g = -1j * h @ form(x, 1j * x)
@@ -290,7 +290,7 @@ class GriffithsReport:
 
 def griffiths_verdict(
     metric: MetricField,
-    curvature_field: CurvatureField | Callable[[np.ndarray], CurvatureAtPoint],
+    curvature_field: CurvatureField | Callable[[np.ndarray], CurvatureField],
     points,
     directions: int = 64,
     seed: int = 0,
@@ -300,7 +300,7 @@ def griffiths_verdict(
     """Spectral verdict of the curvature's Griffiths form over a grid.
 
     `curvature_field` is either a CurvatureField over `points`, whose
-    metric values are reused, or a map z -> CurvatureAtPoint, first
+    metric values are reused, or a map z -> one-point CurvatureField, first
     collected point by point in grid order with h(z) from `metric`.
     Under Form2's antisymmetrised evaluation the (2,0) and (0,2) blocks
     vanish on (x, i x), so for point i and direction x_m

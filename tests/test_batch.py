@@ -12,12 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bck.chern import (
+    ConnectionField,
+    CurvatureField,
+    DualCurvatureField,
     FdSteps,
     MetricField,
+    SubbundleField,
     analytic_curvature_field,
     chern_connection,
     chern_connection_field,
     curvature,
+    dual_curvature_check,
+    dual_curvature_field,
     metric_from_kernel,
     nested_curvature_field,
     subbundle_field,
@@ -26,10 +32,13 @@ from bck.chern import (
 from bck.cli import AnalysisConfig, build_kernel, main, run_analyze
 from bck.errors import DomainError, SingularMetricError, StructuralError
 from bck.kernels import (
+    AdmissibilityField,
     ConstantKernel,
     DiscPowerKernel,
     GrassmannKernel,
     UserKernel,
+    admissibility,
+    admissibility_field,
     dual_kernel,
     eval_kernel,
 )
@@ -180,41 +189,70 @@ def test_kernel_metric_batch_reports_row_order_across_its_own_checks():
 
 
 def test_batched_fields_match_point_calls():
-    # the point functions are the one-point case of the fields; batching
-    # must not change the arithmetic beyond round-off amplified by the
-    # stencils (first differences: 1e-10, second and nested: 1e-7)
+    # the point functions are the one-point case of the fields: they return
+    # the field class with the point axis dropped, and batching must not
+    # change the arithmetic beyond round-off amplified by the stencils
+    # (first differences: 1e-10, second and nested: 1e-7)
     rng = np.random.default_rng(5)
-    metrics = [
-        metric_from_kernel(DiscPowerKernel(2)),
-        metric_from_kernel(GrassmannKernel(3, 1)),
-        metric_from_kernel(FAMILIES["from_sections"]),
-        poly_metric(rng, 2, 2),
-    ]
-    for m in metrics:
-        pts = 0.4 * (rng.uniform(-1, 1, (5, m.dim)) + 1j * rng.uniform(-1, 1, (5, m.dim)))
+    specs = [DiscPowerKernel(2), GrassmannKernel(3, 1), FAMILIES["from_sections"]]
+    cases = [(spec, metric_from_kernel(spec)) for spec in specs] + [(None, poly_metric(rng, 2, 2))]
+    for spec, m in cases:
+        d, n = m.dim, m.fiber_dim
+        pts = 0.4 * (rng.uniform(-1, 1, (5, d)) + 1j * rng.uniform(-1, 1, (5, d)))
         conn = chern_connection_field(m, pts, RICH)
         analytic = analytic_curvature_field(m, pts, RICH)
         nested = nested_curvature_field(m, pts, RICH)
         cscale = max(1.0, np.max(np.abs(conn.form.p)))
         rscale = max(1.0, np.max(np.abs(analytic.form.r11)))
         for i, z in enumerate(pts):
-            assert np.max(np.abs(conn.at(i).form.p - chern_connection(m, z, RICH).form.p)) <= 1e-10 * cscale
+            single = chern_connection(m, z, RICH)
+            assert type(single) is ConnectionField
+            assert conn.at(i).form.p.shape == (d, n, n) and conn.at(i).jet.h.shape == (n, n)
+            assert np.max(np.abs(conn.at(i).form.p - single.form.p)) <= 1e-10 * cscale
             single = curvature(m, z, RICH)
+            assert type(single) is CurvatureField
+            assert analytic.at(i).form.r11.shape == (d, d, n, n) and analytic.at(i).points.shape == (d,)
             assert np.max(np.abs(analytic.at(i).form.r11 - single.form.r11)) <= 1e-7 * rscale
+            assert type(single.pairing_residual) is float and type(analytic.at(i).pairing_residual) is float
             assert analytic.pairing_residual[i] == pytest.approx(single.pairing_residual, abs=1e-12)
             single = curvature(m, z, RICH, method="nested_fd")
             assert np.max(np.abs(nested.at(i).form.r11 - single.form.r11)) <= 1e-7 * rscale
+            assert type(single.purity_residual) is float
             assert nested.purity_residual[i] == pytest.approx(single.purity_residual, abs=1e-7 * rscale)
+        frame = lambda w: np.eye(n, 1, dtype=complex)
+        split = subbundle_split(m, frame, pts[0], RICH)
+        assert type(split) is SubbundleField and split.beta.shape == (d, n - 1, 1)
+        assert type(split.identity_residual) is float
+        if spec is None:
+            continue
+        dual = dual_curvature_field(spec, pts, RICH)
+        adm = admissibility_field(spec, pts)
+        sscale = max(1.0, np.max(adm.norm))
+        for i, z in enumerate(pts):
+            single = dual_curvature_check(spec, z, RICH)
+            assert type(single) is DualCurvatureField
+            assert dual.at(i).theta_dual_r11.shape == (d, d, n, n)
+            assert np.max(np.abs(dual.at(i).theta_dual_r11 - single.theta_dual_r11)) <= 1e-7 * rscale
+            assert type(single.residual) is float
+            assert dual.residual[i] == pytest.approx(single.residual, abs=1e-7 * rscale)
+            single = admissibility(spec, z)
+            assert type(single) is AdmissibilityField
+            assert type(single.invertible) is bool and single.invertible == adm.at(i).invertible
+            assert type(single.smallest_singular_value) is float
+            assert abs(adm.at(i).smallest_singular_value - single.smallest_singular_value) <= 1e-10 * sscale
+            assert abs(adm.at(i).norm - single.norm) <= 1e-10 * sscale
 
 
 def test_subbundle_reuses_precomputed_connection_and_curvature():
     rng = np.random.default_rng(101)
     amb = poly_metric(rng, 1, 3)
-    frame = lambda z: np.array([[1.0, 0.0], [z[0], 1.0], [0.0, z[0] ** 2]], dtype=complex)
-    z = np.array([0.1 + 0.2j])
-    fresh = subbundle_split(amb, frame, z, RICH)
-    shared = subbundle_split(amb, frame, z, RICH, ambient=curvature(amb, z, RICH))
-    assert fresh.identity_residual == shared.identity_residual
+    frame = lambda z: np.stack(
+        [np.array([[1.0, 0.0], [w[0], 1.0], [0.0, w[0] ** 2]], dtype=complex) for w in z]
+    )
+    pts = np.array([[0.1 + 0.2j], [-0.3j]])
+    fresh = subbundle_field(amb, frame, pts, RICH)
+    shared = subbundle_field(amb, frame, pts, RICH, ambient=analytic_curvature_field(amb, pts, RICH))
+    assert np.array_equal(fresh.identity_residual, shared.identity_residual)
     assert np.array_equal(fresh.beta, shared.beta)
 
 

@@ -1,5 +1,7 @@
 """Metric connections, curvature (two routes), compatibility, HS and subbundles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from bck.chern import (
     FdSteps,
     MetricField,
     chern_connection,
+    chern_connection_field,
+    compatibility_field,
     compatibility_residuals,
     curvature,
     dual_curvature_check,
@@ -73,7 +77,7 @@ def test_connection_disc_closed_form():
     m = disc_metric_field(1)
     conn = chern_connection(m, np.array([0.5]), RICH)
     assert abs(conn.form.p[0, 0, 0] - 2.0 / 3.0) <= 1e-9
-    assert conn.holo_defect == 0.0
+    assert np.all(conn.form.q == 0.0)
 
 
 def test_connection_constant_metric_vanishes():
@@ -193,29 +197,28 @@ def test_compatibility_constant_metric_exact():
 def test_compatibility_detects_antiholomorphic_perturbation():
     m = disc_metric_field(1)
     z = np.array([0.3])
-    conn = chern_connection(m, z, RICH)
+    conn = chern_connection_field(m, z[None], RICH)
     eps = 1e-3
     q = conn.form.q.copy()
-    q[0, 0, 0] += eps
-    perturbed = Form1(conn.form.p, q)
-    res = compatibility_residuals(m, z, RICH, connection=perturbed)
-    assert abs(res["holo"] - eps) <= 1e-15
+    q[0, 0, 0, 0] += eps
+    res = compatibility_field(replace(conn, form=Form1(conn.form.p, q)))
+    assert abs(res["holo"][0] - eps) <= 1e-15
 
 
 def test_uniqueness_surrogate_perturbations_violate_residuals():
     # a connection that differs from the metric one must break an identity
     m = disc_metric_field(1)
     z = np.array([0.3])
-    conn = chern_connection(m, z, RICH)
+    conn = chern_connection_field(m, z[None], RICH)
     eps = 1e-3
     p = conn.form.p.copy()
-    p[0, 0, 0] += eps
-    res = compatibility_residuals(m, z, RICH, connection=Form1(p, conn.form.q))
-    assert res["metric"] > 1e-4  # far above the 1e-8 compatibility budget
+    p[0, 0, 0, 0] += eps
+    res = compatibility_field(replace(conn, form=Form1(p, conn.form.q)))
+    assert res["metric"][0] > 1e-4  # far above the 1e-8 compatibility budget
     q = conn.form.q.copy()
-    q[0, 0, 0] += eps
-    res = compatibility_residuals(m, z, RICH, connection=Form1(conn.form.p, q))
-    assert res["holo"] > 1e-4
+    q[0, 0, 0, 0] += eps
+    res = compatibility_field(replace(conn, form=Form1(conn.form.p, q)))
+    assert res["holo"][0] > 1e-4
 
 
 # -- Hilbert-Schmidt bundles ----------------------------------------------------------

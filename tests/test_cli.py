@@ -76,6 +76,28 @@ def test_subbundle_task_requires_frame():
         AnalysisConfig.from_dict(base_config(tasks=["subbundle"]))
 
 
+ONE = [{"c": 1}]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"subbundle": {"frame": [[ONE], [ONE]]}, "tasks": ["subbundle"]},
+        {"subbundle": {"frame": [[ONE, ONE]]}, "tasks": ["subbundle"]},
+        {"subbundle": {"frame": [[]]}, "tasks": ["subbundle"]},
+        {"kernel": {"variant": "from_sections", "entries": [[]]}},
+    ],
+    ids=["frame-2x1", "frame-1x2", "frame-empty-row", "sections-empty-row"],
+)
+def test_malformed_polynomial_matrices_are_config_errors(tmp_path, capsys, overrides):
+    # the fiber of the nu = 2 disc is C^1, so the only frame shape is 1 x 1
+    cfg = base_config(kernel={"variant": "disc_power", "nu": 2})
+    cfg["grid"]["axes"][0].update(re_res=3, im_res=3)
+    cfg.update(overrides)
+    assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")

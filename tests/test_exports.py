@@ -30,3 +30,5 @@ def test_readme_quick_start_runs():
     for block in blocks:  # the second block reuses the first one's names
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["theta"].form.r11.shape == (1, 1, 3, 1, 1)
+    one = namespace["theta"].at(0)
+    assert isinstance(one, bck.CurvatureField) and one.form.r11.shape == (1, 1, 1, 1)

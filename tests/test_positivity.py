@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bck.chern import CurvatureAtPoint, FdSteps, MetricField, curvature, metric_from_kernel
+from bck.chern import (
+    CurvatureField,
+    FdSteps,
+    MetricField,
+    analytic_curvature_field,
+    curvature,
+    metric_from_kernel,
+)
 from bck.errors import StructuralError
 from bck.forms import Form2
 from bck.grids import ChartGrid
@@ -165,14 +172,20 @@ def test_griffiths_form_purity_gate():
         np.ones((1, 1, 1, 1), dtype=complex),
         np.zeros((1, 1, 1, 1), dtype=complex),
     )
-    from bck.chern import CurvatureAtPoint
-
-    curv = CurvatureAtPoint(
-        form=bad, point=np.zeros(1), method="nested_fd",
+    curv = CurvatureField(
+        points=np.zeros(1), h=np.eye(1), form=bad, method="nested_fd",
         purity_residual=1.0, pairing_residual=0.0,
     )
     with pytest.raises(StructuralError, match="pure"):
         griffiths_form(np.eye(1), curv, np.array([1.0]))
+
+
+def test_griffiths_form_rejects_a_field_over_several_points():
+    m = metric_from_kernel(DiscPowerKernel(1))
+    field = analytic_curvature_field(m, np.array([[0.1], [0.2j]]))
+    with pytest.raises(TypeError, match="one-point"):
+        griffiths_form(field.h[0], field, np.array([1.0]))
+    assert griffiths_form(field.h[0], field.at(0), np.array([1.0])).shape == (1, 1)
 
 
 def test_griffiths_form_hermiticity_gate():
@@ -261,8 +274,8 @@ def _block_field(rng, dim, n, count, hermitian_pairing=True):
         if hermitian_pairing:
             b = 0.5 * (b + np.conj(np.swapaxes(b, 0, 1).swapaxes(2, 3)))
         form = Form2(cmat(rng, dim, dim, n, n), np.linalg.solve(h, b), cmat(rng, dim, dim, n, n))
-        curv = CurvatureAtPoint(
-            form=form, point=z, method="analytic_expansion",
+        curv = CurvatureField(
+            points=z, h=h, form=form, method="analytic_expansion",
             purity_residual=float(rng.uniform()), pairing_residual=0.0,
         )
         fields[z.tobytes()] = (h, curv)
