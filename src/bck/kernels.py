@@ -39,13 +39,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .forms import as_point, as_points, at_point
-from .linalg import (
-    eig_margin,
-    frob,
-    hermitize,
-    mgs_orthonormalize,
-    relative_rank,
-)
+from .linalg import frob, hermitize, mgs_orthonormalize, relative_rank
 from .polys import MatrixPolynomial
 
 __all__ = [
@@ -449,21 +443,31 @@ def dual_kernel(spec: KernelSpec) -> DualKernel:
 
 @dataclass
 class GramMatrix:
-    """Kernel blocks over a finite point set and their Hermitian assembly.
+    """The positivity quadratic form of a kernel over a finite point set.
 
-    `blocks[l, j]` holds kappa(t_l, t_j); `assembled` is the
-    (N n) x (N n) matrix of the positivity quadratic form, i.e. the
-    blocks weighted by the fiber metrics h0(t_l).  For the trivial-bundle
-    families the two coincide.
+    `assembled` is the Hermitian part of the (N n) x (N n) matrix whose
+    (l, j) block is h0(t_l) kappa(t_l, t_j), the kernel blocks weighted
+    by the fiber metrics; `defect` is the relative hermiticity defect
+    ||a - a*|| / max(1, ||a||) of that matrix before it was made
+    Hermitian.  The blocks themselves are
+    `spec.eval_batch(points[:, None], points[None])`.
     """
 
     points: np.ndarray  # (N, d)
-    blocks: np.ndarray  # (N, N, n, n)
-    assembled: np.ndarray  # (N n, N n)
+    assembled: np.ndarray  # (N n, N n), Hermitian
+    defect: float
+
+
+_GRAM_CHUNKS = 8  # row chunks of the assembly: the kernel blocks of one chunk are alive at a time
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Assemble kernel blocks over a point list."""
+    """Assemble the weighted kernel blocks over a point list, in place.
+
+    The blocks are evaluated in chunks of rows and multiplied by h0
+    straight into the (N n) x (N n) layout; the matrix is then made
+    Hermitian tile by tile, so no full-size temporary is made.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     if pts.shape[0] < 1:
         raise ValueError("need at least one sample point")
@@ -474,21 +478,47 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     n = spec.fiber_dim
     npts = pts.shape[0]
     metrics = spec.fiber_metric_batch(pts)
-    blocks = spec.eval_batch(pts[:, None, :], pts[None, :, :])
-    # the weighted blocks are a temporary: only blocks and the assembly stay alive
-    assembled = (metrics[:, None] @ blocks).transpose(0, 2, 1, 3).reshape(npts * n, npts * n)
-    return GramMatrix(points=pts, blocks=blocks, assembled=assembled)
+    assembled = np.empty((npts * n, npts * n), dtype=complex)
+    by_block = assembled.reshape(npts, n, npts, n).transpose(0, 2, 1, 3)
+    step = -(-npts // _GRAM_CHUNKS)
+    chunks = [slice(r, r + step) for r in range(0, npts, step)]
+    for rows in chunks:
+        blocks = spec.eval_batch(pts[rows, None, :], pts[None, :, :])
+        np.matmul(metrics[rows, None], blocks, out=by_block[rows])
+    defect = _hermitize_in_place(assembled, [slice(c.start * n, c.stop * n) for c in chunks])
+    return GramMatrix(points=pts, assembled=assembled, defect=defect)
+
+
+def _hermitize_in_place(a: np.ndarray, cuts: list[slice]) -> float:
+    """Overwrite the square matrix `a` with its Hermitian part, one pair of
+    tiles (rows, cols) and (cols, rows) at a time, with the bits of
+    `hermitize`; return the relative defect of `a` as given."""
+    skew = norm = 0.0
+    for i, rows in enumerate(cuts):
+        for cols in cuts[i:]:
+            x, y = a[rows, cols], a[cols, rows]
+            mirror = cols is not rows  # then (cols, rows) is a second tile, holding -d*
+            d = x - y.conj().T
+            skew += (1 + mirror) * np.vdot(d, d).real
+            norm += np.vdot(x, x).real + mirror * np.vdot(y, y).real
+            upper = 0.5 * (x + y.conj().T)
+            a[cols, rows] = 0.5 * (y + x.conj().T)
+            a[rows, cols] = upper
+    return float(np.sqrt(skew) / max(1.0, np.sqrt(norm)))
 
 
 def psd_check(gram_matrix: GramMatrix) -> float:
-    """Smallest eigenvalue of the Hermitianized Gram assembly.
+    """Smallest eigenvalue of the Hermitian Gram assembly.
 
     The caller compares the margin with its own tolerance.  Raises
-    StructuralError if the assembly is not Hermitian within 1e-10
+    StructuralError if the raw assembly was not Hermitian within 1e-10
     (relative), which signals broken kernel symmetry rather than
     curable noise.
     """
-    return eig_margin(gram_matrix.assembled)
+    defect = gram_matrix.defect
+    if defect > 1e-10:
+        raise StructuralError(f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
+    return float(np.linalg.eigvalsh(gram_matrix.assembled)[0])
 
 
 def rkhs_inner(spec: KernelSpec, left: tuple, right: tuple) -> complex:
@@ -521,8 +551,7 @@ class RkhsModel:
         self.spec = spec
         self.gram = gram(spec, points)
         self.points = self.gram.points
-        sym = hermitize(self.gram.assembled)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(sym)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.gram.assembled)
 
     @property
     def generator_count(self) -> int:
@@ -591,7 +620,10 @@ class AdmissibilityField:
 
     @classmethod
     def of_blocks(cls, blocks: np.ndarray, tol: float = 1e-10) -> "AdmissibilityField":
-        s = np.linalg.svd(blocks, compute_uv=False)
+        if blocks.shape[-1] == 1:  # the singular value of a 1 x 1 block is its modulus
+            s = np.abs(blocks[..., 0])
+        else:
+            s = np.linalg.svd(blocks, compute_uv=False)
         return cls((s[:, 0] > 0.0) & (s[:, -1] >= tol * s[:, 0]), s[:, -1], s[:, 0])
 
     @property

@@ -18,7 +18,6 @@ __all__ = [
     "max_frob",
     "hermitize",
     "hermiticity_defect",
-    "eig_margin",
     "mgs_orthonormalize",
     "relative_rank",
 ]
@@ -48,22 +47,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     """Frobenius norm of a - a*, relative to max(1, ||a||)."""
     a = np.asarray(a)
     return frob(a - a.conj().T) / max(1.0, frob(a))
-
-
-def eig_margin(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitianized matrix.
-
-    Raises
-    ------
-    StructuralError
-        If `a` is not Hermitian within 1e-10 (relative to max(1, ||a||));
-        a broken symmetry means the caller assembled the matrix from an
-        inconsistent source and an eigenvalue margin would be meaningless.
-    """
-    defect = hermiticity_defect(a)
-    if defect > 1e-10:
-        raise StructuralError(f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
 def relative_rank(a: np.ndarray, tol: float = 1e-10) -> int:

@@ -301,7 +301,7 @@ def griffiths_verdict(
 
     `curvature_field` is either a CurvatureField over `points`, whose
     metric values are reused, or a map z -> one-point CurvatureField, first
-    collected point by point in grid order with h(z) from `metric`.
+    collected point by point in grid order with h(z) from each field.
     Under Form2's antisymmetrised evaluation the (2,0) and (0,2) blocks
     vanish on (x, i x), so for point i and direction x_m
 
@@ -325,11 +325,12 @@ def griffiths_verdict(
     if isinstance(curvature_field, CurvatureField):
         h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
     else:
-        h, curvs = zip(*[(metric(z), curvature_field(z)) for z in pts])
+        curvs = [curvature_field(z) for z in pts]
+        h = np.stack([c.h for c in curvs])
         r11 = np.stack([c.form.r11 for c in curvs], axis=2)
         purity = [c.purity_residual for c in curvs]
     s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11)
-    g = 2.0 * np.matmul(np.asarray(h)[:, None], s)
+    g = 2.0 * np.matmul(h[:, None], s)
     g_adj = np.swapaxes(g, -1, -2).conj()
     defects = np.linalg.norm(g - g_adj, axis=(-2, -1)) / np.maximum(
         1.0, np.linalg.norm(g, axis=(-2, -1))

@@ -1,13 +1,20 @@
 """Kernel families, Gram positivity, the sampled section space, admissibility."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from bck.chern import metric_from_kernel
 from bck.errors import DomainError, StructuralError
 from bck.kernels import (
+    AdmissibilityField,
     ConstantKernel,
     DiscPowerKernel,
     GrassmannKernel,
+    KernelSpec,
     RkhsModel,
     SectionKernel,
     Subspace,
@@ -16,6 +23,7 @@ from bck.kernels import (
     dual_kernel,
     eval_kernel,
     evaluation_adjoint_check,
+    from_sections,
     gram,
     lemma51_consistency,
     psd_check,
@@ -23,6 +31,8 @@ from bck.kernels import (
     rkhs_inner,
     universal_kernel,
 )
+from bck.linalg import hermiticity_defect, hermitize
+from bck.polys import MatrixPolynomial
 
 from _fields import cmat, full_rank_sections
 
@@ -102,7 +112,7 @@ def test_gram_constant_kernel_blocks():
     g = gram(ConstantKernel(m), np.zeros((3, 1)))
     for l in range(3):
         for j in range(3):
-            assert np.array_equal(g.blocks[l, j], m)
+            assert np.array_equal(g.assembled[2 * l : 2 * l + 2, 2 * j : 2 * j + 2], m)
 
 
 def test_psd_check_disc_positive():
@@ -122,9 +132,79 @@ def test_psd_check_single_point_scalar():
 
 
 def test_psd_check_rejects_broken_symmetry():
+    # a = ones(2, 2) (x) M: ||a - a*|| = sqrt(8), ||a|| = 2
     g = gram(ConstantKernel(np.array([[0.0, 1.0], [0.0, 0.0]])), np.zeros((2, 1)))
-    with pytest.raises(StructuralError, match="Hermitian"):
+    message = "matrix is not Hermitian: relative defect 1.414e+00 > 1.0e-10"
+    with pytest.raises(StructuralError, match=re.escape(message)):
         psd_check(g)
+
+
+def _section_kernel(rng, dim, shape):
+    return from_sections(MatrixPolynomial.random(rng, dim, shape, degree=2, holomorphic=True), base_dim=dim)
+
+
+def test_gram_and_psd_check_hold_little_more_than_one_gram_matrix():
+    rng = np.random.default_rng(3)
+    spec = _section_kernel(rng, 2, (2, 3))
+    pts = 0.5 * cmat(rng, 200, 2)
+    size = (200 * 2) ** 2 * 16
+    psd_check(gram(spec, pts))  # lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        psd_check(gram(spec, pts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size, peak / size
+
+
+class _Skewed(KernelSpec):
+    """A kernel plus a constant block, which breaks the kernel symmetry."""
+
+    def __init__(self, base, skew):
+        self.base, self.skew = base, skew
+        self.variant, self.fiber_dim, self.base_dim = "skewed", base.fiber_dim, base.base_dim
+
+    def eval_many(self, z, w):
+        return self.base.eval_many(z, w) + self.skew
+
+    def fiber_metric_batch(self, z):
+        return self.base.fiber_metric_batch(z)
+
+    def contains_batch(self, z):
+        return self.base.contains_batch(z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["disc", "grassmann", "sections"]),
+    count=st.integers(1, 20),
+    log_skew=st.one_of(st.just(None), st.floats(-15.0, -6.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_psd_margin_and_gate_match_the_hermitized_assembly(family, count, log_skew, seed):
+    rng = np.random.default_rng(seed)
+    if family == "disc":
+        base, pts = DiscPowerKernel(2), disc_points(rng, count)
+    elif family == "grassmann":  # a fiber metric other than the identity
+        base, pts = GrassmannKernel(4, 2), 0.5 * cmat(rng, count, 4)
+    else:
+        base, pts = _section_kernel(rng, 1, (2, 3)), 0.5 * cmat(rng, count, 1)
+    n = base.fiber_dim
+    skew = 0.0 if log_skew is None else 10.0**log_skew * cmat(rng, n, n)
+    spec = _Skewed(base, skew)
+    blocks = spec.fiber_metric_batch(pts)[:, None] @ spec.eval_batch(pts[:, None], pts[None])
+    a = blocks.transpose(0, 2, 1, 3).reshape(count * n, count * n)
+    g = gram(spec, pts)
+    assert np.array_equal(g.assembled, hermitize(a))
+    defect = hermiticity_defect(a)
+    assert g.defect == pytest.approx(defect, rel=1e-12, abs=0.0)
+    assume(not 0.5e-10 <= defect <= 2e-10)
+    if defect > 1e-10:
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            psd_check(g)
+    else:
+        assert psd_check(g) == np.linalg.eigvalsh(hermitize(a))[0]
 
 
 def test_psd_stability_across_builtins():
@@ -293,6 +373,27 @@ def test_admissibility_disc_and_degenerate_sections():
     k = SectionKernel(lambda z: np.array([[z[0]]], dtype=complex))
     assert not admissibility(k, np.array([0.0])).invertible
     assert admissibility(GrassmannKernel(3, 1), np.array([0.2, 0.3j])).invertible
+
+
+def test_rank_one_admissibility_takes_the_modulus(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(8)
+    metric_from_kernel(DiscPowerKernel(2)).batch(disc_points(rng, 30))
+    assert calls == []
+    metric_from_kernel(_section_kernel(rng, 1, (2, 3))).batch(0.5 * cmat(rng, 30, 1))
+    assert calls != []
+    # the disc's diagonal blocks are real: |kappa| has the bits of svd
+    blocks = DiscPowerKernel(2).eval_batch(*[disc_points(rng, 500)] * 2)
+    adm = AdmissibilityField.of_blocks(blocks)
+    s = svd(blocks, compute_uv=False)
+    assert np.array_equal(adm.norm, s[:, 0]) and np.array_equal(adm.smallest_singular_value, s[:, -1])
+    # complex blocks: both round the modulus within 2 ulps, apart by at most 2
+    blocks = cmat(rng, 500, 1, 1)
+    norm = AdmissibilityField.of_blocks(blocks).norm
+    s = svd(blocks, compute_uv=False)[:, 0]
+    assert np.abs(norm.view(np.int64) - s.view(np.int64)).max() <= 2
 
 
 def test_lemma51_all_true_cases():

@@ -244,6 +244,19 @@ def test_verdict_deterministic_given_seed():
     assert np.array_equal(a.directions, b.directions)
 
 
+def test_verdict_takes_h_from_the_collected_fields(monkeypatch):
+    # the map route reads h off each one-point CurvatureField: one metric
+    # batch per point (its curvature jet), none for h itself
+    m = metric_from_kernel(DiscPowerKernel(2))
+    calls = []
+    batch = MetricField.batch
+    monkeypatch.setattr(MetricField, "batch", lambda self, p: calls.append(len(p)) or batch(self, p))
+    pts = ChartGrid.square(-0.5, 0.5, 4).points()[:10]
+    report = _verdict_for_metric(m, pts, directions=8)
+    assert len(pts) == 10 and len(calls) == 10
+    assert report.verdict == "positive"
+
+
 def test_verdict_congruence_invariance():
     # a holomorphic frame change congruence-transforms every Griffiths
     # form, so the verdict (sign pattern) is unchanged
