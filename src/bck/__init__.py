@@ -32,7 +32,6 @@ from .forms import (
     Form1,
     Form2,
     cauchy_riemann_residual,
-    del_delbar,
     exterior_derivative,
     split_bilinear,
     split_linear,

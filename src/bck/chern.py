@@ -99,6 +99,11 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
+# Rows of a metric batch evaluated and validated at once: the bound on
+# the temporaries of one `MetricField.batch` call, whatever its length.
+_ROWS = 2048
+
+
 def _first_false(ok: np.ndarray) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
@@ -146,9 +151,18 @@ class MetricField:
         the function's own checks, shape, finiteness, hermiticity and
         singularity.  The error raised is the one a row-by-row loop would
         raise: each check runs only on the rows before the first failure of
-        an earlier check, and the earliest failing row wins.
+        an earlier check, and the earliest failing row wins.  Rows are
+        evaluated and checked `_ROWS` at a time, in order, and the first
+        chunk that fails raises.
         """
         pts = as_points(points, self.dim).reshape(-1, self.dim)
+        out = np.empty((len(pts), self.fiber_dim, self.fiber_dim), dtype=complex)
+        for start in range(0, len(pts), _ROWS):
+            out[start : start + _ROWS] = self._checked(pts[start : start + _ROWS])
+        return out
+
+    def _checked(self, pts: np.ndarray) -> np.ndarray:
+        """h at each row of `pts`, through every check of `batch`."""
         error = None
         if self.domain is not None:
             i = _first_false(inside_domain(self.domain, pts))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -54,14 +55,10 @@ from .kernels import (
     gram,
     psd_check,
 )
+from .linalg import Sampler
 from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
 from .selfcheck import run_selfcheck
-
-# numpy loads numpy.random lazily; loading it with this module keeps its
-# import cost out of the timing of the first task that draws.  It comes
-# after the package imports: before them it raised the peak RSS of a run.
-import numpy.random  # noqa: E402,F401  # isort: skip
 
 __all__ = [
     "ConfigError",
@@ -117,6 +114,16 @@ def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"cannot read {value!r} as a complex number")
+
+
+def _finite(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, not {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, not {value!r}")
+    return number
 
 
 def _parse_matrix(rows) -> np.ndarray:
@@ -273,8 +280,8 @@ class AnalysisConfig:
             )
         fd_cfg = raw.get("fd_steps", raw.get("fd", {}))
         steps = FdSteps(
-            first=float(fd_cfg.get("first", 1e-5)),
-            second=float(fd_cfg.get("second", 1e-4)),
+            first=_finite(fd_cfg.get("first", 1e-5), "fd_steps.first"),
+            second=_finite(fd_cfg.get("second", 1e-4), "fd_steps.second"),
             richardson=bool(fd_cfg.get("richardson", False)),
         )
         if steps.first <= 0 or steps.second <= 0:
@@ -283,7 +290,7 @@ class AnalysisConfig:
         for key, value in raw.get("tolerances", {}).items():
             if key not in tolerances:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            tolerances[key] = float(value)
+            tolerances[key] = _finite(value, f"tolerance {key!r}")
         tasks = raw.get("tasks", [])
         if not isinstance(tasks, list) or not tasks:
             raise ConfigError("'tasks' must be a nonempty list")
@@ -299,6 +306,8 @@ class AnalysisConfig:
                 seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"BCK_SEED must be an integer: {env_seed!r}") from exc
+        if seed < 0:
+            raise ConfigError(f"the seed must be >= 0, not {seed}")
         count = int(directions.get("count", 64))
         if count < 0:
             raise ConfigError("direction count must be >= 0")
@@ -431,7 +440,7 @@ def _task_psd(ctx: RunContext) -> dict:
     grid box inside the kernel domain.  Each round draws only the
     shortfall, re before im per axis, so the points are the first accepted
     ones of a point-by-point rejection loop; at most 1000 draws per point."""
-    rng = np.random.default_rng(ctx.config.seed)
+    rng = Sampler(ctx.config.seed)
     grid, wanted = ctx.config.grid, ctx.config.psd_points
     lo = np.stack([grid.re_lo, grid.im_lo], axis=-1)
     hi = np.stack([grid.re_hi, grid.im_hi], axis=-1)
@@ -570,10 +579,10 @@ def _task_griffiths(ctx: RunContext) -> dict:
 
 def _task_theorem55(ctx: RunContext) -> dict:
     kernel = ctx.kernel
-    rng = np.random.default_rng(ctx.config.seed)
+    rng = Sampler(ctx.config.seed)
     sub = ctx.points
     if sub.shape[0] > 25:
-        idx = rng.choice(sub.shape[0], size=25, replace=False)
+        idx = rng.choice(sub.shape[0], size=25)
         idx.sort()
         sub = sub[idx]
     cr_worst = 0.0
@@ -843,22 +852,22 @@ def main(argv=None) -> int:
 
     try:
         report = run_analyze(config)
+        # serialising checks every number: a non-finite one is structural
+        text = report.to_json() + "\n"
+        out_path = args.out or config.output_report
+        if out_path:
+            _atomic_write(out_path, text)
+        else:
+            print(text, end="")
+        csv_dir = args.csv or config.output_csv_dir
+        if csv_dir:
+            _write_csv_fields(report, csv_dir)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except (StructuralError, SingularMetricError) as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 4
-
-    out_path = args.out or config.output_report
-    text = report.to_json() + "\n"
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
-        print(text, end="")
-    csv_dir = args.csv or config.output_csv_dir
-    if csv_dir:
-        _write_csv_fields(report, csv_dir)
     return report.exit_code
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "wedge",
     "wirtinger_first",
     "exterior_derivative",
-    "del_delbar",
     "cauchy_riemann_residual",
     "delbar_norms",
     "as_point",
@@ -607,24 +606,6 @@ def exterior_derivative(
     z = as_point(z)
     stencil = Stencil(z.size, first=step, richardson=richardson)
     return stencil.exterior_derivative(stencil.on_points(_each_node(field), z[None], domain))
-
-
-def del_delbar(
-    f: Callable[[np.ndarray], np.ndarray],
-    z,
-    step,
-    richardson: bool = False,
-    domain=None,
-) -> tuple[Form1, Form1]:
-    """The operators d = del + delbar split for a 0-form field.
-
-    Returns (del f, delbar f): the first carries only dz coefficients,
-    the second only dzbar coefficients, and their sum is the full
-    differential df.
-    """
-    p, q = wirtinger_first(f, z, step, richardson=richardson, domain=domain)
-    zero = np.zeros_like(p)
-    return Form1(p, zero), Form1(zero.copy(), q)
 
 
 def delbar_norms(

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .forms import as_point, as_points, at_point
-from .linalg import frob, hermitize, mgs_orthonormalize, relative_rank
+from .linalg import Sampler, frob, hermitize, mgs_orthonormalize, relative_rank
 from .polys import MatrixPolynomial
 
 __all__ = [
@@ -683,7 +683,7 @@ def lemma51_consistency(
     """
     s = spec.point(s)
     n = spec.fiber_dim
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     sample = [s]
     for _ in range(max(4, n + 2)):
         step = 0.1 * (rng.standard_normal(spec.base_dim) + 1j * rng.standard_normal(spec.base_dim))

@@ -2,18 +2,20 @@
 
 Everything here operates on modest complex matrices (fibers of dimension
 <= 8, Gram matrices of a few hundred rows), so plain LAPACK calls via
-numpy are the right tool.
+numpy are the right tool.  `Sampler` makes the package's seeded draws.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
 from .errors import StructuralError
 
 __all__ = [
+    "Sampler",
     "frob",
     "max_frob",
     "hermitize",
@@ -21,6 +23,64 @@ __all__ = [
     "mgs_orthonormalize",
     "relative_rank",
 ]
+
+
+class Sampler:
+    """Seeded draws from the stdlib Mersenne Twister (`random.Random(seed)`).
+
+    It offers the few `numpy.random.Generator` methods the package calls,
+    so a run never imports `numpy.random`.  Uniforms carry 53 random bits
+    each, (u64 >> 11) 2^-53, taken in one `randbytes` call per draw and
+    filled in C order: a uniform draw of shape (k, ...) equals k draws of
+    shape (...) in a row.  Normals come from pairs of uniforms by
+    Box-Muller, made `_NORMALS` at a time and handed out in order, so a
+    small draw costs no more than a slice.
+    """
+
+    _NORMALS = 1024
+
+    def __init__(self, seed: int):
+        if seed < 0:  # random.Random would take -seed and seed to one stream
+            raise ValueError(f"seed must be >= 0, not {seed}")
+        self._random = random.Random(seed)
+        self._normals = np.empty(0)
+        self._next = 0
+
+    def _unit(self, count: int) -> np.ndarray:
+        """`count` uniforms in [0, 1)."""
+        raw = np.frombuffer(self._random.randbytes(8 * count), dtype="<u8")
+        return (raw >> np.uint64(11)) * 2.0**-53
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        """Uniforms in [low, high) of shape `size`; `low` and `high` broadcast to it."""
+        u = self._unit(_count(size)).reshape(size)
+        return np.add(low, np.subtract(high, low) * u)
+
+    def standard_normal(self, size) -> np.ndarray:
+        """Standard normals of shape `size`, the next ones of the stream."""
+        count = _count(size)
+        if self._next + count > len(self._normals):
+            u = self._unit(2 * max(count, self._NORMALS)).reshape(-1, 2)
+            pairs = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.exp(2j * math.pi * u[:, 1])
+            self._normals = np.concatenate([self._normals[self._next :], pairs.view(float)])
+            self._next = 0
+        out = self._normals[self._next : self._next + count]
+        self._next += count
+        return out.reshape(size)
+
+    def integers(self, low: int, high: int) -> int:
+        """One integer in [low, high)."""
+        return self._random.randrange(low, high)
+
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """`size` distinct integers of [0, n), in draw order: numpy's
+        `choice(n, size, replace=False)`."""
+        return np.array(self._random.sample(range(n), size))
+
+
+def _count(size) -> int:
+    """The number of entries of an array of shape `size` (an int or a tuple)."""
+    return math.prod(size) if isinstance(size, tuple) else int(size)
 
 
 def frob(a: np.ndarray) -> float:

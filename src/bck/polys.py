@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import as_points
+from .linalg import Sampler
 
 __all__ = ["MatrixPolynomial"]
 
@@ -92,7 +93,7 @@ class MatrixPolynomial:
     @classmethod
     def random(
         cls,
-        rng: np.random.Generator,
+        rng: Sampler | np.random.Generator,
         dim: int,
         shape: tuple[int, ...],
         degree: int = 3,
@@ -100,7 +101,8 @@ class MatrixPolynomial:
         amplitude: float = 1.0,
         terms: int = 6,
     ) -> "MatrixPolynomial":
-        """Random polynomial of total degree <= `degree`."""
+        """Random polynomial of total degree <= `degree`, drawn from `rng`
+        through its `integers` and `standard_normal` methods."""
         out = {}
         for _ in range(terms):
             total = int(rng.integers(0, degree + 1))
@@ -118,7 +120,7 @@ class MatrixPolynomial:
         return cls(dim, out, shape=shape)
 
 
-def _random_multi_index(rng: np.random.Generator, dim: int, total: int) -> tuple:
+def _random_multi_index(rng: Sampler | np.random.Generator, dim: int, total: int) -> tuple:
     idx = [0] * dim
     for _ in range(total):
         idx[int(rng.integers(0, dim))] += 1

@@ -33,7 +33,7 @@ from .chern import CurvatureField, MetricField
 from .errors import StructuralError
 from .forms import Form2, as_point, cauchy_riemann_residual, probe_tensor
 from .kernels import SectionKernel
-from .linalg import frob, hermiticity_defect, hermitize, max_frob
+from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
 
 __all__ = [
     "BilinearSamples",
@@ -247,7 +247,7 @@ def direction_samples(dim: int, count: int, seed: int) -> np.ndarray:
     `count` seeded uniform points on the unit sphere of C^d."""
     basis = np.eye(dim, dtype=complex)
     dirs = [basis[j] for j in range(dim)] + [1j * basis[j] for j in range(dim)]
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     for _ in range(count):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         nrm = np.linalg.norm(v)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import forms
 from .forms import Form0, Form1, Stencil, form_norm, split_bilinear, split_linear
-from .linalg import frob, max_frob
+from .linalg import Sampler, frob, max_frob
 from .polys import MatrixPolynomial
 from .positivity import triple_join, triple_split
 
@@ -221,7 +221,7 @@ def _check_triple(rng, results):
 
 def run_selfcheck(seed: int = 0) -> list[dict]:
     """Run the invariant corpus; returns one pass/fail entry per check."""
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     results: list[dict] = []
     _check_projectors(rng, results)
     _check_bilinear_split(rng, results)

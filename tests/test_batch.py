@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bck.chern import (
+    _ROWS,
     ConnectionField,
     CurvatureField,
     DualCurvatureField,
@@ -30,7 +31,7 @@ from bck.chern import (
     subbundle_split,
 )
 from bck.cli import AnalysisConfig, build_kernel, main, run_analyze
-from bck.errors import DomainError, SingularMetricError, StructuralError
+from bck.errors import BckError, DomainError, SingularMetricError, StructuralError
 from bck.kernels import (
     AdmissibilityField,
     ConstantKernel,
@@ -186,6 +187,55 @@ def test_kernel_metric_batch_reports_row_order_across_its_own_checks():
         metric.batch(pts)
     with pytest.raises(SingularMetricError, match=r"admissible at \[0.2"):
         metric.batch(pts[2:])
+
+
+def test_metric_batch_over_several_chunks_equals_the_chunks_one_by_one():
+    metric = metric_from_kernel(GrassmannKernel(3, 1))
+    rows = []
+    batch_func = metric.batch_func
+    metric.batch_func = lambda z: rows.append(len(z)) or batch_func(z)
+    count = 2 * _ROWS + 5
+    t = np.linspace(0.0, 1.0, count)
+    pts = np.stack([0.4 * t * np.exp(7j * t), 0.3 * np.exp(-3j * t)], axis=-1)
+    whole = metric.batch(pts)
+    assert rows == [_ROWS, _ROWS, 5]
+    chunks = [metric.batch(pts[i : i + _ROWS]) for i in range(0, count, _ROWS)]
+    assert np.array_equal(whole, np.concatenate(chunks))
+
+
+class _BelowTen:
+    def contains_batch(self, z):
+        return z[..., 0].real < 10.0
+
+    def boundary_distance_batch(self, z):
+        return 10.0 - z[..., 0].real
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [(DomainError, SingularMetricError), (SingularMetricError, DomainError)],
+)
+def test_metric_batch_failure_in_a_later_chunk_is_the_row_by_row_error(first, later):
+    # a point with re z >= 10 is outside the domain and one with im z != 0
+    # has a singular metric; the first failure sits in the second chunk,
+    # the other kind after it in the third
+    def batch_func(z):
+        return (z[:, 0].imag == 0).astype(complex)[:, None, None]
+
+    metric = MetricField(None, 1, 1, domain=_BelowTen(), batch_func=batch_func)
+    pts = np.linspace(0.0, 1.0, 2 * _ROWS + 10).astype(complex)[:, None]
+    bad = {DomainError: 20.0, SingularMetricError: 0.5 + 1j}
+    pts[_ROWS + 3, 0], pts[2 * _ROWS + 1, 0] = bad[first], bad[later]
+    with pytest.raises(first) as batched:
+        metric.batch(pts)
+    for row in pts:
+        try:
+            metric(row)
+        except BckError as exc:
+            looped = exc
+            break
+    assert type(looped) is first and str(batched.value) == str(looped)
+    assert str(pts[_ROWS + 3]) in str(looped)
 
 
 def test_batched_fields_match_point_calls():

@@ -3,6 +3,9 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +17,7 @@ import bck.forms
 import bck.kernels
 import bck.polys
 from bck.cli import (
+    TASK_ORDER,
     AnalysisConfig,
     ConfigError,
     main,
@@ -23,6 +27,7 @@ from bck.cli import (
 )
 from bck.errors import DomainError, StructuralError
 from bck.kernels import UserKernel, gram, psd_check
+from bck.linalg import Sampler
 from bck.selfcheck import run_selfcheck
 
 
@@ -98,6 +103,37 @@ def test_malformed_polynomial_matrices_are_config_errors(tmp_path, capsys, overr
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"tolerances": {"psd": float("nan")}}, "tolerance 'psd' must be finite, not nan"),
+        ({"tolerances": {"dual": float("inf")}}, "tolerance 'dual' must be finite, not inf"),
+        ({"fd_steps": {"first": float("nan")}}, "fd_steps.first must be finite, not nan"),
+        ({"fd_steps": {"second": float("inf")}}, "fd_steps.second must be finite, not inf"),
+        ({"tolerances": {"psd": [1e-8]}}, "tolerance 'psd' must be a number, not [1e-08]"),
+        ({"directions": {"seed": -7}}, "the seed must be >= 0, not -7"),
+    ],
+    ids=["nan-tolerance", "inf-tolerance", "nan-first-step", "inf-second-step",
+         "list-tolerance", "negative-seed"],
+)
+def test_non_finite_tolerances_and_steps_are_config_errors(tmp_path, capsys, overrides, message):
+    out = tmp_path / "report.json"
+    path = write_config(tmp_path, base_config(**overrides))
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys):
+    # the report echoes the whole config, so a NaN under a key no check
+    # reads reaches serialisation, which now runs inside the guarded region
+    out = tmp_path / "report.json"
+    path = write_config(tmp_path, base_config(tasks=["psd"], note=float("nan")))
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("structural error: report contains a non-finite")
+    assert not out.exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")
@@ -158,13 +194,13 @@ def test_psd_sample_matches_point_by_point_rejection_loop(monkeypatch):
         samples={"psd_points": 40},
     )
     config = AnalysisConfig.from_dict(cfg)
-    rng = np.random.default_rng(config.seed)
+    rng = Sampler(config.seed)
     grid, pts, rejected = config.grid, [], 0
     while len(pts) < config.psd_points:
         z = np.empty(grid.dim, dtype=complex)
         for j in range(grid.dim):
-            re = rng.uniform(grid.re_lo[j], grid.re_hi[j])
-            im = rng.uniform(grid.im_lo[j], grid.im_hi[j])
+            re = rng.uniform(grid.re_lo[j], grid.re_hi[j], 1)[0]
+            im = rng.uniform(grid.im_lo[j], grid.im_hi[j], 1)[0]
             z[j] = re + 1j * im
         if config.kernel.contains(z):
             pts.append(z)
@@ -362,6 +398,34 @@ def test_report_and_csv_outputs(tmp_path):
     assert lines[0].startswith("re_z1,im_z1,")
     assert len(lines) == 1 + data["grid"]["points_used"]
     assert "," in lines[1] and "." in lines[1]
+
+
+def test_analyze_never_imports_numpy_random(tmp_path):
+    # every seeded draw comes from the stdlib Mersenne Twister, so neither
+    # numpy.random nor the OpenSSL modules it pulls in through `secrets`
+    # are loaded by a run of every task
+    cfg = base_config(
+        kernel={"variant": "disc_power", "nu": 2},
+        subbundle={"frame": [[[{"c": 1}]]]},
+        tasks=list(TASK_ORDER),
+    )
+    cfg["grid"]["axes"][0].update(re_res=3, im_res=3)
+    out = tmp_path / "report.json"
+    probe = (
+        "import sys; from bck.cli import main; code = main(sys.argv[1:]); "
+        "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules]); "
+        "sys.exit(code)"
+    )
+    src = str(Path(bck.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("BCK_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert sorted(json.loads(out.read_text())["tasks"]) == sorted(TASK_ORDER)
 
 
 def test_version_command(capsys):

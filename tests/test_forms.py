@@ -11,7 +11,6 @@ from bck.forms import (
     Form2,
     Stencil,
     cauchy_riemann_residual,
-    del_delbar,
     exterior_derivative,
     form_norm,
     split_bilinear,
@@ -268,37 +267,30 @@ def test_graded_product_rule():
 # -- Wirtinger operators ------------------------------------------------------
 
 
-def test_del_delbar_holomorphic_monomial():
-    delf, delbarf = del_delbar(lambda z: np.asarray(z[0]), np.array([0.3 + 0.4j]), 1e-5)
-    assert abs(delf.p[0] - 1.0) <= 1e-12
-    assert abs(delbarf.q[0]) <= 1e-12
-
-
-def test_del_delbar_modulus_squared():
-    z0 = 0.3 - 0.2j
-    delf, delbarf = del_delbar(
-        lambda z: np.asarray(abs(z[0]) ** 2), np.array([z0]), 1e-5
-    )
-    assert abs(delf.p[0] - np.conj(z0)) <= 1e-11
-    assert abs(delbarf.q[0] - z0) <= 1e-11
-
-
-def test_del_delbar_antiholomorphic():
-    delf, delbarf = del_delbar(
-        lambda z: np.asarray(np.conj(z[0])), np.array([0.1 + 0.7j]), 1e-5
-    )
-    assert abs(delbarf.q[0] - 1.0) <= 1e-11
-    assert abs(delf.p[0]) <= 1e-11
+@pytest.mark.parametrize(
+    "f, z0, dz, dzbar, tol",
+    [
+        (lambda z: z[0], 0.3 + 0.4j, 1.0, 0.0, 1e-12),
+        (lambda z: abs(z[0]) ** 2, 0.3 - 0.2j, 0.3 + 0.2j, 0.3 - 0.2j, 1e-11),
+        (lambda z: np.conj(z[0]), 0.1 + 0.7j, 0.0, 1.0, 1e-11),
+    ],
+    ids=["holomorphic_monomial", "modulus_squared", "antiholomorphic"],
+)
+def test_wirtinger_first_values(f, z0, dz, dzbar, tol):
+    p, q = wirtinger_first(lambda z: np.asarray(f(z)), np.array([z0]), 1e-5)
+    assert abs(p[0] - dz) <= tol
+    assert abs(q[0] - dzbar) <= tol
 
 
 def test_del_plus_delbar_is_full_differential():
     rng = np.random.default_rng(17)
     poly = MatrixPolynomial.random(rng, 2, (2, 2), degree=3)
     z0 = np.array([0.2 + 0.1j, -0.3 + 0.05j])
-    delf, delbarf = del_delbar(poly, z0, 1e-5)
+    # the Wirtinger derivatives are the dz and dzbar parts of df
+    df = exterior_derivative(poly, z0, 1e-5)
     p, q = wirtinger_first(poly, z0, 1e-5)
-    assert np.max(np.abs(delf.p - p)) <= 1e-12
-    assert np.max(np.abs(delbarf.q - q)) <= 1e-12
+    assert np.max(np.abs(df.p - p)) <= 1e-12
+    assert np.max(np.abs(df.q - q)) <= 1e-12
 
 
 def test_cauchy_riemann_residual_values():
