@@ -17,7 +17,6 @@ from .chern import (
     analytic_curvature_field,
     chern_connection,
     chern_connection_field,
-    compatibility_residuals,
     curvature,
     dual_curvature_check,
     hs_connection_check,
@@ -42,9 +41,7 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     RkhsModel,
-    Subspace,
     admissibility,
-    constant_kernel,
     disc_power,
     dual_kernel,
     eval_kernel,
@@ -56,12 +53,10 @@ from .kernels import (
     reproducing_check,
     rkhs_inner,
     universal_grassmann,
-    universal_kernel,
 )
 from .polys import MatrixPolynomial
 from .positivity import (
     GriffithsReport,
-    global_generation_check,
     griffiths_form,
     griffiths_verdict,
     triple_join,

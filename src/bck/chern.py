@@ -52,7 +52,6 @@ __all__ = [
     "curvature",
     "analytic_curvature_field",
     "nested_curvature_field",
-    "compatibility_residuals",
     "compatibility_field",
     "hs_connection_check",
     "SubbundleField",
@@ -442,11 +441,15 @@ def curvature(
 
 
 def compatibility_field(connection: ConnectionField, structure: np.ndarray | None = None) -> dict:
-    """The residuals of `compatibility_residuals` at every point of a
-    connection field, as (N,) arrays.
+    """Residuals of the three structural identities of a metric connection
+    at every point of a connection field, as (N,) arrays:
 
-    `structure` is the (2,0) block (d, d, N, n, n) of the connection's
-    curvature; without it the structure residual reads zero.
+    metric    ||dh - h A - A* h|| over the coefficient basis,
+    holo      ||A^(0,1)||,
+    structure ||del A + A ^ A||: the (2,0) curvature block `structure`
+              (d, d, N, n, n), such as `nested_curvature_field(...).form.c20`
+              when d >= 2, or zero without it, as in one variable,
+    scale     max(1, ||h||, ||dh||) for relative gates; the rest are absolute.
     """
     jet, a = connection.jet, connection.form
     h = jet.h
@@ -463,26 +466,6 @@ def compatibility_field(connection: ConnectionField, structure: np.ndarray | Non
             [np.ones(count), _norms(h), _norms(jet.dp).max(axis=0), _norms(jet.dq).max(axis=0)]
         ),
     }
-
-
-def compatibility_residuals(metric: MetricField, z, steps: FdSteps = FdSteps()) -> dict:
-    """Residuals of the three structural identities of a metric connection.
-
-    metric    ||dh - h A - A* h|| over the coefficient basis,
-    holo      ||A^(0,1)||,
-    structure ||del A + A ^ A|| (the (2,0) block; empty in one variable).
-
-    All residuals are absolute; `scale` in the result carries
-    max(1, ||h||, ||dh||) for callers that need relative gates.  To
-    measure how badly another connection violates the metric and
-    holomorphy identities, pass it to `compatibility_field`.
-    """
-    z = as_point(z, metric.dim)
-    conn = chern_connection_field(metric, z[None], steps)
-    structure = None
-    if metric.dim > 1:
-        structure = nested_curvature_field(metric, z[None], steps).form.c20
-    return {key: float(value[0]) for key, value in compatibility_field(conn, structure).items()}
 
 
 # ---------------------------------------------------------------------------

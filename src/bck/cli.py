@@ -8,7 +8,8 @@ and seed produce byte-identical reports except for the wall-clock
 entries.
 
 Exit codes: 0 all requested verdict tasks passed, 1 a verdict failed,
-2 configuration error, 3 domain violation, 4 numeric structural error.
+2 configuration error, 3 domain violation, 4 numeric structural error or
+an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisReport",
     "run_analyze",
-    "run_verify_theorem55",
     "run_selftest",
     "main",
 ]
@@ -110,26 +110,44 @@ class ConfigError(BckError):
 
 def _as_complex(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        value = (value, 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(*(_finite(x, "a complex entry") for x in value))
     raise ConfigError(f"cannot read {value!r} as a complex number")
 
 
 def _finite(value, what: str) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, not {value!r}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be finite, not {value!r}")
     return number
 
 
+def _integer(value, what: str, least: int | None = None) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an integer, not {value!r}") from exc
+    if least is not None and number < least:
+        raise ConfigError(f"{what} must be >= {least}, not {value!r}")
+    return number
+
+
+def _section(raw: dict, key: str) -> dict:
+    """raw[key] as a JSON object; an absent key reads as {}."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be an object, not {value!r}")
+    return value
+
+
 def _parse_matrix(rows) -> np.ndarray:
     try:
         return np.array([[_as_complex(x) for x in row] for row in rows], dtype=complex)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:  # ValueError: ragged rows
         raise ConfigError(f"bad matrix literal: {exc}") from exc
 
 
@@ -146,9 +164,9 @@ def _parse_polynomial(entry, dim: int) -> dict:
         powers = mono.get("p", [0] * dim)
         if isinstance(powers, int):
             powers = [powers]
-        if len(powers) != dim:
+        if not isinstance(powers, list) or len(powers) != dim:
             raise ConfigError(f"monomial powers {powers!r} do not match dimension {dim}")
-        key = (tuple(int(x) for x in powers), (0,) * dim)
+        key = (tuple(_integer(x, "a monomial power", least=0) for x in powers), (0,) * dim)
         terms[key] = terms.get(key, 0) + np.asarray(_as_complex(mono["c"]))
     return terms
 
@@ -177,17 +195,20 @@ def build_kernel(cfg: dict) -> KernelSpec:
         if "nu" not in cfg:
             raise ConfigError("disc_power needs 'nu'")
         try:
-            return DiscPowerKernel(float(cfg["nu"]))
+            return DiscPowerKernel(_finite(cfg["nu"], "nu"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    base_dim = _integer(cfg.get("base_dim", 1), "base_dim", least=1)
     if variant == "constant":
         if "matrix" not in cfg:
             raise ConfigError("constant kernel needs 'matrix'")
-        return ConstantKernel(_parse_matrix(cfg["matrix"]), base_dim=int(cfg.get("base_dim", 1)))
+        try:
+            return ConstantKernel(_parse_matrix(cfg["matrix"]), base_dim=base_dim)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if variant == "from_sections":
-        base_dim = int(cfg.get("base_dim", 1))
         if "monomials" in cfg:
-            m = int(cfg["monomials"])
+            m = _integer(cfg["monomials"], "monomials")
             if m < 1 or base_dim != 1:
                 raise ConfigError("'monomials' shorthand needs m >= 1 on a 1-d chart")
             entries = [[[{"c": 1, "p": [k]}] for k in range(m)]]
@@ -203,19 +224,22 @@ def build_kernel(cfg: dict) -> KernelSpec:
             raise ConfigError(str(exc)) from exc
     if variant == "universal_grassmann":
         try:
-            return GrassmannKernel(int(cfg["ambient_dim"]), int(cfg["rank"]))
+            return GrassmannKernel(_integer(cfg["ambient_dim"], "ambient_dim"), _integer(cfg["rank"], "rank"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad universal_grassmann config: {exc}") from exc
     if variant == "user_hook":
         target = cfg.get("target")
-        if not target or ":" not in target:
+        if not isinstance(target, str) or ":" not in target:
             raise ConfigError("user_hook needs 'target' of the form 'module:function'")
         mod_name, fn_name = target.split(":", 1)
         try:
             fn = getattr(import_module(mod_name), fn_name)
         except (ImportError, AttributeError) as exc:
             raise ConfigError(f"cannot import user hook {target!r}: {exc}") from exc
-        spec = fn(**cfg.get("params", {}))
+        try:
+            spec = fn(**cfg.get("params", {}))
+        except (TypeError, ValueError) as exc:  # the factory rejects its params
+            raise ConfigError(f"user hook {target!r} rejects its params: {exc}") from exc
         if not isinstance(spec, KernelSpec):
             raise ConfigError("user hook must return a KernelSpec")
         return spec
@@ -223,29 +247,22 @@ def build_kernel(cfg: dict) -> KernelSpec:
 
 
 def _build_grid(cfg: dict) -> ChartGrid:
-    if not isinstance(cfg, dict) or "axes" not in cfg or not cfg["axes"]:
+    axes = cfg.get("axes") if isinstance(cfg, dict) else None
+    if not isinstance(axes, list) or not axes:
         raise ConfigError("grid config needs a nonempty 'axes' list")
-    re_lo, re_hi, im_lo, im_hi, re_res, im_res, scale = [], [], [], [], [], [], []
-    for axis in cfg["axes"]:
+    bounds, res, scale = [], [], []
+    for axis in axes:
         try:
-            lo, hi = (float(x) for x in axis["re"])
-            re_lo.append(lo)
-            re_hi.append(hi)
-            lo, hi = (float(x) for x in axis["im"])
-            im_lo.append(lo)
-            im_hi.append(hi)
-            re_res.append(int(axis["re_res"]))
-            im_res.append(int(axis["im_res"]))
-            scale.append(float(axis.get("scale", 1.0)))
+            (re_lo, re_hi), (im_lo, im_hi) = axis["re"], axis["im"]
+            bounds.append([_finite(x, "a grid bound") for x in (re_lo, re_hi, im_lo, im_hi)])
+            res.append([_integer(axis[key], "grid resolution", least=2) for key in ("re_res", "im_res")])
+            scale.append(_finite(axis.get("scale", 1.0), "an axis scale"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid axis {axis!r}: {exc}") from exc
-    if any(r < 2 for r in re_res) or any(r < 2 for r in im_res):
-        raise ConfigError("grid resolution must be >= 2 per real axis")
+        if scale[-1] <= 0:
+            raise ConfigError(f"an axis scale must be positive, not {scale[-1]!r}")
     try:
-        return ChartGrid(
-            tuple(re_lo), tuple(re_hi), tuple(im_lo), tuple(im_hi),
-            tuple(re_res), tuple(im_res), tuple(scale),
-        )
+        return ChartGrid(*zip(*bounds), *zip(*res), tuple(scale))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -278,16 +295,18 @@ class AnalysisConfig:
                 f"grid has {grid.dim} complex axes but the kernel chart has "
                 f"{kernel.base_dim}"
             )
-        fd_cfg = raw.get("fd_steps", raw.get("fd", {}))
+        fd_cfg = _section(raw, "fd_steps" if "fd_steps" in raw else "fd")
         steps = FdSteps(
             first=_finite(fd_cfg.get("first", 1e-5), "fd_steps.first"),
             second=_finite(fd_cfg.get("second", 1e-4), "fd_steps.second"),
-            richardson=bool(fd_cfg.get("richardson", False)),
+            richardson=fd_cfg.get("richardson", False),
         )
         if steps.first <= 0 or steps.second <= 0:
             raise ConfigError("finite-difference steps must be positive")
+        if not isinstance(steps.richardson, bool):
+            raise ConfigError(f"fd_steps.richardson must be true or false, not {steps.richardson!r}")
         tolerances = dict(_DEFAULT_TOLERANCES)
-        for key, value in raw.get("tolerances", {}).items():
+        for key, value in _section(raw, "tolerances").items():
             if key not in tolerances:
                 raise ConfigError(f"unknown tolerance {key!r}")
             tolerances[key] = _finite(value, f"tolerance {key!r}")
@@ -298,22 +317,15 @@ class AnalysisConfig:
         if unknown:
             raise ConfigError(f"unknown tasks: {unknown}")
         ordered = tuple(t for t in TASK_ORDER if t in tasks)
-        directions = raw.get("directions", {})
-        seed = int(directions.get("seed", raw.get("seed", 0)))
+        directions = _section(raw, "directions")
+        seed = _integer(directions.get("seed", raw.get("seed", 0)), "the seed")
         env_seed = os.environ.get("BCK_SEED")
         if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(f"BCK_SEED must be an integer: {env_seed!r}") from exc
+            seed = _integer(env_seed, "BCK_SEED")
         if seed < 0:
             raise ConfigError(f"the seed must be >= 0, not {seed}")
-        count = int(directions.get("count", 64))
-        if count < 0:
-            raise ConfigError("direction count must be >= 0")
-        psd_points = int(raw.get("samples", {}).get("psd_points", 50))
-        if psd_points < 1:
-            raise ConfigError("samples.psd_points must be >= 1")
+        count = _integer(directions.get("count", 64), "direction count", least=0)
+        psd_points = _integer(_section(raw, "samples").get("psd_points", 50), "samples.psd_points", least=1)
         frame = None
         if "subbundle" in raw:
             sub = raw["subbundle"]
@@ -328,7 +340,9 @@ class AnalysisConfig:
                 )
         if "subbundle" in ordered and frame is None:
             raise ConfigError("task 'subbundle' requires a 'subbundle.frame' config")
-        output = raw.get("output", {})
+        output = _section(raw, "output")
+        if not all(isinstance(output.get(key), (str, type(None))) for key in ("report", "csv_dir")):
+            raise ConfigError("output.report and output.csv_dir must be paths")
         return cls(
             kernel=kernel,
             grid=grid,
@@ -590,8 +604,9 @@ def _task_theorem55(ctx: RunContext) -> dict:
         w0 = ctx.points[int(rng.integers(0, ctx.points.shape[0]))]
         xi = rng.standard_normal(kernel.fiber_dim) + 1j * rng.standard_normal(kernel.fiber_dim)
         xi /= np.linalg.norm(xi)
-        # raw blocks: the probe's stencil nodes are not held to the domain
-        cr = delbar_norms(lambda w: kernel.eval_many(w, w0) @ xi, sub, ctx.steps.first, richardson=True)
+        cr = delbar_norms(
+            lambda w: kernel.eval_batch(w, w0) @ xi, sub, ctx.steps.first, richardson=True, domain=kernel
+        )
         cr_worst = max(cr_worst, float(cr.max()))
     adm_margin = float(np.min(ctx.admissibility.relative_margin))
     premise_ok = (
@@ -688,7 +703,7 @@ def _error_kind(exc: Exception) -> str:
         return "domain"
     if isinstance(exc, (StructuralError, SingularMetricError)):
         return "structural"
-    return "numeric"
+    return "internal"
 
 
 def run_analyze(config: AnalysisConfig) -> AnalysisReport:
@@ -696,8 +711,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
     Tasks run in dependency order; a failure in one is recorded and does
     not abort the others.  The exit code is 0 only if every requested
-    task passed, with structural and domain error kinds mapped to their
-    dedicated codes.
+    task passed, with domain errors mapped to 3 and structural and
+    internal ones (any exception that is not a BckError) to 4.
     """
     needs_grid = any(t not in _GRIDLESS_TASKS for t in config.tasks)
     ctx, margin = _run_context(config, require_points=needs_grid)
@@ -715,15 +730,16 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
             result = _TASKS[name](ctx)
             entry.update(result)
             entry.setdefault("status", "ok")
-        except BckError as exc:
-            entry["error"] = str(exc)
-            entry["error_kind"] = _error_kind(exc)
+        except Exception as exc:
+            kind = _error_kind(exc)
+            entry["error"] = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
+            entry["error_kind"] = kind
             entry["status"] = "error"
         entry["timing"] = {"wall_s": time.perf_counter() - start}
         tasks[name] = entry
 
     passed = all(t["passed"] for t in tasks.values())
-    if any(t["error_kind"] == "structural" for t in tasks.values()):
+    if any(t["error_kind"] in ("structural", "internal") for t in tasks.values()):
         exit_code = 4
     elif any(t["error_kind"] == "domain" for t in tasks.values()):
         exit_code = 3
@@ -759,12 +775,6 @@ def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunConte
         )
     total = config.grid.points().shape[0]
     return RunContext(config=config, points=points, points_total=total), margin
-
-
-def run_verify_theorem55(config: AnalysisConfig) -> dict:
-    """Premise-gated positivity verification as a standalone report section."""
-    ctx, _ = _run_context(config, require_points=True)
-    return _task_theorem55(ctx)
 
 
 def run_selftest(seed: int = 0) -> dict:
@@ -841,16 +851,12 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = AnalysisConfig.from_dict(raw)
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
+        config = AnalysisConfig.from_dict(raw)
         report = run_analyze(config)
         # serialising checks every number: a non-finite one is structural
         text = report.to_json() + "\n"
@@ -862,11 +868,17 @@ def main(argv=None) -> int:
         csv_dir = args.csv or config.output_csv_dir
         if csv_dir:
             _write_csv_fields(report, csv_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except (StructuralError, SingularMetricError) as exc:
         print(f"structural error: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a bug or a user hook's own exception
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     return report.exit_code
 

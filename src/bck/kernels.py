@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .forms import as_point, as_points, at_point
-from .linalg import Sampler, frob, hermitize, mgs_orthonormalize, relative_rank
+from .linalg import Sampler, frob, hermitize, relative_rank
 from .polys import MatrixPolynomial
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "UserKernel",
     "DualKernel",
     "disc_power",
-    "constant_kernel",
     "from_sections",
     "universal_grassmann",
     "dual_kernel",
@@ -68,8 +67,6 @@ __all__ = [
     "Lemma51Report",
     "lemma51_consistency",
     "evaluation_adjoint_check",
-    "Subspace",
-    "universal_kernel",
 ]
 
 
@@ -141,7 +138,7 @@ class KernelSpec:
             if i:
                 self._checked_blocks(flat[0][:i], flat[1][:i])
             point = flat[1][i] if z_in[i] else flat[0][i]
-            raise DomainError(f"point {point} lies outside the {self.variant} domain")
+            raise DomainError(f"point {point} is outside the domain of the {self.variant} kernel")
         return self._checked_blocks(z, w)
 
     def _checked_blocks(self, z, w) -> np.ndarray:
@@ -156,7 +153,7 @@ class KernelSpec:
     def point(self, z) -> np.ndarray:
         z = as_point(z, self.base_dim)
         if not self.contains(z):
-            raise DomainError(f"point {z} lies outside the {self.variant} domain")
+            raise DomainError(f"point {z} is outside the domain of the {self.variant} kernel")
         return z
 
 
@@ -270,18 +267,6 @@ class SectionKernel(KernelSpec):
         ez = self.section_values(z)
         ew = self.section_values(w)
         return ez @ np.linalg.solve(self.gram_matrix, np.swapaxes(ew.conj(), -1, -2))
-
-    def evaluation_kernel_basis(self, z, tol: float = 1e-10) -> np.ndarray:
-        """Orthonormal basis of the coefficient vectors whose section vanishes at z.
-
-        These are the directions of the generating space invisible to the
-        evaluation at z; the returned matrix is m x (m - rank E(z)).
-        """
-        e = self.section_values(z)
-        _, svals, vh = np.linalg.svd(e)
-        cutoff = tol * (svals[0] if svals.size and svals[0] > 0 else 1.0)
-        rank = int(np.sum(svals > cutoff))
-        return vh[rank:].conj().T
 
 
 class GrassmannKernel(KernelSpec):
@@ -417,10 +402,6 @@ class DualKernel(KernelSpec):
 
 def disc_power(nu: float) -> DiscPowerKernel:
     return DiscPowerKernel(nu)
-
-
-def constant_kernel(matrix, base_dim: int = 1) -> ConstantKernel:
-    return ConstantKernel(matrix, base_dim=base_dim)
 
 
 def from_sections(sections, base_dim: int = 1, gram=None) -> SectionKernel:
@@ -726,56 +707,3 @@ def evaluation_adjoint_check(spec: KernelSpec, s, t, xi, eta) -> float:
     hs = spec.fiber_metric(spec.point(s))
     rhs = complex((eval_kernel(spec, s, t) @ eta).conj() @ (hs @ xi))
     return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# subspaces and the universal kernel
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A k-plane of C^N carried by an orthonormal column basis."""
-
-    basis: np.ndarray  # (N, k), basis*.basis = identity
-
-    def __post_init__(self):
-        u = np.asarray(self.basis, dtype=complex)
-        if u.ndim != 2:
-            raise ValueError("basis must be an N x k matrix")
-        defect = frob(u.conj().T @ u - np.eye(u.shape[1]))
-        if defect > 1e-12 * max(1.0, u.shape[1]):
-            raise StructuralError(
-                f"basis columns are not orthonormal (defect {defect:.3e})"
-            )
-        object.__setattr__(self, "basis", u)
-
-    @classmethod
-    def from_columns(cls, a) -> "Subspace":
-        """Orthonormalize a spanning set (modified Gram-Schmidt, two passes)."""
-        q, _ = mgs_orthonormalize(np.asarray(a, dtype=complex))
-        return cls(q)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def projection(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-
-def universal_kernel(s1: Subspace, s2: Subspace) -> np.ndarray:
-    """Matrix of the orthogonal projection of s2 into s1, in the given bases.
-
-    This is the restriction p_{S1}|_{S2}: S2 -> S1; in orthonormal
-    bases it is simply U1* U2.
-    """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    if s1.rank != s2.rank:
-        raise ValueError("subspaces have different ranks")
-    return s1.basis.conj().T @ s2.basis

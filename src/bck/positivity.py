@@ -31,9 +31,8 @@ import numpy as np
 
 from .chern import CurvatureField, MetricField
 from .errors import StructuralError
-from .forms import Form2, as_point, cauchy_riemann_residual, probe_tensor
-from .kernels import SectionKernel
-from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
+from .forms import Form2, as_point, probe_tensor
+from .linalg import Sampler, frob, hermiticity_defect, max_frob
 
 __all__ = [
     "BilinearSamples",
@@ -44,8 +43,6 @@ __all__ = [
     "GriffithsReport",
     "griffiths_verdict",
     "direction_samples",
-    "GlobalGenerationReport",
-    "global_generation_check",
 ]
 
 
@@ -360,51 +357,4 @@ def griffiths_verdict(
         verdict=verdict,
         pos_tol=pos_tol,
         neg_tol=neg_tol,
-    )
-
-
-# ---------------------------------------------------------------------------
-# global generation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlobalGenerationReport:
-    generated: bool
-    min_rank_margin: float
-    cr_residual: float
-    metric_margin: float
-
-
-def global_generation_check(sections: Callable[[np.ndarray], np.ndarray], points) -> GlobalGenerationReport:
-    """Do the given holomorphic sections span every sampled fiber?
-
-    Gates holomorphy of the n x m section matrix by its Cauchy-Riemann
-    residual (step 1e-5, at most 1e-6), then tests
-    sigma_min(E(z)) >= 1e-10 * ||E(z)|| at every sample point.  The induced section kernel's metric E G^{-1} E* is the
-    Hermitian structure attached to a globally generated bundle, and its
-    smallest eigenvalue over the sample is reported as `metric_margin`
-    (equal to min sigma_min(E)^2 when G is the identity).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if pts.shape[0] == 0:
-        raise ValueError("empty point sample")
-
-    cr = cauchy_riemann_residual(sections, pts, 1e-5)
-    if cr > 1e-6:
-        raise StructuralError(
-            f"section matrix is not holomorphic: Cauchy-Riemann residual {cr:.3e}"
-        )
-
-    spec = SectionKernel(sections, base_dim=pts.shape[1])
-    e = spec.section_values(pts)
-    svals = np.linalg.svd(e, compute_uv=False)
-    smin = svals[:, -1] if e.shape[1] <= e.shape[2] else np.zeros(len(pts))
-    generated = bool(np.all((svals[:, 0] != 0.0) & (smin >= 1e-10 * svals[:, 0])))
-    metric_margin = np.linalg.eigvalsh(hermitize(spec.eval_many(pts, pts)))[:, 0].min()
-    return GlobalGenerationReport(
-        generated=generated,
-        min_rank_margin=float(np.min(smin)),
-        cr_residual=float(cr),
-        metric_margin=float(metric_margin),
     )

@@ -19,3 +19,18 @@ def make_edge(edge=0.3):
         contains_fn=lambda z: z[0].real < edge,
         boundary_distance_fn=lambda z: 1.0,
     )
+
+
+def make_raising(where="eval"):
+    """A kernel whose block evaluation (or, with where="contains", whose
+    domain test) raises TypeError, as a faulty user hook would."""
+
+    def fail(*args):
+        raise TypeError("hook bug")
+
+    return UserKernel(
+        fail if where == "eval" else lambda z, w: np.eye(1),
+        fiber_dim=1,
+        base_dim=1,
+        contains_fn=fail if where == "contains" else None,
+    )

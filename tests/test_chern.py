@@ -11,11 +11,11 @@ from bck.chern import (
     chern_connection,
     chern_connection_field,
     compatibility_field,
-    compatibility_residuals,
     curvature,
     dual_curvature_check,
     hs_connection_check,
     metric_from_kernel,
+    nested_curvature_field,
     subbundle_field,
     subbundle_split,
 )
@@ -171,9 +171,18 @@ def test_curvature_frame_covariance():
 # -- compatibility ----------------------------------------------------------------
 
 
+def one_point_compatibility(metric, z, steps):
+    """`compatibility_field` at one point, with the (2,0) curvature block
+    as `structure` when d >= 2."""
+    pts = np.asarray(z, dtype=complex)[None]
+    structure = nested_curvature_field(metric, pts, steps).form.c20 if metric.dim > 1 else None
+    res = compatibility_field(chern_connection_field(metric, pts, steps), structure)
+    return {key: float(value[0]) for key, value in res.items()}
+
+
 def test_compatibility_disc_residuals_small():
     m = disc_metric_field(1)
-    res = compatibility_residuals(m, np.array([0.3]), RICH)
+    res = one_point_compatibility(m, np.array([0.3]), RICH)
     assert res["metric"] <= 1e-6
     assert res["holo"] == 0.0
     assert res["structure"] == 0.0  # single-variable chart has no (2,0) block
@@ -182,14 +191,14 @@ def test_compatibility_disc_residuals_small():
 def test_compatibility_two_axis_structure_residual():
     rng = np.random.default_rng(73)
     m = poly_metric(rng, 2, 2)
-    res = compatibility_residuals(m, np.array([0.2 + 0.1j, -0.15j]), RICH)
+    res = one_point_compatibility(m, np.array([0.2 + 0.1j, -0.15j]), RICH)
     assert res["metric"] <= 1e-6
     assert res["structure"] <= 1e-5
 
 
 def test_compatibility_constant_metric_exact():
     m = metric_from_kernel(ConstantKernel(np.diag([1.0, 2.0])))
-    res = compatibility_residuals(m, np.array([0.4]), FdSteps())
+    res = one_point_compatibility(m, np.array([0.4]), FdSteps())
     assert res["metric"] <= 1e-12
     assert res["holo"] == 0.0
 

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bck.chern
 import bck.cli
@@ -23,7 +25,6 @@ from bck.cli import (
     main,
     run_analyze,
     run_selftest,
-    run_verify_theorem55,
 )
 from bck.errors import DomainError, StructuralError
 from bck.kernels import UserKernel, gram, psd_check
@@ -132,6 +133,110 @@ def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys):
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("structural error: report contains a non-finite")
     assert not out.exists()
+
+
+def _set(cfg: dict, path: tuple, value) -> None:
+    """Replace the entry of cfg at a path of keys and list indices."""
+    for key in path[:-1]:
+        cfg = cfg[key]
+    cfg[path[-1]] = value
+
+
+NAN, INF = float("nan"), float("inf")
+AXIS = ("grid", "axes", 0)
+
+CONFIG_PROBES = {
+    "fd_steps-list": (("fd_steps",), [1e-5]),
+    "directions-list": (("directions",), [1]),
+    "tolerances-list": (("tolerances",), [1e-8]),
+    "richardson-nan": (("fd_steps", "richardson"), NAN),
+    "samples-list": (("samples",), [10]),
+    "output-list": (("output",), ["r.json"]),
+    "psd_points-string": (("samples", "psd_points"), "x"),
+    "seed-string": (("directions", "seed"), "x"),
+    "count-string": (("directions", "count"), "x"),
+    "count-inf": (("directions", "count"), INF),
+    "nu-nan": (("kernel", "nu"), NAN),
+    "constant-base_dim-string": (("kernel",), {"variant": "constant", "matrix": [[1.0]], "base_dim": "x"}),
+    "constant-ragged": (("kernel",), {"variant": "constant", "matrix": [[1.0, 0.0], [1.0]]}),
+    "constant-non-square": (("kernel",), {"variant": "constant", "matrix": [[1.0, 0.0]]}),
+    "constant-nan-entry": (("kernel",), {"variant": "constant", "matrix": [[NAN]]}),
+    "sections-null-power": (("kernel",), {"variant": "from_sections", "entries": [[[{"c": 1, "p": [None]}]]]}),
+    "hook-rejects-params": (("kernel",), {"variant": "user_hook", "target": "_hook:make", "params": {"mu": 2}}),
+    "hook-target-number": (("kernel",), {"variant": "user_hook", "target": 7}),
+    "axes-number": (("grid", "axes"), 3),
+    "nan-bound": (AXIS + ("re", 0), NAN),
+    "inf-bound": (AXIS + ("re", 1), INF),
+    "minus-inf-bound": (AXIS + ("im", 0), -INF),
+    "nan-scale": (AXIS + ("scale",), NAN),
+    "negative-scale": (AXIS + ("scale",), -1.0),
+}
+
+
+@pytest.mark.parametrize("path, value", CONFIG_PROBES.values(), ids=CONFIG_PROBES.keys())
+def test_every_malformed_config_value_exits_2(tmp_path, capsys, path, value):
+    cfg = base_config(tasks=["admissibility", "curvature", "theorem55"])
+    _set(cfg, path, value)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_internal_errors_exit_4_without_a_traceback(tmp_path, capsys):
+    # a TypeError inside a task is recorded as an internal error of that task
+    cfg = base_config(kernel={"variant": "user_hook", "target": "_hook:make_raising"},
+                      tasks=["admissibility", "curvature"])
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 4 and not report["passed"]
+    for task in report["tasks"].values():
+        assert (task["status"], task["error_kind"], task["error"]) == ("error", "internal", "TypeError: hook bug")
+    # one raised while the run's grid is built ends the run
+    cfg["kernel"]["params"] = {"where": "contains"}
+    out = tmp_path / "report2.json"
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "internal error: TypeError: hook bug\n"
+    assert not out.exists()
+
+
+FUZZ_CONFIG = base_config(
+    grid={"axes": [{"re": [-0.5, 0.5], "im": [-0.5, 0.5], "re_res": 3, "im_res": 3, "scale": 1.0}]},
+    fd_steps={"first": 1e-5, "second": 1e-4, "richardson": True},
+    directions={"count": 4, "seed": 7},
+    samples={"psd_points": 4},
+    tolerances={"psd": 1e-8, "holomorphy": 1e-6},
+    tasks=["psd", "admissibility", "connection", "theorem55"],
+)
+_SIZES = {"re_res", "im_res", "psd_points", "count"}
+
+
+def _key_paths(obj, path=()):
+    """Every key path of a config, containers included, sizes left out."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        if key not in _SIZES:
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    path=st.sampled_from(list(_key_paths(FUZZ_CONFIG))),
+    value=st.sampled_from([[1.0], {"k": 1}, "x", None, NAN, INF, -INF, -1, -0.25]),
+)
+def test_exit_contract_holds_under_one_key_mutations(path, value):
+    cfg = copy.deepcopy(FUZZ_CONFIG)
+    _set(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        code = main(["analyze", "--config", write_config(Path(tmp), cfg), "--out", out])
+        assert code in {0, 1, 2, 3, 4}
+        if code == 1:
+            with open(out, encoding="utf-8") as handle:
+                report = json.load(handle)
+            assert any(not task["passed"] for task in report["tasks"].values())
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
@@ -281,7 +386,7 @@ def test_theorem55_premise_failure_skips_conclusion():
 
 def test_theorem55_verified_for_disc():
     cfg = base_config(tasks=["theorem55"])
-    section = run_verify_theorem55(AnalysisConfig.from_dict(cfg))
+    section = run_analyze(AnalysisConfig.from_dict(cfg)).data["tasks"]["theorem55"]
     assert section["status"] == "verified"
     assert section["data"]["premise"]["satisfied"]
     assert section["data"]["conclusion"]["verdict"] == "positive"

@@ -32,3 +32,21 @@ def test_readme_quick_start_runs():
     assert namespace["theta"].form.r11.shape == (1, 1, 3, 1, 1)
     one = namespace["theta"].at(0)
     assert isinstance(one, bck.CurvatureField) and one.form.r11.shape == (1, 1, 1, 1)
+
+
+def test_every_exported_name_has_a_use_beyond_its_unit_tests():
+    # a name counts as used when it appears in the package outside its own
+    # definition and `__all__` entry, in README.md or in the acceptance
+    # suite; `bck/__init__.py` and the unit tests do not count
+    sources = [p for p in sorted((ROOT / "src" / "bck").glob("*.py")) if p.name != "__init__.py"]
+    texts = {p: p.read_text() for p in sources + [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]}
+    unused = []
+    for info in pkgutil.iter_modules(bck.__path__):
+        module = importlib.import_module(f"bck.{info.name}")
+        home = Path(module.__file__)
+        for name in getattr(module, "__all__", []):
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            own = len(re.findall(rf"^(?:def|class) {re.escape(name)}\b|\"{re.escape(name)}\"", texts[home], re.M))
+            if sum(len(pattern.findall(text)) for text in texts.values()) <= own:
+                unused.append(f"bck.{info.name}.{name}")
+    assert not unused, f"exported names used only by their own unit tests: {unused}"

@@ -17,7 +17,6 @@ from bck.kernels import (
     KernelSpec,
     RkhsModel,
     SectionKernel,
-    Subspace,
     UserKernel,
     admissibility,
     dual_kernel,
@@ -29,9 +28,8 @@ from bck.kernels import (
     psd_check,
     reproducing_check,
     rkhs_inner,
-    universal_kernel,
 )
-from bck.linalg import hermiticity_defect, hermitize
+from bck.linalg import hermiticity_defect, hermitize, mgs_orthonormalize
 from bck.polys import MatrixPolynomial
 
 from _fields import cmat, full_rank_sections
@@ -455,36 +453,16 @@ def test_evaluation_adjoint_orthogonal_planes():
     assert resid <= 1e-14
 
 
-# -- subspaces and the universal kernel ------------------------------------------
-
-
-def test_universal_kernel_same_and_orthogonal():
-    s1 = Subspace.from_columns(np.array([[1.0], [0.0]]))
-    s2 = Subspace.from_columns(np.array([[0.0], [1.0]]))
-    assert np.allclose(universal_kernel(s1, s1), np.eye(1))
-    assert np.allclose(universal_kernel(s1, s2), np.zeros((1, 1)))
-
-
-def test_universal_kernel_angle_between_lines():
-    s1 = Subspace.from_columns(np.array([[1.0], [0.0]]))
-    s2 = Subspace.from_columns(np.array([[1.0], [1.0]]))
-    assert abs(universal_kernel(s1, s2)[0, 0] - 1.0 / np.sqrt(2)) <= 1e-14
-
-
-def test_universal_kernel_dimension_checks():
-    s1 = Subspace.from_columns(np.array([[1.0], [0.0]]))
-    s3 = Subspace.from_columns(np.array([[1.0], [0.0], [0.0]]))
-    with pytest.raises(ValueError):
-        universal_kernel(s1, s3)
+# -- orthonormal bases of subspaces ------------------------------------------------
 
 
 def test_subspace_orthonormalization_quality():
     rng = np.random.default_rng(47)
     a = cmat(rng, 6, 3)
-    s = Subspace.from_columns(a)
-    assert np.max(np.abs(s.basis.conj().T @ s.basis - np.eye(3))) <= 1e-12
+    q, _ = mgs_orthonormalize(a)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(3))) <= 1e-12
     # same column span: projection reproduces the original columns
-    assert np.max(np.abs(s.projection() @ a - a)) <= 1e-12
+    assert np.max(np.abs(q @ q.conj().T @ a - a)) <= 1e-12
 
 
 # -- dual kernels -----------------------------------------------------------------
@@ -524,15 +502,3 @@ def test_rkhs_model_rank_exposes_span_dimension():
     assert distinct.rank() == 3
     repeated = RkhsModel(k, np.array([[0.3], [0.3], [0.0]]))
     assert repeated.rank() == 2
-
-
-def test_section_kernel_evaluation_null_space():
-    k = SectionKernel(lambda z: np.array([[1.0, z[0]]], dtype=complex))
-    z = np.array([0.4 - 0.3j])
-    basis = k.evaluation_kernel_basis(z)
-    assert basis.shape == (2, 1)
-    # vanishing combination: its section value at z is zero
-    assert abs(k.section_values(z) @ basis[:, 0]) <= 1e-13
-    # nowhere-vanishing single section: trivial null space
-    k1 = SectionKernel(lambda z: np.array([[1.0]], dtype=complex))
-    assert k1.evaluation_kernel_basis(z).shape == (1, 0)

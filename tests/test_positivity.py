@@ -13,14 +13,13 @@ from bck.chern import (
     metric_from_kernel,
 )
 from bck.errors import StructuralError
-from bck.forms import Form2
+from bck.forms import Form2, cauchy_riemann_residual
 from bck.grids import ChartGrid
-from bck.kernels import ConstantKernel, DiscPowerKernel, SectionKernel
+from bck.kernels import ConstantKernel, DiscPowerKernel, SectionKernel, admissibility_field, from_sections
 from bck.linalg import frob, hermitize
 from bck.positivity import (
     BilinearSamples,
     direction_samples,
-    global_generation_check,
     griffiths_form,
     griffiths_verdict,
     triple_join,
@@ -372,39 +371,40 @@ def test_kernel_metrics_are_never_griffiths_negative():
 
 
 # -- global generation ---------------------------------------------------------------
+# Sections E generate every sampled fiber when kappa(z, z) = E(z) E(z)* of
+# their kernel is invertible there (`admissibility_field`); holomorphy of E
+# is gated by its Cauchy-Riemann residual.
 
 
 def test_global_generation_constant_plus_linear():
     pts = ChartGrid.square(-0.7, 0.7, 4).points()
-    report = global_generation_check(lambda z: np.array([[1.0, z[0]]], dtype=complex), pts)
-    assert report.generated
-    assert report.min_rank_margin >= 1.0
+    adm = admissibility_field(from_sections(lambda z: np.array([[1.0, z[0]]], dtype=complex)), pts)
+    assert adm.invertible.all()
+    assert adm.smallest_singular_value.min() >= 1.0  # 1 + |z|^2
 
 
 def test_global_generation_fails_at_zero_of_sections():
     pts = np.array([[0.0], [0.4]])
-    report = global_generation_check(lambda z: np.array([[z[0]]], dtype=complex), pts)
-    assert not report.generated
-    assert report.min_rank_margin <= 1e-14
+    adm = admissibility_field(from_sections(lambda z: np.array([[z[0]]], dtype=complex)), pts)
+    assert not adm.invertible[0] and adm.invertible[1]
+    assert adm.smallest_singular_value[0] <= 1e-14
 
 
 def test_global_generation_monomials_margin():
     rng = np.random.default_rng(23)
     pts = 0.8 * cmat(rng, 10, 1)
-    report = global_generation_check(
-        lambda z: np.array([[1.0, z[0], z[0] ** 2]], dtype=complex), pts
+    adm = admissibility_field(
+        from_sections(lambda z: np.array([[1.0, z[0], z[0] ** 2]], dtype=complex)), pts
     )
-    assert report.generated
-    assert report.min_rank_margin >= 1.0
-    assert report.metric_margin >= 1.0  # the section-kernel metric dominates 1
+    assert adm.invertible.all()
+    assert adm.smallest_singular_value.min() >= 1.0  # the section-kernel metric dominates 1
 
 
 def test_global_generation_rejects_non_holomorphic_sections():
     pts = np.array([[0.1], [0.2]])
-    with pytest.raises(StructuralError, match="holomorphic"):
-        global_generation_check(
-            lambda z: np.array([[np.conj(z[0]), 1.0]], dtype=complex), pts
-        )
+    holomorphic = cauchy_riemann_residual(lambda z: np.array([[z[0], 1.0]]), pts, 1e-5)
+    anti = cauchy_riemann_residual(lambda z: np.array([[np.conj(z[0]), 1.0]]), pts, 1e-5)
+    assert holomorphic <= 1e-6 < anti
 
 
 def test_triple_join_of_curvature_pairing_reproduces_griffiths_form():
