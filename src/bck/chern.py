@@ -29,7 +29,7 @@ the point functions (`chern_connection`, `curvature`, ...) return it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
 from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, wedge
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
-from .linalg import frob, mgs_orthonormalize
+from .linalg import frob, hermiticity_defect, hermitize, mgs_orthonormalize
 
 __all__ = [
     "FdSteps",
@@ -69,7 +69,8 @@ class FdSteps:
 
     `first` scales steps for first derivatives, `second` for mixed second
     derivatives and outer layers of nested differences; both multiply the
-    per-axis chart scale.  `richardson` switches on step-halving
+    chart `scale`, one number or one per complex axis, the only place a
+    chart scale enters a step.  `richardson` switches on step-halving
     extrapolation (one extra order pair), needed when tolerances are
     tighter than plain second-order stencils deliver.
     """
@@ -77,16 +78,25 @@ class FdSteps:
     first: float = 1e-5
     second: float = 1e-4
     richardson: bool = False
+    scale: float | tuple[float, ...] = 1.0
 
-    def first_steps(self, scale: np.ndarray) -> np.ndarray:
-        return self.first * np.asarray(scale, dtype=float)
+    def first_steps(self) -> np.ndarray:
+        return self.first * np.asarray(self.scale, dtype=float)
 
-    def second_steps(self, scale: np.ndarray) -> np.ndarray:
-        return self.second * np.asarray(scale, dtype=float)
+    def second_steps(self) -> np.ndarray:
+        return self.second * np.asarray(self.scale, dtype=float)
 
     @property
     def max_step(self) -> float:
         return max(self.first, self.second)
+
+    @property
+    def margin(self) -> float:
+        """Boundary distance a grid point needs for every stencil: four
+        largest scaled steps.  A stencil reaches two steps from its centre
+        (`Stencil.radius`), and the nested route centres an inner stencil
+        on each node of an outer one."""
+        return 4.0 * self.max_step * float(np.max(self.scale))
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -122,7 +132,6 @@ class MetricField:
     func: Callable[[np.ndarray], np.ndarray] | None
     dim: int
     fiber_dim: int
-    scale: np.ndarray = field(default=None)
     domain: object = None
     name: str = "metric"
     batch_func: Callable[[np.ndarray], np.ndarray] | None = None
@@ -133,12 +142,6 @@ class MetricField:
     def __post_init__(self):
         if self.func is None and self.batch_func is None:
             raise ValueError(f"{self.name} needs func or batch_func")
-        if self.scale is None:
-            self.scale = np.ones(self.dim)
-        else:
-            self.scale = np.broadcast_to(
-                np.asarray(self.scale, dtype=float), (self.dim,)
-            ).copy()
 
     def __call__(self, z) -> np.ndarray:
         return self.batch(as_point(z, self.dim)[None])[0]
@@ -175,12 +178,11 @@ class MetricField:
         if i is not None:
             error = StructuralError(f"{self.name} has non-finite entries at {pts[i]}")
             pts, h = pts[:i], h[:i]
-        h_adj = _adjoint(h)
-        i = _first_false(_norms(h - h_adj) <= self._HERM_TOL * np.maximum(1.0, _norms(h)))
+        i = _first_false(hermiticity_defect(h) <= self._HERM_TOL)
         if i is not None:
             error = StructuralError(f"{self.name} is not Hermitian at {pts[i]}")
-            pts, h, h_adj = pts[:i], h[:i], h_adj[:i]
-        evals = np.linalg.eigvalsh(0.5 * (h + h_adj))
+            pts, h = pts[:i], h[:i]
+        evals = np.linalg.eigvalsh(hermitize(h))
         i = _first_false(evals[:, 0] > self._SING_TOL * np.maximum(evals[:, -1], 0.0))
         if i is not None:
             error = SingularMetricError(
@@ -289,15 +291,15 @@ def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: i
     """Evaluate the metric once on every stencil node of every point.
 
     First derivatives use `steps.first`, mixed second derivatives (order 2)
-    `steps.second`, both times the per-axis chart scale.  Points are checked
+    `steps.second`, both times the chart scale of `steps`.  Points are checked
     in grid order: the first point whose evaluation or stencil fails raises.
     """
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     d = metric.dim
     stencil = Stencil(
         d,
-        first=steps.first_steps(metric.scale),
-        mixed=steps.second_steps(metric.scale) if order == 2 else None,
+        first=steps.first_steps(),
+        mixed=steps.second_steps() if order == 2 else None,
         richardson=steps.richardson,
         centre=True,
     )
@@ -396,7 +398,7 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     outer = Stencil(
         metric.dim,
-        first=steps.second_steps(metric.scale),
+        first=steps.second_steps(),
         richardson=steps.richardson,
         centre=True,
     )
@@ -500,7 +502,6 @@ def hs_connection_check(
         func=None,
         dim=h1.dim,
         fiber_dim=n1 * n2,
-        scale=h1.scale,
         domain=h1.domain if h1.domain is not None else h2.domain,
         name="hs metric",
         batch_func=super_metric,
@@ -587,9 +588,7 @@ def subbundle_field(
     """
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     n, d = metric.fiber_dim, metric.dim
-    stencil = Stencil(
-        d, first=steps.first_steps(metric.scale), richardson=steps.richardson, centre=True
-    )
+    stencil = Stencil(d, first=steps.first_steps(), richardson=steps.richardson, centre=True)
     h, f = stencil.on_points(
         lambda nodes: (metric.batch(nodes), _frames(frame, nodes, n)), pts, metric.domain
     )
@@ -681,7 +680,6 @@ def dual_curvature_field(
     spec: KernelSpec,
     points,
     steps: FdSteps = FdSteps(),
-    scale=None,
     theta: CurvatureField | None = None,
 ) -> DualCurvatureField:
     """Check that the dual-bundle curvature is minus the transpose of the original.
@@ -692,20 +690,14 @@ def dual_curvature_field(
     and leaves the operator values as they are.  The metric identifies
     the dual kernel's frame with h times the dual frame, in which the
     dual curvature is -Theta^T; so the pulled-back coefficients must equal
-    -(h Theta h^-1)^T, h taken from the analytic field.  Both metrics use
-    the chart `scale`; `theta`, the analytic curvature field of spec's
-    metric over the same points and scale, is reused when given.
+    -(h Theta h^-1)^T, h taken from the analytic field.  `theta`, the
+    analytic curvature field of spec's metric over the same points and
+    steps, is reused when given.
     """
     pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
-
-    def metric(kernel):
-        m = metric_from_kernel(kernel)
-        m.scale = np.ones(kernel.base_dim) if scale is None else np.asarray(scale, dtype=float)
-        return m
-
     if theta is None:
-        theta = analytic_curvature_field(metric(spec), pts, steps)
-    raw = analytic_curvature_field(metric(dual_kernel(spec)), np.conj(pts), steps).form.r11
+        theta = analytic_curvature_field(metric_from_kernel(spec), pts, steps)
+    raw = analytic_curvature_field(metric_from_kernel(dual_kernel(spec)), np.conj(pts), steps).form.r11
     pulled = -np.swapaxes(raw, 0, 1)
     expected = -np.swapaxes(theta.h @ theta.form.r11 @ np.linalg.inv(theta.h), -1, -2)
     return DualCurvatureField(

@@ -72,19 +72,6 @@ __all__ = [
 
 REPORT_SCHEMA = "bck-report/1"
 
-TASK_ORDER = (
-    "selftest",
-    "psd",
-    "admissibility",
-    "connection",
-    "curvature",
-    "compatibility",
-    "dual",
-    "subbundle",
-    "griffiths",
-    "theorem55",
-)
-
 _DEFAULT_TOLERANCES = {
     "psd": 1e-8,
     "admissibility": 1e-10,
@@ -246,7 +233,8 @@ def build_kernel(cfg: dict) -> KernelSpec:
     raise ConfigError(f"unknown kernel variant {variant!r}")
 
 
-def _build_grid(cfg: dict) -> ChartGrid:
+def _build_grid(cfg: dict) -> tuple[ChartGrid, tuple[float, ...]]:
+    """The grid and its per-axis chart scale."""
     axes = cfg.get("axes") if isinstance(cfg, dict) else None
     if not isinstance(axes, list) or not axes:
         raise ConfigError("grid config needs a nonempty 'axes' list")
@@ -262,7 +250,7 @@ def _build_grid(cfg: dict) -> ChartGrid:
         if scale[-1] <= 0:
             raise ConfigError(f"an axis scale must be positive, not {scale[-1]!r}")
     try:
-        return ChartGrid(*zip(*bounds), *zip(*res), tuple(scale))
+        return ChartGrid(*zip(*bounds), *zip(*res)), tuple(scale)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -289,7 +277,7 @@ class AnalysisConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         kernel = build_kernel(raw.get("kernel", {}))
-        grid = _build_grid(raw.get("grid", {}))
+        grid, scale = _build_grid(raw.get("grid", {}))
         if grid.dim != kernel.base_dim:
             raise ConfigError(
                 f"grid has {grid.dim} complex axes but the kernel chart has "
@@ -300,6 +288,7 @@ class AnalysisConfig:
             first=_finite(fd_cfg.get("first", 1e-5), "fd_steps.first"),
             second=_finite(fd_cfg.get("second", 1e-4), "fd_steps.second"),
             richardson=fd_cfg.get("richardson", False),
+            scale=scale,
         )
         if steps.first <= 0 or steps.second <= 0:
             raise ConfigError("finite-difference steps must be positive")
@@ -395,9 +384,7 @@ class RunContext:
 
     @cached_property
     def metric(self) -> MetricField:
-        metric = metric_from_kernel(self.kernel, self.tol["admissibility"])
-        metric.scale = np.asarray(self.config.grid.scale, dtype=float)
-        return metric
+        return metric_from_kernel(self.kernel, self.tol["admissibility"])
 
     @cached_property
     def connection(self) -> ConnectionField:
@@ -543,9 +530,7 @@ def _task_compatibility(ctx: RunContext) -> dict:
 
 
 def _task_dual(ctx: RunContext) -> dict:
-    dual = dual_curvature_field(
-        ctx.kernel, ctx.points, ctx.steps, scale=ctx.metric.scale, theta=ctx.analytic
-    )
+    dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, theta=ctx.analytic)
     residual = float(np.max(dual.residual))
     return {
         "passed": bool(residual <= ctx.tol["dual"]),
@@ -599,13 +584,13 @@ def _task_theorem55(ctx: RunContext) -> dict:
         idx = rng.choice(sub.shape[0], size=25)
         idx.sort()
         sub = sub[idx]
-    cr_worst = 0.0
+    cr_worst, step = 0.0, ctx.steps.first_steps()
     for _ in range(3):
         w0 = ctx.points[int(rng.integers(0, ctx.points.shape[0]))]
         xi = rng.standard_normal(kernel.fiber_dim) + 1j * rng.standard_normal(kernel.fiber_dim)
         xi /= np.linalg.norm(xi)
         cr = delbar_norms(
-            lambda w: kernel.eval_batch(w, w0) @ xi, sub, ctx.steps.first, richardson=True, domain=kernel
+            lambda w: kernel.eval_batch(w, w0) @ xi, sub, step, richardson=True, domain=kernel
         )
         cr_worst = max(cr_worst, float(cr.max()))
     adm_margin = float(np.min(ctx.admissibility.relative_margin))
@@ -647,6 +632,8 @@ _TASKS = {
     "theorem55": _task_theorem55,
 }
 
+TASK_ORDER = tuple(_TASKS)
+
 _GRIDLESS_TASKS = {"selftest", "psd"}
 
 
@@ -658,10 +645,6 @@ _GRIDLESS_TASKS = {"selftest", "psd"}
 @dataclass
 class AnalysisReport:
     data: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.data["passed"]
 
     @property
     def exit_code(self) -> int:
@@ -765,8 +748,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
 def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunContext, float]:
     """The run context over the grid points that clear the stencil margin
-    (four times the largest step), and that margin."""
-    margin = 4.0 * config.steps.max_step * max(config.grid.scale)
+    `FdSteps.margin`, and that margin."""
+    margin = config.steps.margin
     points = config.grid.interior_points(config.kernel, margin=margin)
     if require_points and points.shape[0] == 0:
         raise DomainError(

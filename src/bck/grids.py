@@ -9,7 +9,7 @@ reports record this so field exports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,6 @@ class ChartGrid:
         Per-axis bounds of the box, length d each.
     re_res, im_res
         Number of sample points per real axis, >= 1.
-    scale
-        Per-axis length scale used to set finite-difference steps;
-        defaults to 1 on every axis.
     """
 
     re_lo: tuple[float, ...]
@@ -39,7 +36,6 @@ class ChartGrid:
     im_hi: tuple[float, ...]
     re_res: tuple[int, ...]
     im_res: tuple[int, ...]
-    scale: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         d = len(self.re_lo)
@@ -54,24 +50,13 @@ class ChartGrid:
             raise ValueError("re_hi must dominate re_lo")
         if any(hi < lo for lo, hi in zip(self.im_lo, self.im_hi)):
             raise ValueError("im_hi must dominate im_lo")
-        if not self.scale:
-            object.__setattr__(self, "scale", (1.0,) * d)
-        elif len(self.scale) != d:
-            raise ValueError(f"scale must have length {d}")
 
     @property
     def dim(self) -> int:
         return len(self.re_lo)
 
     @classmethod
-    def square(
-        cls,
-        lo: float,
-        hi: float,
-        res: int,
-        dim: int = 1,
-        scale: float = 1.0,
-    ) -> "ChartGrid":
+    def square(cls, lo: float, hi: float, res: int, dim: int = 1) -> "ChartGrid":
         """Box [lo, hi]^2 on every complex axis with `res` points per real axis."""
         return cls(
             re_lo=(lo,) * dim,
@@ -80,7 +65,6 @@ class ChartGrid:
             im_hi=(hi,) * dim,
             re_res=(res,) * dim,
             im_res=(res,) * dim,
-            scale=(scale,) * dim,
         )
 
     def axis_samples(self) -> list[np.ndarray]:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .forms import as_point, as_points, at_point
-from .linalg import Sampler, frob, hermitize, relative_rank
+from .linalg import Sampler, hermiticity_defect, hermitize, relative_rank
 from .polys import MatrixPolynomial
 
 __all__ = [
@@ -241,7 +241,7 @@ class SectionKernel(KernelSpec):
         gram = np.asarray(gram, dtype=complex)
         if gram.shape != (self.section_count, self.section_count):
             raise ValueError("Gram matrix shape does not match the section count")
-        if frob(gram - gram.conj().T) > 1e-12 * max(1.0, frob(gram)):
+        if hermiticity_defect(gram) > 1e-12:
             raise ValueError("Gram matrix must be Hermitian")
         if np.linalg.eigvalsh(hermitize(gram))[0] <= 0:
             raise ValueError("Gram matrix must be positive definite")

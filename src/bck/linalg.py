@@ -103,10 +103,12 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Frobenius norm of a - a*, relative to max(1, ||a||)."""
+def hermiticity_defect(a: np.ndarray) -> np.ndarray | float:
+    """Frobenius norm of a - a*, relative to max(1, ||a||), of each matrix
+    of a stack (..., n, n); a scalar for one matrix."""
     a = np.asarray(a)
-    return frob(a - a.conj().T) / max(1.0, frob(a))
+    skew = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
+    return skew / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
 
 
 def relative_rank(a: np.ndarray, tol: float = 1e-10) -> int:

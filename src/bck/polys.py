@@ -86,10 +86,6 @@ class MatrixPolynomial:
             out += coeff * m[expand]
         return out
 
-    @property
-    def holomorphic(self) -> bool:
-        return all(all(x == 0 for x in q) for (_, q) in self.terms)
-
     @classmethod
     def random(
         cls,

@@ -32,7 +32,7 @@ import numpy as np
 from .chern import CurvatureField, MetricField
 from .errors import StructuralError
 from .forms import Form2, as_point, probe_tensor
-from .linalg import Sampler, frob, hermiticity_defect, max_frob
+from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
 
 __all__ = [
     "BilinearSamples",
@@ -123,10 +123,6 @@ class SesquiTriple:
     symm: BilinearSamples
     skew: BilinearSamples
     residuals: dict
-
-    @property
-    def dim(self) -> int:
-        return self.herm.dim
 
 
 def _herm_membership_defect(psi: BilinearSamples) -> float:
@@ -328,16 +324,12 @@ def griffiths_verdict(
         purity = [c.purity_residual for c in curvs]
     s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11)
     g = 2.0 * np.matmul(h[:, None], s)
-    g_adj = np.swapaxes(g, -1, -2).conj()
-    defects = np.linalg.norm(g - g_adj, axis=(-2, -1)) / np.maximum(
-        1.0, np.linalg.norm(g, axis=(-2, -1))
-    )
-    max_herm = float(defects.max())
+    max_herm = float(hermiticity_defect(g).max())
     if max_herm > _HERM_TOL:
         raise StructuralError(
             f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}"
         )
-    evals, evecs = np.linalg.eigh(0.5 * (g + g_adj))
+    evals, evecs = np.linalg.eigh(hermitize(g))
     margins = evals[..., 0]
     i, m = np.unravel_index(np.argmin(margins), margins.shape)
     overall = float(margins[i, m])

@@ -19,7 +19,7 @@ from bck.chern import (
     subbundle_field,
     subbundle_split,
 )
-from bck.errors import SingularMetricError, StructuralError
+from bck.errors import DomainError, SingularMetricError, StructuralError
 from bck.forms import Form1
 from bck.kernels import ConstantKernel, DiscPowerKernel, GrassmannKernel, SectionKernel, dual_kernel
 
@@ -406,12 +406,18 @@ def test_per_axis_scale_rescales_stencils():
     # halving the chart scale halves the effective steps; the derivative
     # estimates must stay on the closed form
     m = disc_metric_field(2)
-    m.scale = np.array([0.5])
-    conn = chern_connection(m, np.array([0.3 + 0.2j]), RICH)
+    half = FdSteps(richardson=True, scale=0.5)
+    conn = chern_connection(m, np.array([0.3 + 0.2j]), half)
     expected = disc_connection(2, 0.3 + 0.2j)
     assert abs(conn.form.p[0, 0, 0] - expected) <= 1e-9
-    curv = curvature(m, np.array([0.3 + 0.2j]), RICH)
+    curv = curvature(m, np.array([0.3 + 0.2j]), half)
     assert abs(curv.form.r11[0, 0, 0, 0] - disc_curvature(2, 0.3 + 0.2j)) <= 1e-6
+    # 1.5e-4 from the circle: the mixed stencil's radius is 2e-4 unscaled
+    # and 1e-4 at scale 0.5, so only the scaled steps stay in the disc
+    edge = np.array([1.0 - 1.5e-4])
+    with pytest.raises(DomainError):
+        curvature(m, edge, RICH)
+    curvature(m, edge, half)
 
 
 def test_default_step_policy_accurate_away_from_boundary():

@@ -392,6 +392,22 @@ def test_theorem55_verified_for_disc():
     assert section["data"]["conclusion"]["verdict"] == "positive"
 
 
+def test_theorem55_probe_takes_the_scaled_steps_near_the_boundary():
+    # points 1e-5 to 1e-4 from the unit circle clear the scaled margin
+    # 4e-6; an unscaled probe of radius 2e-5 would leave the disc
+    cfg = base_config(
+        grid={"axes": [{"re": [0.9999, 0.99999], "im": [-1e-5, 1e-5], "re_res": 10, "im_res": 3,
+                        "scale": 0.01}]},
+        tasks=["curvature", "theorem55"],
+    )
+    report = run_analyze(AnalysisConfig.from_dict(cfg))
+    assert report.data["grid"]["stencil_margin"] == pytest.approx(4e-6)
+    task = report.data["tasks"]["theorem55"]
+    assert task["error_kind"] is None, task["error"]
+    assert task["status"] == "hypothesis_not_met"
+    assert report.exit_code != 3
+
+
 GRASSMANN_D2 = {
     "kernel": {"variant": "universal_grassmann", "ambient_dim": 3, "rank": 1},
     "grid": {"axes": [{"re": [-0.4, 0.4], "im": [-0.4, 0.4], "re_res": 2, "im_res": 2}] * 2},

@@ -1,9 +1,10 @@
-"""The seeded sampler that makes every random draw of the package."""
+"""The seeded sampler that makes every random draw of the package, and the
+hermiticity rule."""
 
 import numpy as np
 import pytest
 
-from bck.linalg import Sampler
+from bck.linalg import Sampler, hermiticity_defect
 
 
 def _draws(seed):
@@ -44,3 +45,19 @@ def test_sampler_choice_is_without_replacement():
     idx = Sampler(0).choice(30, 30)
     assert sorted(idx.tolist()) == list(range(30))
     assert all(0 <= Sampler(s).integers(2, 5) - 2 < 3 for s in range(20))
+
+
+def test_hermiticity_defect_of_a_stack_is_each_matrix_defect():
+    rng = Sampler(11)
+    a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    a = a + np.swapaxes(a.conj(), -1, -2)
+    a[1, 2, 0, 3] += 0.5
+    stacked = hermiticity_defect(a)
+    assert stacked.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        m = a[i, j]
+        assert stacked[i, j] == hermiticity_defect(m)
+        assert hermiticity_defect(m) == pytest.approx(
+            np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)), rel=1e-14
+        )
+    assert np.count_nonzero(stacked) == 1 and stacked[1, 2] > 0.0
