@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
 from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, wedge
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
-from .linalg import frob, hermiticity_defect, hermitize, mgs_orthonormalize
+from .linalg import eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, solve
 
 __all__ = [
     "FdSteps",
@@ -182,7 +182,7 @@ class MetricField:
         if i is not None:
             error = StructuralError(f"{self.name} is not Hermitian at {pts[i]}")
             pts, h = pts[:i], h[:i]
-        evals = np.linalg.eigvalsh(hermitize(h))
+        evals = eigvalsh(hermitize(h))
         i = _first_false(evals[:, 0] > self._SING_TOL * np.maximum(evals[:, -1], 0.0))
         if i is not None:
             error = SingularMetricError(
@@ -248,7 +248,7 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
                 f"kernel {spec.variant} is not admissible at {z[i]} "
                 f"(singular values in [{adm.smallest_singular_value[i]:.3e}, {adm.norm[i]:.3e}])"
             )
-        return spec.fiber_metric_batch(z) @ blocks
+        return mul(spec.fiber_metric_batch(z), blocks)
 
     return MetricField(
         func=None,
@@ -334,7 +334,7 @@ class ConnectionField:
 def chern_connection_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> ConnectionField:
     """A = h^{-1} del h at every point, with the dzbar block zero by construction."""
     jet = metric_jet(metric, points, steps, order=1)
-    p = np.linalg.solve(jet.h, jet.dp)
+    p = solve(jet.h, jet.dp)
     return ConnectionField(jet=jet, form=Form1(p, np.zeros_like(p)))
 
 
@@ -379,8 +379,8 @@ def analytic_curvature_field(metric: MetricField, points, steps: FdSteps = FdSte
     """The analytic expansion at every point, from one second-order metric jet."""
     jet = metric_jet(metric, points, steps, order=2)
     h = jet.h
-    hk = np.linalg.solve(h, jet.dq)
-    r11 = np.linalg.solve(h, jet.mixed) - hk[:, None] @ np.linalg.solve(h, jet.dp)[None, :]
+    hk = solve(h, jet.dq)
+    r11 = solve(h, jet.mixed) - mul(hk[:, None], solve(h, jet.dp)[None, :])
     zero = np.zeros_like(r11)
     return CurvatureField(
         points=jet.points,
@@ -495,7 +495,7 @@ def hs_connection_check(
     n1, n2 = h1.fiber_dim, h2.fiber_dim
 
     def super_metric(nodes):  # kron(h2, inv(h1)^T) at every node
-        a, b = h2.batch(nodes), np.swapaxes(np.linalg.inv(h1.batch(nodes)), -1, -2)
+        a, b = h2.batch(nodes), np.swapaxes(solve(h1.batch(nodes), np.eye(n1)), -1, -2)
         return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(nodes), n2 * n1, n2 * n1)
 
     big = MetricField(
@@ -608,7 +608,7 @@ def subbundle_field(
     u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
 
     du_p, du_q = stencil.first_derivatives(np.moveaxis(u, 1, 0))
-    a_p = np.linalg.solve(h0, stencil.first_derivatives(np.moveaxis(h, 1, 0))[0])
+    a_p = solve(h0, stencil.first_derivatives(np.moveaxis(h, 1, 0))[0])
     beta = (u0_inv @ (a_p @ u0 + du_p))[..., k:, :k]
     antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
 
@@ -630,7 +630,7 @@ def subbundle_field(
     )
     sub = analytic_curvature_field(sub_metric, pts, steps).form.r11
     r = r_full[:, Stencil.CENTRE, :k, :k]
-    theta_sub = r @ sub @ np.linalg.inv(r)
+    theta_sub = r @ sub @ solve(r, np.eye(k))
     expected = theta_sub - _adjoint(beta)[:, None] @ beta[None, :]
     return SubbundleField(
         adapted_frame=u0,
@@ -699,7 +699,8 @@ def dual_curvature_field(
         theta = analytic_curvature_field(metric_from_kernel(spec), pts, steps)
     raw = analytic_curvature_field(metric_from_kernel(dual_kernel(spec)), np.conj(pts), steps).form.r11
     pulled = -np.swapaxes(raw, 0, 1)
-    expected = -np.swapaxes(theta.h @ theta.form.r11 @ np.linalg.inv(theta.h), -1, -2)
+    inverse = solve(theta.h, np.eye(spec.fiber_dim))
+    expected = -np.swapaxes(theta.h @ theta.form.r11 @ inverse, -1, -2)
     return DualCurvatureField(
         theta_r11=theta.form.r11,
         theta_dual_r11=pulled,

@@ -39,7 +39,16 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .forms import as_point, as_points, at_point
-from .linalg import Sampler, hermiticity_defect, hermitize, relative_rank
+from .linalg import (
+    Sampler,
+    hermiticity_defect,
+    hermitize,
+    mgs_orthonormalize,
+    mul,
+    relative_rank,
+    solve,
+    svdvals,
+)
 from .polys import MatrixPolynomial
 
 __all__ = [
@@ -217,7 +226,12 @@ class ConstantKernel(KernelSpec):
 
 
 class SectionKernel(KernelSpec):
-    """kappa(z, w) = E(z) G^{-1} E(w)* from an n x m section matrix field."""
+    """kappa(z, w) = E(z) G^{-1} E(w)* from an n x m section matrix field.
+
+    G is factored once: Gram-Schmidt of the coordinate basis in the inner
+    product G gives an upper triangular W with W* G W = I, so G^{-1} = W W*
+    and kappa(z, w) = (E(z) W) (E(w) W)*.
+    """
 
     variant = "from_sections"
     holomorphic = True
@@ -246,6 +260,7 @@ class SectionKernel(KernelSpec):
         if np.linalg.eigvalsh(hermitize(gram))[0] <= 0:
             raise ValueError("Gram matrix must be positive definite")
         self.gram_matrix = gram
+        self._factor = mgs_orthonormalize(np.eye(self.section_count), inner=gram)[0]
 
     def section_values(self, z) -> np.ndarray:
         """E at a chart point, or at each point of a stack (..., d) -> (..., n, m).
@@ -264,9 +279,9 @@ class SectionKernel(KernelSpec):
         return e
 
     def eval_many(self, z, w):
-        ez = self.section_values(z)
-        ew = self.section_values(w)
-        return ez @ np.linalg.solve(self.gram_matrix, np.swapaxes(ew.conj(), -1, -2))
+        ez = mul(self.section_values(z), self._factor)
+        ew = mul(self.section_values(w), self._factor)
+        return mul(ez, np.swapaxes(ew.conj(), -1, -2))
 
 
 class GrassmannKernel(KernelSpec):
@@ -276,7 +291,7 @@ class GrassmannKernel(KernelSpec):
     the plane being the column span of F(B) = [I_k; B].  In the frame
     F the kernel block is kappa(z, w) = (F(z)* F(z))^{-1} F(z)* F(w) and
     the base fiber metric is F(z)* F(z); at z = w the kernel block is
-    the identity.
+    the identity.  Both are formed from F(z)* F(w) = I + B(z)* B(w).
     """
 
     variant = "universal_grassmann"
@@ -290,22 +305,20 @@ class GrassmannKernel(KernelSpec):
         self.fiber_dim = self.rank
         self.base_dim = (self.ambient_dim - self.rank) * self.rank
 
-    def frame(self, z) -> np.ndarray:
-        """F = [I_k; B] at a chart point, or at each point of a stack (..., d)."""
-        z = np.asarray(z, dtype=complex)
-        lead = z.shape[:-1]
-        b = z.reshape(lead + (self.ambient_dim - self.rank, self.rank))
-        eye = np.broadcast_to(np.eye(self.rank, dtype=complex), lead + (self.rank, self.rank))
-        return np.concatenate([eye, b], axis=-2)
+    def _frame_products(self, z, w) -> np.ndarray:
+        """F(z)* F(w) = I + B(z)* B(w) over broadcast stacks of points (..., d)."""
+        graph = (self.ambient_dim - self.rank, self.rank)
+        bz, bw = (np.asarray(p, dtype=complex).reshape(np.shape(p)[:-1] + graph) for p in (z, w))
+        out = mul(np.swapaxes(bz.conj(), -1, -2), bw)
+        diagonal = np.arange(self.rank)
+        out[..., diagonal, diagonal] += 1.0
+        return out
 
     def eval_many(self, z, w):
-        fz = self.frame(z)
-        fz_adj = np.swapaxes(fz.conj(), -1, -2)
-        return np.linalg.solve(fz_adj @ fz, fz_adj @ self.frame(w))
+        return solve(self._frame_products(z, z), self._frame_products(z, w))
 
     def fiber_metric_batch(self, z):
-        fz = self.frame(z)
-        return np.swapaxes(fz.conj(), -1, -2) @ fz
+        return self._frame_products(z, z)
 
 
 class UserKernel(KernelSpec):
@@ -465,7 +478,7 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     chunks = [slice(r, r + step) for r in range(0, npts, step)]
     for rows in chunks:
         blocks = spec.eval_batch(pts[rows, None, :], pts[None, :, :])
-        np.matmul(metrics[rows, None], blocks, out=by_block[rows])
+        mul(metrics[rows, None], blocks, out=by_block[rows])
     defect = _hermitize_in_place(assembled, [slice(c.start * n, c.stop * n) for c in chunks])
     return GramMatrix(points=pts, assembled=assembled, defect=defect)
 
@@ -601,10 +614,7 @@ class AdmissibilityField:
 
     @classmethod
     def of_blocks(cls, blocks: np.ndarray, tol: float = 1e-10) -> "AdmissibilityField":
-        if blocks.shape[-1] == 1:  # the singular value of a 1 x 1 block is its modulus
-            s = np.abs(blocks[..., 0])
-        else:
-            s = np.linalg.svd(blocks, compute_uv=False)
+        s = svdvals(blocks)
         return cls((s[:, 0] > 0.0) & (s[:, -1] >= tol * s[:, 0]), s[:, -1], s[:, 0])
 
     @property

@@ -1,8 +1,13 @@
 """Small dense linear-algebra helpers used throughout the package.
 
-Everything here operates on modest complex matrices (fibers of dimension
-<= 8, Gram matrices of a few hundred rows), so plain LAPACK calls via
-numpy are the right tool.  `Sampler` makes the package's seeded draws.
+The batched layers reduce stacks of thousands of fiber matrices, mostly
+1 x 1 or 2 x 2, one per grid point or stencil node.  `numpy.linalg`
+makes one LAPACK call per matrix of a stack, so the stack kernels here
+work on whole stacks (..., n, n) at once: `mul` forms products entry by
+entry over the stack, and `solve`, `eigvalsh` and `svdvals` use closed
+forms for n <= 2 and LAPACK for n >= 3.  Whole matrices (a Gram matrix
+of a few hundred rows) go to LAPACK directly.  `Sampler` makes the
+package's seeded draws.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ __all__ = [
     "hermiticity_defect",
     "mgs_orthonormalize",
     "relative_rank",
+    "mul",
+    "solve",
+    "eigvalsh",
+    "svdvals",
 ]
 
 
@@ -171,3 +180,106 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
         error.index, error.residual = first, float(norms[first])
         raise error
     return q, r
+
+
+# ---------------------------------------------------------------------------
+# small-matrix stacks
+# ---------------------------------------------------------------------------
+
+
+def mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product of broadcast stacks (..., n, k) and (..., k, m).
+
+    Each entry of the product is a sum over the inner index, formed over
+    the whole stack at once and written into `out` (allocated when None;
+    it may be a strided view, and must not overlap `a` or `b`).  `a @ b`
+    would make one small matrix product per matrix of the stack.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n, k, m = a.shape[-2], a.shape[-1], b.shape[-1]
+    if b.shape[-2] != k:
+        raise ValueError(f"inner dimensions differ: {a.shape} and {b.shape}")
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m)
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(a, b))
+    elif out.shape != shape:
+        raise ValueError(f"output has shape {out.shape}, expected {shape}")
+    term = np.empty(shape[:-2], dtype=out.dtype) if k > 1 else None
+    for i in range(n):
+        for j in range(m):
+            entry = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=entry)
+            for l in range(1, k):
+                entry += np.multiply(a[..., i, l], b[..., l, j], out=term)
+    return out
+
+
+def _singular(det: np.ndarray) -> None:
+    if not np.all(det):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for broadcast stacks a (..., n, n) and b (..., n, k).
+
+    n = 1 divides and n = 2 takes the adjugate (Cramer's rule, forward
+    stable for 2 x 2); both raise `numpy.linalg.LinAlgError` on an
+    exactly zero determinant, as LAPACK does on an exactly zero pivot.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = a.shape[-1]
+    if n == 1:
+        _singular(a)
+        return b / a
+    if n == 2:
+        p, q, r, s = a[..., 0, 0, None], a[..., 0, 1, None], a[..., 1, 0, None], a[..., 1, 1, None]
+        det = p * s - q * r
+        _singular(det)
+        b0, b1 = b[..., 0, :], b[..., 1, :]
+        return np.stack([(s * b0 - q * b1) / det, (p * b1 - r * b0) / det], axis=-2)
+    return np.linalg.solve(a, b)
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of a stack (..., n, n).
+
+    Like `numpy.linalg.eigvalsh`, only the real diagonal and the lower
+    triangle are read.  For n = 2 the eigenvalues are m -+ r with m the
+    mean of the diagonal and r = hypot(half its difference, |a10|), each
+    within a few ulps of max |eigenvalue|.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0].real.copy()
+    if n == 2:
+        p, q = a[..., 0, 0].real, a[..., 1, 1].real
+        mean, r = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(a[..., 1, 0]))
+        return np.stack([mean - r, mean + r], axis=-1)
+    return np.linalg.eigvalsh(a)
+
+
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """Descending singular values of each matrix of a stack (..., n, n).
+
+    For n = 1 the singular value is the modulus.  For n = 2, with a
+    scaled by its largest entry modulus, s1^2 + s2^2 = ||a||_F^2 and
+    s1^2 - s2^2 = hypot(p - q, 2 |c|) for a* a = [[p, c*], [c, q]], which
+    gives s1 to a few ulps, and s2 = |det a| / s1 to a few ulps of s1.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if n == 1:
+        return np.abs(a[..., 0])
+    if n == 2:
+        top = np.abs(a).max(axis=(-2, -1))
+        scale = np.where(top > 0.0, top, 1.0)
+        u = a / scale[..., None, None]
+        w, x, y, z = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+        ww, xx, yy, zz = (v.real**2 + v.imag**2 for v in (w, x, y, z))
+        spread = np.hypot((ww + yy) - (xx + zz), 2.0 * np.abs(w.conj() * x + y.conj() * z))
+        big = np.sqrt(0.5 * ((ww + xx + yy + zz) + spread))
+        det = np.abs(w * z - x * y)
+        small = np.divide(det, big, out=np.zeros_like(big), where=big > 0.0)
+        return np.stack([big, np.minimum(small, big)], axis=-1) * scale[..., None]
+    return np.linalg.svd(a, compute_uv=False)

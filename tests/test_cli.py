@@ -447,6 +447,51 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
     assert data["theorem55"]["data"]["conclusion"] == data["griffiths"]["data"]
 
 
+def _mono(c, p):
+    return {"c": c, "p": p}
+
+
+# E(z) = [[1, z1 + z2^2 / 2, z2], [0, 1, z1 / 4 + z1 z2 / 2]]: a 2 x 3 section matrix
+SECTIONS_D2 = {
+    "kernel": {
+        "variant": "from_sections",
+        "base_dim": 2,
+        "entries": [
+            [[_mono(1, [0, 0])], [_mono(1, [1, 0]), _mono(0.5, [0, 2])], [_mono(1, [0, 1])]],
+            [[_mono(0, [0, 0])], [_mono(1, [0, 0])], [_mono(0.25, [1, 0]), _mono(0.5, [1, 1])]],
+        ],
+    },
+    "grid": GRASSMANN_D2["grid"],
+    "subbundle": {"frame": [[[_mono(1, [0, 0])]], [[_mono(0, [0, 0])]]]},
+}
+
+
+def test_analyze_makes_no_lapack_call_per_small_matrix(monkeypatch):
+    # stacks of 1 x 1 and 2 x 2 fiber matrices take the closed forms of
+    # bck.linalg; LAPACK sees whole matrices only: the PSD Gram assembly, the
+    # section Gram (checked once) and the stack of Griffiths forms
+    calls = []
+    for name in ("svd", "solve", "inv", "eigvalsh", "eigh"):
+
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for overrides, n in ((SECTIONS_D2, 2), (GRASSMANN_D2, 1)):
+        tasks = [t for t in TASK_ORDER if n == 2 or t != "subbundle"]
+        calls.clear()
+        report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks, **overrides)))
+        data = json.loads(report.to_json())["tasks"]
+        assert all(data[t]["status"] != "error" for t in tasks), data
+        points = report.data["grid"]["points_used"]
+        directions = 2 * 2 + 6  # the axes, their i-rotations and the seeded sample
+        gram, griffiths = ("eigvalsh", (10 * n, 10 * n)), ("eigh", (points, directions, n, n))
+        allowed = {gram, griffiths} | ({("eigvalsh", (3, 3))} if n == 2 else set())
+        assert set(calls) <= allowed, sorted(set(calls) - allowed)
+        assert calls.count(gram) == calls.count(griffiths) == 1
+
+
 def test_subbundle_admissibility_and_premise_are_array_reductions(monkeypatch):
     # no one-point metric evaluations and no per-point admissibility calls;
     # the admissibility margins are built once for both tasks that read them

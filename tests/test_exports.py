@@ -50,3 +50,17 @@ def test_every_exported_name_has_a_use_beyond_its_unit_tests():
             if sum(len(pattern.findall(text)) for text in texts.values()) <= own:
                 unused.append(f"bck.{info.name}.{name}")
     assert not unused, f"exported names used only by their own unit tests: {unused}"
+
+
+def test_lapack_solves_inverses_and_svds_only_in_linalg():
+    # every stack goes through the small-matrix kernels of bck.linalg, which
+    # alone decide when a stack needs LAPACK
+    pattern = re.compile(r"np\.linalg\.(?:solve|inv|svd)\b")
+    found = [
+        f"{p.name}:{i}"
+        for p in sorted((ROOT / "src" / "bck").glob("*.py"))
+        if p.name != "linalg.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, found
