@@ -27,7 +27,6 @@ from .chern import (
 )
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
 from .forms import (
-    Form0,
     Form1,
     Form2,
     cauchy_riemann_residual,

@@ -21,10 +21,12 @@ Everything is computed over whole arrays of points: `metric_jet`
 evaluates the metric once on every stencil node of every point, and the
 connection, both curvature routes, the compatibility residuals, the
 subbundle split and the dual check are fields derived from such
-evaluations.  Field arrays put the point axis between the form indices
-and the fiber matrix, e.g. (d, N, n, n) for connection coefficients.
-`field.at(i)` is the same field class at point i (`forms.at_point`), and
-the point functions (`chern_connection`, `curvature`, ...) return it.
+evaluations, split by node with `Stencil.by_node`.  Field arrays put the
+point axis between the form indices and the fiber matrix, e.g.
+(d, N, n, n) for connection coefficients.  `field.at(i)` is the same
+field class at point i (`forms.at_point`), and the point functions
+(`chern_connection`, `curvature`, ...) return it.  A metric or frame
+given as a function of one point is lifted to stacks by `forms.pointwise`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, wedge
+from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, pointwise, wedge
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
 from .linalg import eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, solve
 
@@ -125,8 +127,9 @@ class MetricField:
     smallest eigenvalue above 1e-12 of the largest, otherwise the metric
     counts as singular and evaluation aborts rather than regularizing.
     `batch_func`, if given, maps an (M, d) array of points to the (M, n, n)
-    values at once, and `func` may be None; otherwise `func` is called
-    point by point.
+    values at once, and `func` may be None; otherwise `func` is lifted to
+    the stack by `forms.pointwise`, a scalar value counting as a 1 x 1
+    matrix.
     """
 
     func: Callable[[np.ndarray], np.ndarray] | None
@@ -216,20 +219,11 @@ class MetricField:
         n = self.fiber_dim
         if not len(pts):
             return np.empty((0, n, n), dtype=complex)
-        if self.batch_func is not None:
-            h = np.asarray(self.batch_func(pts), dtype=complex)
-            if h.shape != (len(pts), n, n):
-                raise StructuralError(
-                    f"{self.name} returned shape {h.shape[1:]}, expected ({n}, {n})"
-                )
-            return h
-        rows = []
-        for z in pts:
-            h = np.atleast_2d(np.asarray(self.func(z), dtype=complex))
-            if h.shape != (n, n):
-                raise StructuralError(f"{self.name} returned shape {h.shape}, expected ({n}, {n})")
-            rows.append(h)
-        return np.array(rows)
+        batch = self.batch_func or pointwise(lambda z: np.atleast_2d(self.func(z)), (n, n), what=self.name)
+        h = np.asarray(batch(pts), dtype=complex)
+        if h.shape != (len(pts), n, n):
+            raise StructuralError(f"{self.name} returned shape {h.shape[1:]}, expected ({n}, {n})")
+        return h
 
 
 def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> MetricField:
@@ -265,12 +259,6 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
 # ---------------------------------------------------------------------------
 
 
-def _by_node(values: np.ndarray, count: int, nodes: int) -> np.ndarray:
-    """Rows (axis -3) of a batch over count x nodes stencil points, node axis first."""
-    split = values.reshape(values.shape[:-3] + (count, nodes) + values.shape[-2:])
-    return np.moveaxis(split, -3, 0)
-
-
 @dataclass(frozen=True)
 class MetricJet:
     """h and its Wirtinger derivatives at an array of N chart points.
@@ -295,23 +283,16 @@ def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: i
     in grid order: the first point whose evaluation or stencil fails raises.
     """
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
-    d = metric.dim
     stencil = Stencil(
-        d,
+        metric.dim,
         first=steps.first_steps(),
         mixed=steps.second_steps() if order == 2 else None,
         richardson=steps.richardson,
         centre=True,
     )
-    values = _by_node(
-        stencil.on_points(metric.batch, pts, metric.domain), len(pts), len(stencil.offsets)
-    )
+    values = stencil.by_node(stencil.on_points(metric.batch, pts, metric.domain), len(pts))
     dp, dq = stencil.first_derivatives(values)
-    mixed = None
-    if order == 2:
-        mixed = np.stack(
-            [np.stack([stencil.mixed_derivative(values, k, j) for j in range(d)]) for k in range(d)]
-        )
+    mixed = stencil.mixed_derivatives(values) if order == 2 else None
     return MetricJet(points=pts, h=values[Stencil.CENTRE], dp=dp, dq=dq, mixed=mixed)
 
 
@@ -402,15 +383,12 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
         richardson=steps.richardson,
         centre=True,
     )
-    conn = outer.on_points(
-        lambda nodes: chern_connection_field(metric, nodes, steps), pts, metric.domain
+    conn = outer.by_node(
+        outer.on_points(lambda w: chern_connection_field(metric, w, steps), pts, metric.domain), len(pts)
     )
-    count, nodes = len(pts), len(outer.offsets)
-    p = _by_node(conn.form.p, count, nodes)
-    q = _by_node(conn.form.q, count, nodes)
-    a0 = Form1(p[Stencil.CENTRE], q[Stencil.CENTRE])
-    theta = outer.exterior_derivative([Form1(pp, qq) for pp, qq in zip(p, q)]) + wedge(a0, a0)
-    h = _by_node(conn.jet.h, count, nodes)[Stencil.CENTRE]
+    a0 = Form1(conn.form.p[Stencil.CENTRE], conn.form.q[Stencil.CENTRE])
+    theta = outer.exterior_derivative(conn.form) + wedge(a0, a0)
+    h = conn.jet.h[Stencil.CENTRE]
     return CurvatureField(
         points=pts,
         h=h,
@@ -553,12 +531,12 @@ def _frames(frame, nodes: np.ndarray, n: int) -> np.ndarray:
 
 def _node_frames(a, inner, pts, offsets):
     """`mgs_orthonormalize` of the frames [frame | complement] at the points
-    (N, n, k) or at their stencil nodes (N, S, n, k), with a dependent column
-    reported by its grid point and stencil node."""
+    (N, n, k) or at their stencil nodes, node axis first (S, N, n, k), with
+    a dependent column reported by its grid point and stencil node."""
     try:
         return mgs_orthonormalize(a, inner=inner)
     except StructuralError as exc:
-        i, *node, column = exc.index
+        *node, i, column = exc.index
         where = pts[i] + offsets[node[0] if node else Stencil.CENTRE]
         raise StructuralError(
             f"column {column} of [frame | complement] at grid point {pts[i]}, stencil node "
@@ -589,26 +567,24 @@ def subbundle_field(
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     n, d = metric.fiber_dim, metric.dim
     stencil = Stencil(d, first=steps.first_steps(), richardson=steps.richardson, centre=True)
-    h, f = stencil.on_points(
-        lambda nodes: (metric.batch(nodes), _frames(frame, nodes, n)), pts, metric.domain
-    )
-    h, f = (a.reshape((len(pts), -1) + a.shape[1:]) for a in (h, f))
-    h0, k = h[:, Stencil.CENTRE], f.shape[-1]
+    both = stencil.on_points(lambda w: (metric.batch(w), _frames(frame, w, n)), pts, metric.domain)
+    h, f = (stencil.by_node(a, len(pts)) for a in both)
+    h0, k = h[Stencil.CENTRE], f.shape[-1]
 
-    q1, _ = _node_frames(f[:, Stencil.CENTRE], h0, pts, stencil.offsets)
+    q1, _ = _node_frames(f[Stencil.CENTRE], h0, pts, stencil.offsets)
     eye = np.eye(n, dtype=complex)
     e, hc = eye[:, :, None], h0[:, None]  # e[i] is the column e_i
     resid = e - q1[:, None] @ (_adjoint(q1)[:, None] @ (hc @ e))
     scores = np.abs(_adjoint(resid) @ (hc @ resid))[..., 0, 0]
     complement = np.sort(np.argsort(scores, axis=-1, kind="stable")[:, ::-1][:, : n - k], axis=-1)
-    fixed = np.swapaxes(eye[complement], -1, -2)[:, None]
-    columns = np.concatenate([f, np.broadcast_to(fixed, f.shape[:2] + fixed.shape[2:])], axis=-1)
+    fixed = np.swapaxes(eye[complement], -1, -2)
+    columns = np.concatenate([f, np.broadcast_to(fixed, f.shape[:2] + fixed.shape[1:])], axis=-1)
     u, r_full = _node_frames(columns, h, pts, stencil.offsets)
-    u0 = u[:, Stencil.CENTRE]
+    u0 = u[Stencil.CENTRE]
     u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
 
-    du_p, du_q = stencil.first_derivatives(np.moveaxis(u, 1, 0))
-    a_p = solve(h0, stencil.first_derivatives(np.moveaxis(h, 1, 0))[0])
+    du_p, du_q = stencil.first_derivatives(u)
+    a_p = solve(h0, stencil.first_derivatives(h)[0])
     beta = (u0_inv @ (a_p @ u0 + du_p))[..., k:, :k]
     antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
 
@@ -629,7 +605,7 @@ def subbundle_field(
         batch_func=induced,
     )
     sub = analytic_curvature_field(sub_metric, pts, steps).form.r11
-    r = r_full[:, Stencil.CENTRE, :k, :k]
+    r = r_full[Stencil.CENTRE, :, :k, :k]
     theta_sub = r @ sub @ solve(r, np.eye(k))
     expected = theta_sub - _adjoint(beta)[:, None] @ beta[None, :]
     return SubbundleField(
@@ -650,12 +626,8 @@ def subbundle_split(
     steps: FdSteps = FdSteps(),
 ) -> SubbundleField:
     """`subbundle_field` at one point z, for a frame z -> (n, k) matrix."""
-    z = as_point(z, metric.dim)
-
-    def stacked(nodes):
-        return np.stack([np.atleast_2d(np.asarray(frame(w), dtype=complex)) for w in nodes])
-
-    return subbundle_field(metric, stacked, z[None], steps).at(0)
+    stacked = pointwise(lambda w: np.atleast_2d(frame(w)), what="frame")
+    return subbundle_field(metric, stacked, as_point(z, metric.dim)[None], steps).at(0)
 
 
 # ---------------------------------------------------------------------------

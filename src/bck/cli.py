@@ -123,11 +123,19 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return number
 
 
-def _section(raw: dict, key: str) -> dict:
-    """raw[key] as a JSON object; an absent key reads as {}."""
+def _known(obj: dict, keys, where: str) -> None:
+    """A key of `obj` outside `keys` is a config error, never a default."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _section(raw: dict, key: str, keys) -> dict:
+    """raw[key] as a JSON object with keys from `keys`; an absent key reads as {}."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"'{key}' must be an object, not {value!r}")
+    _known(value, keys, f"'{key}'")
     return value
 
 
@@ -245,6 +253,7 @@ def _build_grid(cfg: dict) -> tuple[ChartGrid, tuple[float, ...]]:
             bounds.append([_finite(x, "a grid bound") for x in (re_lo, re_hi, im_lo, im_hi)])
             res.append([_integer(axis[key], "grid resolution", least=2) for key in ("re_res", "im_res")])
             scale.append(_finite(axis.get("scale", 1.0), "an axis scale"))
+            _known(axis, ("re", "im", "re_res", "im_res", "scale"), "a grid axis")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid axis {axis!r}: {exc}") from exc
         if scale[-1] <= 0:
@@ -276,6 +285,9 @@ class AnalysisConfig:
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        # "fd" and a top-level "seed" are aliases of "fd_steps" and "directions.seed"
+        keys = ("kernel", "grid", "fd_steps", "fd", "tolerances", "tasks", "directions", "seed", "samples")
+        _known(raw, keys + ("subbundle", "output"), "the config")
         kernel = build_kernel(raw.get("kernel", {}))
         grid, scale = _build_grid(raw.get("grid", {}))
         if grid.dim != kernel.base_dim:
@@ -283,7 +295,7 @@ class AnalysisConfig:
                 f"grid has {grid.dim} complex axes but the kernel chart has "
                 f"{kernel.base_dim}"
             )
-        fd_cfg = _section(raw, "fd_steps" if "fd_steps" in raw else "fd")
+        fd_cfg = _section(raw, "fd_steps" if "fd_steps" in raw else "fd", ("first", "second", "richardson"))
         steps = FdSteps(
             first=_finite(fd_cfg.get("first", 1e-5), "fd_steps.first"),
             second=_finite(fd_cfg.get("second", 1e-4), "fd_steps.second"),
@@ -295,9 +307,7 @@ class AnalysisConfig:
         if not isinstance(steps.richardson, bool):
             raise ConfigError(f"fd_steps.richardson must be true or false, not {steps.richardson!r}")
         tolerances = dict(_DEFAULT_TOLERANCES)
-        for key, value in _section(raw, "tolerances").items():
-            if key not in tolerances:
-                raise ConfigError(f"unknown tolerance {key!r}")
+        for key, value in _section(raw, "tolerances", tolerances).items():
             tolerances[key] = _finite(value, f"tolerance {key!r}")
         tasks = raw.get("tasks", [])
         if not isinstance(tasks, list) or not tasks:
@@ -306,7 +316,7 @@ class AnalysisConfig:
         if unknown:
             raise ConfigError(f"unknown tasks: {unknown}")
         ordered = tuple(t for t in TASK_ORDER if t in tasks)
-        directions = _section(raw, "directions")
+        directions = _section(raw, "directions", ("count", "seed"))
         seed = _integer(directions.get("seed", raw.get("seed", 0)), "the seed")
         env_seed = os.environ.get("BCK_SEED")
         if env_seed is not None:
@@ -314,7 +324,8 @@ class AnalysisConfig:
         if seed < 0:
             raise ConfigError(f"the seed must be >= 0, not {seed}")
         count = _integer(directions.get("count", 64), "direction count", least=0)
-        psd_points = _integer(_section(raw, "samples").get("psd_points", 50), "samples.psd_points", least=1)
+        samples = _section(raw, "samples", ("psd_points",))
+        psd_points = _integer(samples.get("psd_points", 50), "samples.psd_points", least=1)
         frame = None
         if "subbundle" in raw:
             sub = raw["subbundle"]
@@ -329,7 +340,7 @@ class AnalysisConfig:
                 )
         if "subbundle" in ordered and frame is None:
             raise ConfigError("task 'subbundle' requires a 'subbundle.frame' config")
-        output = _section(raw, "output")
+        output = _section(raw, "output", ("report", "csv_dir"))
         if not all(isinstance(output.get(key), (str, type(None))) for key in ("report", "csv_dir")):
             raise ConfigError("output.report and output.csv_dir must be paths")
         return cls(

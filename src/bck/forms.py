@@ -16,7 +16,10 @@ Derivatives are central finite differences on the 2d underlying real
 coordinates (Wirtinger combinations), with optional Richardson
 extrapolation for one extra order pair; `Stencil` holds the one table of
 stencil nodes and weights, and `Stencil.on_points` takes every difference:
-it evaluates a field once on the nodes of all points of an array.
+it evaluates a field once on the nodes of all points of an array, and
+`Stencil.by_node` splits those rows by node.  A 0-form is a bare array.
+The point axis of field results has one owner: `at_point` drops it,
+`stack_points` restores it, and `pointwise` lifts point functions with it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import DomainError, StructuralError
 from .linalg import max_frob
 
 __all__ = [
-    "Form0",
     "Form1",
     "Form2",
     "form_norm",
@@ -45,6 +47,8 @@ __all__ = [
     "as_point",
     "as_points",
     "at_point",
+    "stack_points",
+    "pointwise",
     "Stencil",
     "inside_domain",
     "clear_of_boundary",
@@ -73,6 +77,16 @@ def as_points(z, dim: int) -> np.ndarray:
     return p
 
 
+def _arrays(fn, value):
+    """fn(array, its point axis) on every array of a field result (see
+    `at_point`): dataclasses field by field, anything else kept as it is."""
+    if is_dataclass(value):
+        return replace(value, **{f.name: _arrays(fn, getattr(value, f.name)) for f in fields(value)})
+    if not isinstance(value, np.ndarray):
+        return value
+    return fn(value, 0 if value.ndim <= 2 else value.ndim - 3)
+
+
 def at_point(value, i: int):
     """A field result at its point i: the same class with the point axis dropped.
 
@@ -82,33 +96,51 @@ def at_point(value, i: int):
     forms, metric jets) are taken field by field; anything else, such as a
     method name or a missing jet order, is kept as it is.
     """
-    if is_dataclass(value):
-        return replace(value, **{f.name: at_point(getattr(value, f.name), i) for f in fields(value)})
-    if not isinstance(value, np.ndarray):
-        return value
-    if value.ndim == 1:
-        return value[i].item()
-    return value[i] if value.ndim == 2 else value[..., i, :, :]
+
+    def take(a, axis):
+        return a[i].item() if a.ndim == 1 else a[(slice(None),) * axis + (i,)]
+
+    return _arrays(take, value)
+
+
+def stack_points(values: list):
+    """The inverse of `at_point`: `at_point(stack_points(values), i)` is
+    `values[i]`.  Arrays and scalars are stacked along the point axis and
+    dataclasses field by field; anything else is taken from the first."""
+    first = values[0]
+    if is_dataclass(first):
+        columns = {f.name: stack_points([getattr(v, f.name) for v in values]) for f in fields(first)}
+        return replace(first, **columns)
+    if not isinstance(first, (np.ndarray, np.generic, int, float, complex)):
+        return first
+    return _arrays(lambda a, axis: np.moveaxis(a, 0, axis), np.stack(values))
+
+
+def pointwise(fn: Callable, shape: tuple | None = None, dtype=complex, what: str = "value") -> Callable:
+    """`fn`, a function of one chart point (or of one point of each of
+    several stacks), lifted to (..., d) stacks that broadcast, and called
+    at every row in row-major order.  Without a `shape` its values are
+    joined by `stack_points`; with one, each value is converted to `dtype`
+    and must have that shape, or StructuralError names `what`, and the
+    result is one (..., *shape) array."""
+
+    def lifted(*stacks):
+        rows = np.broadcast_arrays(*(np.asarray(s, dtype=complex) for s in stacks))
+        lead, values = rows[0].shape[:-1], []
+        for args in zip(*(r.reshape(-1, r.shape[-1]) for r in rows)):
+            values.append(fn(*args) if shape is None else np.asarray(fn(*args), dtype=dtype))
+            if shape is not None and values[-1].shape != shape:
+                raise StructuralError(f"{what} has shape {values[-1].shape}, expected {shape}")
+        if shape is None:
+            return stack_points(values)
+        return np.array(values, dtype=dtype).reshape(lead + shape)
+
+    return lifted
 
 
 # ---------------------------------------------------------------------------
 # point forms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Form0:
-    """Degree-0 form value: a matrix (or vector) at one chart point."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=complex))
-
-    degree = 0
-
-    def __call__(self) -> np.ndarray:
-        return self.value
 
 
 class _Linear:
@@ -219,9 +251,10 @@ def _blocks(form) -> list:
 
 
 def form_norm(form) -> float:
-    """Max Frobenius norm over the coefficient matrices of a form."""
-    if not isinstance(form, (Form0, Form1, Form2)):
-        raise TypeError(f"not a form: {type(form)!r}")
+    """Max Frobenius norm over the coefficient matrices of a form; a bare
+    array is one 0-form value."""
+    if not isinstance(form, (Form1, Form2)):
+        return max_frob(form, 0)
     return max(max_frob(c, form.degree) for c in _blocks(form))
 
 
@@ -323,15 +356,15 @@ def wedge(a, b):
     Values of `a` and `b` are combined by operator composition (matrix
     product), with scalar values multiplied pointwise.  For 1-forms the
     normalization is (a ^ b)(v, w) = a(v) b(w) - a(w) b(v), and a degree-0
-    factor acts pointwise on every coefficient.  For two 1-forms each
-    coefficient table is one broadcast product of the (d, 1, ...) and
-    (1, d, ...) coefficient stacks.
+    factor, a bare array, acts pointwise on every coefficient.  For two
+    1-forms each coefficient table is one broadcast product of the
+    (d, 1, ...) and (1, d, ...) coefficient stacks.
     """
-    da, db = a.degree, b.degree
+    da, db = (getattr(x, "degree", 0) for x in (a, b))
     if db == 0:
-        return type(a)(*(_each(lambda m: _mul(m, b.value), c, da) for c in _blocks(a)))
+        return type(a)(*(_each(lambda m: _mul(m, b), c, da) for c in _blocks(a)))
     if da == 0:
-        return type(b)(*(_each(lambda m: _mul(a.value, m), c, db) for c in _blocks(b)))
+        return type(b)(*(_each(lambda m: _mul(a, m), c, db) for c in _blocks(b)))
     if (da, db) != (1, 1):
         raise ValueError(f"unsupported degree combination ({da}, {db})")
     if a.dim != b.dim:
@@ -403,11 +436,12 @@ class Stencil:
     the two combined as (4 D(h/2) - D(h)) / 3.  With `centre` the point z
     itself is node 0 (`CENTRE`).
 
-    `first_derivatives` and `mixed_derivative` combine field values taken
-    at z + offsets[s], indexed by node first; any trailing shape is
-    carried along, so a whole batch of points is differentiated at once
-    when the point axis sits in the value shape.  `radius` is the distance
-    from z that the domain must clear.
+    `first_derivatives`, `mixed_derivatives` and `exterior_derivative`
+    combine field values taken at z + offsets[s], indexed by node first;
+    any trailing shape is carried along, so a whole batch of points is
+    differentiated at once when the point axis sits in the value shape, as
+    `by_node` puts it.  `radius` is the distance from z that the domain
+    must clear.
     """
 
     CENTRE = 0
@@ -504,6 +538,17 @@ class Stencil:
             )
         return evaluate(nodes.reshape(-1, self.dim))
 
+    def by_node(self, values, count: int):
+        """`on_points` values over `count` points, node axis first: the
+        point axis (as `at_point` takes it) holds the nodes point by point,
+        and entry s of the result holds node s of every point there."""
+
+        def split(a, axis):
+            rows = a.reshape(a.shape[:axis] + (count, len(self._offsets)) + a.shape[axis + 1 :])
+            return np.moveaxis(rows, axis + 1, 0)
+
+        return _arrays(split, values)
+
     def first_derivatives(self, values) -> tuple[np.ndarray, np.ndarray]:
         """(p, q) of shape (d, ...) with p[j] ~ df/dz_j and q[k] ~ df/dzbar_k."""
         ps, qs = [], []
@@ -518,47 +563,45 @@ class Stencil:
             qs.append(_extrapolate(q_levels))
         return np.stack(ps), np.stack(qs)
 
-    def mixed_derivative(self, values, k: int, j: int) -> np.ndarray:
-        """d^2 f / dzbar_k dz_j.  For k == j the cross terms cancel exactly
-        and only the quarter-Laplacian on that axis survives."""
-        estimates = []
-        for hk, hj, nodes in self._mixed[(k, j)]:
-            f = [np.asarray(values[s]) for s in nodes]
-            if k == j:
-                dxx = (f[1] - 2.0 * f[0] + f[2]) / hj**2
-                dyy = (f[3] - 2.0 * f[0] + f[4]) / hj**2
-                estimates.append(0.25 * (dxx + dyy))
-            else:
-                cross = [
-                    (f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * hk * hj)
-                    for i in range(0, 16, 4)
-                ]
-                estimates.append(0.25 * (cross[0] + 1j * cross[1] - 1j * cross[2] + cross[3]))
-        return _extrapolate(estimates)
+    def mixed_derivatives(self, values) -> np.ndarray:
+        """The (d, d, ...) table of d^2 f / dzbar_k dz_j at [k, j].  For
+        k == j the cross terms cancel exactly and only the
+        quarter-Laplacian on that axis survives."""
+
+        def pair(k, j):
+            estimates = []
+            for hk, hj, nodes in self._mixed[(k, j)]:
+                f = [np.asarray(values[s]) for s in nodes]
+                if k == j:
+                    dxx = (f[1] - 2.0 * f[0] + f[2]) / hj**2
+                    dyy = (f[3] - 2.0 * f[0] + f[4]) / hj**2
+                    estimates.append(0.25 * (dxx + dyy))
+                else:
+                    cross = [
+                        (f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * hk * hj)
+                        for i in range(0, 16, 4)
+                    ]
+                    estimates.append(0.25 * (cross[0] + 1j * cross[1] - 1j * cross[2] + cross[3]))
+            return _extrapolate(estimates)
+
+        return np.stack([np.stack([pair(k, j) for j in range(self.dim)]) for k in range(self.dim)])
 
     def exterior_derivative(self, values):
-        """d of a 0- or 1-form field from its values at the nodes.
-
-        Values are Form0/Form1 (bare arrays count as 0-forms).  The
-        coefficient fields are differentiated and reassembled into the
-        degree p+1 coefficients.
+        """d of a 0- or 1-form field from its values at the nodes, node
+        axis first: an array is a 0-form, and a Form1 has (S, d, ...)
+        coefficient arrays.  The coefficient fields are differentiated and
+        reassembled into the degree p+1 coefficients.
         """
-        values = [_as_field_value(v) for v in values]
-        if values[0].degree == 0:
-            return Form1(*self.first_derivatives([v.value for v in values]))
+        if not isinstance(values, Form1):
+            return Form1(*self.first_derivatives(values))
         # dp_p[m, j] ~ d P_j / dz_m ; dq_p[k, j] ~ d P_j / dzbar_k ; etc.
-        dp_p, dq_p = self.first_derivatives([v.p for v in values])
-        dp_q, dq_q = self.first_derivatives([v.q for v in values])
+        dp_p, dq_p = self.first_derivatives(values.p)
+        dp_q, dq_q = self.first_derivatives(values.q)
         return Form2(
             dp_p - np.swapaxes(dp_p, 0, 1),
             dq_p - np.swapaxes(dp_q, 0, 1),
             dq_q - np.swapaxes(dq_q, 0, 1),
         )
-
-
-def _each_node(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], list]:
-    """A one-point field as an `on_points` evaluation: f at every node, in order."""
-    return lambda nodes: [f(w) for w in nodes]
 
 
 def wirtinger_first(
@@ -575,20 +618,13 @@ def wirtinger_first(
     `richardson` the h and h/2 stencils are combined for fourth-order
     accuracy.
     """
-    z = as_point(z)
-    stencil = Stencil(z.size, first=step, richardson=richardson)
-    return stencil.first_derivatives(stencil.on_points(_each_node(f), z[None], domain))
+    df = exterior_derivative(f, z, step, richardson, domain)
+    return df.p, df.q
 
 
 # ---------------------------------------------------------------------------
 # exterior derivative and Dolbeault operators
 # ---------------------------------------------------------------------------
-
-
-def _as_field_value(value):
-    if isinstance(value, (Form0, Form1)):
-        return value
-    return Form0(np.asarray(value, dtype=complex))
 
 
 def exterior_derivative(
@@ -600,12 +636,14 @@ def exterior_derivative(
 ):
     """Exterior derivative of a 0- or 1-form field at one point.
 
-    The field maps chart points to Form0/Form1 values (bare arrays count
-    as 0-forms) and is evaluated once per stencil node.
+    The field maps chart points to Form1 values or bare arrays (0-forms)
+    and is evaluated once per stencil node.
     """
     z = as_point(z)
     stencil = Stencil(z.size, first=step, richardson=richardson)
-    return stencil.exterior_derivative(stencil.on_points(_each_node(field), z[None], domain))
+    values = stencil.on_points(pointwise(field), z[None], domain)
+    # the nodes of the one point fill its point axis: move them first
+    return stencil.exterior_derivative(_arrays(lambda a, axis: np.moveaxis(a, axis, 0), values))
 
 
 def delbar_norms(
@@ -619,13 +657,13 @@ def delbar_norms(
     norm over k of df/dzbar_k.
 
     `evaluate` maps the (N S, d) stack of all stencil nodes of all points
-    to the values of f there, (N S, ...); it is called once.
+    to the values of f there, (N S,), (N S, m) or (N S, m, m); it is
+    called once.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     stencil = Stencil(pts.shape[1], first=step, richardson=richardson)
     values = np.asarray(stencil.on_points(evaluate, pts, domain))
-    values = values.reshape((len(pts), len(stencil.offsets)) + values.shape[1:])
-    _, q = stencil.first_derivatives(np.moveaxis(values, 1, 0))
+    _, q = stencil.first_derivatives(stencil.by_node(values, len(pts)))
     return np.linalg.norm(q.reshape(q.shape[:2] + (-1,)), axis=-1).max(axis=0)
 
 
@@ -646,8 +684,6 @@ def cauchy_riemann_residual(
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")
-
-    def evaluate(nodes):
-        return np.stack([np.asarray(f(z), dtype=complex) for z in nodes])
-
+    # one flat row of values per node: the norm is over all entries
+    evaluate = pointwise(lambda z: np.ravel(f(z)))
     return float(np.max(delbar_norms(evaluate, pts, step, richardson, domain)))

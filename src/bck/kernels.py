@@ -25,7 +25,8 @@ Every family defines the stack methods `eval_many`, `fiber_metric_batch`,
 `contains_batch` and `boundary_distance_batch` (the last three have
 defaults); `KernelSpec` derives the one-point `eval`, `fiber_metric`,
 `contains` and `boundary_distance` from them.  `UserKernel` wraps
-per-point callables and loops them in its stack methods.
+per-point callables, lifted to stacks by `forms.pointwise`, which checks
+the shape of every value.
 `KernelSpec.eval_batch` evaluates blocks over whole stacks of point pairs
 with the checks of `eval_kernel`.
 """
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .forms import as_point, as_points, at_point
+from .forms import as_point, as_points, at_point, pointwise
 from .linalg import (
     Sampler,
     hermiticity_defect,
@@ -152,7 +153,9 @@ class KernelSpec:
 
     def _checked_blocks(self, z, w) -> np.ndarray:
         out = np.asarray(self.eval_many(z, w), dtype=complex)
-        _check_block_shape(out.shape[max(z.ndim, w.ndim) - 1 :], self.fiber_dim)
+        shape, n = out.shape[max(z.ndim, w.ndim) - 1 :], self.fiber_dim
+        if shape != (n, n):
+            raise StructuralError(f"kernel block has shape {shape}, expected ({n}, {n})")
         if not np.isfinite(out).all():
             raise StructuralError("kernel block has non-finite entries")
         return out
@@ -164,11 +167,6 @@ class KernelSpec:
         if not self.contains(z):
             raise DomainError(f"point {z} is outside the domain of the {self.variant} kernel")
         return z
-
-
-def _check_block_shape(shape: tuple, n: int) -> None:
-    if shape != (n, n):
-        raise StructuralError(f"kernel block has shape {shape}, expected ({n}, {n})")
 
 
 def eval_kernel(spec: KernelSpec, z, w) -> np.ndarray:
@@ -245,6 +243,9 @@ class SectionKernel(KernelSpec):
         self.sections = sections
         self.base_dim = int(base_dim)
         probe = np.asarray(sections(np.zeros(self.base_dim, dtype=complex)), dtype=complex)
+        self._values = sections if isinstance(sections, MatrixPolynomial) else pointwise(
+            sections, probe.shape, what="section matrix"
+        )
         if probe.ndim == 1:
             probe = probe[None, :]
         if probe.ndim != 2:
@@ -266,14 +267,11 @@ class SectionKernel(KernelSpec):
         """E at a chart point, or at each point of a stack (..., d) -> (..., n, m).
 
         A polynomial section matrix is evaluated on the whole stack at once;
-        any other callable point by point.
+        any other callable point by point (`forms.pointwise`), each value
+        with the shape it has at the origin.
         """
         z = as_points(z, self.base_dim)
-        if isinstance(self.sections, MatrixPolynomial):
-            e = self.sections(z)
-        else:
-            values = [np.asarray(self.sections(p), dtype=complex) for p in z.reshape(-1, self.base_dim)]
-            e = np.array(values, dtype=complex).reshape(z.shape[:-1] + values[0].shape)
+        e = self._values(z)
         if e.ndim == z.ndim:  # a single row given as a vector
             e = e[..., None, :]
         return e
@@ -322,7 +320,10 @@ class GrassmannKernel(KernelSpec):
 
 
 class UserKernel(KernelSpec):
-    """Wrap arbitrary callables as a kernel."""
+    """Wrap arbitrary callables of one point (or pair) as a kernel: each
+    given hook becomes its stack method through `forms.pointwise`, kernel
+    blocks and fiber metrics n x n (a scalar reads as 1 x 1), domain tests
+    and boundary distances scalars."""
 
     variant = "user_hook"
 
@@ -336,47 +337,21 @@ class UserKernel(KernelSpec):
         boundary_distance_fn=None,
         holomorphic: bool = False,
     ):
-        self._eval = eval_fn
         self.fiber_dim = int(fiber_dim)
         self.base_dim = int(base_dim)
-        self._metric = fiber_metric_fn
-        self._contains = contains_fn
-        self._distance = boundary_distance_fn
         self.holomorphic = bool(holomorphic)
-
-    def eval_many(self, z, w):
-        def block(zz, ww):
-            b = np.atleast_2d(np.asarray(self._eval(zz, ww), dtype=complex))
-            _check_block_shape(b.shape, self.fiber_dim)
-            return b
-
-        return _looped(block, (self.fiber_dim, self.fiber_dim), complex, z, w)
-
-    def fiber_metric_batch(self, z):
-        if self._metric is None:
-            return super().fiber_metric_batch(z)
-        return _looped(self._metric, (self.fiber_dim, self.fiber_dim), complex, z)
-
-    def contains_batch(self, z):
-        if self._contains is None:
-            return super().contains_batch(z)
-        return _looped(self._contains, (), bool, z)
-
-    def boundary_distance_batch(self, z):
-        if self._distance is not None:
-            return _looped(self._distance, (), float, z)
-        if self._contains is None:
-            return super().boundary_distance_batch(z)
-        return np.zeros(np.shape(z)[:-1])
-
-
-def _looped(fn: Callable, shape: tuple, dtype, *stacks) -> np.ndarray:
-    """fn at every row of (..., d) stacks broadcast together, as an
-    (..., *shape) array; an empty stack gives an empty array."""
-    rows = np.broadcast_arrays(*(np.asarray(s, dtype=complex) for s in stacks))
-    d = rows[0].shape[-1]
-    values = [fn(*args) for args in zip(*(r.reshape(-1, d) for r in rows))]
-    return np.array(values, dtype=dtype).reshape(rows[0].shape[:-1] + shape)
+        matrix = (self.fiber_dim, self.fiber_dim)
+        self.eval_many = pointwise(lambda z, w: np.atleast_2d(eval_fn(z, w)), matrix, what="kernel block")
+        if fiber_metric_fn is not None:
+            self.fiber_metric_batch = pointwise(
+                lambda z: np.atleast_2d(fiber_metric_fn(z)), matrix, what="fiber metric"
+            )
+        if contains_fn is not None:
+            self.contains_batch = pointwise(contains_fn, (), bool, "domain test")
+        if boundary_distance_fn is not None:
+            self.boundary_distance_batch = pointwise(boundary_distance_fn, (), float, "boundary distance")
+        elif contains_fn is not None:
+            self.boundary_distance_batch = lambda z: np.zeros(np.shape(z)[:-1])
 
 
 class DualKernel(KernelSpec):

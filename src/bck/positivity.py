@@ -31,7 +31,7 @@ import numpy as np
 
 from .chern import CurvatureField, MetricField
 from .errors import StructuralError
-from .forms import Form2, as_point, probe_tensor
+from .forms import Form2, as_point, pointwise, probe_tensor
 from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
 
 __all__ = [
@@ -293,8 +293,8 @@ def griffiths_verdict(
     """Spectral verdict of the curvature's Griffiths form over a grid.
 
     `curvature_field` is either a CurvatureField over `points`, whose
-    metric values are reused, or a map z -> one-point CurvatureField, first
-    collected point by point in grid order with h(z) from each field.
+    metric values are reused, or a map z -> one-point CurvatureField,
+    lifted to the points by `forms.pointwise` (called in grid order).
     Under Form2's antisymmetrised evaluation the (2,0) and (0,2) blocks
     vanish on (x, i x), so for point i and direction x_m
 
@@ -315,13 +315,9 @@ def griffiths_verdict(
     if dirs.shape[0] == 0:
         raise ValueError("empty direction sample")
 
-    if isinstance(curvature_field, CurvatureField):
-        h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
-    else:
-        curvs = [curvature_field(z) for z in pts]
-        h = np.stack([c.h for c in curvs])
-        r11 = np.stack([c.form.r11 for c in curvs], axis=2)
-        purity = [c.purity_residual for c in curvs]
+    if not isinstance(curvature_field, CurvatureField):
+        curvature_field = pointwise(curvature_field)(pts)
+    h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
     s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11)
     g = 2.0 * np.matmul(h[:, None], s)
     max_herm = float(hermiticity_defect(g).max())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import forms
-from .forms import Form0, Form1, Stencil, form_norm, split_bilinear, split_linear
+from .forms import Form1, Stencil, at_point, form_norm, split_bilinear, split_linear
 from .linalg import Sampler, frob, max_frob
 from .polys import MatrixPolynomial
 from .positivity import triple_join, triple_split
@@ -104,11 +104,10 @@ def _check_wedge_skewness(rng, results):
     results.append(_entry("wedge skewness", worst, 1e-12))
 
 
-def _one_forms_at(form: Form1, nodes=slice(None)) -> list:
-    """The 1-form at each node of a field evaluated on a node stack (node
-    axis after the form index), for the given nodes."""
-    p, q = (np.moveaxis(c[:, nodes], 1, 0) for c in (form.p, form.q))
-    return [Form1(*pq) for pq in zip(p, q)]
+def _d(stencil: Stencil, form: Form1) -> forms.Form2:
+    """d of a 1-form field given at the nodes of one point, the nodes on
+    the point axis (`at_point(form, s)` is the form at node s)."""
+    return at_point(stencil.exterior_derivative(stencil.by_node(form, 1)), 0)
 
 
 def _check_d_squared(rng, results):
@@ -122,15 +121,15 @@ def _check_d_squared(rng, results):
         poly = MatrixPolynomial.random(rng, dim, (n, n), degree=3)
         z0 = 0.3 * _random_probe(rng, dim)
         # df at every outer node, from one evaluation on the outer x inner nodes
-        values = inner.on_points(poly, z0 + outer.offsets).reshape((len(outer.offsets), -1, n, n))
-        df = Form1(*inner.first_derivatives(np.moveaxis(values, 1, 0)))
-        dd = outer.exterior_derivative(_one_forms_at(df))
+        values = inner.on_points(poly, z0 + outer.offsets)
+        df = Form1(*inner.first_derivatives(inner.by_node(values, len(outer.offsets))))
+        dd = _d(outer, df)
         worst_dd = max(worst_dd, form_norm(dd))
         # Dolbeault refinements: the (0,2) block of d(delbar f) and the
         # (2,0) block of d(del f) are delbar^2 f and del^2 f.
         zero = np.zeros_like(df.p)
-        ddbar = outer.exterior_derivative(_one_forms_at(Form1(zero, df.q)))
-        ddel = outer.exterior_derivative(_one_forms_at(Form1(df.p, zero)))
+        ddbar = _d(outer, Form1(zero, df.q))
+        ddel = _d(outer, Form1(df.p, zero))
         worst_delbar = max(worst_delbar, max_frob(ddbar.c02, 2))
         worst_del = max(worst_del, max_frob(ddel.c20, 2))
     results.append(_entry("d squared vanishes", worst_dd, 1e-5))
@@ -152,9 +151,8 @@ def _check_leibniz(rng, results):
         # every field once, on z0 (the fine stencil's centre) and the nodes
         nodes = z0 + np.concatenate([fine.offsets, coarse.offsets])
         fv, gv, beta = f(nodes), g(nodes), one_form(nodes)
-        f0, g0 = Form0(fv[Stencil.CENTRE]), Form0(gv[Stencil.CENTRE])
-        beta0 = Form1(beta.p[:, Stencil.CENTRE], beta.q[:, Stencil.CENTRE])
-        beta_coarse = Form1(beta.p[:, at_coarse], beta.q[:, at_coarse])
+        f0, g0, beta0 = fv[Stencil.CENTRE], gv[Stencil.CENTRE], at_point(beta, Stencil.CENTRE)
+        beta_fine, beta_coarse = (Form1(beta.p[:, at], beta.q[:, at]) for at in (at_fine, at_coarse))
 
         # degree (0,0)
         lhs = fine.exterior_derivative(fv[at_fine] @ gv[at_fine])
@@ -164,15 +162,13 @@ def _check_leibniz(rng, results):
         worst = max(worst, form_norm(lhs - rhs))
 
         # degree (0,1)
-        product01 = forms.wedge(Form0(fv[at_coarse]), beta_coarse)
-        lhs01 = coarse.exterior_derivative(_one_forms_at(product01))
-        dbeta = fine.exterior_derivative(_one_forms_at(beta, at_fine))
+        lhs01 = _d(coarse, forms.wedge(fv[at_coarse], beta_coarse))
+        dbeta = _d(fine, beta_fine)
         rhs01 = forms.wedge(df, beta0) + forms.wedge(f0, dbeta)
         worst = max(worst, form_norm(lhs01 - rhs01))
 
         # degree (1,0) picks up the sign of the graded product rule
-        product10 = forms.wedge(beta_coarse, Form0(gv[at_coarse]))
-        lhs10 = coarse.exterior_derivative(_one_forms_at(product10))
+        lhs10 = _d(coarse, forms.wedge(beta_coarse, gv[at_coarse]))
         rhs10 = forms.wedge(dbeta, g0) - forms.wedge(beta0, dg)
         worst = max(worst, form_norm(lhs10 - rhs10))
     results.append(_entry("graded product rule", worst, 1e-5))

@@ -34,3 +34,23 @@ def make_raising(where="eval"):
         base_dim=1,
         contains_fn=fail if where == "contains" else None,
     )
+
+
+def make_misshapen(where="metric"):
+    """A 2 x 2 kernel with one hook whose values have the wrong shape: a
+    fiber metric as a flat list or a row, or a domain test or boundary
+    distance with one value per fiber coordinate."""
+    wrong = {
+        "metric": lambda z: [1.0, 0.5, 0.5, 1.0],
+        "metric-row": lambda z: [[1.0, 0.5, 0.5, 1.0]],
+        "contains": lambda z: np.array([True, True]),
+        "distance": lambda z: np.ones(2),
+    }[where]
+    return UserKernel(
+        lambda z, w: np.eye(2),
+        fiber_dim=2,
+        base_dim=1,
+        fiber_metric_fn=wrong if where.startswith("metric") else None,
+        contains_fn=wrong if where == "contains" else None,
+        boundary_distance_fn=wrong if where == "distance" else None,
+    )

@@ -6,6 +6,7 @@ point, when it sits inside a batch.
 """
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from bck.chern import (
     dual_curvature_check,
     dual_curvature_field,
     metric_from_kernel,
+    metric_jet,
     nested_curvature_field,
     subbundle_field,
     subbundle_split,
@@ -43,6 +45,7 @@ from bck.kernels import (
     dual_kernel,
     eval_kernel,
 )
+from bck.forms import Form1, Stencil, at_point, stack_points
 from bck.linalg import mgs_orthonormalize
 from bck.polys import MatrixPolynomial
 
@@ -332,6 +335,72 @@ def test_subbundle_field_matches_point_splits():
         for name, value in vars(single).items():
             assert np.array_equal(getattr(field.at(i), name), value), name
         assert single.identity_residual <= 1e-4
+
+
+def _bit_equal(a, b) -> bool:
+    """Same class, and every array of the same dtype, shape and bytes."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(_bit_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    shape=st.sampled_from([(), (2,), (2, 2), (3, 2, 2), (2, 3, 1, 2)]),
+    kind=st.sampled_from(["complex", "float", "bool"]),
+)
+def test_at_point_inverts_stack_points(seed, count, shape, kind):
+    rng = np.random.default_rng(seed)
+    raw = {"complex": cmat(rng, count, *shape), "float": rng.standard_normal((count,) + shape)}
+    raw["bool"] = raw["float"] > 0
+    vals = [v.item() if v.ndim == 0 else v for v in raw[kind]]  # per-point scalars are Python scalars
+    for i, v in enumerate(vals):
+        assert _bit_equal(at_point(stack_points(vals), i), v)
+    # dataclasses field by field, and a value that is no array kept
+    forms = [Form1(v, v) for v in raw["complex"]]
+    for i, form in enumerate(forms):
+        assert _bit_equal(at_point(stack_points(forms), i), form)
+    assert stack_points(["analytic_expansion"] * count) == "analytic_expansion"
+
+
+def test_fields_are_stacks_of_their_points():
+    rng = np.random.default_rng(17)
+    spec = FAMILIES["from_sections"]
+    m = metric_from_kernel(spec)
+    pts = _grid_points(rng, 3, 2)
+    frame = lambda nodes: np.broadcast_to(np.eye(2, 1, dtype=complex), (len(nodes), 2, 1))
+    results = [
+        chern_connection_field(m, pts, RICH),
+        analytic_curvature_field(m, pts, RICH),
+        nested_curvature_field(m, pts, RICH),
+        subbundle_field(m, frame, pts, RICH),
+        dual_curvature_field(spec, pts, RICH),
+        admissibility_field(spec, pts),
+        metric_jet(m, pts, RICH, order=1),
+    ]
+    for field in results:
+        assert _bit_equal(stack_points([at_point(field, i) for i in range(len(pts))]), field), type(field)
+
+
+def test_by_node_splits_on_points_rows_into_nodes():
+    # entry s of the split holds node s of every point, as evaluating the
+    # nodes point by point gives it, for arrays and for dataclasses
+    rng = np.random.default_rng(23)
+    m = poly_metric(rng, 2, 2)
+    stencil = Stencil(2, first=1e-3, mixed=1e-2, richardson=True, centre=True)
+    pts = _grid_points(rng, 3, 2)
+    h = stencil.by_node(stencil.on_points(m.batch, pts), len(pts))
+    conn = stencil.by_node(stencil.on_points(lambda w: chern_connection_field(m, w, RICH), pts), len(pts))
+    for s, offset in enumerate(stencil.offsets):
+        for i, z in enumerate(pts):
+            single = chern_connection(m, z + offset, RICH)
+            assert np.array_equal(h[s, i], m(z + offset))
+            assert np.array_equal(conn.form.p[s][:, i], single.form.p)
+            assert np.array_equal(conn.jet.points[s, i], z + offset)
 
 
 def test_subbundle_field_flat_graph_frame():

@@ -129,7 +129,8 @@ def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys):
     # the report echoes the whole config, so a NaN under a key no check
     # reads reaches serialisation, which now runs inside the guarded region
     out = tmp_path / "report.json"
-    path = write_config(tmp_path, base_config(tasks=["psd"], note=float("nan")))
+    kernel = {"variant": "disc_power", "nu": 1, "note": float("nan")}
+    path = write_config(tmp_path, base_config(tasks=["psd"], kernel=kernel))
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("structural error: report contains a non-finite")
     assert not out.exists()
@@ -170,6 +171,14 @@ CONFIG_PROBES = {
     "minus-inf-bound": (AXIS + ("im", 0), -INF),
     "nan-scale": (AXIS + ("scale",), NAN),
     "negative-scale": (AXIS + ("scale",), -1.0),
+    # misspelt keys, which would otherwise leave their defaults in force
+    "misspelt-fd_steps": (("fd_step",), {"first": 1e-3, "second": 1e-2}),
+    "misspelt-tolerances": (("tolerance",), {"method_agreement": 1e-30}),
+    "misspelt-step": (("fd_steps", "frist"), 1e-3),
+    "misspelt-count": (("directions", "cuont"), 4),
+    "misspelt-psd_points": (("samples", "psd_point"), 4),
+    "misspelt-report": (("output",), {"reprot": "r.json"}),
+    "misspelt-axis-scale": (AXIS + ("scael",), 0.5),
 }
 
 
@@ -199,6 +208,27 @@ def test_internal_errors_exit_4_without_a_traceback(tmp_path, capsys):
     assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
     assert capsys.readouterr().err == "internal error: TypeError: hook bug\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("metric", "fiber metric has shape (1, 4), expected (2, 2)"),
+        ("metric-row", "fiber metric has shape (1, 4), expected (2, 2)"),
+        ("contains", "domain test has shape (2,), expected ()"),
+        ("distance", "boundary distance has shape (2,), expected ()"),
+    ],
+    ids=["metric", "metric-row", "contains", "distance"],
+)
+def test_user_hook_values_of_the_wrong_shape_exit_4(tmp_path, capsys, where, message):
+    # a flat fiber metric [1, .5, .5, 1] must not be read as [[1, .5], [.5, 1]]
+    hook = {"variant": "user_hook", "target": "_hook:make_misshapen", "params": {"where": where}}
+    out = tmp_path / "report.json"
+    code = main(["analyze", "--config", write_config(tmp_path, base_config(kernel=hook)), "--out", str(out)])
+    err = capsys.readouterr().err
+    # a metric fails inside its task, a domain hook while the grid is built
+    errors = [t["error"] for t in json.loads(out.read_text())["tasks"].values()] if out.exists() else [err]
+    assert code == 4 and errors == [message if out.exists() else f"structural error: {message}\n"]
 
 
 FUZZ_CONFIG = base_config(
@@ -624,7 +654,7 @@ def test_selftest_detects_broken_wedge_sign(monkeypatch):
 
     def broken_wedge(a, b):
         out = real_wedge(a, b)
-        if a.degree == 1 and b.degree == 1:
+        if isinstance(a, bck.forms.Form1) and isinstance(b, bck.forms.Form1):
             return type(out)(-out.c20, out.r11, out.c02)  # corrupt one block's sign
         return out
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from bck.errors import DomainError, StructuralError
 from bck.forms import (
-    Form0,
     Form1,
     Form2,
     Stencil,
@@ -139,7 +138,7 @@ def test_wedge_dzbar_dz():
 def test_wedge_scalar_zero_form_scales_pointwise():
     rng = np.random.default_rng(3)
     beta = Form1(cmat(rng, 2, 2, 2), cmat(rng, 2, 2, 2))
-    scaled = wedge(Form0(np.asarray(2.5 + 0j)), beta)
+    scaled = wedge(np.asarray(2.5 + 0j), beta)
     assert np.max(np.abs(scaled.p - 2.5 * beta.p)) == 0.0
 
 
@@ -250,17 +249,17 @@ def test_graded_product_rule():
     dg = exterior_derivative(g, z0, 1e-5, richardson=True)
     dbeta = exterior_derivative(one_form, z0, 1e-5, richardson=True)
 
-    lhs0 = exterior_derivative(lambda w: Form0(f(w) @ g(w)), z0, 1e-5, richardson=True)
-    rhs0 = wedge(df, Form0(g(z0))) + wedge(Form0(f(z0)), dg)
+    lhs0 = exterior_derivative(lambda w: f(w) @ g(w), z0, 1e-5, richardson=True)
+    rhs0 = wedge(df, g(z0)) + wedge(f(z0), dg)
     assert form_norm(lhs0 - rhs0) <= 1e-5
 
-    lhs1 = exterior_derivative(lambda w: wedge(Form0(f(w)), one_form(w)), z0, 1e-4)
-    rhs1 = wedge(df, one_form(z0)) + wedge(Form0(f(z0)), dbeta)
+    lhs1 = exterior_derivative(lambda w: wedge(f(w), one_form(w)), z0, 1e-4)
+    rhs1 = wedge(df, one_form(z0)) + wedge(f(z0), dbeta)
     assert form_norm(lhs1 - rhs1) <= 1e-5
 
     # degree-1 left factor flips the sign of the second term
-    lhs2 = exterior_derivative(lambda w: wedge(one_form(w), Form0(g(w))), z0, 1e-4)
-    rhs2 = wedge(dbeta, Form0(g(z0))) - wedge(one_form(z0), dg)
+    lhs2 = exterior_derivative(lambda w: wedge(one_form(w), g(w)), z0, 1e-4)
+    rhs2 = wedge(dbeta, g(z0)) - wedge(one_form(z0), dg)
     assert form_norm(lhs2 - rhs2) <= 1e-5
 
 
