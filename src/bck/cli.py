@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -72,196 +71,246 @@ __all__ = [
 
 REPORT_SCHEMA = "bck-report/1"
 
-_DEFAULT_TOLERANCES = {
-    "psd": 1e-8,
-    "admissibility": 1e-10,
-    "compatibility": 1e-5,
-    "purity": 1e-5,
-    "method_agreement": 5e-5,
-    "dual": 1e-5,
-    "subbundle": 1e-4,
-    "holomorphy": 1e-6,
-    "pos": 1e-6,
-    "neg": 1e-6,
-}
-
-
 class ConfigError(BckError):
     """The configuration document is malformed or inconsistent."""
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: one schema table per section and per kernel variant
 # ---------------------------------------------------------------------------
 
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        value = (value, 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(*(_finite(x, "a complex entry") for x in value))
-    raise ConfigError(f"cannot read {value!r} as a complex number")
+_REQUIRED = object()
 
 
-def _finite(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, not {value!r}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be finite, not {value!r}")
-    return number
+def _fail(path: str, wanted: str, value) -> ConfigError:
+    return ConfigError(f"{path or 'the config'} must be {wanted}, not {value!r}")
 
 
-def _integer(value, what: str, least: int | None = None) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be an integer, not {value!r}") from exc
-    if least is not None and number < least:
-        raise ConfigError(f"{what} must be >= {least}, not {value!r}")
-    return number
-
-
-def _known(obj: dict, keys, where: str) -> None:
-    """A key of `obj` outside `keys` is a config error, never a default."""
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _section(raw: dict, key: str, keys) -> dict:
-    """raw[key] as a JSON object with keys from `keys`; an absent key reads as {}."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{key}' must be an object, not {value!r}")
-    _known(value, keys, f"'{key}'")
-    return value
-
-
-def _parse_matrix(rows) -> np.ndarray:
-    try:
-        return np.array([[_as_complex(x) for x in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, ConfigError) as exc:  # ValueError: ragged rows
-        raise ConfigError(f"bad matrix literal: {exc}") from exc
-
-
-def _parse_polynomial(entry, dim: int) -> dict:
-    """One polynomial: a list of monomials {"c": coeff, "p": powers-of-z}.
-
-    Returns its terms, keyed as MatrixPolynomial keys them."""
-    if not isinstance(entry, list):
-        raise ConfigError("a polynomial entry must be a list of monomials")
-    terms = {}
-    for mono in entry:
-        if not isinstance(mono, dict) or "c" not in mono:
-            raise ConfigError(f"bad monomial {mono!r}: need at least a coefficient 'c'")
-        powers = mono.get("p", [0] * dim)
-        if isinstance(powers, int):
-            powers = [powers]
-        if not isinstance(powers, list) or len(powers) != dim:
-            raise ConfigError(f"monomial powers {powers!r} do not match dimension {dim}")
-        key = (tuple(_integer(x, "a monomial power", least=0) for x in powers), (0,) * dim)
-        terms[key] = terms.get(key, 0) + np.asarray(_as_complex(mono["c"]))
-    return terms
-
-
-def _parse_polynomial_matrix(rows, dim: int) -> MatrixPolynomial:
-    """An n x m matrix of polynomial entries as one MatrixPolynomial."""
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) and r for r in rows):
-        raise ConfigError("expected a nonempty matrix of polynomial entries")
-    entries = [[_parse_polynomial(entry, dim) for entry in row] for row in rows]
-    n, m = len(entries), len(entries[0])
-    if any(len(row) != m for row in entries):
-        raise ConfigError("polynomial matrix rows have unequal lengths")
-    terms = {}
-    for i, row in enumerate(entries):
-        for j, entry in enumerate(row):
-            for key, coeff in entry.items():
-                terms.setdefault(key, np.zeros((n, m), dtype=complex))[i, j] += coeff
-    return MatrixPolynomial(dim, terms, shape=(n, m))
-
-
-def build_kernel(cfg: dict) -> KernelSpec:
-    if not isinstance(cfg, dict) or "variant" not in cfg:
-        raise ConfigError("kernel config must be an object with a 'variant'")
-    variant = cfg["variant"]
-    if variant == "disc_power":
-        if "nu" not in cfg:
-            raise ConfigError("disc_power needs 'nu'")
-        try:
-            return DiscPowerKernel(_finite(cfg["nu"], "nu"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    base_dim = _integer(cfg.get("base_dim", 1), "base_dim", least=1)
-    if variant == "constant":
-        if "matrix" not in cfg:
-            raise ConfigError("constant kernel needs 'matrix'")
-        try:
-            return ConstantKernel(_parse_matrix(cfg["matrix"]), base_dim=base_dim)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if variant == "from_sections":
-        if "monomials" in cfg:
-            m = _integer(cfg["monomials"], "monomials")
-            if m < 1 or base_dim != 1:
-                raise ConfigError("'monomials' shorthand needs m >= 1 on a 1-d chart")
-            entries = [[[{"c": 1, "p": [k]}] for k in range(m)]]
-        elif "entries" in cfg:
-            entries = cfg["entries"]
+def _read(obj, table: dict, path: str, aliases: dict | None = None) -> dict:
+    """A JSON object read through its schema table, which maps each key to
+    (reader, default).  `aliases` maps an alias to the name of the key it
+    stands for: "key" in this object or "section.key" one level down.  An
+    unknown key, a missing required key and an alias given beside its name
+    are config errors.  Each given value, and each default but None, is
+    read as reader(value, dotted path)."""
+    join = f"{path}.{{}}".format if path else str
+    obj, out = dict(_OBJECT(obj, path)), {}
+    for key in list(obj):
+        if aliases and key in aliases:  # its value moves to the key it names
+            section, _, name = aliases[key].rpartition(".")
+            dest = obj
+            if section:
+                dest = obj[section] = dict(_OBJECT(obj.get(section, {}), join(section)))
+            if name in dest:
+                raise ConfigError(f"{join(key)} is an alias of {join(aliases[key])}; give one, not both")
+            dest[name] = obj.pop(key)
+        elif key not in table:
+            raise ConfigError(f"{join(key)} is not a config key")
+    for key, (reader, default) in table.items():
+        if key in obj:
+            out[key] = reader(obj[key], join(key))
+        elif default is _REQUIRED:
+            raise ConfigError(f"{join(key)} is required")
         else:
-            raise ConfigError("from_sections needs 'entries' or 'monomials'")
-        sections = _parse_polynomial_matrix(entries, base_dim)
-        gram_matrix = _parse_matrix(cfg["gram"]) if "gram" in cfg else None
-        try:
-            return SectionKernel(sections, base_dim=base_dim, gram=gram_matrix)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if variant == "universal_grassmann":
-        try:
-            return GrassmannKernel(_integer(cfg["ambient_dim"], "ambient_dim"), _integer(cfg["rank"], "rank"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad universal_grassmann config: {exc}") from exc
-    if variant == "user_hook":
-        target = cfg.get("target")
-        if not isinstance(target, str) or ":" not in target:
-            raise ConfigError("user_hook needs 'target' of the form 'module:function'")
-        mod_name, fn_name = target.split(":", 1)
-        try:
-            fn = getattr(import_module(mod_name), fn_name)
-        except (ImportError, AttributeError) as exc:
-            raise ConfigError(f"cannot import user hook {target!r}: {exc}") from exc
-        try:
-            spec = fn(**cfg.get("params", {}))
-        except (TypeError, ValueError) as exc:  # the factory rejects its params
-            raise ConfigError(f"user hook {target!r} rejects its params: {exc}") from exc
-        if not isinstance(spec, KernelSpec):
-            raise ConfigError("user hook must return a KernelSpec")
-        return spec
-    raise ConfigError(f"unknown kernel variant {variant!r}")
+            out[key] = None if default is None else reader(default, join(key))
+    return out
 
 
-def _build_grid(cfg: dict) -> tuple[ChartGrid, tuple[float, ...]]:
-    """The grid and its per-axis chart scale."""
-    axes = cfg.get("axes") if isinstance(cfg, dict) else None
-    if not isinstance(axes, list) or not axes:
-        raise ConfigError("grid config needs a nonempty 'axes' list")
-    bounds, res, scale = [], [], []
-    for axis in axes:
-        try:
-            (re_lo, re_hi), (im_lo, im_hi) = axis["re"], axis["im"]
-            bounds.append([_finite(x, "a grid bound") for x in (re_lo, re_hi, im_lo, im_hi)])
-            res.append([_integer(axis[key], "grid resolution", least=2) for key in ("re_res", "im_res")])
-            scale.append(_finite(axis.get("scale", 1.0), "an axis scale"))
-            _known(axis, ("re", "im", "re_res", "im_res", "scale"), "a grid axis")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid axis {axis!r}: {exc}") from exc
-        if scale[-1] <= 0:
-            raise ConfigError(f"an axis scale must be positive, not {scale[-1]!r}")
+def _check(wanted: str, ok, convert=lambda value: value):
+    """Reader that converts each value `ok` accepts and rejects the others."""
+
+    def read(value, path: str):
+        if not ok(value):
+            raise _fail(path, wanted, value)
+        return convert(value)
+
+    return read
+
+
+def _is_number(value) -> bool:
+    """A finite float, or an integer in its range; a boolean is not a number."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return finite and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _integer(least: int):
+    """Reader of an integer >= `least`; an integral float such as 4.0 reads as 4."""
+    return _check(f"an integer >= {least}",
+                  lambda v: (type(v) is int or isinstance(v, float) and v.is_integer()) and v >= least, int)
+
+
+def _list_of(reader, least: int = 1):
+    """Reader of a list of at least `least` items, each read by `reader`."""
+    wanted = "a nonempty list" if least else "a list"
+    whole = _check(wanted, lambda v: isinstance(v, list) and len(v) >= least)
+    return lambda value, path: [reader(x, f"{path}[{i}]") for i, x in enumerate(whole(value, path))]
+
+
+def _rows_of(reader):
+    """Reader of a nonempty list of nonempty rows of one length, each entry read by `reader`."""
+    even = _check("a nonempty list of rows of one length", lambda v: isinstance(v, list) and v and all(
+        isinstance(row, list) and len(row) == len(v[0]) for row in v))
+    rows = _list_of(_list_of(reader))
+    return lambda value, path: rows(even(value, path), path)
+
+
+def _section(table: dict):
+    return lambda value, path: _read(value, table, path)
+
+
+def _powers(value, path: str) -> tuple[int, ...]:
+    """The powers of z_1..z_d: a list, or one integer on a 1-d chart."""
+    return tuple(_list_of(_NATURAL)(value if isinstance(value, list) else [value], path))
+
+
+_FINITE = _check("a finite number", _is_number, float)
+_POSITIVE = _check("a positive finite number", lambda v: _is_number(v) and v > 0, float)
+_NATURAL = _integer(0)
+_BOOLEAN = _check("true or false", lambda v: isinstance(v, bool))
+_OBJECT = _check("an object", lambda v: isinstance(v, dict))
+_PATH = _check("a path or null", lambda v: v is None or isinstance(v, str))
+_INTERVAL = _check("a pair [lo, hi] of finite numbers, lo <= hi",
+                   lambda v: _is_pair(v) and v[0] <= v[1], lambda v: tuple(map(float, v)))
+_COMPLEX = _check("a finite number or a pair [re, im] of them", lambda v: _is_number(v) or _is_pair(v),
+                  lambda v: complex(*map(float, v if isinstance(v, list) else (v, 0.0))))
+_MONOMIAL = {"c": (_COMPLEX, _REQUIRED), "p": (_powers, None)}
+
+
+def _polynomials(value, path: str) -> Callable[[int], MatrixPolynomial]:
+    """A matrix of polynomials, each a list of monomials c z^p, read at once.  The result
+    builds it on a d-dimensional chart, where a monomial gives d powers or none."""
+    rows = _rows_of(_list_of(_section(_MONOMIAL), least=0))(value, path)
+    shape = len(rows), len(rows[0])
+
+    def build(dim: int) -> MatrixPolynomial:
+        terms = {}
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                for k, mono in enumerate(entry):
+                    powers = (0,) * dim if mono["p"] is None else mono["p"]
+                    if len(powers) != dim:
+                        raise _fail(f"{path}[{i}][{j}][{k}].p", "one power per chart axis", list(powers))
+                    coeffs = terms.setdefault((powers, (0,) * dim), np.zeros(shape, dtype=complex))
+                    coeffs[i, j] += mono["c"]
+        return MatrixPolynomial(dim, terms, shape=shape)
+
+    return build
+
+
+def _section_kernel(entries, monomials, gram, base_dim) -> SectionKernel:
+    """from_sections; `monomials` = m is the shorthand for the sections 1, z, ..., z^(m-1)."""
+    if (entries is None) == (monomials is None):
+        raise ConfigError("kernel must give one of entries and monomials, not both or neither")
+    if monomials is not None:
+        if base_dim != 1:
+            raise _fail("kernel.base_dim", "1 with the monomials shorthand", base_dim)
+        entries = _polynomials([[[{"c": 1, "p": [k]}] for k in range(monomials)]], "kernel.monomials")
+    return SectionKernel(entries(base_dim), base_dim=base_dim, gram=gram)
+
+
+def _user_hook(target: str, params: dict) -> KernelSpec:
+    """The KernelSpec of the factory `module:function`, called with `params`."""
+    module, name = target.split(":", 1)
     try:
-        return ChartGrid(*zip(*bounds), *zip(*res)), tuple(scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        factory = getattr(import_module(module), name)
+    except (ImportError, AttributeError) as exc:
+        raise ConfigError(f"kernel.target must name an importable user hook, not {target!r}: {exc}") from exc
+    try:
+        spec = factory(**params)
+    except (TypeError, ValueError) as exc:  # the factory rejects its params
+        raise ConfigError(f"kernel.params must suit the user hook, not {params!r}: {exc}") from exc
+    if not isinstance(spec, KernelSpec):
+        raise _fail("kernel.target", "a user hook that returns a KernelSpec", target)
+    return spec
+
+
+_VARIANT = (lambda value, path: value, _REQUIRED)  # checked by build_kernel's lookup
+_MATRIX = _rows_of(_COMPLEX)
+_BASE_DIM = (_integer(1), 1)
+# variant -> (constructor, table); the constructor takes the table's keys
+_KERNELS = {
+    "disc_power": (DiscPowerKernel, {"variant": _VARIANT, "nu": (_FINITE, _REQUIRED)}),
+    "constant": (ConstantKernel, {
+        "variant": _VARIANT, "matrix": (_MATRIX, _REQUIRED), "base_dim": _BASE_DIM,
+    }),
+    "from_sections": (_section_kernel, {
+        "variant": _VARIANT, "entries": (_polynomials, None), "monomials": (_integer(1), None),
+        "gram": (_MATRIX, None), "base_dim": _BASE_DIM,
+    }),
+    "universal_grassmann": (GrassmannKernel, {
+        "variant": _VARIANT, "ambient_dim": (_integer(1), _REQUIRED), "rank": (_integer(1), _REQUIRED),
+    }),
+    "user_hook": (_user_hook, {
+        "variant": _VARIANT,
+        "target": (_check("'module:function'", lambda v: isinstance(v, str) and ":" in v), _REQUIRED),
+        "params": (_OBJECT, {}),  # handed to the factory unread
+    }),
+}
+
+
+def build_kernel(cfg, path: str = "kernel") -> KernelSpec:
+    """The kernel of a config section: its variant's constructor called with the variant's table."""
+    variant = cfg.get("variant") if isinstance(cfg, dict) else None
+    if not isinstance(variant, str) or variant not in _KERNELS:
+        raise _fail(f"{path}.variant", "one of " + ", ".join(_KERNELS), variant)
+    build, table = _KERNELS[variant]
+    args = _read(cfg, table, path)
+    del args["variant"]
+    try:
+        return build(**args)
+    except ValueError as exc:  # the constructor rejects the values together
+        raise ConfigError(f"{path} must be a valid {variant} kernel: {exc}") from exc
+
+
+_AXIS = {
+    "re": (_INTERVAL, _REQUIRED), "im": (_INTERVAL, _REQUIRED),
+    "re_res": (_integer(2), _REQUIRED), "im_res": (_integer(2), _REQUIRED), "scale": (_POSITIVE, 1.0),
+}
+_GRID = {"axes": (_list_of(_section(_AXIS)), _REQUIRED)}
+
+
+def _grid(value, path: str) -> tuple[ChartGrid, tuple[float, ...]]:
+    """The grid and its per-axis chart scale."""
+    axes = _read(value, _GRID, path)["axes"]
+    re_res, im_res, scale = (tuple(axis[key] for axis in axes) for key in ("re_res", "im_res", "scale"))
+    (re_lo, re_hi), (im_lo, im_hi) = (zip(*(axis[key] for axis in axes)) for key in ("re", "im"))
+    return ChartGrid(re_lo, re_hi, im_lo, im_hi, re_res, im_res), scale
+
+
+_FD_STEPS = {"first": (_POSITIVE, FdSteps.first), "second": (_POSITIVE, FdSteps.second),
+             "richardson": (_BOOLEAN, FdSteps.richardson)}
+
+
+def _fd_steps(value, path: str) -> dict:
+    """The fd_steps section, with the one rule across keys: second >= first."""
+    steps = _read(value, _FD_STEPS, path)
+    if steps["second"] < steps["first"]:
+        raise _fail(f"{path}.second", f">= {path}.first, {steps['first']!r}", steps["second"])
+    return steps
+
+
+_TOLERANCES = {key: (_FINITE, default) for key, default in dict(
+    psd=1e-8, admissibility=1e-10, compatibility=1e-5, purity=1e-5, method_agreement=5e-5,
+    dual=1e-5, subbundle=1e-4, holomorphy=1e-6, pos=1e-6, neg=1e-6,
+).items()}
+_DIRECTIONS = {"count": (_NATURAL, 64), "seed": (_NATURAL, 0)}
+_SAMPLES = {"psd_points": (_integer(1), 50)}
+_SUBBUNDLE = {"frame": (_polynomials, _REQUIRED)}
+_OUTPUT = {"report": (_PATH, None), "csv_dir": (_PATH, None)}
+_CONFIG = {
+    "kernel": (build_kernel, _REQUIRED), "grid": (_grid, _REQUIRED),
+    "fd_steps": (_fd_steps, {}),
+    "tolerances": (_section(_TOLERANCES), {}),
+    "tasks": (_list_of(_check("a task name", lambda v: v in TASK_ORDER)), _REQUIRED),
+    "directions": (_section(_DIRECTIONS), {}),
+    "samples": (_section(_SAMPLES), {}), "subbundle": (_section(_SUBBUNDLE), None),
+    "output": (_section(_OUTPUT), {}),
+}
+_ALIASES = {"fd": "fd_steps", "seed": "directions.seed"}
 
 
 @dataclass
@@ -283,79 +332,26 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        # "fd" and a top-level "seed" are aliases of "fd_steps" and "directions.seed"
-        keys = ("kernel", "grid", "fd_steps", "fd", "tolerances", "tasks", "directions", "seed", "samples")
-        _known(raw, keys + ("subbundle", "output"), "the config")
-        kernel = build_kernel(raw.get("kernel", {}))
-        grid, scale = _build_grid(raw.get("grid", {}))
+        cfg = _read(raw, _CONFIG, "", _ALIASES)
+        kernel, (grid, scale) = cfg["kernel"], cfg["grid"]
         if grid.dim != kernel.base_dim:
-            raise ConfigError(
-                f"grid has {grid.dim} complex axes but the kernel chart has "
-                f"{kernel.base_dim}"
-            )
-        fd_cfg = _section(raw, "fd_steps" if "fd_steps" in raw else "fd", ("first", "second", "richardson"))
-        steps = FdSteps(
-            first=_finite(fd_cfg.get("first", 1e-5), "fd_steps.first"),
-            second=_finite(fd_cfg.get("second", 1e-4), "fd_steps.second"),
-            richardson=fd_cfg.get("richardson", False),
-            scale=scale,
-        )
-        if steps.first <= 0 or steps.second <= 0:
-            raise ConfigError("finite-difference steps must be positive")
-        if not isinstance(steps.richardson, bool):
-            raise ConfigError(f"fd_steps.richardson must be true or false, not {steps.richardson!r}")
-        tolerances = dict(_DEFAULT_TOLERANCES)
-        for key, value in _section(raw, "tolerances", tolerances).items():
-            tolerances[key] = _finite(value, f"tolerance {key!r}")
-        tasks = raw.get("tasks", [])
-        if not isinstance(tasks, list) or not tasks:
-            raise ConfigError("'tasks' must be a nonempty list")
-        unknown = [t for t in tasks if t not in TASK_ORDER]
-        if unknown:
-            raise ConfigError(f"unknown tasks: {unknown}")
-        ordered = tuple(t for t in TASK_ORDER if t in tasks)
-        directions = _section(raw, "directions", ("count", "seed"))
-        seed = _integer(directions.get("seed", raw.get("seed", 0)), "the seed")
+            raise _fail("grid.axes", f"{kernel.base_dim} axes, one per kernel chart axis", grid.dim)
         env_seed = os.environ.get("BCK_SEED")
-        if env_seed is not None:
-            seed = _integer(env_seed, "BCK_SEED")
-        if seed < 0:
-            raise ConfigError(f"the seed must be >= 0, not {seed}")
-        count = _integer(directions.get("count", 64), "direction count", least=0)
-        samples = _section(raw, "samples", ("psd_points",))
-        psd_points = _integer(samples.get("psd_points", 50), "samples.psd_points", least=1)
-        frame = None
-        if "subbundle" in raw:
-            sub = raw["subbundle"]
-            if not isinstance(sub, dict) or "frame" not in sub:
-                raise ConfigError("subbundle config needs a 'frame' polynomial matrix")
-            frame = _parse_polynomial_matrix(sub["frame"], kernel.base_dim)
-            n, k = frame.shape
-            if n != kernel.fiber_dim or not 1 <= k <= n:
-                raise ConfigError(
-                    f"subbundle frame is {n} x {k}; it must be n x k with n = "
-                    f"{kernel.fiber_dim}, the fiber dimension, and 1 <= k <= n"
-                )
-        if "subbundle" in ordered and frame is None:
-            raise ConfigError("task 'subbundle' requires a 'subbundle.frame' config")
-        output = _section(raw, "output", ("report", "csv_dir"))
-        if not all(isinstance(output.get(key), (str, type(None))) for key in ("report", "csv_dir")):
-            raise ConfigError("output.report and output.csv_dir must be paths")
+        seed = cfg["directions"]["seed"] if env_seed is None else _NATURAL(
+            int(env_seed) if env_seed.isdecimal() else env_seed, "BCK_SEED")
+        frame = cfg["subbundle"] and cfg["subbundle"]["frame"](kernel.base_dim)
+        if frame is not None and (frame.shape[0] != kernel.fiber_dim or frame.shape[1] > frame.shape[0]):
+            wanted = f"of shape (n, k) with n = {kernel.fiber_dim}, the fiber dimension, and k <= n"
+            raise _fail("subbundle.frame", wanted, frame.shape)
+        tasks = tuple(t for t in TASK_ORDER if t in cfg["tasks"])
+        if "subbundle" in tasks and frame is None:
+            raise ConfigError("subbundle.frame is required by the subbundle task")
         return cls(
-            kernel=kernel,
-            grid=grid,
-            steps=steps,
-            tolerances=tolerances,
-            tasks=ordered,
-            seed=seed,
-            direction_count=count,
-            psd_points=psd_points,
-            subbundle_frame=frame,
-            output_report=output.get("report"),
-            output_csv_dir=output.get("csv_dir"),
-            echo=raw,
+            kernel=kernel, grid=grid, steps=FdSteps(**cfg["fd_steps"], scale=scale),
+            tolerances=cfg["tolerances"], tasks=tasks, seed=seed,
+            direction_count=cfg["directions"]["count"], psd_points=cfg["samples"]["psd_points"],
+            subbundle_frame=frame, output_report=cfg["output"]["report"],
+            output_csv_dir=cfg["output"]["csv_dir"], echo=raw,
         )
 
 

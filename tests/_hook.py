@@ -5,7 +5,9 @@ import numpy as np
 from bck.kernels import DiscPowerKernel, UserKernel
 
 
-def make(nu=1.0):
+def make(nu=1.0, note=None):
+    """The disc kernel of weight nu; `note` is ignored, so a test can put any
+    value into the params."""
     return DiscPowerKernel(nu)
 
 

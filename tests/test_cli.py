@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,8 +68,9 @@ def test_unknown_kernel_variant_rejected():
 def test_low_resolution_rejected():
     cfg = base_config()
     cfg["grid"]["axes"][0]["re_res"] = 1
-    with pytest.raises(ConfigError, match="resolution"):
+    with pytest.raises(ConfigError) as exc:
         AnalysisConfig.from_dict(cfg)
+    assert str(exc.value) == "grid.axes[0].re_res must be an integer >= 2, not 1"
 
 
 def test_dimension_mismatch_rejected():
@@ -107,12 +109,12 @@ def test_malformed_polynomial_matrices_are_config_errors(tmp_path, capsys, overr
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"tolerances": {"psd": float("nan")}}, "tolerance 'psd' must be finite, not nan"),
-        ({"tolerances": {"dual": float("inf")}}, "tolerance 'dual' must be finite, not inf"),
-        ({"fd_steps": {"first": float("nan")}}, "fd_steps.first must be finite, not nan"),
-        ({"fd_steps": {"second": float("inf")}}, "fd_steps.second must be finite, not inf"),
-        ({"tolerances": {"psd": [1e-8]}}, "tolerance 'psd' must be a number, not [1e-08]"),
-        ({"directions": {"seed": -7}}, "the seed must be >= 0, not -7"),
+        ({"tolerances": {"psd": float("nan")}}, "tolerances.psd must be a finite number, not nan"),
+        ({"tolerances": {"dual": float("inf")}}, "tolerances.dual must be a finite number, not inf"),
+        ({"fd_steps": {"first": float("nan")}}, "fd_steps.first must be a positive finite number, not nan"),
+        ({"fd_steps": {"second": float("inf")}}, "fd_steps.second must be a positive finite number, not inf"),
+        ({"tolerances": {"psd": [1e-8]}}, "tolerances.psd must be a finite number, not [1e-08]"),
+        ({"directions": {"seed": -7}}, "directions.seed must be an integer >= 0, not -7"),
     ],
     ids=["nan-tolerance", "inf-tolerance", "nan-first-step", "inf-second-step",
          "list-tolerance", "negative-seed"],
@@ -126,10 +128,11 @@ def test_non_finite_tolerances_and_steps_are_config_errors(tmp_path, capsys, ove
 
 
 def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys):
-    # the report echoes the whole config, so a NaN under a key no check
-    # reads reaches serialisation, which now runs inside the guarded region
+    # the report echoes the whole config, so a NaN in a user hook's params,
+    # which the schema hands to the factory unread, reaches serialisation,
+    # which runs inside the guarded region
     out = tmp_path / "report.json"
-    kernel = {"variant": "disc_power", "nu": 1, "note": float("nan")}
+    kernel = {"variant": "user_hook", "target": "_hook:make", "params": {"nu": 1, "note": float("nan")}}
     path = write_config(tmp_path, base_config(tasks=["psd"], kernel=kernel))
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("structural error: report contains a non-finite")
@@ -179,6 +182,25 @@ CONFIG_PROBES = {
     "misspelt-psd_points": (("samples", "psd_point"), 4),
     "misspelt-report": (("output",), {"reprot": "r.json"}),
     "misspelt-axis-scale": (AXIS + ("scael",), 0.5),
+    # keys outside the kernel, grid and subbundle tables, and mixed variants
+    "misspelt-gram": (("kernel",), {"variant": "from_sections", "monomials": 2, "gramm": [[4, 0], [0, 1]]}),
+    "disc-base_dim": (("kernel", "base_dim"), 1),
+    "entries-and-monomials": (("kernel",), {"variant": "from_sections", "monomials": 1, "entries": [[ONE]]}),
+    "monomial-q": (("kernel",), {"variant": "from_sections", "entries": [[[{"c": 1, "p": [0], "q": [3]}]]]}),
+    "grid-scale": (("grid", "scale"), 0.5),
+    "misspelt-frame": (("subbundle",), {"frame": [[ONE]], "frme": 1}),
+    # an integer is an integer, and a number is not a boolean
+    "count-fraction": (("directions", "count"), 2.7),
+    "re_res-fraction": (AXIS + ("re_res",), 4.9),
+    "psd_points-fraction": (("samples", "psd_points"), 10.5),
+    "seed-fraction": (("directions", "seed"), 7.5),
+    "nu-true": (("kernel", "nu"), True),
+    "count-true": (("directions", "count"), True),
+    # the one rule across keys
+    "second-below-first": (("fd_steps",), {"first": 1e-3, "second": 1e-4}),
+    # an alias beside its own name
+    "fd-beside-fd_steps": (("fd",), {"first": NAN}),
+    "seed-beside-directions-seed": (("seed",), "x"),
 }
 
 
@@ -190,6 +212,62 @@ def test_every_malformed_config_value_exits_2(tmp_path, capsys, path, value):
     assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+AXIS_2D = [{"re": [-0.5, 0.5], "im": [-0.5, 0.5], "re_res": 3, "im_res": 3, "scale": 1.0} for _ in range(2)]
+VARIANT_CONFIGS = {
+    "disc_power": base_config(
+        kernel={"variant": "disc_power", "nu": 2}, subbundle={"frame": [[ONE]]},
+        tolerances={"psd": 1e-8}, output={"report": None, "csv_dir": None}, tasks=["psd", "subbundle"],
+    ),
+    "constant": base_config(
+        kernel={"variant": "constant", "matrix": [[2.0, [0.0, 0.5]], [[0.0, -0.5], 1.0]], "base_dim": 2},
+        grid={"axes": AXIS_2D},
+    ),
+    "from_sections": base_config(
+        kernel={"variant": "from_sections", "entries": [[ONE, [{"c": [0.5, 0.1], "p": [1]}, {"c": 1, "p": 2}]]],
+                "gram": [[2.0, 0.0], [0.0, 1.0]], "base_dim": 1},
+        subbundle={"frame": [[[{"c": 1, "p": [0]}]]]},
+    ),
+    "universal_grassmann": base_config(
+        kernel={"variant": "universal_grassmann", "ambient_dim": 3, "rank": 1}, grid={"axes": AXIS_2D},
+    ),
+    "user_hook": base_config(kernel={"variant": "user_hook", "target": "_hook:make", "params": {"nu": 2}}),
+}
+
+
+def _object_paths(obj, path=()):
+    """The key path of every JSON object in a config, the config included."""
+    if isinstance(obj, dict):
+        yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _object_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("variant", VARIANT_CONFIGS)
+def test_unknown_keys_are_rejected_in_every_object(tmp_path, capsys, variant):
+    cfg = VARIANT_CONFIGS[variant]
+    AnalysisConfig.from_dict(copy.deepcopy(cfg))  # the config itself is valid
+    for path in _object_paths(cfg):
+        probe = copy.deepcopy(cfg)
+        _set(probe, path + ("zz",), 1)
+        code = main(["analyze", "--config", write_config(tmp_path, probe), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert (code, err.startswith("config error: ")) == (2, True), (path, code, err)
+
+
+def test_readme_schema_names_every_key_of_the_tables():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    named = set(re.findall(r'"(\w+)"\s*:', block)) | set(re.findall(r'"variant":\s*"(\w+)"', block))
+    tables = [table for _, table in bck.cli._KERNELS.values()] + [
+        value for value in vars(bck.cli).values()
+        if isinstance(value, dict) and value
+        and all(isinstance(e, tuple) and len(e) == 2 and callable(e[0]) for e in value.values())
+    ]
+    assert bck.cli._KERNELS in tables  # its keys are the variant names
+    assert named == set().union(*tables, bck.cli._ALIASES)
 
 
 def test_internal_errors_exit_4_without_a_traceback(tmp_path, capsys):
