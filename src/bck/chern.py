@@ -17,21 +17,23 @@ correctness argument.  All (1,1) coefficients are stored in the
 dzbar ^ dz orientation, so the unit-disc weight (1 - |z|^2)^(-nu)
 yields the positive coefficient nu / (1 - |z|^2)^2.
 
-Everything is computed over whole arrays of points: `metric_jet`
-evaluates the metric once on every stencil node of every point, and the
-connection, both curvature routes, the compatibility residuals, the
-subbundle split and the dual check are fields derived from such
-evaluations, split by node with `Stencil.by_node`.  Field arrays put the
-point axis between the form indices and the fiber matrix, e.g.
-(d, N, n, n) for connection coefficients.  `field.at(i)` is the same
-field class at point i (`forms.at_point`), and the point functions
-(`chern_connection`, `curvature`, ...) return it.  A metric or frame
-given as a function of one point is lifted to stacks by `forms.pointwise`.
+Everything is computed over whole arrays of points.  `metric_jet` is the
+one evaluation of a metric on a grid stencil: it evaluates the metric once
+on every stencil node of every point, splits the rows by node with
+`Stencil.by_node`, and returns a `MetricJet`.  The connection, the
+analytic curvature and the subbundle split are reductions of a jet and
+evaluate nothing; the nested route and the dual check build their own
+jets.  Field arrays put the point axis between the form indices and the
+fiber matrix, e.g. (d, N, n, n) for connection coefficients.
+`field.at(i)` is the same field class at point i (`forms.at_point`), and
+the point functions (`chern_connection`, `curvature`, ...) return it.  A
+metric or frame given as a function of one point is lifted to stacks by
+`forms.pointwise`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,6 +121,32 @@ def _first_false(ok: np.ndarray) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
 
+def _validated(h: np.ndarray, pts: np.ndarray, name: str, error: BckError | None = None) -> np.ndarray:
+    """Fiber metric values h (M, n, n) at the rows of `pts`, if each is finite,
+    Hermitian within 1e-12 (relative) and has its smallest eigenvalue above
+    1e-12 of the largest.  Otherwise the earliest row to fail raises, each
+    check running only on the rows before an earlier check's failure;
+    `error`, a failure on the rows after `pts`, raises if no row fails."""
+    i = _first_false(np.isfinite(h).all(axis=(1, 2)))
+    if i is not None:
+        error = StructuralError(f"{name} has non-finite entries at {pts[i]}")
+        pts, h = pts[:i], h[:i]
+    i = _first_false(hermiticity_defect(h) <= 1e-12)
+    if i is not None:
+        error = StructuralError(f"{name} is not Hermitian at {pts[i]}")
+        pts, h = pts[:i], h[:i]
+    evals = eigvalsh(hermitize(h))
+    i = _first_false(evals[:, 0] > 1e-12 * np.maximum(evals[:, -1], 0.0))
+    if i is not None:
+        error = SingularMetricError(
+            f"{name} is numerically singular at {pts[i]} "
+            f"(eigenvalue range [{evals[i, 0]:.3e}, {evals[i, -1]:.3e}])"
+        )
+    if error is not None:
+        raise error
+    return h
+
+
 @dataclass
 class MetricField:
     """A map z -> positive-definite Hermitian fiber metric h(z).
@@ -138,9 +166,6 @@ class MetricField:
     domain: object = None
     name: str = "metric"
     batch_func: Callable[[np.ndarray], np.ndarray] | None = None
-
-    _HERM_TOL = 1e-12
-    _SING_TOL = 1e-12
 
     def __post_init__(self):
         if self.func is None and self.batch_func is None:
@@ -177,24 +202,7 @@ class MetricField:
         h, func_error = self._values(pts)
         if func_error is not None:
             error, pts = func_error, pts[: len(h)]
-        i = _first_false(np.isfinite(h).all(axis=(1, 2)))
-        if i is not None:
-            error = StructuralError(f"{self.name} has non-finite entries at {pts[i]}")
-            pts, h = pts[:i], h[:i]
-        i = _first_false(hermiticity_defect(h) <= self._HERM_TOL)
-        if i is not None:
-            error = StructuralError(f"{self.name} is not Hermitian at {pts[i]}")
-            pts, h = pts[:i], h[:i]
-        evals = eigvalsh(hermitize(h))
-        i = _first_false(evals[:, 0] > self._SING_TOL * np.maximum(evals[:, -1], 0.0))
-        if i is not None:
-            error = SingularMetricError(
-                f"{self.name} is numerically singular at {pts[i]} "
-                f"(eigenvalue range [{evals[i, 0]:.3e}, {evals[i, -1]:.3e}])"
-            )
-        if error is not None:
-            raise error
-        return h
+        return _validated(h, pts, self.name, error)
 
     def _values(self, pts: np.ndarray) -> tuple[np.ndarray, BckError | None]:
         """The function's values on the rows before the first row it fails
@@ -261,18 +269,29 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
 
 @dataclass(frozen=True)
 class MetricJet:
-    """h and its Wirtinger derivatives at an array of N chart points.
+    """h and its Wirtinger derivatives at an array of N chart points, with
+    the node values they were taken from.
 
     h is (N, n, n); dp[j] ~ dh/dz_j and dq[k] ~ dh/dzbar_k are stacked as
     (d, N, n, n); mixed[k, j] ~ d^2 h / dzbar_k dz_j is (d, d, N, n, n),
-    or None for a first-order jet.
+    or None for a first-order jet.  `values` (S, N, n, n) holds h at node s
+    of `stencil` around every point, node first, as `Stencil.by_node` puts it.
     """
 
     points: np.ndarray
     h: np.ndarray
     dp: np.ndarray
     dq: np.ndarray
-    mixed: np.ndarray | None = None
+    mixed: np.ndarray | None
+    values: np.ndarray
+    stencil: Stencil
+
+
+def _jet(points: np.ndarray, values: np.ndarray, stencil: Stencil, order: int) -> MetricJet:
+    """The jet of node-first values (S, N, n, n) on `stencil` around `points`."""
+    dp, dq = stencil.first_derivatives(values)
+    mixed = stencil.mixed_derivatives(values) if order == 2 else None
+    return MetricJet(points, values[Stencil.CENTRE], dp, dq, mixed, values, stencil)
 
 
 def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: int = 2) -> MetricJet:
@@ -291,9 +310,7 @@ def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: i
         centre=True,
     )
     values = stencil.by_node(stencil.on_points(metric.batch, pts, metric.domain), len(pts))
-    dp, dq = stencil.first_derivatives(values)
-    mixed = stencil.mixed_derivatives(values) if order == 2 else None
-    return MetricJet(points=pts, h=values[Stencil.CENTRE], dp=dp, dq=dq, mixed=mixed)
+    return _jet(pts, values, stencil, order)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +320,8 @@ def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: i
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """A connection form over an array of points, with the first-order
-    metric jet it was computed from; form.p and form.q are (d, N, n, n)."""
+    """A connection form over an array of points, with the metric jet it
+    was computed from; form.p and form.q are (d, N, n, n)."""
 
     jet: MetricJet
     form: Form1
@@ -312,16 +329,16 @@ class ConnectionField:
     at = at_point
 
 
-def chern_connection_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> ConnectionField:
-    """A = h^{-1} del h at every point, with the dzbar block zero by construction."""
-    jet = metric_jet(metric, points, steps, order=1)
+def chern_connection_field(jet: MetricJet) -> ConnectionField:
+    """A = h^{-1} del h at every point of a metric jet of either order, with
+    the dzbar block zero by construction."""
     p = solve(jet.h, jet.dp)
     return ConnectionField(jet=jet, form=Form1(p, np.zeros_like(p)))
 
 
 def chern_connection(metric: MetricField, z, steps: FdSteps = FdSteps()) -> ConnectionField:
     """A = h^{-1} del h at z, with the dzbar block zero by construction."""
-    return chern_connection_field(metric, as_point(z, metric.dim)[None], steps).at(0)
+    return chern_connection_field(metric_jet(metric, as_point(z, metric.dim)[None], steps, order=1)).at(0)
 
 
 @dataclass(frozen=True)
@@ -356,9 +373,10 @@ def _pairing_residuals(h: np.ndarray, r11: np.ndarray) -> np.ndarray:
     return _max_norm(_adjoint(weighted) - np.swapaxes(weighted, 0, 1)) / scale
 
 
-def analytic_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> CurvatureField:
-    """The analytic expansion at every point, from one second-order metric jet."""
-    jet = metric_jet(metric, points, steps, order=2)
+def analytic_curvature_field(jet: MetricJet) -> CurvatureField:
+    """The analytic expansion at every point of a second-order metric jet."""
+    if jet.mixed is None:
+        raise ValueError("the analytic curvature needs a second-order metric jet")
     h = jet.h
     hk = solve(h, jet.dq)
     r11 = solve(h, jet.mixed) - mul(hk[:, None], solve(h, jet.dp)[None, :])
@@ -383,9 +401,11 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
         richardson=steps.richardson,
         centre=True,
     )
-    conn = outer.by_node(
-        outer.on_points(lambda w: chern_connection_field(metric, w, steps), pts, metric.domain), len(pts)
-    )
+
+    def connection(nodes):  # each node's own connection, from a first-order jet
+        return chern_connection_field(metric_jet(metric, nodes, steps, order=1))
+
+    conn = outer.by_node(outer.on_points(connection, pts, metric.domain), len(pts))
     a0 = Form1(conn.form.p[Stencil.CENTRE], conn.form.q[Stencil.CENTRE])
     theta = outer.exterior_derivative(conn.form) + wedge(a0, a0)
     h = conn.jet.h[Stencil.CENTRE]
@@ -411,13 +431,12 @@ def curvature(
     must agree within 5e-5 relative on smooth metrics; the analytic
     expansion is the default (cheaper and with less noise amplification).
     """
-    fields = {
-        "analytic_expansion": analytic_curvature_field,
-        "nested_fd": nested_curvature_field,
-    }
-    if method not in fields:
-        raise ValueError(f"unknown curvature method {method!r}")
-    return fields[method](metric, as_point(z, metric.dim)[None], steps).at(0)
+    pts = as_point(z, metric.dim)[None]
+    if method == "analytic_expansion":
+        return analytic_curvature_field(metric_jet(metric, pts, steps, order=2)).at(0)
+    if method == "nested_fd":
+        return nested_curvature_field(metric, pts, steps).at(0)
+    raise ValueError(f"unknown curvature method {method!r}")
 
 
 def compatibility_field(connection: ConnectionField, structure: np.ndarray | None = None) -> dict:
@@ -484,7 +503,7 @@ def hs_connection_check(
         name="hs metric",
         batch_func=super_metric,
     )
-    a_super, a1, a2 = (chern_connection_field(m, z[None], steps).form.p[:, 0] for m in (big, h1, h2))
+    a_super, a1, a2 = (chern_connection(m, z, steps).form.p for m in (big, h1, h2))
     return max(
         frob(a_super[j] - (np.kron(a2[j], np.eye(n1)) - np.kron(np.eye(n2), a1[j].T)))
         for j in range(h1.dim)
@@ -544,32 +563,27 @@ def _node_frames(a, inner, pts, offsets):
         ) from exc
 
 
-def subbundle_field(
-    metric: MetricField,
-    frame: Callable[[np.ndarray], np.ndarray],
-    points,
-    steps: FdSteps = FdSteps(),
-    ambient: CurvatureField | None = None,
-) -> SubbundleField:
+def subbundle_field(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -> SubbundleField:
     """Adapted-frame split of the metric connection along span(frame) at
-    every point; `frame` maps an (M, d) stack of points to (M, n, k).
+    every point of a second-order metric jet; `frame` maps an (M, d) stack
+    of points to (M, n, k).
 
     The adapted frame orthonormalizes [frame | fixed complement columns]
     in the pointwise metric inner product by modified Gram-Schmidt with
     the triangular factor's diagonal kept real positive; fixing each
     point's complement columns (chosen there by largest projection
-    residual) keeps the frame field smooth across its stencil.  Metric
-    and frame are evaluated once on the first-derivative stencil nodes of
-    all points, which also give the metric connection; the ambient
-    analytic curvature field over the points is computed unless passed in
-    as `ambient`.
+    residual) keeps the frame field smooth across its stencil.  The frame
+    is evaluated once on the jet's nodes.  On the first-derivative nodes,
+    with h read from the jet, it gives the adapted frames; on every node
+    it gives the induced metric F* h F, checked as a metric evaluation is
+    and differentiated with the jet's stencil.  The ambient connection and
+    curvature are reductions of the jet.
     """
-    pts = as_points(points, metric.dim).reshape(-1, metric.dim)
-    n, d = metric.fiber_dim, metric.dim
-    stencil = Stencil(d, first=steps.first_steps(), richardson=steps.richardson, centre=True)
-    both = stencil.on_points(lambda w: (metric.batch(w), _frames(frame, w, n)), pts, metric.domain)
-    h, f = (stencil.by_node(a, len(pts)) for a in both)
-    h0, k = h[Stencil.CENTRE], f.shape[-1]
+    pts, stencil, n = jet.points, jet.stencil, jet.h.shape[-1]
+    nodes, frames = stencil.on_points(lambda w: (w, _frames(frame, w, n)), pts)
+    f_all = stencil.by_node(frames, len(pts))
+    h, f = jet.values[: stencil.first_nodes], f_all[: stencil.first_nodes]
+    h0, k = jet.h, f.shape[-1]
 
     q1, _ = _node_frames(f[Stencil.CENTRE], h0, pts, stencil.offsets)
     eye = np.eye(n, dtype=complex)
@@ -584,27 +598,15 @@ def subbundle_field(
     u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
 
     du_p, du_q = stencil.first_derivatives(u)
-    a_p = solve(h0, stencil.first_derivatives(h)[0])
-    beta = (u0_inv @ (a_p @ u0 + du_p))[..., k:, :k]
+    beta = (u0_inv @ (solve(h0, jet.dp) @ u0 + du_p))[..., k:, :k]
     antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
 
-    if ambient is None:
-        ambient = analytic_curvature_field(metric, pts, steps)
-    tilde = u0_inv @ ambient.form.r11 @ u0
+    tilde = u0_inv @ analytic_curvature_field(jet).form.r11 @ u0
     block11, block22 = tilde[..., :k, :k], tilde[..., k:, k:]
 
-    def induced(w):
-        fw = _frames(frame, w, n)
-        return _adjoint(fw) @ metric.batch(w) @ fw
-
-    sub_metric = replace(
-        metric,
-        func=None,
-        fiber_dim=k,
-        name="induced subbundle metric",
-        batch_func=induced,
-    )
-    sub = analytic_curvature_field(sub_metric, pts, steps).form.r11
+    induced = _adjoint(f_all) @ jet.values @ f_all  # (S, N, k, k), checked point by point
+    _validated(np.swapaxes(induced, 0, 1).reshape(-1, k, k), nodes, "induced subbundle metric")
+    sub = analytic_curvature_field(_jet(pts, induced, stencil, order=2)).form.r11
     r = r_full[Stencil.CENTRE, :, :k, :k]
     theta_sub = r @ sub @ solve(r, np.eye(k))
     expected = theta_sub - _adjoint(beta)[:, None] @ beta[None, :]
@@ -627,7 +629,7 @@ def subbundle_split(
 ) -> SubbundleField:
     """`subbundle_field` at one point z, for a frame z -> (n, k) matrix."""
     stacked = pointwise(lambda w: np.atleast_2d(frame(w)), what="frame")
-    return subbundle_field(metric, stacked, as_point(z, metric.dim)[None], steps).at(0)
+    return subbundle_field(metric_jet(metric, as_point(z, metric.dim)[None], steps, order=2), stacked).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +670,9 @@ def dual_curvature_field(
     """
     pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
     if theta is None:
-        theta = analytic_curvature_field(metric_from_kernel(spec), pts, steps)
-    raw = analytic_curvature_field(metric_from_kernel(dual_kernel(spec)), np.conj(pts), steps).form.r11
+        theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec), pts, steps, order=2))
+    dual = metric_jet(metric_from_kernel(dual_kernel(spec)), np.conj(pts), steps, order=2)
+    raw = analytic_curvature_field(dual).form.r11
     pulled = -np.swapaxes(raw, 0, 1)
     inverse = solve(theta.h, np.eye(spec.fiber_dim))
     expected = -np.swapaxes(theta.h @ theta.form.r11 @ inverse, -1, -2)

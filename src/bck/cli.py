@@ -33,11 +33,13 @@ from .chern import (
     CurvatureField,
     FdSteps,
     MetricField,
+    MetricJet,
     analytic_curvature_field,
     chern_connection_field,
     compatibility_field,
     dual_curvature_field,
     metric_from_kernel,
+    metric_jet,
     nested_curvature_field,
     subbundle_field,
 )
@@ -364,9 +366,11 @@ class AnalysisConfig:
 class RunContext:
     """One run's config and grid, plus the fields its tasks share.
 
-    The admissibility margins, the metric, the connection field, both
-    curvature fields and the Griffiths report are each computed once, on
-    first use, over all grid points; the tasks are reductions over them.
+    The admissibility margins, the metric, its second-order jet, the
+    connection field, both curvature fields and the Griffiths report are
+    each computed once, on first use, over all grid points; the connection
+    and the analytic curvature are reductions of the jet, and the tasks are
+    reductions over them all.
     """
 
     config: AnalysisConfig
@@ -394,12 +398,16 @@ class RunContext:
         return metric_from_kernel(self.kernel, self.tol["admissibility"])
 
     @cached_property
+    def jet(self) -> MetricJet:
+        return metric_jet(self.metric, self.points, self.steps)
+
+    @cached_property
     def connection(self) -> ConnectionField:
-        return chern_connection_field(self.metric, self.points, self.steps)
+        return chern_connection_field(self.jet)
 
     @cached_property
     def analytic(self) -> CurvatureField:
-        return analytic_curvature_field(self.metric, self.points, self.steps)
+        return analytic_curvature_field(self.jet)
 
     @cached_property
     def nested(self) -> CurvatureField:
@@ -546,9 +554,7 @@ def _task_dual(ctx: RunContext) -> dict:
 
 
 def _task_subbundle(ctx: RunContext) -> dict:
-    split = subbundle_field(
-        ctx.metric, ctx.config.subbundle_frame, ctx.points, ctx.steps, ambient=ctx.analytic
-    )
+    split = subbundle_field(ctx.jet, ctx.config.subbundle_frame)
     identity = np.max(split.identity_residual)
     antiholo = np.max(split.beta_antiholo_residual)
     return {
@@ -688,12 +694,22 @@ def _jsonify(obj):
     return obj
 
 
-def _error_kind(exc: Exception) -> str:
-    if isinstance(exc, DomainError):
-        return "domain"
-    if isinstance(exc, (StructuralError, SingularMetricError)):
-        return "structural"
-    return "internal"
+# The one exit-code policy, for a task and for a whole run: (exception
+# types, error kind, exit code), the first match winning.  Exit 1 is only
+# for a failed verdict.
+_ERRORS = (
+    ((ConfigError,), "config", 2),
+    ((DomainError,), "domain", 3),
+    ((StructuralError, SingularMetricError), "structural", 4),
+    ((Exception,), "internal", 4),  # a bug or a user hook's own exception
+)
+
+
+def _error(exc: Exception) -> tuple[str, int, str]:
+    """The kind, exit code and message of an error; an internal error's
+    message starts with the exception's type."""
+    kind, code = next((kind, code) for types, kind, code in _ERRORS if isinstance(exc, types))
+    return kind, code, f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
 
 
 def run_analyze(config: AnalysisConfig) -> AnalysisReport:
@@ -701,12 +717,12 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
     Tasks run in dependency order; a failure in one is recorded and does
     not abort the others.  The exit code is 0 only if every requested
-    task passed, with domain errors mapped to 3 and structural and
-    internal ones (any exception that is not a BckError) to 4.
+    task passed, 1 if a verdict failed, and otherwise the largest code
+    `_ERRORS` gives a task's error.
     """
     needs_grid = any(t not in _GRIDLESS_TASKS for t in config.tasks)
     ctx, margin = _run_context(config, require_points=needs_grid)
-    tasks = {}
+    tasks, exit_code = {}, 0
     for name in config.tasks:
         start = time.perf_counter()
         entry = {
@@ -721,20 +737,14 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
             entry.update(result)
             entry.setdefault("status", "ok")
         except Exception as exc:
-            kind = _error_kind(exc)
-            entry["error"] = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
-            entry["error_kind"] = kind
+            entry["error_kind"], code, entry["error"] = _error(exc)
             entry["status"] = "error"
+            exit_code = max(exit_code, code)
         entry["timing"] = {"wall_s": time.perf_counter() - start}
         tasks[name] = entry
 
     passed = all(t["passed"] for t in tasks.values())
-    if any(t["error_kind"] in ("structural", "internal") for t in tasks.values()):
-        exit_code = 4
-    elif any(t["error_kind"] == "domain" for t in tasks.values()):
-        exit_code = 3
-    else:
-        exit_code = 0 if passed else 1
+    exit_code = max(exit_code, int(not passed))
     report = {
         "schema": REPORT_SCHEMA,
         "version": __version__,
@@ -839,13 +849,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ConfigError(exc) from exc
         config = AnalysisConfig.from_dict(raw)
         report = run_analyze(config)
         # serialising checks every number: a non-finite one is structural
@@ -858,18 +866,10 @@ def main(argv=None) -> int:
         csv_dir = args.csv or config.output_csv_dir
         if csv_dir:
             _write_csv_fields(report, csv_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except (StructuralError, SingularMetricError) as exc:
-        print(f"structural error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # a bug or a user hook's own exception
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        kind, code, message = _error(exc)
+        print(f"{kind} error: {message}", file=sys.stderr)
+        return code
     return report.exit_code
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "split_bilinear",
     "probe_tensor",
     "wedge",
-    "wirtinger_first",
     "exterior_derivative",
     "cauchy_riemann_residual",
     "delbar_norms",
@@ -434,7 +433,10 @@ class Stencil:
     four axis nodes when k == j, sixteen diagonal nodes otherwise).  Each
     derivative is taken at the step h and, with `richardson`, also at h/2,
     the two combined as (4 D(h/2) - D(h)) / 3.  With `centre` the point z
-    itself is node 0 (`CENTRE`).
+    itself is node 0 (`CENTRE`).  Nodes are numbered in that order: the
+    centre, then the first-derivative nodes, then the mixed ones not
+    already listed, so `first_derivatives` reads only the first
+    `first_nodes` of them.
 
     `first_derivatives`, `mixed_derivatives` and `exterior_derivative`
     combine field values taken at z + offsets[s], indexed by node first;
@@ -473,6 +475,7 @@ class Stencil:
                     ie = 1j * e
                     rule.append((h, [self._node(o) for o in (e, -e, ie, -ie)]))
                 self._first.append(rule)
+        self.first_nodes = len(self._offsets)
         self._mixed = {}
         if mixed is not None:
             steps = _steps_array(mixed, self.dim)
@@ -602,24 +605,6 @@ class Stencil:
             dq_p - np.swapaxes(dp_q, 0, 1),
             dq_q - np.swapaxes(dq_q, 0, 1),
         )
-
-
-def wirtinger_first(
-    f: Callable[[np.ndarray], np.ndarray],
-    z,
-    step,
-    richardson: bool = False,
-    domain=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First Wirtinger derivatives of a field by central differences.
-
-    Returns (p, q) of shape (d, ...) with p[j] ~ df/dz_j and
-    q[k] ~ df/dzbar_k, i.e. the coefficients of the 1-form df.  With
-    `richardson` the h and h/2 stencils are combined for fourth-order
-    accuracy.
-    """
-    df = exterior_derivative(f, z, step, richardson, domain)
-    return df.p, df.q
 
 
 # ---------------------------------------------------------------------------

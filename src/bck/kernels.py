@@ -385,7 +385,7 @@ class DualKernel(KernelSpec):
         return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
 
 
-# -- constructor shorthands used by the config layer ------------------------
+# -- constructor shorthands of the library API (the config builds the classes) --
 
 
 def disc_power(nu: float) -> DiscPowerKernel:

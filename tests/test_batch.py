@@ -252,8 +252,9 @@ def test_batched_fields_match_point_calls():
     for spec, m in cases:
         d, n = m.dim, m.fiber_dim
         pts = 0.4 * (rng.uniform(-1, 1, (5, d)) + 1j * rng.uniform(-1, 1, (5, d)))
-        conn = chern_connection_field(m, pts, RICH)
-        analytic = analytic_curvature_field(m, pts, RICH)
+        jet = metric_jet(m, pts, RICH)
+        conn = chern_connection_field(jet)
+        analytic = analytic_curvature_field(jet)
         nested = nested_curvature_field(m, pts, RICH)
         cscale = max(1.0, np.max(np.abs(conn.form.p)))
         rscale = max(1.0, np.max(np.abs(analytic.form.r11)))
@@ -303,10 +304,20 @@ def test_subbundle_reuses_precomputed_connection_and_curvature():
         [np.array([[1.0, 0.0], [w[0], 1.0], [0.0, w[0] ** 2]], dtype=complex) for w in z]
     )
     pts = np.array([[0.1 + 0.2j], [-0.3j]])
-    fresh = subbundle_field(amb, frame, pts, RICH)
-    shared = subbundle_field(amb, frame, pts, RICH, ambient=analytic_curvature_field(amb, pts, RICH))
+    # the split is a reduction of the run's one jet: a jet that the
+    # connection and the curvature have read gives the split of a fresh
+    # one, and its ambient blocks are that curvature in the adapted frame
+    fresh = subbundle_field(metric_jet(amb, pts, RICH), frame)
+    jet = metric_jet(amb, pts, RICH)
+    chern_connection_field(jet)
+    r11 = analytic_curvature_field(jet).form.r11
+    shared = subbundle_field(jet, frame)
     assert np.array_equal(fresh.identity_residual, shared.identity_residual)
     assert np.array_equal(fresh.beta, shared.beta)
+    u0 = shared.adapted_frame
+    tilde = np.swapaxes(u0.conj(), -1, -2) @ jet.h @ r11 @ u0
+    assert np.array_equal(shared.theta_block11, tilde[..., :2, :2])
+    assert np.array_equal(shared.theta_block22, tilde[..., 2:, 2:])
 
 
 def _grid_points(rng, count, dim, radius=0.4):
@@ -328,7 +339,7 @@ def test_subbundle_field_matches_point_splits():
         shape=(3, 2),
     )
     pts = _grid_points(rng, 6, 1)
-    field = subbundle_field(amb, frame, pts, RICH)
+    field = subbundle_field(metric_jet(amb, pts, RICH), frame)
     assert field.beta.shape == (1, 6, 1, 2)
     for i, z in enumerate(pts):
         single = subbundle_split(amb, frame, z, RICH)
@@ -374,13 +385,14 @@ def test_fields_are_stacks_of_their_points():
     pts = _grid_points(rng, 3, 2)
     frame = lambda nodes: np.broadcast_to(np.eye(2, 1, dtype=complex), (len(nodes), 2, 1))
     results = [
-        chern_connection_field(m, pts, RICH),
-        analytic_curvature_field(m, pts, RICH),
+        chern_connection_field(metric_jet(m, pts, RICH, order=1)),
+        analytic_curvature_field(metric_jet(m, pts, RICH)),
         nested_curvature_field(m, pts, RICH),
-        subbundle_field(m, frame, pts, RICH),
+        subbundle_field(metric_jet(m, pts, RICH), frame),
         dual_curvature_field(spec, pts, RICH),
         admissibility_field(spec, pts),
         metric_jet(m, pts, RICH, order=1),
+        metric_jet(m, pts, RICH),
     ]
     for field in results:
         assert _bit_equal(stack_points([at_point(field, i) for i in range(len(pts))]), field), type(field)
@@ -394,7 +406,8 @@ def test_by_node_splits_on_points_rows_into_nodes():
     stencil = Stencil(2, first=1e-3, mixed=1e-2, richardson=True, centre=True)
     pts = _grid_points(rng, 3, 2)
     h = stencil.by_node(stencil.on_points(m.batch, pts), len(pts))
-    conn = stencil.by_node(stencil.on_points(lambda w: chern_connection_field(m, w, RICH), pts), len(pts))
+    connection = lambda w: chern_connection_field(metric_jet(m, w, RICH, order=1))
+    conn = stencil.by_node(stencil.on_points(connection, pts), len(pts))
     for s, offset in enumerate(stencil.offsets):
         for i, z in enumerate(pts):
             single = chern_connection(m, z + offset, RICH)
@@ -408,7 +421,7 @@ def test_subbundle_field_flat_graph_frame():
     flat = metric_from_kernel(ConstantKernel(np.eye(2)))
     pts = _grid_points(np.random.default_rng(3), 12, 1, radius=0.6)
     frame = lambda z: np.stack([np.ones(len(z)), z[:, 0]], axis=-1)[..., None]  # (M, 2, 1)
-    field = subbundle_field(flat, frame, pts, RICH)
+    field = subbundle_field(metric_jet(flat, pts, RICH), frame)
     expected = 1.0 / (1.0 + np.abs(pts[:, 0]) ** 2) ** 2
     assert np.max(np.abs(field.theta_sub[0, 0, :, 0, 0] - expected)) <= 1e-6
     assert np.max(field.identity_residual) <= 1e-4
@@ -421,7 +434,7 @@ def test_subbundle_field_two_variable_graph_frame():
     flat = metric_from_kernel(ConstantKernel(np.eye(3), base_dim=2))
     pts = _grid_points(np.random.default_rng(5), 8, 2)
     frame = lambda z: np.concatenate([np.ones((len(z), 1)), z], axis=-1)[..., None]  # (M, 3, 1)
-    field = subbundle_field(flat, frame, pts, RICH)
+    field = subbundle_field(metric_jet(flat, pts, RICH), frame)
     assert np.max(field.identity_residual) <= 1e-4
     assert np.max(field.beta_antiholo_residual) <= 1e-8
     w = 1.0 + np.sum(np.abs(pts) ** 2, axis=-1)

@@ -8,6 +8,7 @@ import pytest
 from bck.chern import (
     FdSteps,
     MetricField,
+    analytic_curvature_field,
     chern_connection,
     chern_connection_field,
     compatibility_field,
@@ -15,6 +16,7 @@ from bck.chern import (
     dual_curvature_check,
     hs_connection_check,
     metric_from_kernel,
+    metric_jet,
     nested_curvature_field,
     subbundle_field,
     subbundle_split,
@@ -168,6 +170,18 @@ def test_curvature_frame_covariance():
         assert np.max(np.abs(theta_g - expected)) <= 1e-4
 
 
+def test_curvature_reductions_read_a_jet_of_their_order():
+    # a first-order jet serves the connection; the analytic curvature and
+    # the subbundle split need the mixed derivatives of a second-order one
+    m = disc_metric_field(1)
+    jet = metric_jet(m, np.array([[0.3], [-0.2j]]), RICH, order=1)
+    assert np.array_equal(chern_connection_field(jet).form.p[:, 1], chern_connection(m, [-0.2j], RICH).form.p)
+    with pytest.raises(ValueError, match="second-order metric jet"):
+        analytic_curvature_field(jet)
+    with pytest.raises(ValueError, match="second-order metric jet"):
+        subbundle_field(jet, lambda w: np.ones((len(w), 1, 1)))
+
+
 # -- compatibility ----------------------------------------------------------------
 
 
@@ -176,7 +190,7 @@ def one_point_compatibility(metric, z, steps):
     as `structure` when d >= 2."""
     pts = np.asarray(z, dtype=complex)[None]
     structure = nested_curvature_field(metric, pts, steps).form.c20 if metric.dim > 1 else None
-    res = compatibility_field(chern_connection_field(metric, pts, steps), structure)
+    res = compatibility_field(chern_connection_field(metric_jet(metric, pts, steps, order=1)), structure)
     return {key: float(value[0]) for key, value in res.items()}
 
 
@@ -206,7 +220,7 @@ def test_compatibility_constant_metric_exact():
 def test_compatibility_detects_antiholomorphic_perturbation():
     m = disc_metric_field(1)
     z = np.array([0.3])
-    conn = chern_connection_field(m, z[None], RICH)
+    conn = chern_connection_field(metric_jet(m, z[None], RICH, order=1))
     eps = 1e-3
     q = conn.form.q.copy()
     q[0, 0, 0, 0] += eps
@@ -218,7 +232,7 @@ def test_uniqueness_surrogate_perturbations_violate_residuals():
     # a connection that differs from the metric one must break an identity
     m = disc_metric_field(1)
     z = np.array([0.3])
-    conn = chern_connection_field(m, z[None], RICH)
+    conn = chern_connection_field(metric_jet(m, z[None], RICH, order=1))
     eps = 1e-3
     p = conn.form.p.copy()
     p[0, 0, 0, 0] += eps
@@ -328,10 +342,34 @@ def test_subbundle_field_names_grid_point_and_node_of_a_dependent_frame():
         match=r"column 1 of \[frame \| complement\] at grid point \[0.5\+0.j\], "
         r"stencil node \[0.50001\+0.j\], is linearly dependent",
     ):
-        subbundle_field(m, frame, pts, FdSteps())
+        subbundle_field(metric_jet(m, pts, FdSteps()), frame)
     # at the point itself the frame is already dependent there
     with pytest.raises(StructuralError, match=r"grid point \[0.6\+0.j\], stencil node \[0.6\+0.j\]"):
-        subbundle_field(m, frame, np.array([[0.0], [0.6]], dtype=complex), FdSteps())
+        subbundle_field(metric_jet(m, np.array([[0.0], [0.6]], dtype=complex), FdSteps()), frame)
+
+
+def test_subbundle_induced_metric_checked_at_every_node():
+    # the columns stay independent on the first-derivative nodes (1e-5 from
+    # z = 0.5) and become dependent only past Re z = 0.50005, at the mixed
+    # node 0.5001, where the induced metric F* h F is singular
+    m = metric_from_kernel(ConstantKernel(np.eye(2)))
+
+    def frame(nodes):
+        out = np.zeros((len(nodes), 2, 2), dtype=complex)
+        out[:, 0] = 1.0
+        out[:, 1, 1] = np.where(nodes[:, 0].real > 0.50005, 0.0, 1.0)
+        return out
+
+    pts = np.array([[0.0], [0.5]], dtype=complex)
+    with pytest.raises(
+        SingularMetricError, match=r"^induced subbundle metric is numerically singular at \[0.5001\+0.j\]"
+    ):
+        subbundle_field(metric_jet(m, pts, FdSteps()), frame)
+    # nodes are checked point by point: a later mixed node of the first
+    # point comes before an earlier one of the second
+    above = lambda nodes: frame(nodes + (nodes.imag > 0.00005))  # and above Im z = 0.00005
+    with pytest.raises(SingularMetricError, match=r"singular at \[0.\+0.0001j\]"):
+        subbundle_field(metric_jet(m, pts, FdSteps()), above)
 
 
 # -- duals ----------------------------------------------------------------------------

@@ -526,6 +526,7 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
     # every grid field is built once per run, over all points, however many
     # tasks read it
     builders = (
+        "metric_jet",
         "chern_connection_field",
         "analytic_curvature_field",
         "nested_curvature_field",
@@ -553,6 +554,39 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
     report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks)))
     data = json.loads(report.to_json())["tasks"]
     assert data["theorem55"]["data"]["conclusion"] == data["griffiths"]["data"]
+
+
+@pytest.mark.parametrize("overrides, per_point", [
+    ({}, 81 + 17),
+    ({**GRASSMANN_D2, "fd_steps": {}}, 81 + 33),
+    (GRASSMANN_D2, 289 + 65),
+], ids=["disc-d1-richardson", "grassmann-d2", "grassmann-d2-richardson"])
+def test_kernel_metric_rows_per_grid_point(monkeypatch, overrides, per_point):
+    # with every task and a subbundle frame, a run evaluates the kernel
+    # metric on the nested route's outer x inner nodes, (1 + 4d(1 + R))^2
+    # rows per grid point, and once on its second-order jet's stencil; the
+    # dual kernel's metric, on its own jet's stencil
+    rows = {}
+    real = bck.chern.MetricField.batch
+
+    def counted(self, points):
+        values = real(self, points)
+        rows[self.name] = rows.get(self.name, 0) + len(values)
+        return values
+
+    monkeypatch.setattr(bck.chern.MetricField, "batch", counted)
+    cfg = base_config(tasks=list(TASK_ORDER), subbundle={"frame": [[[{"c": 1}]]]}, **overrides)
+    config = AnalysisConfig.from_dict(cfg)
+    report = run_analyze(config)
+    assert all(task["status"] != "error" for task in report.data["tasks"].values())
+    d, r, steps = config.kernel.base_dim, int(config.steps.richardson), config.steps
+    jet = bck.forms.Stencil(d, steps.first_steps(), steps.second_steps(), steps.richardson, centre=True)
+    assert (1 + 4 * d * (1 + r)) ** 2 + len(jet.offsets) == per_point
+    points, variant = report.data["grid"]["points_used"], config.kernel.variant
+    assert rows == {
+        f"{variant} kernel metric": per_point * points,
+        f"dual({variant}) kernel metric": len(jet.offsets) * points,
+    }
 
 
 def _mono(c, p):

@@ -11,6 +11,7 @@ from bck.chern import (
     analytic_curvature_field,
     curvature,
     metric_from_kernel,
+    metric_jet,
 )
 from bck.errors import StructuralError
 from bck.forms import Form2, cauchy_riemann_residual
@@ -181,7 +182,7 @@ def test_griffiths_form_purity_gate():
 
 def test_griffiths_form_rejects_a_field_over_several_points():
     m = metric_from_kernel(DiscPowerKernel(1))
-    field = analytic_curvature_field(m, np.array([[0.1], [0.2j]]))
+    field = analytic_curvature_field(metric_jet(m, np.array([[0.1], [0.2j]]), order=2))
     with pytest.raises(TypeError, match="one-point"):
         griffiths_form(field.h[0], field, np.array([1.0]))
     assert griffiths_form(field.h[0], field.at(0), np.array([1.0])).shape == (1, 1)
