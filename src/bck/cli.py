@@ -15,6 +15,7 @@ an internal error (any other exception).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -818,6 +819,18 @@ def _write_csv_fields(report: AnalysisReport, csv_dir: str) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        if argv is None:
+            # Run as the program, with every output written: move the heap to
+            # the permanent generation, so that the collections of interpreter
+            # shutdown skip numpy's and bck's import graph rather than free it
+            # object by object.  atexit handlers and finalizers still run.
+            gc.freeze()
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="bck",
         description="Kernel-induced metrics, curvature and positivity on complex charts.",

@@ -1,6 +1,7 @@
 """Config-driven runs: exit codes, determinism, reports, CSV, selftest."""
 
 import copy
+import gc
 import json
 import os
 import re
@@ -708,6 +709,22 @@ def test_report_and_csv_outputs(tmp_path):
     assert "," in lines[1] and "." in lines[1]
 
 
+def run_python(code, *args):
+    """Run `python -c code *args` as a separate process that imports bck from this tree.
+
+    BCK_SEED is removed, so the config alone sets the seed, and so is
+    PYTHONUNBUFFERED, so stdout stays block-buffered as in a shell pipeline
+    and an output that is not flushed at exit goes missing.
+    """
+    src = str(Path(bck.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("BCK_SEED", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_analyze_never_imports_numpy_random(tmp_path):
     # every seeded draw comes from the stdlib Mersenne Twister, so neither
     # numpy.random nor the OpenSSL modules it pulls in through `secrets`
@@ -724,16 +741,66 @@ def test_analyze_never_imports_numpy_random(tmp_path):
         "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules]); "
         "sys.exit(code)"
     )
-    src = str(Path(bck.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("BCK_SEED", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, "analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python(probe, "analyze", "--config", write_config(tmp_path, cfg), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert sorted(json.loads(out.read_text())["tasks"]) == sorted(TASK_ORDER)
+
+
+PASSING = base_config()
+FAILING = base_config(
+    kernel={"variant": "constant", "matrix": [[-1.0]]}, tasks=["psd"], samples={"psd_points": 3}
+)
+MALFORMED = base_config(tasks=[])
+
+
+def without_timing(text):
+    return re.sub(r'"timing": \{[^{}]*\}', '"timing": null', text)
+
+
+@pytest.mark.parametrize(
+    "cfg, command, code",
+    [(PASSING, "analyze", 0), (FAILING, "analyze", 1), (MALFORMED, "analyze", 2),
+     (None, "selftest", 0), (None, "version", 0)],
+    ids=["pass", "fail", "config-error", "selftest", "version"],
+)
+def test_in_process_main_leaves_gc_state_alone(tmp_path, capsys, cfg, command, code):
+    # only the program run (argv None) freezes its heap: a caller that
+    # passes an argv keeps its garbage collector as it was
+    argv = [command]
+    if cfg is not None:
+        argv += ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "report.json")]
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(argv) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize(
+    "cfg, code, to_stdout",
+    [(PASSING, 0, False), (FAILING, 1, True), (MALFORMED, 2, False)],
+    ids=["pass", "fail-to-stdout", "config-error"],
+)
+def test_bck_process_freezes_its_heap_and_keeps_outputs_and_exit_codes(tmp_path, cfg, code, to_stdout):
+    # run as the program, `main()` freezes the heap once its outputs are
+    # written; an atexit handler registered before it still runs, and sees
+    # the frozen heap, and stdout is still flushed at exit
+    probe = (
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print(f'atexit frozen={gc.get_freeze_count() > 0}', file=sys.stderr)); "
+        "from bck.cli import main; sys.exit(main())"
+    )
+    path = write_config(tmp_path, cfg)
+    spawned = tmp_path / "spawned.json"
+    proc = run_python(probe, "analyze", "--config", path, *([] if to_stdout else ["--out", str(spawned)]))
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.endswith("atexit frozen=True\n"), proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("config error: ") and proc.stdout == ""
+        return
+    in_process = tmp_path / "in_process.json"
+    assert main(["analyze", "--config", path, "--out", str(in_process)]) == code
+    text = proc.stdout if to_stdout else spawned.read_text()
+    assert without_timing(text) == without_timing(in_process.read_text())
 
 
 def test_version_command(capsys):
