@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, pointwise, wedge
+from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, join_points, pointwise, wedge
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
 from .linalg import eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, solve
 
@@ -112,9 +112,19 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-# Rows of a metric batch evaluated and validated at once: the bound on
-# the temporaries of one `MetricField.batch` call, whatever its length.
+# The budget of every whole-grid reduction: rows of a metric batch evaluated
+# and validated at once, (point, direction) pairs of one Griffiths chunk and
+# outer-stencil nodes of one nested-curvature chunk.  It bounds their
+# temporaries, whatever the number of points.
 _ROWS = 2048
+
+
+def _chunks(count: int, rows_per_point: int) -> list[slice]:
+    """Consecutive slices of `count` points in order, each of at most `_ROWS`
+    rows at `rows_per_point` rows a point (at least one point), and one
+    empty slice when there are no points."""
+    step = max(1, _ROWS // rows_per_point)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
 
 
 def _first_false(ok: np.ndarray) -> int | None:
@@ -187,8 +197,8 @@ class MetricField:
         """
         pts = as_points(points, self.dim).reshape(-1, self.dim)
         out = np.empty((len(pts), self.fiber_dim, self.fiber_dim), dtype=complex)
-        for start in range(0, len(pts), _ROWS):
-            out[start : start + _ROWS] = self._checked(pts[start : start + _ROWS])
+        for rows in _chunks(len(pts), 1):
+            out[rows] = self._checked(pts[rows])
         return out
 
     def _checked(self, pts: np.ndarray) -> np.ndarray:
@@ -393,7 +403,11 @@ def analytic_curvature_field(jet: MetricJet) -> CurvatureField:
 
 def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps()) -> CurvatureField:
     """d A + A ^ A at every point, A from the connection field at the nodes
-    of an outer stencil of step `steps.second` (the point itself included)."""
+    of an outer stencil of step `steps.second` (the point itself included).
+
+    Points are taken in grid order, in chunks of at most `_ROWS` outer
+    nodes, so the node tables of one chunk are all that is held at once;
+    the first point whose evaluation or stencil fails raises."""
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     outer = Stencil(
         metric.dim,
@@ -405,18 +419,21 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
     def connection(nodes):  # each node's own connection, from a first-order jet
         return chern_connection_field(metric_jet(metric, nodes, steps, order=1))
 
-    conn = outer.by_node(outer.on_points(connection, pts, metric.domain), len(pts))
-    a0 = Form1(conn.form.p[Stencil.CENTRE], conn.form.q[Stencil.CENTRE])
-    theta = outer.exterior_derivative(conn.form) + wedge(a0, a0)
-    h = conn.jet.h[Stencil.CENTRE]
-    return CurvatureField(
-        points=pts,
-        h=h,
-        form=theta,
-        method="nested_fd",
-        purity_residual=np.maximum(_max_norm(theta.c20), _max_norm(theta.c02)),
-        pairing_residual=_pairing_residuals(h, theta.r11),
-    )
+    def chunk(p: np.ndarray) -> CurvatureField:
+        conn = outer.by_node(outer.on_points(connection, p, metric.domain), len(p))
+        a0 = Form1(conn.form.p[Stencil.CENTRE], conn.form.q[Stencil.CENTRE])
+        theta = outer.exterior_derivative(conn.form) + wedge(a0, a0)
+        h = conn.jet.h[Stencil.CENTRE].copy()  # not a view that keeps the node table
+        return CurvatureField(
+            points=p,
+            h=h,
+            form=theta,
+            method="nested_fd",
+            purity_residual=np.maximum(_max_norm(theta.c20), _max_norm(theta.c02)),
+            pairing_residual=_pairing_residuals(h, theta.r11),
+        )
+
+    return join_points([chunk(pts[rows]) for rows in _chunks(len(pts), len(outer.offsets))])
 
 
 def curvature(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import import_module
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -665,7 +666,12 @@ class AnalysisReport:
         return self.data["exit_code"]
 
     def to_json(self) -> str:
-        return json.dumps(_jsonify(self.data), sort_keys=True, indent=2)
+        return _JSON.encode(_jsonify(self.data))
+
+
+# The layout of every report text: `to_json` returns it whole, and
+# `bck analyze --out` streams it to the file chunk by chunk.
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def _jsonify(obj):
@@ -792,13 +798,15 @@ def run_selftest(seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a temporary file beside `path`, then rename
+    it over `path`; on any failure the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bck-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -815,7 +823,7 @@ def _write_csv_fields(report: AnalysisReport, csv_dir: str) -> None:
         rows = len(fields[0]["values"])
         for i in range(rows):
             lines.append(",".join(repr(float(col["values"][i])) for col in fields))
-        _atomic_write(os.path.join(csv_dir, f"{name}.csv"), "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(csv_dir, f"{name}.csv"), ["\n".join(lines), "\n"])
 
 
 def main(argv=None) -> int:
@@ -869,13 +877,14 @@ def _main(argv) -> int:
             raise ConfigError(exc) from exc
         config = AnalysisConfig.from_dict(raw)
         report = run_analyze(config)
-        # serialising checks every number: a non-finite one is structural
-        text = report.to_json() + "\n"
+        # converting checks every number before any output: a non-finite one
+        # is structural
+        data = _jsonify(report.data)
         out_path = args.out or config.output_report
         if out_path:
-            _atomic_write(out_path, text)
+            _atomic_write(out_path, itertools.chain(_JSON.iterencode(data), ["\n"]))
         else:
-            print(text, end="")
+            print(_JSON.encode(data))
         csv_dir = args.csv or config.output_csv_dir
         if csv_dir:
             _write_csv_fields(report, csv_dir)

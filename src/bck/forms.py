@@ -19,7 +19,8 @@ stencil nodes and weights, and `Stencil.on_points` takes every difference:
 it evaluates a field once on the nodes of all points of an array, and
 `Stencil.by_node` splits those rows by node.  A 0-form is a bare array.
 The point axis of field results has one owner: `at_point` drops it,
-`stack_points` restores it, and `pointwise` lifts point functions with it.
+`stack_points` restores it, `join_points` concatenates along it, and
+`pointwise` lifts point functions with it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "as_points",
     "at_point",
     "stack_points",
+    "join_points",
     "pointwise",
     "Stencil",
     "inside_domain",
@@ -83,7 +85,12 @@ def _arrays(fn, value):
         return replace(value, **{f.name: _arrays(fn, getattr(value, f.name)) for f in fields(value)})
     if not isinstance(value, np.ndarray):
         return value
-    return fn(value, 0 if value.ndim <= 2 else value.ndim - 3)
+    return fn(value, _point_axis(value))
+
+
+def _point_axis(a: np.ndarray) -> int:
+    """The point axis of a field array, as `at_point` describes it."""
+    return 0 if a.ndim <= 2 else a.ndim - 3
 
 
 def at_point(value, i: int):
@@ -113,6 +120,18 @@ def stack_points(values: list):
     if not isinstance(first, (np.ndarray, np.generic, int, float, complex)):
         return first
     return _arrays(lambda a, axis: np.moveaxis(a, 0, axis), np.stack(values))
+
+
+def join_points(values: list):
+    """Field results over consecutive runs of points joined into one over
+    all of them: arrays are concatenated along the point axis of `at_point`
+    and dataclasses field by field; anything else is taken from the first."""
+    first = values[0]
+    if is_dataclass(first):
+        return replace(first, **{f.name: join_points([getattr(v, f.name) for v in values]) for f in fields(first)})
+    if not isinstance(first, np.ndarray):
+        return first
+    return np.concatenate(values, axis=_point_axis(first))
 
 
 def pointwise(fn: Callable, shape: tuple | None = None, dtype=complex, what: str = "value") -> Callable:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chern import CurvatureField, MetricField
+from .chern import CurvatureField, MetricField, _chunks
 from .errors import StructuralError
 from .forms import Form2, as_point, pointwise, probe_tensor
 from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
@@ -300,9 +300,10 @@ def griffiths_verdict(
 
         G_im = -i h Theta(x_m, i x_m) = 2 h_i sum_{k,j} conj(x_mk) x_mj r11[k, j, i],
 
-    one contraction over all (point, direction) pairs.  Every G_im passes
-    the same relative hermiticity gate as `griffiths_form`, and one
-    stacked `eigh` of the hermitised G_im gives the margins.
+    one contraction over the (point, direction) pairs of a chunk of points,
+    the chunks holding at most `chern._ROWS` pairs each.  Every G_im passes
+    the same relative hermiticity gate as `griffiths_form`, and one stacked
+    `eigh` of a chunk's hermitised G_im gives its margins.
 
     Deterministic for a fixed seed: the direction sample and the
     iteration order are pinned.  The reduction is a minimum; on ties the
@@ -318,15 +319,22 @@ def griffiths_verdict(
     if not isinstance(curvature_field, CurvatureField):
         curvature_field = pointwise(curvature_field)(pts)
     h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
-    s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11)
-    g = 2.0 * np.matmul(h[:, None], s)
-    max_herm = float(hermiticity_defect(g).max())
+    margins = np.empty((len(pts), len(dirs)))
+    chunks, witnesses, max_herm = _chunks(len(pts), len(dirs)), [], 0.0
+    for rows in chunks:
+        s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11[:, :, rows])
+        g = 2.0 * np.matmul(h[rows, None], s)
+        max_herm = np.maximum(max_herm, hermiticity_defect(g).max())  # NaN propagates
+        evals, evecs = np.linalg.eigh(hermitize(g))
+        margins[rows] = evals[..., 0]
+        # the chunk's first argmin is the overall one if the minimum lies in it
+        c, m = np.unravel_index(np.argmin(margins[rows]), margins[rows].shape)
+        witnesses.append(evecs[c, m, :, 0].copy())
+    max_herm = float(max_herm)
     if max_herm > _HERM_TOL:
         raise StructuralError(
             f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}"
         )
-    evals, evecs = np.linalg.eigh(hermitize(g))
-    margins = evals[..., 0]
     i, m = np.unravel_index(np.argmin(margins), margins.shape)
     overall = float(margins[i, m])
     verdict = "positive" if overall > pos_tol else "indefinite" if overall < -neg_tol else "nonnegative"
@@ -339,7 +347,7 @@ def griffiths_verdict(
         min_margin=overall,
         witness_point=pts[i].copy(),
         witness_direction=dirs[m].copy(),
-        witness_eigenvector=evecs[i, m, :, 0].copy(),
+        witness_eigenvector=next(w for rows, w in zip(chunks, witnesses) if i < rows.stop),
         max_hermiticity_residual=max_herm,
         max_purity_residual=float(np.max(purity, initial=0.0)),
         verdict=verdict,

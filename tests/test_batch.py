@@ -6,7 +6,6 @@ point, when it sits inside a batch.
 """
 
 import json
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -49,7 +48,7 @@ from bck.forms import Form1, Stencil, at_point, stack_points
 from bck.linalg import mgs_orthonormalize
 from bck.polys import MatrixPolynomial
 
-from _fields import cmat, poly_metric
+from _fields import bit_equal, cmat, poly_metric
 
 RICH = FdSteps(richardson=True)
 
@@ -348,15 +347,6 @@ def test_subbundle_field_matches_point_splits():
         assert single.identity_residual <= 1e-4
 
 
-def _bit_equal(a, b) -> bool:
-    """Same class, and every array of the same dtype, shape and bytes."""
-    if is_dataclass(a):
-        return type(a) is type(b) and all(_bit_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
-    return type(a) is type(b) and a == b
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -370,11 +360,11 @@ def test_at_point_inverts_stack_points(seed, count, shape, kind):
     raw["bool"] = raw["float"] > 0
     vals = [v.item() if v.ndim == 0 else v for v in raw[kind]]  # per-point scalars are Python scalars
     for i, v in enumerate(vals):
-        assert _bit_equal(at_point(stack_points(vals), i), v)
+        assert bit_equal(at_point(stack_points(vals), i), v)
     # dataclasses field by field, and a value that is no array kept
     forms = [Form1(v, v) for v in raw["complex"]]
     for i, form in enumerate(forms):
-        assert _bit_equal(at_point(stack_points(forms), i), form)
+        assert bit_equal(at_point(stack_points(forms), i), form)
     assert stack_points(["analytic_expansion"] * count) == "analytic_expansion"
 
 
@@ -395,7 +385,7 @@ def test_fields_are_stacks_of_their_points():
         metric_jet(m, pts, RICH),
     ]
     for field in results:
-        assert _bit_equal(stack_points([at_point(field, i) for i in range(len(pts))]), field), type(field)
+        assert bit_equal(stack_points([at_point(field, i) for i in range(len(pts))]), field), type(field)
 
 
 def test_by_node_splits_on_points_rows_into_nodes():

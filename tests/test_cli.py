@@ -137,7 +137,25 @@ def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tasks=["psd"], kernel=kernel))
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith("structural error: report contains a non-finite")
-    assert not out.exists()
+    assert not out.exists() and not list(tmp_path.glob(".bck-*.tmp"))
+
+
+def test_report_file_is_the_report_text_streamed(tmp_path, monkeypatch):
+    # `--out` streams the report: its bytes are `to_json()` and a newline
+    reports, real = [], bck.cli.run_analyze
+    monkeypatch.setattr(bck.cli, "run_analyze", lambda config: reports.append(real(config)) or reports[-1])
+    out = tmp_path / "report.json"
+    cfg = base_config(kernel={"variant": "disc_power", "nu": 2}, tasks=["curvature", "griffiths"])
+    path = write_config(tmp_path, cfg)
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 0
+    written = out.read_bytes()
+    assert written == (reports[0].to_json() + "\n").encode("utf-8")
+    # a failure part-way through the stream keeps the old report and
+    # leaves no temporary file
+    monkeypatch.setattr(bck.cli, "_jsonify", lambda data: {"a": 1, "b": object()})
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 4
+    assert out.read_bytes() == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json"]
 
 
 def _set(cfg: dict, path: tuple, value) -> None:
