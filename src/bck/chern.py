@@ -33,13 +33,14 @@ metric or frame given as a function of one point is lifted to stacks by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import Form1, Form2, Stencil, as_point, as_points, at_point, inside_domain, join_points, pointwise, wedge
+from .forms import (
+    Form1, Form2, Record, Stencil, as_point, as_points, at_point, inside_domain, join_points, pointwise, wedge,
+)
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
 from .linalg import eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, solve
 
@@ -67,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FdSteps:
+class FdSteps(Record, frozen=True):
     """Finite-difference step policy.
 
     `first` scales steps for first derivatives, `second` for mixed second
@@ -157,8 +157,7 @@ def _validated(h: np.ndarray, pts: np.ndarray, name: str, error: BckError | None
     return h
 
 
-@dataclass
-class MetricField:
+class MetricField(Record):
     """A map z -> positive-definite Hermitian fiber metric h(z).
 
     Every evaluation is validated: Hermitian within 1e-12 (relative) and
@@ -277,8 +276,7 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricJet:
+class MetricJet(Record, frozen=True):
     """h and its Wirtinger derivatives at an array of N chart points, with
     the node values they were taken from.
 
@@ -328,8 +326,7 @@ def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionField:
+class ConnectionField(Record, frozen=True):
     """A connection form over an array of points, with the metric jet it
     was computed from; form.p and form.q are (d, N, n, n)."""
 
@@ -351,8 +348,7 @@ def chern_connection(metric: MetricField, z, steps: FdSteps = FdSteps()) -> Conn
     return chern_connection_field(metric_jet(metric, as_point(z, metric.dim)[None], steps, order=1)).at(0)
 
 
-@dataclass(frozen=True)
-class CurvatureField:
+class CurvatureField(Record, frozen=True):
     """Curvature over an array of points: form blocks (d, d, N, n, n), the
     metric h (N, n, n) and (N,) residuals.
 
@@ -532,8 +528,7 @@ def hs_connection_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubbundleField:
+class SubbundleField(Record, frozen=True):
     """Split of a metric bundle along a holomorphic subframe, over an array
     of points.
 
@@ -654,8 +649,7 @@ def subbundle_split(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualCurvatureField:
+class DualCurvatureField(Record, frozen=True):
     """Curvatures of a kernel metric and of its dual, pulled back to the
     original chart, with the residual of Theta_dual = -(h Theta h^-1)^T,
     over an array of points."""

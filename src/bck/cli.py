@@ -22,9 +22,9 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable
 
 import numpy as np
@@ -46,7 +46,7 @@ from .chern import (
     subbundle_field,
 )
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import delbar_norms
+from .forms import Record, delbar_norms
 from .grids import ChartGrid
 from .kernels import (
     AdmissibilityField,
@@ -62,7 +62,6 @@ from .kernels import (
 from .linalg import Sampler
 from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
-from .selfcheck import run_selfcheck
 
 __all__ = [
     "ConfigError",
@@ -317,8 +316,7 @@ _CONFIG = {
 _ALIASES = {"fd": "fd_steps", "seed": "directions.seed"}
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """Validated analysis request."""
 
     kernel: KernelSpec
@@ -364,8 +362,7 @@ class AnalysisConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunContext:
+class RunContext(Record):
     """One run's config and grid, plus the fields its tasks share.
 
     The admissibility margins, the metric, its second-order jet, the
@@ -657,8 +654,7 @@ _GRIDLESS_TASKS = {"selftest", "psd"}
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     data: dict
 
     @property
@@ -666,12 +662,7 @@ class AnalysisReport:
         return self.data["exit_code"]
 
     def to_json(self) -> str:
-        return _JSON.encode(_jsonify(self.data))
-
-
-# The layout of every report text: `to_json` returns it whole, and
-# `bck analyze --out` streams it to the file chunk by chunk.
-_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+        return "".join(_render(_jsonify(self.data)))
 
 
 def _jsonify(obj):
@@ -699,6 +690,56 @@ def _jsonify(obj):
             raise StructuralError("report contains a non-finite numeric entry")
         return {"re": float(obj.real), "im": float(obj.imag)}
     return obj
+
+
+def _render(value, indent: str = "\n"):
+    """The report text of a value `_jsonify` returned, chunk by chunk.
+
+    The text is byte for byte that of `json.JSONEncoder(sort_keys=True,
+    indent=2)`, the layout of every report: `to_json` returns it whole,
+    and `bck analyze --out` streams it to the file.  `indent` is a newline
+    and the indent of the value's own line.  A list of floats, such as a
+    field column, is one chunk, one join of `float.__repr__`; the numbers
+    are finite, as `_jsonify` leaves them.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = indent + "  "
+        try:
+            floats = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item is no float
+            floats = None
+        if floats is not None:
+            yield f"[{inner}{floats}{indent}]"
+            return
+        separator = "[" + inner
+        for item in value:
+            yield separator
+            yield from _render(item, inner)
+            separator = "," + inner
+        yield indent + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner, separator = indent + "  ", "{"
+        for key, item in sorted(value.items()):
+            yield f"{separator}{inner}{encode_basestring_ascii(key)}: "
+            yield from _render(item, inner)
+            separator = ","
+        yield indent + "}"
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None or isinstance(value, bool):
+        yield "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, float):
+        yield float.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # The one exit-code policy, for a task and for a whole run: (exception
@@ -786,6 +827,9 @@ def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunConte
 
 def run_selftest(seed: int = 0) -> dict:
     """The invariant corpus as a report section."""
+    # imported here, so that only a run that asks for the corpus compiles it
+    from .selfcheck import run_selfcheck
+
     entries = run_selfcheck(seed=seed)
     return {
         "passed": all(e["passed"] for e in entries),
@@ -882,9 +926,9 @@ def _main(argv) -> int:
         data = _jsonify(report.data)
         out_path = args.out or config.output_report
         if out_path:
-            _atomic_write(out_path, itertools.chain(_JSON.iterencode(data), ["\n"]))
+            _atomic_write(out_path, itertools.chain(_render(data), ["\n"]))
         else:
-            print(_JSON.encode(data))
+            print("".join(_render(data)))
         csv_dir = args.csv or config.output_csv_dir
         if csv_dir:
             _write_csv_fields(report, csv_dir)

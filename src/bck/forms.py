@@ -20,12 +20,13 @@ it evaluates a field once on the nodes of all points of an array, and
 `Stencil.by_node` splits those rows by node.  A 0-form is a bare array.
 The point axis of field results has one owner: `at_point` drops it,
 `stack_points` restores it, `join_points` concatenates along it, and
-`pointwise` lifts point functions with it.
+`pointwise` lifts point functions with it.  Field results, and every other
+result class of bck, are `Record`s: one field protocol that these
+functions read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,8 @@ from .errors import DomainError, StructuralError
 from .linalg import max_frob
 
 __all__ = [
+    "Record",
+    "replace",
     "Form1",
     "Form2",
     "form_norm",
@@ -78,11 +81,81 @@ def as_points(z, dim: int) -> np.ndarray:
     return p
 
 
+class Record:
+    """The field protocol of bck's result classes.
+
+    A subclass declares its fields once, as annotations in its body, in
+    order; a field given a value there defaults to it.  Fields of a base
+    record come first.  `class C(Record, frozen=True)` makes assignment to
+    an instance raise AttributeError.  A record is built from its field
+    values, positional or by keyword, after which `__post_init__`, if the
+    class has one, runs.  It reads as `C(name=value, ...)`; two records
+    are equal when they have one class and equal tuples of field values; a
+    frozen record hashes that tuple, and any other is unhashable.
+    `replace` builds a changed copy through the same constructor.
+    `_fields` names the fields in order.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", {}) if name not in cls._fields]
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        if frozen:
+            cls.__setattr__, cls.__delattr__ = _assign_frozen, _assign_frozen
+            cls.__hash__ = Record._field_hash
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields or name in values:
+                raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
+            values[name] = value
+        missing = [name for name in cls._fields if name not in values and name not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing fields: {', '.join(missing)}")
+        self.__dict__.update({name: values.get(name, cls._defaults.get(name)) for name in cls._fields})
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def _field_hash(self) -> int:
+        return hash(_field_values(self))
+
+
+def _field_values(record: Record) -> tuple:
+    """The values of a record's fields in order: a form's coefficient arrays."""
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def _assign_frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of a record with some fields changed, built and checked by
+    its constructor."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 def _arrays(fn, value):
     """fn(array, its point axis) on every array of a field result (see
-    `at_point`): dataclasses field by field, anything else kept as it is."""
-    if is_dataclass(value):
-        return replace(value, **{f.name: _arrays(fn, getattr(value, f.name)) for f in fields(value)})
+    `at_point`): records field by field, anything else kept as it is."""
+    if isinstance(value, Record):
+        return replace(value, **{name: _arrays(fn, getattr(value, name)) for name in value._fields})
     if not isinstance(value, np.ndarray):
         return value
     return fn(value, _point_axis(value))
@@ -98,7 +171,7 @@ def at_point(value, i: int):
 
     The point axis is the first axis of per-point scalars (N,), which
     become Python scalars, and of points (N, d); in every larger array it
-    is third from the end, before the fiber matrix.  Dataclasses (fields,
+    is third from the end, before the fiber matrix.  Records (fields,
     forms, metric jets) are taken field by field; anything else, such as a
     method name or a missing jet order, is kept as it is.
     """
@@ -112,11 +185,10 @@ def at_point(value, i: int):
 def stack_points(values: list):
     """The inverse of `at_point`: `at_point(stack_points(values), i)` is
     `values[i]`.  Arrays and scalars are stacked along the point axis and
-    dataclasses field by field; anything else is taken from the first."""
+    records field by field; anything else is taken from the first."""
     first = values[0]
-    if is_dataclass(first):
-        columns = {f.name: stack_points([getattr(v, f.name) for v in values]) for f in fields(first)}
-        return replace(first, **columns)
+    if isinstance(first, Record):
+        return replace(first, **{name: stack_points([getattr(v, name) for v in values]) for name in first._fields})
     if not isinstance(first, (np.ndarray, np.generic, int, float, complex)):
         return first
     return _arrays(lambda a, axis: np.moveaxis(a, 0, axis), np.stack(values))
@@ -125,10 +197,10 @@ def stack_points(values: list):
 def join_points(values: list):
     """Field results over consecutive runs of points joined into one over
     all of them: arrays are concatenated along the point axis of `at_point`
-    and dataclasses field by field; anything else is taken from the first."""
+    and records field by field; anything else is taken from the first."""
     first = values[0]
-    if is_dataclass(first):
-        return replace(first, **{f.name: join_points([getattr(v, f.name) for v in values]) for f in fields(first)})
+    if isinstance(first, Record):
+        return replace(first, **{name: join_points([getattr(v, name) for v in values]) for name in first._fields})
     if not isinstance(first, np.ndarray):
         return first
     return np.concatenate(values, axis=_point_axis(first))
@@ -161,14 +233,14 @@ def pointwise(fn: Callable, shape: tuple | None = None, dtype=complex, what: str
 # ---------------------------------------------------------------------------
 
 
-class _Linear:
+class _Linear(Record):
     """Sums, differences and scalar multiples of forms of one degree,
     taken coefficient array by coefficient array."""
 
     def _combine(self, op, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(*map(op, _blocks(self), _blocks(other)))
+        return type(self)(*map(op, _field_values(self), _field_values(other)))
 
     def __add__(self, other):
         return self._combine(np.add, other)
@@ -177,13 +249,12 @@ class _Linear:
         return self._combine(np.subtract, other)
 
     def __mul__(self, scalar):
-        return type(self)(*(c * scalar for c in _blocks(self)))
+        return type(self)(*(c * scalar for c in _field_values(self)))
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class Form1(_Linear):
+class Form1(_Linear, frozen=True):
     """Degree-1 form value with coefficients p on dz_j and q on dzbar_k.
 
     Evaluation on a tangent vector v in C^d is
@@ -215,8 +286,7 @@ class Form1(_Linear):
         return values.reshape(self.p.shape[1:])
 
 
-@dataclass(frozen=True)
-class Form2(_Linear):
+class Form2(_Linear, frozen=True):
     """Degree-2 form value split by type.
 
     c20[j, k] multiplies dz_j ^ dz_k and is antisymmetric in (j, k);
@@ -263,17 +333,12 @@ class Form2(_Linear):
         return (outer.reshape(-1) @ blocks.reshape(outer.size, -1)).reshape(blocks.shape[3:])
 
 
-def _blocks(form) -> list:
-    """The coefficient arrays of a form, in constructor order."""
-    return [getattr(form, f.name) for f in fields(form)]
-
-
 def form_norm(form) -> float:
     """Max Frobenius norm over the coefficient matrices of a form; a bare
     array is one 0-form value."""
     if not isinstance(form, (Form1, Form2)):
         return max_frob(form, 0)
-    return max(max_frob(c, form.degree) for c in _blocks(form))
+    return max(max_frob(c, form.degree) for c in _field_values(form))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +445,9 @@ def wedge(a, b):
     """
     da, db = (getattr(x, "degree", 0) for x in (a, b))
     if db == 0:
-        return type(a)(*(_each(lambda m: _mul(m, b), c, da) for c in _blocks(a)))
+        return type(a)(*(_each(lambda m: _mul(m, b), c, da) for c in _field_values(a)))
     if da == 0:
-        return type(b)(*(_each(lambda m: _mul(a, m), c, db) for c in _blocks(b)))
+        return type(b)(*(_each(lambda m: _mul(a, m), c, db) for c in _field_values(b)))
     if (da, db) != (1, 1):
         raise ValueError(f"unsupported degree combination ({da}, {db})")
     if a.dim != b.dim:

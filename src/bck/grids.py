@@ -9,17 +9,14 @@ reports record this so field exports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .forms import clear_of_boundary
+from .forms import Record, clear_of_boundary
 
 __all__ = ["ChartGrid"]
 
 
-@dataclass(frozen=True)
-class ChartGrid:
+class ChartGrid(Record, frozen=True):
     """Sampling of an open box in C^d.
 
     Parameters

@@ -33,13 +33,12 @@ with the checks of `eval_kernel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .forms import as_point, as_points, at_point, pointwise
+from .forms import Record, as_point, as_points, at_point, pointwise
 from .linalg import (
     Sampler,
     hermiticity_defect,
@@ -410,8 +409,7 @@ def dual_kernel(spec: KernelSpec) -> DualKernel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GramMatrix:
+class GramMatrix(Record):
     """The positivity quadratic form of a kernel over a finite point set.
 
     `assembled` is the Hermitian part of the (N n) x (N n) matrix whose
@@ -576,8 +574,7 @@ def reproducing_check(model: RkhsModel, coeffs, eta, t) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityField:
+class AdmissibilityField(Record, frozen=True):
     """Invertibility margins of diagonal kernel blocks over an array of
     points, as (N,) arrays: kappa(s, s) counts as invertible when its
     largest singular value is positive and its smallest is at least `tol`
@@ -612,8 +609,7 @@ def admissibility(spec: KernelSpec, s, tol: float = 1e-10) -> AdmissibilityField
     return admissibility_field(spec, as_point(s, spec.base_dim)[None], tol).at(0)
 
 
-@dataclass(frozen=True)
-class Lemma51Report:
+class Lemma51Report(Record, frozen=True):
     injective: bool
     invertible: bool
     surjective: bool

@@ -24,14 +24,13 @@ which the report states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .chern import CurvatureField, MetricField, _chunks
 from .errors import StructuralError
-from .forms import Form2, as_point, pointwise, probe_tensor
+from .forms import Form2, Record, as_point, pointwise, probe_tensor
 from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
 
 __all__ = [
@@ -111,8 +110,7 @@ class BilinearSamples:
         return BilinearSamples(np.conj(np.swapaxes(self.tensor, -1, -2)), self.dim)
 
 
-@dataclass(frozen=True)
-class SesquiTriple:
+class SesquiTriple(Record, frozen=True):
     """Matched (Psi, psi, omega) triple with membership residuals.
 
     Invariants: Psi(v1,v2)* = Psi(v2,v1); psi symmetric and i-invariant;
@@ -251,8 +249,7 @@ def direction_samples(dim: int, count: int, seed: int) -> np.ndarray:
     return np.asarray(dirs)
 
 
-@dataclass
-class GriffithsReport:
+class GriffithsReport(Record):
     """Spectral margins of the Griffiths form over a point/direction sample.
 
     The verdict quantifies only over the sampled rank-one directions;

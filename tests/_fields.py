@@ -1,17 +1,16 @@
 """Shared test fixtures: random fields with known structure and disc references."""
 
-from dataclasses import fields, is_dataclass
-
 import numpy as np
 
 from bck.chern import MetricField
+from bck.forms import Record
 from bck.polys import MatrixPolynomial
 
 
 def bit_equal(a, b) -> bool:
     """Same class, and every array of the same dtype, shape and bytes."""
-    if is_dataclass(a):
-        return type(a) is type(b) and all(bit_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, Record):
+        return type(a) is type(b) and all(bit_equal(getattr(a, name), getattr(b, name)) for name in a._fields)
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
     return type(a) is type(b) and a == b

@@ -361,7 +361,7 @@ def test_at_point_inverts_stack_points(seed, count, shape, kind):
     vals = [v.item() if v.ndim == 0 else v for v in raw[kind]]  # per-point scalars are Python scalars
     for i, v in enumerate(vals):
         assert bit_equal(at_point(stack_points(vals), i), v)
-    # dataclasses field by field, and a value that is no array kept
+    # records field by field, and a value that is no array kept
     forms = [Form1(v, v) for v in raw["complex"]]
     for i, form in enumerate(forms):
         assert bit_equal(at_point(stack_points(forms), i), form)
@@ -390,7 +390,7 @@ def test_fields_are_stacks_of_their_points():
 
 def test_by_node_splits_on_points_rows_into_nodes():
     # entry s of the split holds node s of every point, as evaluating the
-    # nodes point by point gives it, for arrays and for dataclasses
+    # nodes point by point gives it, for arrays and for records
     rng = np.random.default_rng(23)
     m = poly_metric(rng, 2, 2)
     stencil = Stencil(2, first=1e-3, mixed=1e-2, richardson=True, centre=True)

@@ -1,6 +1,5 @@
 """Metric connections, curvature (two routes), compatibility, HS and subbundles."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from bck.chern import (
     subbundle_split,
 )
 from bck.errors import DomainError, SingularMetricError, StructuralError
-from bck.forms import Form1
+from bck.forms import Form1, replace
 from bck.kernels import ConstantKernel, DiscPowerKernel, GrassmannKernel, SectionKernel, dual_kernel
 
 from _fields import cmat, disc_connection, disc_curvature, disc_metric, full_rank_sections, poly_metric

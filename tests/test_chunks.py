@@ -9,7 +9,6 @@ with the number of points.
 
 import gc
 import tracemalloc
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from bck.chern import (
 )
 from bck.cli import build_kernel
 from bck.errors import DomainError, StructuralError
-from bck.forms import Form2, Stencil
+from bck.forms import Form2, Record, Stencil
 from bck.kernels import DiscPowerKernel, GrassmannKernel
 from bck.positivity import griffiths_verdict
 
@@ -77,8 +76,8 @@ def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
 
     monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * len(whole.directions))
     chunked = griffiths_verdict(metric, analytic, pts, directions=5, seed=11)
-    for f in fields(whole):
-        assert bit_equal(getattr(chunked, f.name), getattr(whole, f.name)), f.name
+    for name in whole._fields:
+        assert bit_equal(getattr(chunked, name), getattr(whole, name)), name
     monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _outer_nodes(spec.base_dim, steps))
     assert bit_equal(nested_curvature_field(metric, pts, steps), nested)
 
@@ -131,8 +130,8 @@ def test_stencil_failure_in_a_later_chunk_is_the_unchunked_error(monkeypatch):
 
 
 def _nbytes(value) -> int:
-    if is_dataclass(value):
-        return sum(_nbytes(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, Record):
+        return sum(_nbytes(getattr(value, name)) for name in value._fields)
     return value.nbytes if isinstance(value, np.ndarray) else 0
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import importlib.util
 import json
 import os
 import re
@@ -156,6 +157,52 @@ def test_report_file_is_the_report_text_streamed(tmp_path, monkeypatch):
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert out.read_bytes() == written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json"]
+
+
+# The reference layout of every report: bck renders it without the stdlib
+# encoder, byte for byte.
+ORACLE = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _workload_config(name: str, seed: int) -> dict:
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_config(name, seed)
+
+
+@pytest.mark.parametrize("workload", ["disc-flagship", "grassmann-d2", "sections-d2"])
+def test_report_text_is_the_stdlib_layout(workload):
+    report = run_analyze(AnalysisConfig.from_dict(_workload_config(workload, 1)))
+    data = bck.cli._jsonify(report.data)
+    chunks = list(bck.cli._render(data))
+    assert "".join(chunks) == ORACLE.encode(data) == report.to_json()
+    # each column of the report is one chunk, and no chunk is larger
+    columns = [c["values"] for t in data["tasks"].values() for c in t["data"].get("fields", [])]
+    assert columns and all(isinstance(v, float) for c in columns for v in c)
+    lists = [json.loads(c) for c in chunks if c.startswith("[") and c.endswith("]")]
+    assert all(c in lists for c in columns)
+    assert json.loads(max(chunks, key=len)) in columns
+
+
+# quotes, backslashes, control characters and non-ASCII text, which the
+# report escapes
+_STRINGS = st.text() | st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\U0001d11e", "a"]))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.recursive(
+        _SCALARS | st.lists(_FLOATS),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+        max_leaves=24,
+    )
+)
+def test_renderer_matches_the_stdlib_encoder(value):
+    assert "".join(bck.cli._render(value)) == ORACLE.encode(value)
 
 
 def _set(cfg: dict, path: tuple, value) -> None:
@@ -741,6 +788,42 @@ def run_python(code, *args):
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_importing_bck_compiles_only_its_modules_and_selfcheck_on_demand(tmp_path):
+    # an audit hook counts the source compiled after numpy is imported, with
+    # an empty bytecode cache: importing bck.cli compiles its ten modules and
+    # no generated code; the selftest corpus is compiled only by a run that
+    # asks for it
+    probe = (
+        "import importlib.util, json, os, sys, numpy\n"
+        "sys.dont_write_bytecode, sys.pycache_prefix = True, sys.argv[1]\n"
+        "package = importlib.util.find_spec('bck').submodule_search_locations[0]\n"
+        "compiled = []\n"
+        "sys.addaudithook(lambda e, a: e == 'compile' and compiled.append(a[1]))\n"
+        "def bck_modules():\n"
+        "    return sorted(os.path.basename(f) for f in compiled if os.path.dirname(str(f)) == package)\n"
+        "from bck.cli import main\n"
+        "seen = {'generated': compiled.count('<string>'), 'imported': bck_modules()}\n"
+        "code = main(['analyze', '--config', sys.argv[2]])\n"
+        "seen['analyze'] = (code, 'bck.selfcheck' in sys.modules, bck_modules())\n"
+        "seen['selftest'] = (main(['analyze', '--config', sys.argv[3]]), 'bck.selfcheck' in sys.modules)\n"
+        "print(json.dumps(seen), file=sys.stderr)\n"
+    )
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    plain = write_config(tmp_path, base_config(), "plain.json")
+    selftest = write_config(tmp_path, base_config(tasks=["selftest"]), "selftest.json")
+    proc = run_python(probe, str(cache), plain, selftest)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stderr.strip().splitlines()[-1])
+    modules = ["__init__.py", "chern.py", "cli.py", "errors.py", "forms.py", "grids.py", "kernels.py",
+               "linalg.py", "polys.py", "positivity.py"]
+    assert seen["generated"] == 0
+    assert seen["imported"] == modules
+    assert seen["analyze"] == [0, False, modules]
+    assert seen["selftest"] == [0, True]
+    assert not list(cache.rglob("*.pyc"))
 
 
 def test_analyze_never_imports_numpy_random(tmp_path):
