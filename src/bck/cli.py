@@ -59,7 +59,7 @@ from .kernels import (
     gram,
     psd_check,
 )
-from .linalg import Sampler
+from .linalg import Sampler, complex_normal
 from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
 
@@ -599,7 +599,7 @@ def _task_theorem55(ctx: RunContext) -> dict:
     cr_worst, step = 0.0, ctx.steps.first_steps()
     for _ in range(3):
         w0 = ctx.points[int(rng.integers(0, ctx.points.shape[0]))]
-        xi = rng.standard_normal(kernel.fiber_dim) + 1j * rng.standard_normal(kernel.fiber_dim)
+        xi = complex_normal(rng, kernel.fiber_dim)
         xi /= np.linalg.norm(xi)
         cr = delbar_norms(
             lambda w: kernel.eval_batch(w, w0) @ xi, sub, step, richardson=True, domain=kernel
@@ -858,15 +858,15 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _write_csv_fields(report: AnalysisReport, csv_dir: str) -> None:
-    for name, task in report.data["tasks"].items():
+def _write_csv_fields(data: dict, csv_dir: str) -> None:
+    """A table per task with field columns, from the document `_jsonify`
+    returned: each number is written as the report writes it."""
+    for name, task in data["tasks"].items():
         fields = task.get("data", {}).get("fields")
         if not fields:
             continue
-        lines = [",".join(col["name"] for col in fields)]
-        rows = len(fields[0]["values"])
-        for i in range(rows):
-            lines.append(",".join(repr(float(col["values"][i])) for col in fields))
+        rows = zip(*(map(float.__repr__, col["values"]) for col in fields))
+        lines = [",".join(col["name"] for col in fields), *map(",".join, rows)]
         _atomic_write(os.path.join(csv_dir, f"{name}.csv"), ["\n".join(lines), "\n"])
 
 
@@ -931,7 +931,7 @@ def _main(argv) -> int:
             print("".join(_render(data)))
         csv_dir = args.csv or config.output_csv_dir
         if csv_dir:
-            _write_csv_fields(report, csv_dir)
+            _write_csv_fields(data, csv_dir)
     except Exception as exc:
         kind, code, message = _error(exc)
         print(f"{kind} error: {message}", file=sys.stderr)

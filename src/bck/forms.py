@@ -42,7 +42,7 @@ __all__ = [
     "form_norm",
     "split_linear",
     "split_bilinear",
-    "probe_tensor",
+    "BilinearSamples",
     "wedge",
     "exterior_derivative",
     "cauchy_riemann_residual",
@@ -234,8 +234,14 @@ def pointwise(fn: Callable, shape: tuple | None = None, dtype=complex, what: str
 
 
 class _Linear(Record):
-    """Sums, differences and scalar multiples of forms of one degree,
-    taken coefficient array by coefficient array."""
+    """Sums, differences and scalar multiples of forms of one degree, taken
+    coefficient array by coefficient array: complex arrays of one shape."""
+
+    def __post_init__(self):
+        coeffs = [np.asarray(c, dtype=complex) for c in _field_values(self)]
+        if len({c.shape for c in coeffs}) > 1:
+            raise ValueError(f"{type(self).__name__} coefficients must share a shape")
+        self.__dict__.update(zip(self._fields, coeffs))
 
     def _combine(self, op, other):
         if type(other) is not type(self):
@@ -265,14 +271,6 @@ class Form1(_Linear, frozen=True):
     p: np.ndarray  # (d, ...) coefficients of dz_j
     q: np.ndarray  # (d, ...) coefficients of dzbar_k
 
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=complex)
-        q = np.asarray(self.q, dtype=complex)
-        if p.shape != q.shape:
-            raise ValueError("p and q coefficient stacks must share a shape")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
     degree = 1
 
     @property
@@ -298,16 +296,6 @@ class Form2(_Linear, frozen=True):
     c20: np.ndarray  # (d, d, ...)
     r11: np.ndarray  # (d, d, ...)
     c02: np.ndarray  # (d, d, ...)
-
-    def __post_init__(self):
-        c20 = np.asarray(self.c20, dtype=complex)
-        r11 = np.asarray(self.r11, dtype=complex)
-        c02 = np.asarray(self.c02, dtype=complex)
-        if not (c20.shape == r11.shape == c02.shape):
-            raise ValueError("coefficient blocks must share a shape")
-        object.__setattr__(self, "c20", c20)
-        object.__setattr__(self, "r11", r11)
-        object.__setattr__(self, "c02", c02)
 
     degree = 2
 
@@ -369,12 +357,69 @@ def split_linear(t: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple[Form1
     return Form1(p, zero), Form1(zero.copy(), q)
 
 
-def probe_tensor(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """phi on every pair of the 2d probe directions e_0..e_{d-1},
-    i e_0..i e_{d-1}, as a (2d, 2d, ...) array."""
-    basis = np.eye(dim, dtype=complex)
-    probes = np.concatenate([basis, 1j * basis])
-    return np.array([[phi(v, w) for w in probes] for v in probes], dtype=complex)
+class BilinearSamples:
+    """A real-bilinear map C^d x C^d -> matrices, held by its probe tensor.
+
+    tensor[a, b] is the value on (basis_a, basis_b) where the 2d probes
+    are e_0..e_{d-1}, i e_0..i e_{d-1}.  Real-bilinearity makes this a
+    faithful representation.
+    """
+
+    def __init__(self, tensor: np.ndarray, dim: int):
+        self.tensor = np.asarray(tensor, dtype=complex)
+        self.dim = dim
+        if self.tensor.shape[:2] != (2 * dim, 2 * dim):
+            raise ValueError("sample tensor must be (2d, 2d, ...)")
+
+    @classmethod
+    def from_callable(cls, fn: Callable, dim: int) -> "BilinearSamples":
+        """fn on every pair of probe directions."""
+        basis = np.eye(dim, dtype=complex)
+        probes = np.concatenate([basis, 1j * basis])
+        return cls(np.array([[fn(v, w) for w in probes] for v in probes], dtype=complex), dim)
+
+    @classmethod
+    def of(cls, value, dim: int) -> "BilinearSamples":
+        """`value` itself if it is a BilinearSamples, else its samples as a callable."""
+        return value if isinstance(value, cls) else cls.from_callable(value, dim)
+
+    def __call__(self, v, w) -> np.ndarray:
+        v = as_point(v, self.dim)
+        w = as_point(w, self.dim)
+        rv = np.concatenate([v.real, v.imag])
+        rw = np.concatenate([w.real, w.imag])
+        return np.tensordot(rw, np.tensordot(rv, self.tensor, axes=(0, 0)), axes=(0, 0))
+
+    def flip(self) -> "BilinearSamples":
+        return BilinearSamples(np.swapaxes(self.tensor, 0, 1), self.dim)
+
+    def _rotate(self, axis: int) -> "BilinearSamples":
+        # i e_j is probe d + j and i (i e_j) = -e_j
+        d, t = self.dim, np.moveaxis(self.tensor, axis, 0)
+        return BilinearSamples(np.moveaxis(np.concatenate([t[d:], -t[:d]]), 0, axis), d)
+
+    def rotate_first(self) -> "BilinearSamples":
+        """(v, w) -> value at (i v, w)."""
+        return self._rotate(0)
+
+    def rotate_second(self) -> "BilinearSamples":
+        """(v, w) -> value at (v, i w)."""
+        return self._rotate(1)
+
+    def rotate_both(self) -> "BilinearSamples":
+        """(v, w) -> value at (i v, i w)."""
+        return self.rotate_first().rotate_second()
+
+    def norm(self) -> float:
+        return max_frob(self.tensor, 2)
+
+    def combine(self, other: "BilinearSamples", ca, cb) -> "BilinearSamples":
+        return BilinearSamples(ca * self.tensor + cb * other.tensor, self.dim)
+
+    def adjoint_values(self) -> "BilinearSamples":
+        if self.tensor.ndim < 4:
+            return BilinearSamples(np.conj(self.tensor), self.dim)
+        return BilinearSamples(np.conj(np.swapaxes(self.tensor, -1, -2)), self.dim)
 
 
 def split_bilinear(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int) -> Form2:
@@ -390,21 +435,16 @@ def split_bilinear(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int
         If phi is not skew on the probe basis to 1e-12 relative (the
         measured asymmetry is included in the message).
     """
-    samples = probe_tensor(phi, dim)
-    flat = samples.reshape(samples.shape[:2] + (-1,))
-    scale = max(1.0, float(np.linalg.norm(flat, axis=-1).max()))
-    asym = float(np.linalg.norm(flat + np.swapaxes(flat, 0, 1), axis=-1).max())
+    samples = BilinearSamples.from_callable(phi, dim)
+    scale = max(1.0, samples.norm())
+    asym = samples.combine(samples.flip(), 1, 1).norm()
     if asym > 1e-12 * scale:
         raise StructuralError(
             f"bilinear map is not skew: measured asymmetry {asym:.3e}"
         )
 
-    # (v, w) -> (i v, i w) on the probes: i e_j is probe d + j, i (i e_j) = -e_j
-    rho = np.r_[dim : 2 * dim, 0:dim]
-    sign = np.r_[np.ones(dim), -np.ones(dim)]
-    expand = (...,) + (None,) * (samples.ndim - 2)
-    rotated = (sign[:, None] * sign[None, :])[expand] * samples[rho][:, rho]
-    mixed, pure = 0.5 * (samples + rotated), 0.5 * (samples - rotated)
+    t, rotated = samples.tensor, samples.rotate_both().tensor
+    mixed, pure = 0.5 * (t + rotated), 0.5 * (t - rotated)
     r11 = 0.5 * (mixed[:dim, :dim] + 1j * mixed[dim:, :dim])
     # rotate the first argument only: phi_p(i e_k, e_j)
     c20 = 0.5 * (pure[:dim, :dim] - 1j * pure[dim:, :dim])

@@ -41,6 +41,7 @@ from .errors import DomainError, StructuralError
 from .forms import Record, as_point, as_points, at_point, pointwise
 from .linalg import (
     Sampler,
+    complex_normal,
     hermiticity_defect,
     hermitize,
     mgs_orthonormalize,
@@ -384,19 +385,11 @@ class DualKernel(KernelSpec):
         return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
 
 
-# -- constructor shorthands of the library API (the config builds the classes) --
+# -- constructor names of the library API; `dual_kernel` stays a function, its argument
+# being `spec` where `DualKernel`'s is `base`
 
 
-def disc_power(nu: float) -> DiscPowerKernel:
-    return DiscPowerKernel(nu)
-
-
-def from_sections(sections, base_dim: int = 1, gram=None) -> SectionKernel:
-    return SectionKernel(sections, base_dim=base_dim, gram=gram)
-
-
-def universal_grassmann(ambient_dim: int, rank: int) -> GrassmannKernel:
-    return GrassmannKernel(ambient_dim, rank)
+disc_power, from_sections, universal_grassmann = DiscPowerKernel, SectionKernel, GrassmannKernel
 
 
 def dual_kernel(spec: KernelSpec) -> DualKernel:
@@ -518,7 +511,7 @@ class RkhsModel:
         self.spec = spec
         self.gram = gram(spec, points)
         self.points = self.gram.points
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.gram.assembled)
+        self.eigenvalues = np.linalg.eigvalsh(self.gram.assembled)
 
     @property
     def generator_count(self) -> int:
@@ -648,7 +641,7 @@ def lemma51_consistency(
     rng = Sampler(seed)
     sample = [s]
     for _ in range(max(4, n + 2)):
-        step = 0.1 * (rng.standard_normal(spec.base_dim) + 1j * rng.standard_normal(spec.base_dim))
+        step = 0.1 * complex_normal(rng, spec.base_dim)
         while not spec.contains(s + step):
             step = step / 2.0
         sample.append(s + step)

@@ -7,7 +7,7 @@ work on whole stacks (..., n, n) at once: `mul` forms products entry by
 entry over the stack, and `solve`, `eigvalsh` and `svdvals` use closed
 forms for n <= 2 and LAPACK for n >= 3.  Whole matrices (a Gram matrix
 of a few hundred rows) go to LAPACK directly.  `Sampler` makes the
-package's seeded draws.
+package's seeded draws, and `complex_normal` its complex normal draws.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import StructuralError
 
 __all__ = [
     "Sampler",
+    "complex_normal",
     "frob",
     "max_frob",
     "hermitize",
@@ -85,6 +86,12 @@ class Sampler:
         """`size` distinct integers of [0, n), in draw order: numpy's
         `choice(n, size, replace=False)`."""
         return np.array(self._random.sample(range(n), size))
+
+
+def complex_normal(rng, size) -> np.ndarray:
+    """Complex normals x + iy of shape `size` from a `Sampler` or a
+    `numpy.random.Generator`, the real parts x drawn first."""
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 def _count(size) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import as_points
-from .linalg import Sampler
+from .linalg import Sampler, complex_normal
 
 __all__ = ["MatrixPolynomial"]
 
@@ -108,9 +108,7 @@ class MatrixPolynomial:
                 p_deg, q_deg = total, 0
             p = _random_multi_index(rng, dim, p_deg)
             q = _random_multi_index(rng, dim, q_deg)
-            coeff = amplitude * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            )
+            coeff = amplitude * complex_normal(rng, shape)
             key = (p, q)
             out[key] = out.get(key, 0) + coeff
         return cls(dim, out, shape=shape)

@@ -1,8 +1,8 @@
 """Hermitian/symmetric/skew correspondence and curvature positivity verdicts.
 
 A real-bilinear map on C^d with matrix values is captured by its sample
-tensor over the 2d probe directions e_j, i e_j.  Three classes of such
-maps determine each other:
+tensor over the 2d probe directions e_j, i e_j (`forms.BilinearSamples`).
+Three classes of such maps determine each other:
 
 * Herm  - sesquilinear with Psi(v1, v2)* = Psi(v2, v1),
 * Symm  - symmetric and invariant under (v1, v2) -> (i v1, i v2),
@@ -30,8 +30,8 @@ import numpy as np
 
 from .chern import CurvatureField, MetricField, _chunks
 from .errors import StructuralError
-from .forms import Form2, Record, as_point, pointwise, probe_tensor
-from .linalg import Sampler, frob, hermiticity_defect, hermitize, max_frob
+from .forms import BilinearSamples, Form2, Record, as_point, pointwise
+from .linalg import Sampler, complex_normal, frob, hermiticity_defect, hermitize
 
 __all__ = [
     "BilinearSamples",
@@ -46,68 +46,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sampled real-bilinear maps
+# the Herm/Symm/Skew correspondence
 # ---------------------------------------------------------------------------
-
-
-class BilinearSamples:
-    """A real-bilinear map C^d x C^d -> matrices, held by its probe tensor.
-
-    tensor[a, b] is the value on (basis_a, basis_b) where the 2d probes
-    are e_0..e_{d-1}, i e_0..i e_{d-1}.  Real-bilinearity makes this a
-    faithful representation.
-    """
-
-    def __init__(self, tensor: np.ndarray, dim: int):
-        self.tensor = np.asarray(tensor, dtype=complex)
-        self.dim = dim
-        if self.tensor.shape[:2] != (2 * dim, 2 * dim):
-            raise ValueError("sample tensor must be (2d, 2d, ...)")
-
-    @classmethod
-    def from_callable(cls, fn: Callable, dim: int) -> "BilinearSamples":
-        return cls(probe_tensor(fn, dim), dim)
-
-    def __call__(self, v, w) -> np.ndarray:
-        v = as_point(v, self.dim)
-        w = as_point(w, self.dim)
-        rv = np.concatenate([v.real, v.imag])
-        rw = np.concatenate([w.real, w.imag])
-        return np.tensordot(rw, np.tensordot(rv, self.tensor, axes=(0, 0)), axes=(0, 0))
-
-    def flip(self) -> "BilinearSamples":
-        return BilinearSamples(np.swapaxes(self.tensor, 0, 1), self.dim)
-
-    def rotate_first(self) -> "BilinearSamples":
-        """(v, w) -> value at (i v, w)."""
-        d = self.dim
-        out = np.empty_like(self.tensor)
-        out[:d] = self.tensor[d:]
-        out[d:] = -self.tensor[:d]
-        return BilinearSamples(out, d)
-
-    def rotate_second(self) -> "BilinearSamples":
-        """(v, w) -> value at (v, i w)."""
-        d = self.dim
-        out = np.empty_like(self.tensor)
-        out[:, :d] = self.tensor[:, d:]
-        out[:, d:] = -self.tensor[:, :d]
-        return BilinearSamples(out, d)
-
-    def rotate_both(self) -> "BilinearSamples":
-        """(v, w) -> value at (i v, i w)."""
-        return self.rotate_first().rotate_second()
-
-    def norm(self) -> float:
-        return max_frob(self.tensor, 2)
-
-    def combine(self, other: "BilinearSamples", ca, cb) -> "BilinearSamples":
-        return BilinearSamples(ca * self.tensor + cb * other.tensor, self.dim)
-
-    def adjoint_values(self) -> "BilinearSamples":
-        if self.tensor.ndim < 4:
-            return BilinearSamples(np.conj(self.tensor), self.dim)
-        return BilinearSamples(np.conj(np.swapaxes(self.tensor, -1, -2)), self.dim)
 
 
 class SesquiTriple(Record, frozen=True):
@@ -140,11 +80,7 @@ def triple_split(psi_map, dim: int, tol: float = 1e-10) -> SesquiTriple:
     Herm class is checked on the probe basis and rejection reports the
     measured defect.
     """
-    psi = (
-        psi_map
-        if isinstance(psi_map, BilinearSamples)
-        else BilinearSamples.from_callable(psi_map, dim)
-    )
+    psi = BilinearSamples.of(psi_map, dim)
     scale = max(1.0, psi.norm())
     defect = _herm_membership_defect(psi)
     if defect > tol * scale:
@@ -164,11 +100,7 @@ def triple_join(omega_map, dim: int, tol: float = 1e-10) -> SesquiTriple:
     Psi(v1, v2) = -omega(v1, i v2) + i omega(v1, v2); the input must be
     in the Skew class (antisymmetric, i-invariant, self-adjoint values).
     """
-    skew = (
-        omega_map
-        if isinstance(omega_map, BilinearSamples)
-        else BilinearSamples.from_callable(omega_map, dim)
-    )
+    skew = BilinearSamples.of(omega_map, dim)
     scale = max(1.0, skew.norm())
     anti = skew.combine(skew.flip(), 1.0, 1.0).norm()
     rot = skew.combine(skew.rotate_both(), 1.0, -1.0).norm()
@@ -240,10 +172,10 @@ def direction_samples(dim: int, count: int, seed: int) -> np.ndarray:
     dirs = [basis[j] for j in range(dim)] + [1j * basis[j] for j in range(dim)]
     rng = Sampler(seed)
     for _ in range(count):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = complex_normal(rng, dim)
         nrm = np.linalg.norm(v)
         while nrm < 1e-8:  # essentially never; keeps the draw well defined
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = complex_normal(rng, dim)
             nrm = np.linalg.norm(v)
         dirs.append(v / nrm)
     return np.asarray(dirs)

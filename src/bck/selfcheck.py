@@ -14,7 +14,7 @@ import numpy as np
 
 from . import forms
 from .forms import Form1, Stencil, at_point, form_norm, split_bilinear, split_linear
-from .linalg import Sampler, frob, max_frob
+from .linalg import Sampler, complex_normal, frob, max_frob
 from .polys import MatrixPolynomial
 from .positivity import triple_join, triple_split
 
@@ -34,18 +34,13 @@ def _entry(name, residual, tolerance):
 
 
 def _random_linear_map(rng, dim, n):
-    a = rng.standard_normal((dim, n, n)) + 1j * rng.standard_normal((dim, n, n))
-    b = rng.standard_normal((dim, n, n)) + 1j * rng.standard_normal((dim, n, n))
+    a, b = complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n))
 
     def t(v):
         v = np.asarray(v, dtype=complex)
         return (v @ a.reshape(dim, -1) + v.conj() @ b.reshape(dim, -1)).reshape(n, n)
 
     return t, a, b
-
-
-def _random_probe(rng, dim):
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def _check_projectors(rng, results):
@@ -56,7 +51,7 @@ def _check_projectors(rng, results):
         t, a, b = _random_linear_map(rng, dim, n)
         t10, t01 = split_linear(t, dim)
         for _ in range(4 * dim):
-            v = _random_probe(rng, dim)
+            v = complex_normal(rng, dim)
             worst_split = max(worst_split, frob(t10(v) + t01(v) - t(v)))
         again10, again01 = split_linear(lambda v: t10(v), dim)
         worst_idem = max(
@@ -72,15 +67,15 @@ def _check_bilinear_split(rng, results):
     dim, n = 2, 2
     worst = 0.0
     for _ in range(4):
-        c20 = rng.standard_normal((dim, dim, n, n)) + 1j * rng.standard_normal((dim, dim, n, n))
+        c20 = complex_normal(rng, (dim, dim, n, n))
         c20 = c20 - np.swapaxes(c20, 0, 1)
-        r11 = rng.standard_normal((dim, dim, n, n)) + 1j * rng.standard_normal((dim, dim, n, n))
-        c02 = rng.standard_normal((dim, dim, n, n)) + 1j * rng.standard_normal((dim, dim, n, n))
+        r11 = complex_normal(rng, (dim, dim, n, n))
+        c02 = complex_normal(rng, (dim, dim, n, n))
         c02 = c02 - np.swapaxes(c02, 0, 1)
         reference = forms.Form2(c20, r11, c02)
         recovered = split_bilinear(lambda v, w: reference(v, w), dim)
         for _ in range(8):
-            v, w = _random_probe(rng, dim), _random_probe(rng, dim)
+            v, w = complex_normal(rng, dim), complex_normal(rng, dim)
             worst = max(worst, frob(recovered(v, w) - reference(v, w)))
     results.append(_entry("split_bilinear reassembly", worst, 1e-12))
 
@@ -89,17 +84,11 @@ def _check_wedge_skewness(rng, results):
     dim, n = 2, 2
     worst = 0.0
     for _ in range(4):
-        alpha = Form1(
-            rng.standard_normal((dim, n, n)) + 1j * rng.standard_normal((dim, n, n)),
-            rng.standard_normal((dim, n, n)) + 1j * rng.standard_normal((dim, n, n)),
-        )
-        beta = Form1(
-            rng.standard_normal((dim, n, n)) + 1j * rng.standard_normal((dim, n, n)),
-            rng.standard_normal((dim, n, n)) + 1j * rng.standard_normal((dim, n, n)),
-        )
+        alpha = Form1(complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n)))
+        beta = Form1(complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n)))
         product = forms.wedge(alpha, beta)
         for _ in range(6):
-            v, w = _random_probe(rng, dim), _random_probe(rng, dim)
+            v, w = complex_normal(rng, dim), complex_normal(rng, dim)
             worst = max(worst, frob(product(v, w) + product(w, v)))
     results.append(_entry("wedge skewness", worst, 1e-12))
 
@@ -119,7 +108,7 @@ def _check_d_squared(rng, results):
     worst_del = 0.0
     for _ in range(3):
         poly = MatrixPolynomial.random(rng, dim, (n, n), degree=3)
-        z0 = 0.3 * _random_probe(rng, dim)
+        z0 = 0.3 * complex_normal(rng, dim)
         # df at every outer node, from one evaluation on the outer x inner nodes
         values = inner.on_points(poly, z0 + outer.offsets)
         df = Form1(*inner.first_derivatives(inner.by_node(values, len(outer.offsets))))
@@ -147,7 +136,7 @@ def _check_leibniz(rng, results):
         f = MatrixPolynomial.random(rng, dim, (n, n), degree=2)
         g = MatrixPolynomial.random(rng, dim, (n, n), degree=2)
         one_form = _poly_one_form(rng, dim, n, degree=2)
-        z0 = 0.3 * _random_probe(rng, dim)
+        z0 = 0.3 * complex_normal(rng, dim)
         # every field once, on z0 (the fine stencil's centre) and the nodes
         nodes = z0 + np.concatenate([fine.offsets, coarse.offsets])
         fv, gv, beta = f(nodes), g(nodes), one_form(nodes)
@@ -191,7 +180,7 @@ def _check_triple(rng, results):
     worst_split_join = 0.0
     worst_join_split = 0.0
     for _ in range(6):
-        c = rng.standard_normal((dim, dim, n, n)) + 1j * rng.standard_normal((dim, dim, n, n))
+        c = complex_normal(rng, (dim, dim, n, n))
         for j in range(dim):  # Hermitian sesquilinear symmetry of the coefficients
             c[j, j] = 0.5 * (c[j, j] + c[j, j].conj().T)
             for k in range(j + 1, dim):

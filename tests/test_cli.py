@@ -774,6 +774,42 @@ def test_report_and_csv_outputs(tmp_path):
     assert "," in lines[1] and "." in lines[1]
 
 
+def _per_cell_csv(data: dict) -> dict:
+    """The tables by the rule of writing each cell as repr(float(v))."""
+    tables = {}
+    for name, task in data["tasks"].items():
+        fields = task.get("data", {}).get("fields")
+        if fields:
+            lines = [",".join(c["name"] for c in fields)]
+            lines += [",".join(repr(float(c["values"][i])) for c in fields) for i in range(len(fields[0]["values"]))]
+            tables[f"{name}.csv"] = "\n".join(lines) + "\n"
+    return tables
+
+
+def test_csv_cells_are_the_report_numbers(tmp_path):
+    path = write_config(tmp_path, _workload_config("disc-flagship", 1))
+    code = main(["analyze", "--config", path, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "csv")])
+    assert code == 0
+    tables = _per_cell_csv(json.loads((tmp_path / "r.json").read_text()))
+    assert sorted(tables) == ["connection.csv", "curvature.csv", "griffiths.csv"]
+    assert {f: (tmp_path / "csv" / f).read_bytes().decode("utf-8") for f in tables} == tables
+
+
+def test_csv_writes_crafted_columns_as_the_per_cell_rule(tmp_path):
+    column = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -1e308, 1.0, 2.5e-17])
+    data = bck.cli._jsonify({"tasks": {
+        "crafted": {"data": {"fields": [{"name": "a", "values": column}, {"name": "b", "values": column[::-1]}]}},
+        "empty": {"data": {"fields": [{"name": "c", "values": np.empty(0)}]}},
+        "none": {"data": {}},
+    }})
+    bck.cli._write_csv_fields(data, str(tmp_path))
+    tables = _per_cell_csv(data)
+    assert sorted(os.listdir(tmp_path)) == ["crafted.csv", "empty.csv"]
+    assert {f: (tmp_path / f).read_text() for f in tables} == tables
+    assert tables["crafted.csv"].splitlines()[1] == "-0.0,2.5e-17"
+    assert tables["empty.csv"] == "c\n"
+
+
 def run_python(code, *args):
     """Run `python -c code *args` as a separate process that imports bck from this tree.
 

@@ -68,15 +68,37 @@ def test_every_exported_name_has_a_use_beyond_its_unit_tests():
     assert not stale, f"names kept without a use have one now: {stale}"
 
 
-def test_lapack_solves_inverses_and_svds_only_in_linalg():
-    # every stack goes through the small-matrix kernels of bck.linalg, which
-    # alone decide when a stack needs LAPACK
-    pattern = re.compile(r"np\.linalg\.(?:solve|inv|svd)\b")
-    found = [
+def _source_lines(pattern: re.Pattern, skip: str | None = None) -> list[str]:
+    """file:line of every line of the package's modules that matches."""
+    return [
         f"{p.name}:{i}"
         for p in sorted((ROOT / "src" / "bck").glob("*.py"))
-        if p.name != "linalg.py"
+        if p.name != skip
         for i, line in enumerate(p.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
+
+
+def test_lapack_solves_inverses_and_svds_only_in_linalg():
+    # every stack goes through the small-matrix kernels of bck.linalg, which
+    # alone decide when a stack needs LAPACK
+    found = _source_lines(re.compile(r"np\.linalg\.(?:solve|inv|svd)\b"), skip="linalg.py")
     assert not found, found
+
+
+def test_complex_normal_draws_only_in_linalg():
+    # one rule draws complex normals, real parts first: linalg.complex_normal
+    found = _source_lines(re.compile(r"standard_normal\(.*\)\s*\+\s*1j\s*\*"), skip="linalg.py")
+    assert not found, found
+
+
+def test_sampled_bilinear_maps_have_one_class():
+    # forms.BilinearSamples holds the probe tensor; no module keeps a copy
+    found = _source_lines(re.compile(r"^class BilinearSamples\b"))
+    assert [f.split(":")[0] for f in found] == ["forms.py"], found
+    assert not _source_lines(re.compile(r"\bdef probe_tensor\b"))
+
+
+def test_csv_cells_are_not_formatted_one_by_one():
+    # the tables are written from the converted report, a column at a time
+    assert "repr(float(" not in (ROOT / "src" / "bck" / "cli.py").read_text()

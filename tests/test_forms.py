@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bck.errors import DomainError, StructuralError
 from bck.forms import (
+    BilinearSamples,
     Form1,
     Form2,
     Stencil,
@@ -20,7 +21,7 @@ from bck.forms import (
 from bck.kernels import DiscPowerKernel
 from bck.polys import MatrixPolynomial
 
-from _fields import cmat
+from _fields import bit_equal, cmat
 
 
 # -- split of real-linear maps ------------------------------------------------
@@ -112,6 +113,62 @@ def test_split_bilinear_reassembles_random_two_forms():
     for _ in range(8):
         v, w = cmat(rng, dim), cmat(rng, dim)
         assert np.linalg.norm(recovered(v, w) - reference(v, w)) <= 1e-12
+
+
+def _split_bilinear_by_permutation(phi, dim):
+    """The split with the (iv, iw) rotation written as a permutation of the
+    probes with signs: i e_j is probe d + j and i (i e_j) = -e_j."""
+    basis = np.eye(dim, dtype=complex)
+    probes = np.concatenate([basis, 1j * basis])
+    samples = np.array([[phi(v, w) for w in probes] for v in probes], dtype=complex)
+    rho = np.r_[dim : 2 * dim, 0:dim]
+    sign = np.r_[np.ones(dim), -np.ones(dim)]
+    expand = (...,) + (None,) * (samples.ndim - 2)
+    rotated = (sign[:, None] * sign[None, :])[expand] * samples[rho][:, rho]
+    mixed, pure = 0.5 * (samples + rotated), 0.5 * (samples - rotated)
+    r11 = 0.5 * (mixed[:dim, :dim] + 1j * mixed[dim:, :dim])
+    c20 = 0.5 * (pure[:dim, :dim] - 1j * pure[dim:, :dim])
+    c02 = 0.5 * (pure[:dim, :dim] + 1j * pure[dim:, :dim])
+    c20 = 0.5 * (c20 - np.swapaxes(c20, 0, 1))
+    c02 = 0.5 * (c02 - np.swapaxes(c02, 0, 1))
+    return Form2(c20, r11, c02)
+
+
+# finite parts with both zeros, so signed zeros reach the probe tensor
+_PARTS = st.floats(-4, 4, allow_nan=False) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([(), (1, 1), (2, 2)]), st.booleans(), st.data())
+def test_split_bilinear_is_bit_equal_to_the_permutation_rotation(dim, values, from_samples, data):
+    # a skew map given by a Form2, or by an antisymmetric probe tensor
+    shape = ((2 * dim, 2 * dim) if from_samples else (3, dim, dim)) + values
+    size = int(np.prod(shape))
+    c = np.empty(size, dtype=complex)
+    c.real = data.draw(st.lists(_PARTS, min_size=size, max_size=size))
+    c.imag = data.draw(st.lists(_PARTS, min_size=size, max_size=size))
+    c = c.reshape(shape)
+    if from_samples:
+        phi = BilinearSamples(c - np.swapaxes(c, 0, 1), dim)
+    else:
+        phi = Form2(c[0] - np.swapaxes(c[0], 0, 1), c[1], c[2] - np.swapaxes(c[2], 0, 1))
+    assert bit_equal(split_bilinear(phi, dim), _split_bilinear_by_permutation(phi, dim))
+
+
+def test_bilinear_samples_rotations_are_the_probe_rotations():
+    # rotate_first/second/both evaluate the map at (iv, w), (v, iw), (iv, iw)
+    rng = np.random.default_rng(11)
+    dim = 2
+    t = cmat(rng, 2 * dim, 2 * dim, 2, 2)
+    phi = BilinearSamples(t, dim)
+    v, w = cmat(rng, dim), cmat(rng, dim)
+    for rotated, (x, y) in [
+        (phi.rotate_first(), (1j * v, w)),
+        (phi.rotate_second(), (v, 1j * w)),
+        (phi.rotate_both(), (1j * v, 1j * w)),
+    ]:
+        assert np.linalg.norm(rotated(v, w) - phi(x, y)) <= 1e-12
+    assert bit_equal(BilinearSamples.from_callable(phi, dim).tensor, t)
 
 
 # -- wedge products -----------------------------------------------------------

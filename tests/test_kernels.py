@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+import bck.kernels
 from hypothesis import assume, given, settings, strategies as st
 
 from bck.chern import metric_from_kernel
@@ -13,6 +15,7 @@ from bck.kernels import (
     AdmissibilityField,
     ConstantKernel,
     DiscPowerKernel,
+    DualKernel,
     GrassmannKernel,
     KernelSpec,
     RkhsModel,
@@ -32,7 +35,7 @@ from bck.kernels import (
 from bck.linalg import hermiticity_defect, hermitize, mgs_orthonormalize, mul
 from bck.polys import MatrixPolynomial
 
-from _fields import cmat, full_rank_sections
+from _fields import bit_equal, cmat, full_rank_sections
 
 
 def vandermonde_sections(m):
@@ -86,6 +89,47 @@ def test_grassmann_kernel_diagonal_is_identity():
     z = np.array([0.4 + 0.2j, -0.3j])
     assert np.allclose(eval_kernel(k, z, z), np.eye(1))
     assert np.allclose(k.fiber_metric(z), np.array([[1 + 0.2 + 0.09]]), atol=1e-12)
+
+
+def test_constructor_names_take_every_call_the_functions_took():
+    # disc_power, from_sections and universal_grassmann are the classes;
+    # dual_kernel stays a function of `spec`
+    def sections(z):
+        return np.array([[1.0, z[0], z[-1] ** 2]])
+
+    gram_weights = np.diag([1.0, 2.0, 0.5])
+    pts = np.array([[0.1 + 0.2j, -0.3j], [0.2, 0.1 - 0.1j]])
+    disc = [bck.kernels.disc_power(2), bck.kernels.disc_power(nu=2), bck.kernels.disc_power(2.0)]
+    built = [
+        bck.kernels.from_sections(sections, 2),
+        bck.kernels.from_sections(sections, base_dim=2),
+        bck.kernels.from_sections(sections=sections, base_dim=2),
+        bck.kernels.from_sections(sections, 2, gram_weights),
+        bck.kernels.from_sections(sections, 2, gram=gram_weights),
+        bck.kernels.from_sections(sections, base_dim=2, gram=gram_weights),
+    ]
+    grass = [
+        bck.kernels.universal_grassmann(3, 1),
+        bck.kernels.universal_grassmann(3, rank=1),
+        bck.kernels.universal_grassmann(ambient_dim=3, rank=1),
+    ]
+    for family, cls, reference in [
+        (disc, DiscPowerKernel, DiscPowerKernel(2)),
+        (built[:3], SectionKernel, SectionKernel(sections, 2)),
+        (built[3:], SectionKernel, SectionKernel(sections, 2, gram_weights)),
+        (grass, GrassmannKernel, GrassmannKernel(3, 1)),
+    ]:
+        z = pts[:, : reference.base_dim]
+        for spec in family:
+            assert type(spec) is cls
+            assert bit_equal(spec.eval_batch(z[:, None], z[None]), reference.eval_batch(z[:, None], z[None]))
+    assert bck.kernels.from_sections(sections).base_dim == 1
+    for dual in (dual_kernel(grass[0]), dual_kernel(spec=grass[0])):
+        assert type(dual) is DualKernel and dual.base is grass[0]
+    with pytest.raises(ValueError, match="nu >= 1"):
+        bck.kernels.disc_power(0.5)
+    with pytest.raises(ValueError, match="rank"):
+        bck.kernels.universal_grassmann(2, 2)
 
 
 # -- Gram matrices and positivity ----------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from bck.chern import MetricField
 from bck.errors import SingularMetricError
 from bck.kernels import AdmissibilityField
-from bck.linalg import Sampler, eigvalsh, hermiticity_defect, hermitize, mul, solve, svdvals
+from bck.linalg import Sampler, complex_normal, eigvalsh, hermiticity_defect, hermitize, mul, solve, svdvals
+
+from _fields import bit_equal
 
 
 def _draws(seed):
@@ -49,6 +51,18 @@ def test_sampler_choice_is_without_replacement():
     idx = Sampler(0).choice(30, 30)
     assert sorted(idx.tolist()) == list(range(30))
     assert all(0 <= Sampler(s).integers(2, 5) - 2 < 3 for s in range(20))
+
+
+@pytest.mark.parametrize("make", [Sampler, np.random.default_rng], ids=["Sampler", "Generator"])
+def test_complex_normal_is_the_two_draw_expression(make):
+    # the real parts are drawn first, so a seeded stream is that of
+    # rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    ours, theirs = make(4), make(4)
+    for size in (3, (2, 2), (2, 3, 2, 2), 1, 0):
+        got = complex_normal(ours, size)
+        want = theirs.standard_normal(size) + 1j * theirs.standard_normal(size)
+        assert bit_equal(got, want)
+    assert bit_equal(ours.standard_normal(5), theirs.standard_normal(5))
 
 
 def test_hermiticity_defect_of_a_stack_is_each_matrix_defect():

@@ -1,5 +1,7 @@
 """Transformation laws of curvature: exact identities that hold on any
-family, with no closed form, gated at the method-agreement tolerance."""
+family, with no closed form, gated at the method-agreement tolerance.
+
+The rank-1 laws run on the nu = 2 disc metric with Richardson steps."""
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from bck.chern import (
     nested_curvature_field,
 )
 from bck.forms import Stencil
-from bck.kernels import universal_grassmann
+from bck.kernels import DiscPowerKernel, disc_power, universal_grassmann
 
 TOL = 5e-5  # the method-agreement tolerance of the `curvature` task
 
@@ -47,3 +49,75 @@ def test_chart_law_on_the_grassmannian(route, monkeypatch):
         got = nested_curvature_field(pulled, pts, steps).form.r11
     assert _relative(got, law) <= TOL
     assert _relative(got, swapped) > 0.5
+
+
+RICH = FdSteps(richardson=True)
+DISC = metric_from_kernel(disc_power(2))
+DISC_POINTS = np.array([[0.1 + 0.2j], [-0.35 + 0.1j], [0.3 - 0.25j]])
+
+
+def _r11(metric, points, route):
+    if route == "analytic":
+        return analytic_curvature_field(metric_jet(metric, points, RICH)).form.r11
+    return nested_curvature_field(metric, points, RICH).form.r11
+
+
+def _twisted(z):
+    """The disc metric times the weight exp(-0.7 |z|^2)."""
+    return np.exp(-0.7 * np.sum(abs(z) ** 2, axis=-1))[..., None, None] * DISC.batch(z)
+
+
+TWISTED = MetricField(None, 1, 1, domain=DISC.domain, name="twisted disc metric", batch_func=_twisted)
+
+
+@pytest.mark.parametrize("route", ["analytic", "nested"])
+def test_twist_by_a_weight_shifts_the_curvature(route):
+    # h -> exp(-c |z|^2) h adds d-bar d of -c |z|^2, that is -c, to r11
+    r11 = _r11(DISC, DISC_POINTS, route)
+    got = _r11(TWISTED, DISC_POINTS, route)
+    assert _relative(got, r11 - 0.7) <= TOL
+    assert _relative(got, r11 + 0.7) > 0.1
+
+
+class _Normalized(DiscPowerKernel):
+    """phi(z) K(z, w) conj(phi(w)) with phi = e^z + 2, nowhere zero on the disc."""
+
+    def eval_many(self, z, w):
+        phi_z, phi_w = (np.exp(p[..., 0]) + 2 for p in (np.asarray(z), np.asarray(w)))
+        return phi_z[..., None, None] * super().eval_many(z, w) * np.conj(phi_w)[..., None, None]
+
+
+def test_normalizing_the_kernel_keeps_the_curvature():
+    # h -> |phi|^2 h changes log h by a harmonic function
+    got = _r11(metric_from_kernel(_Normalized(2)), DISC_POINTS, "analytic")
+    assert _relative(got, _r11(DISC, DISC_POINTS, "analytic")) <= TOL
+
+
+def test_direct_sum_has_block_diagonal_curvature():
+    def blocks(z):
+        out = np.zeros(np.shape(z)[:-1] + (2, 2), dtype=complex)
+        out[..., :1, :1], out[..., 1:, 1:] = DISC.batch(z), _twisted(z)
+        return out
+
+    summed = MetricField(None, 1, 2, domain=DISC.domain, name="disc metric and its twist", batch_func=blocks)
+    got = _r11(summed, DISC_POINTS, "analytic")
+    law = np.zeros_like(got)
+    law[..., :1, :1], law[..., 1:, 1:] = _r11(DISC, DISC_POINTS, "analytic"), _r11(TWISTED, DISC_POINTS, "analytic")
+    assert _relative(got, law) <= TOL
+
+
+@pytest.mark.parametrize("route", ["analytic", "nested"])
+def test_disc_automorphism_carries_the_derivative_squared(route):
+    # pulling h back along phi(z) = (a - z) / (1 - conj(a) z) gives
+    # r11'(z) = |phi'(z)|^2 r11(phi(z)), phi'(z) = (|a|^2 - 1) / (1 - conj(a) z)^2
+    a = 0.5 - 0.3j
+
+    def phi(z):
+        return (a - z) / (1 - np.conj(a) * z)
+
+    pulled = MetricField(None, 1, 1, domain=DISC.domain, name="pulled disc metric", batch_func=lambda z: DISC.batch(phi(z)))
+    dphi = (abs(a) ** 2 - 1) / (1 - np.conj(a) * DISC_POINTS[:, 0]) ** 2
+    r11 = _r11(DISC, phi(DISC_POINTS), route)
+    got = _r11(pulled, DISC_POINTS, route)
+    assert _relative(got, abs(dphi[:, None, None]) ** 2 * r11) <= TOL
+    assert _relative(got, r11) > 0.05

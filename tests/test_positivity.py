@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bck.forms
 from bck.chern import (
     CurvatureField,
     FdSteps,
@@ -27,7 +28,7 @@ from bck.positivity import (
     triple_split,
 )
 
-from _fields import cmat, full_rank_sections, poly_metric
+from _fields import bit_equal, cmat, full_rank_sections, poly_metric
 
 RICH = FdSteps(richardson=True)
 
@@ -118,6 +119,24 @@ def test_triple_round_trips_random_instances():
         assert rebuilt.herm.combine(triple.herm, 1.0, -1.0).norm() <= 1e-12
         again = triple_split(rebuilt.herm, dim)
         assert again.skew.combine(triple.skew, 1.0, -1.0).norm() <= 1e-12
+
+
+def _same_triple(a, b) -> bool:
+    return a.residuals == b.residuals and all(
+        bit_equal(getattr(a, part).tensor, getattr(b, part).tensor) for part in ("herm", "symm", "skew")
+    )
+
+
+def test_triple_split_and_join_take_a_callable_or_its_samples():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 3):
+        herm = _random_hermitian_sesquilinear(rng, dim, 2)
+        samples = BilinearSamples.from_callable(herm, dim)
+        assert _same_triple(triple_split(herm, dim), triple_split(samples, dim))
+        skew = triple_split(samples, dim).skew
+        assert _same_triple(triple_join(skew, dim), triple_join(lambda v, w: skew(v, w), dim))
+    assert BilinearSamples.of(samples, dim) is samples
+    assert BilinearSamples is bck.forms.BilinearSamples
 
 
 # -- Griffiths forms ---------------------------------------------------------------
