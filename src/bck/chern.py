@@ -361,7 +361,6 @@ class CurvatureField(Record, frozen=True):
     points: np.ndarray
     h: np.ndarray
     form: Form2
-    method: str
     purity_residual: np.ndarray
     pairing_residual: np.ndarray
 
@@ -391,7 +390,6 @@ def analytic_curvature_field(jet: MetricJet) -> CurvatureField:
         points=jet.points,
         h=h,
         form=Form2(zero, r11, zero.copy()),
-        method="analytic_expansion",
         purity_residual=np.zeros(len(jet.points)),
         pairing_residual=_pairing_residuals(h, r11),
     )
@@ -424,7 +422,6 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
             points=p,
             h=h,
             form=theta,
-            method="nested_fd",
             purity_residual=np.maximum(_max_norm(theta.c20), _max_norm(theta.c02)),
             pairing_residual=_pairing_residuals(h, theta.r11),
         )

@@ -89,25 +89,15 @@ def _fail(path: str, wanted: str, value) -> ConfigError:
     return ConfigError(f"{path or 'the config'} must be {wanted}, not {value!r}")
 
 
-def _read(obj, table: dict, path: str, aliases: dict | None = None) -> dict:
+def _read(obj, table: dict, path: str) -> dict:
     """A JSON object read through its schema table, which maps each key to
-    (reader, default).  `aliases` maps an alias to the name of the key it
-    stands for: "key" in this object or "section.key" one level down.  An
-    unknown key, a missing required key and an alias given beside its name
-    are config errors.  Each given value, and each default but None, is
-    read as reader(value, dotted path)."""
+    (reader, default).  An unknown key and a missing required key are
+    config errors.  Each given value, and each default but None, is read
+    as reader(value, dotted path)."""
     join = f"{path}.{{}}".format if path else str
-    obj, out = dict(_OBJECT(obj, path)), {}
-    for key in list(obj):
-        if aliases and key in aliases:  # its value moves to the key it names
-            section, _, name = aliases[key].rpartition(".")
-            dest = obj
-            if section:
-                dest = obj[section] = dict(_OBJECT(obj.get(section, {}), join(section)))
-            if name in dest:
-                raise ConfigError(f"{join(key)} is an alias of {join(aliases[key])}; give one, not both")
-            dest[name] = obj.pop(key)
-        elif key not in table:
+    obj, out = _OBJECT(obj, path), {}
+    for key in obj:
+        if key not in table:
             raise ConfigError(f"{join(key)} is not a config key")
     for key, (reader, default) in table.items():
         if key in obj:
@@ -175,7 +165,6 @@ _POSITIVE = _check("a positive finite number", lambda v: _is_number(v) and v > 0
 _NATURAL = _integer(0)
 _BOOLEAN = _check("true or false", lambda v: isinstance(v, bool))
 _OBJECT = _check("an object", lambda v: isinstance(v, dict))
-_PATH = _check("a path or null", lambda v: v is None or isinstance(v, str))
 _INTERVAL = _check("a pair [lo, hi] of finite numbers, lo <= hi",
                    lambda v: _is_pair(v) and v[0] <= v[1], lambda v: tuple(map(float, v)))
 _COMPLEX = _check("a finite number or a pair [re, im] of them", lambda v: _is_number(v) or _is_pair(v),
@@ -303,7 +292,6 @@ _TOLERANCES = {key: (_FINITE, default) for key, default in dict(
 _DIRECTIONS = {"count": (_NATURAL, 64), "seed": (_NATURAL, 0)}
 _SAMPLES = {"psd_points": (_integer(1), 50)}
 _SUBBUNDLE = {"frame": (_polynomials, _REQUIRED)}
-_OUTPUT = {"report": (_PATH, None), "csv_dir": (_PATH, None)}
 _CONFIG = {
     "kernel": (build_kernel, _REQUIRED), "grid": (_grid, _REQUIRED),
     "fd_steps": (_fd_steps, {}),
@@ -311,9 +299,7 @@ _CONFIG = {
     "tasks": (_list_of(_check("a task name", lambda v: v in TASK_ORDER)), _REQUIRED),
     "directions": (_section(_DIRECTIONS), {}),
     "samples": (_section(_SAMPLES), {}), "subbundle": (_section(_SUBBUNDLE), None),
-    "output": (_section(_OUTPUT), {}),
 }
-_ALIASES = {"fd": "fd_steps", "seed": "directions.seed"}
 
 
 class AnalysisConfig(Record):
@@ -328,19 +314,14 @@ class AnalysisConfig(Record):
     direction_count: int
     psd_points: int
     subbundle_frame: Callable | None
-    output_report: str | None
-    output_csv_dir: str | None
     echo: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
-        cfg = _read(raw, _CONFIG, "", _ALIASES)
+        cfg = _read(raw, _CONFIG, "")
         kernel, (grid, scale) = cfg["kernel"], cfg["grid"]
         if grid.dim != kernel.base_dim:
             raise _fail("grid.axes", f"{kernel.base_dim} axes, one per kernel chart axis", grid.dim)
-        env_seed = os.environ.get("BCK_SEED")
-        seed = cfg["directions"]["seed"] if env_seed is None else _NATURAL(
-            int(env_seed) if env_seed.isdecimal() else env_seed, "BCK_SEED")
         frame = cfg["subbundle"] and cfg["subbundle"]["frame"](kernel.base_dim)
         if frame is not None and (frame.shape[0] != kernel.fiber_dim or frame.shape[1] > frame.shape[0]):
             wanted = f"of shape (n, k) with n = {kernel.fiber_dim}, the fiber dimension, and k <= n"
@@ -350,10 +331,9 @@ class AnalysisConfig(Record):
             raise ConfigError("subbundle.frame is required by the subbundle task")
         return cls(
             kernel=kernel, grid=grid, steps=FdSteps(**cfg["fd_steps"], scale=scale),
-            tolerances=cfg["tolerances"], tasks=tasks, seed=seed,
+            tolerances=cfg["tolerances"], tasks=tasks, seed=cfg["directions"]["seed"],
             direction_count=cfg["directions"]["count"], psd_points=cfg["samples"]["psd_points"],
-            subbundle_frame=frame, output_report=cfg["output"]["report"],
-            output_csv_dir=cfg["output"]["csv_dir"], echo=raw,
+            subbundle_frame=frame, echo=raw,
         )
 
 
@@ -565,18 +545,14 @@ def _task_subbundle(ctx: RunContext) -> dict:
     }
 
 
-def _griffiths_data(ctx: RunContext, report) -> dict:
+def _griffiths_summary(report: GriffithsReport) -> dict:
+    """The verdict, margin and witness that the `griffiths` task reports
+    and `theorem55` cites as its conclusion."""
     return {
         "verdict": report.verdict,
         "min_margin": float(report.min_margin),
         "witness_point": report.witness_point,
         "witness_direction": report.witness_direction,
-        "directions": int(report.directions.shape[0]),
-        "max_hermiticity_residual": float(report.max_hermiticity_residual),
-        "max_purity_residual": float(report.max_purity_residual),
-        "sampled_directions_only": report.sampled_only,
-        "fields": _point_columns(ctx.points)
-        + [{"name": "min_margin", "values": report.min_margins}],
     }
 
 
@@ -584,7 +560,14 @@ def _task_griffiths(ctx: RunContext) -> dict:
     report = ctx.griffiths
     return {
         "passed": report.verdict != "indefinite",
-        "data": _griffiths_data(ctx, report),
+        "data": {
+            **_griffiths_summary(report),
+            "directions": int(report.directions.shape[0]),
+            "max_hermiticity_residual": float(report.max_hermiticity_residual),
+            "max_purity_residual": float(report.max_purity_residual),
+            "sampled_directions_only": report.sampled_only,
+            "fields": _point_columns(ctx.points) + [{"name": "min_margin", "values": report.min_margins}],
+        },
     }
 
 
@@ -627,7 +610,7 @@ def _task_theorem55(ctx: RunContext) -> dict:
     return {
         "passed": report.verdict != "indefinite",
         "status": "verified" if report.verdict != "indefinite" else "conclusion_failed",
-        "data": {"premise": premise, "conclusion": _griffiths_data(ctx, report)},
+        "data": {"premise": premise, "conclusion": _griffiths_summary(report)},
     }
 
 
@@ -890,7 +873,7 @@ def _main(argv) -> int:
     sub = parser.add_subparsers(dest="command")
     analyze = sub.add_parser("analyze", help="run a configured analysis")
     analyze.add_argument("--config", required=True, help="path to the JSON config")
-    analyze.add_argument("--out", default=None, help="report path (overrides config)")
+    analyze.add_argument("--out", default=None, help="report path")
     analyze.add_argument("--csv", default=None, help="directory for CSV field tables")
     selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     selftest.add_argument("--seed", type=int, default=0)
@@ -924,14 +907,12 @@ def _main(argv) -> int:
         # converting checks every number before any output: a non-finite one
         # is structural
         data = _jsonify(report.data)
-        out_path = args.out or config.output_report
-        if out_path:
-            _atomic_write(out_path, itertools.chain(_render(data), ["\n"]))
+        if args.out:
+            _atomic_write(args.out, itertools.chain(_render(data), ["\n"]))
         else:
             print("".join(_render(data)))
-        csv_dir = args.csv or config.output_csv_dir
-        if csv_dir:
-            _write_csv_fields(data, csv_dir)
+        if args.csv:
+            _write_csv_fields(data, args.csv)
     except Exception as exc:
         kind, code, message = _error(exc)
         print(f"{kind} error: {message}", file=sys.stderr)

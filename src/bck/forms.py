@@ -173,7 +173,7 @@ def at_point(value, i: int):
     become Python scalars, and of points (N, d); in every larger array it
     is third from the end, before the fiber matrix.  Records (fields,
     forms, metric jets) are taken field by field; anything else, such as a
-    method name or a missing jet order, is kept as it is.
+    missing jet order, is kept as it is.
     """
 
     def take(a, axis):

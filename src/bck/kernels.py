@@ -17,8 +17,9 @@ Built-in families:
   holomorphic n x m section matrix E and a Hermitian positive Gram G.
 * ``universal_grassmann(N, k)`` - restriction of orthogonal projections
   between k-planes in C^N, written in the graph chart B -> span[I; B].
-* ``constant(M)`` - a fixed block; non-PSD blocks are accepted so that
-  negative positivity tests have something to chew on.
+* ``ConstantKernel(M)``, variant ``constant`` - a fixed block; non-PSD
+  blocks are accepted so that negative positivity tests have something
+  to chew on.
 * user hooks wrapping arbitrary callables.
 
 Every family defines the stack methods `eval_many`, `fiber_metric_batch`,
@@ -185,8 +186,6 @@ class DiscPowerKernel(KernelSpec):
         if nu < 1:
             raise ValueError("disc_power requires nu >= 1")
         self.nu = float(nu)
-        self.fiber_dim = 1
-        self.base_dim = 1
 
     def eval_many(self, z, w):
         z, w = np.asarray(z)[..., 0], np.asarray(w)[..., 0]

@@ -201,12 +201,9 @@ class GriffithsReport(Record):
     min_margin: float
     witness_point: np.ndarray
     witness_direction: np.ndarray
-    witness_eigenvector: np.ndarray
     max_hermiticity_residual: float
     max_purity_residual: float
     verdict: str
-    pos_tol: float
-    neg_tol: float
     sampled_only: bool = True
 
 
@@ -249,16 +246,13 @@ def griffiths_verdict(
         curvature_field = pointwise(curvature_field)(pts)
     h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
     margins = np.empty((len(pts), len(dirs)))
-    chunks, witnesses, max_herm = _chunks(len(pts), len(dirs)), [], 0.0
-    for rows in chunks:
+    max_herm = 0.0
+    for rows in _chunks(len(pts), len(dirs)):
         s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11[:, :, rows])
         g = 2.0 * np.matmul(h[rows, None], s)
         max_herm = np.maximum(max_herm, hermiticity_defect(g).max())  # NaN propagates
-        evals, evecs = np.linalg.eigh(hermitize(g))
-        margins[rows] = evals[..., 0]
-        # the chunk's first argmin is the overall one if the minimum lies in it
-        c, m = np.unravel_index(np.argmin(margins[rows]), margins[rows].shape)
-        witnesses.append(evecs[c, m, :, 0].copy())
+        # eigh, not eigvalsh: the two can differ in the last bits for n >= 3
+        margins[rows] = np.linalg.eigh(hermitize(g))[0][..., 0]
     max_herm = float(max_herm)
     if max_herm > _HERM_TOL:
         raise StructuralError(
@@ -276,10 +270,7 @@ def griffiths_verdict(
         min_margin=overall,
         witness_point=pts[i].copy(),
         witness_direction=dirs[m].copy(),
-        witness_eigenvector=next(w for rows, w in zip(chunks, witnesses) if i < rows.stop),
         max_hermiticity_residual=max_herm,
         max_purity_residual=float(np.max(purity, initial=0.0)),
         verdict=verdict,
-        pos_tol=pos_tol,
-        neg_tol=neg_tol,
     )

@@ -93,7 +93,7 @@ def test_hermiticity_failure_in_a_later_chunk_reports_the_worst_pair(monkeypatch
     pts = _points(1)[:count]
     h = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
     zero = np.zeros_like(r11)
-    field = CurvatureField(pts, h, Form2(zero, r11, zero), "analytic_expansion", np.zeros(count), np.zeros(count))
+    field = CurvatureField(pts, h, Form2(zero, r11, zero), np.zeros(count), np.zeros(count))
     metric = MetricField(None, 1, n, batch_func=lambda z: np.broadcast_to(np.eye(n), (len(z), n, n)))
 
     def message():
@@ -105,7 +105,7 @@ def test_hermiticity_failure_in_a_later_chunk_reports_the_worst_pair(monkeypatch
     monkeypatch.setattr(bck.chern, "_ROWS", 2 + 3)  # one point a chunk
     assert message() == whole
     first = CurvatureField(pts[:2], h[:2], Form2(zero[:, :, :2], r11[:, :, :2], zero[:, :, :2]),
-                           "analytic_expansion", np.zeros(2), np.zeros(2))
+                           np.zeros(2), np.zeros(2))
     with pytest.raises(StructuralError) as early:
         griffiths_verdict(metric, first, pts[:2], directions=3)
     assert str(early.value) != whole  # the first failing chunk alone reports less

@@ -264,10 +264,17 @@ CONFIG_PROBES = {
     "count-true": (("directions", "count"), True),
     # the one rule across keys
     "second-below-first": (("fd_steps",), {"first": 1e-3, "second": 1e-4}),
-    # an alias beside its own name
+}
+# each setting has one spelling and one source, so a second spelling of a
+# key or an output path in the config is an unknown key
+REMOVED_INPUTS = {
     "fd-beside-fd_steps": (("fd",), {"first": NAN}),
     "seed-beside-directions-seed": (("seed",), "x"),
+    "fd-for-fd_steps": (("fd",), {"first": 1e-3, "second": 1e-2}),
+    "top-level-seed": (("seed",), 7),
+    "output-section": (("output",), {"report": "r.json"}),
 }
+CONFIG_PROBES.update(REMOVED_INPUTS)
 
 
 @pytest.mark.parametrize("path, value", CONFIG_PROBES.values(), ids=CONFIG_PROBES.keys())
@@ -284,7 +291,7 @@ AXIS_2D = [{"re": [-0.5, 0.5], "im": [-0.5, 0.5], "re_res": 3, "im_res": 3, "sca
 VARIANT_CONFIGS = {
     "disc_power": base_config(
         kernel={"variant": "disc_power", "nu": 2}, subbundle={"frame": [[ONE]]},
-        tolerances={"psd": 1e-8}, output={"report": None, "csv_dir": None}, tasks=["psd", "subbundle"],
+        tolerances={"psd": 1e-8}, tasks=["psd", "subbundle"],
     ),
     "constant": base_config(
         kernel={"variant": "constant", "matrix": [[2.0, [0.0, 0.5]], [[0.0, -0.5], 1.0]], "base_dim": 2},
@@ -323,6 +330,14 @@ def test_unknown_keys_are_rejected_in_every_object(tmp_path, capsys, variant):
         assert (code, err.startswith("config error: ")) == (2, True), (path, code, err)
 
 
+@pytest.mark.parametrize("path, value", REMOVED_INPUTS.values(), ids=REMOVED_INPUTS.keys())
+def test_removed_inputs_are_not_config_keys(tmp_path, capsys, path, value):
+    cfg = base_config()
+    _set(cfg, path, value)
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"config error: {path[0]} is not a config key\n"
+
+
 def test_readme_schema_names_every_key_of_the_tables():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
@@ -333,7 +348,7 @@ def test_readme_schema_names_every_key_of_the_tables():
         and all(isinstance(e, tuple) and len(e) == 2 and callable(e[0]) for e in value.values())
     ]
     assert bck.cli._KERNELS in tables  # its keys are the variant names
-    assert named == set().union(*tables, bck.cli._ALIASES)
+    assert named == set().union(*tables)
 
 
 def test_internal_errors_exit_4_without_a_traceback(tmp_path, capsys):
@@ -535,13 +550,12 @@ def test_report_determinism_excluding_wall_clock():
     assert scrub(a) == scrub(b)
 
 
-def test_env_seed_override(monkeypatch):
+def test_the_config_alone_sets_the_seed(monkeypatch):
+    # BCK_SEED in the environment leaves the configured seed in force
     monkeypatch.setenv("BCK_SEED", "99")
-    config = AnalysisConfig.from_dict(base_config())
-    assert config.seed == 99
-    monkeypatch.setenv("BCK_SEED", "not-an-int")
-    with pytest.raises(ConfigError, match="BCK_SEED"):
-        AnalysisConfig.from_dict(base_config())
+    config = AnalysisConfig.from_dict(base_config(tasks=["psd"]))
+    assert config.seed == 7
+    assert run_analyze(config).data["seed"] == 7
 
 
 def test_theorem55_premise_failure_skips_conclusion():
@@ -619,7 +633,12 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
     assert data["theorem55"]["data"]["conclusion"] is None
     report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks)))
     data = json.loads(report.to_json())["tasks"]
-    assert data["theorem55"]["data"]["conclusion"] == data["griffiths"]["data"]
+    # theorem55 cites the griffiths verdict, margin and witness; the
+    # per-point margins are stated once, in the griffiths fields
+    conclusion, griffiths = data["theorem55"]["data"]["conclusion"], data["griffiths"]["data"]
+    cited = ("verdict", "min_margin", "witness_point", "witness_direction")
+    assert conclusion == {key: griffiths[key] for key in cited}
+    assert "fields" in griffiths
 
 
 @pytest.mark.parametrize("overrides, per_point", [
@@ -813,13 +832,11 @@ def test_csv_writes_crafted_columns_as_the_per_cell_rule(tmp_path):
 def run_python(code, *args):
     """Run `python -c code *args` as a separate process that imports bck from this tree.
 
-    BCK_SEED is removed, so the config alone sets the seed, and so is
-    PYTHONUNBUFFERED, so stdout stays block-buffered as in a shell pipeline
-    and an output that is not flushed at exit goes missing.
+    PYTHONUNBUFFERED is removed, so stdout stays block-buffered as in a shell
+    pipeline and an output that is not flushed at exit goes missing.
     """
     src = str(Path(bck.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("BCK_SEED", None)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120

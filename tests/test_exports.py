@@ -36,9 +36,7 @@ def test_readme_quick_start_runs():
 
 
 # exported names with no use in code, kept for a stated reason
-KEPT_WITHOUT_USE = {
-    "griffiths_form": "the per-pair reference of test_batched_verdict_matches_per_pair_reference",
-}
+KEPT_WITHOUT_USE = {}
 
 
 def _code_names(path: Path) -> list[str]:
@@ -86,6 +84,13 @@ def test_lapack_solves_inverses_and_svds_only_in_linalg():
     assert not found, found
 
 
+def test_the_environment_sets_nothing():
+    # the config alone says what a run computes and the command line where
+    # it writes; no module reads an environment variable
+    found = _source_lines(re.compile(r"\bos\.(?:environ|getenv)\b|\bgetenv\("))
+    assert not found, found
+
+
 def test_complex_normal_draws_only_in_linalg():
     # one rule draws complex normals, real parts first: linalg.complex_normal
     found = _source_lines(re.compile(r"standard_normal\(.*\)\s*\+\s*1j\s*\*"), skip="linalg.py")
@@ -102,3 +107,38 @@ def test_sampled_bilinear_maps_have_one_class():
 def test_csv_cells_are_not_formatted_one_by_one():
     # the tables are written from the converted report, a column at a time
     assert "repr(float(" not in (ROOT / "src" / "bck" / "cli.py").read_text()
+
+
+# record fields with no reader, kept for a stated reason
+KEPT_UNREAD = {
+    "Lemma51Report.details": "the measured margins behind its four flags, shown by the record's "
+    "repr when test_lemma51_seeded_agreement fails",
+}
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    """The names read as attributes, `.name`, in the code of a Python file;
+    docstrings and comments do not count."""
+    with path.open("rb") as handle:
+        tokens = [tok for tok in tokenize.tokenize(handle.readline) if tok.type in (tokenize.OP, tokenize.NAME)]
+    return {name.string for dot, name in zip(tokens, tokens[1:]) if dot.string == "." and name.type == tokenize.NAME}
+
+
+def test_every_record_field_is_read():
+    # each field of each result class is read as an attribute, `.field`, in
+    # the package, the tests or README: a field that nothing reads restates
+    # or hides a result
+    code = sorted((ROOT / "src" / "bck").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    reads = set().union(*map(_attribute_reads, code))
+    readme = (ROOT / "README.md").read_text()
+    unread = {
+        f"{cls.__name__}.{name}"
+        for info in pkgutil.iter_modules(bck.__path__)
+        for cls in vars(importlib.import_module(f"bck.{info.name}")).values()
+        if isinstance(cls, type) and issubclass(cls, bck.forms.Record) and cls.__module__ == f"bck.{info.name}"
+        for name in cls.__dict__.get("__annotations__", {})
+        if name not in reads and not re.search(rf"\.{name}\b", readme)
+    }
+    assert sorted(unread - set(KEPT_UNREAD)) == []
+    stale = sorted(set(KEPT_UNREAD) - unread)
+    assert not stale, f"fields kept unread have a reader now: {stale}"

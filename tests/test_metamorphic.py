@@ -1,12 +1,16 @@
 """Transformation laws of curvature: exact identities that hold on any
 family, with no closed form, gated at the method-agreement tolerance.
 
-The rank-1 laws run on the nu = 2 disc metric with Richardson steps."""
+The fixed rank-1 laws run on the nu = 2 disc metric with Richardson steps;
+the chart, normalization and twist laws also run over small random
+families of the built-in kernels, rank 2 included, on both routes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bck.chern
+from _fields import cmat, full_rank_sections
 from bck.chern import (
     FdSteps,
     MetricField,
@@ -16,7 +20,7 @@ from bck.chern import (
     nested_curvature_field,
 )
 from bck.forms import Stencil
-from bck.kernels import DiscPowerKernel, disc_power, universal_grassmann
+from bck.kernels import ConstantKernel, DiscPowerKernel, SectionKernel, disc_power, universal_grassmann
 
 TOL = 5e-5  # the method-agreement tolerance of the `curvature` task
 
@@ -121,3 +125,76 @@ def test_disc_automorphism_carries_the_derivative_squared(route):
     got = _r11(pulled, DISC_POINTS, route)
     assert _relative(got, abs(dphi[:, None, None]) ** 2 * r11) <= TOL
     assert _relative(got, r11) > 0.05
+
+
+# -- the laws over small random families --------------------------------------
+
+FAMILIES = ("sections-rank-1", "sections-rank-2", "grassmann-3-1", "disc-nu-2", "constant")
+
+
+def _family(kind: str, rng):
+    """The kernel metric of a small random family of its kind, and two points
+    of its domain."""
+    dim = 2 if kind == "grassmann-3-1" else 1 if kind == "disc-nu-2" else int(rng.integers(1, 3))
+    if kind.startswith("sections"):
+        n, degree = int(kind[-1]), int(rng.integers(1, 3))
+        spec = SectionKernel(full_rank_sections(rng, dim, n, degree=degree), base_dim=dim)
+    elif kind == "grassmann-3-1":
+        spec = universal_grassmann(3, 1)
+    elif kind == "disc-nu-2":
+        spec = disc_power(2)
+    else:
+        b = cmat(rng, 2, 2)
+        spec = ConstantKernel(b @ b.conj().T + np.eye(2), base_dim=dim)
+    points = 0.5 * (rng.uniform(-1, 1, (2, dim)) + 1j * rng.uniform(-1, 1, (2, dim))) / np.sqrt(2 * dim)
+    return metric_from_kernel(spec), points
+
+
+def _transformed(metric, law: str, rng):
+    """The metric under a law and the r11 the law predicts from the
+    original metric's r11 at given points, by a given route."""
+    dim = metric.dim
+    if law == "chart":  # h(A z): r11'[k, j](z) = sum_ab conj(A[a, k]) A[b, j] r11[a, b](A z)
+        c = cmat(rng, dim, dim)
+        a = np.eye(dim) + 0.3 * c / np.linalg.norm(c)  # |A z| <= 1.3 |z|, inside the disc
+        field = MetricField(None, dim, metric.fiber_dim, name="pulled metric", batch_func=lambda z: metric.batch(z @ a.T))
+
+        def law_r11(points, route):
+            return np.einsum("ak,bj,ab...->kj...", a.conj(), a, _r11(metric, points @ a.T, route))
+    elif law == "normalization":  # |phi|^2 h, phi = exp(c . z) + 2 nowhere zero: r11 unchanged
+        c = cmat(rng, dim)
+        c *= 0.5 / np.linalg.norm(c)  # |c . z| <= 0.25, so phi stays near 3
+
+        def scaled(z):
+            return (abs(np.exp(z @ c) + 2) ** 2)[..., None, None] * metric.batch(z)
+
+        field = MetricField(None, dim, metric.fiber_dim, name="normalized metric", batch_func=scaled)
+
+        def law_r11(points, route):
+            return _r11(metric, points, route)
+    else:  # exp(-t |z|^2) h: r11'[k, j] = r11[k, j] - t delta_kj
+        t = float(rng.uniform(0.1, 1.0))
+
+        def twisted(z):
+            return np.exp(-t * np.sum(abs(z) ** 2, axis=-1))[..., None, None] * metric.batch(z)
+
+        field = MetricField(None, dim, metric.fiber_dim, name="twisted metric", batch_func=twisted)
+
+        def law_r11(points, route):
+            shift = np.eye(dim)[:, :, None, None, None] * np.eye(metric.fiber_dim)
+            return _r11(metric, points, route) - t * shift
+    return field, law_r11
+
+
+@pytest.mark.parametrize("route", ["analytic", "nested"])
+@pytest.mark.parametrize("law", ["chart", "normalization", "twist"])
+@pytest.mark.parametrize("kind", FAMILIES)
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_laws_hold_on_random_families(kind, law, route, seed):
+    # the chart, normalization and twist laws hold for any Hermitian metric,
+    # h and its transpose alike, so rank-2 section kernels belong here
+    rng = np.random.default_rng(seed)
+    metric, points = _family(kind, rng)
+    field, law_r11 = _transformed(metric, law, rng)
+    assert _relative(_r11(field, points, route), law_r11(points, route)) <= TOL

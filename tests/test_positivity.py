@@ -192,7 +192,7 @@ def test_griffiths_form_purity_gate():
         np.zeros((1, 1, 1, 1), dtype=complex),
     )
     curv = CurvatureField(
-        points=np.zeros(1), h=np.eye(1), form=bad, method="nested_fd",
+        points=np.zeros(1), h=np.eye(1), form=bad,
         purity_residual=1.0, pairing_residual=0.0,
     )
     with pytest.raises(StructuralError, match="pure"):
@@ -307,7 +307,7 @@ def _block_field(rng, dim, n, count, hermitian_pairing=True):
             b = 0.5 * (b + np.conj(np.swapaxes(b, 0, 1).swapaxes(2, 3)))
         form = Form2(cmat(rng, dim, dim, n, n), np.linalg.solve(h, b), cmat(rng, dim, dim, n, n))
         curv = CurvatureField(
-            points=z, h=h, form=form, method="analytic_expansion",
+            points=z, h=h, form=form,
             purity_residual=float(rng.uniform()), pairing_residual=0.0,
         )
         fields[z.tobytes()] = (h, curv)
