@@ -645,53 +645,31 @@ class AnalysisReport(Record):
         return self.data["exit_code"]
 
     def to_json(self) -> str:
-        return "".join(_render(_jsonify(self.data)))
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biuf":  # real: one finiteness check, then plain lists
-            if obj.dtype.kind == "f" and not np.isfinite(obj).all():
-                raise StructuralError("report contains a non-finite numeric entry")
-            return obj.tolist()
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise StructuralError("report contains a non-finite numeric entry")
-        return value
-    if isinstance(obj, (np.complexfloating, complex)):
-        if not (np.isfinite(obj.real) and np.isfinite(obj.imag)):
-            raise StructuralError("report contains a non-finite numeric entry")
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    return obj
+        return "".join(_render(self.data))
 
 
 def _render(value, indent: str = "\n"):
-    """The report text of a value `_jsonify` returned, chunk by chunk.
+    """The report text of a value of `run_analyze`'s report, chunk by chunk.
 
     The text is byte for byte that of `json.JSONEncoder(sort_keys=True,
-    indent=2)`, the layout of every report: `to_json` returns it whole,
-    and `bck analyze --out` streams it to the file.  `indent` is a newline
-    and the indent of the value's own line.  A list of floats, such as a
-    field column, is one chunk, one join of `float.__repr__`; the numbers
-    are finite, as `_jsonify` leaves them.
+    indent=2)` on the value with numpy arrays and scalars as their
+    `tolist()`, complex numbers as {"re", "im"} and keys as their `str`:
+    `to_json` returns it whole, and `bck analyze --out` streams it to the
+    file.  `indent` is a newline and the indent of the value's own line.
+    A list of floats, such as a field column, is one chunk, one join of
+    `float.__repr__`.  Each number is checked where it is met, and a NaN or
+    infinity is structural; `--out` streams into a temporary file and
+    stdout gets only the whole text, so such a report is never written.
     """
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
             return
         inner = indent + "  "
         try:
-            floats = ("," + inner).join(map(float.__repr__, value))
+            floats = _finite(("," + inner).join(map(float.__repr__, value)))
         except TypeError:  # an item is no float
             floats = None
         if floats is not None:
@@ -708,9 +686,9 @@ def _render(value, indent: str = "\n"):
             yield "{}"
             return
         inner, separator = indent + "  ", "{"
-        for key, item in sorted(value.items()):
-            yield f"{separator}{inner}{encode_basestring_ascii(key)}: "
-            yield from _render(item, inner)
+        for key in sorted(value, key=str):
+            yield f"{separator}{inner}{encode_basestring_ascii(str(key))}: "
+            yield from _render(value[key], inner)
             separator = ","
         yield indent + "}"
     elif isinstance(value, str):
@@ -720,9 +698,18 @@ def _render(value, indent: str = "\n"):
     elif isinstance(value, int):
         yield int.__repr__(value)
     elif isinstance(value, float):
-        yield float.__repr__(value)
+        yield _finite(float.__repr__(value))
+    elif isinstance(value, complex):
+        yield from _render({"re": value.real, "im": value.imag}, indent)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _finite(text: str) -> str:
+    """The text of finite floats; of a float's reprs only nan and inf hold an n."""
+    if "n" in text:
+        raise StructuralError("report contains a non-finite numeric entry")
+    return text
 
 
 # The one exit-code policy, for a task and for a whole run: (exception
@@ -766,7 +753,6 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
         try:
             result = _TASKS[name](ctx)
             entry.update(result)
-            entry.setdefault("status", "ok")
         except Exception as exc:
             entry["error_kind"], code, entry["error"] = _error(exc)
             entry["status"] = "error"
@@ -804,7 +790,7 @@ def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunConte
             "no grid point lies inside the kernel domain with the stencil margin "
             f"{margin:.3e}"
         )
-    total = config.grid.points().shape[0]
+    total = np.prod(config.grid.re_res + config.grid.im_res)
     return RunContext(config=config, points=points, points_total=total), margin
 
 
@@ -842,13 +828,13 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 
 def _write_csv_fields(data: dict, csv_dir: str) -> None:
-    """A table per task with field columns, from the document `_jsonify`
-    returned: each number is written as the report writes it."""
+    """A table per task with field columns, from the report's own arrays:
+    each number is written as the report writes it."""
     for name, task in data["tasks"].items():
         fields = task.get("data", {}).get("fields")
         if not fields:
             continue
-        rows = zip(*(map(float.__repr__, col["values"]) for col in fields))
+        rows = zip(*(map(float.__repr__, col["values"].tolist()) for col in fields))
         lines = [",".join(col["name"] for col in fields), *map(",".join, rows)]
         _atomic_write(os.path.join(csv_dir, f"{name}.csv"), ["\n".join(lines), "\n"])
 
@@ -904,15 +890,12 @@ def _main(argv) -> int:
             raise ConfigError(exc) from exc
         config = AnalysisConfig.from_dict(raw)
         report = run_analyze(config)
-        # converting checks every number before any output: a non-finite one
-        # is structural
-        data = _jsonify(report.data)
         if args.out:
-            _atomic_write(args.out, itertools.chain(_render(data), ["\n"]))
+            _atomic_write(args.out, itertools.chain(_render(report.data), ["\n"]))
         else:
-            print("".join(_render(data)))
+            print(report.to_json())
         if args.csv:
-            _write_csv_fields(data, args.csv)
+            _write_csv_fields(report.data, args.csv)
     except Exception as exc:
         kind, code, message = _error(exc)
         print(f"{kind} error: {message}", file=sys.stderr)

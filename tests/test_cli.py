@@ -129,16 +129,47 @@ def test_non_finite_tolerances_and_steps_are_config_errors(tmp_path, capsys, ove
     assert not out.exists()
 
 
-def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys):
-    # the report echoes the whole config, so a NaN in a user hook's params,
-    # which the schema hands to the factory unread, reaches serialisation,
-    # which runs inside the guarded region
-    out = tmp_path / "report.json"
-    kernel = {"variant": "user_hook", "target": "_hook:make", "params": {"nu": 1, "note": float("nan")}}
-    path = write_config(tmp_path, base_config(tasks=["psd"], kernel=kernel))
-    assert main(["analyze", "--config", path, "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("structural error: report contains a non-finite")
-    assert not out.exists() and not list(tmp_path.glob(".bck-*.tmp"))
+NAN, INF = float("nan"), float("inf")
+
+
+def _last_field_infinite(report):
+    # the last column of the last task with fields: every chunk before it
+    # has been streamed when the infinity is met
+    fields = [t["data"]["fields"] for t in report.data["tasks"].values() if "fields" in t["data"]][-1]
+    fields[-1]["values"][-1] = np.inf
+    return report
+
+
+# Ways a NaN or an infinity reaches the report: the config echo of a user
+# hook's params, which the schema hands to the factory unread, or a number
+# of the run itself, put there by patching `run_analyze`.
+NON_FINITE_ENTRIES = {
+    "nan-in-hook-params": ({"note": NAN}, lambda report: report),
+    "nan-in-a-list-in-hook-params": ({"note": [1.0, NAN]}, lambda report: report),
+    "numpy-scalar": ({}, lambda report: report.data["tasks"]["psd"]["data"].update(margin=np.float32(-INF)) or report),
+    "complex-nan-imaginary": ({}, lambda report: report.data.update(z=complex(1.0, NAN)) or report),
+    "inf-in-last-field-column": ({}, _last_field_infinite),
+}
+
+
+def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys, monkeypatch):
+    real = bck.cli.run_analyze
+    for name, (params, corrupt) in NON_FINITE_ENTRIES.items():
+        monkeypatch.setattr(bck.cli, "run_analyze", lambda config: corrupt(real(config)))
+        kernel = {"variant": "user_hook", "target": "_hook:make", "params": {"nu": 1, **params}}
+        path = write_config(tmp_path, base_config(tasks=["psd", "curvature"], kernel=kernel), f"{name}.json")
+        out = tmp_path / name / "report.json"
+        out.parent.mkdir()
+        for older in (None, b"an older report\n"):
+            if older is not None:
+                out.write_bytes(older)
+            assert main(["analyze", "--config", path, "--out", str(out)]) == 4, name
+            assert capsys.readouterr().err == "structural error: report contains a non-finite numeric entry\n"
+            assert (out.read_bytes() if out.exists() else None) == older, name
+            assert not list(tmp_path.rglob(".bck-*.tmp")), name
+        # on stdout, the text is printed only when it is whole
+        assert main(["analyze", "--config", path]) == 4, name
+        assert capsys.readouterr().out == "", name
 
 
 def test_report_file_is_the_report_text_streamed(tmp_path, monkeypatch):
@@ -153,7 +184,7 @@ def test_report_file_is_the_report_text_streamed(tmp_path, monkeypatch):
     assert written == (reports[0].to_json() + "\n").encode("utf-8")
     # a failure part-way through the stream keeps the old report and
     # leaves no temporary file
-    monkeypatch.setattr(bck.cli, "_jsonify", lambda data: {"a": 1, "b": object()})
+    monkeypatch.setattr(bck.cli, "run_analyze", lambda config: bck.cli.AnalysisReport({"a": 1, "b": object()}))
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert out.read_bytes() == written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json"]
@@ -175,8 +206,8 @@ def _workload_config(name: str, seed: int) -> dict:
 @pytest.mark.parametrize("workload", ["disc-flagship", "grassmann-d2", "sections-d2"])
 def test_report_text_is_the_stdlib_layout(workload):
     report = run_analyze(AnalysisConfig.from_dict(_workload_config(workload, 1)))
-    data = bck.cli._jsonify(report.data)
-    chunks = list(bck.cli._render(data))
+    chunks = list(bck.cli._render(report.data))
+    data = json.loads(report.to_json())
     assert "".join(chunks) == ORACLE.encode(data) == report.to_json()
     # each column of the report is one chunk, and no chunk is larger
     columns = [c["values"] for t in data["tasks"].values() for c in t["data"].get("fields", [])]
@@ -212,7 +243,6 @@ def _set(cfg: dict, path: tuple, value) -> None:
     cfg[path[-1]] = value
 
 
-NAN, INF = float("nan"), float("inf")
 AXIS = ("grid", "axes", 0)
 
 CONFIG_PROBES = {
@@ -816,11 +846,11 @@ def test_csv_cells_are_the_report_numbers(tmp_path):
 
 def test_csv_writes_crafted_columns_as_the_per_cell_rule(tmp_path):
     column = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, -1e308, 1.0, 2.5e-17])
-    data = bck.cli._jsonify({"tasks": {
+    data = {"tasks": {
         "crafted": {"data": {"fields": [{"name": "a", "values": column}, {"name": "b", "values": column[::-1]}]}},
         "empty": {"data": {"fields": [{"name": "c", "values": np.empty(0)}]}},
         "none": {"data": {}},
-    }})
+    }}
     bck.cli._write_csv_fields(data, str(tmp_path))
     tables = _per_cell_csv(data)
     assert sorted(os.listdir(tmp_path)) == ["crafted.csv", "empty.csv"]
@@ -1058,6 +1088,17 @@ def test_full_disc_grid_curvature_run():
     assert report.exit_code == 0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the FD curvature loses accuracy next to the disc "
+                   "boundary on a 61 x 61 or finer grid")
+def test_flagship_curvature_on_a_61_grid():
+    cfg = _workload_config("disc-flagship", 1)
+    cfg["grid"]["axes"][0].update(re_res=61, im_res=61)
+    cfg["tasks"] = ["curvature"]
+    task = run_analyze(AnalysisConfig.from_dict(cfg)).data["tasks"]["curvature"]
+    assert task["passed"]
+    assert task["data"]["closed_form_max_rel_err"] <= 1e-5
+
+
 def test_report_json_converts_arrays_in_one_step():
     report = bck.cli.AnalysisReport(
         {
@@ -1075,6 +1116,8 @@ def test_report_json_converts_arrays_in_one_step():
         "complex": [{"re": 1.0, "im": 2.0}],
         "nested": [2.5, [4, True]],
     }
-    for bad in (np.array([1.0, np.nan]), np.array([[np.inf]]), np.array([1j * np.nan])):
+    last_column_infinite = {"fields": [{"values": np.ones(3)}, {"values": np.array([1.0, 2.0, np.inf])}]}
+    for bad in (np.array([1.0, np.nan]), np.array([[np.inf]]), np.array([1j * np.nan]),
+                {"params": {"notes": [1.0, NAN]}}, np.float32(-np.inf), complex(1.0, NAN), last_column_infinite):
         with pytest.raises(StructuralError, match="non-finite"):
             bck.cli.AnalysisReport({"x": bad}).to_json()
