@@ -1,0 +1,94 @@
+"""Check that two bck source trees compute the same results.
+
+Run from anywhere:
+
+    python3 bench/same.py --parent TREE --change TREE [--seeds 1 2 3]
+
+Each TREE is a checkout whose `src/` holds the `bck` package.  For every
+workload of perfbench/workloads.py and every seed, the workload's config
+is run once from each tree's `src/` as
+
+    bck analyze --config C --out R --csv D
+
+spawned with perfbench's launcher line, in a temporary directory.  The
+two runs must give the same exit code, the same report parsed as JSON
+with every `timing` entry removed, and the same CSV tables byte for byte.
+Prints one line per (workload, seed), with each side's report size, and
+exits 1 if anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run  # noqa: E402  perfbench/run.py: the launcher line and strip_timing
+import workloads  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def analyze(tree: Path, config: Path, out: Path) -> dict:
+    """One spawned run: its exit code, report size, report without timing and CSV tables."""
+    report, csv_dir = out / "report.json", out / "csv"
+    argv = [sys.executable, "-c", run.LAUNCH, str(tree.resolve() / "src"), "analyze",
+            "--config", str(config), "--out", str(report), "--csv", str(csv_dir)]
+    code = subprocess.run(argv, cwd=out.parent, capture_output=True).returncode
+    text = report.read_bytes() if report.is_file() else None
+    return {
+        "exit": code,
+        "bytes": len(text) if text is not None else None,
+        "report": run.strip_timing(json.loads(text)) if text is not None else None,
+        "tables": {p.name: p.read_bytes() for p in sorted(csv_dir.glob("*.csv"))},
+    }
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """What two runs disagree on; a pair of runs without a report compares
+    nothing, so it counts as a difference."""
+    found = []
+    if parent["exit"] != change["exit"]:
+        found.append(f"exit {parent['exit']} != {change['exit']}")
+    if parent["report"] is None or parent["report"] != change["report"]:
+        found.append("report")
+    names = sorted(set(parent["tables"]) | set(change["tables"]))
+    found += [f"CSV {name}" for name in names if parent["tables"].get(name) != change["tables"].get(name)]
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+
+    same = True
+    with tempfile.TemporaryDirectory(prefix="bck-same-") as scratch:
+        for workload in workloads.WORKLOADS:
+            for seed in args.seeds:
+                case = Path(scratch) / f"{workload}-{seed}"
+                config = case / "config.json"
+                case.mkdir()
+                config.write_text(json.dumps(workloads.make_config(workload, seed)), encoding="utf-8")
+                runs = {}
+                for side in SIDES:
+                    (case / side).mkdir()
+                    runs[side] = analyze(getattr(args, side), config, case / side)
+                found = differences(runs["parent"], runs["change"])
+                same = same and not found
+                sizes = " -> ".join(str(runs[side]["bytes"]) for side in SIDES)
+                verdict = "DIFFERS: " + ", ".join(found) if found else (
+                    f"same: exit {runs['change']['exit']}, report JSON-equal outside timing, "
+                    f"{len(runs['change']['tables'])} CSV tables byte-identical")
+                print(f"{workload} seed {seed}: {verdict}; report bytes {sizes}", flush=True)
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import os
 import sys
@@ -24,8 +23,7 @@ import tempfile
 import time
 from functools import cached_property
 from importlib import import_module
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -645,71 +643,21 @@ class AnalysisReport(Record):
         return self.data["exit_code"]
 
     def to_json(self) -> str:
-        return "".join(_render(self.data))
-
-
-def _render(value, indent: str = "\n"):
-    """The report text of a value of `run_analyze`'s report, chunk by chunk.
-
-    The text is byte for byte that of `json.JSONEncoder(sort_keys=True,
-    indent=2)` on the value with numpy arrays and scalars as their
-    `tolist()`, complex numbers as {"re", "im"} and keys as their `str`:
-    `to_json` returns it whole, and `bck analyze --out` streams it to the
-    file.  `indent` is a newline and the indent of the value's own line.
-    A list of floats, such as a field column, is one chunk, one join of
-    `float.__repr__`.  Each number is checked where it is met, and a NaN or
-    infinity is structural; `--out` streams into a temporary file and
-    stdout gets only the whole text, so such a report is never written.
-    """
-    if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        inner = indent + "  "
+        """The report text: the stdlib's compact JSON with sorted keys, ASCII
+        escapes and floats as their `repr`.  A NaN or infinity is structural."""
         try:
-            floats = _finite(("," + inner).join(map(float.__repr__, value)))
-        except TypeError:  # an item is no float
-            floats = None
-        if floats is not None:
-            yield f"[{inner}{floats}{indent}]"
-            return
-        separator = "[" + inner
-        for item in value:
-            yield separator
-            yield from _render(item, inner)
-            separator = "," + inner
-        yield indent + "]"
-    elif isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        inner, separator = indent + "  ", "{"
-        for key in sorted(value, key=str):
-            yield f"{separator}{inner}{encode_basestring_ascii(str(key))}: "
-            yield from _render(value[key], inner)
-            separator = ","
-        yield indent + "}"
-    elif isinstance(value, str):
-        yield encode_basestring_ascii(value)
-    elif value is None or isinstance(value, bool):
-        yield "null" if value is None else "true" if value else "false"
-    elif isinstance(value, int):
-        yield int.__repr__(value)
-    elif isinstance(value, float):
-        yield _finite(float.__repr__(value))
-    elif isinstance(value, complex):
-        yield from _render({"re": value.real, "im": value.imag}, indent)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            return json.dumps(self.data, sort_keys=True, allow_nan=False, default=_plain)
+        except ValueError as exc:  # allow_nan=False met a NaN or an infinity
+            raise StructuralError("report contains a non-finite numeric entry") from exc
 
 
-def _finite(text: str) -> str:
-    """The text of finite floats; of a float's reprs only nan and inf hold an n."""
-    if "n" in text:
-        raise StructuralError("report contains a non-finite numeric entry")
-    return text
+def _plain(value):
+    """A numpy array or scalar as its `tolist()`, a complex number as {"re", "im"}."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # The one exit-code policy, for a task and for a whole run: (exception
@@ -811,15 +759,16 @@ def run_selftest(seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to a temporary file beside `path`, then rename
-    it over `path`; on any failure the temporary file is removed."""
+def _atomic_write(path: str, text: str) -> None:
+    """Write the text and a newline to a temporary file beside `path`, then
+    rename it over `path`; on any failure the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bck-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
+            handle.write(text)
+            handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -836,7 +785,7 @@ def _write_csv_fields(data: dict, csv_dir: str) -> None:
             continue
         rows = zip(*(map(float.__repr__, col["values"].tolist()) for col in fields))
         lines = [",".join(col["name"] for col in fields), *map(",".join, rows)]
-        _atomic_write(os.path.join(csv_dir, f"{name}.csv"), ["\n".join(lines), "\n"])
+        _atomic_write(os.path.join(csv_dir, f"{name}.csv"), "\n".join(lines))
 
 
 def main(argv=None) -> int:
@@ -891,7 +840,7 @@ def _main(argv) -> int:
         config = AnalysisConfig.from_dict(raw)
         report = run_analyze(config)
         if args.out:
-            _atomic_write(args.out, itertools.chain(_render(report.data), ["\n"]))
+            _atomic_write(args.out, report.to_json())
         else:
             print(report.to_json())
         if args.csv:

@@ -133,8 +133,8 @@ NAN, INF = float("nan"), float("inf")
 
 
 def _last_field_infinite(report):
-    # the last column of the last task with fields: every chunk before it
-    # has been streamed when the infinity is met
+    # the last column of the last task with fields: the last array the
+    # encoder meets
     fields = [t["data"]["fields"] for t in report.data["tasks"].values() if "fields" in t["data"]][-1]
     fields[-1]["values"][-1] = np.inf
     return report
@@ -167,13 +167,19 @@ def test_non_finite_report_entry_is_a_structural_error(tmp_path, capsys, monkeyp
             assert capsys.readouterr().err == "structural error: report contains a non-finite numeric entry\n"
             assert (out.read_bytes() if out.exists() else None) == older, name
             assert not list(tmp_path.rglob(".bck-*.tmp")), name
+        # the report fails before its file is written, so a missing
+        # directory stays missing
+        missing = tmp_path / name / "new" / "report.json"
+        assert main(["analyze", "--config", path, "--out", str(missing)]) == 4, name
+        assert capsys.readouterr() == ("", "structural error: report contains a non-finite numeric entry\n")
+        assert not missing.parent.exists(), name
         # on stdout, the text is printed only when it is whole
         assert main(["analyze", "--config", path]) == 4, name
         assert capsys.readouterr().out == "", name
 
 
-def test_report_file_is_the_report_text_streamed(tmp_path, monkeypatch):
-    # `--out` streams the report: its bytes are `to_json()` and a newline
+def test_report_file_is_the_report_text(tmp_path, monkeypatch):
+    # `--out` writes the report: its bytes are `to_json()` and a newline
     reports, real = [], bck.cli.run_analyze
     monkeypatch.setattr(bck.cli, "run_analyze", lambda config: reports.append(real(config)) or reports[-1])
     out = tmp_path / "report.json"
@@ -182,17 +188,12 @@ def test_report_file_is_the_report_text_streamed(tmp_path, monkeypatch):
     assert main(["analyze", "--config", path, "--out", str(out)]) == 0
     written = out.read_bytes()
     assert written == (reports[0].to_json() + "\n").encode("utf-8")
-    # a failure part-way through the stream keeps the old report and
-    # leaves no temporary file
+    # a report that cannot be encoded keeps the old report and leaves no
+    # temporary file
     monkeypatch.setattr(bck.cli, "run_analyze", lambda config: bck.cli.AnalysisReport({"a": 1, "b": object()}))
     assert main(["analyze", "--config", path, "--out", str(out)]) == 4
     assert out.read_bytes() == written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json"]
-
-
-# The reference layout of every report: bck renders it without the stdlib
-# encoder, byte for byte.
-ORACLE = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def _workload_config(name: str, seed: int) -> dict:
@@ -205,35 +206,10 @@ def _workload_config(name: str, seed: int) -> dict:
 
 @pytest.mark.parametrize("workload", ["disc-flagship", "grassmann-d2", "sections-d2"])
 def test_report_text_is_the_stdlib_layout(workload):
-    report = run_analyze(AnalysisConfig.from_dict(_workload_config(workload, 1)))
-    chunks = list(bck.cli._render(report.data))
-    data = json.loads(report.to_json())
-    assert "".join(chunks) == ORACLE.encode(data) == report.to_json()
-    # each column of the report is one chunk, and no chunk is larger
-    columns = [c["values"] for t in data["tasks"].values() for c in t["data"].get("fields", [])]
-    assert columns and all(isinstance(v, float) for c in columns for v in c)
-    lists = [json.loads(c) for c in chunks if c.startswith("[") and c.endswith("]")]
-    assert all(c in lists for c in columns)
-    assert json.loads(max(chunks, key=len)) in columns
-
-
-# quotes, backslashes, control characters and non-ASCII text, which the
-# report escapes
-_STRINGS = st.text() | st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\U0001d11e", "a"]))
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
-_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(
-    st.recursive(
-        _SCALARS | st.lists(_FLOATS),
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
-        max_leaves=24,
-    )
-)
-def test_renderer_matches_the_stdlib_encoder(value):
-    assert "".join(bck.cli._render(value)) == ORACLE.encode(value)
+    # the stdlib's compact layout with sorted keys: one line
+    text = run_analyze(AnalysisConfig.from_dict(_workload_config(workload, 1))).to_json()
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert "\n" not in text
 
 
 def _set(cfg: dict, path: tuple, value) -> None:
@@ -1097,6 +1073,36 @@ def test_flagship_curvature_on_a_61_grid():
     task = run_analyze(AnalysisConfig.from_dict(cfg)).data["tasks"]["curvature"]
     assert task["passed"]
     assert task["data"]["closed_form_max_rel_err"] <= 1e-5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the curvature of a rank-2 section kernel is taken of h, "
+                   "the Gram matrix of an antiholomorphic frame")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_holomorphic_section_kernel_is_not_indefinite(seed):
+    # the bundle of holomorphic sections has curvature of one sign under
+    # either orientation convention; today the margins read -2.663,
+    # -3.717 and -3.075
+    cfg = _workload_config("sections-d2", seed)
+    cfg["tasks"] = ["griffiths"]
+    task = run_analyze(AnalysisConfig.from_dict(cfg)).data["tasks"]["griffiths"]
+    assert task["data"]["verdict"] != "indefinite"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: theorem55's absolute Cauchy-Riemann residual grows with |K| "
+                   "next to the disc boundary")
+def test_theorem55_premise_holds_next_to_the_boundary():
+    # curvature passes on all 8 points, yet the premise reads a
+    # Cauchy-Riemann residual of 0.551 against 1e-6
+    cfg = base_config(
+        grid={"axes": [{"re": [0.9999, 0.99999], "im": [-1e-6, 1e-6], "re_res": 4, "im_res": 2, "scale": 0.01}]},
+        tasks=["curvature", "theorem55"],
+    )
+    report = run_analyze(AnalysisConfig.from_dict(cfg)).data
+    assert report["grid"]["points_used"] == 8
+    assert report["tasks"]["curvature"]["passed"]
+    assert report["tasks"]["theorem55"]["data"]["premise"]["satisfied"]
 
 
 def test_report_json_converts_arrays_in_one_step():
