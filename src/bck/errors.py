@@ -18,3 +18,10 @@ class SingularMetricError(BckError):
 class StructuralError(BckError):
     """A structural identity that the inputs must satisfy (Hermitian symmetry,
     skewness, type purity) is violated beyond tolerance."""
+
+
+def require(holds, message: str) -> None:
+    """Raise StructuralError(message) unless `holds`.  A tolerance gate reads
+    `require(residual <= tol, ...)`, so that a NaN residual fails it."""
+    if not holds:
+        raise StructuralError(message)

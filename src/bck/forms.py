@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, require
 from .linalg import max_frob
 
 __all__ = [
@@ -66,15 +66,18 @@ def as_point(z, dim: int | None = None) -> np.ndarray:
         raise ValueError("chart point must be a vector of complex coordinates")
     if dim is not None and p.size != dim:
         raise ValueError(f"chart point has {p.size} coordinates, expected {dim}")
-    if not np.isfinite(p).all():
-        raise ValueError("chart point has non-finite coordinates")
-    return p
+    return as_points(p, p.size)
 
 
-def as_points(z, dim: int) -> np.ndarray:
-    """Coerce a stack of chart points to a finite complex array of shape (..., dim)."""
+def as_points(z, dim: int | None = None) -> np.ndarray:
+    """Coerce a stack of chart points to a finite complex array of shape
+    (..., dim), or without `dim` a sample of points to its (N, d) array."""
     p = np.asarray(z, dtype=complex)
-    if p.ndim < 1 or p.shape[-1] != dim:
+    if dim is None:
+        p = np.atleast_2d(p)
+        if p.ndim != 2:
+            raise ValueError("a sample of chart points must be an (N, d) array")
+    elif p.ndim < 1 or p.shape[-1] != dim:
         raise ValueError(f"chart points must have {dim} coordinates along the last axis")
     if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
@@ -438,10 +441,7 @@ def split_bilinear(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int
     samples = BilinearSamples.from_callable(phi, dim)
     scale = max(1.0, samples.norm())
     asym = samples.combine(samples.flip(), 1, 1).norm()
-    if asym > 1e-12 * scale:
-        raise StructuralError(
-            f"bilinear map is not skew: measured asymmetry {asym:.3e}"
-        )
+    require(asym <= 1e-12 * scale, f"bilinear map is not skew: measured asymmetry {asym:.3e}")
 
     t, rotated = samples.tensor, samples.rotate_both().tensor
     mixed, pure = 0.5 * (t + rotated), 0.5 * (t - rotated)
@@ -769,7 +769,7 @@ def delbar_norms(
     to the values of f there, (N S,), (N S, m) or (N S, m, m); it is
     called once.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    pts = as_points(points)
     stencil = Stencil(pts.shape[1], first=step, richardson=richardson)
     values = np.asarray(stencil.on_points(evaluate, pts, domain))
     _, q = stencil.first_derivatives(stencil.by_node(values, len(pts)))
@@ -790,7 +790,7 @@ def cauchy_riemann_residual(
     f maps one chart point to its value and is called once per stencil
     node (see `delbar_norms`).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")
     # one flat row of values per node: the norm is over all entries

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, require
 from .forms import Record, as_point, as_points, at_point, pointwise
 from .linalg import (
     Sampler,
@@ -255,7 +255,7 @@ class SectionKernel(KernelSpec):
         gram = np.asarray(gram, dtype=complex)
         if gram.shape != (self.section_count, self.section_count):
             raise ValueError("Gram matrix shape does not match the section count")
-        if hermiticity_defect(gram) > 1e-12:
+        if not hermiticity_defect(gram) <= 1e-12:
             raise ValueError("Gram matrix must be Hermitian")
         if np.linalg.eigvalsh(hermitize(gram))[0] <= 0:
             raise ValueError("Gram matrix must be positive definite")
@@ -364,12 +364,12 @@ class DualKernel(KernelSpec):
     conj(z).
     """
 
-    def __init__(self, base: KernelSpec):
-        self.base = base
-        self.variant = f"dual({base.variant})"
-        self.fiber_dim = base.fiber_dim
-        self.base_dim = base.base_dim
-        self.holomorphic = base.holomorphic
+    def __init__(self, spec: KernelSpec):
+        self.base = spec
+        self.variant = f"dual({spec.variant})"
+        self.fiber_dim = spec.fiber_dim
+        self.base_dim = spec.base_dim
+        self.holomorphic = spec.holomorphic
 
     def eval_many(self, z, w):
         return np.conj(self.base.eval_many(np.conj(z), np.conj(w)))
@@ -384,16 +384,9 @@ class DualKernel(KernelSpec):
         return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
 
 
-# -- constructor names of the library API; `dual_kernel` stays a function, its argument
-# being `spec` where `DualKernel`'s is `base`
-
-
+# the constructor names of the library API, each its class
 disc_power, from_sections, universal_grassmann = DiscPowerKernel, SectionKernel, GrassmannKernel
-
-
-def dual_kernel(spec: KernelSpec) -> DualKernel:
-    """The kernel of the dual bundle; see DualKernel."""
-    return DualKernel(spec)
+dual_kernel = DualKernel
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +420,9 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     straight into the (N n) x (N n) layout; the matrix is then made
     Hermitian tile by tile, so no full-size temporary is made.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
     if pts.shape[0] < 1:
         raise ValueError("need at least one sample point")
-    if pts.shape[1] != spec.base_dim:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, kernel expects {spec.base_dim}"
-        )
     n = spec.fiber_dim
     npts = pts.shape[0]
     metrics = spec.fiber_metric_batch(pts)
@@ -475,8 +464,7 @@ def psd_check(gram_matrix: GramMatrix) -> float:
     curable noise.
     """
     defect = gram_matrix.defect
-    if defect > 1e-10:
-        raise StructuralError(f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
+    require(defect <= 1e-10, f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
     return float(np.linalg.eigvalsh(gram_matrix.assembled)[0])
 
 

@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .chern import CurvatureField, MetricField, _chunks
-from .errors import StructuralError
-from .forms import BilinearSamples, Form2, Record, as_point, pointwise
+from .errors import require
+from .forms import BilinearSamples, Form2, Record, as_point, as_points, pointwise
 from .linalg import Sampler, complex_normal, frob, hermiticity_defect, hermitize
 
 __all__ = [
@@ -83,10 +83,7 @@ def triple_split(psi_map, dim: int, tol: float = 1e-10) -> SesquiTriple:
     psi = BilinearSamples.of(psi_map, dim)
     scale = max(1.0, psi.norm())
     defect = _herm_membership_defect(psi)
-    if defect > tol * scale:
-        raise StructuralError(
-            f"map is not Hermitian sesquilinear: defect {defect:.3e}"
-        )
+    require(defect <= tol * scale, f"map is not Hermitian sesquilinear: defect {defect:.3e}")
     flipped = psi.flip()
     symm = psi.combine(flipped, 0.5, 0.5)
     skew = psi.combine(flipped, 1.0 / 2j, -1.0 / 2j)
@@ -106,8 +103,7 @@ def triple_join(omega_map, dim: int, tol: float = 1e-10) -> SesquiTriple:
     rot = skew.combine(skew.rotate_both(), 1.0, -1.0).norm()
     sa = skew.combine(skew.adjoint_values(), 1.0, -1.0).norm()
     defect = max(anti, rot, sa)
-    if defect > tol * scale:
-        raise StructuralError(f"map is not in the Skew class: defect {defect:.3e}")
+    require(defect <= tol * scale, f"map is not in the Skew class: defect {defect:.3e}")
     herm = skew.rotate_second().combine(skew, -1.0, 1j)
     symm = herm.combine(herm.flip(), 0.5, 0.5)
     residuals = _triple_residuals(herm, symm, skew)
@@ -145,10 +141,10 @@ def griffiths_form(h: np.ndarray, theta, x) -> np.ndarray:
     raises.
     """
     if isinstance(theta, CurvatureField) and np.ndim(theta.purity_residual) == 0:
-        if theta.purity_residual > 1e-5 * max(1.0, frob(theta.form.r11)):
-            raise StructuralError(
-                f"curvature is not (1,1)-pure: residual {theta.purity_residual:.3e}"
-            )
+        require(
+            theta.purity_residual <= 1e-5 * max(1.0, frob(theta.form.r11)),
+            f"curvature is not (1,1)-pure: residual {theta.purity_residual:.3e}",
+        )
         form = theta.form
     elif isinstance(theta, Form2):
         form = theta
@@ -158,10 +154,7 @@ def griffiths_form(h: np.ndarray, theta, x) -> np.ndarray:
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     g = -1j * h @ form(x, 1j * x)
     defect = hermiticity_defect(g)
-    if defect > _HERM_TOL:
-        raise StructuralError(
-            f"Griffiths form is not Hermitian: relative defect {defect:.3e}"
-        )
+    require(defect <= _HERM_TOL, f"Griffiths form is not Hermitian: relative defect {defect:.3e}")
     return g
 
 
@@ -235,7 +228,7 @@ def griffiths_verdict(
     iteration order are pinned.  The reduction is a minimum; on ties the
     first (point, direction) pair in row-major order is the witness.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    pts = as_points(points, metric.dim).reshape(-1, metric.dim)
     if pts.shape[0] == 0:
         raise ValueError("empty point sample")
     dirs = direction_samples(metric.dim, directions, seed)
@@ -254,10 +247,7 @@ def griffiths_verdict(
         # eigh, not eigvalsh: the two can differ in the last bits for n >= 3
         margins[rows] = np.linalg.eigh(hermitize(g))[0][..., 0]
     max_herm = float(max_herm)
-    if max_herm > _HERM_TOL:
-        raise StructuralError(
-            f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}"
-        )
+    require(max_herm <= _HERM_TOL, f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}")
     i, m = np.unravel_index(np.argmin(margins), margins.shape)
     overall = float(margins[i, m])
     verdict = "positive" if overall > pos_tol else "indefinite" if overall < -neg_tol else "nonnegative"

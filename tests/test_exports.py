@@ -104,6 +104,32 @@ def test_sampled_bilinear_maps_have_one_class():
     assert not _source_lines(re.compile(r"\bdef probe_tensor\b"))
 
 
+def _raises_structural_error(statements) -> bool:
+    return any(
+        isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "StructuralError"
+        for statement in statements
+        for node in ast.walk(statement)
+    )
+
+
+def test_no_gate_compares_before_it_raises():
+    # `if residual > tol: raise` lets a NaN residual through; a tolerance
+    # gate is `errors.require(residual <= tol, ...)`, which a NaN fails
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "bck").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and any(isinstance(op, ordering) for op in node.test.ops)
+        and _raises_structural_error(node.body)
+    ]
+    assert not found, found
+
+
 def test_csv_cells_are_not_formatted_one_by_one():
     # the tables are written from the converted report, a column at a time
     assert "repr(float(" not in (ROOT / "src" / "bck" / "cli.py").read_text()

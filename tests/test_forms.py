@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bck.chern import analytic_curvature_field, metric_from_kernel, metric_jet
 from bck.errors import DomainError, StructuralError
 from bck.forms import (
     BilinearSamples,
@@ -11,6 +12,7 @@ from bck.forms import (
     Form2,
     Stencil,
     cauchy_riemann_residual,
+    delbar_norms,
     exterior_derivative,
     form_norm,
     split_bilinear,
@@ -18,7 +20,8 @@ from bck.forms import (
     pointwise,
     wedge,
 )
-from bck.kernels import DiscPowerKernel
+from bck.kernels import DiscPowerKernel, gram
+from bck.positivity import griffiths_verdict
 from bck.polys import MatrixPolynomial
 
 from _fields import bit_equal, cmat
@@ -96,6 +99,12 @@ def test_split_bilinear_vanishing_symmetric_combinations():
 def test_split_bilinear_rejects_non_skew():
     with pytest.raises(StructuralError, match="asymmetry"):
         split_bilinear(lambda v, w: np.asarray(v[0] * w[0]), 1)
+
+
+def test_split_bilinear_rejects_a_nan_map():
+    # the skewness gate fails closed: a NaN asymmetry does not pass it
+    with pytest.raises(StructuralError, match="measured asymmetry nan"):
+        split_bilinear(lambda v, w: np.asarray(np.nan), 1)
 
 
 def test_split_bilinear_reassembles_random_two_forms():
@@ -364,6 +373,33 @@ def test_cauchy_riemann_residual_values():
 def test_cauchy_riemann_residual_rejects_empty_sample():
     with pytest.raises(ValueError, match="empty"):
         cauchy_riemann_residual(lambda z: np.asarray(z[0]), np.empty((0, 1)), 1e-5)
+
+
+def _sample_entries():
+    """Each entry that takes a sample of points, as a function of the sample,
+    and a sample of the wrong dimension for it."""
+    disc = DiscPowerKernel(2)
+    metric = metric_from_kernel(disc)
+    field = analytic_curvature_field(metric_jet(metric, np.array([[0.1], [0.2j], [-0.3]]), order=2))
+    flat, stacked = np.full((3, 2), 0.1), np.full((3, 1, 1), 0.1)
+    return {
+        "gram": (lambda p: gram(disc, p), flat),
+        "griffiths_verdict": (lambda p: griffiths_verdict(metric, field, p, directions=4), flat),
+        "delbar_norms": (lambda p: delbar_norms(pointwise(lambda z: z[0] ** 2), p, 1e-5), stacked),
+        "cauchy_riemann_residual": (lambda p: cauchy_riemann_residual(lambda z: z[0] ** 2, p, 1e-5), stacked),
+    }
+
+
+@pytest.mark.parametrize("entry", ["gram", "griffiths_verdict", "delbar_norms", "cauchy_riemann_residual"])
+def test_every_sample_entry_accepts_points_by_one_rule(entry):
+    # forms.as_points is the one rule: a non-finite point or a sample of the
+    # wrong dimension is the same ValueError at every entry
+    call, wrong = _sample_entries()[entry]
+    with pytest.raises(ValueError, match="chart point has non-finite coordinates"):
+        call(np.array([[0.1], [np.nan], [-0.3]]))
+    message = "must have 1 coordinates along the last axis" if wrong.ndim == 2 else r"must be an \(N, d\) array"
+    with pytest.raises(ValueError, match=message):
+        call(wrong)
 
 
 def test_exterior_derivative_stencil_domain_guard():

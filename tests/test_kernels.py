@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bck.forms
 import bck.kernels
 from hypothesis import assume, given, settings, strategies as st
 
@@ -92,8 +93,7 @@ def test_grassmann_kernel_diagonal_is_identity():
 
 
 def test_constructor_names_take_every_call_the_functions_took():
-    # disc_power, from_sections and universal_grassmann are the classes;
-    # dual_kernel stays a function of `spec`
+    # disc_power, from_sections, universal_grassmann and dual_kernel are the classes
     def sections(z):
         return np.array([[1.0, z[0], z[-1] ** 2]])
 
@@ -179,6 +179,17 @@ def test_psd_check_rejects_broken_symmetry():
     message = "matrix is not Hermitian: relative defect 1.414e+00 > 1.0e-10"
     with pytest.raises(StructuralError, match=re.escape(message)):
         psd_check(g)
+
+
+def test_psd_check_rejects_a_nan_defect():
+    g = bck.forms.replace(gram(DiscPowerKernel(2), np.array([[0.1], [0.3j]])), defect=np.nan)
+    with pytest.raises(StructuralError, match="relative defect nan > 1.0e-10"):
+        psd_check(g)
+
+
+def test_section_kernel_rejects_a_nan_gram_matrix():
+    with pytest.raises(ValueError, match="Gram matrix must be Hermitian"):
+        from_sections(lambda z: np.array([[1.0, z[0]]]), gram=np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def _section_kernel(rng, dim, shape):

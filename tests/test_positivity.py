@@ -121,6 +121,15 @@ def test_triple_round_trips_random_instances():
         assert again.skew.combine(triple.skew, 1.0, -1.0).norm() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "split, message",
+    [(triple_split, "not Hermitian sesquilinear: defect nan"), (triple_join, "not in the Skew class: defect nan")],
+)
+def test_triple_gates_reject_a_nan_map(split, message):
+    with pytest.raises(StructuralError, match=message):
+        split(lambda v, w: np.full((2, 2), np.nan), 2)
+
+
 def _same_triple(a, b) -> bool:
     return a.residuals == b.residuals and all(
         bit_equal(getattr(a, part).tensor, getattr(b, part).tensor) for part in ("herm", "symm", "skew")
@@ -191,12 +200,13 @@ def test_griffiths_form_purity_gate():
         np.ones((1, 1, 1, 1), dtype=complex),
         np.zeros((1, 1, 1, 1), dtype=complex),
     )
-    curv = CurvatureField(
-        points=np.zeros(1), h=np.eye(1), form=bad,
-        purity_residual=1.0, pairing_residual=0.0,
-    )
-    with pytest.raises(StructuralError, match="pure"):
-        griffiths_form(np.eye(1), curv, np.array([1.0]))
+    for residual in (1.0, np.nan):  # a NaN residual fails the gate too
+        curv = CurvatureField(
+            points=np.zeros(1), h=np.eye(1), form=bad,
+            purity_residual=residual, pairing_residual=0.0,
+        )
+        with pytest.raises(StructuralError, match="pure"):
+            griffiths_form(np.eye(1), curv, np.array([1.0]))
 
 
 def test_griffiths_form_rejects_a_field_over_several_points():
@@ -205,6 +215,16 @@ def test_griffiths_form_rejects_a_field_over_several_points():
     with pytest.raises(TypeError, match="one-point"):
         griffiths_form(field.h[0], field, np.array([1.0]))
     assert griffiths_form(field.h[0], field.at(0), np.array([1.0])).shape == (1, 1)
+
+
+def test_griffiths_form_rejects_a_nan_form():
+    nan = Form2(
+        np.zeros((1, 1, 1, 1), dtype=complex),
+        np.full((1, 1, 1, 1), np.nan + 0j),
+        np.zeros((1, 1, 1, 1), dtype=complex),
+    )
+    with pytest.raises(StructuralError, match="Griffiths form is not Hermitian: relative defect nan"):
+        griffiths_form(np.eye(1), nan, np.array([1.0]))
 
 
 def test_griffiths_form_hermiticity_gate():
@@ -352,6 +372,18 @@ def test_verdict_hermiticity_gate():
         np.random.default_rng(8), 2, 2, 2, hermitian_pairing=False
     )
     with pytest.raises(StructuralError, match="Hermitian"):
+        griffiths_verdict(metric, field, points, directions=4)
+
+
+def test_verdict_rejects_a_nan_curvature():
+    # one NaN in a disc field's r11 must not read `nonnegative`
+    metric = metric_from_kernel(DiscPowerKernel(2))
+    points = np.array([[0.1], [0.2j], [-0.3]])
+    field = analytic_curvature_field(metric_jet(metric, points, order=2))
+    r11 = field.form.r11.copy()
+    r11[0, 0, 1] = np.nan
+    field = bck.forms.replace(field, form=bck.forms.replace(field.form, r11=r11))
+    with pytest.raises(StructuralError, match="worst relative defect nan"):
         griffiths_verdict(metric, field, points, directions=4)
 
 
