@@ -2,13 +2,13 @@
 
 Run from anywhere:
 
-    python3 bench/phases.py [--tree TREE] [--runs 30] [--seed 1]
+    python3 bench/phases.py
 
-TREE (default: this checkout) holds the `bck` package in `src/`.  For
-every workload of perfbench/workloads.py, the workload's config is run
+It times the `bck` package in this checkout's `src/`.  For every
+workload of perfbench/workloads.py, the workload's seed-1 config is run
 as perfbench runs it (`analyze --config C --out R`, plus `--csv D` for
-the CSV workloads, each run to fresh output paths), spawned `--runs`
-times on each of two sides, the sides alternating:
+the CSV workloads, each run to fresh output paths), spawned 30 times on
+each of two sides, the sides alternating:
 
 * cold: with PYTHONDONTWRITEBYTECODE=1 and no bytecode cache for bck,
   so every run compiles bck from source, as perfbench's runs do;
@@ -26,7 +26,6 @@ and of the wall time, for each side.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -55,12 +54,13 @@ finally:
     with open(out, "w") as handle: handle.write(repr(t))
 sys.exit(code)
 """
+SRC, RUNS, SEED = str(Path(__file__).resolve().parents[1] / "src"), 30, 1
 PHASES = ("interpreter and site", "import numpy", "import bck.cli", "config and tasks", "report", "teardown")
 
 
-def command(src: str, stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:
+def command(stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:
     """The child's argv, writing to `out`.json (and the tables to `out`/)."""
-    argv = [sys.executable, "-c", PROBE, str(stamps), src, "analyze",
+    argv = [sys.executable, "-c", PROBE, str(stamps), SRC, "analyze",
             "--config", str(config), "--out", f"{out}.json"]
     return argv + (["--csv", str(out)] if csv else [])
 
@@ -76,13 +76,7 @@ def spawn(argv: list[str], env: dict, stamps: Path) -> list[float]:
     return [1e3 * (b - a) for a, b in zip(marks, marks[1:])] + [1e3 * (end - start)]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--runs", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    src = str(args.tree.resolve() / "src")
+def main() -> int:
     cold = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
     cold["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="bck-phases-") as tmp:
@@ -92,16 +86,16 @@ def main(argv=None) -> int:
         stamps = tmp / "stamps"
         for workload in workloads.WORKLOADS:
             config = tmp / f"{workload}.json"
-            config.write_text(json.dumps(workloads.make_config(workload, args.seed)))
+            config.write_text(json.dumps(workloads.make_config(workload, SEED)))
             csv = workload in workloads.CSV_WORKLOADS
             # every run writes to fresh output paths, as perfbench's runs do
-            spawn(command(src, stamps, config, tmp / f"{workload}-fill", csv), fill, stamps)  # the warm bytecode
+            spawn(command(stamps, config, tmp / f"{workload}-fill", csv), fill, stamps)  # the warm bytecode
             runs = {"cold": [], "warm": []}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for side in ("cold", "warm") if i % 2 == 0 else ("warm", "cold"):
-                    argv = command(src, stamps, config, tmp / f"{workload}-{side}{i}", csv)
+                    argv = command(stamps, config, tmp / f"{workload}-{side}{i}", csv)
                     runs[side].append(spawn(argv, envs[side], stamps))
-            print(f"{workload}, seed {args.seed}, medians of {args.runs} (ms): cold / warm")
+            print(f"{workload}, seed {SEED}, medians of {RUNS} (ms): cold / warm")
             for j, name in enumerate((*PHASES, "wall")):
                 medians = [statistics.median(r[j] for r in runs[side]) for side in ("cold", "warm")]
                 print(f"  {name:22s} {medians[0]:6.1f} / {medians[1]:6.1f}")

@@ -49,6 +49,7 @@ __all__ = [
     "delbar_norms",
     "as_point",
     "as_points",
+    "as_sample",
     "at_point",
     "stack_points",
     "join_points",
@@ -69,19 +70,23 @@ def as_point(z, dim: int | None = None) -> np.ndarray:
     return as_points(p, p.size)
 
 
-def as_points(z, dim: int | None = None) -> np.ndarray:
-    """Coerce a stack of chart points to a finite complex array of shape
-    (..., dim), or without `dim` a sample of points to its (N, d) array."""
+def as_points(z, dim: int) -> np.ndarray:
+    """Coerce a stack of chart points to a finite complex array of shape (..., dim)."""
     p = np.asarray(z, dtype=complex)
-    if dim is None:
-        p = np.atleast_2d(p)
-        if p.ndim != 2:
-            raise ValueError("a sample of chart points must be an (N, d) array")
-    elif p.ndim < 1 or p.shape[-1] != dim:
+    if p.ndim < 1 or p.shape[-1] != dim:
         raise ValueError(f"chart points must have {dim} coordinates along the last axis")
     if not np.isfinite(p).all():
         raise ValueError("chart point has non-finite coordinates")
     return p
+
+
+def as_sample(points, dim: int | None = None) -> np.ndarray:
+    """Coerce a non-empty sample of chart points to a finite complex (N, d)
+    array, d being `dim` when given; one point, or a scalar, is a sample of one."""
+    p = np.atleast_2d(np.asarray(points, dtype=complex))
+    if p.ndim != 2 or p.shape[0] == 0:
+        raise ValueError("a sample of chart points must be a non-empty (N, d) array")
+    return as_points(p, p.shape[1] if dim is None else dim)
 
 
 class Record:
@@ -769,7 +774,7 @@ def delbar_norms(
     to the values of f there, (N S,), (N S, m) or (N S, m, m); it is
     called once.
     """
-    pts = as_points(points)
+    pts = as_sample(points)
     stencil = Stencil(pts.shape[1], first=step, richardson=richardson)
     values = np.asarray(stencil.on_points(evaluate, pts, domain))
     _, q = stencil.first_derivatives(stencil.by_node(values, len(pts)))
@@ -790,9 +795,7 @@ def cauchy_riemann_residual(
     f maps one chart point to its value and is called once per stencil
     node (see `delbar_norms`).
     """
-    pts = as_points(points)
-    if pts.shape[0] == 0:
-        raise ValueError("empty point sample")
+    pts = as_sample(points)
     # one flat row of values per node: the norm is over all entries
     evaluate = pointwise(lambda z: np.ravel(f(z)))
     return float(np.max(delbar_norms(evaluate, pts, step, richardson, domain)))

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructuralError, require
-from .forms import Record, as_point, as_points, at_point, pointwise
+from .forms import Record, as_point, as_points, as_sample, at_point, pointwise
 from .linalg import (
     Sampler,
     complex_normal,
@@ -420,9 +420,7 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     straight into the (N n) x (N n) layout; the matrix is then made
     Hermitian tile by tile, so no full-size temporary is made.
     """
-    pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
-    if pts.shape[0] < 1:
-        raise ValueError("need at least one sample point")
+    pts = as_sample(points, spec.base_dim)
     n = spec.fiber_dim
     npts = pts.shape[0]
     metrics = spec.fiber_metric_batch(pts)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .chern import CurvatureField, MetricField, _chunks
 from .errors import require
-from .forms import BilinearSamples, Form2, Record, as_point, as_points, pointwise
+from .forms import BilinearSamples, Form2, Record, as_point, as_sample, pointwise
 from .linalg import Sampler, complex_normal, frob, hermiticity_defect, hermitize
 
 __all__ = [
@@ -228,9 +228,7 @@ def griffiths_verdict(
     iteration order are pinned.  The reduction is a minimum; on ties the
     first (point, direction) pair in row-major order is the witness.
     """
-    pts = as_points(points, metric.dim).reshape(-1, metric.dim)
-    if pts.shape[0] == 0:
-        raise ValueError("empty point sample")
+    pts = as_sample(points, metric.dim)
     dirs = direction_samples(metric.dim, directions, seed)
     if dirs.shape[0] == 0:
         raise ValueError("empty direction sample")

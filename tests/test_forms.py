@@ -377,29 +377,36 @@ def test_cauchy_riemann_residual_rejects_empty_sample():
 
 def _sample_entries():
     """Each entry that takes a sample of points, as a function of the sample,
-    and a sample of the wrong dimension for it."""
+    and whether it knows the dimension a point must have (here d = 1)."""
     disc = DiscPowerKernel(2)
     metric = metric_from_kernel(disc)
-    field = analytic_curvature_field(metric_jet(metric, np.array([[0.1], [0.2j], [-0.3]]), order=2))
-    flat, stacked = np.full((3, 2), 0.1), np.full((3, 1, 1), 0.1)
+    field = analytic_curvature_field(metric_jet(metric, np.array([[0.1]]), order=2))
     return {
-        "gram": (lambda p: gram(disc, p), flat),
-        "griffiths_verdict": (lambda p: griffiths_verdict(metric, field, p, directions=4), flat),
-        "delbar_norms": (lambda p: delbar_norms(pointwise(lambda z: z[0] ** 2), p, 1e-5), stacked),
-        "cauchy_riemann_residual": (lambda p: cauchy_riemann_residual(lambda z: z[0] ** 2, p, 1e-5), stacked),
+        "gram": (lambda p: gram(disc, p), True),
+        "griffiths_verdict": (lambda p: griffiths_verdict(metric, field, p, directions=4), True),
+        "delbar_norms": (lambda p: delbar_norms(pointwise(lambda z: z[0] ** 2), p, 1e-5), False),
+        "cauchy_riemann_residual": (lambda p: cauchy_riemann_residual(lambda z: z[0] ** 2, p, 1e-5), False),
     }
 
 
 @pytest.mark.parametrize("entry", ["gram", "griffiths_verdict", "delbar_norms", "cauchy_riemann_residual"])
 def test_every_sample_entry_accepts_points_by_one_rule(entry):
-    # forms.as_points is the one rule: a non-finite point or a sample of the
-    # wrong dimension is the same ValueError at every entry
-    call, wrong = _sample_entries()[entry]
+    # forms.as_sample is the one rule, so every entry gives the same answer
+    # to the same sample: one point or a scalar is a sample of one; a
+    # non-finite point, a stack of more than two axes or an empty sample is
+    # the same ValueError; and where the entry knows d, so is a wrong d
+    call, knows_dim = _sample_entries()[entry]
+    fields = lambda result: getattr(result, "__dict__", result)
+    for one in (0.1, np.array([0.1])):
+        np.testing.assert_equal(fields(call(one)), fields(call(np.array([[0.1]]))))
     with pytest.raises(ValueError, match="chart point has non-finite coordinates"):
         call(np.array([[0.1], [np.nan], [-0.3]]))
-    message = "must have 1 coordinates along the last axis" if wrong.ndim == 2 else r"must be an \(N, d\) array"
-    with pytest.raises(ValueError, match=message):
-        call(wrong)
+    for wrong in (np.full((3, 1, 1), 0.1), np.empty((0, 1))):
+        with pytest.raises(ValueError, match=r"must be a non-empty \(N, d\) array"):
+            call(wrong)
+    if knows_dim:
+        with pytest.raises(ValueError, match="must have 1 coordinates along the last axis"):
+            call(np.full((3, 2), 0.1))
 
 
 def test_exterior_derivative_stencil_domain_guard():
