@@ -514,10 +514,10 @@ def hs_connection_check(
         batch_func=super_metric,
     )
     a_super, a1, a2 = (chern_connection(m, z, steps).form.p for m in (big, h1, h2))
-    return max(
+    return float(np.max([
         frob(a_super[j] - (np.kron(a2[j], np.eye(n1)) - np.kron(np.eye(n2), a1[j].T)))
         for j in range(h1.dim)
-    )
+    ]))
 
 
 # ---------------------------------------------------------------------------

@@ -577,15 +577,15 @@ def _task_theorem55(ctx: RunContext) -> dict:
         idx = rng.choice(sub.shape[0], size=25)
         idx.sort()
         sub = sub[idx]
-    cr_worst, step = 0.0, ctx.steps.first_steps()
+    step, cr = ctx.steps.first_steps(), []
     for _ in range(3):
         w0 = ctx.points[int(rng.integers(0, ctx.points.shape[0]))]
         xi = complex_normal(rng, kernel.fiber_dim)
         xi /= np.linalg.norm(xi)
-        cr = delbar_norms(
-            lambda w: kernel.eval_batch(w, w0) @ xi, sub, step, richardson=True, domain=kernel
+        cr.append(
+            delbar_norms(lambda w: kernel.eval_batch(w, w0) @ xi, sub, step, richardson=True, domain=kernel)
         )
-        cr_worst = max(cr_worst, float(cr.max()))
+    cr_worst = float(np.max(cr))
     adm_margin = float(np.min(ctx.admissibility.relative_margin))
     premise_ok = (
         kernel.holomorphic

@@ -330,11 +330,11 @@ class Form2(_Linear, frozen=True):
 
 
 def form_norm(form) -> float:
-    """Max Frobenius norm over the coefficient matrices of a form; a bare
-    array is one 0-form value."""
+    """Max Frobenius norm over the coefficient matrices of a form, NaN if
+    one is NaN; a bare array is one 0-form value."""
     if not isinstance(form, (Form1, Form2)):
         return max_frob(form, 0)
-    return max(max_frob(c, form.degree) for c in _field_values(form))
+    return float(np.max([max_frob(c, form.degree) for c in _field_values(form)]))
 
 
 # ---------------------------------------------------------------------------

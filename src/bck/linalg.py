@@ -153,7 +153,7 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
     ------
     StructuralError
         If a column is linearly dependent on the previous ones (relative
-        norm below 1e-12); in a stack, the first such matrix names it.
+        norm below 1e-12, or NaN); in a stack, the first such matrix names it.
         The error's `index` is (matrix index..., column) and its `residual`
         the column's residual norm.
     """
@@ -175,9 +175,9 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
                 v = v - c[..., None] * q[..., l]
         nrm = np.sqrt(np.abs(pair(v, v)))
         r[..., i, i] = nrm
-        q[..., i] = v / np.where(nrm <= floor, 1.0, nrm)[..., None]
+        q[..., i] = v / np.where(nrm > floor, nrm, 1.0)[..., None]
     norms = np.diagonal(r, axis1=-2, axis2=-1).real
-    dependent = np.argwhere(norms <= floor[..., None])
+    dependent = np.argwhere(~(norms > floor[..., None]))
     if len(dependent):
         first = tuple(int(j) for j in dependent[0])
         where = f" of matrix {first[:-1]}" if first[:-1] else ""

@@ -69,7 +69,7 @@ def _herm_membership_defect(psi: BilinearSamples) -> float:
     flipped = psi.flip()
     adjoint = psi.combine(flipped.adjoint_values(), 1.0, -1.0).norm()
     sesqui = flipped.combine(flipped.rotate_first(), 1.0, -1j).norm()
-    return max(adjoint, sesqui)
+    return float(np.max([adjoint, sesqui]))
 
 
 def triple_split(psi_map, dim: int, tol: float = 1e-10) -> SesquiTriple:
@@ -102,7 +102,7 @@ def triple_join(omega_map, dim: int, tol: float = 1e-10) -> SesquiTriple:
     anti = skew.combine(skew.flip(), 1.0, 1.0).norm()
     rot = skew.combine(skew.rotate_both(), 1.0, -1.0).norm()
     sa = skew.combine(skew.adjoint_values(), 1.0, -1.0).norm()
-    defect = max(anti, rot, sa)
+    defect = float(np.max([anti, rot, sa]))
     require(defect <= tol * scale, f"map is not in the Skew class: defect {defect:.3e}")
     herm = skew.rotate_second().combine(skew, -1.0, 1j)
     symm = herm.combine(herm.flip(), 0.5, 0.5)

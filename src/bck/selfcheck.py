@@ -2,10 +2,12 @@
 
 Runs a deterministic corpus of random polynomial fields through the
 structural identities the calculus must satisfy: projector round trips,
-wedge skewness, d d = 0 and its Dolbeault refinements on 0-form fields,
-the graded product rule, and the Herm/Symm/Skew round trips.  Each entry
-reports a residual against a published tolerance; the command-line
-`selftest` task and the test suite both consume the same list.
+the wedge's normalization, d d = 0 and its Dolbeault refinements on
+0-form fields, the graded product rule, and the Herm/Symm/Skew round
+trips.  Each entry reports the largest residual over its items, by
+numpy's NaN-propagating `max`, against a published tolerance; the
+command-line `selftest` task and the test suite both consume the same
+list.
 """
 
 from __future__ import annotations
@@ -24,73 +26,64 @@ _STEP1 = 1e-5
 _STEP2 = 1e-4
 
 
-def _entry(name, residual, tolerance):
+def _entry(name, residuals, tolerance):
+    """A check's entry: the largest of its residuals, one per item, by
+    numpy's `max`, which carries a NaN residual into a failed entry."""
+    residual = float(np.max(residuals))
     return {
         "name": name,
-        "residual": float(residual),
+        "residual": residual,
         "tolerance": float(tolerance),
         "passed": bool(residual <= tolerance),
     }
 
 
-def _random_linear_map(rng, dim, n):
-    a, b = complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n))
-
-    def t(v):
-        v = np.asarray(v, dtype=complex)
-        return (v @ a.reshape(dim, -1) + v.conj() @ b.reshape(dim, -1)).reshape(n, n)
-
-    return t, a, b
+def _pairs(rng, dim, count):
+    """`count` tangent vector pairs (v, w), drawn v then w."""
+    return [(complex_normal(rng, dim), complex_normal(rng, dim)) for _ in range(count)]
 
 
-def _check_projectors(rng, results):
+def _check_projectors(rng):
     dim, n = 2, 2
-    worst_split = 0.0
-    worst_idem = 0.0
+    split, idem = [], []
     for _ in range(4):
-        t, a, b = _random_linear_map(rng, dim, n)
+        a, b = complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n))
+
+        def t(v):  # a random real-linear map
+            return (v @ a.reshape(dim, -1) + v.conj() @ b.reshape(dim, -1)).reshape(n, n)
+
         t10, t01 = split_linear(t, dim)
-        for _ in range(4 * dim):
-            v = complex_normal(rng, dim)
-            worst_split = max(worst_split, frob(t10(v) + t01(v) - t(v)))
+        vs = [complex_normal(rng, dim) for _ in range(4 * dim)]
+        split += [frob(t10(v) + t01(v) - t(v)) for v in vs]
         again10, again01 = split_linear(lambda v: t10(v), dim)
-        worst_idem = max(
-            worst_idem,
-            float(np.max(np.abs(again10.p - t10.p))),
-            float(np.max(np.abs(again01.q))),
-        )
-    results.append(_entry("split_linear round trip", worst_split, 1e-12))
-    results.append(_entry("split_linear idempotence", worst_idem, 1e-12))
+        idem += [np.max(np.abs(again10.p - t10.p)), np.max(np.abs(again01.q))]
+    return [_entry("split_linear round trip", split, 1e-12), _entry("split_linear idempotence", idem, 1e-12)]
 
 
-def _check_bilinear_split(rng, results):
+def _check_bilinear_split(rng):
     dim, n = 2, 2
-    worst = 0.0
+    residuals = []
     for _ in range(4):
-        c20 = complex_normal(rng, (dim, dim, n, n))
-        c20 = c20 - np.swapaxes(c20, 0, 1)
-        r11 = complex_normal(rng, (dim, dim, n, n))
-        c02 = complex_normal(rng, (dim, dim, n, n))
-        c02 = c02 - np.swapaxes(c02, 0, 1)
-        reference = forms.Form2(c20, r11, c02)
+        c20, r11, c02 = (complex_normal(rng, (dim, dim, n, n)) for _ in range(3))
+        reference = forms.Form2(c20 - np.swapaxes(c20, 0, 1), r11, c02 - np.swapaxes(c02, 0, 1))
         recovered = split_bilinear(lambda v, w: reference(v, w), dim)
-        for _ in range(8):
-            v, w = complex_normal(rng, dim), complex_normal(rng, dim)
-            worst = max(worst, frob(recovered(v, w) - reference(v, w)))
-    results.append(_entry("split_bilinear reassembly", worst, 1e-12))
+        residuals += [frob(recovered(v, w) - reference(v, w)) for v, w in _pairs(rng, dim, 8)]
+    return [_entry("split_bilinear reassembly", residuals, 1e-12)]
 
 
-def _check_wedge_skewness(rng, results):
+def _check_wedge_normalization(rng):
+    # (alpha ^ beta)(v, w) = alpha(v) beta(w) - alpha(w) beta(v), the
+    # normalization `wedge` states
     dim, n = 2, 2
-    worst = 0.0
+    residuals = []
     for _ in range(4):
         alpha = Form1(complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n)))
         beta = Form1(complex_normal(rng, (dim, n, n)), complex_normal(rng, (dim, n, n)))
         product = forms.wedge(alpha, beta)
-        for _ in range(6):
-            v, w = complex_normal(rng, dim), complex_normal(rng, dim)
-            worst = max(worst, frob(product(v, w) + product(w, v)))
-    results.append(_entry("wedge skewness", worst, 1e-12))
+        residuals += [
+            frob(product(v, w) - (alpha(v) @ beta(w) - alpha(w) @ beta(v))) for v, w in _pairs(rng, dim, 6)
+        ]
+    return [_entry("wedge normalization", residuals, 1e-12)]
 
 
 def _d(stencil: Stencil, form: Form1) -> forms.Form2:
@@ -99,13 +92,11 @@ def _d(stencil: Stencil, form: Form1) -> forms.Form2:
     return at_point(stencil.exterior_derivative(stencil.by_node(form, 1)), 0)
 
 
-def _check_d_squared(rng, results):
+def _check_d_squared(rng):
     dim, n = 2, 2
     inner = Stencil(dim, first=_STEP1, richardson=True)
     outer = Stencil(dim, first=_STEP2)
-    worst_dd = 0.0
-    worst_delbar = 0.0
-    worst_del = 0.0
+    residuals = []  # per field: d d, delbar delbar and del del
     for _ in range(3):
         poly = MatrixPolynomial.random(rng, dim, (n, n), degree=3)
         z0 = 0.3 * complex_normal(rng, dim)
@@ -113,25 +104,22 @@ def _check_d_squared(rng, results):
         values = inner.on_points(poly, z0 + outer.offsets)
         df = Form1(*inner.first_derivatives(inner.by_node(values, len(outer.offsets))))
         dd = _d(outer, df)
-        worst_dd = max(worst_dd, form_norm(dd))
         # Dolbeault refinements: the (0,2) block of d(delbar f) and the
         # (2,0) block of d(del f) are delbar^2 f and del^2 f.
         zero = np.zeros_like(df.p)
         ddbar = _d(outer, Form1(zero, df.q))
         ddel = _d(outer, Form1(df.p, zero))
-        worst_delbar = max(worst_delbar, max_frob(ddbar.c02, 2))
-        worst_del = max(worst_del, max_frob(ddel.c20, 2))
-    results.append(_entry("d squared vanishes", worst_dd, 1e-5))
-    results.append(_entry("delbar squared vanishes", worst_delbar, 1e-5))
-    results.append(_entry("del squared vanishes", worst_del, 1e-5))
+        residuals.append((form_norm(dd), max_frob(ddbar.c02, 2), max_frob(ddel.c20, 2)))
+    names = ("d squared vanishes", "delbar squared vanishes", "del squared vanishes")
+    return [_entry(name, column, 1e-5) for name, column in zip(names, zip(*residuals))]
 
 
-def _check_leibniz(rng, results):
+def _check_leibniz(rng):
     dim, n = 2, 2
     fine = Stencil(dim, first=_STEP1, richardson=True, centre=True)
     coarse = Stencil(dim, first=_STEP2)
     at_fine, at_coarse = slice(0, len(fine.offsets)), slice(len(fine.offsets), None)
-    worst = 0.0
+    residuals = []
     for _ in range(3):
         f = MatrixPolynomial.random(rng, dim, (n, n), degree=2)
         g = MatrixPolynomial.random(rng, dim, (n, n), degree=2)
@@ -148,19 +136,17 @@ def _check_leibniz(rng, results):
         df = fine.exterior_derivative(fv[at_fine])
         dg = fine.exterior_derivative(gv[at_fine])
         rhs = forms.wedge(df, g0) + forms.wedge(f0, dg)
-        worst = max(worst, form_norm(lhs - rhs))
 
         # degree (0,1)
         lhs01 = _d(coarse, forms.wedge(fv[at_coarse], beta_coarse))
         dbeta = _d(fine, beta_fine)
         rhs01 = forms.wedge(df, beta0) + forms.wedge(f0, dbeta)
-        worst = max(worst, form_norm(lhs01 - rhs01))
 
         # degree (1,0) picks up the sign of the graded product rule
         lhs10 = _d(coarse, forms.wedge(beta_coarse, gv[at_coarse]))
         rhs10 = forms.wedge(dbeta, g0) - forms.wedge(beta0, dg)
-        worst = max(worst, form_norm(lhs10 - rhs10))
-    results.append(_entry("graded product rule", worst, 1e-5))
+        residuals += [form_norm(lhs - rhs), form_norm(lhs01 - rhs01), form_norm(lhs10 - rhs10)]
+    return [_entry("graded product rule", residuals, 1e-5)]
 
 
 def _poly_one_form(rng, dim, n, degree):
@@ -175,10 +161,9 @@ def _poly_one_form(rng, dim, n, degree):
     return field
 
 
-def _check_triple(rng, results):
+def _check_triple(rng):
     dim, n = 2, 2
-    worst_split_join = 0.0
-    worst_join_split = 0.0
+    split_join, join_split = [], []
     for _ in range(6):
         c = complex_normal(rng, (dim, dim, n, n))
         for j in range(dim):  # Hermitian sesquilinear symmetry of the coefficients
@@ -191,27 +176,18 @@ def _check_triple(rng, results):
 
         triple = triple_split(herm, dim)
         rebuilt = triple_join(triple.skew, dim)
-        worst_split_join = max(
-            worst_split_join,
+        split_join += [
             rebuilt.herm.combine(triple.herm, 1.0, -1.0).norm(),
             rebuilt.skew.combine(triple.skew, 1.0, -1.0).norm(),
-        )
+        ]
         again = triple_split(rebuilt.herm, dim)
-        worst_join_split = max(
-            worst_join_split, again.skew.combine(triple.skew, 1.0, -1.0).norm()
-        )
-    results.append(_entry("triple join after split", worst_split_join, 1e-12))
-    results.append(_entry("triple split after join", worst_join_split, 1e-12))
+        join_split.append(again.skew.combine(triple.skew, 1.0, -1.0).norm())
+    return [_entry("triple join after split", split_join, 1e-12), _entry("triple split after join", join_split, 1e-12)]
 
 
 def run_selfcheck(seed: int = 0) -> list[dict]:
     """Run the invariant corpus; returns one pass/fail entry per check."""
     rng = Sampler(seed)
-    results: list[dict] = []
-    _check_projectors(rng, results)
-    _check_bilinear_split(rng, results)
-    _check_wedge_skewness(rng, results)
-    _check_d_squared(rng, results)
-    _check_leibniz(rng, results)
-    _check_triple(rng, results)
-    return results
+    checks = (_check_projectors, _check_bilinear_split, _check_wedge_normalization, _check_d_squared,
+              _check_leibniz, _check_triple)
+    return [entry for check in checks for entry in check(rng)]

@@ -446,6 +446,12 @@ def test_mgs_over_a_stack_equals_per_matrix_calls():
         mgs_orthonormalize(a, inner=inner)
 
 
+def test_mgs_rejects_a_nan_column():
+    # a NaN norm is never above the dependence floor, so it is not a column
+    with pytest.raises(StructuralError, match=r"column 0 is linearly dependent \(residual norm nan\)"):
+        mgs_orthonormalize(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
 # -- failures inside a batched run keep their error kind and exit code --------------
 
 GRID_TASKS = ["connection", "curvature", "compatibility", "dual", "griffiths", "theorem55"]

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+import bck.chern
 from bck.chern import (
     FdSteps,
     MetricField,
@@ -275,6 +276,21 @@ def test_hs_connection_polynomial_matrix_metrics():
             lambda w, m=m2: np.eye(2) + abs(w[0]) ** 2 * (m @ m.T) * 0.3, 1, 2
         )
         assert hs_connection_check(h1, h2, np.array([0.2]), RICH) <= 1e-6
+
+
+def test_hs_connection_check_carries_a_nan_residual(monkeypatch):
+    # the residual of direction 1 is NaN: the check's maximum is NaN, not direction 0's
+    rng = np.random.default_rng(29)
+    h1, h2 = poly_metric(rng, 2, 2), poly_metric(rng, 2, 1)
+    real, calls = bck.chern.frob, []
+
+    def nan_second(a):
+        calls.append(a)
+        return np.nan if len(calls) == 2 else real(a)
+
+    monkeypatch.setattr(bck.chern, "frob", nan_second)
+    assert np.isnan(hs_connection_check(h1, h2, np.array([0.1, 0.2j]), FdSteps()))
+    assert len(calls) == 2
 
 
 # -- subbundles ------------------------------------------------------------------------

@@ -586,6 +586,27 @@ def test_theorem55_verified_for_disc():
     assert section["data"]["conclusion"]["verdict"] == "positive"
 
 
+def test_theorem55_premise_fails_on_a_nan_cauchy_riemann_residual(monkeypatch, tmp_path, capsys):
+    # the second kernel section's residuals are NaN: the premise's maximum
+    # is NaN and fails, and the report cannot be written with it
+    real, calls = bck.cli.delbar_norms, []
+
+    def nan_second(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return out * np.nan if len(calls) == 2 else out
+
+    monkeypatch.setattr(bck.cli, "delbar_norms", nan_second)
+    cfg = base_config(tasks=["theorem55"])
+    section = run_analyze(AnalysisConfig.from_dict(cfg)).data["tasks"]["theorem55"]
+    assert section["status"] == "hypothesis_not_met"
+    assert not section["data"]["premise"]["satisfied"]
+    assert np.isnan(section["data"]["premise"]["cauchy_riemann_residual"])
+    calls.clear()
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")]) == 4
+    assert capsys.readouterr().err == "structural error: report contains a non-finite numeric entry\n"
+
+
 def test_theorem55_probe_takes_the_scaled_steps_near_the_boundary():
     # points 1e-5 to 1e-4 from the unit circle clear the scaled margin
     # 4e-6; an unscaled probe of radius 2e-5 would leave the disc
@@ -998,9 +1019,30 @@ def test_selftest_detects_broken_wedge_sign(monkeypatch):
         return out
 
     monkeypatch.setattr(bck.forms, "wedge", broken_wedge)
-    entries = run_selfcheck(seed=0)
-    leibniz = next(e for e in entries if e["name"] == "graded product rule")
-    assert not leibniz["passed"]
+    entries = {e["name"]: e for e in run_selfcheck(seed=0)}
+    assert not entries["graded product rule"]["passed"]
+    assert not entries["wedge normalization"]["passed"]
+
+
+def test_selftest_fails_on_a_nan_product(monkeypatch, capsys):
+    # every other wedge product is NaN: each check that meets one reads
+    # NaN and fails, and no finite residual of its other items hides it
+    real_wedge, calls = bck.forms.wedge, []
+
+    def nan_every_other(a, b):
+        calls.append(None)
+        out = real_wedge(a, b)
+        return out * np.nan if len(calls) % 2 == 0 else out
+
+    monkeypatch.setattr(bck.forms, "wedge", nan_every_other)
+    entries = {e["name"]: e for e in run_selfcheck(seed=0)}
+    for name in ("wedge normalization", "graded product rule"):
+        assert np.isnan(entries[name]["residual"]) and not entries[name]["passed"]
+    calls.clear()
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  wedge normalization: residual nan" in out
+    assert "FAIL  graded product rule: residual nan" in out
 
 
 def test_selftest_evaluates_each_polynomial_field_once_on_its_node_stack(monkeypatch):

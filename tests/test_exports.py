@@ -130,6 +130,45 @@ def test_no_gate_compares_before_it_raises():
     assert not found, found
 
 
+# the builtin max and min calls of src/bck, none of which reduces residuals:
+# the builtin drops a NaN (max(0.0, nan) is 0.0), so a reported or gated
+# maximum is one numpy reduction, which carries it
+BUILTIN_MAX_MIN = sorted([
+    # integer arithmetic: chunk sizes, exit codes, ndims, sample counts, widths
+    ("chern", "max(1, _ROWS // rows_per_point)"),
+    ("chern", "max(count, 1)"),
+    ("cli", "max(exit_code, code)"),
+    ("cli", "max(exit_code, int(not passed))"),
+    ("cli", "min(wanted - len(pts), 1000 * wanted - drawn)"),
+    ("kernels", "max(z.ndim, w.ndim)"),
+    ("kernels", "max(4, n + 2)"),
+    ("linalg", "max(count, self._NORMALS)"),
+    ("polys", "max(map(len, factors), default=0)"),
+    # step sizes: FdSteps.max_step and the Stencil radius
+    ("chern", "max(self.first, self.second)"),
+    ("forms", "max(self.radius, 2.0 * float(max(steps[k], steps[j])))"),
+    ("forms", "max(steps[k], steps[j])"),
+    # scale floors
+    ("forms", "max(1.0, samples.norm())"),
+    ("kernels", "max(1.0, np.sqrt(norm))"),
+    ("positivity", "max(1.0, psi.norm())"),
+    ("positivity", "max(1.0, skew.norm())"),
+    ("positivity", "max(1.0, frob(theta.form.r11))"),
+    # a clamp
+    ("kernels", "max(float(self.eigenvalues[-1]), 0.0)"),
+])
+
+
+def test_builtin_max_and_min_reduce_no_residual():
+    found = sorted(
+        (path.stem, ast.unparse(node))
+        for path in sorted((ROOT / "src" / "bck").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("max", "min")
+    )
+    assert found == BUILTIN_MAX_MIN
+
+
 def test_csv_cells_are_not_formatted_one_by_one():
     # the tables are written from the converted report, a column at a time
     assert "repr(float(" not in (ROOT / "src" / "bck" / "cli.py").read_text()

@@ -222,6 +222,13 @@ def test_wedge_rejects_degree_overflow():
         wedge(dz, two)
 
 
+def test_form_norm_carries_a_nan_coefficient():
+    rng = np.random.default_rng(5)
+    r11 = cmat(rng, 2, 2, 2, 2)
+    r11[1, 0, 0, 1] = np.nan
+    assert np.isnan(form_norm(Form2(cmat(rng, 2, 2, 2, 2), r11, cmat(rng, 2, 2, 2, 2))))
+
+
 def test_wedge_skewness_exact():
     rng = np.random.default_rng(7)
     dim, n = 2, 2
