@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BckError, DomainError, SingularMetricError, StructuralError
+from .errors import DomainError, SingularMetricError, StructuralError, row_by_row
 from .forms import (
     Form1, Form2, Record, Stencil, as_point, as_points, at_point, inside_domain, join_points, pointwise, wedge,
 )
@@ -131,29 +131,24 @@ def _first_false(ok: np.ndarray) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _validated(h: np.ndarray, pts: np.ndarray, name: str, error: BckError | None = None) -> np.ndarray:
+def _validated(h: np.ndarray, pts: np.ndarray, name: str) -> np.ndarray:
     """Fiber metric values h (M, n, n) at the rows of `pts`, if each is finite,
     Hermitian within 1e-12 (relative) and has its smallest eigenvalue above
-    1e-12 of the largest.  Otherwise the earliest row to fail raises, each
-    check running only on the rows before an earlier check's failure;
-    `error`, a failure on the rows after `pts`, raises if no row fails."""
+    1e-12 of the largest.  Otherwise the first check that fails raises,
+    naming its earliest failing row."""
     i = _first_false(np.isfinite(h).all(axis=(1, 2)))
     if i is not None:
-        error = StructuralError(f"{name} has non-finite entries at {pts[i]}")
-        pts, h = pts[:i], h[:i]
+        raise StructuralError(f"{name} has non-finite entries at {pts[i]}")
     i = _first_false(hermiticity_defect(h) <= 1e-12)
     if i is not None:
-        error = StructuralError(f"{name} is not Hermitian at {pts[i]}")
-        pts, h = pts[:i], h[:i]
+        raise StructuralError(f"{name} is not Hermitian at {pts[i]}")
     evals = eigvalsh(hermitize(h))
     i = _first_false(evals[:, 0] > 1e-12 * np.maximum(evals[:, -1], 0.0))
     if i is not None:
-        error = SingularMetricError(
+        raise SingularMetricError(
             f"{name} is numerically singular at {pts[i]} "
             f"(eigenvalue range [{evals[i, 0]:.3e}, {evals[i, -1]:.3e}])"
         )
-    if error is not None:
-        raise error
     return h
 
 
@@ -188,49 +183,24 @@ class MetricField(Record):
 
         Rows pass the checks of a single evaluation, in its order: domain,
         the function's own checks, shape, finiteness, hermiticity and
-        singularity.  The error raised is the one a row-by-row loop would
-        raise: each check runs only on the rows before the first failure of
-        an earlier check, and the earliest failing row wins.  Rows are
-        evaluated and checked `_ROWS` at a time, in order, and the first
-        chunk that fails raises.
+        singularity.  Rows are evaluated and checked `_ROWS` at a time, in
+        order, each chunk through `errors.row_by_row`, so the error raised
+        is the one a row-by-row loop would raise.
         """
         pts = as_points(points, self.dim).reshape(-1, self.dim)
         out = np.empty((len(pts), self.fiber_dim, self.fiber_dim), dtype=complex)
         for rows in _chunks(len(pts), 1):
-            out[rows] = self._checked(pts[rows])
+            chunk = pts[rows]
+            out[rows] = row_by_row(lambda head: self._checked(chunk[head]), len(chunk))
         return out
 
     def _checked(self, pts: np.ndarray) -> np.ndarray:
         """h at each row of `pts`, through every check of `batch`."""
-        error = None
         if self.domain is not None:
             i = _first_false(inside_domain(self.domain, pts))
             if i is not None:
-                error = DomainError(f"point {pts[i]} is outside the domain of {self.name}")
-                pts = pts[:i]
-        h, func_error = self._values(pts)
-        if func_error is not None:
-            error, pts = func_error, pts[: len(h)]
-        return _validated(h, pts, self.name, error)
-
-    def _values(self, pts: np.ndarray) -> tuple[np.ndarray, BckError | None]:
-        """The function's values on the rows before the first row it fails
-        on, and that failure (None if every row passes)."""
-        try:
-            return self._evaluate(pts), None
-        except BckError as exc:
-            error = exc
-        # bisect for the first failing row: a prefix fails iff it holds one
-        lo, hi = 0, len(pts) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            try:
-                self._evaluate(pts[: mid + 1])
-            except BckError as exc:
-                hi, error = mid, exc
-            else:
-                lo = mid + 1
-        return self._evaluate(pts[:lo]), error
+                raise DomainError(f"point {pts[i]} is outside the domain of {self.name}")
+        return _validated(self._evaluate(pts), pts, self.name)
 
     def _evaluate(self, pts: np.ndarray) -> np.ndarray:
         n = self.fiber_dim
@@ -560,15 +530,14 @@ def _frames(frame, nodes: np.ndarray, n: int) -> np.ndarray:
 def _node_frames(a, inner, pts, offsets):
     """`mgs_orthonormalize` of the frames [frame | complement] at the points
     (N, n, k) or at their stencil nodes, node axis first (S, N, n, k), with
-    a dependent column reported by its grid point and stencil node."""
+    a failing column reported by its grid point and stencil node."""
     try:
         return mgs_orthonormalize(a, inner=inner)
     except StructuralError as exc:
         *node, i, column = exc.index
         where = pts[i] + offsets[node[0] if node else Stencil.CENTRE]
         raise StructuralError(
-            f"column {column} of [frame | complement] at grid point {pts[i]}, stencil node "
-            f"{where}, is linearly dependent (residual norm {exc.residual:.3e})"
+            f"column {column} of [frame | complement] at grid point {pts[i]}, stencil node {where}, {exc.reason}"
         ) from exc
 
 
@@ -586,8 +555,13 @@ def subbundle_field(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -
     with h read from the jet, it gives the adapted frames; on every node
     it gives the induced metric F* h F, checked as a metric evaluation is
     and differentiated with the jet's stencil.  The ambient connection and
-    curvature are reductions of the jet.
+    curvature are reductions of the jet.  A failing point raises the error
+    a loop over the points would (`errors.row_by_row`).
     """
+    return row_by_row(lambda rows: _subbundle(at_point(jet, rows), frame), len(jet.points))
+
+
+def _subbundle(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -> SubbundleField:
     pts, stencil, n = jet.points, jet.stencil, jet.h.shape[-1]
     nodes, frames = stencil.on_points(lambda w: (w, _frames(frame, w, n)), pts)
     f_all = stencil.by_node(frames, len(pts))

@@ -25,3 +25,24 @@ def require(holds, message: str) -> None:
     `require(residual <= tol, ...)`, so that a NaN residual fails it."""
     if not holds:
         raise StructuralError(message)
+
+
+def row_by_row(run, count: int):
+    """`run(slice(0, count))`, where `run(rows)` evaluates and checks the
+    rows `rows` of a batch of `count`.  If that raises a BckError, the
+    shortest failing prefix, found by bisection, raises its own: for rows
+    that fail independently, the error a loop over the rows raises first."""
+    try:
+        return run(slice(0, count))
+    except BckError as exc:
+        error = exc
+    lo, hi = 0, count - 1  # the prefix of hi + 1 rows fails
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(slice(0, mid + 1))
+        except BckError as exc:
+            hi, error = mid, exc
+        else:
+            lo = mid + 1
+    raise error

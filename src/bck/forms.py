@@ -174,8 +174,8 @@ def _point_axis(a: np.ndarray) -> int:
     return 0 if a.ndim <= 2 else a.ndim - 3
 
 
-def at_point(value, i: int):
-    """A field result at its point i: the same class with the point axis dropped.
+def at_point(value, i: int | slice):
+    """A field result at its point i: the same class with the point axis dropped (kept for a slice i).
 
     The point axis is the first axis of per-point scalars (N,), which
     become Python scalars, and of points (N, d); in every larger array it
@@ -185,7 +185,7 @@ def at_point(value, i: int):
     """
 
     def take(a, axis):
-        return a[i].item() if a.ndim == 1 else a[(slice(None),) * axis + (i,)]
+        return a[i].item() if a.ndim == 1 and not isinstance(i, slice) else a[(slice(None),) * axis + (i,)]
 
     return _arrays(take, value)
 

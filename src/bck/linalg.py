@@ -152,16 +152,18 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
     Raises
     ------
     StructuralError
-        If a column is linearly dependent on the previous ones (relative
-        norm below 1e-12, or NaN); in a stack, the first such matrix names it.
-        The error's `index` is (matrix index..., column) and its `residual`
-        the column's residual norm.
+        If a column has non-finite entries or is linearly dependent on the
+        previous ones (relative residual norm below 1e-12, or NaN); in a
+        stack, the first such matrix names it.  The error's `index` is
+        (matrix index..., column) and its `reason` what is wrong with it.
     """
     a = np.array(a, dtype=complex)
     k = a.shape[-1]
     g = np.eye(a.shape[-2]) if inner is None else np.asarray(inner)
     q, r = np.zeros_like(a), np.zeros(a.shape[:-2] + (k, k), dtype=complex)
-    floor = 1e-12 * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1e-300)
+    nonfinite = ~np.isfinite(a).all(axis=-2)  # per column, which then fails whatever the floor
+    largest = np.abs(np.where(nonfinite[..., None, :], 0.0, a)).max(axis=(-2, -1), initial=0.0)
+    floor = 1e-12 * np.maximum(largest, 1e-300)
 
     def pair(u, v):  # v* g u per matrix, for (..., n) columns
         return (v.conj()[..., None, :] @ (g @ u[..., None]))[..., 0, 0]
@@ -177,14 +179,14 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
         r[..., i, i] = nrm
         q[..., i] = v / np.where(nrm > floor, nrm, 1.0)[..., None]
     norms = np.diagonal(r, axis1=-2, axis2=-1).real
-    dependent = np.argwhere(~(norms > floor[..., None]))
-    if len(dependent):
-        first = tuple(int(j) for j in dependent[0])
+    failed = np.argwhere(nonfinite | ~(norms > floor[..., None]))
+    if len(failed):
+        first = tuple(int(j) for j in failed[0])
         where = f" of matrix {first[:-1]}" if first[:-1] else ""
-        error = StructuralError(
-            f"column {first[-1]}{where} is linearly dependent (residual norm {norms[first]:.3e})"
-        )
-        error.index, error.residual = first, float(norms[first])
+        reason = ("has non-finite entries" if nonfinite[first]
+                  else f"is linearly dependent (residual norm {norms[first]:.3e})")
+        error = StructuralError(f"column {first[-1]}{where} {reason}")
+        error.index, error.reason = first, reason
         raise error
     return q, r
 

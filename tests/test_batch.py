@@ -32,7 +32,7 @@ from bck.chern import (
     subbundle_split,
 )
 from bck.cli import AnalysisConfig, build_kernel, main, run_analyze
-from bck.errors import BckError, DomainError, SingularMetricError, StructuralError
+from bck.errors import BckError, DomainError, SingularMetricError, StructuralError, row_by_row
 from bck.kernels import (
     AdmissibilityField,
     ConstantKernel,
@@ -43,6 +43,7 @@ from bck.kernels import (
     admissibility_field,
     dual_kernel,
     eval_kernel,
+    gram,
 )
 from bck.forms import Form1, Stencil, at_point, stack_points
 from bck.linalg import mgs_orthonormalize
@@ -238,6 +239,106 @@ def test_metric_batch_failure_in_a_later_chunk_is_the_row_by_row_error(first, la
             break
     assert type(looped) is first and str(batched.value) == str(looped)
     assert str(pts[_ROWS + 3]) in str(looped)
+
+
+# -- one contract for every batched entry: the error of a point-by-point loop -------
+
+
+def _looped_error(call, points):
+    """The index and error of the first point on which `call`, given one
+    point at a time, raises."""
+    for i in range(len(points)):
+        try:
+            call(points[i : i + 1])
+        except BckError as exc:
+            return i, exc
+    raise AssertionError("no point fails")
+
+
+def _diagonal_sections_kernel(value):
+    # E(z) = diag(1, s(z)) with s = 1 except s(0.3) = value, on re z < 0.5
+    def s(z):
+        return value if z[0] == 0.3 else 1.0
+
+    return UserKernel(
+        lambda z, w: np.diag([1.0, s(z) * np.conj(s(w))]),
+        fiber_dim=2,
+        base_dim=1,
+        contains_fn=lambda z: z[0].real < 0.5,
+        boundary_distance_fn=lambda z: 0.5 - z[0].real,
+    )
+
+
+def _frame_dependent_at(*nodes):
+    # the column (1, 0), zero at the given stencil nodes
+    def frame(w):
+        zero = [any(abs(p[0] - node) < 1e-12 for node in nodes) for p in w]
+        return np.where(np.array(zero)[:, None, None], 0.0, np.array([[1.0], [0.0]])).astype(complex)
+
+    return frame
+
+
+# 0.3 fails a late check (inadmissible, a non-finite block or a dependent
+# frame at its +ih node), 0.6 an earlier one (outside the domain, or a
+# dependent frame at its +h node, a node listed before +ih)
+CONTRACT_POINTS = np.array([[0.1], [0.3], [0.4], [0.6]], dtype=complex)
+INADMISSIBLE, NON_FINITE = _diagonal_sections_kernel(0.0), _diagonal_sections_kernel(np.nan)
+BATCHED_ENTRIES = {
+    "MetricField.batch": lambda p: metric_from_kernel(INADMISSIBLE).batch(p),
+    "metric_jet": lambda p: metric_jet(metric_from_kernel(INADMISSIBLE), p),
+    "nested_curvature_field": lambda p: nested_curvature_field(metric_from_kernel(INADMISSIBLE), p),
+    "dual_curvature_field": lambda p: dual_curvature_field(INADMISSIBLE, p),
+    "subbundle_field": lambda p: subbundle_field(
+        metric_jet(metric_from_kernel(ConstantKernel(np.eye(2))), p),
+        _frame_dependent_at(0.3 + 1e-5j, 0.6 + 1e-5),
+    ),
+    "admissibility_field": lambda p: admissibility_field(NON_FINITE, p),
+    "gram": lambda p: gram(NON_FINITE, p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BATCHED_ENTRIES))
+def test_batched_entry_raises_the_error_of_a_point_by_point_loop(entry):
+    call = BATCHED_ENTRIES[entry]
+    index, looped = _looped_error(call, CONTRACT_POINTS)
+    assert index == 1
+    with pytest.raises(BckError) as batched:
+        call(CONTRACT_POINTS)
+    assert type(batched.value) is type(looped) and str(batched.value) == str(looped)
+
+
+CHECKS = (DomainError, StructuralError, SingularMetricError)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([None, 0, 1, 2]), max_size=40))
+def test_row_by_row_raises_the_first_error_of_a_loop(fails):
+    # row i fails check fails[i] (None: it passes); a run takes one check at
+    # a time over all its rows, as a batch does, so a later row's failure of
+    # an earlier check raises before an earlier row's failure of a later one
+    calls = []
+
+    def run(rows):
+        calls.append(rows)
+        for check, kind in enumerate(CHECKS):
+            for i in range(len(fails))[rows]:
+                if fails[i] == check:
+                    raise kind(f"check {check} fails at row {i}")
+        return list(range(len(fails)))[rows]
+
+    looped = None
+    for i in range(len(fails)):
+        if fails[i] is not None:
+            looped = CHECKS[fails[i]](f"check {fails[i]} fails at row {i}")
+            break
+    if looped is None:
+        assert row_by_row(run, len(fails)) == list(range(len(fails)))
+        assert len(calls) == 1
+        return
+    with pytest.raises(BckError) as batched:
+        row_by_row(run, len(fails))
+    assert type(batched.value) is type(looped) and str(batched.value) == str(looped)
+    assert len(calls) <= 2 + int(np.log2(len(fails)))  # the whole batch, then a bisection
 
 
 def test_batched_fields_match_point_calls():
@@ -446,10 +547,14 @@ def test_mgs_over_a_stack_equals_per_matrix_calls():
         mgs_orthonormalize(a, inner=inner)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in the projections
 def test_mgs_rejects_a_nan_column():
-    # a NaN norm is never above the dependence floor, so it is not a column
-    with pytest.raises(StructuralError, match=r"column 0 is linearly dependent \(residual norm nan\)"):
+    # a non-finite column is named as such, not as linearly dependent, and
+    # it does not make the finite columns before it fail
+    with pytest.raises(StructuralError, match=r"^column 0 has non-finite entries$"):
         mgs_orthonormalize(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+    with pytest.raises(StructuralError, match=r"^column 1 of matrix \(1,\) has non-finite entries$"):
+        mgs_orthonormalize(np.array([np.eye(2), [[1.0, np.inf], [0.0, 1.0]]]))
 
 
 # -- failures inside a batched run keep their error kind and exit code --------------
