@@ -13,8 +13,9 @@ is run once from each tree's `src/` as
 spawned with perfbench's launcher line, in a temporary directory.  The
 two runs must give the same exit code, the same report parsed as JSON
 with every `timing` entry removed, and the same CSV tables byte for byte.
-Prints one line per (workload, seed), with each side's report size, and
-exits 1 if anything differs.
+Prints one line per (workload, seed), with each side's report size and,
+where the reports differ, each JSON path that the change has `added`,
+is `missing` or has `changed`; exits 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -48,14 +49,33 @@ def analyze(tree: Path, config: Path, out: Path) -> dict:
     }
 
 
+def json_paths(parent, change, path: str = "") -> list[str]:
+    """The paths at which two JSON values differ, each as `added P`,
+    `missing P` or `changed P`; lists of unequal length change as a whole."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        found = []
+        for key in sorted(set(parent) | set(change)):
+            at = f"{path}.{key}" if path else key
+            if key not in parent or key not in change:
+                found.append(f"{'added' if key in change else 'missing'} {at}")
+            else:
+                found += json_paths(parent[key], change[key], at)
+        return found
+    if isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        return [d for i, pair in enumerate(zip(parent, change)) for d in json_paths(*pair, f"{path}[{i}]")]
+    return [] if parent == change else [f"changed {path}"]
+
+
 def differences(parent: dict, change: dict) -> list[str]:
     """What two runs disagree on; a pair of runs without a report compares
     nothing, so it counts as a difference."""
     found = []
     if parent["exit"] != change["exit"]:
         found.append(f"exit {parent['exit']} != {change['exit']}")
-    if parent["report"] is None or parent["report"] != change["report"]:
+    if parent["report"] is None or change["report"] is None:
         found.append("report")
+    else:
+        found += [f"report {d}" for d in json_paths(parent["report"], change["report"])]
     names = sorted(set(parent["tables"]) | set(change["tables"]))
     found += [f"CSV {name}" for name in names if parent["tables"].get(name) != change["tables"].get(name)]
     return found

@@ -44,7 +44,7 @@ from .chern import (
     subbundle_field,
 )
 from .errors import BckError, DomainError, SingularMetricError, StructuralError
-from .forms import Record, delbar_norms
+from .forms import Record, clear_of_boundary, delbar_norms, inside_domain
 from .grids import ChartGrid
 from .kernels import (
     AdmissibilityField,
@@ -352,7 +352,6 @@ class RunContext(Record):
 
     config: AnalysisConfig
     points: np.ndarray
-    points_total: int
 
     @property
     def kernel(self) -> KernelSpec:
@@ -454,93 +453,77 @@ def _task_psd(ctx: RunContext) -> dict:
     }
 
 
+def _extremes(points: np.ndarray, **values) -> dict:
+    """Each per-point array of `values` reduced under its own key, to its
+    minimum for a `min_` key and to its maximum otherwise, and the first
+    of `points` that holds it under `witness_points`.  `argmax` and
+    `argmin` take the first NaN, so a NaN is reported, with its point, and
+    fails every gate on it."""
+    rows = {key: int((np.argmin if key.startswith("min_") else np.argmax)(v)) for key, v in values.items()}
+    return {**{key: float(values[key][i]) for key, i in rows.items()},
+            "witness_points": {key: points[i] for key, i in rows.items()}}
+
+
 def _task_admissibility(ctx: RunContext) -> dict:
-    margins = ctx.admissibility.relative_margin
-    i = int(np.argmin(margins))
-    passed = ctx.admissibility.invertible[i] and margins[i] >= ctx.tol["admissibility"]
-    return {
-        "passed": bool(passed),
-        "data": {
-            "min_relative_margin": float(margins[i]),
-            "worst_point": ctx.points[i],
-            "points": int(ctx.points.shape[0]),
-        },
-    }
-
-
-def _disc_connection_reference(nu, z):
-    return nu * np.conj(z[..., 0]) / (1.0 - np.abs(z[..., 0]) ** 2)
-
-
-def _disc_curvature_reference(nu, z):
-    return nu / (1.0 - np.abs(z[..., 0]) ** 2) ** 2
+    """Passes when every diagonal block is invertible and the least margin,
+    at `worst_point`, is at least the tolerance."""
+    data = _extremes(ctx.points, min_relative_margin=ctx.admissibility.relative_margin)
+    data["worst_point"] = data.pop("witness_points")["min_relative_margin"]
+    passed = ctx.admissibility.invertible.all() and data["min_relative_margin"] >= ctx.tol["admissibility"]
+    return {"passed": bool(passed), "data": {**data, "points": int(ctx.points.shape[0])}}
 
 
 def _task_connection(ctx: RunContext) -> dict:
     conn = ctx.connection
     res = compatibility_field(conn)
-    data = {
-        "max_relative_metric_residual": float(np.max(res["metric"] / res["scale"])),
-        "max_holo_defect": float(np.max(res["holo"])),
-        "fields": _point_columns(ctx.points) + _matrix_field_columns("a", conn.form.p),
-    }
-    if isinstance(ctx.kernel, DiscPowerKernel):
-        ref = _disc_connection_reference(ctx.kernel.nu, ctx.points)
-        data["closed_form_max_abs_err"] = float(np.max(np.abs(conn.form.p[0, :, 0, 0] - ref)))
-    passed = data["max_relative_metric_residual"] <= ctx.tol["compatibility"]
-    return {"passed": bool(passed), "data": data}
+    fields = {"max_relative_metric_residual": res["metric"] / res["scale"], "max_holo_defect": res["holo"]}
+    if isinstance(ctx.kernel, DiscPowerKernel):  # a = nu conj(z) / (1 - |z|^2) dz
+        z = ctx.points[:, 0]
+        ref = ctx.kernel.nu * np.conj(z) / (1.0 - np.abs(z) ** 2)
+        fields["closed_form_max_abs_err"] = np.abs(conn.form.p[0, :, 0, 0] - ref)
+    data = _extremes(ctx.points, **fields)
+    data["fields"] = _point_columns(ctx.points) + _matrix_field_columns("a", conn.form.p)
+    return {"passed": bool(data["max_relative_metric_residual"] <= ctx.tol["compatibility"]), "data": data}
 
 
 def _task_curvature(ctx: RunContext) -> dict:
     analytic, nested = ctx.analytic.form.r11, ctx.nested
     scale = np.maximum(1.0, np.linalg.norm(analytic, axis=(-2, -1)).max(axis=(0, 1)))
     disagreement = np.linalg.norm(analytic - nested.form.r11, axis=(-2, -1)).max(axis=(0, 1))
-    agreement = float(np.max(disagreement / scale))
-    purity = float(np.max(nested.purity_residual / scale))
-    data = {
-        "max_method_disagreement": agreement,
-        "max_relative_purity_residual": purity,
-        "max_pairing_residual": float(np.max(ctx.analytic.pairing_residual)),
-        "fields": _point_columns(ctx.points) + _matrix_field_columns("r11", analytic),
+    fields = {
+        "max_method_disagreement": disagreement / scale,
+        "max_relative_purity_residual": nested.purity_residual / scale,
+        "max_pairing_residual": ctx.analytic.pairing_residual,
     }
-    if isinstance(ctx.kernel, DiscPowerKernel):
-        ref = _disc_curvature_reference(ctx.kernel.nu, ctx.points)
-        data["closed_form_max_rel_err"] = float(np.max(np.abs(analytic[0, 0, :, 0, 0] - ref) / np.abs(ref)))
-    passed = agreement <= ctx.tol["method_agreement"] and purity <= ctx.tol["purity"]
+    if isinstance(ctx.kernel, DiscPowerKernel):  # r11 = nu / (1 - |z|^2)^2
+        ref = ctx.kernel.nu / (1.0 - np.abs(ctx.points[:, 0]) ** 2) ** 2
+        fields["closed_form_max_rel_err"] = np.abs(analytic[0, 0, :, 0, 0] - ref) / np.abs(ref)
+    data = _extremes(ctx.points, **fields)
+    data["fields"] = _point_columns(ctx.points) + _matrix_field_columns("r11", analytic)
+    passed = (data["max_method_disagreement"] <= ctx.tol["method_agreement"]
+              and data["max_relative_purity_residual"] <= ctx.tol["purity"])
     return {"passed": bool(passed), "data": data}
 
 
 def _task_compatibility(ctx: RunContext) -> dict:
     structure = ctx.nested.form.c20 if ctx.metric.dim > 1 else None
     res = compatibility_field(ctx.connection, structure)
-    rel = {key: float(np.max(res[key] / res["scale"])) for key in ("metric", "holo", "structure")}
-    passed = all(v <= ctx.tol["compatibility"] for v in rel.values())
-    return {
-        "passed": bool(passed),
-        "data": {f"max_relative_{k}_residual": v for k, v in rel.items()},
-    }
+    keys = {f"max_relative_{key}_residual": res[key] / res["scale"] for key in ("metric", "holo", "structure")}
+    data = _extremes(ctx.points, **keys)
+    return {"passed": all(data[key] <= ctx.tol["compatibility"] for key in keys), "data": data}
 
 
 def _task_dual(ctx: RunContext) -> dict:
     dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, theta=ctx.analytic)
-    residual = float(np.max(dual.residual))
-    return {
-        "passed": bool(residual <= ctx.tol["dual"]),
-        "data": {"max_residual": residual},
-    }
+    data = _extremes(ctx.points, max_residual=dual.residual)
+    return {"passed": bool(data["max_residual"] <= ctx.tol["dual"]), "data": data}
 
 
 def _task_subbundle(ctx: RunContext) -> dict:
     split = subbundle_field(ctx.jet, ctx.config.subbundle_frame)
-    identity = np.max(split.identity_residual)
-    antiholo = np.max(split.beta_antiholo_residual)
-    return {
-        "passed": bool(identity <= ctx.tol["subbundle"]),
-        "data": {
-            "max_identity_residual": float(identity),
-            "max_beta_antiholo_residual": float(antiholo),
-        },
-    }
+    data = _extremes(ctx.points, max_identity_residual=split.identity_residual,
+                     max_beta_antiholo_residual=split.beta_antiholo_residual)
+    return {"passed": bool(data["max_identity_residual"] <= ctx.tol["subbundle"]), "data": data}
 
 
 def _griffiths_summary(report: GriffithsReport) -> dict:
@@ -560,9 +543,9 @@ def _task_griffiths(ctx: RunContext) -> dict:
         "passed": report.verdict != "indefinite",
         "data": {
             **_griffiths_summary(report),
+            **_extremes(ctx.points, max_hermiticity_residual=report.hermiticity_residuals,
+                        max_purity_residual=ctx.analytic.purity_residual),
             "directions": int(report.directions.shape[0]),
-            "max_hermiticity_residual": float(report.max_hermiticity_residual),
-            "max_purity_residual": float(report.max_purity_residual),
             "sampled_directions_only": report.sampled_only,
             "fields": _point_columns(ctx.points) + [{"name": "min_margin", "values": report.min_margins}],
         },
@@ -570,6 +553,10 @@ def _task_griffiths(ctx: RunContext) -> dict:
 
 
 def _task_theorem55(ctx: RunContext) -> dict:
+    """The premise: a holomorphic kernel, a Cauchy-Riemann residual within
+    the tolerance at every point of a 25-point sub-sample, each point's
+    residual the largest over three seeded sections, and the
+    `admissibility` task's decision, whose margin and witness it cites."""
     kernel = ctx.kernel
     rng = Sampler(ctx.config.seed)
     sub = ctx.points
@@ -585,20 +572,16 @@ def _task_theorem55(ctx: RunContext) -> dict:
         cr.append(
             delbar_norms(lambda w: kernel.eval_batch(w, w0) @ xi, sub, step, richardson=True, domain=kernel)
         )
-    cr_worst = float(np.max(cr))
-    adm_margin = float(np.min(ctx.admissibility.relative_margin))
-    premise_ok = (
-        kernel.holomorphic
-        and cr_worst <= ctx.tol["holomorphy"]
-        and adm_margin >= ctx.tol["admissibility"]
-    )
+    admissibility = _task_admissibility(ctx)
     premise = {
         "holomorphic": bool(kernel.holomorphic),
-        "cauchy_riemann_residual": float(cr_worst),
-        "min_admissibility_margin": float(adm_margin),
-        "satisfied": bool(premise_ok),
+        **_extremes(sub, cauchy_riemann_residual=np.maximum.reduce(cr)),
+        "min_admissibility_margin": admissibility["data"]["min_relative_margin"],
     }
-    if not premise_ok:
+    premise["witness_points"]["min_admissibility_margin"] = admissibility["data"]["worst_point"]
+    premise["satisfied"] = bool(kernel.holomorphic and admissibility["passed"]
+                                and premise["cauchy_riemann_residual"] <= ctx.tol["holomorphy"])
+    if not premise["satisfied"]:
         return {
             "passed": False,
             "status": "hypothesis_not_met",
@@ -687,7 +670,7 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     `_ERRORS` gives a task's error.
     """
     needs_grid = any(t not in _GRIDLESS_TASKS for t in config.tasks)
-    ctx, margin = _run_context(config, require_points=needs_grid)
+    ctx, grid = _run_context(config, require_points=needs_grid)
     tasks, exit_code = {}, 0
     for name in config.tasks:
         start = time.perf_counter()
@@ -715,12 +698,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
         "version": __version__,
         "config": config.echo,
         "seed": config.seed,
-        "grid": {
-            "points_total": int(ctx.points_total),
-            "points_used": int(ctx.points.shape[0]),
-            "stencil_margin": margin,
-            "order": "row-major over re/im of each axis in declaration order",
-        },
+        "tolerances": config.tolerances,
+        "grid": grid,
         "tasks": tasks,
         "passed": passed,
         "exit_code": exit_code,
@@ -728,18 +707,25 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     return AnalysisReport(report)
 
 
-def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunContext, float]:
+def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunContext, dict]:
     """The run context over the grid points that clear the stencil margin
-    `FdSteps.margin`, and that margin."""
-    margin = config.steps.margin
-    points = config.grid.interior_points(config.kernel, margin=margin)
-    if require_points and points.shape[0] == 0:
+    `FdSteps.margin`, and the report's count of the points it drops, by reason."""
+    margin, points = config.steps.margin, config.grid.points()
+    used = clear_of_boundary(config.kernel, points, margin)
+    if require_points and not used.any():
         raise DomainError(
             "no grid point lies inside the kernel domain with the stencil margin "
             f"{margin:.3e}"
         )
-    total = np.prod(config.grid.re_res + config.grid.im_res)
-    return RunContext(config=config, points=points, points_total=total), margin
+    kept, outside = (int(np.count_nonzero(rows)) for rows in (used, ~inside_domain(config.kernel, points)))
+    return RunContext(config=config, points=points[used]), {
+        "points_total": len(points),
+        "points_used": kept,
+        "points_outside_domain": outside,
+        "points_within_stencil_margin": len(points) - outside - kept,
+        "stencil_margin": margin,
+        "order": "row-major over re/im of each axis in declaration order",
+    }
 
 
 def run_selftest(seed: int = 0) -> dict:

@@ -157,8 +157,11 @@ class KernelSpec:
         shape, n = out.shape[max(z.ndim, w.ndim) - 1 :], self.fiber_dim
         if shape != (n, n):
             raise StructuralError(f"kernel block has shape {shape}, expected ({n}, {n})")
-        if not np.isfinite(out).all():
-            raise StructuralError("kernel block has non-finite entries")
+        bad = ~np.isfinite(out).all(axis=(-2, -1))
+        if bad.any():  # the first pair in row-major order of the broadcast
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            z, w = (np.broadcast_to(a, bad.shape + a.shape[-1:])[i] for a in (z, w))
+            raise StructuralError(f"kernel block at ({z}, {w}) has non-finite entries")
         return out
 
     # -- helpers -----------------------------------------------------------

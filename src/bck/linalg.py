@@ -162,7 +162,8 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
     g = np.eye(a.shape[-2]) if inner is None else np.asarray(inner)
     q, r = np.zeros_like(a), np.zeros(a.shape[:-2] + (k, k), dtype=complex)
     nonfinite = ~np.isfinite(a).all(axis=-2)  # per column, which then fails whatever the floor
-    largest = np.abs(np.where(nonfinite[..., None, :], 0.0, a)).max(axis=(-2, -1), initial=0.0)
+    a = np.where(nonfinite[..., None, :], 0.0, a)  # so that no projection meets it
+    largest = np.abs(a).max(axis=(-2, -1), initial=0.0)
     floor = 1e-12 * np.maximum(largest, 1e-300)
 
     def pair(u, v):  # v* g u per matrix, for (..., n) columns

@@ -194,7 +194,7 @@ class GriffithsReport(Record):
     min_margin: float
     witness_point: np.ndarray
     witness_direction: np.ndarray
-    max_hermiticity_residual: float
+    hermiticity_residuals: np.ndarray  # (N,) worst relative defect of G over directions
     max_purity_residual: float
     verdict: str
     sampled_only: bool = True
@@ -236,16 +236,15 @@ def griffiths_verdict(
     if not isinstance(curvature_field, CurvatureField):
         curvature_field = pointwise(curvature_field)(pts)
     h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
-    margins = np.empty((len(pts), len(dirs)))
-    max_herm = 0.0
+    margins, herm = np.empty((len(pts), len(dirs))), np.empty(len(pts))
     for rows in _chunks(len(pts), len(dirs)):
         s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11[:, :, rows])
         g = 2.0 * np.matmul(h[rows, None], s)
-        max_herm = np.maximum(max_herm, hermiticity_defect(g).max())  # NaN propagates
+        herm[rows] = hermiticity_defect(g).max(axis=1)  # NaN propagates
         # eigh, not eigvalsh: the two can differ in the last bits for n >= 3
         margins[rows] = np.linalg.eigh(hermitize(g))[0][..., 0]
-    max_herm = float(max_herm)
-    require(max_herm <= _HERM_TOL, f"Griffiths forms are not Hermitian: worst relative defect {max_herm:.3e}")
+    worst = np.max(herm, initial=0.0)
+    require(worst <= _HERM_TOL, f"Griffiths forms are not Hermitian: worst relative defect {worst:.3e}")
     i, m = np.unravel_index(np.argmin(margins), margins.shape)
     overall = float(margins[i, m])
     verdict = "positive" if overall > pos_tol else "indefinite" if overall < -neg_tol else "nonnegative"
@@ -258,7 +257,7 @@ def griffiths_verdict(
         min_margin=overall,
         witness_point=pts[i].copy(),
         witness_direction=dirs[m].copy(),
-        max_hermiticity_residual=max_herm,
+        hermiticity_residuals=herm,
         max_purity_residual=float(np.max(purity, initial=0.0)),
         verdict=verdict,
     )

@@ -6,6 +6,7 @@ point, when it sits inside a batch.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,18 @@ def _looped_error(call, points):
     raise AssertionError("no point fails")
 
 
+def _gram_pairs_error(points):
+    """The index and error of the first (t_l, t_j) pair, in row-major order,
+    on which `eval_kernel` raises: `gram` evaluates every pair, not only the
+    diagonal blocks that one point at a time would give."""
+    for index, (l, j) in enumerate(np.ndindex(len(points), len(points))):
+        try:
+            eval_kernel(NON_FINITE, points[l], points[j])
+        except BckError as exc:
+            return index, exc
+    raise AssertionError("no pair fails")
+
+
 def _diagonal_sections_kernel(value):
     # E(z) = diag(1, s(z)) with s = 1 except s(0.3) = value, on re z < 0.5
     def s(z):
@@ -297,14 +310,26 @@ BATCHED_ENTRIES = {
 }
 
 
+# the loop a batched entry is held to, where it is not one point at a time
+LOOPS = {"gram": _gram_pairs_error}
+
+
 @pytest.mark.parametrize("entry", sorted(BATCHED_ENTRIES))
 def test_batched_entry_raises_the_error_of_a_point_by_point_loop(entry):
     call = BATCHED_ENTRIES[entry]
-    index, looped = _looped_error(call, CONTRACT_POINTS)
-    assert index == 1
+    index, looped = LOOPS.get(entry, lambda points: _looped_error(call, points))(CONTRACT_POINTS)
+    assert index == 1  # 0.3, or for gram the pair (0.1, 0.3)
     with pytest.raises(BckError) as batched:
         call(CONTRACT_POINTS)
     assert type(batched.value) is type(looped) and str(batched.value) == str(looped)
+
+
+def test_a_non_finite_kernel_block_names_its_pair():
+    # the first failing (z, w) pair in row-major order of the broadcast
+    pts = CONTRACT_POINTS[:3]
+    for z, w, pair in [(pts[:, None], pts[None, :], "([0.1+0.j], [0.3+0.j])"), (pts[1:], pts[0], "([0.3+0.j], [0.1+0.j])")]:
+        with pytest.raises(StructuralError, match=re.escape(f"kernel block at {pair} has non-finite entries")):
+            NON_FINITE.eval_batch(z, w)
 
 
 CHECKS = (DomainError, StructuralError, SingularMetricError)
@@ -547,10 +572,11 @@ def test_mgs_over_a_stack_equals_per_matrix_calls():
         mgs_orthonormalize(a, inner=inner)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in the projections
+@pytest.mark.filterwarnings("error")
 def test_mgs_rejects_a_nan_column():
-    # a non-finite column is named as such, not as linearly dependent, and
-    # it does not make the finite columns before it fail
+    # a non-finite column is named as such, not as linearly dependent, it
+    # does not make the finite columns before it fail, and no projection
+    # meets it, so it raises no warning
     with pytest.raises(StructuralError, match=r"^column 0 has non-finite entries$"):
         mgs_orthonormalize(np.array([[np.nan, 1.0], [0.0, 1.0]]))
     with pytest.raises(StructuralError, match=r"^column 1 of matrix \(1,\) has non-finite entries$"):

@@ -623,6 +623,100 @@ def test_theorem55_probe_takes_the_scaled_steps_near_the_boundary():
     assert report.exit_code != 3
 
 
+def test_theorem55_premise_takes_the_admissibility_decision(tmp_path):
+    # a zero kernel at admissibility tolerance 0: every margin is 0 >= 0, but
+    # no block is invertible, so `admissibility` fails and the premise with it
+    cfg = base_config(kernel={"variant": "constant", "matrix": [[0]]}, tolerances={"admissibility": 0},
+                      tasks=["admissibility", "theorem55"])
+    tasks = run_analyze(AnalysisConfig.from_dict(cfg)).data["tasks"]
+    assert not tasks["admissibility"]["passed"]
+    assert (tasks["theorem55"]["status"], tasks["theorem55"]["error"]) == ("hypothesis_not_met", None)
+    assert tasks["theorem55"]["data"]["premise"]["min_admissibility_margin"] == 0.0
+    assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")]) == 1
+
+
+# -- reported extremes: one reduction, each naming the point that holds it --------
+
+
+def test_extremes_name_the_first_point_of_a_tie_and_of_a_nan():
+    points = np.array([[0.1], [0.2], [0.3], [0.4]], dtype=complex)
+    data = bck.cli._extremes(
+        points,
+        max_tied=np.array([1.0, 3.0, 3.0, 2.0]),
+        min_tied=np.array([2.0, 1.0, 0.5, 0.5]),
+        max_nan=np.array([9.0, np.nan, 5.0, np.nan]),
+        min_nan=np.array([-1.0, 0.0, np.nan, np.nan]),
+    )
+    witnesses = {key: point[0] for key, point in data.pop("witness_points").items()}
+    assert witnesses == {"max_tied": 0.2, "min_tied": 0.3, "max_nan": 0.2, "min_nan": 0.3}
+    assert (data["max_tied"], data["min_tied"]) == (3.0, 0.5)
+    assert np.isnan(data["max_nan"]) and np.isnan(data["min_nan"])
+    assert all(type(value) is float for value in data.values())
+
+
+def test_grid_reports_its_tolerances_and_dropped_points():
+    # 5 x 5 points of [-1, 1]^2 around the unit disc, stencil margin 0.4: the
+    # 16 points with |z| >= 1 lie outside, the 4 at |z| = 0.71 within the margin
+    cfg = base_config(
+        grid={"axes": [{"re": [-1, 1], "im": [-1, 1], "re_res": 5, "im_res": 5}]},
+        fd_steps={"first": 0.05, "second": 0.1}, tolerances={"dual": 1e-3}, tasks=["admissibility"],
+    )
+    report = run_analyze(AnalysisConfig.from_dict(cfg)).data
+    counts = ("points_total", "points_used", "points_outside_domain", "points_within_stencil_margin")
+    assert tuple(report["grid"][key] for key in counts) == (25, 5, 16, 4)
+    assert report["tolerances"] == {**{key: default for key, (_, default) in bck.cli._TOLERANCES.items()}, "dual": 1e-3}
+    workloads = {"disc-flagship": (441, 417, 24, 0), "grassmann-d2": (256, 256, 0, 0), "sections-d2": (81, 81, 0, 0)}
+    for workload, dropped in workloads.items():
+        config = AnalysisConfig.from_dict({**_workload_config(workload, 1), "tasks": ["psd"]})
+        assert tuple(run_analyze(config).data["grid"][key] for key in counts) == dropped
+
+
+def _witnessed(section: dict) -> list[tuple]:
+    """(key, value, witness) of each extreme that a report section names a
+    point for: the `witness_points`, `admissibility`'s `worst_point` and
+    the Griffiths `witness_point`."""
+    found = [(key, section[key], point) for key, point in section.get("witness_points", {}).items()]
+    for key, point in [("min_relative_margin", "worst_point"), ("min_margin", "witness_point")]:
+        if point in section:
+            found.append((key, section[key], section[point]))
+    return found
+
+
+@pytest.mark.parametrize("workload, count", [("disc-flagship", 19), ("grassmann-d2", 15), ("sections-d2", 10)])
+def test_every_reported_grid_extreme_names_the_first_point_that_holds_it(monkeypatch, workload, count):
+    # each per-point field a task reduces is recorded by (task, key); the
+    # Griffiths margins are that task's `min_margin` column
+    fields, running, real = {}, [], bck.cli._extremes
+
+    def recording(points, **values):
+        fields.update({(running[-1], key): (points, np.asarray(v)) for key, v in values.items()})
+        return real(points, **values)
+
+    monkeypatch.setattr(bck.cli, "_extremes", recording)
+    for name, task in list(bck.cli._TASKS.items()):
+        monkeypatch.setitem(bck.cli._TASKS, name, lambda ctx, name=name, task=task: running.append(name) or task(ctx))
+    config = AnalysisConfig.from_dict(_workload_config(workload, 1))
+    tasks = run_analyze(config).data["tasks"]
+    used = bck.cli._run_context(config, require_points=True)[0].points
+    margins = {col["name"]: col["values"] for col in tasks["griffiths"]["data"]["fields"]}["min_margin"]
+    fields["griffiths", "min_margin"] = used, margins
+    sections = [(name, section) for name, entry in tasks.items() if name not in ("selftest", "psd")
+                for section in (entry["data"], entry["data"].get("premise")) if section]
+    seen = 0
+    for name, section in sections:
+        extremes = _witnessed(section)
+        # every number a grid task reports is an extreme with a witness
+        assert {key for key, value in section.items() if type(value) is float} == {e[0] for e in extremes}
+        for key, value, witness in extremes:
+            points, field = fields[name, "min_relative_margin" if key == "min_admissibility_margin" else key]
+            first = int(np.flatnonzero((points == witness).all(axis=1))[0])
+            assert (used == witness).all(axis=1).any(), (name, key)
+            assert field[first] == value == (field.min() if key.startswith("min_") else field.max()), (name, key)
+            assert value not in field[:first], (name, key)
+        seen += len(extremes)
+    assert seen == count
+
+
 GRASSMANN_D2 = {
     "kernel": {"variant": "universal_grassmann", "ambient_dim": 3, "rank": 1},
     "grid": {"axes": [{"re": [-0.4, 0.4], "im": [-0.4, 0.4], "re_res": 2, "im_res": 2}] * 2},

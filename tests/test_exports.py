@@ -169,6 +169,22 @@ def test_builtin_max_and_min_reduce_no_residual():
     assert found == BUILTIN_MAX_MIN
 
 
+def test_tasks_reduce_grid_fields_only_through_extremes():
+    # a task reports a maximum or minimum over grid points through
+    # cli._extremes, which names the point that holds it; a per-point
+    # `.max(axis=...)` over form indices is not such a reduction
+    tree = ast.parse((ROOT / "src" / "bck" / "cli.py").read_text())
+    found = [
+        f"{task.name}: {ast.unparse(node)}"
+        for task in tree.body
+        if isinstance(task, ast.FunctionDef) and task.name.startswith("_task_")
+        for node in ast.walk(task)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "np" and node.func.attr in ("max", "min", "argmax", "argmin")
+    ]
+    assert not found, found
+
+
 def test_csv_cells_are_not_formatted_one_by_one():
     # the tables are written from the converted report, a column at a time
     assert "repr(float(" not in (ROOT / "src" / "bck" / "cli.py").read_text()
