@@ -112,19 +112,23 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-# The budget of every whole-grid reduction: rows of a metric batch evaluated
-# and validated at once, (point, direction) pairs of one Griffiths chunk and
-# outer-stencil nodes of one nested-curvature chunk.  It bounds their
-# temporaries, whatever the number of points.
-_ROWS = 2048
+_ROWS = 8192  # the budget of `_chunked`
 
 
-def _chunks(count: int, rows_per_point: int) -> list[slice]:
-    """Consecutive slices of `count` points in order, each of at most `_ROWS`
-    rows at `rows_per_point` rows a point (at least one point), and one
-    empty slice when there are no points."""
-    step = max(1, _ROWS // rows_per_point)
-    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
+def _chunked(run, count: int, rows_per_point: int):
+    """`run(rows)`, a field result over the points `rows`, over consecutive
+    slices of `count` points in grid order (one empty slice for no points),
+    joined by `forms.join_points` as each arrives.  A slice holds at least
+    one point and at most `_ROWS` rows (metric rows, stencil nodes or
+    (point, direction) pairs) at `rows_per_point` a point: the bound on the
+    temporaries of every whole-grid computation.  Each call goes through
+    `errors.row_by_row`, so the error is the one a point loop raises first."""
+    step, joined = max(1, _ROWS // rows_per_point), None
+    for start in range(0, max(count, 1), step):
+        size = len(range(start, count)[:step])
+        chunk = row_by_row(lambda head: run(slice(start, start + head.stop)), size)
+        joined = join_points(joined, chunk, slice(start, start + size), count)
+    return joined
 
 
 def _first_false(ok: np.ndarray) -> int | None:
@@ -183,34 +187,26 @@ class MetricField(Record):
 
         Rows pass the checks of a single evaluation, in its order: domain,
         the function's own checks, shape, finiteness, hermiticity and
-        singularity.  Rows are evaluated and checked `_ROWS` at a time, in
-        order, each chunk through `errors.row_by_row`, so the error raised
-        is the one a row-by-row loop would raise.
+        singularity, `_ROWS` at a time (`_chunked`), so the error raised is
+        the one a row-by-row loop would raise.
         """
         pts = as_points(points, self.dim).reshape(-1, self.dim)
-        out = np.empty((len(pts), self.fiber_dim, self.fiber_dim), dtype=complex)
-        for rows in _chunks(len(pts), 1):
-            chunk = pts[rows]
-            out[rows] = row_by_row(lambda head: self._checked(chunk[head]), len(chunk))
-        return out
+        return _chunked(lambda rows: self._checked(pts[rows]), len(pts), 1)
 
     def _checked(self, pts: np.ndarray) -> np.ndarray:
         """h at each row of `pts`, through every check of `batch`."""
+        n = self.fiber_dim
         if self.domain is not None:
             i = _first_false(inside_domain(self.domain, pts))
             if i is not None:
                 raise DomainError(f"point {pts[i]} is outside the domain of {self.name}")
-        return _validated(self._evaluate(pts), pts, self.name)
-
-    def _evaluate(self, pts: np.ndarray) -> np.ndarray:
-        n = self.fiber_dim
         if not len(pts):
             return np.empty((0, n, n), dtype=complex)
         batch = self.batch_func or pointwise(lambda z: np.atleast_2d(self.func(z)), (n, n), what=self.name)
         h = np.asarray(batch(pts), dtype=complex)
         if h.shape != (len(pts), n, n):
             raise StructuralError(f"{self.name} returned shape {h.shape[1:]}, expected ({n}, {n})")
-        return h
+        return _validated(h, pts, self.name)
 
 
 def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> MetricField:
@@ -247,13 +243,13 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
 
 
 class MetricJet(Record, frozen=True):
-    """h and its Wirtinger derivatives at an array of N chart points, with
-    the node values they were taken from.
+    """h and its Wirtinger derivatives at an array of N chart points and, to
+    second order, the node values they were taken from.
 
     h is (N, n, n); dp[j] ~ dh/dz_j and dq[k] ~ dh/dzbar_k are stacked as
     (d, N, n, n); mixed[k, j] ~ d^2 h / dzbar_k dz_j is (d, d, N, n, n),
-    or None for a first-order jet.  `values` (S, N, n, n) holds h at node s
-    of `stencil` around every point, node first, as `Stencil.by_node` puts it.
+    and `values` (S, N, n, n), h at node s of `stencil` around every point,
+    node first as `Stencil.by_node` puts it, or both None for a first-order jet.
     """
 
     points: np.ndarray
@@ -261,7 +257,7 @@ class MetricJet(Record, frozen=True):
     dp: np.ndarray
     dq: np.ndarray
     mixed: np.ndarray | None
-    values: np.ndarray
+    values: np.ndarray | None
     stencil: Stencil
 
 
@@ -269,26 +265,25 @@ def _jet(points: np.ndarray, values: np.ndarray, stencil: Stencil, order: int) -
     """The jet of node-first values (S, N, n, n) on `stencil` around `points`."""
     dp, dq = stencil.first_derivatives(values)
     mixed = stencil.mixed_derivatives(values) if order == 2 else None
-    return MetricJet(points, values[Stencil.CENTRE], dp, dq, mixed, values, stencil)
+    return MetricJet(points, values[Stencil.CENTRE], dp, dq, mixed, None if mixed is None else values, stencil)
 
 
 def metric_jet(metric: MetricField, points, steps: FdSteps = FdSteps(), order: int = 2) -> MetricJet:
     """Evaluate the metric once on every stencil node of every point.
 
     First derivatives use `steps.first`, mixed second derivatives (order 2)
-    `steps.second`, both times the chart scale of `steps`.  Points are checked
-    in grid order: the first point whose evaluation or stencil fails raises.
+    `steps.second`, both times the chart scale of `steps`.  Points run in
+    `_chunked` chunks: the first whose evaluation or stencil fails raises.
     """
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
-    stencil = Stencil(
-        metric.dim,
-        first=steps.first_steps(),
-        mixed=steps.second_steps() if order == 2 else None,
-        richardson=steps.richardson,
-        centre=True,
-    )
-    values = stencil.by_node(stencil.on_points(metric.batch, pts, metric.domain), len(pts))
-    return _jet(pts, values, stencil, order)
+    mixed = steps.second_steps() if order == 2 else None
+    stencil = Stencil(metric.dim, first=steps.first_steps(), mixed=mixed, richardson=steps.richardson, centre=True)
+
+    def chunk(rows):
+        p = pts[rows]
+        return _jet(p, stencil.by_node(stencil.on_points(metric.batch, p, metric.domain), len(p)), stencil, order)
+
+    return _chunked(chunk, len(pts), len(stencil.offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -369,25 +364,21 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
     """d A + A ^ A at every point, A from the connection field at the nodes
     of an outer stencil of step `steps.second` (the point itself included).
 
-    Points are taken in grid order, in chunks of at most `_ROWS` outer
-    nodes, so the node tables of one chunk are all that is held at once;
-    the first point whose evaluation or stencil fails raises."""
+    Points run in `_chunked` chunks of outer nodes, so the node tables of
+    one chunk are all that is held at once; the first point whose
+    evaluation or stencil fails raises."""
     pts = as_points(points, metric.dim).reshape(-1, metric.dim)
-    outer = Stencil(
-        metric.dim,
-        first=steps.second_steps(),
-        richardson=steps.richardson,
-        centre=True,
-    )
+    outer = Stencil(metric.dim, first=steps.second_steps(), richardson=steps.richardson, centre=True)
 
     def connection(nodes):  # each node's own connection, from a first-order jet
         return chern_connection_field(metric_jet(metric, nodes, steps, order=1))
 
-    def chunk(p: np.ndarray) -> CurvatureField:
+    def chunk(rows) -> CurvatureField:
+        p = pts[rows]
         conn = outer.by_node(outer.on_points(connection, p, metric.domain), len(p))
         a0 = Form1(conn.form.p[Stencil.CENTRE], conn.form.q[Stencil.CENTRE])
         theta = outer.exterior_derivative(conn.form) + wedge(a0, a0)
-        h = conn.jet.h[Stencil.CENTRE].copy()  # not a view that keeps the node table
+        h = conn.jet.h[Stencil.CENTRE]
         return CurvatureField(
             points=p,
             h=h,
@@ -396,7 +387,7 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
             pairing_residual=_pairing_residuals(h, theta.r11),
         )
 
-    return join_points([chunk(pts[rows]) for rows in _chunks(len(pts), len(outer.offsets))])
+    return _chunked(chunk, len(pts), len(outer.offsets))
 
 
 def curvature(
@@ -555,14 +546,15 @@ def subbundle_field(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -
     with h read from the jet, it gives the adapted frames; on every node
     it gives the induced metric F* h F, checked as a metric evaluation is
     and differentiated with the jet's stencil.  The ambient connection and
-    curvature are reductions of the jet.  A failing point raises the error
-    a loop over the points would (`errors.row_by_row`).
+    curvature are reductions of the jet.  Points run in `_chunked` chunks
+    of the jet's nodes, raising the error a loop over the points would.
     """
-    return row_by_row(lambda rows: _subbundle(at_point(jet, rows), frame), len(jet.points))
+    return _chunked(lambda rows: _subbundle(at_point(jet, rows), frame), len(jet.points), len(jet.stencil.offsets))
 
 
 def _subbundle(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -> SubbundleField:
     pts, stencil, n = jet.points, jet.stencil, jet.h.shape[-1]
+    r11 = analytic_curvature_field(jet).form.r11  # a first-order jet raises here
     nodes, frames = stencil.on_points(lambda w: (w, _frames(frame, w, n)), pts)
     f_all = stencil.by_node(frames, len(pts))
     h, f = jet.values[: stencil.first_nodes], f_all[: stencil.first_nodes]
@@ -584,7 +576,7 @@ def _subbundle(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -> Sub
     beta = (u0_inv @ (solve(h0, jet.dp) @ u0 + du_p))[..., k:, :k]
     antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
 
-    tilde = u0_inv @ analytic_curvature_field(jet).form.r11 @ u0
+    tilde = u0_inv @ r11 @ u0
     block11, block22 = tilde[..., :k, :k], tilde[..., k:, k:]
 
     induced = _adjoint(f_all) @ jet.values @ f_all  # (S, N, k, k), checked point by point
@@ -648,11 +640,13 @@ def dual_curvature_field(
     dual curvature is -Theta^T; so the pulled-back coefficients must equal
     -(h Theta h^-1)^T, h taken from the analytic field.  `theta`, the
     analytic curvature field of spec's metric over the same points and
-    steps, is reused when given.
+    steps, is reused when given; one over other points raises ValueError.
     """
     pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
     if theta is None:
         theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec), pts, steps, order=2))
+    if not np.array_equal(theta.points, pts):
+        raise ValueError("theta is a curvature field over other points")
     dual = metric_jet(metric_from_kernel(dual_kernel(spec)), np.conj(pts), steps, order=2)
     raw = analytic_curvature_field(dual).form.r11
     pulled = -np.swapaxes(raw, 0, 1)

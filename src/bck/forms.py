@@ -19,10 +19,10 @@ stencil nodes and weights, and `Stencil.on_points` takes every difference:
 it evaluates a field once on the nodes of all points of an array, and
 `Stencil.by_node` splits those rows by node.  A 0-form is a bare array.
 The point axis of field results has one owner: `at_point` drops it,
-`stack_points` restores it, `join_points` concatenates along it, and
-`pointwise` lifts point functions with it.  Field results, and every other
-result class of bck, are `Record`s: one field protocol that these
-functions read.
+`stack_points` restores it, `join_points` joins point chunks along it as
+they arrive, and `pointwise` lifts point functions with it.  Field
+results, and every other result class of bck, are `Record`s: one field
+protocol that these functions read.
 """
 
 from __future__ import annotations
@@ -202,16 +202,27 @@ def stack_points(values: list):
     return _arrays(lambda a, axis: np.moveaxis(a, 0, axis), np.stack(values))
 
 
-def join_points(values: list):
-    """Field results over consecutive runs of points joined into one over
-    all of them: arrays are concatenated along the point axis of `at_point`
-    and records field by field; anything else is taken from the first."""
-    first = values[0]
-    if isinstance(first, Record):
-        return replace(first, **{name: join_points([getattr(v, name) for v in values]) for name in first._fields})
-    if not isinstance(first, np.ndarray):
-        return first
-    return np.concatenate(values, axis=_point_axis(first))
+def join_points(joined, value, rows: slice, count: int):
+    """`value`, a field result over the points `rows` of `count`, copied into
+    `joined`, the result over all of them (allocated when None, each array
+    once over all `count` points), which is returned: arrays along the point
+    axis of `at_point`, records field by field and tuples item by item;
+    anything else is taken from the first.  A value that does not hold
+    exactly the points `rows` raises ValueError."""
+    if isinstance(value, Record):
+        parts = join_points(None if joined is None else _field_values(joined), _field_values(value), rows, count)
+        return replace(value, **dict(zip(value._fields, parts)))
+    if isinstance(value, tuple):
+        return tuple(join_points(j, v, rows, count) for j, v in zip(joined or (None,) * len(value), value))
+    if not isinstance(value, np.ndarray):
+        return value if joined is None else joined
+    axis, size = _point_axis(value), len(range(count)[rows])
+    if value.shape[axis] != size:
+        raise ValueError(f"a chunk of {size} points holds {value.shape[axis]}")
+    if joined is None:
+        joined = np.empty(value.shape[:axis] + (count,) + value.shape[axis + 1 :], dtype=value.dtype)
+    joined[(slice(None),) * axis + (rows,)] = value
+    return joined
 
 
 def pointwise(fn: Callable, shape: tuple | None = None, dtype=complex, what: str = "value") -> Callable:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chern import CurvatureField, MetricField, _chunks
+from .chern import CurvatureField, MetricField, _chunked
 from .errors import require
 from .forms import BilinearSamples, Form2, Record, as_point, as_sample, pointwise
 from .linalg import Sampler, complex_normal, frob, hermiticity_defect, hermitize
@@ -195,7 +195,6 @@ class GriffithsReport(Record):
     witness_point: np.ndarray
     witness_direction: np.ndarray
     hermiticity_residuals: np.ndarray  # (N,) worst relative defect of G over directions
-    max_purity_residual: float
     verdict: str
     sampled_only: bool = True
 
@@ -213,14 +212,15 @@ def griffiths_verdict(
 
     `curvature_field` is either a CurvatureField over `points`, whose
     metric values are reused, or a map z -> one-point CurvatureField,
-    lifted to the points by `forms.pointwise` (called in grid order).
+    lifted to the points by `forms.pointwise` (called in grid order); a
+    field over other points raises ValueError.
     Under Form2's antisymmetrised evaluation the (2,0) and (0,2) blocks
     vanish on (x, i x), so for point i and direction x_m
 
         G_im = -i h Theta(x_m, i x_m) = 2 h_i sum_{k,j} conj(x_mk) x_mj r11[k, j, i],
 
-    one contraction over the (point, direction) pairs of a chunk of points,
-    the chunks holding at most `chern._ROWS` pairs each.  Every G_im passes
+    one contraction over the (point, direction) pairs of each
+    `chern._chunked` chunk of points.  Every G_im passes
     the same relative hermiticity gate as `griffiths_form`, and one stacked
     `eigh` of a chunk's hermitised G_im gives its margins.
 
@@ -233,16 +233,17 @@ def griffiths_verdict(
     if dirs.shape[0] == 0:
         raise ValueError("empty direction sample")
 
-    if not isinstance(curvature_field, CurvatureField):
-        curvature_field = pointwise(curvature_field)(pts)
-    h, r11, purity = curvature_field.h, curvature_field.form.r11, curvature_field.purity_residual
-    margins, herm = np.empty((len(pts), len(dirs))), np.empty(len(pts))
-    for rows in _chunks(len(pts), len(dirs)):
-        s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, r11[:, :, rows])
-        g = 2.0 * np.matmul(h[rows, None], s)
-        herm[rows] = hermiticity_defect(g).max(axis=1)  # NaN propagates
+    field = curvature_field if isinstance(curvature_field, CurvatureField) else pointwise(curvature_field)(pts)
+    if not np.array_equal(field.points, pts):
+        raise ValueError("curvature_field is a field over other points")
+
+    def chunk(rows):  # the hermiticity defects (NaN propagates) and margins
+        s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, field.form.r11[:, :, rows])
+        g = 2.0 * np.matmul(field.h[rows, None], s)
         # eigh, not eigvalsh: the two can differ in the last bits for n >= 3
-        margins[rows] = np.linalg.eigh(hermitize(g))[0][..., 0]
+        return hermiticity_defect(g).max(axis=1), np.linalg.eigh(hermitize(g))[0][..., 0]
+
+    herm, margins = _chunked(chunk, len(pts), len(dirs))
     worst = np.max(herm, initial=0.0)
     require(worst <= _HERM_TOL, f"Griffiths forms are not Hermitian: worst relative defect {worst:.3e}")
     i, m = np.unravel_index(np.argmin(margins), margins.shape)
@@ -258,6 +259,5 @@ def griffiths_verdict(
         witness_point=pts[i].copy(),
         witness_direction=dirs[m].copy(),
         hermiticity_residuals=herm,
-        max_purity_residual=float(np.max(purity, initial=0.0)),
         verdict=verdict,
     )

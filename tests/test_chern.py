@@ -14,6 +14,7 @@ from bck.chern import (
     compatibility_field,
     curvature,
     dual_curvature_check,
+    dual_curvature_field,
     hs_connection_check,
     metric_from_kernel,
     metric_jet,
@@ -430,6 +431,19 @@ def test_dual_curvature_rank_two_sections_two_variables():
         res = dual_curvature_check(spec, z, RICH)
         assert np.max(np.abs(res.theta_r11)) > 0.1
         assert res.residual <= 1e-6
+
+
+def test_dual_curvature_field_rejects_a_field_over_other_points():
+    # a theta over the first point only, or over the points in another
+    # order, would be broadcast or misread as the analytic field at each
+    rng = np.random.default_rng(43)
+    spec = SectionKernel(full_rank_sections(rng, 2, 2), base_dim=2)
+    pts = np.array([[0.1 + 0.2j, -0.2 + 0.1j], [0.3 - 0.1j, 0.2j], [-0.25j, 0.1]])
+    theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec), pts, RICH))
+    assert np.max(dual_curvature_field(spec, pts, RICH, theta=theta).residual) <= 1e-6
+    for other in (theta.at(slice(0, 1)), theta.at(slice(None, None, -1))):
+        with pytest.raises(ValueError, match="other points"):
+            dual_curvature_field(spec, pts, RICH, theta=other)
 
 
 def test_connection_stencil_near_boundary_raises():

@@ -1,10 +1,12 @@
-"""Whole-grid reductions run in point chunks of one budget, `chern._ROWS`.
+"""Whole-grid computations run in point chunks of one budget, `chern._ROWS`,
+through one driver, `chern._chunked`.
 
-The Griffiths reduction takes at most that many (point, direction) pairs at
-once and the nested curvature route at most that many outer-stencil nodes.
-Where the chunks split the points must not change a bit of any result or
-error, and the memory a reduction holds besides its result must not grow
-with the number of points.
+A metric batch takes at most that many rows at once, a metric jet, the
+nested curvature route and the subbundle split at most that many stencil
+nodes, and the Griffiths reduction at most that many (point, direction)
+pairs.  Where the chunks split the points must not change a bit of any
+result or error, and the memory a computation holds besides its result
+must not grow with the number of points.
 """
 
 import gc
@@ -19,17 +21,20 @@ from bck.chern import (
     FdSteps,
     MetricField,
     analytic_curvature_field,
+    dual_curvature_field,
     metric_from_kernel,
     metric_jet,
     nested_curvature_field,
+    subbundle_field,
 )
-from bck.cli import build_kernel
+from bck.cli import AnalysisConfig, build_kernel, run_analyze
 from bck.errors import DomainError, StructuralError
 from bck.forms import Form2, Record, Stencil
 from bck.kernels import DiscPowerKernel, GrassmannKernel
 from bck.positivity import griffiths_verdict
 
 from _fields import bit_equal
+from test_cli import _workload_config
 
 RICH = FdSteps(richardson=True)
 
@@ -63,16 +68,35 @@ def _outer_nodes(dim: int, steps: FdSteps) -> int:
     return len(Stencil(dim, first=steps.second_steps(), richardson=steps.richardson, centre=True).offsets)
 
 
+def _jet_nodes(dim: int, steps: FdSteps) -> int:
+    return len(Stencil(dim, first=steps.first_steps(), mixed=steps.second_steps(), richardson=steps.richardson,
+                       centre=True).offsets)
+
+
+def _frame(n):
+    """The rank-1 frame (1, 0.3 z_1, 0.3 z_1^2, ...) of an n-dimensional fiber."""
+    return lambda w: np.stack([(0.3 if i else 1.0) * w[:, 0] ** i for i in range(n)], axis=-1)[..., None]
+
+
+def _same_fields(a, b) -> bool:
+    """bit_equal field by field, a jet's stencil (a new one each call) aside."""
+    return all(name == "stencil" or bit_equal(getattr(a, name), getattr(b, name)) for name in a._fields)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("per_chunk", [1, 3])
 def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
     spec, steps = CASES[case]
     metric = metric_from_kernel(spec)
     pts = _points(spec.base_dim)
-    analytic = analytic_curvature_field(metric_jet(metric, pts, steps))
+    jet = metric_jet(metric, pts, steps)
+    analytic = analytic_curvature_field(jet)
     whole = griffiths_verdict(metric, analytic, pts, directions=5, seed=11)
     nested = nested_curvature_field(metric, pts, steps)
-    assert len(pts) * len(whole.directions) <= bck.chern._ROWS  # the references are one chunk
+    split = subbundle_field(jet, _frame(spec.fiber_dim))
+    dual = dual_curvature_field(spec, pts, steps)
+    for rows_per_point in (len(whole.directions), _outer_nodes(spec.base_dim, steps), _jet_nodes(spec.base_dim, steps)):
+        assert len(pts) * rows_per_point <= bck.chern._ROWS  # the references are one chunk
 
     monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * len(whole.directions))
     chunked = griffiths_verdict(metric, analytic, pts, directions=5, seed=11)
@@ -80,6 +104,10 @@ def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
         assert bit_equal(getattr(chunked, name), getattr(whole, name)), name
     monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _outer_nodes(spec.base_dim, steps))
     assert bit_equal(nested_curvature_field(metric, pts, steps), nested)
+    monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _jet_nodes(spec.base_dim, steps))
+    assert _same_fields(metric_jet(metric, pts, steps), jet)
+    assert bit_equal(subbundle_field(jet, _frame(spec.fiber_dim)), split)
+    assert bit_equal(dual_curvature_field(spec, pts, steps), dual)
 
 
 def test_hermiticity_failure_in_a_later_chunk_reports_the_worst_pair(monkeypatch):
@@ -112,21 +140,81 @@ def test_hermiticity_failure_in_a_later_chunk_reports_the_worst_pair(monkeypatch
 
 
 def test_stencil_failure_in_a_later_chunk_is_the_unchunked_error(monkeypatch):
-    # point 3 is too close to the circle for the outer stencil, point 4
+    # point 3 is too close to the circle for either stencil, point 4
     # outside the disc: the error names point 3, however the points are cut
     metric = metric_from_kernel(DiscPowerKernel(2))
     pts = np.array([[0.0], [0.1 + 0.1j], [-0.2j], [0.99985], [1.5]], dtype=complex)
 
-    def error():
+    def error(entry):
         with pytest.raises(DomainError) as exc:
-            nested_curvature_field(metric, pts, RICH)
+            entry(metric, pts, RICH)
+        return str(exc.value)
+
+    budget = bck.chern._ROWS
+    for entry, nodes in ((nested_curvature_field, _outer_nodes(1, RICH)), (metric_jet, _jet_nodes(1, RICH))):
+        monkeypatch.setattr(bck.chern, "_ROWS", budget)
+        whole = error(entry)
+        assert str(pts[3]) in whole
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * nodes)
+            assert error(entry) == whole
+
+
+def test_subbundle_failure_in_a_later_chunk_is_the_unchunked_error(monkeypatch):
+    # the frame vanishes at points 3 and 4: the error names point 3,
+    # however the points are cut
+    metric = metric_from_kernel(build_kernel(RANK2_SECTIONS))
+    pts = np.array([[0.0], [0.1 + 0.1j], [-0.2j], [0.3], [0.4]], dtype=complex)
+    jet = metric_jet(metric, pts, RICH)
+
+    def frame(w):
+        vanishing = np.isin(w[:, 0], pts[3:, 0])[:, None, None]
+        return np.where(vanishing, 0.0, _frame(2)(w))
+
+    def error():
+        with pytest.raises(StructuralError) as exc:
+            subbundle_field(jet, frame)
         return str(exc.value)
 
     whole = error()
-    assert str(pts[3]) in whole
+    assert f"grid point {pts[3]}" in whole
     for per_chunk in (1, 3):
-        monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _outer_nodes(1, RICH))
+        monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _jet_nodes(1, RICH))
         assert error() == whole
+
+
+def test_a_chunk_of_the_wrong_length_raises(monkeypatch):
+    # a chunk must hold exactly the points of its slice: a short one would
+    # leave unwritten rows in the joined result, a long one would be cut
+    monkeypatch.setattr(bck.chern, "_ROWS", 2)  # chunks of 2, 2, 2 and 1 points
+    values, table = np.arange(7.0), np.arange(21.0).reshape(7, 3)
+    assert np.array_equal(bck.chern._chunked(lambda r: values[r], 7, 1), values)
+    joined = bck.chern._chunked(lambda r: (values[r], table[r]), 7, 1)
+    assert np.array_equal(joined[0], values) and np.array_equal(joined[1], table)
+    wrong = [
+        lambda r: values[r][:1],  # short from the first chunk
+        lambda r: values[r][: 1 if r.start else 2],  # short from the second
+        lambda r: values,  # long
+        lambda r: (values[r], table[r][1:]),  # one item of a tuple short
+    ]
+    for run in wrong:
+        with pytest.raises(ValueError, match=r"a chunk of \d+ points holds"):
+            bck.chern._chunked(run, 7, 1)
+
+
+@pytest.mark.parametrize("workload", ["disc-flagship", "grassmann-d2", "sections-d2"])
+def test_no_node_table_exceeds_the_budget(workload, monkeypatch):
+    # every stencil evaluation of a run, the nested route's inner stencils
+    # included, covers at most one chunk of `_ROWS` nodes
+    sizes, on_points = [], Stencil.on_points
+
+    def spy(self, evaluate, points, domain=None):
+        sizes.append(len(points) * len(self.offsets))
+        return on_points(self, evaluate, points, domain)
+
+    monkeypatch.setattr(Stencil, "on_points", spy)
+    run_analyze(AnalysisConfig.from_dict(_workload_config(workload, 1)))
+    assert sizes and max(sizes) <= bck.chern._ROWS, max(sizes)
 
 
 def _nbytes(value) -> int:
@@ -155,18 +243,24 @@ def _disc_points(count):
     return z[np.abs(z) < 0.7][:count, None]
 
 
-def test_transient_memory_is_a_constant_per_chunk():
-    # grids of N and 4N points, each several chunks long: what a reduction
-    # holds besides its result differs by less than one chunk's arrays
+def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
+    # grids of N and 4N points, each several chunks long at a budget of
+    # 2048 rows: what a computation holds besides its result differs by
+    # less than one chunk's arrays
+    rows = 2048
+    monkeypatch.setattr(bck.chern, "_ROWS", rows)
     metric = metric_from_kernel(DiscPowerKernel(2))
-    rows, n = bck.chern._ROWS, 1
+    sections = metric_from_kernel(build_kernel(RANK2_SECTIONS))
+    n, m = 1, sections.fiber_dim
     inner = len(Stencil(1, first=RICH.first_steps(), richardson=True, centre=True).offsets)
     outer = _outer_nodes(1, RICH)
-    griffiths, nested = [], []
+    griffiths, nested, jets, splits = [], [], [], []
     for count in (300, 1200):
         pts = _disc_points(count)
-        assert len(pts) == count
-        analytic = analytic_curvature_field(metric_jet(metric, pts, RICH))
+        assert len(pts) == count and count * _jet_nodes(1, RICH) > 2 * rows
+        jet, transient, _ = _traced(lambda: metric_jet(metric, pts, RICH))
+        jets.append(transient)
+        analytic = analytic_curvature_field(jet)
         _, transient, _ = _traced(lambda: griffiths_verdict(metric, analytic, pts, directions=30, seed=1))
         griffiths.append(transient)
         field, transient, retained = _traced(lambda: nested_curvature_field(metric, pts, RICH))
@@ -174,7 +268,19 @@ def test_transient_memory_is_a_constant_per_chunk():
         # the field keeps its own arrays, not the node table its h was read from
         table = count * outer * inner * n * n * 16
         assert retained - _nbytes(field) < table / 10, (retained, _nbytes(field))
-    # a chunk's G stack, its hermitised copy, its eigenvectors and the contraction
-    assert abs(griffiths[1] - griffiths[0]) < 4 * rows * n * n * 16, griffiths
-    # a chunk's node table: the metric at every inner node of its outer nodes
-    assert abs(nested[1] - nested[0]) < rows * inner * n * n * 16, nested
+        ambient = metric_jet(sections, pts, RICH)
+        _, transient, _ = _traced(lambda: subbundle_field(ambient, _frame(m)))
+        splits.append(transient)
+    growth = {name: abs(b - a) for name, (a, b) in
+              {"griffiths": griffiths, "nested": nested, "jet": jets, "subbundle": splits}.items()}
+    bound = {
+        # a chunk's G stack, its hermitised copy, its eigenvectors and the contraction
+        "griffiths": 4 * rows * n * n * 16,
+        # a chunk's node table: the metric at every inner node of its outer nodes
+        "nested": rows * inner * n * n * 16,
+        # a chunk's node table: coordinates and metric values at its stencil nodes
+        "jet": rows * (1 + n * n) * 16,
+        # a chunk's frame stack: an m x m matrix at every stencil node
+        "subbundle": rows * m * m * 16,
+    }
+    assert [name for name in growth if growth[name] >= bound[name]] == [], (growth, bound)

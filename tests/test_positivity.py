@@ -363,7 +363,18 @@ def test_batched_verdict_matches_per_pair_reference(dim, n, count, directions, s
     lowest = reference.min()
     expected = "positive" if lowest > 1e-6 else "indefinite" if lowest < -1e-6 else "nonnegative"
     assert report.verdict == expected
-    assert report.max_purity_residual == max(c.purity_residual for _, c in fields.values())
+
+
+def test_verdict_rejects_a_curvature_field_over_other_points():
+    # a field over the first point only, or over the points in another
+    # order, would give its margins to the wrong points
+    metric = metric_from_kernel(DiscPowerKernel(2))
+    pts = np.array([[0.1 + 0.2j], [-0.35 + 0.1j], [0.3 - 0.25j]])
+    field = analytic_curvature_field(metric_jet(metric, pts, FdSteps(richardson=True)))
+    assert griffiths_verdict(metric, field, pts, directions=3).verdict == "positive"
+    for other in (field.at(slice(0, 1)), field.at(slice(None, None, -1))):
+        with pytest.raises(ValueError, match="other points"):
+            griffiths_verdict(metric, other, pts, directions=3)
 
 
 def test_verdict_hermiticity_gate():
