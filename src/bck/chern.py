@@ -6,11 +6,11 @@ structure has local form A = h^{-1} del h, a pure (1,0) form.  Its
 curvature is the (1,1) form delbar A, computed here by two independent
 routes:
 
-* ``analytic_expansion`` - the quotient-rule expansion
+* `analytic_curvature_field` - the quotient-rule expansion
   Theta = h^{-1} (delbar del h) - (h^{-1} delbar h) ^ (h^{-1} del h),
   using mixed second Wirtinger differences of h;
-* ``nested_fd`` - d A + A ^ A with A itself obtained by inner finite
-  differences at each outer stencil node.
+* `nested_curvature_field` - d A + A ^ A with A itself obtained by inner
+  finite differences at each outer stencil node.
 
 Cross-validating the two replaces a symbolic derivation as the
 correctness argument.  All (1,1) coefficients are stored in the
@@ -390,24 +390,16 @@ def nested_curvature_field(metric: MetricField, points, steps: FdSteps = FdSteps
     return _chunked(chunk, len(pts), len(outer.offsets))
 
 
-def curvature(
-    metric: MetricField,
-    z,
-    steps: FdSteps = FdSteps(),
-    method: str = "analytic_expansion",
-) -> CurvatureField:
-    """Curvature of the metric connection at z.
+def curvature(metric: MetricField, z, steps: FdSteps = FdSteps()) -> CurvatureField:
+    """Curvature of the metric connection at z, by the analytic expansion.
 
-    The coefficient r11[k, j] multiplies dzbar_k ^ dz_j.  Both methods
-    must agree within 5e-5 relative on smooth metrics; the analytic
-    expansion is the default (cheaper and with less noise amplification).
+    The coefficient r11[k, j] multiplies dzbar_k ^ dz_j.  The nested route
+    at one point is `nested_curvature_field(metric, [z], steps).at(0)`; the
+    two agree within 5e-5 relative on smooth metrics, and the analytic one
+    is cheaper and amplifies less noise.
     """
     pts = as_point(z, metric.dim)[None]
-    if method == "analytic_expansion":
-        return analytic_curvature_field(metric_jet(metric, pts, steps, order=2)).at(0)
-    if method == "nested_fd":
-        return nested_curvature_field(metric, pts, steps).at(0)
-    raise ValueError(f"unknown curvature method {method!r}")
+    return analytic_curvature_field(metric_jet(metric, pts, steps, order=2)).at(0)
 
 
 def compatibility_field(connection: ConnectionField, structure: np.ndarray | None = None) -> dict:
@@ -629,6 +621,7 @@ def dual_curvature_field(
     points,
     steps: FdSteps = FdSteps(),
     theta: CurvatureField | None = None,
+    admissibility_tol: float = 1e-10,
 ) -> DualCurvatureField:
     """Check that the dual-bundle curvature is minus the transpose of the original.
 
@@ -641,13 +634,14 @@ def dual_curvature_field(
     -(h Theta h^-1)^T, h taken from the analytic field.  `theta`, the
     analytic curvature field of spec's metric over the same points and
     steps, is reused when given; one over other points raises ValueError.
+    Both metrics take `admissibility_tol` as `metric_from_kernel` does.
     """
     pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
     if theta is None:
-        theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec), pts, steps, order=2))
+        theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec, admissibility_tol), pts, steps, order=2))
     if not np.array_equal(theta.points, pts):
         raise ValueError("theta is a curvature field over other points")
-    dual = metric_jet(metric_from_kernel(dual_kernel(spec)), np.conj(pts), steps, order=2)
+    dual = metric_jet(metric_from_kernel(dual_kernel(spec), admissibility_tol), np.conj(pts), steps, order=2)
     raw = analytic_curvature_field(dual).form.r11
     pulled = -np.swapaxes(raw, 0, 1)
     inverse = solve(theta.h, np.eye(spec.fiber_dim))

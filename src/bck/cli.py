@@ -514,7 +514,7 @@ def _task_compatibility(ctx: RunContext) -> dict:
 
 
 def _task_dual(ctx: RunContext) -> dict:
-    dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, theta=ctx.analytic)
+    dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, ctx.analytic, ctx.tol["admissibility"])
     data = _extremes(ctx.points, max_residual=dual.residual)
     return {"passed": bool(data["max_residual"] <= ctx.tol["dual"]), "data": data}
 

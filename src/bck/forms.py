@@ -340,11 +340,9 @@ class Form2(_Linear, frozen=True):
         return (outer.reshape(-1) @ blocks.reshape(outer.size, -1)).reshape(blocks.shape[3:])
 
 
-def form_norm(form) -> float:
+def form_norm(form: Form1 | Form2) -> float:
     """Max Frobenius norm over the coefficient matrices of a form, NaN if
-    one is NaN; a bare array is one 0-form value."""
-    if not isinstance(form, (Form1, Form2)):
-        return max_frob(form, 0)
+    one is NaN."""
     return float(np.max([max_frob(c, form.degree) for c in _field_values(form)]))
 
 
@@ -591,7 +589,7 @@ class Stencil:
     def __init__(
         self,
         dim: int,
-        first=None,
+        first,
         mixed=None,
         richardson: bool = False,
         centre: bool = False,
@@ -599,22 +597,20 @@ class Stencil:
         self.dim = int(dim)
         self._index: dict[bytes, int] = {}
         self._offsets: list[np.ndarray] = []
-        self.radius = 0.0
         levels = (1.0, 0.5) if richardson else (1.0,)
         if centre:
             self._node(np.zeros(self.dim, dtype=complex))
         self._first = []
-        if first is not None:
-            steps = _steps_array(first, self.dim)
-            self.radius = 2.0 * float(np.max(steps))
-            for j in range(self.dim):
-                rule = []
-                for level in levels:
-                    h = steps[j] * level
-                    e = _axis_offset(self.dim, j, h, False)
-                    ie = 1j * e
-                    rule.append((h, [self._node(o) for o in (e, -e, ie, -ie)]))
-                self._first.append(rule)
+        steps = _steps_array(first, self.dim)
+        self.radius = 2.0 * float(np.max(steps))
+        for j in range(self.dim):
+            rule = []
+            for level in levels:
+                h = steps[j] * level
+                e = _axis_offset(self.dim, j, h, False)
+                ie = 1j * e
+                rule.append((h, [self._node(o) for o in (e, -e, ie, -ie)]))
+            self._first.append(rule)
         self.first_nodes = len(self._offsets)
         self._mixed = {}
         if mixed is not None:

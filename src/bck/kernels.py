@@ -24,8 +24,8 @@ Built-in families:
 
 Every family defines the stack methods `eval_many`, `fiber_metric_batch`,
 `contains_batch` and `boundary_distance_batch` (the last three have
-defaults); `KernelSpec` derives the one-point `eval`, `fiber_metric`,
-`contains` and `boundary_distance` from them.  `UserKernel` wraps
+defaults); `KernelSpec` derives the one-point `eval`, `fiber_metric` and
+`contains` from them.  `UserKernel` wraps
 per-point callables, lifted to stacks by `forms.pointwise`, which checks
 the shape of every value.
 `KernelSpec.eval_batch` evaluates blocks over whole stacks of point pairs
@@ -124,9 +124,6 @@ class KernelSpec:
 
     def contains(self, z) -> bool:
         return bool(self.contains_batch(np.asarray(z, dtype=complex)))
-
-    def boundary_distance(self, z) -> float:
-        return float(self.boundary_distance_batch(np.asarray(z, dtype=complex)))
 
     def eval_batch(self, z, w) -> np.ndarray:
         """kappa(z, w) over broadcast stacks of chart points, with the checks
@@ -248,8 +245,6 @@ class SectionKernel(KernelSpec):
         self._values = sections if isinstance(sections, MatrixPolynomial) else pointwise(
             sections, probe.shape, what="section matrix"
         )
-        if probe.ndim == 1:
-            probe = probe[None, :]
         if probe.ndim != 2:
             raise ValueError("section field must return an n x m matrix")
         self.fiber_dim, self.section_count = probe.shape
@@ -272,11 +267,7 @@ class SectionKernel(KernelSpec):
         any other callable point by point (`forms.pointwise`), each value
         with the shape it has at the origin.
         """
-        z = as_points(z, self.base_dim)
-        e = self._values(z)
-        if e.ndim == z.ndim:  # a single row given as a vector
-            e = e[..., None, :]
-        return e
+        return self._values(as_points(z, self.base_dim))
 
     def eval_many(self, z, w):
         ez = mul(self.section_values(z), self._factor)
@@ -490,8 +481,8 @@ class RkhsModel:
 
     The generators are K_(e_a, t_j) for the sample points t_j and fiber
     basis vectors e_a; their pairwise inner products are exactly the
-    entries of the assembled Gram matrix, whose spectral factorization
-    stands in for the completion.  Span elements are coefficient arrays
+    entries of the assembled Gram matrix, whose quadratic form stands in
+    for the completion.  Span elements are coefficient arrays
     of shape (N, n).
     """
 
@@ -499,19 +490,10 @@ class RkhsModel:
         self.spec = spec
         self.gram = gram(spec, points)
         self.points = self.gram.points
-        self.eigenvalues = np.linalg.eigvalsh(self.gram.assembled)
 
     @property
     def generator_count(self) -> int:
         return self.gram.assembled.shape[0]
-
-    def rank(self, tol: float = 1e-10) -> int:
-        """Numerical dimension of the generator span (the finite-rank
-        stand-in for the section-space geometry)."""
-        top = max(float(self.eigenvalues[-1]), 0.0)
-        if top == 0.0:
-            return 0
-        return int(np.sum(self.eigenvalues > tol * top))
 
     def _coeffs(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)

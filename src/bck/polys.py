@@ -20,28 +20,22 @@ class MatrixPolynomial:
     """sum over terms of  C * z^p * conj(z)^q  with matrix coefficients C.
 
     `terms` maps a pair of power multi-indices (p, q), each a tuple of
-    length d, to a coefficient array; all coefficients share a shape.
+    length d of natural numbers, to a coefficient array of the given shape.
     """
 
-    def __init__(self, dim: int, terms: dict, shape: tuple[int, ...] | None = None):
+    def __init__(self, dim: int, terms: dict, shape: tuple[int, ...]):
         self.dim = int(dim)
         self.terms = {}
         for (p, q), coeff in terms.items():
-            p = tuple(int(x) for x in p)
-            q = tuple(int(x) for x in q)
+            if any(x < 0 or x != int(x) for x in (*p, *q)):
+                raise ValueError(f"powers must be natural numbers, not {p}, {q}")
+            p, q = tuple(map(int, p)), tuple(map(int, q))
             if len(p) != self.dim or len(q) != self.dim:
                 raise ValueError("power multi-indices must have length d")
             coeff = np.asarray(coeff, dtype=complex)
-            if shape is None:
-                shape = coeff.shape
             if coeff.shape != shape:
                 raise ValueError("all coefficients must share a shape")
-            if (p, q) in self.terms:
-                self.terms[(p, q)] = self.terms[(p, q)] + coeff
-            else:
-                self.terms[(p, q)] = coeff
-        if shape is None:
-            raise ValueError("a polynomial needs at least one term or a shape")
+            self.terms[(p, q)] = coeff
         self.shape = shape
         # evaluation tables: the distinct powers (conj, axis, exponent) the
         # terms use, each term's factors as power-table columns (column 0 is

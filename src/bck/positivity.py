@@ -160,7 +160,9 @@ def griffiths_form(h: np.ndarray, theta, x) -> np.ndarray:
 
 def direction_samples(dim: int, count: int, seed: int) -> np.ndarray:
     """Unit tangent directions: canonical axes, their i-rotations, and
-    `count` seeded uniform points on the unit sphere of C^d."""
+    `count` seeded uniform points on the unit sphere of C^d, for d >= 1."""
+    if dim < 1:
+        raise ValueError(f"directions need a chart of dimension d >= 1, not {dim}")
     basis = np.eye(dim, dtype=complex)
     dirs = [basis[j] for j in range(dim)] + [1j * basis[j] for j in range(dim)]
     rng = Sampler(seed)
@@ -230,8 +232,6 @@ def griffiths_verdict(
     """
     pts = as_sample(points, metric.dim)
     dirs = direction_samples(metric.dim, directions, seed)
-    if dirs.shape[0] == 0:
-        raise ValueError("empty direction sample")
 
     field = curvature_field if isinstance(curvature_field, CurvatureField) else pointwise(curvature_field)(pts)
     if not np.array_equal(field.points, pts):

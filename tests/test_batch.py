@@ -125,7 +125,7 @@ def test_eval_batch_matches_eval_kernel_pairwise(data, family, count):
         assert np.max(np.abs(h0[l] - spec.fiber_metric(pts[l]))) <= 1e-14 * max(1.0, np.max(np.abs(h0[l])))
         assert np.max(np.abs(raw[l] - spec.eval(pts[l], pts[0]))) <= 1e-14 * max(1.0, np.max(np.abs(raw[l])))
         assert spec.contains(pts[l]) is bool(inside[l])
-        assert spec.boundary_distance(pts[l]) == pytest.approx(dist[l], rel=1e-14)
+        assert float(spec.boundary_distance_batch(pts[l])) == pytest.approx(dist[l], rel=1e-14)
     # empty stacks give empty arrays
     n, empty = spec.fiber_dim, np.empty((0, spec.base_dim), dtype=complex)
     assert spec.eval_many(empty, empty).shape == spec.eval_batch(empty, empty).shape == (0, n, n)
@@ -394,7 +394,7 @@ def test_batched_fields_match_point_calls():
             assert np.max(np.abs(analytic.at(i).form.r11 - single.form.r11)) <= 1e-7 * rscale
             assert type(single.pairing_residual) is float and type(analytic.at(i).pairing_residual) is float
             assert analytic.pairing_residual[i] == pytest.approx(single.pairing_residual, abs=1e-12)
-            single = curvature(m, z, RICH, method="nested_fd")
+            single = nested_curvature_field(m, [z], RICH).at(0)
             assert np.max(np.abs(nested.at(i).form.r11 - single.form.r11)) <= 1e-7 * rscale
             assert type(single.purity_residual) is float
             assert nested.purity_residual[i] == pytest.approx(single.purity_residual, abs=1e-7 * rscale)

@@ -102,15 +102,15 @@ def test_connection_section_metric_closed_form():
 def test_curvature_disc_both_methods():
     m = disc_metric_field(2)
     z = np.array([0.0 + 0.0j])
-    for method, tol in (("analytic_expansion", 1e-7), ("nested_fd", 1e-6)):
-        curv = curvature(m, z, RICH, method=method)
+    analytic, nested = curvature(m, z, RICH), nested_curvature_field(m, [z], RICH).at(0)
+    for method, curv, tol in (("analytic", analytic, 1e-7), ("nested", nested, 1e-6)):
         assert abs(curv.form.r11[0, 0, 0, 0] - 2.0) <= tol, method
         assert curv.pairing_residual <= 1e-10
 
 
 def test_curvature_constant_metric_flat():
     m = metric_from_kernel(ConstantKernel(np.diag([1.0, 4.0])))
-    curv = curvature(m, np.array([0.3j]), method="nested_fd")
+    curv = nested_curvature_field(m, [np.array([0.3j])]).at(0)
     assert np.max(np.abs(curv.form.r11)) <= 1e-10
     assert curv.purity_residual <= 1e-10
 
@@ -131,8 +131,8 @@ def test_curvature_methods_agree_on_corpus():
         for _ in range(3):
             z = 0.45 * cmat(rng, m.dim)
             z = z * 0.6 / max(0.6, np.max(np.abs(z)))  # stay inside the disc
-            a = curvature(m, z, RICH, method="analytic_expansion")
-            b = curvature(m, z, RICH, method="nested_fd")
+            a = curvature(m, z, RICH)
+            b = nested_curvature_field(m, [z], RICH).at(0)
             scale = max(1.0, np.max(np.abs(a.form.r11)))
             assert np.max(np.abs(a.form.r11 - b.form.r11)) / scale <= 5e-5
             assert b.purity_residual / scale <= 1e-5

@@ -483,6 +483,21 @@ def test_failed_task_does_not_abort_others():
     assert report.exit_code == 1
 
 
+def test_dual_task_builds_its_metrics_at_the_configured_admissibility_tolerance():
+    # the fiber entry 5e-12 is admissible at the run's 1e-14, and the dual
+    # check's two metrics read the same tolerance as the run's own metric
+    cfg = base_config(
+        kernel={"variant": "constant", "matrix": [[1, 0], [0, 5e-12]]},
+        grid={"axes": [{"re": [-0.5, 0.5], "im": [-0.5, 0.5], "re_res": 3, "im_res": 3}]},
+        tolerances={"admissibility": 1e-14},
+        tasks=["admissibility", "connection", "curvature", "dual", "griffiths"],
+    )
+    report = run_analyze(AnalysisConfig.from_dict(cfg))
+    dual = report.data["tasks"]["dual"]
+    assert dual["status"] == "ok" and dual["passed"] and dual["data"]["max_residual"] == 0.0
+    assert report.exit_code == 0
+
+
 def test_psd_sample_matches_point_by_point_rejection_loop(monkeypatch):
     # the unit disc rejects the corners of the box, so the batched draw must
     # redraw; it must take the same points as a loop that draws re and im

@@ -154,8 +154,6 @@ BUILTIN_MAX_MIN = sorted([
     ("positivity", "max(1.0, psi.norm())"),
     ("positivity", "max(1.0, skew.norm())"),
     ("positivity", "max(1.0, frob(theta.form.r11))"),
-    # a clamp
-    ("kernels", "max(float(self.eigenvalues[-1]), 0.0)"),
 ])
 
 

@@ -530,6 +530,20 @@ def test_matrix_polynomial_matches_term_by_term_sum(seed, dim, shape, degree, te
         assert np.max(np.abs(value - single), initial=0.0) <= 1e-14 * max(1.0, bound)
 
 
+def test_matrix_polynomial_rejects_powers_that_are_not_natural_numbers():
+    # a power is a natural number: 1.5 and -1 are refused, not truncated to
+    # an integer, and an integral float is that integer
+    for p in ((1.5,), (-1,)):
+        with pytest.raises(ValueError, match="powers must be natural numbers"):
+            MatrixPolynomial(1, {(p, (0,)): 2.0}, shape=())
+    assert MatrixPolynomial(1, {((2.0,), (0,)): 1.0}, shape=())(np.array([0.5])) == 0.25
+
+
+def test_matrix_polynomial_needs_its_shape():
+    with pytest.raises(TypeError):
+        MatrixPolynomial(1, {((1,), (0,)): np.eye(2)})
+
+
 # -- batched stencil-domain check ---------------------------------------------
 
 
@@ -551,7 +565,7 @@ def test_on_points_names_first_failing_stencil_after_evaluating_earlier_nodes():
     with pytest.raises(DomainError, match=r"point \[1.5\+0.j\] is outside the chart domain"):
         stencil.on_points(evaluate, pts[[0, 3, 4]], disc)
     assert len(stencil.on_points(evaluate, pts[[0, 1, 3]], disc)) == 3 * 4
-    assert np.array_equal(disc.boundary_distance_batch(pts), [disc.boundary_distance(p) for p in pts])
+    assert np.array_equal(disc.boundary_distance_batch(pts), [float(disc.boundary_distance_batch(p)) for p in pts])
 
 
 def test_on_points_never_evaluates_a_failing_point_outside_the_domain():

@@ -192,6 +192,12 @@ def test_section_kernel_rejects_a_nan_gram_matrix():
         from_sections(lambda z: np.array([[1.0, z[0]]]), gram=np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_section_kernel_rejects_a_vector_of_sections():
+    # one row of sections is a 1 x m matrix, not a vector
+    with pytest.raises(ValueError, match="section field must return an n x m matrix"):
+        from_sections(lambda z: np.array([1.0, z[0]]))
+
+
 def _section_kernel(rng, dim, shape):
     return from_sections(MatrixPolynomial.random(rng, dim, shape, degree=2, holomorphic=True), base_dim=dim)
 
@@ -547,13 +553,3 @@ def test_dual_preserves_admissibility_on_disc_samples():
     dk = dual_kernel(k)
     for z in disc_points(rng, 10):
         assert admissibility(dk, z).invertible == admissibility(k, z).invertible
-
-
-def test_rkhs_model_rank_exposes_span_dimension():
-    # the finite-rank stand-in for the section-space geometry: distinct
-    # sample points give independent generators, repeats do not
-    k = DiscPowerKernel(1)
-    distinct = RkhsModel(k, np.array([[0.0], [0.3], [-0.4j]]))
-    assert distinct.rank() == 3
-    repeated = RkhsModel(k, np.array([[0.3], [0.3], [0.0]]))
-    assert repeated.rank() == 2

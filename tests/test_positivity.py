@@ -1,5 +1,10 @@
 """Herm/Symm/Skew correspondence, Griffiths forms and verdicts, global generation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,6 +410,18 @@ def test_direction_samples_deterministic_and_normalized():
     assert dirs.shape == (16, 3)
     for x in dirs:
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+
+
+def test_direction_samples_reject_a_chart_of_dimension_zero():
+    # a chart of dimension 0 has no unit directions; the call runs in a child
+    # process, so that a hang fails the test instead of stalling the suite
+    src = str(Path(bck.forms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "from bck.positivity import direction_samples\ndirection_samples(0, 1, 0)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert "ValueError: directions need a chart of dimension d >= 1, not 0" in done.stderr
+    with pytest.raises(ValueError, match="dimension d >= 1"):
+        direction_samples(-1, 0, 0)
 
 
 def test_verdict_empty_inputs_rejected():
