@@ -21,8 +21,10 @@ reaches and the ones nothing reaches.  Test outcomes are ignored: a test
 may fail under the trace, such as a `tracemalloc` bound that the
 tracer's own allocations exceed.
 
-The CLI tests spawn `bck` in child processes, which the trace does not
-see, so the lists for `cli.py` are no evidence that a line is dead.
+Most CLI tests call `bck.cli.main` in this process, where the trace sees
+them.  The three that spawn `bck` in a child process (`run_python` in
+tests/test_cli.py) are not seen, so a `cli.py` line that only they run,
+such as the program run's `gc.freeze()`, is listed as unreached.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
     for module, lines in never.items():
         if not lines:
             continue
-        note = "  (the CLI tests run in child processes: no evidence)" if module == "cli.py" else ""
+        note = "  (the trace does not see the three CLI tests that spawn a child)" if module == "cli.py" else ""
         print(f"{module}: {len(lines)}{note}")
         if args.suite:
             dead = set(nothing[module])

@@ -805,6 +805,9 @@ def _main(argv) -> int:
         print(__version__)
         return 0
     if args.command == "selftest":
+        if args.seed < 0:  # a usage error: exit 1 would read as a failed check
+            print(f"usage error: --seed must be an integer >= 0, not {args.seed}", file=sys.stderr)
+            return 2
         section = run_selftest(seed=args.seed)
         for check in section["data"]["checks"]:
             status = "pass" if check["passed"] else "FAIL"

@@ -297,10 +297,9 @@ class Form1(_Linear, frozen=True):
         return self.p.shape[0]
 
     def __call__(self, v) -> np.ndarray:
-        v = as_point(v, self.dim)
-        coeffs = np.concatenate([self.p, self.q])
-        values = np.concatenate([v, v.conj()]) @ coeffs.reshape(len(coeffs), -1)
-        return values.reshape(self.p.shape[1:])
+        """The value on a tangent vector (d,), or on each of a stack (..., d)."""
+        v = as_points(v, self.dim)
+        return _on_vectors(np.concatenate([v, v.conj()], axis=-1), np.concatenate([self.p, self.q]))
 
 
 class Form2(_Linear, frozen=True):
@@ -328,16 +327,25 @@ class Form2(_Linear, frozen=True):
         + c02[j, k] / 2 (conj(v_j) conj(w_k) - conj(w_j) conj(v_k)),
         one contraction of the three antisymmetrised outer products with
         the stacked blocks.  Swapping v and w negates the products exactly,
-        so skewness holds exactly, not just to round-off."""
-        v = as_point(v, self.dim)
-        w = as_point(w, self.dim)
+        so skewness holds exactly, not just to round-off.  v and w may be
+        (..., d) stacks that broadcast against each other."""
+        v, w = np.broadcast_arrays(as_points(v, self.dim), as_points(w, self.dim))
         vc, wc = v.conj(), w.conj()
-        first = np.array([[v, vc, vc], [w, wc, wc]])
-        second = np.array([[w, w, wc], [v, v, vc]])
+        # (2, ..., 3, d): the factors of the three products of each pair
+        first = np.moveaxis(np.array([[v, vc, vc], [w, wc, wc]]), 1, -2)
+        second = np.moveaxis(np.array([[w, w, wc], [v, v, vc]]), 1, -2)
         products = first[..., :, None] * second[..., None, :]
         outer = (products[0] - products[1]) * np.array([0.5, 1.0, 0.5])[:, None, None]
         blocks = np.array([self.c20, self.r11, self.c02])
-        return (outer.reshape(-1) @ blocks.reshape(outer.size, -1)).reshape(blocks.shape[3:])
+        return _on_vectors(outer.reshape(v.shape[:-1] + (-1,)), blocks.reshape((-1,) + blocks.shape[3:]))
+
+
+def _on_vectors(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Each row of a (..., K) stack contracted with the (K, ...) coefficients,
+    by one vector-matrix product per row, so that a stack reads bit for bit
+    what a loop over its rows reads."""
+    values = rows[..., None, :] @ coeffs.reshape(len(coeffs), -1)
+    return values[..., 0, :].reshape(rows.shape[:-1] + coeffs.shape[1:])
 
 
 def form_norm(form: Form1 | Form2) -> float:

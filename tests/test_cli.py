@@ -1,5 +1,6 @@
 """Config-driven runs: exit codes, determinism, reports, CSV, selftest."""
 
+import collections
 import copy
 import gc
 import importlib.util
@@ -21,6 +22,7 @@ import bck.cli
 import bck.forms
 import bck.kernels
 import bck.polys
+import bck.selfcheck
 from bck.cli import (
     TASK_ORDER,
     AnalysisConfig,
@@ -1051,13 +1053,13 @@ def without_timing(text):
 @pytest.mark.parametrize(
     "cfg, command, code",
     [(PASSING, "analyze", 0), (FAILING, "analyze", 1), (MALFORMED, "analyze", 2),
-     (None, "selftest", 0), (None, "version", 0)],
-    ids=["pass", "fail", "config-error", "selftest", "version"],
+     (None, "selftest", 0), (None, "selftest --seed -1", 2), (None, "version", 0)],
+    ids=["pass", "fail", "config-error", "selftest", "selftest-negative-seed", "version"],
 )
 def test_in_process_main_leaves_gc_state_alone(tmp_path, capsys, cfg, command, code):
     # only the program run (argv None) freezes its heap: a caller that
     # passes an argv keeps its garbage collector as it was
-    argv = [command]
+    argv = command.split()
     if cfg is not None:
         argv += ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "report.json")]
     before = gc.get_freeze_count(), gc.isenabled()
@@ -1133,21 +1135,42 @@ def test_selftest_detects_broken_wedge_sign(monkeypatch):
     assert not entries["wedge normalization"]["passed"]
 
 
+def _track_checks(monkeypatch, log):
+    """Wrap every check of the corpus so that, before it runs, it opens a
+    new Counter in `log` under its function name, as the last entry."""
+    for name in [name for name in vars(bck.selfcheck) if name.startswith("_check_")]:
+        real = getattr(bck.selfcheck, name)
+
+        def tracked(rng, real=real, name=name):
+            log.pop(name, None)
+            log[name] = collections.Counter()
+            return real(rng)
+
+        monkeypatch.setattr(bck.selfcheck, name, tracked)
+
+
 def test_selftest_fails_on_a_nan_product(monkeypatch, capsys):
-    # every other wedge product is NaN: each check that meets one reads
-    # NaN and fails, and no finite residual of its other items hides it
-    real_wedge, calls = bck.forms.wedge, []
+    # item 1 of the first stacked wedge product of each check is NaN: the
+    # check reads NaN and fails, and the finite residuals of its other
+    # items do not hide it
+    real_wedge, log, poisoned = bck.forms.wedge, {}, ("wedge normalization", "graded product rule")
+    _track_checks(monkeypatch, log)
 
-    def nan_every_other(a, b):
-        calls.append(None)
+    def nan_in_one_item(a, b):
         out = real_wedge(a, b)
-        return out * np.nan if len(calls) % 2 == 0 else out
+        calls = log[next(reversed(log))]
+        calls["wedge"] += 1
+        if calls["wedge"] > 1:
+            return out
+        mask = np.ones((np.shape(out.p if out.degree == 1 else out.c20)[-3], 1, 1))
+        mask[1] = np.nan  # the items sit before the fiber matrix
+        return out * mask
 
-    monkeypatch.setattr(bck.forms, "wedge", nan_every_other)
+    monkeypatch.setattr(bck.forms, "wedge", nan_in_one_item)
     entries = {e["name"]: e for e in run_selfcheck(seed=0)}
-    for name in ("wedge normalization", "graded product rule"):
+    for name in poisoned:
         assert np.isnan(entries[name]["residual"]) and not entries[name]["passed"]
-    calls.clear()
+    assert all(e["passed"] for name, e in entries.items() if name not in poisoned)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  wedge normalization: residual nan" in out
@@ -1155,19 +1178,40 @@ def test_selftest_fails_on_a_nan_product(monkeypatch, capsys):
 
 
 def test_selftest_evaluates_each_polynomial_field_once_on_its_node_stack(monkeypatch):
-    # d(df): one call per polynomial on the 8 x 16 nested nodes; graded
-    # product rule: f, g and the 2 d one-form coefficients once each on z0,
-    # the 16 Richardson nodes and the 8 coarse nodes
-    calls = []
-    real = bck.polys.MatrixPolynomial.__call__
+    # each check makes one library call per identity for all of its items:
+    # a loop over items, vectors or polynomials would raise these counts.
+    # d(df): one polynomial per item, each once on its 8 x 16 nested nodes;
+    # graded product rule: f, g and the two coefficients of the 1-form,
+    # each once on z0, the 16 Richardson nodes and the 8 coarse nodes
+    log, shapes = {}, []
+    _track_checks(monkeypatch, log)
 
-    def counted(self, z):
-        calls.append(np.shape(z))
-        return real(self, z)
+    def count(owner, name, label):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(bck.polys.MatrixPolynomial, "__call__", counted)
+        def counted(*args, **kwargs):
+            log[next(reversed(log))][label] += 1
+            if label == "polynomial":
+                shapes.append(np.shape(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("split_linear", "split_bilinear", "triple_split", "triple_join"):
+        count(bck.selfcheck, name, name)
+    count(bck.forms, "wedge", "wedge")
+    count(bck.forms.Stencil, "on_points", "on_points")
+    count(bck.polys.MatrixPolynomial, "__call__", "polynomial")
     assert all(e["passed"] for e in run_selfcheck(seed=0))
-    assert calls == [(128, 2)] * 3 + [(25, 2)] * 18
+    assert log == {
+        "_check_projectors": {"split_linear": 2},
+        "_check_bilinear_split": {"split_bilinear": 1},
+        "_check_wedge_normalization": {"wedge": 1},
+        "_check_d_squared": {"on_points": 1, "polynomial": 3},
+        "_check_leibniz": {"polynomial": 4, "wedge": 8},
+        "_check_triple": {"triple_split": 2, "triple_join": 1},
+    }
+    assert shapes == [(128, 2)] * 3 + [(25, 2)] * 4
 
 
 def test_selftest_deterministic_across_runs():

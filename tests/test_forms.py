@@ -451,6 +451,35 @@ def test_form1_evaluation_additive_and_real_homogeneous():
             assert np.max(np.abs(form(a * v) - a * form(v))) <= 1e-12
 
 
+@pytest.mark.parametrize("dim, value_shape", [(1, ()), (2, (2, 2)), (3, (4, 2, 2))])
+def test_forms_on_a_vector_stack_equal_a_loop_of_one_vector_calls(dim, value_shape):
+    # bit for bit: a stack contracts each vector as a one-vector call does
+    rng = np.random.default_rng(17)
+    one = Form1(cmat(rng, dim, *value_shape), cmat(rng, dim, *value_shape))
+    two = Form2(*(cmat(rng, dim, dim, *value_shape) for _ in range(3)))
+    v, w = cmat(rng, 5, dim), cmat(rng, 5, dim)
+    assert one(v).shape == (5,) + value_shape
+    assert bit_equal(one(v), np.array([one(x) for x in v]))
+    assert bit_equal(two(v, w), np.array([two(x, y) for x, y in zip(v, w)]))
+    # one vector broadcasts against a stack, on either side
+    assert bit_equal(two(v, w[0]), np.array([two(x, w[0]) for x in v]))
+    assert bit_equal(two(v[0], w), np.array([two(v[0], y) for y in w]))
+    assert two(v.reshape(5, 1, dim), w).shape == (5, 5) + value_shape
+
+
+def test_forms_reject_vectors_of_the_wrong_length_or_not_finite():
+    rng = np.random.default_rng(18)
+    one = Form1(cmat(rng, 2, 2, 2), cmat(rng, 2, 2, 2))
+    two = Form2(*(cmat(rng, 2, 2, 2, 2) for _ in range(3)))
+    good, bad = cmat(rng, 4, 2), cmat(rng, 4, 3)
+    poisoned = good.copy()
+    poisoned[2, 1] = np.nan
+    for call in (lambda: one(bad), lambda: two(bad, good), lambda: two(good[0], bad),
+                 lambda: one(poisoned), lambda: two(good, poisoned), lambda: two(poisoned[2], good)):
+        with pytest.raises(ValueError):
+            call()
+
+
 # -- one-contraction evaluation against the term-by-term formulas -------------
 
 
