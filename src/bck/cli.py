@@ -476,7 +476,7 @@ def _task_admissibility(ctx: RunContext) -> dict:
 def _task_connection(ctx: RunContext) -> dict:
     conn = ctx.connection
     res = compatibility_field(conn)
-    fields = {"max_relative_metric_residual": res["metric"] / res["scale"], "max_holo_defect": res["holo"]}
+    fields = {"max_relative_metric_residual": res["metric"] / res["scale"]}
     if isinstance(ctx.kernel, DiscPowerKernel):  # a = nu conj(z) / (1 - |z|^2) dz
         z = ctx.points[:, 0]
         ref = ctx.kernel.nu * np.conj(z) / (1.0 - np.abs(z) ** 2)
@@ -508,7 +508,7 @@ def _task_curvature(ctx: RunContext) -> dict:
 def _task_compatibility(ctx: RunContext) -> dict:
     structure = ctx.nested.form.c20 if ctx.metric.dim > 1 else None
     res = compatibility_field(ctx.connection, structure)
-    keys = {f"max_relative_{key}_residual": res[key] / res["scale"] for key in ("metric", "holo", "structure")}
+    keys = {f"max_relative_{key}_residual": res[key] / res["scale"] for key in ("metric", "structure")}
     data = _extremes(ctx.points, **keys)
     return {"passed": all(data[key] <= ctx.tol["compatibility"] for key in keys), "data": data}
 
@@ -543,8 +543,7 @@ def _task_griffiths(ctx: RunContext) -> dict:
         "passed": report.verdict != "indefinite",
         "data": {
             **_griffiths_summary(report),
-            **_extremes(ctx.points, max_hermiticity_residual=report.hermiticity_residuals,
-                        max_purity_residual=ctx.analytic.purity_residual),
+            **_extremes(ctx.points, max_hermiticity_residual=report.hermiticity_residuals),
             "directions": int(report.directions.shape[0]),
             "sampled_directions_only": report.sampled_only,
             "fields": _point_columns(ctx.points) + [{"name": "min_margin", "values": report.min_margins}],

@@ -4,6 +4,7 @@ import numpy as np
 
 from bck.chern import MetricField
 from bck.forms import Record
+from bck.kernels import KernelSpec
 from bck.polys import MatrixPolynomial
 
 
@@ -14,6 +15,28 @@ def bit_equal(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
     return type(a) is type(b) and a == b
+
+
+class MappedKernel(KernelSpec):
+    """A kernel whose blocks are `blocks(z, w, base's blocks)`, with base's
+    fiber metric, domain and claim of holomorphy."""
+
+    def __init__(self, base: KernelSpec, blocks):
+        self.base, self.blocks = base, blocks
+        self.variant, self.holomorphic = base.variant, base.holomorphic
+        self.fiber_dim, self.base_dim = base.fiber_dim, base.base_dim
+
+    def eval_many(self, z, w):
+        return self.blocks(z, w, self.base.eval_many(z, w))
+
+    def fiber_metric_batch(self, z):
+        return self.base.fiber_metric_batch(z)
+
+    def contains_batch(self, z):
+        return self.base.contains_batch(z)
+
+    def boundary_distance_batch(self, z):
+        return self.base.boundary_distance_batch(z)
 
 
 def cmat(rng, *shape):

@@ -699,7 +699,7 @@ def _witnessed(section: dict) -> list[tuple]:
     return found
 
 
-@pytest.mark.parametrize("workload, count", [("disc-flagship", 19), ("grassmann-d2", 15), ("sections-d2", 10)])
+@pytest.mark.parametrize("workload, count", [("disc-flagship", 16), ("grassmann-d2", 12), ("sections-d2", 9)])
 def test_every_reported_grid_extreme_names_the_first_point_that_holds_it(monkeypatch, workload, count):
     # each per-point field a task reduces is recorded by (task, key); the
     # Griffiths margins are that task's `min_margin` column

@@ -18,6 +18,8 @@ from bck.cli import AnalysisConfig, run_analyze
 from bck.kernels import KernelSpec, disc_power, universal_grassmann
 from bck.positivity import griffiths_verdict
 
+from _fields import MappedKernel
+
 ITEM_19 = "ROADMAP item 19: a decision compares a quantity that scales with the kernel against an absolute threshold"
 
 
@@ -29,25 +31,9 @@ def _workload_config(name: str, seed: int) -> dict:
     return workloads.make_config(name, seed)
 
 
-class Scaled(KernelSpec):
+def _scaled(base: KernelSpec, c: float) -> KernelSpec:
     """c times a kernel: the same bundle, its metric times c."""
-
-    def __init__(self, base: KernelSpec, c: float):
-        self.base, self.c = base, c
-        self.variant, self.holomorphic = base.variant, base.holomorphic
-        self.fiber_dim, self.base_dim = base.fiber_dim, base.base_dim
-
-    def eval_many(self, z, w):
-        return self.c * self.base.eval_many(z, w)
-
-    def fiber_metric_batch(self, z):
-        return self.base.fiber_metric_batch(z)
-
-    def contains_batch(self, z):
-        return self.base.contains_batch(z)
-
-    def boundary_distance_batch(self, z):
-        return self.base.boundary_distance_batch(z)
+    return MappedKernel(base, lambda z, w, blocks: c * blocks)
 
 
 def _sections_decisions(c: float):
@@ -96,11 +82,11 @@ def test_grassmann_griffiths_verdict_does_not_depend_on_the_kernel_scale(c):
     # about -1.2e-7 at c = 1 (nonnegative), -2.3e-6 at c = 10 and -1.5e-5
     # at c = 100 against the absolute 1e-6
     kernel, pts = universal_grassmann(4, 2), _grassmann_points()
-    assert _griffiths(Scaled(kernel, c), pts) == _griffiths(kernel, pts) == "nonnegative"
+    assert _griffiths(_scaled(kernel, c), pts) == _griffiths(kernel, pts) == "nonnegative"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)
 def test_disc_griffiths_verdict_does_not_depend_on_the_kernel_scale():
     # the margin is about 4 c: below the absolute 1e-6 it reads nonnegative
     kernel, pts = disc_power(2), _disc_points()
-    assert _griffiths(Scaled(kernel, 1e-9), pts) == _griffiths(kernel, pts) == "positive"
+    assert _griffiths(_scaled(kernel, 1e-9), pts) == _griffiths(kernel, pts) == "positive"
