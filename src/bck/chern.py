@@ -402,16 +402,15 @@ def curvature(metric: MetricField, z, steps: FdSteps = FdSteps()) -> CurvatureFi
     return analytic_curvature_field(metric_jet(metric, pts, steps, order=2)).at(0)
 
 
-def compatibility_field(connection: ConnectionField, structure: np.ndarray | None = None) -> dict:
-    """Residuals of the three structural identities of a metric connection
-    at every point of a connection field, as (N,) arrays:
+def compatibility_field(connection: ConnectionField) -> dict:
+    """Residuals of the pointwise identities of a metric connection at every
+    point of a connection field, as (N,) arrays:
 
     metric    ||dh - h A - A* h|| over the coefficient basis,
     holo      ||A^(0,1)||,
-    structure ||del A + A ^ A||: the (2,0) curvature block `structure`
-              (d, d, N, n, n), such as `nested_curvature_field(...).form.c20`
-              when d >= 2, or zero without it, as in one variable,
     scale     max(1, ||h||, ||dh||) for relative gates; the rest are absolute.
+
+    The structure equation del A + A ^ A = 0 is a curvature field's `form.c20`.
     """
     jet, a = connection.jet, connection.form
     h = jet.h
@@ -419,13 +418,11 @@ def compatibility_field(connection: ConnectionField, structure: np.ndarray | Non
         _norms(jet.dp - (h @ a.p + _adjoint(a.q) @ h)),
         _norms(jet.dq - (h @ a.q + _adjoint(a.p) @ h)),
     ).max(axis=0)
-    count = len(jet.points)
     return {
         "metric": metric_res,
         "holo": _norms(a.q).max(axis=0),
-        "structure": np.zeros(count) if structure is None else _max_norm(structure),
         "scale": np.maximum.reduce(
-            [np.ones(count), _norms(h), _norms(jet.dp).max(axis=0), _norms(jet.dq).max(axis=0)]
+            [np.ones(len(jet.points)), _norms(h), _norms(jet.dp).max(axis=0), _norms(jet.dq).max(axis=0)]
         ),
     }
 

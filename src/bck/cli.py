@@ -290,11 +290,13 @@ _TOLERANCES = {key: (_FINITE, default) for key, default in dict(
 _DIRECTIONS = {"count": (_NATURAL, 64), "seed": (_NATURAL, 0)}
 _SAMPLES = {"psd_points": (_integer(1), 50)}
 _SUBBUNDLE = {"frame": (_polynomials, _REQUIRED)}
+_RETIRED_TASKS = {"compatibility": ("connection", "curvature")}  # read as the tasks whose gates cover it
 _CONFIG = {
     "kernel": (build_kernel, _REQUIRED), "grid": (_grid, _REQUIRED),
     "fd_steps": (_fd_steps, {}),
     "tolerances": (_section(_TOLERANCES), {}),
-    "tasks": (_list_of(_check("a task name", lambda v: v in TASK_ORDER)), _REQUIRED),
+    "tasks": (_list_of(_check("a task name", lambda v: v in (*TASK_ORDER, *_RETIRED_TASKS),
+                              lambda v: _RETIRED_TASKS.get(v, (v,)))), _REQUIRED),
     "directions": (_section(_DIRECTIONS), {}),
     "samples": (_section(_SAMPLES), {}), "subbundle": (_section(_SUBBUNDLE), None),
 }
@@ -324,7 +326,7 @@ class AnalysisConfig(Record):
         if frame is not None and (frame.shape[0] != kernel.fiber_dim or frame.shape[1] > frame.shape[0]):
             wanted = f"of shape (n, k) with n = {kernel.fiber_dim}, the fiber dimension, and k <= n"
             raise _fail("subbundle.frame", wanted, frame.shape)
-        tasks = tuple(t for t in TASK_ORDER if t in cfg["tasks"])
+        tasks = tuple(t for t in TASK_ORDER if any(t in names for names in cfg["tasks"]))
         if "subbundle" in tasks and frame is None:
             raise ConfigError("subbundle.frame is required by the subbundle task")
         return cls(
@@ -505,14 +507,6 @@ def _task_curvature(ctx: RunContext) -> dict:
     return {"passed": bool(passed), "data": data}
 
 
-def _task_compatibility(ctx: RunContext) -> dict:
-    structure = ctx.nested.form.c20 if ctx.metric.dim > 1 else None
-    res = compatibility_field(ctx.connection, structure)
-    keys = {f"max_relative_{key}_residual": res[key] / res["scale"] for key in ("metric", "structure")}
-    data = _extremes(ctx.points, **keys)
-    return {"passed": all(data[key] <= ctx.tol["compatibility"] for key in keys), "data": data}
-
-
 def _task_dual(ctx: RunContext) -> dict:
     dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, ctx.analytic, ctx.tol["admissibility"])
     data = _extremes(ctx.points, max_residual=dual.residual)
@@ -600,7 +594,6 @@ _TASKS = {
     "admissibility": _task_admissibility,
     "connection": _task_connection,
     "curvature": _task_curvature,
-    "compatibility": _task_compatibility,
     "dual": _task_dual,
     "subbundle": _task_subbundle,
     "griffiths": _task_griffiths,

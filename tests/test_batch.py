@@ -585,7 +585,7 @@ def test_mgs_rejects_a_nan_column():
 
 # -- failures inside a batched run keep their error kind and exit code --------------
 
-GRID_TASKS = ["connection", "curvature", "compatibility", "dual", "griffiths", "theorem55"]
+GRID_TASKS = ["connection", "curvature", "dual", "griffiths", "theorem55"]
 
 
 def _axis(lo, hi, res):

@@ -1,9 +1,11 @@
 """Config-driven runs: exit codes, determinism, reports, CSV, selftest."""
 
 import collections
+import contextlib
 import copy
 import gc
 import importlib.util
+import io
 import json
 import os
 import re
@@ -108,6 +110,27 @@ def test_malformed_polynomial_matrices_are_config_errors(tmp_path, capsys, overr
     cfg.update(overrides)
     assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+TASK_NAMES = [*TASK_ORDER, "compatibility"]  # the retired name reads as the two tasks that gate it
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(TASK_NAMES), min_size=1, max_size=12),
+    other=st.text(max_size=16).filter(lambda name: name not in TASK_NAMES),
+    at=st.integers(0, 12),
+)
+def test_tasks_read_in_task_order_with_compatibility_expanded(names, other, at):
+    cfg = base_config(tasks=names, subbundle={"frame": [[ONE]]})
+    wanted = {t for name in names for t in (("connection", "curvature") if name == "compatibility" else (name,))}
+    assert AnalysisConfig.from_dict(cfg).tasks == tuple(t for t in TASK_ORDER if t in wanted)
+    at = min(at, len(names))
+    cfg["tasks"] = names[:at] + [other] + names[at:]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        assert main(["analyze", "--config", write_config(Path(tmp), cfg)]) == 2
+    assert err.getvalue() == f"config error: tasks[{at}] must be a task name, not {other!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -699,7 +722,7 @@ def _witnessed(section: dict) -> list[tuple]:
     return found
 
 
-@pytest.mark.parametrize("workload, count", [("disc-flagship", 16), ("grassmann-d2", 12), ("sections-d2", 9)])
+@pytest.mark.parametrize("workload, count", [("disc-flagship", 14), ("grassmann-d2", 10), ("sections-d2", 9)])
 def test_every_reported_grid_extreme_names_the_first_point_that_holds_it(monkeypatch, workload, count):
     # each per-point field a task reduces is recorded by (task, key); the
     # Griffiths margins are that task's `min_margin` column
@@ -758,7 +781,7 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(bck.cli, name, counted)
-    tasks = ["connection", "curvature", "compatibility", "dual", "griffiths", "theorem55"]
+    tasks = ["connection", "curvature", "dual", "griffiths", "theorem55"]
     # the Grassmann kernel is not holomorphic: theorem55 stops at its premise
     for overrides, status in (({}, "verified"), (GRASSMANN_D2, "hypothesis_not_met")):
         calls.clear()

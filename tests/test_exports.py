@@ -8,6 +8,7 @@ import tokenize
 from pathlib import Path
 
 import bck
+import bck.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +34,21 @@ def test_readme_quick_start_runs():
     assert namespace["theta"].form.r11.shape == (1, 1, 3, 1, 1)
     one = namespace["theta"].at(0)
     assert isinstance(one, bck.CurvatureField) and one.form.r11.shape == (1, 1, 1, 1)
+
+
+def test_readme_task_bullets_name_the_run_tasks_and_the_retired_one():
+    # the "Config schema" bullets describe exactly the tasks a run has, and
+    # the retired `compatibility` task is under "Removed names" with what
+    # replaces it: the two tasks that gate it, and the (2,0) norm that was
+    # compatibility_field's `structure` residual
+    readme = (ROOT / "README.md").read_text()
+    tasks = readme.split("\nTasks:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"^\* `(\w+)` — ", tasks, flags=re.M)) == sorted(bck.cli.TASK_ORDER)
+    removed = re.split(r"\n(?=\* )", readme.split("### Removed names\n", 1)[1].split("\n## ", 1)[0])
+    task = next(entry for entry in removed if entry.startswith("* the `compatibility` task"))
+    assert "runs `connection` and `curvature`" in task
+    structure = next(entry for entry in removed if entry.startswith("* `compatibility_field(conn, structure)`"))
+    assert "`np.linalg.norm(nested.form.c20, axis=(-2, -1)).max(axis=(0, 1))`" in structure
 
 
 # exported names with no use in code, kept for a stated reason

@@ -42,8 +42,8 @@ def _mono(c, *p) -> list:
     return [{"c": c, "p": list(p)}]
 
 
-# Small configs: a d = 1 disc that runs and passes all ten tasks, a d = 2
-# Grassmannian for the (2,0) gates, and d = 2 sections with a subbundle
+# Small configs: a d = 1 disc that runs and passes every task, a d = 2
+# Grassmannian for the (2,0) gate, and d = 2 sections with a subbundle
 # frame of rank 1 in a rank-2 bundle.
 CONFIGS = {
     "disc": {
@@ -59,7 +59,7 @@ CONFIGS = {
         "kernel": {"variant": "universal_grassmann", "ambient_dim": 3, "rank": 1},
         "grid": {"axes": [_axis(-0.5, 0.5, 2)] * 2},
         "directions": {"count": 4, "seed": 1},
-        "tasks": ["connection", "curvature", "compatibility", "dual", "griffiths"],
+        "tasks": ["connection", "curvature", "dual", "griffiths"],
     },
     "sections": {
         "kernel": {"variant": "from_sections", "base_dim": 2, "entries": [
@@ -294,11 +294,6 @@ TABLE = {
         "max_pairing_residual": Info("README.md"),
         "closed_form_max_rel_err": Info("tests/test_cli.py"),  # the disc oracle
     },
-    "compatibility": {
-        "max_relative_metric_residual": Gate("grassmann", "scaled connection solve", "<= compatibility"),
-        "max_relative_structure_residual": Gate(
-            "grassmann", "symmetrized (2,0) block of the nested A ^ A", "<= compatibility"),
-    },
     "dual": {
         "max_residual": Gate("sections", "dual curvature without its pull-back transpose", "<= dual"),
     },
@@ -370,11 +365,20 @@ def test_a_planted_fault_fails_the_gate(task, key, row):
 def test_a_wrong_dbar_passes_selftest_and_fails_the_run():
     """The selftest corpus cannot see a wrong dzbar in the stencils: every
     identity it checks holds for any consistent linear difference operator.
-    The run's own curvature, connection and dual checks do."""
+    The run's own curvature, connection and dual checks do, and so does
+    the subbundle identity for a frame of rank k < n."""
     # Stencil.first_derivatives with q = (fx + fy) / 2 where it is (fx + i fy) / 2
-    wrong = _then(lambda pq: (pq[0], 0.5 * ((pq[0] + pq[1]) + 1j * (pq[0] - pq[1]))))
-    report = _report("disc", _patched(Stencil, "first_derivatives", wrong))
+    wrong = _patched(Stencil, "first_derivatives",
+                     _then(lambda pq: (pq[0], 0.5 * ((pq[0] + pq[1]) + 1j * (pq[0] - pq[1])))))
+    report = _report("disc", wrong)
     tasks = report["tasks"]
     assert all(check["passed"] for check in tasks["selftest"]["data"]["checks"])
     assert not any(tasks[name]["passed"] for name in ("connection", "curvature", "dual"))
     assert report["exit_code"] == 4
+    # the disc's frame spans its rank-1 fiber (k = n), so block11 and
+    # theta_sub are one curvature computed twice and agree under any fault
+    assert tasks["subbundle"]["passed"]
+    sections = _report("sections", wrong)  # a rank-1 frame of a rank-2 bundle
+    subbundle = sections["tasks"]["subbundle"]
+    assert not subbundle["passed"]
+    assert subbundle["data"]["max_identity_residual"] > sections["tolerances"]["subbundle"]
