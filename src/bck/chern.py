@@ -592,7 +592,7 @@ def subbundle_split(
     steps: FdSteps = FdSteps(),
 ) -> SubbundleField:
     """`subbundle_field` at one point z, for a frame z -> (n, k) matrix."""
-    stacked = pointwise(lambda w: np.atleast_2d(frame(w)), what="frame")
+    stacked = pointwise(lambda w: np.atleast_2d(frame(w)))
     return subbundle_field(metric_jet(metric, as_point(z, metric.dim)[None], steps, order=2), stacked).at(0)
 
 

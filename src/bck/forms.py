@@ -27,6 +27,8 @@ protocol that these functions read.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -556,17 +558,12 @@ def clear_of_boundary(domain, points: np.ndarray, margin: float) -> np.ndarray:
     return ok
 
 
-def _axis_offset(dim: int, axis: int, h, imag: bool) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[axis] = 1j * h if imag else h
-    return e
-
-
-def _extrapolate(estimates: list):
-    """The step-h estimate, or with a step-h/2 one (4 D(h/2) - D(h)) / 3."""
-    if len(estimates) == 1:
-        return estimates[0]
-    return (4.0 * estimates[1] - estimates[0]) / 3.0
+def _apply(rows: list, values) -> np.ndarray:
+    """Each row of terms (a, b, w) on node-first values, stacked along a new
+    first axis: the sum of w (f[a] - f[b]), added term by term, so that a
+    point's value does not depend on the points that share its array."""
+    values = np.asarray(values)
+    return np.stack([reduce(np.add, (w * (values[a] - values[b]) for a, b, w in row)) for row in rows])
 
 
 class Stencil:
@@ -576,13 +573,17 @@ class Stencil:
     use.  `first` registers, per axis j, the nodes z +- h e_j, z +- i h e_j
     of the first Wirtinger derivatives; `mixed` registers, per pair
     (k, j), the nodes of the second difference d^2 / dzbar_k dz_j (z and
-    four axis nodes when k == j, sixteen diagonal nodes otherwise).  Each
-    derivative is taken at the step h and, with `richardson`, also at h/2,
-    the two combined as (4 D(h/2) - D(h)) / 3.  With `centre` the point z
-    itself is node 0 (`CENTRE`).  Nodes are numbered in that order: the
-    centre, then the first-derivative nodes, then the mixed ones not
-    already listed, so `first_derivatives` reads only the first
-    `first_nodes` of them.
+    four axis nodes when k == j, sixteen diagonal nodes otherwise).  With
+    `centre` the point z itself is node 0 (`CENTRE`).  Nodes are numbered
+    in that order: the centre, then the first-derivative nodes, then the
+    mixed ones not already listed, so `first_derivatives` reads only the
+    first `first_nodes` of them.
+
+    Each derivative is one row of terms (a, b, w) and reads the sum of
+    w (f[a] - f[b]) over them: node differences first, as a difference
+    quotient takes them.  Each term's weight carries a factor c of its
+    step level: c = 1 at the step h alone, and with `richardson` c = -1/3
+    at h and 4/3 at h/2, which is (4 D(h/2) - D(h)) / 3.
 
     `first_derivatives`, `mixed_derivatives` and `exterior_derivative`
     combine field values taken at z + offsets[s], indexed by node first;
@@ -605,30 +606,26 @@ class Stencil:
         self.dim = int(dim)
         self._index: dict[bytes, int] = {}
         self._offsets: list[np.ndarray] = []
-        levels = (1.0, 0.5) if richardson else (1.0,)
+        levels = ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)) if richardson else ((1.0, 1.0),)
+        unit = np.eye(self.dim, dtype=complex)
         if centre:
             self._node(np.zeros(self.dim, dtype=complex))
-        self._first = []
         steps = _steps_array(first, self.dim)
         self.radius = 2.0 * float(np.max(steps))
-        for j in range(self.dim):
-            rule = []
-            for level in levels:
-                h = steps[j] * level
-                e = _axis_offset(self.dim, j, h, False)
-                ie = 1j * e
-                rule.append((h, [self._node(o) for o in (e, -e, ie, -ie)]))
-            self._first.append(rule)
+        self._first = [[] for _ in range(2 * self.dim)]  # d/dz_j, then d/dzbar_j
+        for j, (level, c), r in product(range(self.dim), levels, (1, 1j)):  # r: along e_j, then i e_j
+            h = steps[j] * level
+            e = r * h * unit[j]
+            a, b = self._node(e), self._node(-e)
+            self._first[j].append((a, b, c * r.conjugate() / (4.0 * h)))
+            self._first[self.dim + j].append((a, b, c * r / (4.0 * h)))
         self.first_nodes = len(self._offsets)
-        self._mixed = {}
+        self._mixed = [[] for _ in range(self.dim**2)]  # d^2 / dzbar_k dz_j at k d + j
         if mixed is not None:
             steps = _steps_array(mixed, self.dim)
-            for k, j in np.ndindex(self.dim, self.dim):
+            for (k, j), (level, c) in product(np.ndindex(self.dim, self.dim), levels):
                 self.radius = max(self.radius, 2.0 * float(max(steps[k], steps[j])))
-                self._mixed[(k, j)] = [
-                    self._mixed_rule(k, j, steps[k] * level, steps[j] * level)
-                    for level in levels
-                ]
+                self._mixed[k * self.dim + j] += self._terms(unit, k, j, steps[k] * level, steps[j] * level, c)
 
     def _node(self, offset: np.ndarray) -> int:
         key = offset.tobytes()
@@ -637,18 +634,21 @@ class Stencil:
             self._offsets.append(offset)
         return self._index[key]
 
-    def _mixed_rule(self, k, j, hk, hj):
+    def _terms(self, unit, k, j, hk, hj, c) -> list:
+        """The terms of d^2 / dzbar_k dz_j at the steps hk, hj and level factor c:
+        a quarter-Laplacian when k == j, else a cross difference with phase
+        r conj(s) per u = r hk e_k and v = s hj e_j, r and s each 1 or i."""
         if k == j:
-            ex = _axis_offset(self.dim, j, hj, False)
-            ey = _axis_offset(self.dim, j, hj, True)
-            zero = np.zeros(self.dim, dtype=complex)
-            return hk, hj, [self._node(o) for o in (zero, ex, -ex, ey, -ey)]
-        nodes = []
-        for u_imag, v_imag in ((False, False), (True, False), (False, True), (True, True)):
-            u = _axis_offset(self.dim, k, hk, u_imag)
-            v = _axis_offset(self.dim, j, hj, v_imag)
-            nodes += [self._node(o) for o in (u + v, u - v, -u + v, -u - v)]
-        return hk, hj, nodes
+            zero = self._node(np.zeros(self.dim, dtype=complex))
+            ex, ey = hj * unit[j], 1j * hj * unit[j]
+            return [(self._node(o), zero, c / (4.0 * hj**2)) for o in (ex, -ex, ey, -ey)]
+        terms = []
+        for r, s in ((1, 1), (1j, 1), (1, 1j), (1j, 1j)):
+            u, v = r * hk * unit[k], s * hj * unit[j]
+            pp, pm, mp, mm = (self._node(o) for o in (u + v, u - v, -u + v, -u - v))
+            w = c * r * s.conjugate() / (16.0 * hk * hj)
+            terms += [(pp, pm, w), (mm, mp, w)]
+        return terms
 
     @property
     def offsets(self) -> np.ndarray:
@@ -698,40 +698,13 @@ class Stencil:
 
     def first_derivatives(self, values) -> tuple[np.ndarray, np.ndarray]:
         """(p, q) of shape (d, ...) with p[j] ~ df/dz_j and q[k] ~ df/dzbar_k."""
-        ps, qs = [], []
-        for rule in self._first:
-            p_levels, q_levels = [], []
-            for h, (px, mx, py, my) in rule:
-                fx = (np.asarray(values[px]) - np.asarray(values[mx])) / (2.0 * h)
-                fy = (np.asarray(values[py]) - np.asarray(values[my])) / (2.0 * h)
-                p_levels.append(0.5 * (fx - 1j * fy))
-                q_levels.append(0.5 * (fx + 1j * fy))
-            ps.append(_extrapolate(p_levels))
-            qs.append(_extrapolate(q_levels))
-        return np.stack(ps), np.stack(qs)
+        pq = _apply(self._first, values)
+        return pq[: self.dim], pq[self.dim :]
 
     def mixed_derivatives(self, values) -> np.ndarray:
-        """The (d, d, ...) table of d^2 f / dzbar_k dz_j at [k, j].  For
-        k == j the cross terms cancel exactly and only the
-        quarter-Laplacian on that axis survives."""
-
-        def pair(k, j):
-            estimates = []
-            for hk, hj, nodes in self._mixed[(k, j)]:
-                f = [np.asarray(values[s]) for s in nodes]
-                if k == j:
-                    dxx = (f[1] - 2.0 * f[0] + f[2]) / hj**2
-                    dyy = (f[3] - 2.0 * f[0] + f[4]) / hj**2
-                    estimates.append(0.25 * (dxx + dyy))
-                else:
-                    cross = [
-                        (f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * hk * hj)
-                        for i in range(0, 16, 4)
-                    ]
-                    estimates.append(0.25 * (cross[0] + 1j * cross[1] - 1j * cross[2] + cross[3]))
-            return _extrapolate(estimates)
-
-        return np.stack([np.stack([pair(k, j) for j in range(self.dim)]) for k in range(self.dim)])
+        """The (d, d, ...) table of d^2 f / dzbar_k dz_j at [k, j]."""
+        mixed = _apply(self._mixed, values)
+        return mixed.reshape((self.dim, self.dim) + mixed.shape[1:])
 
     def exterior_derivative(self, values):
         """d of a 0- or 1-form field from its values at the nodes, node

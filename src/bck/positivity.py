@@ -183,9 +183,11 @@ class GriffithsReport(Record):
     `sampled_only` records that a sampled positive verdict is not a
     certificate against adversarial curvature between samples.
 
-    In one variable G(x) = |x|^2 G(1), so every unit direction ties up to
-    round-off: `witness_direction` is then whichever sample rounds lowest
-    and may differ between versions of the reduction.
+    Round-off picks among margins that agree mathematically, so a witness
+    may differ between versions of the reduction or of the stencils: in one
+    variable G(x) = |x|^2 G(1) ties every unit direction, and beyond one
+    variable points can tie (grid corners with equal |B| on a Grassmannian
+    chart) for `witness_point`.
     """
 
     points: np.ndarray  # (N, d)

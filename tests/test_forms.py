@@ -367,6 +367,49 @@ def test_del_plus_delbar_is_full_differential():
     assert np.max(np.abs(df.q - q[:, 0])) <= 1e-12
 
 
+def _exact_wirtinger(poly: MatrixPolynomial, z: np.ndarray):
+    """(d/dz_j, d/dzbar_j, d^2/dzbar_k dz_j at [k, j]) of `poly` at z, term
+    by term from the powers (p, q) of C z^p conj(z)^q."""
+    d, eye = poly.dim, np.eye(poly.dim, dtype=int)
+
+    def mono(p, q):  # a power that would go negative has a zero factor in front
+        return np.prod(z ** np.maximum(p, 0)) * np.prod(np.conj(z) ** np.maximum(q, 0))
+
+    dz, dzbar = np.zeros((2, d) + poly.shape, dtype=complex)
+    mixed = np.zeros((d, d) + poly.shape, dtype=complex)
+    for (p, q), c in poly.terms.items():
+        p, q = np.array(p), np.array(q)
+        for j in range(d):
+            dz[j] += p[j] * mono(p - eye[j], q) * c
+            dzbar[j] += q[j] * mono(p, q - eye[j]) * c
+            for k in range(d):
+                mixed[k, j] += p[j] * q[k] * mono(p - eye[j], q - eye[k]) * c
+    return dz, dzbar, mixed
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    richardson=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    radii=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+    angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=2),
+)
+def test_stencil_weights_are_exact_on_polynomials_of_their_order(dim, richardson, seed, radii, angles):
+    """Every first and mixed derivative row, k != j included, is exact up to
+    round-off on polynomials of the degree its differences cancel: 2 for
+    the central differences, 4 once Richardson removes their h^2 term."""
+    poly = MatrixPolynomial.random(np.random.default_rng(seed), dim, (2, 2), degree=4 if richardson else 2)
+    z = (np.array(radii) * np.exp(1j * np.array(angles)))[:dim]
+    stencil = Stencil(dim, first=1e-2, mixed=2e-2, richardson=richardson, centre=True)
+    values = stencil.by_node(stencil.on_points(poly, z[None]), 1)
+    p, q = stencil.first_derivatives(values)
+    mixed = stencil.mixed_derivatives(values)
+    tol = 1e-9 * max(1.0, np.max(np.abs(values)))
+    for got, exact in zip((p, q, mixed), _exact_wirtinger(poly, z)):
+        assert np.max(np.abs(got[..., 0, :, :] - exact)) <= tol
+
+
 def test_cauchy_riemann_residual_values():
     grid = np.linspace(-0.5, 0.5, 5)
     pts = np.array([[x + 1j * y] for x in grid for y in grid])
