@@ -42,7 +42,7 @@ from .forms import (
     Form1, Form2, Record, Stencil, as_point, as_points, at_point, inside_domain, join_points, pointwise, wedge,
 )
 from .kernels import AdmissibilityField, KernelSpec, dual_kernel
-from .linalg import eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, solve
+from .linalg import adjoint, eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, norms, solve
 
 __all__ = [
     "FdSteps",
@@ -58,6 +58,7 @@ __all__ = [
     "analytic_curvature_field",
     "nested_curvature_field",
     "compatibility_field",
+    "hom_metric",
     "hs_connection_check",
     "SubbundleField",
     "subbundle_field",
@@ -101,15 +102,6 @@ class FdSteps(Record, frozen=True):
         (`Stencil.radius`), and the nested route centres an inner stencil
         on each node of an outer one."""
         return 4.0 * self.max_step * float(np.max(self.scale))
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norms over the two trailing (matrix) axes."""
-    return np.linalg.norm(a, axis=(-2, -1))
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a.conj(), -1, -2)
 
 
 _ROWS = 8192  # the budget of `_chunked`
@@ -334,13 +326,13 @@ class CurvatureField(Record, frozen=True):
 
 def _max_norm(blocks: np.ndarray) -> np.ndarray:
     """Largest Frobenius norm over the two form indices, per point."""
-    return _norms(blocks).max(axis=(0, 1))
+    return norms(blocks).max(axis=(0, 1))
 
 
 def _pairing_residuals(h: np.ndarray, r11: np.ndarray) -> np.ndarray:
     weighted = h @ r11
     scale = np.maximum(1.0, _max_norm(weighted))
-    return _max_norm(_adjoint(weighted) - np.swapaxes(weighted, 0, 1)) / scale
+    return _max_norm(adjoint(weighted) - np.swapaxes(weighted, 0, 1)) / scale
 
 
 def analytic_curvature_field(jet: MetricJet) -> CurvatureField:
@@ -415,14 +407,14 @@ def compatibility_field(connection: ConnectionField) -> dict:
     jet, a = connection.jet, connection.form
     h = jet.h
     metric_res = np.maximum(
-        _norms(jet.dp - (h @ a.p + _adjoint(a.q) @ h)),
-        _norms(jet.dq - (h @ a.q + _adjoint(a.p) @ h)),
+        norms(jet.dp - (h @ a.p + adjoint(a.q) @ h)),
+        norms(jet.dq - (h @ a.q + adjoint(a.p) @ h)),
     ).max(axis=0)
     return {
         "metric": metric_res,
-        "holo": _norms(a.q).max(axis=0),
+        "holo": norms(a.q).max(axis=0),
         "scale": np.maximum.reduce(
-            [np.ones(len(jet.points)), _norms(h), _norms(jet.dp).max(axis=0), _norms(jet.dq).max(axis=0)]
+            [np.ones(len(jet.points)), norms(h), norms(jet.dp).max(axis=0), norms(jet.dq).max(axis=0)]
         ),
     }
 
@@ -430,6 +422,28 @@ def compatibility_field(connection: ConnectionField) -> dict:
 # ---------------------------------------------------------------------------
 # Hilbert-Schmidt bundles
 # ---------------------------------------------------------------------------
+
+
+def hom_metric(h1: MetricField, h2: MetricField) -> MetricField:
+    """The metric S -> h2 S h1^{-1} of Hom(E1, E2), the n2 x n1 matrices S
+    with the trace pairing, as the superoperator kron(h2, (h1^{-1})^T) on
+    row-major vectorized S; its curvature is S -> Theta2 S - S Theta1."""
+    if h1.dim != h2.dim:
+        raise ValueError("factor metrics live on charts of different dimension")
+    n1, n2 = h1.fiber_dim, h2.fiber_dim
+
+    def super_metric(nodes):  # kron(h2, inv(h1)^T) at every node
+        a, b = h2.batch(nodes), np.swapaxes(solve(h1.batch(nodes), np.eye(n1)), -1, -2)
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(nodes), n2 * n1, n2 * n1)
+
+    return MetricField(
+        func=None,
+        dim=h1.dim,
+        fiber_dim=n1 * n2,
+        domain=h1.domain if h1.domain is not None else h2.domain,
+        name="hs metric",
+        batch_func=super_metric,
+    )
 
 
 def hs_connection_check(
@@ -440,30 +454,13 @@ def hs_connection_check(
 ) -> float:
     """Residual of the operator-bundle connection identity.
 
-    The space of n2 x n1 matrices S carries the metric
-    S -> h2(z) S h1(z)^{-1} (trace pairing); its metric connection,
-    computed directly as a superoperator on vectorized matrices, must
-    equal S -> A2 S - S A1 built from the factor connections.  Row-major
-    vectorization turns S -> h2 S h1^{-1} into kron(h2, (h1^{-1})^T).
+    The metric connection of `hom_metric(h1, h2)`, computed directly as a
+    superoperator on vectorized matrices, must equal S -> A2 S - S A1
+    built from the factor connections.
     """
     z = as_point(z, h1.dim)
-    if h1.dim != h2.dim:
-        raise ValueError("factor metrics live on charts of different dimension")
     n1, n2 = h1.fiber_dim, h2.fiber_dim
-
-    def super_metric(nodes):  # kron(h2, inv(h1)^T) at every node
-        a, b = h2.batch(nodes), np.swapaxes(solve(h1.batch(nodes), np.eye(n1)), -1, -2)
-        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(nodes), n2 * n1, n2 * n1)
-
-    big = MetricField(
-        func=None,
-        dim=h1.dim,
-        fiber_dim=n1 * n2,
-        domain=h1.domain if h1.domain is not None else h2.domain,
-        name="hs metric",
-        batch_func=super_metric,
-    )
-    a_super, a1, a2 = (chern_connection(m, z, steps).form.p for m in (big, h1, h2))
+    a_super, a1, a2 = (chern_connection(m, z, steps).form.p for m in (hom_metric(h1, h2), h1, h2))
     return float(np.max([
         frob(a_super[j] - (np.kron(a2[j], np.eye(n1)) - np.kron(np.eye(n2), a1[j].T)))
         for j in range(h1.dim)
@@ -552,28 +549,28 @@ def _subbundle(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -> Sub
     q1, _ = _node_frames(f[Stencil.CENTRE], h0, pts, stencil.offsets)
     eye = np.eye(n, dtype=complex)
     e, hc = eye[:, :, None], h0[:, None]  # e[i] is the column e_i
-    resid = e - q1[:, None] @ (_adjoint(q1)[:, None] @ (hc @ e))
-    scores = np.abs(_adjoint(resid) @ (hc @ resid))[..., 0, 0]
+    resid = e - q1[:, None] @ (adjoint(q1)[:, None] @ (hc @ e))
+    scores = np.abs(adjoint(resid) @ (hc @ resid))[..., 0, 0]
     complement = np.sort(np.argsort(scores, axis=-1, kind="stable")[:, ::-1][:, : n - k], axis=-1)
     fixed = np.swapaxes(eye[complement], -1, -2)
     columns = np.concatenate([f, np.broadcast_to(fixed, f.shape[:2] + fixed.shape[1:])], axis=-1)
     u, r_full = _node_frames(columns, h, pts, stencil.offsets)
     u0 = u[Stencil.CENTRE]
-    u0_inv = _adjoint(u0) @ h0  # h-unitarity makes this the inverse
+    u0_inv = adjoint(u0) @ h0  # h-unitarity makes this the inverse
 
     du_p, du_q = stencil.first_derivatives(u)
     beta = (u0_inv @ (solve(h0, jet.dp) @ u0 + du_p))[..., k:, :k]
-    antiholo = _norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
+    antiholo = norms((u0_inv @ du_q)[..., k:, :k]).max(axis=0, initial=0.0)
 
     tilde = u0_inv @ r11 @ u0
     block11, block22 = tilde[..., :k, :k], tilde[..., k:, k:]
 
-    induced = _adjoint(f_all) @ jet.values @ f_all  # (S, N, k, k), checked point by point
+    induced = adjoint(f_all) @ jet.values @ f_all  # (S, N, k, k), checked point by point
     _validated(np.swapaxes(induced, 0, 1).reshape(-1, k, k), nodes, "induced subbundle metric")
     sub = analytic_curvature_field(_jet(pts, induced, stencil, order=2)).form.r11
     r = r_full[Stencil.CENTRE, :, :k, :k]
     theta_sub = r @ sub @ solve(r, np.eye(k))
-    expected = theta_sub - _adjoint(beta)[:, None] @ beta[None, :]
+    expected = theta_sub - adjoint(beta)[:, None] @ beta[None, :]
     return SubbundleField(
         adapted_frame=u0,
         beta=beta,

@@ -57,7 +57,7 @@ from .kernels import (
     gram,
     psd_check,
 )
-from .linalg import Sampler, complex_normal
+from .linalg import Sampler, complex_normal, norms
 from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
 
@@ -490,8 +490,8 @@ def _task_connection(ctx: RunContext) -> dict:
 
 def _task_curvature(ctx: RunContext) -> dict:
     analytic, nested = ctx.analytic.form.r11, ctx.nested
-    scale = np.maximum(1.0, np.linalg.norm(analytic, axis=(-2, -1)).max(axis=(0, 1)))
-    disagreement = np.linalg.norm(analytic - nested.form.r11, axis=(-2, -1)).max(axis=(0, 1))
+    scale = np.maximum(1.0, norms(analytic).max(axis=(0, 1)))
+    disagreement = norms(analytic - nested.form.r11).max(axis=(0, 1))
     fields = {
         "max_method_disagreement": disagreement / scale,
         "max_relative_purity_residual": nested.purity_residual / scale,

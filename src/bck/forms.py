@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructuralError, require
-from .linalg import max_frob
+from .linalg import adjoint, max_frob
 
 __all__ = [
     "Record",
@@ -446,7 +446,7 @@ class BilinearSamples:
     def adjoint_values(self) -> "BilinearSamples":
         if self.tensor.ndim < 4:
             return BilinearSamples(np.conj(self.tensor), self.dim)
-        return BilinearSamples(np.conj(np.swapaxes(self.tensor, -1, -2)), self.dim)
+        return BilinearSamples(adjoint(self.tensor), self.dim)
 
 
 def split_bilinear(phi: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int) -> Form2:

@@ -42,6 +42,7 @@ from .errors import DomainError, StructuralError, require
 from .forms import Record, as_point, as_points, as_sample, at_point, pointwise
 from .linalg import (
     Sampler,
+    adjoint,
     complex_normal,
     hermiticity_defect,
     hermitize,
@@ -264,7 +265,7 @@ class SectionKernel(KernelSpec):
     def eval_many(self, z, w):
         ez = mul(self.section_values(z), self._factor)
         ew = mul(self.section_values(w), self._factor)
-        return mul(ez, np.swapaxes(ew.conj(), -1, -2))
+        return mul(ez, adjoint(ew))
 
 
 class GrassmannKernel(KernelSpec):
@@ -292,7 +293,7 @@ class GrassmannKernel(KernelSpec):
         """F(z)* F(w) = I + B(z)* B(w) over broadcast stacks of points (..., d)."""
         graph = (self.ambient_dim - self.rank, self.rank)
         bz, bw = (np.asarray(p, dtype=complex).reshape(np.shape(p)[:-1] + graph) for p in (z, w))
-        out = mul(np.swapaxes(bz.conj(), -1, -2), bw)
+        out = mul(adjoint(bz), bw)
         diagonal = np.arange(self.rank)
         out[..., diagonal, diagonal] += 1.0
         return out
@@ -430,11 +431,11 @@ def _hermitize_in_place(a: np.ndarray, cuts: list[slice]) -> float:
         for cols in cuts[i:]:
             x, y = a[rows, cols], a[cols, rows]
             mirror = cols is not rows  # then (cols, rows) is a second tile, holding -d*
-            d = x - y.conj().T
+            d = x - adjoint(y)
             skew += (1 + mirror) * np.vdot(d, d).real
             norm += np.vdot(x, x).real + mirror * np.vdot(y, y).real
-            upper = 0.5 * (x + y.conj().T)
-            a[cols, rows] = 0.5 * (y + x.conj().T)
+            upper = 0.5 * (x + adjoint(y))
+            a[cols, rows] = 0.5 * (y + adjoint(x))
             a[rows, cols] = upper
     return float(np.sqrt(skew) / max(1.0, np.sqrt(norm)))
 

@@ -24,6 +24,8 @@ __all__ = [
     "complex_normal",
     "frob",
     "max_frob",
+    "adjoint",
+    "norms",
     "hermitize",
     "hermiticity_defect",
     "mgs_orthonormalize",
@@ -113,18 +115,25 @@ def max_frob(a: np.ndarray, lead: int) -> float:
     return float(np.linalg.norm(a.reshape(math.prod(a.shape[:lead]), -1), axis=-1).max())
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose a* of each matrix of a stack (..., n, k)."""
+    return np.swapaxes(np.conj(a), -1, -2)
+
+
+def norms(a: np.ndarray) -> np.ndarray | float:
+    """Frobenius norm of each matrix of a stack (..., n, k); a scalar for one matrix."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a*) / 2, of each matrix of a stack (..., n, n)."""
-    a = np.asarray(a)
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    return 0.5 * (a + adjoint(a))
 
 
 def hermiticity_defect(a: np.ndarray) -> np.ndarray | float:
     """Frobenius norm of a - a*, relative to max(1, ||a||), of each matrix
     of a stack (..., n, n); a scalar for one matrix."""
-    a = np.asarray(a)
-    skew = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
-    return skew / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    return norms(a - adjoint(a)) / np.maximum(1.0, norms(a))
 
 
 def relative_rank(a: np.ndarray, tol: float = 1e-10) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from .chern import CurvatureField, MetricField, _chunked
 from .errors import require
 from .forms import BilinearSamples, Form2, Record, as_point, as_sample, pointwise
-from .linalg import Sampler, complex_normal, frob, hermiticity_defect, hermitize
+from .linalg import Sampler, complex_normal, eigvalsh, frob, hermiticity_defect, hermitize
 
 __all__ = [
     "BilinearSamples",
@@ -226,7 +226,7 @@ def griffiths_verdict(
     one contraction over the (point, direction) pairs of each
     `chern._chunked` chunk of points.  Every G_im passes
     the same relative hermiticity gate as `griffiths_form`, and one stacked
-    `eigh` of a chunk's hermitised G_im gives its margins.
+    `linalg.eigvalsh` of a chunk's hermitised G_im gives its margins.
 
     Deterministic for a fixed seed: the direction sample and the
     iteration order are pinned.  The reduction is a minimum; on ties the
@@ -242,8 +242,7 @@ def griffiths_verdict(
     def chunk(rows):  # the hermiticity defects (NaN propagates) and margins
         s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, field.form.r11[:, :, rows])
         g = 2.0 * np.matmul(field.h[rows, None], s)
-        # eigh, not eigvalsh: the two can differ in the last bits for n >= 3
-        return hermiticity_defect(g).max(axis=1), np.linalg.eigh(hermitize(g))[0][..., 0]
+        return hermiticity_defect(g).max(axis=1), eigvalsh(hermitize(g))[..., 0]
 
     herm, margins = _chunked(chunk, len(pts), len(dirs))
     worst = np.max(herm, initial=0.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import forms
 from .forms import Form1, Record, Stencil, _field_values, at_point, split_bilinear, split_linear
-from .linalg import Sampler, complex_normal
+from .linalg import Sampler, adjoint, complex_normal, norms
 from .polys import MatrixPolynomial
 from .positivity import triple_join, triple_split
 
@@ -49,7 +49,7 @@ def _norms(value):
     norm over the stack."""
     if isinstance(value, Record):
         value = np.array(_field_values(value))
-    return np.linalg.norm(value, axis=(-2, -1))
+    return norms(value)
 
 
 def _own(values):
@@ -156,7 +156,7 @@ def _check_leibniz(rng):
 def _check_triple(rng):
     dim, n, items = 2, 2, 6
     c = complex_normal(rng, (dim, dim, items, n, n))
-    c = 0.5 * (c + np.swapaxes(c, 0, 1).swapaxes(-1, -2).conj())  # Hermitian sesquilinear symmetry
+    c = 0.5 * (c + adjoint(np.swapaxes(c, 0, 1)))  # Hermitian sesquilinear symmetry
 
     def herm(v, w):
         return np.einsum("jkiab,j,k->iab", c, v, np.conj(w))

@@ -1,4 +1,9 @@
-"""Shared test fixtures: random fields with known structure and disc references."""
+"""Shared test fixtures: random fields with known structure, disc references
+and the pinned workloads."""
+
+import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +20,21 @@ def bit_equal(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
     return type(a) is type(b) and a == b
+
+
+@functools.cache
+def perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's pinned workloads, as a module."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def workload_config(name: str, seed: int) -> dict:
+    """A new copy of a pinned workload's config at a seed."""
+    return perfbench_workloads().make_config(name, seed)
 
 
 class MappedKernel(KernelSpec):

@@ -15,6 +15,7 @@ from bck.chern import (
     curvature,
     dual_curvature_check,
     dual_curvature_field,
+    hom_metric,
     hs_connection_check,
     metric_from_kernel,
     metric_jet,
@@ -25,6 +26,7 @@ from bck.chern import (
 from bck.errors import DomainError, SingularMetricError, StructuralError
 from bck.forms import Form1, replace
 from bck.kernels import ConstantKernel, DiscPowerKernel, GrassmannKernel, SectionKernel, dual_kernel
+from bck.linalg import norms
 
 from _fields import cmat, disc_connection, disc_curvature, disc_metric, full_rank_sections, poly_metric
 
@@ -282,6 +284,50 @@ def test_hs_connection_polynomial_matrix_metrics():
             lambda w, m=m2: np.eye(2) + abs(w[0]) ** 2 * (m @ m.T) * 0.3, 1, 2
         )
         assert hs_connection_check(h1, h2, np.array([0.2]), RICH) <= 1e-6
+
+
+def _kron(a, b):
+    """kron of each pair of matrices of two broadcast stacks."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
+
+
+def _relative_miss(r11, expected) -> float:
+    """Largest Frobenius norm of r11 - expected over coefficients and points,
+    relative to max(1, the largest norm of expected)."""
+    return float(norms(r11 - expected).max() / max(1.0, norms(expected).max()))
+
+
+@pytest.mark.parametrize("nu1, nu2", [(1, 3), (3, 1), (2, 2)])
+def test_hom_metric_of_two_disc_bundles_has_the_closed_form_curvature(nu1, nu2):
+    # Hom(E1, E2) of two disc line bundles has the metric (1 - |z|^2)^(nu1 - nu2),
+    # so r11 = (nu2 - nu1) / (1 - |z|^2)^2: positive, negative or flat
+    rng = np.random.default_rng(41)
+    z = 0.85 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    hom = hom_metric(disc_metric_field(nu1), disc_metric_field(nu2))
+    r11 = analytic_curvature_field(metric_jet(hom, z[:, None], RICH)).form.r11[0, 0, :, 0, 0]
+    ref = (nu2 - nu1) / (1.0 - np.abs(z) ** 2) ** 2
+    assert np.max(np.abs(r11 - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-6
+
+
+@pytest.mark.parametrize("rank1, rank2", [(2, 1), (2, 2)], ids=["hom-gr32-gr31", "end-gr32"])
+def test_hom_metric_curvature_is_the_factor_curvatures_acting_on_both_sides(rank1, rank2):
+    # Theta_Hom(S) = Theta2 S - S Theta1 for Hom(Gr(3, rank1), Gr(3, rank2)),
+    # in row-major vectorization kron(r11_2, I) - kron(I, r11_1^T), on both
+    # curvature routes at 30 seeded points of C^2 in +-0.4; without the
+    # transpose the identity fails on a rank-2 source
+    rng = np.random.default_rng(43)
+    pts = rng.uniform(-0.4, 0.4, (30, 2)) + 1j * rng.uniform(-0.4, 0.4, (30, 2))
+    h1, h2 = (metric_from_kernel(GrassmannKernel(3, rank)) for rank in (rank1, rank2))
+    hom = hom_metric(h1, h2)
+    analytic = analytic_curvature_field(metric_jet(hom, pts, RICH)).form.r11
+    nested = nested_curvature_field(hom, pts, RICH).form.r11
+    r1, r2 = (analytic_curvature_field(metric_jet(h, pts, RICH)).form.r11 for h in (h1, h2))
+    eye1, eye2 = np.eye(rank1), np.eye(rank2)
+    expected = _kron(r2, eye1) - _kron(eye2, np.swapaxes(r1, -1, -2))
+    assert _relative_miss(analytic, expected) <= 5e-5
+    assert _relative_miss(nested, expected) <= 5e-5
+    assert _relative_miss(analytic, _kron(r2, eye1) - _kron(eye2, r1)) > 0.5
 
 
 def test_hs_connection_check_carries_a_nan_residual(monkeypatch):

@@ -33,8 +33,7 @@ from bck.forms import Form2, Record, Stencil
 from bck.kernels import DiscPowerKernel, GrassmannKernel
 from bck.positivity import griffiths_verdict
 
-from _fields import bit_equal
-from test_cli import _workload_config
+from _fields import bit_equal, workload_config
 
 RICH = FdSteps(richardson=True)
 
@@ -213,7 +212,7 @@ def test_no_node_table_exceeds_the_budget(workload, monkeypatch):
         return on_points(self, evaluate, points, domain)
 
     monkeypatch.setattr(Stencil, "on_points", spy)
-    run_analyze(AnalysisConfig.from_dict(_workload_config(workload, 1)))
+    run_analyze(AnalysisConfig.from_dict(workload_config(workload, 1)))
     assert sizes and max(sizes) <= bck.chern._ROWS, max(sizes)
 
 

@@ -100,6 +100,21 @@ def test_lapack_solves_inverses_and_svds_only_in_linalg():
     assert not found, found
 
 
+def test_stack_adjoints_norms_and_eigenvectors_only_in_linalg():
+    # bck.linalg owns the algebra of small-matrix stacks: its `adjoint` is
+    # the one conjugate transpose, its `norms` the one per-matrix Frobenius
+    # norm, and its `eigvalsh` takes every spectrum of a stack; no module
+    # asks LAPACK for eigenvectors.  Vector norms are not matrix norms.
+    pattern = re.compile(
+        r"np\.linalg\.eigh\b"
+        r"|\.conj\(\)\.T\b"
+        r"|^(?=.*\bconj\b)(?=.*\bswapaxes\b).*(?:-1, -2|-2, -1)"
+        r"|np\.linalg\.norm\(.*axis=\((?:-2, -1|-1, -2)\)"
+    )
+    found = _source_lines(pattern, skip="linalg.py")
+    assert not found, found
+
+
 def test_the_environment_sets_nothing():
     # the config alone says what a run computes and the command line where
     # it writes; no module reads an environment variable
