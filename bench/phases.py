@@ -22,6 +22,13 @@ spawn and the exit.  Prints, per workload, the median of each phase:
 interpreter start with the site hooks, `import numpy`, `import bck.cli`,
 config and tasks, report (the `--out` and `--csv` writes) and teardown,
 and of the wall time, for each side.
+
+Under config and tasks it prints, with the same clock, the three pieces
+of finite-difference work that exact metric jets would replace: the
+nested curvature route (`cli.nested_curvature_field`), the `dual` task's
+own `metric_jet` call on the dual kernel, and `theorem55`'s
+Cauchy-Riemann probe (its `delbar_norms` calls).  Their sum is the most
+that deleting that work could save on a workload.
 """
 
 from __future__ import annotations
@@ -43,19 +50,37 @@ import time; t = [time.perf_counter()]
 import sys; out = sys.argv.pop(1); sys.path.insert(0, sys.argv.pop(1))
 import numpy; t.append(time.perf_counter())
 import bck.cli as cli; t.append(time.perf_counter())
+import bck.chern as chern
+fd = dict.fromkeys(FD, 0.0)
+def timed(call, key):
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        try: return call(*args, **kwargs)
+        finally: fd[key] += time.perf_counter() - start
+    return run
+cli.nested_curvature_field = timed(cli.nested_curvature_field, FD[0])
+cli.delbar_norms = timed(cli.delbar_norms, FD[2])
+dual, jet = cli.dual_curvature_field, chern.metric_jet
+def dual_timed(*args, **kwargs):  # given the run's analytic curvature, dual's one jet is its own
+    chern.metric_jet = timed(jet, FD[1])
+    try: return dual(*args, **kwargs)
+    finally: chern.metric_jet = jet
+cli.dual_curvature_field = dual_timed
 run_analyze = cli.run_analyze
-def timed(config):
+def analyze(config):
     report = run_analyze(config); t.append(time.perf_counter()); return report
-cli.run_analyze = timed
+cli.run_analyze = analyze
 try:
     code = cli.main()
 finally:
     t.append(time.perf_counter())
-    with open(out, "w") as handle: handle.write(repr(t))
+    with open(out, "w") as handle: handle.write(repr([t, [fd[key] for key in FD]]))
 sys.exit(code)
 """
 SRC, RUNS, SEED = str(Path(__file__).resolve().parents[1] / "src"), 30, 1
 PHASES = ("interpreter and site", "import numpy", "import bck.cli", "config and tasks", "report", "teardown")
+FD = ("nested route", "dual metric jet", "theorem55 CR probe")
+PROBE = f"FD = {FD!r}\n" + PROBE
 
 
 def command(stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:
@@ -66,14 +91,16 @@ def command(stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:
 
 
 def spawn(argv: list[str], env: dict, stamps: Path) -> list[float]:
-    """One run: the lengths of its phases, then its wall time, in ms."""
+    """One run: the lengths of its phases, then its wall time, then the
+    finite-difference pieces, in ms."""
     stamps.unlink(missing_ok=True)
     start = time.perf_counter()
     subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                    stderr=subprocess.DEVNULL)
     end = time.perf_counter()
-    marks = [start, *json.loads(stamps.read_text()), end]
-    return [1e3 * (b - a) for a, b in zip(marks, marks[1:])] + [1e3 * (end - start)]
+    stamped, fd = json.loads(stamps.read_text())
+    marks = [start, *stamped, end]
+    return [1e3 * (b - a) for a, b in zip(marks, marks[1:])] + [1e3 * (end - start)] + [1e3 * s for s in fd]
 
 
 def main() -> int:
@@ -96,9 +123,12 @@ def main() -> int:
                     argv = command(stamps, config, tmp / f"{workload}-{side}{i}", csv)
                     runs[side].append(spawn(argv, envs[side], stamps))
             print(f"{workload}, seed {SEED}, medians of {RUNS} (ms): cold / warm")
-            for j, name in enumerate((*PHASES, "wall")):
+            rows = [*PHASES, "wall", *FD]
+            for name in (*PHASES[:4], *FD, *PHASES[4:], "wall"):
+                j = rows.index(name)
                 medians = [statistics.median(r[j] for r in runs[side]) for side in ("cold", "warm")]
-                print(f"  {name:22s} {medians[0]:6.1f} / {medians[1]:6.1f}")
+                label = f"  {name}" if name in FD else name
+                print(f"  {label:22s} {medians[0]:6.1f} / {medians[1]:6.1f}")
     return 0
 
 

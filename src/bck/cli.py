@@ -7,7 +7,7 @@ optionally, CSV field tables for external plotting.  Identical config
 and seed produce byte-identical reports except for the wall-clock
 entries.
 
-Exit codes: 0 all requested verdict tasks passed, 1 a verdict failed,
+Exit codes: 0 all requested verdict tasks passed, 1 a task's gate failed,
 2 configuration error, 3 domain violation, 4 numeric structural error or
 an internal error (any other exception).
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -34,6 +35,7 @@ from .chern import (
     FdSteps,
     MetricField,
     MetricJet,
+    _max_norm,
     analytic_curvature_field,
     chern_connection_field,
     compatibility_field,
@@ -57,7 +59,7 @@ from .kernels import (
     gram,
     psd_check,
 )
-from .linalg import Sampler, complex_normal, norms
+from .linalg import Sampler, complex_normal
 from .polys import MatrixPolynomial
 from .positivity import GriffithsReport, griffiths_verdict
 
@@ -159,6 +161,7 @@ def _powers(value, path: str) -> tuple[int, ...]:
 
 
 _FINITE = _check("a finite number", _is_number, float)
+_NONNEGATIVE = _check("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
 _POSITIVE = _check("a positive finite number", lambda v: _is_number(v) and v > 0, float)
 _NATURAL = _integer(0)
 _BOOLEAN = _check("true or false", lambda v: isinstance(v, bool))
@@ -283,7 +286,7 @@ def _fd_steps(value, path: str) -> dict:
     return steps
 
 
-_TOLERANCES = {key: (_FINITE, default) for key, default in dict(
+_TOLERANCES = {key: (_NONNEGATIVE, default) for key, default in dict(
     psd=1e-8, admissibility=1e-10, compatibility=1e-5, purity=1e-5, method_agreement=5e-5,
     dual=1e-5, subbundle=1e-4, holomorphy=1e-6, pos=1e-6, neg=1e-6,
 ).items()}
@@ -393,23 +396,13 @@ class RunContext(Record):
 
     @cached_property
     def griffiths(self) -> GriffithsReport:
-        return griffiths_verdict(
-            self.metric,
-            self.analytic,
-            self.points,
-            directions=self.config.direction_count,
-            seed=self.config.seed,
-            pos_tol=self.tol["pos"],
-            neg_tol=self.tol["neg"],
-        )
+        return griffiths_verdict(self.metric, self.analytic, self.points, directions=self.config.direction_count,
+                                 seed=self.config.seed, pos_tol=self.tol["pos"], neg_tol=self.tol["neg"])
 
 
 def _point_columns(points: np.ndarray) -> list[dict]:
-    cols = []
-    for j in range(points.shape[1]):
-        cols.append({"name": f"re_z{j + 1}", "values": points[:, j].real})
-        cols.append({"name": f"im_z{j + 1}", "values": points[:, j].imag})
-    return cols
+    return [column for j, z in enumerate(points.T, 1)
+            for column in ({"name": f"re_z{j}", "values": z.real}, {"name": f"im_z{j}", "values": z.imag})]
 
 
 def _matrix_field_columns(name: str, field: np.ndarray) -> list[dict]:
@@ -423,10 +416,6 @@ def _matrix_field_columns(name: str, field: np.ndarray) -> list[dict]:
         cols.append({"name": f"{name}_{tag}_re", "values": values.real})
         cols.append({"name": f"{name}_{tag}_im", "values": values.imag})
     return cols
-
-
-def _task_selftest(ctx: RunContext) -> dict:
-    return run_selftest(seed=ctx.config.seed)
 
 
 def _task_psd(ctx: RunContext) -> dict:
@@ -447,12 +436,38 @@ def _task_psd(ctx: RunContext) -> dict:
         z = u[..., 0] + 1j * u[..., 1]
         pts = np.concatenate([pts, z[ctx.kernel.contains_batch(z)]])
         drawn += count
-    margin = psd_check(gram(ctx.kernel, pts))
-    passed = margin >= -ctx.tol["psd"]
-    return {
-        "passed": bool(passed),
-        "data": {"margin": float(margin), "sample_points": len(pts)},
-    }
+    data = {"margin": float(psd_check(gram(ctx.kernel, pts))), "sample_points": len(pts)}
+    return {"data": data, "gates": _decide(ctx, "psd", data)}
+
+
+# Every decision of a task that compares a number with a tolerance, by
+# task: (the number's key in the task's data, or in theorem55's premise,
+# the tolerance's key, sense).  `_decide` reads them all.
+_GATES = {
+    "psd": (("margin", "psd", ">= -t"),),
+    "admissibility": (("min_relative_margin", "admissibility", ">= t"),),
+    "connection": (("max_relative_metric_residual", "compatibility", "<= t"),),
+    "curvature": (("max_method_disagreement", "method_agreement", "<= t"),
+                  ("max_relative_purity_residual", "purity", "<= t")),
+    "dual": (("max_residual", "dual", "<= t"),),
+    "subbundle": (("max_identity_residual", "subbundle", "<= t"),),
+    "griffiths": (("min_margin", "neg", ">= -t"),),
+    "theorem55": (("cauchy_riemann_residual", "holomorphy", "<= t"),
+                  ("min_admissibility_margin", "admissibility", ">= t")),
+}
+_SENSES = {"<= t": operator.le, ">= t": operator.ge, ">= -t": lambda value, t: value >= -t}
+
+
+def _decide(ctx: RunContext, task: str, data: dict, conditions: dict = {}, prefix: str = "") -> dict:
+    """The gate records of a task's `data`, each under `prefix` and its key:
+    every row of `_GATES[task]` compares its number with the run's
+    tolerance, so that a NaN fails it, and every (key, holds) of
+    `conditions` is a gate with no tolerance.  A task passes when all of
+    its gates do."""
+    gates = {prefix + key: {"tolerance": None, "passed": bool(holds)} for key, holds in conditions.items()}
+    for key, name, sense in _GATES[task]:
+        gates[prefix + key] = {"tolerance": name, "passed": bool(_SENSES[sense](data[key], ctx.tol[name]))}
+    return gates
 
 
 def _extremes(points: np.ndarray, **values) -> dict:
@@ -470,9 +485,9 @@ def _task_admissibility(ctx: RunContext) -> dict:
     """Passes when every diagonal block is invertible and the least margin,
     at `worst_point`, is at least the tolerance."""
     data = _extremes(ctx.points, min_relative_margin=ctx.admissibility.relative_margin)
-    data["worst_point"] = data.pop("witness_points")["min_relative_margin"]
-    passed = ctx.admissibility.invertible.all() and data["min_relative_margin"] >= ctx.tol["admissibility"]
-    return {"passed": bool(passed), "data": {**data, "points": int(ctx.points.shape[0])}}
+    data.update(worst_point=data.pop("witness_points")["min_relative_margin"], points=int(ctx.points.shape[0]))
+    invertible = {"invertible": ctx.admissibility.invertible.all()}
+    return {"data": data, "gates": _decide(ctx, "admissibility", data, invertible)}
 
 
 def _task_connection(ctx: RunContext) -> dict:
@@ -485,15 +500,14 @@ def _task_connection(ctx: RunContext) -> dict:
         fields["closed_form_max_abs_err"] = np.abs(conn.form.p[0, :, 0, 0] - ref)
     data = _extremes(ctx.points, **fields)
     data["fields"] = _point_columns(ctx.points) + _matrix_field_columns("a", conn.form.p)
-    return {"passed": bool(data["max_relative_metric_residual"] <= ctx.tol["compatibility"]), "data": data}
+    return {"data": data, "gates": _decide(ctx, "connection", data)}
 
 
 def _task_curvature(ctx: RunContext) -> dict:
     analytic, nested = ctx.analytic.form.r11, ctx.nested
-    scale = np.maximum(1.0, norms(analytic).max(axis=(0, 1)))
-    disagreement = norms(analytic - nested.form.r11).max(axis=(0, 1))
+    scale = np.maximum(1.0, _max_norm(analytic))
     fields = {
-        "max_method_disagreement": disagreement / scale,
+        "max_method_disagreement": _max_norm(analytic - nested.form.r11) / scale,
         "max_relative_purity_residual": nested.purity_residual / scale,
         "max_pairing_residual": ctx.analytic.pairing_residual,
     }
@@ -502,47 +516,39 @@ def _task_curvature(ctx: RunContext) -> dict:
         fields["closed_form_max_rel_err"] = np.abs(analytic[0, 0, :, 0, 0] - ref) / np.abs(ref)
     data = _extremes(ctx.points, **fields)
     data["fields"] = _point_columns(ctx.points) + _matrix_field_columns("r11", analytic)
-    passed = (data["max_method_disagreement"] <= ctx.tol["method_agreement"]
-              and data["max_relative_purity_residual"] <= ctx.tol["purity"])
-    return {"passed": bool(passed), "data": data}
+    return {"data": data, "gates": _decide(ctx, "curvature", data)}
 
 
 def _task_dual(ctx: RunContext) -> dict:
     dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, ctx.analytic, ctx.tol["admissibility"])
     data = _extremes(ctx.points, max_residual=dual.residual)
-    return {"passed": bool(data["max_residual"] <= ctx.tol["dual"]), "data": data}
+    return {"data": data, "gates": _decide(ctx, "dual", data)}
 
 
 def _task_subbundle(ctx: RunContext) -> dict:
     split = subbundle_field(ctx.jet, ctx.config.subbundle_frame)
     data = _extremes(ctx.points, max_identity_residual=split.identity_residual,
                      max_beta_antiholo_residual=split.beta_antiholo_residual)
-    return {"passed": bool(data["max_identity_residual"] <= ctx.tol["subbundle"]), "data": data}
+    return {"data": data, "gates": _decide(ctx, "subbundle", data)}
 
 
 def _griffiths_summary(report: GriffithsReport) -> dict:
     """The verdict, margin and witness that the `griffiths` task reports
     and `theorem55` cites as its conclusion."""
-    return {
-        "verdict": report.verdict,
-        "min_margin": float(report.min_margin),
-        "witness_point": report.witness_point,
-        "witness_direction": report.witness_direction,
-    }
+    return {"verdict": report.verdict, "min_margin": report.min_margin,
+            "witness_point": report.witness_point, "witness_direction": report.witness_direction}
 
 
 def _task_griffiths(ctx: RunContext) -> dict:
     report = ctx.griffiths
-    return {
-        "passed": report.verdict != "indefinite",
-        "data": {
-            **_griffiths_summary(report),
-            **_extremes(ctx.points, max_hermiticity_residual=report.hermiticity_residuals),
-            "directions": int(report.directions.shape[0]),
-            "sampled_directions_only": report.sampled_only,
-            "fields": _point_columns(ctx.points) + [{"name": "min_margin", "values": report.min_margins}],
-        },
+    data = {
+        **_griffiths_summary(report),
+        **_extremes(ctx.points, max_hermiticity_residual=report.hermiticity_residuals),
+        "directions": int(report.directions.shape[0]),
+        "sampled_directions_only": report.sampled_only,
+        "fields": _point_columns(ctx.points) + [{"name": "min_margin", "values": report.min_margins}],
     }
+    return {"data": data, "gates": _decide(ctx, "griffiths", data)}
 
 
 def _task_theorem55(ctx: RunContext) -> dict:
@@ -552,11 +558,7 @@ def _task_theorem55(ctx: RunContext) -> dict:
     `admissibility` task's decision, whose margin and witness it cites."""
     kernel = ctx.kernel
     rng = Sampler(ctx.config.seed)
-    sub = ctx.points
-    if sub.shape[0] > 25:
-        idx = rng.choice(sub.shape[0], size=25)
-        idx.sort()
-        sub = sub[idx]
+    sub = ctx.points if len(ctx.points) <= 25 else ctx.points[np.sort(rng.choice(len(ctx.points), size=25))]
     step, cr = ctx.steps.first_steps(), []
     for _ in range(3):
         w0 = ctx.points[int(rng.integers(0, ctx.points.shape[0]))]
@@ -572,24 +574,20 @@ def _task_theorem55(ctx: RunContext) -> dict:
         "min_admissibility_margin": admissibility["data"]["min_relative_margin"],
     }
     premise["witness_points"]["min_admissibility_margin"] = admissibility["data"]["worst_point"]
-    premise["satisfied"] = bool(kernel.holomorphic and admissibility["passed"]
-                                and premise["cauchy_riemann_residual"] <= ctx.tol["holomorphy"])
+    data = {"premise": premise, "conclusion": None}
+    conditions = {"holomorphic": kernel.holomorphic, "invertible": admissibility["gates"]["invertible"]["passed"]}
+    gates = _decide(ctx, "theorem55", premise, conditions, prefix="premise.")
+    premise["satisfied"] = all(gate["passed"] for gate in gates.values())
     if not premise["satisfied"]:
-        return {
-            "passed": False,
-            "status": "hypothesis_not_met",
-            "data": {"premise": premise, "conclusion": None},
-        }
-    report = ctx.griffiths
-    return {
-        "passed": report.verdict != "indefinite",
-        "status": "verified" if report.verdict != "indefinite" else "conclusion_failed",
-        "data": {"premise": premise, "conclusion": _griffiths_summary(report)},
-    }
+        return {"status": "hypothesis_not_met", "data": data, "gates": gates}
+    data["conclusion"] = _griffiths_summary(ctx.griffiths)
+    gates.update(_decide(ctx, "griffiths", data["conclusion"], prefix="conclusion."))
+    verified = gates["conclusion.min_margin"]["passed"]
+    return {"status": "verified" if verified else "conclusion_failed", "data": data, "gates": gates}
 
 
 _TASKS = {
-    "selftest": _task_selftest,
+    "selftest": lambda ctx: run_selftest(seed=ctx.config.seed),
     "psd": _task_psd,
     "admissibility": _task_admissibility,
     "connection": _task_connection,
@@ -666,16 +664,10 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     tasks, exit_code = {}, 0
     for name in config.tasks:
         start = time.perf_counter()
-        entry = {
-            "passed": False,
-            "status": "ok",
-            "error": None,
-            "error_kind": None,
-            "data": {},
-        }
+        entry = {"passed": False, "status": "ok", "error": None, "error_kind": None, "data": {}, "gates": {}}
         try:
-            result = _TASKS[name](ctx)
-            entry.update(result)
+            entry.update(_TASKS[name](ctx))
+            entry["passed"] = all(gate["passed"] for gate in entry["gates"].values())
         except Exception as exc:
             entry["error_kind"], code, entry["error"] = _error(exc)
             entry["status"] = "error"
@@ -729,6 +721,9 @@ def run_selftest(seed: int = 0) -> dict:
     return {
         "passed": all(e["passed"] for e in entries),
         "data": {"checks": entries},
+        # each check's own decision, against the tolerance it reports beside its residual
+        "gates": {f"checks[{e['name']}].residual": {"tolerance": f"checks[{e['name']}].tolerance",
+                                                    "passed": e["passed"]} for e in entries},
     }
 
 

@@ -286,6 +286,31 @@ def test_hs_connection_polynomial_matrix_metrics():
         assert hs_connection_check(h1, h2, np.array([0.2]), RICH) <= 1e-6
 
 
+def _transposed(m: MetricField) -> MetricField:
+    return MetricField(func=None, dim=m.dim, fiber_dim=m.fiber_dim, domain=m.domain, name="transposed",
+                       batch_func=lambda nodes: np.swapaxes(m.batch(nodes), -1, -2))
+
+
+@pytest.mark.parametrize("case", ["sections-rank2-disc", "gr32-gr31"])
+def test_hs_connection_check_sees_a_superoperator_metric_without_its_transpose(monkeypatch, case):
+    # a complex, non-symmetric source metric at a point off the real axes:
+    # a rank-2 section metric on the disc chart, or Gr(3, 2) into Gr(3, 1);
+    # hom_metric(h1^T, h2) is kron(h2, inv(h1)), the superoperator without
+    # the transpose of inv(h1), and the identity fails on it
+    if case == "sections-rank2-disc":
+        h1 = metric_from_kernel(SectionKernel(full_rank_sections(np.random.default_rng(47), 1, 2)))
+        h2, z = disc_metric_field(1), np.array([0.3 + 0.2j])
+    else:
+        h1, h2 = (metric_from_kernel(GrassmannKernel(3, rank)) for rank in (2, 1))
+        z = np.array([0.2 + 0.1j, -0.15 + 0.25j])
+    h = h1.batch(z[None])[0]
+    assert np.abs(h - h.T).max() > 0.1
+    assert hs_connection_check(h1, h2, z, RICH) <= 1e-6
+    real = bck.chern.hom_metric
+    monkeypatch.setattr(bck.chern, "hom_metric", lambda a, b: real(_transposed(a), b))
+    assert hs_connection_check(h1, h2, z, RICH) > 0.1
+
+
 def _kron(a, b):
     """kron of each pair of matrices of two broadcast stacks."""
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])

@@ -137,14 +137,15 @@ def test_tasks_read_in_task_order_with_compatibility_expanded(names, other, at):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"tolerances": {"psd": float("nan")}}, "tolerances.psd must be a finite number, not nan"),
-        ({"tolerances": {"dual": float("inf")}}, "tolerances.dual must be a finite number, not inf"),
+        ({"tolerances": {"psd": float("nan")}}, "tolerances.psd must be a finite number >= 0, not nan"),
+        ({"tolerances": {"dual": float("inf")}}, "tolerances.dual must be a finite number >= 0, not inf"),
+        ({"tolerances": {"neg": -5}}, "tolerances.neg must be a finite number >= 0, not -5"),
         ({"fd_steps": {"first": float("nan")}}, "fd_steps.first must be a positive finite number, not nan"),
         ({"fd_steps": {"second": float("inf")}}, "fd_steps.second must be a positive finite number, not inf"),
-        ({"tolerances": {"psd": [1e-8]}}, "tolerances.psd must be a finite number, not [1e-08]"),
+        ({"tolerances": {"psd": [1e-8]}}, "tolerances.psd must be a finite number >= 0, not [1e-08]"),
         ({"directions": {"seed": -7}}, "directions.seed must be an integer >= 0, not -7"),
     ],
-    ids=["nan-tolerance", "inf-tolerance", "nan-first-step", "inf-second-step",
+    ids=["nan-tolerance", "inf-tolerance", "negative-tolerance", "nan-first-step", "inf-second-step",
          "list-tolerance", "negative-seed"],
 )
 def test_non_finite_tolerances_and_steps_are_config_errors(tmp_path, capsys, overrides, message):
@@ -264,6 +265,9 @@ CONFIG_PROBES = {
     "minus-inf-bound": (AXIS + ("im", 0), -INF),
     "nan-scale": (AXIS + ("scale",), NAN),
     "negative-scale": (AXIS + ("scale",), -1.0),
+    # a negative tolerance: overlapping Griffiths regions, or a PSD margin of at least 1 demanded
+    "negative-neg": (("tolerances",), {"neg": -5}),
+    "negative-psd": (("tolerances",), {"psd": -1}),
     # misspelt keys, which would otherwise leave their defaults in force
     "misspelt-fd_steps": (("fd_step",), {"first": 1e-3, "second": 1e-2}),
     "misspelt-tolerances": (("tolerance",), {"method_agreement": 1e-30}),

@@ -214,6 +214,23 @@ def test_tasks_reduce_grid_fields_only_through_extremes():
     assert not found, found
 
 
+def test_tasks_compare_with_a_tolerance_only_through_the_gate_rule():
+    # every task decision is a row of cli._GATES, which cli._decide alone
+    # compares with the run's tolerance and records under the task's
+    # `gates`; a comparison with a tolerance anywhere else in cli.py is a
+    # decision the gate records would miss
+    tree = ast.parse((ROOT / "src" / "bck" / "cli.py").read_text())
+    inside = {id(node) for rule in tree.body if isinstance(rule, ast.FunctionDef) and rule.name == "_decide"
+              for node in ast.walk(rule)}
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in inside
+        and any("tol" in ast.unparse(operand) for operand in (node.left, *node.comparators))
+    ]
+    assert not found, found
+
+
 def test_csv_cells_are_not_formatted_one_by_one():
     # the tables are written from the converted report, a column at a time
     assert "repr(float(" not in (ROOT / "src" / "bck" / "cli.py").read_text()

@@ -1,15 +1,20 @@
 """A planted-fault corpus: every number a task reports names the check behind it.
 
-Each number under `tasks.<task>.data` of a report is in `TABLE`, as one of
+Each number under `tasks.<task>.data` of a report, and each key of its
+`tasks.<task>.gates`, is in `TABLE`, as one of
 
-* a `Gate`: a fault planted here, in process (a monkeypatch or an in-test
-  wrapper), pushes the number past its bound and turns the task's
-  `passed` false, while the same config without the fault passes;
+* a `Gate`: a key of the task's gate records; a fault planted here, in
+  process (a monkeypatch or an in-test wrapper), pushes the number past
+  its bound, turns the key's gate record and the task's `passed` false,
+  while the same config without the fault passes them;
+* a `Structural`: a number whose check raises a structural error, so
+  that a fault past it leaves no number and no gate;
 * an `Info`: a number that decides nothing, with the file that reads it.
 
-The key walk fails on a report number the table lacks, on a row that no
-report has, and on a task of `bck.cli` without a row, so a new task or
-report number names the check that catches it before it lands.  This is
+The key walk fails on a report number or gate the table lacks, on a row
+that no report has, on a `Gate` row that no report gates, and on a task
+of `bck.cli` without a row, so a new task, report number or gate names
+the check that catches it before it lands.  This is
 mutation analysis (DeMillo, Lipton and Sayward, IEEE Computer 11, 1978)
 applied to bck's own checks.
 """
@@ -130,6 +135,12 @@ def _not_holomorphic(z, w, k):  # plus |z|^2 |w|^2: still positive, not holomorp
     return k + (np.abs(z[..., 0]) ** 2 * np.abs(w[..., 0]) ** 2)[..., None, None]
 
 
+def _unclaimed(patch, config):  # the kernel itself, claiming no holomorphy
+    kernel = MappedKernel(config.kernel, lambda z, w, k: k)
+    kernel.holomorphic = False
+    return replace(config, kernel=kernel)
+
+
 def _patched(module, name, wrap):
     """The fault of a config run with `module.name` replaced by wrap(module.name)."""
 
@@ -212,6 +223,7 @@ FAULTS = {
     "non-PSD kernel": _kernel(_not_psd),
     "kernel with one singular diagonal block": _kernel(_singular_at_zero),
     "kernel claimed holomorphic that is not": _kernel(_not_holomorphic),
+    "kernel that claims no holomorphy": _unclaimed,
     "flipped curvature sign": _patched(bck.cli, "analytic_curvature_field", _r11(lambda r: -r)),
     "curvature with a phase": _patched(bck.cli, "analytic_curvature_field", _r11(lambda r: r * (1 + 1e-3j))),
     "subbundle frame with a |z|^2 term": _tilted_frame,
@@ -234,22 +246,31 @@ FAULTS = {
 
 
 class Gate(NamedTuple):
-    """A report number that decides its task, the fault that fails it and
-    its `bound`: "<= name" or ">= name", name a key beside the number or a
-    run tolerance ("-name" its negative), or "raises" for a check that
-    raises a structural error, so that no number past it is reported."""
+    """A gate of its task, the fault that fails it and its `bound`: "<= name"
+    or ">= name", name a run tolerance ("-name" its negative) or a number of
+    the task's data, which the gate record names as its `tolerance`; or
+    "holds" for a condition, whose record names no tolerance."""
 
     config: str
     fault: str
     bound: str
 
-    def holds(self, value, holder: dict, tolerances: dict) -> bool:
-        op, name = self.bound.split()
-        if name in holder:
-            limit = holder[name]
-        else:
-            limit = -tolerances[name[1:]] if name.startswith("-") else tolerances[name]
+    def tolerance(self) -> str | None:
+        return None if self.bound == "holds" else self.bound.split(" ", 1)[1].lstrip("-")
+
+    def holds(self, value, data: dict, tolerances: dict) -> bool:
+        op, name = self.bound.split(" ", 1)
+        limit = _lookup(data, self.tolerance())[0]
+        limit = tolerances[self.tolerance()] if limit is None else limit
+        limit = -limit if name.startswith("-") else limit
         return value <= limit if op == "<=" else value >= limit
+
+
+class Structural(NamedTuple):
+    """A report number whose check raises a structural error, and the fault that raises it."""
+
+    config: str
+    fault: str
 
 
 class Info(NamedTuple):
@@ -273,7 +294,8 @@ _SELFTEST_GATES = {
 
 TABLE = {
     "selftest": {
-        **{f"checks[{name}].residual": Gate("disc", fault, "<= tolerance") for name, fault in _SELFTEST_GATES.items()},
+        **{f"checks[{name}].residual": Gate("disc", fault, f"<= checks[{name}].tolerance")
+           for name, fault in _SELFTEST_GATES.items()},
         **{f"checks[{name}].tolerance": Info("src/bck/cli.py") for name in _SELFTEST_GATES},  # `bck selftest` prints it
     },
     "psd": {
@@ -282,6 +304,7 @@ TABLE = {
     },
     "admissibility": {
         "min_relative_margin": Gate("disc", "kernel with one singular diagonal block", ">= admissibility"),
+        "invertible": Gate("disc", "kernel with one singular diagonal block", "holds"),
         "points": Info("README.md"),
     },
     "connection": {
@@ -303,10 +326,12 @@ TABLE = {
     },
     "griffiths": {
         "min_margin": Gate("disc", "flipped curvature sign", ">= -neg"),
-        "max_hermiticity_residual": Gate("disc", "curvature with a phase", "raises"),
+        "max_hermiticity_residual": Structural("disc", "curvature with a phase"),
         "directions": Info("perfbench/tracer.py"),
     },
     "theorem55": {
+        "premise.holomorphic": Gate("disc", "kernel that claims no holomorphy", "holds"),
+        "premise.invertible": Gate("disc", "kernel with one singular diagonal block", "holds"),
         "premise.cauchy_riemann_residual": Gate("disc", "kernel claimed holomorphic that is not", "<= holomorphy"),
         "premise.min_admissibility_margin": Gate(
             "disc", "kernel with one singular diagonal block", ">= admissibility"),
@@ -316,12 +341,18 @@ TABLE = {
 
 ROWS = [(task, key, row) for task, rows in TABLE.items() for key, row in rows.items()]
 GATES = [(task, key, row) for task, key, row in ROWS if isinstance(row, Gate)]
+STRUCTURAL = [(task, key, row) for task, key, row in ROWS if isinstance(row, Structural)]
 INFOS = [(task, key, row) for task, key, row in ROWS if isinstance(row, Info)]
 
 
 def _reported() -> set[tuple[str, str]]:
     return {(task, key) for name in CONFIGS for task, entry in _report(name)["tasks"].items()
             for key, _, _ in _numbers(entry["data"])}
+
+
+def _gated() -> set[tuple[str, str]]:
+    return {(task, key) for name in CONFIGS for task, entry in _report(name)["tasks"].items()
+            for key in entry["gates"]}
 
 
 def test_every_task_has_rows():
@@ -333,7 +364,16 @@ def test_every_report_number_has_a_row():
 
 
 def test_every_row_is_a_report_number():
-    assert {(task, key) for task, key, _ in ROWS} - _reported() == set()
+    # but a condition's, which gates no number and is a report gate
+    assert {(task, key) for task, key, row in ROWS if getattr(row, "bound", None) != "holds"} - _reported() == set()
+
+
+def test_every_report_gate_has_a_gate_row():
+    assert _gated() - {(task, key) for task, key, _ in GATES} == set()
+
+
+def test_every_gate_row_is_a_report_gate():
+    assert {(task, key) for task, key, _ in GATES} - _gated() == set()
 
 
 @pytest.mark.parametrize("task, key, row", INFOS, ids=[f"{task}.{key}" for task, key, _ in INFOS])
@@ -345,21 +385,47 @@ def test_an_information_number_names_its_reader(task, key, row):
 
 @pytest.mark.parametrize("task, key, row", GATES, ids=[f"{task}.{key}" for task, key, _ in GATES])
 def test_a_planted_fault_fails_the_gate(task, key, row):
-    clean = _report(row.config)
-    assert clean["tasks"][task]["passed"], (task, clean["tasks"][task])
-    value, holder = _lookup(clean["tasks"][task]["data"], key)
-    if row.bound != "raises":
-        assert row.holds(value, holder, clean["tolerances"]), (key, value)
+    clean = _report(row.config)["tasks"][task]
+    assert clean["passed"] and clean["gates"][key] == {"tolerance": row.tolerance(), "passed": True}, clean
+    value = _lookup(clean["data"], key)[0]
+    if row.bound != "holds":
+        assert row.holds(value, clean["data"], _report(row.config)["tolerances"]), (key, value)
 
     faulted = _report(row.config, FAULTS[row.fault], (task,))
     entry = faulted["tasks"][task]
     assert entry["passed"] is False, (key, row.fault)
-    if row.bound == "raises":
-        assert entry["error_kind"] == "structural", entry
-    else:
-        value, holder = _lookup(entry["data"], key)
+    assert entry["gates"][key] == {"tolerance": row.tolerance(), "passed": False}, (key, row.fault, entry)
+    if row.bound != "holds":
+        value = _lookup(entry["data"], key)[0]
         assert value is not None, (key, row.fault, entry["error"])
-        assert not row.holds(value, holder, faulted["tolerances"]), (key, row.fault, value)
+        assert not row.holds(value, entry["data"], faulted["tolerances"]), (key, row.fault, value)
+
+
+@pytest.mark.parametrize("task, key, row", STRUCTURAL, ids=[f"{task}.{key}" for task, key, _ in STRUCTURAL])
+def test_a_planted_fault_raises_the_structural_check(task, key, row):
+    assert _report(row.config)["tasks"][task]["passed"]
+    entry = _report(row.config, FAULTS[row.fault], (task,))["tasks"][task]
+    assert (entry["passed"], entry["error_kind"], entry["gates"]) == (False, "structural", {}), entry
+
+
+def test_passed_status_and_exit_code_are_read_from_the_gates():
+    # every report of the corpus, clean and faulted: a task that ran passes
+    # when all of its gates do, theorem55's status names the first group of
+    # gates that fails, and the exit code is 1 exactly when a gate fails
+    # and no task raised
+    reports = [_report(name) for name in CONFIGS] + [
+        _report(row.config, FAULTS[row.fault], (task,)) for task, _, row in GATES + STRUCTURAL]
+    for report in reports:
+        ran = [entry for entry in report["tasks"].values() if entry["status"] != "error"]
+        for entry in ran:
+            assert entry["passed"] == all(gate["passed"] for gate in entry["gates"].values()), entry
+        theorem55 = report["tasks"].get("theorem55", {"status": "error"})
+        if theorem55["status"] != "error":
+            failed = {key.split(".")[0] for key, gate in theorem55["gates"].items() if not gate["passed"]}
+            wanted = "hypothesis_not_met" if "premise" in failed else "conclusion_failed" if failed else "verified"
+            assert theorem55["status"] == wanted, theorem55
+        if len(ran) == len(report["tasks"]):
+            assert report["exit_code"] == int(not all(entry["passed"] for entry in ran)), report["tasks"]
 
 
 def test_a_wrong_dbar_passes_selftest_and_fails_the_run():

@@ -55,7 +55,11 @@ def _decisions(report: AnalysisReport):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", list(TABLE))
 def test_workload_decisions_are_the_table(workload, seed):
-    assert _decisions(run_analyze(AnalysisConfig.from_dict(workload_config(workload, seed)))) == TABLE[workload]
+    report = run_analyze(AnalysisConfig.from_dict(workload_config(workload, seed)))
+    assert _decisions(report) == TABLE[workload]
+    # and each decision is the AND of the task's gate records
+    assert all(task["passed"] == all(gate["passed"] for gate in task["gates"].values())
+               for task in report.data["tasks"].values())
 
 
 def test_recorded_seed_verdicts_differ_from_the_table_only_in_the_stale_dual_rows():
