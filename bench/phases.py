@@ -23,10 +23,9 @@ interpreter start with the site hooks, `import numpy`, `import bck.cli`,
 config and tasks, report (the `--out` and `--csv` writes) and teardown,
 and of the wall time, for each side.
 
-Under config and tasks it prints, with the same clock, the three pieces
+Under config and tasks it prints, with the same clock, the two pieces
 of finite-difference work that exact metric jets would replace: the
-nested curvature route (`cli.nested_curvature_field`), the `dual` task's
-own `metric_jet` call on the dual kernel, and `theorem55`'s
+nested curvature route (`cli.nested_curvature_field`) and `theorem55`'s
 Cauchy-Riemann probe (its `delbar_norms` calls).  Their sum is the most
 that deleting that work could save on a workload.
 """
@@ -50,7 +49,6 @@ import time; t = [time.perf_counter()]
 import sys; out = sys.argv.pop(1); sys.path.insert(0, sys.argv.pop(1))
 import numpy; t.append(time.perf_counter())
 import bck.cli as cli; t.append(time.perf_counter())
-import bck.chern as chern
 fd = dict.fromkeys(FD, 0.0)
 def timed(call, key):
     def run(*args, **kwargs):
@@ -59,13 +57,7 @@ def timed(call, key):
         finally: fd[key] += time.perf_counter() - start
     return run
 cli.nested_curvature_field = timed(cli.nested_curvature_field, FD[0])
-cli.delbar_norms = timed(cli.delbar_norms, FD[2])
-dual, jet = cli.dual_curvature_field, chern.metric_jet
-def dual_timed(*args, **kwargs):  # given the run's analytic curvature, dual's one jet is its own
-    chern.metric_jet = timed(jet, FD[1])
-    try: return dual(*args, **kwargs)
-    finally: chern.metric_jet = jet
-cli.dual_curvature_field = dual_timed
+cli.delbar_norms = timed(cli.delbar_norms, FD[1])
 run_analyze = cli.run_analyze
 def analyze(config):
     report = run_analyze(config); t.append(time.perf_counter()); return report
@@ -79,7 +71,7 @@ sys.exit(code)
 """
 SRC, RUNS, SEED = str(Path(__file__).resolve().parents[1] / "src"), 30, 1
 PHASES = ("interpreter and site", "import numpy", "import bck.cli", "config and tasks", "report", "teardown")
-FD = ("nested route", "dual metric jet", "theorem55 CR probe")
+FD = ("nested route", "theorem55 CR probe")
 PROBE = f"FD = {FD!r}\n" + PROBE
 
 

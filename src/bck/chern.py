@@ -21,13 +21,13 @@ Everything is computed over whole arrays of points.  `metric_jet` is the
 one evaluation of a metric on a grid stencil: it evaluates the metric once
 on every stencil node of every point, splits the rows by node with
 `Stencil.by_node`, and returns a `MetricJet`.  The connection, the
-analytic curvature and the subbundle split are reductions of a jet and
-evaluate nothing; the nested route and the dual check build their own
-jets.  Field arrays put the point axis between the form indices and the
-fiber matrix, e.g. (d, N, n, n) for connection coefficients.
-`field.at(i)` is the same field class at point i (`forms.at_point`), and
-the point functions (`chern_connection`, `curvature`, ...) return it.  A
-metric or frame given as a function of one point is lifted to stacks by
+analytic curvature, the subbundle split and the dual check are reductions
+of a jet and evaluate nothing; the nested route builds its own jets.
+Field arrays put the point axis between the form indices and the fiber
+matrix, e.g. (d, N, n, n) for connection coefficients.  `field.at(i)` is
+the same field class at point i (`forms.at_point`), and the point
+functions (`chern_connection`, `curvature`, ...) return it.  A metric or
+frame given as a function of one point is lifted to stacks by
 `forms.pointwise`.
 """
 
@@ -41,7 +41,7 @@ from .errors import DomainError, SingularMetricError, StructuralError, row_by_ro
 from .forms import (
     Form1, Form2, Record, Stencil, as_point, as_points, at_point, inside_domain, join_points, pointwise, wedge,
 )
-from .kernels import AdmissibilityField, KernelSpec, dual_kernel
+from .kernels import AdmissibilityField, KernelSpec
 from .linalg import adjoint, eigvalsh, frob, hermiticity_defect, hermitize, mgs_orthonormalize, mul, norms, solve
 
 __all__ = [
@@ -610,47 +610,38 @@ class DualCurvatureField(Record, frozen=True):
     at = at_point
 
 
-def dual_curvature_field(
-    spec: KernelSpec,
-    points,
-    steps: FdSteps = FdSteps(),
-    theta: CurvatureField | None = None,
-    admissibility_tol: float = 1e-10,
-) -> DualCurvatureField:
-    """Check that the dual-bundle curvature is minus the transpose of the original.
+def dual_curvature_field(jet: MetricJet, theta: CurvatureField | None = None) -> DualCurvatureField:
+    """Check that the dual-bundle curvature is minus the transpose of the
+    original at every point of a second-order jet of a kernel metric.
 
-    The dual kernel lives on the conjugated chart; the point matching z
-    is conj(z).  Pulling its (1,1) coefficients back to the original
-    coordinates swaps the form indices and flips the orientation sign,
-    and leaves the operator values as they are.  The metric identifies
-    the dual kernel's frame with h times the dual frame, in which the
-    dual curvature is -Theta^T; so the pulled-back coefficients must equal
-    -(h Theta h^-1)^T, h taken from the analytic field.  `theta`, the
-    analytic curvature field of spec's metric over the same points and
-    steps, is reused when given; one over other points raises ValueError.
-    Both metrics take `admissibility_tol` as `metric_from_kernel` does.
+    The dual kernel lives on the conjugated chart, and its metric at
+    conj(z) is conj(h(z)): its jet is the jet's conjugated node values at
+    the mirrored nodes (`Stencil.mirror`), and evaluates nothing.  Pulling
+    its (1,1) coefficients back to the original coordinates swaps the form
+    indices and flips the orientation sign, and leaves the operator values
+    as they are.  The metric identifies the dual kernel's frame with h
+    times the dual frame, in which the dual curvature is -Theta^T; so the
+    pulled-back coefficients must equal -(h Theta h^-1)^T.  `theta`, the
+    analytic curvature of the jet, is reused when given; one over other
+    points raises ValueError.  Points run in `_chunked` chunks of nodes.
     """
-    pts = as_points(points, spec.base_dim).reshape(-1, spec.base_dim)
-    if theta is None:
-        theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec, admissibility_tol), pts, steps, order=2))
-    if not np.array_equal(theta.points, pts):
+    if jet.values is None:
+        raise ValueError("the analytic curvature needs a second-order metric jet")
+    if theta is not None and not np.array_equal(theta.points, jet.points):
         raise ValueError("theta is a curvature field over other points")
-    dual = metric_jet(metric_from_kernel(dual_kernel(spec), admissibility_tol), np.conj(pts), steps, order=2)
-    raw = analytic_curvature_field(dual).form.r11
-    pulled = -np.swapaxes(raw, 0, 1)
-    inverse = solve(theta.h, np.eye(spec.fiber_dim))
-    expected = -np.swapaxes(theta.h @ theta.form.r11 @ inverse, -1, -2)
-    return DualCurvatureField(
-        theta_r11=theta.form.r11,
-        theta_dual_r11=pulled,
-        residual=_max_norm(pulled - expected),
-    )
+    mirror = jet.stencil.mirror
+
+    def chunk(rows) -> DualCurvatureField:
+        base = at_point(jet, rows)
+        field = analytic_curvature_field(base) if theta is None else at_point(theta, rows)
+        dual = _jet(np.conj(base.points), np.conj(base.values[mirror]), base.stencil, order=2)
+        pulled = -np.swapaxes(analytic_curvature_field(dual).form.r11, 0, 1)
+        expected = -np.swapaxes(field.h @ field.form.r11 @ solve(field.h, np.eye(field.h.shape[-1])), -1, -2)
+        return DualCurvatureField(field.form.r11, pulled, _max_norm(pulled - expected))
+
+    return _chunked(chunk, len(jet.points), len(jet.stencil.offsets))
 
 
-def dual_curvature_check(
-    spec: KernelSpec,
-    z,
-    steps: FdSteps = FdSteps(),
-) -> DualCurvatureField:
+def dual_curvature_check(spec: KernelSpec, z, steps: FdSteps = FdSteps()) -> DualCurvatureField:
     """`dual_curvature_field` at one point z."""
-    return dual_curvature_field(spec, as_point(z, spec.base_dim)[None], steps).at(0)
+    return dual_curvature_field(metric_jet(metric_from_kernel(spec), as_point(z, spec.base_dim)[None], steps)).at(0)

@@ -520,7 +520,7 @@ def _task_curvature(ctx: RunContext) -> dict:
 
 
 def _task_dual(ctx: RunContext) -> dict:
-    dual = dual_curvature_field(ctx.kernel, ctx.points, ctx.steps, ctx.analytic, ctx.tol["admissibility"])
+    dual = dual_curvature_field(ctx.jet, ctx.analytic)
     data = _extremes(ctx.points, max_residual=dual.residual)
     return {"data": data, "gates": _decide(ctx, "dual", data)}
 

@@ -300,7 +300,8 @@ BATCHED_ENTRIES = {
     "MetricField.batch": lambda p: metric_from_kernel(INADMISSIBLE).batch(p),
     "metric_jet": lambda p: metric_jet(metric_from_kernel(INADMISSIBLE), p),
     "nested_curvature_field": lambda p: nested_curvature_field(metric_from_kernel(INADMISSIBLE), p),
-    "dual_curvature_field": lambda p: dual_curvature_field(INADMISSIBLE, p),
+    # the failing point raises while the jet is built: the dual adds no error of its own
+    "dual_curvature_field": lambda p: dual_curvature_field(metric_jet(metric_from_kernel(INADMISSIBLE), p)),
     "subbundle_field": lambda p: subbundle_field(
         metric_jet(metric_from_kernel(ConstantKernel(np.eye(2))), p),
         _frame_dependent_at(0.3 + 1e-5j, 0.6 + 1e-5),
@@ -404,7 +405,7 @@ def test_batched_fields_match_point_calls():
         assert type(split.identity_residual) is float
         if spec is None:
             continue
-        dual = dual_curvature_field(spec, pts, RICH)
+        dual = dual_curvature_field(jet)
         adm = admissibility_field(spec, pts)
         sscale = max(1.0, np.max(adm.norm))
         for i, z in enumerate(pts):
@@ -505,7 +506,7 @@ def test_fields_are_stacks_of_their_points():
         analytic_curvature_field(metric_jet(m, pts, RICH)),
         nested_curvature_field(m, pts, RICH),
         subbundle_field(metric_jet(m, pts, RICH), frame),
-        dual_curvature_field(spec, pts, RICH),
+        dual_curvature_field(metric_jet(m, pts, RICH)),
         admissibility_field(spec, pts),
         metric_jet(m, pts, RICH, order=1),
         metric_jet(m, pts, RICH),

@@ -26,9 +26,10 @@ from bck.chern import (
 from bck.errors import DomainError, SingularMetricError, StructuralError
 from bck.forms import Form1, replace
 from bck.kernels import ConstantKernel, DiscPowerKernel, GrassmannKernel, SectionKernel, dual_kernel
-from bck.linalg import norms
+from bck.linalg import norms, solve
 
 from _fields import cmat, disc_connection, disc_curvature, disc_metric, full_rank_sections, poly_metric
+from _hook import make_edge
 
 RICH = FdSteps(richardson=True)
 
@@ -515,11 +516,47 @@ def test_dual_curvature_field_rejects_a_field_over_other_points():
     rng = np.random.default_rng(43)
     spec = SectionKernel(full_rank_sections(rng, 2, 2), base_dim=2)
     pts = np.array([[0.1 + 0.2j, -0.2 + 0.1j], [0.3 - 0.1j, 0.2j], [-0.25j, 0.1]])
-    theta = analytic_curvature_field(metric_jet(metric_from_kernel(spec), pts, RICH))
-    assert np.max(dual_curvature_field(spec, pts, RICH, theta=theta).residual) <= 1e-6
+    jet = metric_jet(metric_from_kernel(spec), pts, RICH)
+    theta = analytic_curvature_field(jet)
+    assert np.max(dual_curvature_field(jet, theta).residual) <= 1e-6
     for other in (theta.at(slice(0, 1)), theta.at(slice(None, None, -1))):
         with pytest.raises(ValueError, match="other points"):
-            dual_curvature_field(spec, pts, RICH, theta=other)
+            dual_curvature_field(jet, other)
+
+
+def test_dual_curvature_field_needs_a_second_order_jet():
+    m = metric_from_kernel(DiscPowerKernel(2))
+    pts = np.array([[0.1 + 0.2j], [-0.3]])
+    theta = analytic_curvature_field(metric_jet(m, pts, RICH))
+    for args in ((), (theta,)):
+        with pytest.raises(ValueError, match="needs a second-order metric jet"):
+            dual_curvature_field(metric_jet(m, pts, RICH, order=1), *args)
+
+
+DUAL_CASES = {
+    "disc": (DiscPowerKernel(2), [[0.1 + 0.2j], [-0.3], [0.25j], [0.0]]),
+    "grassmann": (GrassmannKernel(3, 2), DUAL_POINTS_D2),
+    "sections": (SectionKernel(full_rank_sections(np.random.default_rng(43), 2, 2), base_dim=2),
+                 [[0.1 + 0.2j, -0.2 + 0.1j], [0.3 - 0.1j, -0.15 + 0.2j]]),
+    "constant": (ConstantKernel(np.array([[2.0, 1j], [-1j, 3.0]])), [[0.0], [0.4 - 0.3j]]),
+    "hook-edge": (make_edge(), [[0.1], [-0.2 + 0.1j], [0.29]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_CASES))
+def test_dual_jet_is_the_mirrored_conjugate_of_the_jet(case):
+    # the dual kernel's metric at conj(z) is conj(h(z)): its jet, evaluated,
+    # holds the jet's conjugated node values at the mirrored nodes, and its
+    # curvature gives dual_curvature_field's residual
+    spec, pts = DUAL_CASES[case]
+    pts = np.array(pts, dtype=complex)
+    jet = metric_jet(metric_from_kernel(spec), pts, RICH)
+    dual = metric_jet(metric_from_kernel(dual_kernel(spec)), np.conj(pts), RICH)
+    assert np.array_equal(np.conj(jet.values[jet.stencil.mirror]), dual.values)
+    theta = analytic_curvature_field(jet)
+    pulled = -np.swapaxes(analytic_curvature_field(dual).form.r11, 0, 1)
+    expected = -np.swapaxes(theta.h @ theta.form.r11 @ solve(theta.h, np.eye(spec.fiber_dim)), -1, -2)
+    assert np.array_equal(dual_curvature_field(jet).residual, norms(pulled - expected).max(axis=(0, 1)))
 
 
 def test_connection_stencil_near_boundary_raises():

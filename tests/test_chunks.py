@@ -2,9 +2,9 @@
 through one driver, `chern._chunked`.
 
 A metric batch takes at most that many rows at once, a metric jet, the
-nested curvature route and the subbundle split at most that many stencil
-nodes, and the Griffiths reduction at most that many (point, direction)
-pairs.  Where the chunks split the points must not change a bit of any
+nested curvature route, the subbundle split and the dual check at most
+that many stencil nodes, and the Griffiths reduction at most that many
+(point, direction) pairs.  Where the chunks split the points must not change a bit of any
 result or error, and the memory a computation holds besides its result
 must not grow with the number of points.
 """
@@ -93,7 +93,7 @@ def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
     whole = griffiths_verdict(metric, analytic, pts, directions=5, seed=11)
     nested = nested_curvature_field(metric, pts, steps)
     split = subbundle_field(jet, _frame(spec.fiber_dim))
-    dual = dual_curvature_field(spec, pts, steps)
+    dual = dual_curvature_field(jet)
     for rows_per_point in (len(whole.directions), _outer_nodes(spec.base_dim, steps), _jet_nodes(spec.base_dim, steps)):
         assert len(pts) * rows_per_point <= bck.chern._ROWS  # the references are one chunk
 
@@ -106,7 +106,8 @@ def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
     monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _jet_nodes(spec.base_dim, steps))
     assert _same_fields(metric_jet(metric, pts, steps), jet)
     assert bit_equal(subbundle_field(jet, _frame(spec.fiber_dim)), split)
-    assert bit_equal(dual_curvature_field(spec, pts, steps), dual)
+    assert bit_equal(dual_curvature_field(jet), dual)
+    assert bit_equal(dual_curvature_field(jet, analytic), dual)
 
 
 def test_hermiticity_failure_in_a_later_chunk_reports_the_worst_pair(monkeypatch):
@@ -253,7 +254,7 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
     n, m = 1, sections.fiber_dim
     inner = len(Stencil(1, first=RICH.first_steps(), richardson=True, centre=True).offsets)
     outer = _outer_nodes(1, RICH)
-    griffiths, nested, jets, splits = [], [], [], []
+    griffiths, nested, jets, splits, duals = [], [], [], [], []
     for count in (300, 1200):
         pts = _disc_points(count)
         assert len(pts) == count and count * _jet_nodes(1, RICH) > 2 * rows
@@ -262,6 +263,8 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
         analytic = analytic_curvature_field(jet)
         _, transient, _ = _traced(lambda: griffiths_verdict(metric, analytic, pts, directions=30, seed=1))
         griffiths.append(transient)
+        _, transient, _ = _traced(lambda: dual_curvature_field(jet, analytic))
+        duals.append(transient)
         field, transient, retained = _traced(lambda: nested_curvature_field(metric, pts, RICH))
         nested.append(transient)
         # the field keeps its own arrays, not the node table its h was read from
@@ -271,7 +274,7 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
         _, transient, _ = _traced(lambda: subbundle_field(ambient, _frame(m)))
         splits.append(transient)
     growth = {name: abs(b - a) for name, (a, b) in
-              {"griffiths": griffiths, "nested": nested, "jet": jets, "subbundle": splits}.items()}
+              {"griffiths": griffiths, "nested": nested, "jet": jets, "subbundle": splits, "dual": duals}.items()}
     bound = {
         # a chunk's G stack, its hermitised copy, its eigenvectors and the contraction
         "griffiths": 4 * rows * n * n * 16,
@@ -281,5 +284,7 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
         "jet": rows * (1 + n * n) * 16,
         # a chunk's frame stack: an m x m matrix at every stencil node
         "subbundle": rows * m * m * 16,
+        # a chunk's node table: the conjugated metric at its mirrored stencil nodes
+        "dual": rows * n * n * 16,
     }
     assert [name for name in growth if growth[name] >= bound[name]] == [], (growth, bound)
