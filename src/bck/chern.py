@@ -111,10 +111,10 @@ def _chunked(run, count: int, rows_per_point: int):
     """`run(rows)`, a field result over the points `rows`, over consecutive
     slices of `count` points in grid order (one empty slice for no points),
     joined by `forms.join_points` as each arrives.  A slice holds at least
-    one point and at most `_ROWS` rows (metric rows, stencil nodes or
-    (point, direction) pairs) at `rows_per_point` a point: the bound on the
-    temporaries of every whole-grid computation.  Each call goes through
-    `errors.row_by_row`, so the error is the one a point loop raises first."""
+    one point and at most `_ROWS` rows (metric rows, stencil nodes, fiber
+    matrices or (point, direction) pairs) at `rows_per_point` a point, the
+    bound on the temporaries of every whole-grid computation.  Each call
+    goes through `errors.row_by_row`, so the error is a point loop's first."""
     step, joined = max(1, _ROWS // rows_per_point), None
     for start in range(0, max(count, 1), step):
         size = len(range(start, count)[:step])
@@ -241,7 +241,8 @@ class MetricJet(Record, frozen=True):
     h is (N, n, n); dp[j] ~ dh/dz_j and dq[k] ~ dh/dzbar_k are stacked as
     (d, N, n, n); mixed[k, j] ~ d^2 h / dzbar_k dz_j is (d, d, N, n, n),
     and `values` (S, N, n, n), h at node s of `stencil` around every point,
-    node first as `Stencil.by_node` puts it, or both None for a first-order jet.
+    node first as `Stencil.by_node` puts it (only `subbundle_field` reads
+    these two); both are None for a first-order jet or a jet without nodes.
     """
 
     points: np.ndarray
@@ -250,7 +251,7 @@ class MetricJet(Record, frozen=True):
     dq: np.ndarray
     mixed: np.ndarray | None
     values: np.ndarray | None
-    stencil: Stencil
+    stencil: Stencil | None
 
 
 def _jet(points: np.ndarray, values: np.ndarray, stencil: Stencil, order: int) -> MetricJet:
@@ -535,12 +536,14 @@ def subbundle_field(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -
     curvature are reductions of the jet.  Points run in `_chunked` chunks
     of the jet's nodes, raising the error a loop over the points would.
     """
+    if jet.values is None:  # a first-order jet has none either
+        raise ValueError("the subbundle split needs the node values of a second-order metric jet")
     return _chunked(lambda rows: _subbundle(at_point(jet, rows), frame), len(jet.points), len(jet.stencil.offsets))
 
 
 def _subbundle(jet: MetricJet, frame: Callable[[np.ndarray], np.ndarray]) -> SubbundleField:
     pts, stencil, n = jet.points, jet.stencil, jet.h.shape[-1]
-    r11 = analytic_curvature_field(jet).form.r11  # a first-order jet raises here
+    r11 = analytic_curvature_field(jet).form.r11
     nodes, frames = stencil.on_points(lambda w: (w, _frames(frame, w, n)), pts)
     f_all = stencil.by_node(frames, len(pts))
     h, f = jet.values[: stencil.first_nodes], f_all[: stencil.first_nodes]
@@ -615,31 +618,30 @@ def dual_curvature_field(jet: MetricJet, theta: CurvatureField | None = None) ->
     original at every point of a second-order jet of a kernel metric.
 
     The dual kernel lives on the conjugated chart, and its metric at
-    conj(z) is conj(h(z)): its jet is the jet's conjugated node values at
-    the mirrored nodes (`Stencil.mirror`), and evaluates nothing.  Pulling
+    conj(z) is conj(h(z)); as conjugation commutes with the Wirtinger
+    derivatives, its jet is this jet conjugated array by array.  Pulling
     its (1,1) coefficients back to the original coordinates swaps the form
     indices and flips the orientation sign, and leaves the operator values
     as they are.  The metric identifies the dual kernel's frame with h
     times the dual frame, in which the dual curvature is -Theta^T; so the
     pulled-back coefficients must equal -(h Theta h^-1)^T.  `theta`, the
     analytic curvature of the jet, is reused when given; one over other
-    points raises ValueError.  Points run in `_chunked` chunks of nodes.
+    points raises ValueError.  Chunks hold 4 (1 + d)^2 matrices a point.
     """
-    if jet.values is None:
+    if jet.mixed is None:
         raise ValueError("the analytic curvature needs a second-order metric jet")
     if theta is not None and not np.array_equal(theta.points, jet.points):
         raise ValueError("theta is a curvature field over other points")
-    mirror = jet.stencil.mirror
 
     def chunk(rows) -> DualCurvatureField:
         base = at_point(jet, rows)
         field = analytic_curvature_field(base) if theta is None else at_point(theta, rows)
-        dual = _jet(np.conj(base.points), np.conj(base.values[mirror]), base.stencil, order=2)
+        dual = MetricJet(*(np.conj(a) for a in (base.points, base.h, base.dp, base.dq, base.mixed)), None, None)
         pulled = -np.swapaxes(analytic_curvature_field(dual).form.r11, 0, 1)
         expected = -np.swapaxes(field.h @ field.form.r11 @ solve(field.h, np.eye(field.h.shape[-1])), -1, -2)
         return DualCurvatureField(field.form.r11, pulled, _max_norm(pulled - expected))
 
-    return _chunked(chunk, len(jet.points), len(jet.stencil.offsets))
+    return _chunked(chunk, len(jet.points), 4 * (1 + jet.points.shape[-1]) ** 2)
 
 
 def dual_curvature_check(spec: KernelSpec, z, steps: FdSteps = FdSteps()) -> DualCurvatureField:

@@ -655,14 +655,6 @@ class Stencil:
         """Node offsets from the base point, shape (S, d)."""
         return np.array(self._offsets)
 
-    @property
-    def mirror(self) -> np.ndarray:
-        """Index of the node at the conjugate offset, per node: the node set
-        is closed under conjugation.  Coordinates match as numbers (adding
-        0.0 turns -0.0, which conjugation makes of 0.0, into 0.0)."""
-        index = {(o + 0.0).tobytes(): s for s, o in enumerate(self._offsets)}
-        return np.array([index[(np.conj(o) + 0.0).tobytes()] for o in self._offsets])
-
     def on_points(self, evaluate: Callable[[np.ndarray], object], points: np.ndarray, domain=None):
         """`evaluate` applied once to the (N S, d) array of all nodes of all points.
 

@@ -220,11 +220,11 @@ class SectionKernel(KernelSpec):
 
     G is factored once: Gram-Schmidt of the coordinate basis in the inner
     product G gives an upper triangular W with W* G W = I, so G^{-1} = W W*
-    and kappa(z, w) = (E(z) W) (E(w) W)*.
+    and kappa(z, w) = (E(z) W) (E(w) W)*.  A section callable claims
+    holomorphy; a polynomial does unless a term has a conj(z) power.
     """
 
     variant = "from_sections"
-    holomorphic = True
 
     def __init__(
         self,
@@ -235,9 +235,9 @@ class SectionKernel(KernelSpec):
         self.sections = sections
         self.base_dim = int(base_dim)
         probe = np.asarray(sections(np.zeros(self.base_dim, dtype=complex)), dtype=complex)
-        self._values = sections if isinstance(sections, MatrixPolynomial) else pointwise(
-            sections, probe.shape, what="section matrix"
-        )
+        polynomial = isinstance(sections, MatrixPolynomial)
+        self._values = sections if polynomial else pointwise(sections, probe.shape, what="section matrix")
+        self.holomorphic = not (polynomial and any(any(q) for _, q in sections.terms))
         if probe.ndim != 2:
             raise ValueError("section field must return an n x m matrix")
         self.fiber_dim, self.section_count = probe.shape

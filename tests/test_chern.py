@@ -8,6 +8,7 @@ import bck.chern
 from bck.chern import (
     FdSteps,
     MetricField,
+    MetricJet,
     analytic_curvature_field,
     chern_connection,
     chern_connection_field,
@@ -184,6 +185,17 @@ def test_curvature_reductions_read_a_jet_of_their_order():
         analytic_curvature_field(jet)
     with pytest.raises(ValueError, match="second-order metric jet"):
         subbundle_field(jet, lambda w: np.ones((len(w), 1, 1)))
+
+
+def test_subbundle_field_needs_the_node_values():
+    # a second-order jet without its node values (an exact jet) carries
+    # no stencil to evaluate the frame on; the split says so before any work
+    m = disc_metric_field(1)
+    jet = replace(metric_jet(m, np.array([[0.3], [-0.2j]]), RICH), values=None, stencil=None)
+    calls = []
+    with pytest.raises(ValueError, match="the subbundle split needs the node values"):
+        subbundle_field(jet, lambda w: calls.append(w) or np.ones((len(w), 1, 1)))
+    assert calls == []
 
 
 # -- compatibility ----------------------------------------------------------------
@@ -544,19 +556,37 @@ DUAL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(DUAL_CASES))
-def test_dual_jet_is_the_mirrored_conjugate_of_the_jet(case):
-    # the dual kernel's metric at conj(z) is conj(h(z)): its jet, evaluated,
-    # holds the jet's conjugated node values at the mirrored nodes, and its
-    # curvature gives dual_curvature_field's residual
+def test_dual_jet_is_the_conjugate_of_the_jet(case):
+    # the dual kernel's metric at conj(z) is conj(h(z)), and conjugation
+    # commutes with the Wirtinger derivatives: the dual kernel's own jet is
+    # the jet conjugated array by array, and its curvature gives
+    # dual_curvature_field's residual
     spec, pts = DUAL_CASES[case]
     pts = np.array(pts, dtype=complex)
     jet = metric_jet(metric_from_kernel(spec), pts, RICH)
     dual = metric_jet(metric_from_kernel(dual_kernel(spec)), np.conj(pts), RICH)
-    assert np.array_equal(np.conj(jet.values[jet.stencil.mirror]), dual.values)
+    for name in ("h", "dp", "dq"):
+        assert np.array_equal(np.conj(getattr(jet, name)), getattr(dual, name)), name
+    assert np.max(np.abs(np.conj(jet.mixed) - dual.mixed)) <= 1e-12 * np.max(np.abs(dual.mixed))
     theta = analytic_curvature_field(jet)
     pulled = -np.swapaxes(analytic_curvature_field(dual).form.r11, 0, 1)
     expected = -np.swapaxes(theta.h @ theta.form.r11 @ solve(theta.h, np.eye(spec.fiber_dim)), -1, -2)
     assert np.array_equal(dual_curvature_field(jet).residual, norms(pulled - expected).max(axis=(0, 1)))
+
+
+def test_dual_curvature_field_reads_a_jet_without_node_values():
+    # the nu = 2 disc's closed-form jet, s = 1 - |z|^2: h = s^-nu,
+    # dh = nu zbar s^(-nu-1), delbar h its conjugate and
+    # delbar del h = nu s^(-nu-1) + nu (nu+1) |z|^2 s^(-nu-2)
+    nu, z = 2, np.array([0.0, 0.3 + 0.2j, -0.5j, 0.7, 0.9 * np.exp(2j)])
+    s = 1 - np.abs(z) ** 2
+    dp = nu * np.conj(z) * s ** (-nu - 1)
+    mixed = nu * s ** (-nu - 1) + nu * (nu + 1) * np.abs(z) ** 2 * s ** (-nu - 2)
+    jet = MetricJet(z[:, None], *(a[..., None, None] for a in (
+        s ** -nu, dp[None], np.conj(dp)[None], mixed[None, None])), None, None)
+    dual = dual_curvature_field(jet)
+    assert np.max(dual.residual) <= 1e-13
+    assert np.max(np.abs(dual.theta_r11[0, 0, :, 0, 0] / (nu / s**2) - 1)) <= 1e-13
 
 
 def test_connection_stencil_near_boundary_raises():

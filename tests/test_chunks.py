@@ -284,7 +284,7 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
         "jet": rows * (1 + n * n) * 16,
         # a chunk's frame stack: an m x m matrix at every stencil node
         "subbundle": rows * m * m * 16,
-        # a chunk's node table: the conjugated metric at its mirrored stencil nodes
+        # a chunk's conjugated jet and its curvature temporaries
         "dual": rows * n * n * 16,
     }
     assert [name for name in growth if growth[name] >= bound[name]] == [], (growth, bound)

@@ -808,7 +808,7 @@ def test_kernel_metric_rows_per_grid_point(monkeypatch, overrides, per_point):
     # with every task and a subbundle frame, a run evaluates the kernel
     # metric on the nested route's outer x inner nodes, (1 + 4d(1 + R))^2
     # rows per grid point, and once on its second-order jet's stencil; the
-    # dual check reads that jet's mirrored nodes and evaluates no dual metric
+    # dual check reads that jet, conjugated, and evaluates no dual metric
     rows = {}
     real = bck.chern.MetricField.batch
 

@@ -410,20 +410,6 @@ def test_stencil_weights_are_exact_on_polynomials_of_their_order(dim, richardson
         assert np.max(np.abs(got[..., 0, :, :] - exact)) <= tol
 
 
-@pytest.mark.parametrize("richardson", [False, True])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_stencil_mirror_is_the_involution_to_conjugate_offsets(dim, richardson):
-    # conjugation turns the zero imaginary part of a real offset into -0.0,
-    # which must still find the node: at d = 1 every node has one
-    for mixed in (None, 2e-2):
-        stencil = Stencil(dim, first=1e-2, mixed=mixed, richardson=richardson, centre=True)
-        mirror, offsets = stencil.mirror, stencil.offsets
-        assert mirror.shape == (len(offsets),) and mirror[Stencil.CENTRE] == Stencil.CENTRE
-        assert np.array_equal(mirror[mirror], np.arange(len(offsets)))
-        assert np.array_equal(offsets, np.conj(offsets[mirror]))
-        assert (mirror != np.arange(len(offsets))).any()
-
-
 def test_cauchy_riemann_residual_values():
     grid = np.linspace(-0.5, 0.5, 5)
     pts = np.array([[x + 1j * y] for x in grid for y in grid])

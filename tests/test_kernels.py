@@ -92,6 +92,18 @@ def test_grassmann_kernel_diagonal_is_identity():
     assert np.allclose(k.fiber_metric(z), np.array([[1 + 0.2 + 0.09]]), atol=1e-12)
 
 
+def test_polynomial_sections_are_holomorphic_only_without_conjugate_powers():
+    # a conj(z) power in any term makes the sections, and the dual's, not
+    # holomorphic; a plain callable claims holomorphy for the probe to decide
+    terms = {((0,), (0,)): [[1, 0]], ((1,), (0,)): [[0, 1]]}
+    holo = from_sections(MatrixPolynomial(1, terms, shape=(1, 2)))
+    mixed = from_sections(MatrixPolynomial(1, {**terms, ((0,), (1,)): [[0, 0.5]]}, shape=(1, 2)))
+    callable_ = from_sections(lambda z: np.array([[1.0, np.conj(z[0])]]))
+    assert holo.holomorphic and dual_kernel(holo).holomorphic
+    assert not mixed.holomorphic and not dual_kernel(mixed).holomorphic
+    assert callable_.holomorphic
+
+
 def test_constructor_names_take_every_call_the_functions_took():
     # disc_power, from_sections, universal_grassmann and dual_kernel are the classes
     def sections(z):
