@@ -52,12 +52,12 @@ from .kernels import (
     AdmissibilityField,
     ConstantKernel,
     DiscPowerKernel,
-    GrassmannKernel,
     KernelSpec,
     SectionKernel,
     admissibility_field,
     gram,
     psd_check,
+    universal_grassmann,
 )
 from .linalg import Sampler, complex_normal
 from .polys import MatrixPolynomial
@@ -234,7 +234,7 @@ _KERNELS = {
         "variant": _VARIANT, "entries": (_polynomials, None), "monomials": (_integer(1), None),
         "gram": (_MATRIX, None), "base_dim": _BASE_DIM,
     }),
-    "universal_grassmann": (GrassmannKernel, {
+    "universal_grassmann": (universal_grassmann, {
         "variant": _VARIANT, "ambient_dim": (_integer(1), _REQUIRED), "rank": (_integer(1), _REQUIRED),
     }),
     "user_hook": (_user_hook, {

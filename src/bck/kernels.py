@@ -15,8 +15,9 @@ Built-in families:
   open unit disc (Hardy space at nu = 1, Bergman spaces at nu > 1).
 * ``from_sections(E, G)`` - kappa(z, w) = E(z) G^{-1} E(w)* for a
   holomorphic n x m section matrix E and a Hermitian positive Gram G.
-* ``universal_grassmann(N, k)`` - restriction of orthogonal projections
-  between k-planes in C^N, written in the graph chart B -> span[I; B].
+* ``universal_grassmann(N, k)`` - the section kernel of the k x N frame
+  [I_k, B^T] of the universal bundle over the k-planes in C^N, in the
+  graph chart B -> span[I; B]; its metric is I + B* B.
 * ``ConstantKernel(M)``, variant ``constant`` - a fixed block; non-PSD
   blocks are accepted so that negative positivity tests have something
   to chew on.
@@ -49,7 +50,6 @@ from .linalg import (
     mgs_orthonormalize,
     mul,
     relative_rank,
-    solve,
     svdvals,
 )
 from .polys import MatrixPolynomial
@@ -59,7 +59,6 @@ __all__ = [
     "DiscPowerKernel",
     "ConstantKernel",
     "SectionKernel",
-    "GrassmannKernel",
     "UserKernel",
     "DualKernel",
     "disc_power",
@@ -220,8 +219,9 @@ class SectionKernel(KernelSpec):
 
     G is factored once: Gram-Schmidt of the coordinate basis in the inner
     product G gives an upper triangular W with W* G W = I, so G^{-1} = W W*
-    and kappa(z, w) = (E(z) W) (E(w) W)*.  A section callable claims
-    holomorphy; a polynomial does unless a term has a conj(z) power.
+    and kappa(z, w) = X(z) X(w)* for the frame X = E W (`frame`).  A
+    section callable claims holomorphy; a polynomial does unless a term has
+    a conj(z) power.
     """
 
     variant = "from_sections"
@@ -236,7 +236,6 @@ class SectionKernel(KernelSpec):
         self.base_dim = int(base_dim)
         probe = np.asarray(sections(np.zeros(self.base_dim, dtype=complex)), dtype=complex)
         polynomial = isinstance(sections, MatrixPolynomial)
-        self._values = sections if polynomial else pointwise(sections, probe.shape, what="section matrix")
         self.holomorphic = not (polynomial and any(any(q) for _, q in sections.terms))
         if probe.ndim != 2:
             raise ValueError("section field must return an n x m matrix")
@@ -251,58 +250,47 @@ class SectionKernel(KernelSpec):
         if np.linalg.eigvalsh(hermitize(gram))[0] <= 0:
             raise ValueError("Gram matrix must be positive definite")
         self.gram_matrix = gram
-        self._factor = mgs_orthonormalize(np.eye(self.section_count), inner=gram)[0]
+        factor = mgs_orthonormalize(np.eye(self.section_count), inner=gram)[0]
+        if polynomial:  # W folded into the coefficients
+            terms = {powers: coeff @ factor for powers, coeff in sections.terms.items()}
+            self._frame = MatrixPolynomial(sections.dim, terms, shape=probe.shape)
+        else:
+            values = pointwise(sections, probe.shape, what="section matrix")
+            self._frame = lambda t: mul(values(t), factor)
 
-    def section_values(self, z) -> np.ndarray:
-        """E at a chart point, or at each point of a stack (..., d) -> (..., n, m).
+    def frame(self, t) -> np.ndarray:
+        """X = E W at a chart point, or at each point of a stack (..., d) -> (..., n, m).
 
         A polynomial section matrix is evaluated on the whole stack at once;
         any other callable point by point (`forms.pointwise`), each value
         with the shape it has at the origin.
         """
-        return self._values(as_points(z, self.base_dim))
+        return self._frame(as_points(t, self.base_dim))
 
     def eval_many(self, z, w):
-        ez = mul(self.section_values(z), self._factor)
-        ew = mul(self.section_values(w), self._factor)
-        return mul(ez, adjoint(ew))
+        xz = self.frame(z)
+        return mul(xz, adjoint(xz if w is z else self.frame(w)))  # the diagonal evaluates X once
 
 
-class GrassmannKernel(KernelSpec):
-    """Restriction-of-projection kernel between k-planes of C^N.
-
-    Chart coordinates are the entries of the (N-k) x k graph matrix B,
-    the plane being the column span of F(B) = [I_k; B].  In the frame
-    F the kernel block is kappa(z, w) = (F(z)* F(z))^{-1} F(z)* F(w) and
-    the base fiber metric is F(z)* F(z); at z = w the kernel block is
-    the identity.  Both are formed from F(z)* F(w) = I + B(z)* B(w).
+def universal_grassmann(ambient_dim: int, rank: int) -> SectionKernel:
+    """The universal bundle over the k-planes of C^N, k = rank, as the
+    section kernel of the k x N frame E = [I_k, B^T]: the chart point z is
+    the (N-k) x k graph matrix B read row-major, the plane the column span
+    of F = [I_k; B], and the metric (E E*)^T = F* F = I + B* B.
     """
-
-    variant = "universal_grassmann"
-    holomorphic = False  # the projection sections are not holomorphic
-
-    def __init__(self, ambient_dim: int, rank: int):
-        if not 1 <= rank < ambient_dim:
-            raise ValueError("need 1 <= rank < ambient_dim")
-        self.ambient_dim = int(ambient_dim)
-        self.rank = int(rank)
-        self.fiber_dim = self.rank
-        self.base_dim = (self.ambient_dim - self.rank) * self.rank
-
-    def _frame_products(self, z, w) -> np.ndarray:
-        """F(z)* F(w) = I + B(z)* B(w) over broadcast stacks of points (..., d)."""
-        graph = (self.ambient_dim - self.rank, self.rank)
-        bz, bw = (np.asarray(p, dtype=complex).reshape(np.shape(p)[:-1] + graph) for p in (z, w))
-        out = mul(adjoint(bz), bw)
-        diagonal = np.arange(self.rank)
-        out[..., diagonal, diagonal] += 1.0
-        return out
-
-    def eval_many(self, z, w):
-        return solve(self._frame_products(z, z), self._frame_products(z, w))
-
-    def fiber_metric_batch(self, z):
-        return self._frame_products(z, z)
+    if not 1 <= rank < ambient_dim:
+        raise ValueError("need 1 <= rank < ambient_dim")
+    n, k = int(ambient_dim), int(rank)
+    d = (n - k) * k
+    terms = {((0,) * d, (0,) * d): np.eye(k, n)}
+    for a in range(d):  # z_a = B[r, c] is the entry E[c, k + r]
+        r, c = divmod(a, k)
+        coeff = np.zeros((k, n))
+        coeff[c, k + r] = 1.0
+        terms[(tuple(int(a == j) for j in range(d)), (0,) * d)] = coeff
+    spec = SectionKernel(MatrixPolynomial(d, terms, shape=(k, n)), base_dim=d)
+    spec.variant = "universal_grassmann"
+    return spec
 
 
 class UserKernel(KernelSpec):
@@ -371,8 +359,8 @@ class DualKernel(KernelSpec):
         return self.base.boundary_distance_batch(np.conj(np.asarray(z, dtype=complex)))
 
 
-# the constructor names of the library API, each its class
-disc_power, from_sections, universal_grassmann = DiscPowerKernel, SectionKernel, GrassmannKernel
+# the constructor names of the library API, each its class but universal_grassmann
+disc_power, from_sections = DiscPowerKernel, SectionKernel
 dual_kernel = DualKernel
 
 

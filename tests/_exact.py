@@ -60,8 +60,8 @@ class ExactMetric:
         h = value(self.H)
         inv = h.inv()
         conn = [inv * value(dp) for dp in self.dp]
-        r11 = [[inv * value(self.mixed[k][j]) - inv * value(self.dq[k]) * conn[j] for j in range(self.dim)]
-               for k in range(self.dim)]
+        r11 = [[(inv * value(self.mixed[k][j]) - inv * value(self.dq[k]) * conn[j]).applyfunc(sympy.expand)
+                for j in range(self.dim)] for k in range(self.dim)]
         return {"h": h, "connection": conn, "r11": r11}
 
 
@@ -82,7 +82,7 @@ def griffiths_margins(values: dict, directions) -> np.ndarray:
 
 def _mp(e):
     """A Gaussian rational as an mpmath complex at the working precision."""
-    re, im = e.as_real_imag()
+    re, im = sympy.expand(e).as_real_imag()
     return mpmath.mpc(mpmath.mpf(re.p) / re.q, mpmath.mpf(im.p) / im.q)
 
 
@@ -95,13 +95,14 @@ def as_array(m) -> np.ndarray:
 
 
 def sections(rows, gram=None, dim: int = 1) -> ExactMetric:
-    """from_sections: H = E(z) G^-1 E(w)*, E an n x m matrix whose entries are
-    given as {powers: coefficient}; G defaults to the identity."""
+    """from_sections: H = (E(z) G^-1 E(w)*)^T, the Gram matrix of the column
+    frame E^T, which is holomorphic in z; E is an n x m matrix whose entries
+    are given as {powers: coefficient}, and G defaults to the identity."""
     z, wb = _symbols(dim)
     e = sympy.Matrix([[_poly(entry, z) for entry in row] for row in rows])
     e_star = sympy.Matrix([[_poly(entry, wb, conjugate=True) for entry in row] for row in rows]).T
     g = sympy.eye(e.shape[1]) if gram is None else sympy.Matrix([[_rational(c) for c in row] for row in gram])
-    return ExactMetric(e * g.inv() * e_star, z, wb)
+    return ExactMetric((e * g.inv() * e_star).T, z, wb)
 
 
 def grassmann(ambient_dim: int, rank: int) -> ExactMetric:

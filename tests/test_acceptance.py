@@ -26,7 +26,6 @@ from bck.grids import ChartGrid
 from bck.kernels import (
     ConstantKernel,
     DiscPowerKernel,
-    GrassmannKernel,
     RkhsModel,
     SectionKernel,
     evaluation_adjoint_check,
@@ -35,6 +34,7 @@ from bck.kernels import (
     psd_check,
     reproducing_check,
     rkhs_inner,
+    universal_grassmann,
 )
 from bck.positivity import griffiths_verdict
 from bck.selfcheck import run_selfcheck
@@ -306,7 +306,7 @@ def test_criterion_12_invertibility_criteria_agree():
             s = 0.5 * cmat(rng, 1)
             expect = True
         elif kind == 2:
-            spec = GrassmannKernel(3, 1)
+            spec = universal_grassmann(3, 1)
             s = 0.5 * cmat(rng, 2)
             expect = True
         elif kind == 3:  # constructed failure: degenerate constant block

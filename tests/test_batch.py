@@ -38,13 +38,13 @@ from bck.kernels import (
     AdmissibilityField,
     ConstantKernel,
     DiscPowerKernel,
-    GrassmannKernel,
     UserKernel,
     admissibility,
     admissibility_field,
     dual_kernel,
     eval_kernel,
     gram,
+    universal_grassmann,
 )
 from bck.forms import Form1, Stencil, at_point, stack_points
 from bck.linalg import mgs_orthonormalize
@@ -87,7 +87,7 @@ FAMILIES = {
     "disc": DiscPowerKernel(2.5),
     "constant": ConstantKernel([[2.0, 1j], [-1j, 3.0]], base_dim=2),
     "from_sections": build_kernel(SECTIONS_CONFIG),
-    "grassmann": GrassmannKernel(4, 2),
+    "grassmann": universal_grassmann(4, 2),
     "dual": dual_kernel(DiscPowerKernel(1.5)),
     "user_hook": _user_disc(),
     "user_plain": _user_plain(),
@@ -194,7 +194,7 @@ def test_kernel_metric_batch_reports_row_order_across_its_own_checks():
 
 
 def test_metric_batch_over_several_chunks_equals_the_chunks_one_by_one():
-    metric = metric_from_kernel(GrassmannKernel(3, 1))
+    metric = metric_from_kernel(universal_grassmann(3, 1))
     rows = []
     batch_func = metric.batch_func
     metric.batch_func = lambda z: rows.append(len(z)) or batch_func(z)
@@ -373,7 +373,7 @@ def test_batched_fields_match_point_calls():
     # change the arithmetic beyond round-off amplified by the stencils
     # (first differences: 1e-10, second and nested: 1e-7)
     rng = np.random.default_rng(5)
-    specs = [DiscPowerKernel(2), GrassmannKernel(3, 1), FAMILIES["from_sections"]]
+    specs = [DiscPowerKernel(2), universal_grassmann(3, 1), FAMILIES["from_sections"]]
     cases = [(spec, metric_from_kernel(spec)) for spec in specs] + [(None, poly_metric(rng, 2, 2))]
     for spec, m in cases:
         d, n = m.dim, m.fiber_dim

@@ -30,7 +30,7 @@ from bck.chern import (
 from bck.cli import AnalysisConfig, build_kernel, run_analyze
 from bck.errors import DomainError, StructuralError
 from bck.forms import Form2, Record, Stencil
-from bck.kernels import DiscPowerKernel, GrassmannKernel
+from bck.kernels import DiscPowerKernel, universal_grassmann
 from bck.positivity import griffiths_verdict
 
 from _fields import bit_equal, workload_config
@@ -58,7 +58,7 @@ CASES = {
     # one variable: every direction ties, so the witness direction is
     # whichever sample rounds lowest
     "disc": (DiscPowerKernel(2), RICH),
-    "grassmann": (GrassmannKernel(3, 1), FdSteps()),
+    "grassmann": (universal_grassmann(3, 1), FdSteps()),
     "sections-rank2": (build_kernel(RANK2_SECTIONS), RICH),
 }
 

@@ -3,9 +3,9 @@ metric differentiated in sympy from its definition (tests/_exact.py), at a
 fixed corpus of dyadic points, gated at the method-agreement tolerance.
 
 The connection, the analytic and the nested curvature and the Griffiths
-margins at bck's own sampled directions are compared, on rank-1 section
-kernels (d = 1 with a non-identity Gram matrix, and d = 2), on
-universal_grassmann(3, 1) and on a constant kernel."""
+margins at bck's own sampled directions are compared, on section kernels
+(rank 1 at d = 1 with a non-identity Gram matrix and at d = 2, and rank 2
+at d = 2), on universal_grassmann(3, 1) and on a constant kernel."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from bck.chern import (
     metric_jet,
     nested_curvature_field,
 )
-from bck.kernels import ConstantKernel, GrassmannKernel, SectionKernel
+from bck.kernels import ConstantKernel, SectionKernel, universal_grassmann
 from bck.polys import MatrixPolynomial
 from bck.positivity import direction_samples, griffiths_verdict
 
@@ -51,6 +51,8 @@ D2 = np.array([[0.125 + 0.25j, -0.3125j], [0.25 - 0.125j, 0.1875 + 0.0625j], [-0
 ROWS_D1 = [[{(0,): 1}, {(1,): 0.5 + 0.25j, (0,): 0.25}, {(2,): 0.375 - 0.5j}]]
 GRAM_D1 = [[2, 0.5 + 0.25j, 0], [0.5 - 0.25j, 1, 0], [0, 0, 1.5]]
 ROWS_D2 = [[{(0, 0): 1}, {(1, 0): 1, (0, 1): -0.5j}, {(1, 1): 0.75}, {(0, 2): 0.5 + 0.5j}]]
+# rank 2: [[1, z1, z2 / 2], [0, 1, z1 / 4 + i z2 / 2]], of full rank everywhere
+ROWS_RANK2 = [[{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 0.5}], [{}, {(0, 0): 1}, {(1, 0): 0.25, (0, 1): 0.5j}]]
 MATRIX = [[2, 0.5j], [-0.5j, 1]]
 
 CASES = {
@@ -61,7 +63,10 @@ CASES = {
     "sections-d2": (
         lambda: SectionKernel(_sections(ROWS_D2, 2), base_dim=2), lambda: _exact.sections(ROWS_D2, dim=2), D2,
     ),
-    "grassmann-3-1": (lambda: GrassmannKernel(3, 1), lambda: _exact.grassmann(3, 1), D2),
+    "sections-rank2-d2": (
+        lambda: SectionKernel(_sections(ROWS_RANK2, 2), base_dim=2), lambda: _exact.sections(ROWS_RANK2, dim=2), D2,
+    ),
+    "grassmann-3-1": (lambda: universal_grassmann(3, 1), lambda: _exact.grassmann(3, 1), D2),
     "constant": (lambda: ConstantKernel(MATRIX), lambda: _exact.constant(MATRIX), D1),
 }
 

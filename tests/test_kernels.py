@@ -17,7 +17,6 @@ from bck.kernels import (
     ConstantKernel,
     DiscPowerKernel,
     DualKernel,
-    GrassmannKernel,
     KernelSpec,
     RkhsModel,
     SectionKernel,
@@ -32,11 +31,12 @@ from bck.kernels import (
     psd_check,
     reproducing_check,
     rkhs_inner,
+    universal_grassmann,
 )
 from bck.linalg import hermiticity_defect, hermitize, mgs_orthonormalize, mul
 from bck.polys import MatrixPolynomial
 
-from _fields import bit_equal, cmat, full_rank_sections
+from _fields import bit_equal, cmat, full_rank_sections, projection_grassmann
 
 
 def vandermonde_sections(m):
@@ -85,11 +85,14 @@ def test_section_kernel_with_gram_weights():
     assert abs(eval_kernel(k, z, w)[0, 0] - expected) <= 1e-14
 
 
-def test_grassmann_kernel_diagonal_is_identity():
-    k = GrassmannKernel(3, 1)
-    z = np.array([0.4 + 0.2j, -0.3j])
-    assert np.allclose(eval_kernel(k, z, z), np.eye(1))
-    assert np.allclose(k.fiber_metric(z), np.array([[1 + 0.2 + 0.09]]), atol=1e-12)
+def test_grassmann_kernel_diagonal_is_the_frame_gram():
+    # the section kernel of E = [I, B^T]: kappa(z, w) = 1 + z . conj(w) on
+    # Gr(3, 1), with the identity as base fiber metric
+    k = universal_grassmann(3, 1)
+    z, w = np.array([0.4 + 0.2j, -0.3j]), np.array([0.1, 0.2 - 0.5j])
+    assert np.allclose(eval_kernel(k, z, z), np.array([[1 + 0.2 + 0.09]]), atol=1e-12)
+    assert np.allclose(eval_kernel(k, z, w), np.array([[1 + z @ w.conj()]]), atol=1e-12)
+    assert np.array_equal(k.fiber_metric(z), np.eye(1))
 
 
 def test_polynomial_sections_are_holomorphic_only_without_conjugate_powers():
@@ -105,7 +108,8 @@ def test_polynomial_sections_are_holomorphic_only_without_conjugate_powers():
 
 
 def test_constructor_names_take_every_call_the_functions_took():
-    # disc_power, from_sections, universal_grassmann and dual_kernel are the classes
+    # disc_power, from_sections and dual_kernel are the classes;
+    # universal_grassmann builds a SectionKernel of its own variant
     def sections(z):
         return np.array([[1.0, z[0], z[-1] ** 2]])
 
@@ -129,11 +133,11 @@ def test_constructor_names_take_every_call_the_functions_took():
         (disc, DiscPowerKernel, DiscPowerKernel(2)),
         (built[:3], SectionKernel, SectionKernel(sections, 2)),
         (built[3:], SectionKernel, SectionKernel(sections, 2, gram_weights)),
-        (grass, GrassmannKernel, GrassmannKernel(3, 1)),
+        (grass, SectionKernel, universal_grassmann(3, 1)),
     ]:
         z = pts[:, : reference.base_dim]
         for spec in family:
-            assert type(spec) is cls
+            assert type(spec) is cls and spec.variant == reference.variant
             assert bit_equal(spec.eval_batch(z[:, None], z[None]), reference.eval_batch(z[:, None], z[None]))
     assert bck.kernels.from_sections(sections).base_dim == 1
     for dual in (dual_kernel(grass[0]), dual_kernel(spec=grass[0])):
@@ -248,7 +252,7 @@ class _Skewed(KernelSpec):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(["disc", "grassmann", "sections"]),
+    family=st.sampled_from(["disc", "grassmann", "projection", "sections"]),
     count=st.integers(1, 20),
     log_skew=st.one_of(st.just(None), st.floats(-15.0, -6.0)),
     seed=st.integers(0, 2**16),
@@ -257,8 +261,10 @@ def test_psd_margin_and_gate_match_the_hermitized_assembly(family, count, log_sk
     rng = np.random.default_rng(seed)
     if family == "disc":
         base, pts = DiscPowerKernel(2), disc_points(rng, count)
-    elif family == "grassmann":  # a fiber metric other than the identity
-        base, pts = GrassmannKernel(4, 2), 0.5 * cmat(rng, count, 4)
+    elif family == "grassmann":
+        base, pts = universal_grassmann(4, 2), 0.5 * cmat(rng, count, 4)
+    elif family == "projection":  # a fiber metric other than the identity
+        base, pts = projection_grassmann(4, 2), 0.5 * cmat(rng, count, 4)
     else:
         base, pts = _section_kernel(rng, 1, (2, 3)), 0.5 * cmat(rng, count, 1)
     n = base.fiber_dim
@@ -285,7 +291,7 @@ def test_psd_stability_across_builtins():
         DiscPowerKernel(2),
         ConstantKernel(np.array([[2.0, 0.5], [0.5, 1.0]])),
         SectionKernel(full_rank_sections(rng, 1, 1)),
-        GrassmannKernel(3, 1),
+        universal_grassmann(3, 1),
     ]
     for spec in specs:
         n_pts = int(rng.integers(5, 20))
@@ -303,7 +309,8 @@ def test_kernel_hermitian_symmetry_invariant():
         DiscPowerKernel(2.5),
         ConstantKernel(np.array([[2.0, 1j], [-1j, 3.0]])),
         SectionKernel(full_rank_sections(rng, 1, 2)),
-        GrassmannKernel(3, 1),
+        universal_grassmann(3, 1),
+        projection_grassmann(4, 2),  # a fiber metric other than the identity
     ]
     for spec in specs:
         for _ in range(100):
@@ -342,11 +349,11 @@ def test_rkhs_inner_conjugate_symmetry():
 
 
 def test_rkhs_inner_grassmann_orthogonal_fibers():
-    k = GrassmannKernel(4, 2)
+    k = universal_grassmann(4, 2)
     z = 0.3 * cmat(np.random.default_rng(5), k.base_dim)
-    h = k.fiber_metric(z)
+    h = k.fiber_metric(z) @ eval_kernel(k, z, z)  # the norm form h0(z) kappa(z, z)
     xi = np.array([1.0, 0.0])
-    # eta orthogonal to xi in the fiber inner product at z: (xi | eta)_z = 0
+    # eta orthogonal to xi in the norm form at z: <K_xi, K_eta> = 0
     u = np.array([1.0, 1.0])
     eta = u - (xi.conj() @ h @ u) / (xi.conj() @ h @ xi) * xi
     val = rkhs_inner(k, (xi, z), (eta, z), )
@@ -370,9 +377,9 @@ def test_reproducing_check_random_combination():
 
 
 def test_reproducing_check_holds_with_a_fiber_metric():
-    # the Grassmannian kernel carries a non-trivial h0 on both sides
+    # the projection form of the Grassmannian carries a non-trivial h0 on both sides
     rng = np.random.default_rng(31)
-    k = GrassmannKernel(4, 2)
+    k = projection_grassmann(4, 2)
     model = RkhsModel(k, 0.3 * cmat(rng, 6, k.base_dim))
     coeffs = cmat(rng, 6, 2)
     resid = reproducing_check(model, coeffs, cmat(rng, 2), 0.3 * cmat(rng, k.base_dim))
@@ -443,7 +450,7 @@ def test_admissibility_disc_and_degenerate_sections():
     assert res.invertible and res.smallest_singular_value > 1.0
     k = SectionKernel(lambda z: np.array([[z[0]]], dtype=complex))
     assert not admissibility(k, np.array([0.0])).invertible
-    assert admissibility(GrassmannKernel(3, 1), np.array([0.2, 0.3j])).invertible
+    assert admissibility(universal_grassmann(3, 1), np.array([0.2, 0.3j])).invertible
 
 
 def test_rank_one_admissibility_takes_the_modulus(monkeypatch):
@@ -491,7 +498,7 @@ def test_lemma51_seeded_agreement():
             spec = SectionKernel(full_rank_sections(rng, 1, 2))
             s = 0.5 * cmat(rng, 1)
         elif kind == 2:
-            spec = GrassmannKernel(3, 1)
+            spec = universal_grassmann(3, 1)
             s = 0.5 * cmat(rng, 2)
         else:  # constructed failure: rank-one constant block on a 2-dim fiber
             spec = ConstantKernel(np.diag([1.0, 0.0]))
@@ -519,7 +526,7 @@ def test_evaluation_adjoint_identity():
 
 def test_evaluation_adjoint_orthogonal_planes():
     # span(1, 1) and span(1, -1) are orthogonal in C^2; the kernel block vanishes
-    k = GrassmannKernel(2, 1)
+    k = universal_grassmann(2, 1)
     z1, z2 = np.array([1.0 + 0j]), np.array([-1.0 + 0j])
     assert abs(eval_kernel(k, z1, z2)[0, 0]) <= 1e-14
     resid = evaluation_adjoint_check(k, z1, z2, np.array([1.0]), np.array([1.0]))

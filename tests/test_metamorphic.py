@@ -127,6 +127,25 @@ def test_disc_automorphism_carries_the_derivative_squared(route):
     assert _relative(got, r11) > 0.05
 
 
+@pytest.mark.parametrize("route", ["analytic", "nested"])
+def test_a_holomorphic_gauge_of_rank_two_sections_conjugates_the_curvature(route):
+    # E -> g E, g holomorphic and invertible, moves the column frame E^T to
+    # E^T a with a = g^T holomorphic, so h -> a* h a and r11 -> a^-1 r11 a;
+    # the metric E E* would take the antiholomorphic frame change g* and
+    # miss the law by 1.8
+    sections = full_rank_sections(np.random.default_rng(3), 2, 2)
+
+    def g(z):
+        return np.array([[1 + 0.5 * z[0], 0.3 * z[1]], [0.4j * z[0], 1 - 0.2 * z[1] + 0.3 * z[0] * z[1]]])
+
+    base = metric_from_kernel(SectionKernel(sections, base_dim=2))
+    gauged = metric_from_kernel(SectionKernel(lambda z: g(z) @ sections(z), base_dim=2))
+    pts = np.array([[0.1 + 0.2j, -0.3j], [0.25 - 0.1j, 0.15 + 0.05j], [-0.2, 0.3 + 0.1j]])
+    a = np.stack([g(z).T for z in pts])
+    law = np.linalg.solve(a, _r11(base, pts, route) @ a)
+    assert _relative(_r11(gauged, pts, route), law) <= TOL
+
+
 # -- the laws over small random families --------------------------------------
 
 FAMILIES = ("sections-rank-1", "sections-rank-2", "grassmann-3-1", "disc-nu-2", "constant")

@@ -510,9 +510,9 @@ def test_projection_kernel_metric_semipositive_on_higher_rank_planes():
     # is Griffiths semipositive but not strict: a tangent direction whose
     # 2 x 2 block matrix is rank deficient leaves a zero eigenvalue,
     # while a full-rank block direction gives a strictly positive form
-    from bck.kernels import GrassmannKernel
+    from bck.kernels import universal_grassmann
 
-    k = GrassmannKernel(4, 2)
+    k = universal_grassmann(4, 2)
     m = metric_from_kernel(k)
     rng = np.random.default_rng(33)
     pts = 0.4 * cmat(rng, 2, 4)

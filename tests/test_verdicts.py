@@ -27,7 +27,7 @@ from bck.kernels import KernelSpec, disc_power, universal_grassmann
 from bck.linalg import adjoint
 from bck.positivity import griffiths_verdict
 
-from _fields import MappedKernel, cmat, perfbench_workloads, workload_config
+from _fields import MappedKernel, cmat, perfbench_workloads, projection_grassmann, workload_config
 
 ITEM_19 = "ROADMAP item 19: a decision compares a quantity that scales with the kernel against an absolute threshold"
 
@@ -36,14 +36,13 @@ OK = (True, "ok")
 # workload -> (exit code, each task's (passed, status)), the same on seeds 1-3
 TABLE = {
     "disc-flagship": (0, {**dict.fromkeys(TASK_ORDER, OK), "theorem55": (True, "verified")}),
-    "grassmann-d2": (1, {
+    "grassmann-d2": (0, {
         **dict.fromkeys(["psd", "admissibility", "connection", "curvature", "dual", "griffiths"], OK),
-        "theorem55": (False, "hypothesis_not_met"),  # GrassmannKernel.holomorphic is False (item 1)
+        "theorem55": (True, "verified"),
     }),
-    "sections-d2": (1, {
-        **dict.fromkeys(["psd", "admissibility", "curvature", "dual"], OK),
-        "griffiths": (False, "ok"),  # indefinite through item 1's convention
-        "theorem55": (False, "conclusion_failed"),
+    "sections-d2": (0, {
+        **dict.fromkeys(["psd", "admissibility", "curvature", "dual", "griffiths"], OK),
+        "theorem55": (True, "verified"),
     }),
 }
 
@@ -62,10 +61,12 @@ def test_workload_decisions_are_the_table(workload, seed):
                for task in report.data["tasks"].values())
 
 
-def test_recorded_seed_verdicts_differ_from_the_table_only_in_the_stale_dual_rows():
+def test_recorded_seed_verdicts_differ_from_the_table_only_in_the_stale_rows():
     # perfbench/workloads.SEED_VERDICTS, on every task that a report has:
     # its `dual` rows of grassmann-d2 and sections-d2 still read (False, ok)
-    # from before `dual` was mended, and runs read (True, ok)
+    # from before `dual` was mended, its grassmann-d2 theorem55 row reads
+    # the projection kernel's unmet premise, and its sections-d2 griffiths
+    # and theorem55 rows read the curvature of E E* rather than (E E*)^T
     recorded = perfbench_workloads().SEED_VERDICTS
     mismatches = {
         (workload, task): (recorded[workload].get(task), decision)
@@ -73,7 +74,14 @@ def test_recorded_seed_verdicts_differ_from_the_table_only_in_the_stale_dual_row
         for task, decision in decisions.items()
         if recorded[workload].get(task) != decision
     }
-    assert mismatches == {("grassmann-d2", "dual"): ((False, "ok"), OK), ("sections-d2", "dual"): ((False, "ok"), OK)}
+    verified = (True, "verified")
+    assert mismatches == {
+        ("grassmann-d2", "dual"): ((False, "ok"), OK),
+        ("grassmann-d2", "theorem55"): ((False, "hypothesis_not_met"), verified),
+        ("sections-d2", "dual"): ((False, "ok"), OK),
+        ("sections-d2", "griffiths"): ((False, "ok"), OK),
+        ("sections-d2", "theorem55"): ((False, "conclusion_failed"), verified),
+    }
 
 
 class FrameChanged(MappedKernel):
@@ -88,22 +96,22 @@ class FrameChanged(MappedKernel):
         return adjoint(self.u) @ self.base.fiber_metric_batch(z) @ self.u
 
 
-def _grassmann_32() -> dict:
-    # Gr(3, 2) on a 3 x 3-per-axis grid in +-0.4: rank 2 with h0 != I
+def _grassmann_32() -> AnalysisConfig:
+    # Gr(3, 2) in its projection form on a 3 x 3-per-axis grid in +-0.4:
+    # rank 2 with h0 != I
     cfg = workload_config("grassmann-d2", 1)
     axis = {"re": [-0.4, 0.4], "im": [-0.4, 0.4], "re_res": 3, "im_res": 3}
     cfg["kernel"]["rank"], cfg["grid"]["axes"] = 2, [axis, axis]
     cfg["tasks"] = ["psd", "admissibility", "connection", "curvature", "dual", "griffiths", "theorem55"]
-    return cfg
+    return replace(AnalysisConfig.from_dict(cfg), kernel=projection_grassmann(3, 2))
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [workload_config(name, 1) for name in TABLE] + [_grassmann_32()],
+    "config",
+    [AnalysisConfig.from_dict(workload_config(name, 1)) for name in TABLE] + [_grassmann_32()],
     ids=[*TABLE, "grassmann-3-2"],
 )
-def test_a_unitary_change_of_fiber_frame_keeps_every_decision(cfg):
-    config = AnalysisConfig.from_dict(cfg)
+def test_a_unitary_change_of_fiber_frame_keeps_every_decision(config):
     u, _ = np.linalg.qr(cmat(np.random.default_rng(1), config.kernel.fiber_dim, config.kernel.fiber_dim))
     base = run_analyze(config)
     moved = run_analyze(replace(config, kernel=FrameChanged(config.kernel, u)))
@@ -128,10 +136,10 @@ def _sections_decisions(c: float):
     "c",
     [
         1e-3,
-        1e3,
-        # griffiths reads nonnegative and theorem55 verified: the run exits 0
-        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)),
-        # psd fails at margin -1.75e-5 and theorem55 reads hypothesis_not_met
+        1e-8,
+        # griffiths reads indefinite at margin -7.3e-5 and the run exits 1
+        pytest.param(1e3, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)),
+        # psd fails at margin -1.7e-5, griffiths reads indefinite and theorem55 hypothesis_not_met
         pytest.param(1e8, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)),
     ],
 )
@@ -155,12 +163,13 @@ def _disc_points():  # a 5 x 5 grid in +-0.5
     return (axis[:, None] + 1j * axis[None, :]).reshape(-1, 1)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)
 @pytest.mark.parametrize("c", [10.0, 100.0])
 def test_grassmann_griffiths_verdict_does_not_depend_on_the_kernel_scale(c):
-    # Gr(4, 2) has an exact Griffiths margin of 0, and its FD margins read
-    # about -1.2e-7 at c = 1 (nonnegative), -2.3e-6 at c = 10 and -1.5e-5
-    # at c = 100 against the absolute 1e-6
+    # Gr(4, 2) has an exact Griffiths margin of 0.  Its FD margins read
+    # -2.2e-16, -3.6e-15 and -1.4e-14 at c = 1, 10 and 100 against the
+    # absolute 1e-6; the projection form's, whose h0 kappa(z, z) rounded
+    # solve(H, H), read -1.2e-7, -2.3e-6 and -1.5e-5.  The margin still
+    # scales with c (item 19)
     kernel, pts = universal_grassmann(4, 2), _grassmann_points()
     assert _griffiths(_scaled(kernel, c), pts) == _griffiths(kernel, pts) == "nonnegative"
 
