@@ -4,9 +4,9 @@ The batched layers reduce stacks of thousands of fiber matrices, mostly
 1 x 1 or 2 x 2, one per grid point or stencil node.  `numpy.linalg`
 makes one LAPACK call per matrix of a stack, so the stack kernels here
 work on whole stacks (..., n, n) at once: `mul` forms products entry by
-entry over the stack, and `solve`, `eigvalsh` and `svdvals` use closed
-forms for n <= 2 and LAPACK for n >= 3.  Whole matrices (a Gram matrix
-of a few hundred rows) go to LAPACK directly.  `Sampler` makes the
+entry over the stack, and `solve`, `cholesky`, `eigvalsh` and `svdvals`
+use closed forms for n <= 2 and LAPACK for n >= 3.  Whole matrices (a
+Gram matrix of a few hundred rows) go to LAPACK directly.  `Sampler` makes the
 package's seeded draws, and `complex_normal` its complex normal draws.
 """
 
@@ -32,6 +32,7 @@ __all__ = [
     "relative_rank",
     "mul",
     "solve",
+    "cholesky",
     "eigvalsh",
     "svdvals",
 ]
@@ -257,6 +258,31 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b0, b1 = b[..., 0, :], b[..., 1, :]
         return np.stack([(s * b0 - q * b1) / det, (p * b1 - r * b0) / det], axis=-2)
     return np.linalg.solve(a, b)
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular l with a = l l* for each Hermitian positive
+    definite matrix of a stack (..., n, n).
+
+    Like `numpy.linalg.cholesky`, only the lower triangle is read, and a
+    pivot that is not positive raises `numpy.linalg.LinAlgError`; for
+    n <= 2 a NaN pivot gives NaN entries, as `solve` does.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if n > 2:
+        return np.linalg.cholesky(a)
+    l = np.zeros(a.shape, dtype=np.result_type(a, complex))
+    pivot = a[..., 0, 0].real
+    if n == 2:
+        below = a[..., 1, 0] / np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
+        pivot = np.stack([pivot, a[..., 1, 1].real - np.abs(below) ** 2], axis=-1)
+        l[..., 1, 0] = below
+    if np.any(pivot <= 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    diagonal = np.sqrt(pivot).reshape(a.shape[:-1])
+    l[..., range(n), range(n)] = diagonal
+    return l
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:

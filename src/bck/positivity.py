@@ -14,12 +14,12 @@ omega = (Psi - flip)/(2i) and omega(v1, v2) = psi(v1, i v2).
 The positivity verdict of a curvature form applies this correspondence
 to omega = i h Theta: the associated Hermitian form at a tangent
 direction x is G(x) = -i h(z) Theta(x, i x), an n x n Hermitian matrix
-whose smallest eigenvalue over sampled points and directions decides
-positive / nonnegative / indefinite.  The sign convention is pinned so
-the unit-disc weights (1 - |z|^2)^(-nu) come out strictly positive, and
-it inherits the dzbar ^ dz orientation of the curvature coefficients;
-sampled directions can over-report positivity for adversarial curvature,
-which the report states.
+whose smallest eigenvalue relative to h, over sampled points and
+directions, decides positive / nonnegative / indefinite.  The sign
+convention is pinned so the unit-disc weights (1 - |z|^2)^(-nu) come out
+strictly positive, and it inherits the dzbar ^ dz orientation of the
+curvature coefficients; sampled directions can over-report positivity
+for adversarial curvature, which the report states.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .chern import CurvatureField, MetricField, _chunked
 from .errors import require
 from .forms import BilinearSamples, Form2, Record, as_point, as_sample, pointwise
-from .linalg import Sampler, complex_normal, eigvalsh, frob, hermiticity_defect, hermitize
+from .linalg import Sampler, adjoint, cholesky, complex_normal, eigvalsh, frob, hermiticity_defect, hermitize, solve
 
 __all__ = [
     "BilinearSamples",
@@ -193,7 +193,7 @@ class GriffithsReport(Record):
     points: np.ndarray  # (N, d)
     directions: np.ndarray  # (M, d)
     seed: int
-    margins: np.ndarray  # (N, M) lambda_min(G) per point and direction
+    margins: np.ndarray  # (N, M) lambda_min(L^-1 G L^-*), h = L L*, per point and direction
     min_margins: np.ndarray  # (N,) min over directions
     min_margin: float
     witness_point: np.ndarray
@@ -225,8 +225,12 @@ def griffiths_verdict(
 
     one contraction over the (point, direction) pairs of each
     `chern._chunked` chunk of points.  Every G_im passes
-    the same relative hermiticity gate as `griffiths_form`, and one stacked
-    `linalg.eigvalsh` of a chunk's hermitised G_im gives its margins.
+    the same relative hermiticity gate as `griffiths_form`.  Its margin is
+    the smallest eigenvalue of L_i^-1 G_im L_i^-*, with h_i = L_i L_i*: G_im
+    in an h-unitary frame, one stacked `linalg.eigvalsh` per chunk.  By
+    Sylvester's law it has the sign of G_im's, and it is unchanged under
+    h -> c h (a kernel times c > 0) and any change of frame, so the
+    absolute `pos_tol` and `neg_tol` decide the same at every scale.
 
     Deterministic for a fixed seed: the direction sample and the
     iteration order are pinned.  The reduction is a minimum; on ties the
@@ -242,7 +246,9 @@ def griffiths_verdict(
     def chunk(rows):  # the hermiticity defects (NaN propagates) and margins
         s = np.einsum("mk,mj,kjiab->imab", dirs.conj(), dirs, field.form.r11[:, :, rows])
         g = 2.0 * np.matmul(field.h[rows, None], s)
-        return hermiticity_defect(g).max(axis=1), eigvalsh(hermitize(g))[..., 0]
+        l = cholesky(field.h[rows, None])
+        unitary = solve(l, adjoint(solve(l, hermitize(g))))  # L^-1 G L^-*
+        return hermiticity_defect(g).max(axis=1), eigvalsh(hermitize(unitary))[..., 0]
 
     herm, margins = _chunked(chunk, len(pts), len(dirs))
     worst = np.max(herm, initial=0.0)

@@ -66,16 +66,20 @@ class ExactMetric:
 
 
 def griffiths_margins(values: dict, directions) -> np.ndarray:
-    """lambda_min of G(x) = 2 h sum_kj conj(x_k) x_j r11[k, j] at each
-    direction x, from the exact values `ExactMetric.at` gives at a point."""
+    """lambda_min of G(x) = 2 h sum_kj conj(x_k) x_j r11[k, j] relative to
+    h, that is of h^-1/2 G(x) h^-1/2, at each direction x, from the exact
+    values `ExactMetric.at` gives at a point."""
     h, r11 = values["h"], values["r11"]
     dim, margins = len(r11), []
+    with mpmath.workdps(DIGITS):
+        e, q = mpmath.eighe(mpmath.matrix([[_mp(v) for v in row] for row in h.tolist()]))
+        root = q * mpmath.diag([1 / mpmath.sqrt(v) for v in e]) * q.H  # h^-1/2
     for x in directions:
         x = [_rational(c) for c in x]
         g = 2 * h * sum((sympy.conjugate(x[k]) * x[j] * r11[k][j] for k in range(dim) for j in range(dim)),
                         sympy.zeros(h.shape[0]))
         with mpmath.workdps(DIGITS):
-            g = mpmath.matrix([[_mp(e) for e in row] for row in g.tolist()])
+            g = root * mpmath.matrix([[_mp(e) for e in row] for row in g.tolist()]) * root
             margins.append(float(min(mpmath.eighe(g, eigvals_only=True))))
     return np.array(margins)
 

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from bck.chern import MetricField
 from bck.errors import SingularMetricError
 from bck.kernels import AdmissibilityField
-from bck.linalg import Sampler, complex_normal, eigvalsh, hermiticity_defect, hermitize, mul, solve, svdvals
+from bck.linalg import (
+    Sampler, cholesky, complex_normal, eigvalsh, hermiticity_defect, hermitize, mul, solve, svdvals,
+)
 
 from _fields import bit_equal
 
@@ -162,6 +164,37 @@ def test_small_stack_kernels_match_lapack(n, lead, drop, log_cond, kind, seed):
         cond = (s_ref[..., 0] / s_ref[..., -1])[..., None, None]
         x_norm = np.linalg.norm(x_ref, axis=(-2, -1))[..., None, None]
         assert x.shape == x_ref.shape and (np.abs(x - x_ref) <= 1e-14 * cond * x_norm).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    lead=_lead,
+    log_cond=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**16),
+)
+def test_cholesky_matches_lapack(n, lead, log_cond, seed):
+    # positive definite stacks: l l* = a within 1e-14 ||a||, l within
+    # 1e-14 cond(a) ||l|| of LAPACK's factor, and only the lower triangle
+    # is read; a pivot that is not positive raises, as LAPACK's does
+    rng = np.random.default_rng(seed)
+    u = _unitary(rng, lead, n)
+    values = 10.0 ** rng.uniform(-3.0, 3.0, lead)[..., None] * 10.0 ** -(log_cond * rng.uniform(0.0, 1.0, lead + (n,)))
+    a = hermitize((u * values[..., None, :]) @ np.swapaxes(u.conj(), -1, -2))
+    l, l_ref = cholesky(a), np.linalg.cholesky(a)
+    size = np.linalg.norm(a, axis=(-2, -1))[..., None, None]
+    assert l.shape == a.shape and np.array_equal(np.triu(l, 1), np.zeros_like(l))
+    assert (np.abs(l @ np.swapaxes(l.conj(), -1, -2) - a) <= 1e-14 * size).all()
+    cond = (values.max(axis=-1) / values.min(axis=-1))[..., None, None]
+    assert (np.abs(l - l_ref) <= 1e-14 * cond * np.linalg.norm(l_ref, axis=(-2, -1))[..., None, None]).all()
+    skewed = a + np.triu(np.full((n, n), 1.0 + 1j), 1) + 1j * np.eye(n)
+    assert np.array_equal(cholesky(skewed), l)
+    indefinite = a.copy().reshape((-1, n, n))
+    if len(indefinite):
+        indefinite[0, -1, -1] = -1.0
+        for f in (cholesky, np.linalg.cholesky):
+            with pytest.raises(np.linalg.LinAlgError):
+                f(indefinite)
 
 
 @settings(max_examples=80, deadline=None)

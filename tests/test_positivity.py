@@ -358,8 +358,9 @@ def test_batched_verdict_matches_per_pair_reference(dim, n, count, directions, s
     scale = 1.0
     for i, z in enumerate(points):
         h, curv = fields[z.tobytes()]
+        inv = np.linalg.inv(np.linalg.cholesky(h))  # to an h-unitary frame
         for m, x in enumerate(dirs):
-            g = griffiths_form(h, curv.form, x)
+            g = inv @ hermitize(griffiths_form(h, curv.form, x)) @ inv.conj().T
             scale = max(scale, frob(g))
             reference[i, m] = np.linalg.eigvalsh(hermitize(g))[0]
     assert np.max(np.abs(report.margins - reference)) <= 1e-12 * scale

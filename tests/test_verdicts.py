@@ -137,9 +137,10 @@ def _sections_decisions(c: float):
     [
         1e-3,
         1e-8,
-        # griffiths reads indefinite at margin -7.3e-5 and the run exits 1
-        pytest.param(1e3, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)),
-        # psd fails at margin -1.7e-5, griffiths reads indefinite and theorem55 hypothesis_not_met
+        # griffiths reads -4.3e-8 in an h-unitary frame, against -3.0e-8 at
+        # c = 1; the coordinate frame read -7.3e-5, indefinite
+        1e3,
+        # psd fails at margin -1.7e-5 and theorem55 reads hypothesis_not_met
         pytest.param(1e8, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)),
     ],
 )
@@ -166,16 +167,14 @@ def _disc_points():  # a 5 x 5 grid in +-0.5
 @pytest.mark.parametrize("c", [10.0, 100.0])
 def test_grassmann_griffiths_verdict_does_not_depend_on_the_kernel_scale(c):
     # Gr(4, 2) has an exact Griffiths margin of 0.  Its FD margins read
-    # -2.2e-16, -3.6e-15 and -1.4e-14 at c = 1, 10 and 100 against the
-    # absolute 1e-6; the projection form's, whose h0 kappa(z, z) rounded
-    # solve(H, H), read -1.2e-7, -2.3e-6 and -1.5e-5.  The margin still
-    # scales with c (item 19)
+    # -3.3e-16, -3.3e-16 and -2.2e-16 at c = 1, 10 and 100 in an h-unitary
+    # frame, against the absolute 1e-6
     kernel, pts = universal_grassmann(4, 2), _grassmann_points()
     assert _griffiths(_scaled(kernel, c), pts) == _griffiths(kernel, pts) == "nonnegative"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)
 def test_disc_griffiths_verdict_does_not_depend_on_the_kernel_scale():
-    # the margin is about 4 c: below the absolute 1e-6 it reads nonnegative
+    # the margin reads 4 at c = 1 and 1e-9; the coordinate frame's, 4 c,
+    # read nonnegative below the absolute 1e-6
     kernel, pts = disc_power(2), _disc_points()
     assert _griffiths(_scaled(kernel, 1e-9), pts) == _griffiths(kernel, pts) == "positive"
