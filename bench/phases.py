@@ -23,11 +23,13 @@ interpreter start with the site hooks, `import numpy`, `import bck.cli`,
 config and tasks, report (the `--out` and `--csv` writes) and teardown,
 and of the wall time, for each side.
 
-Under config and tasks it prints, with the same clock, the two pieces
-of finite-difference work that exact metric jets would replace: the
-nested curvature route (`cli.nested_curvature_field`) and `theorem55`'s
-Cauchy-Riemann probe (its `delbar_norms` calls).  Their sum is the most
-that deleting that work could save on a workload.
+Under config and tasks it prints, with the same clock, four pieces of
+it: the two pieces of finite-difference work that exact metric jets
+would replace, the nested curvature route (`cli.nested_curvature_field`)
+and `theorem55`'s Cauchy-Riemann probe (its `delbar_norms` calls), whose
+sum is the most that deleting that work could save on a workload; and
+the `psd` task's Gram assembly (`cli.gram`) and its margin
+(`cli.psd_check`).
 """
 
 from __future__ import annotations
@@ -49,15 +51,14 @@ import time; t = [time.perf_counter()]
 import sys; out = sys.argv.pop(1); sys.path.insert(0, sys.argv.pop(1))
 import numpy; t.append(time.perf_counter())
 import bck.cli as cli; t.append(time.perf_counter())
-fd = dict.fromkeys(FD, 0.0)
+spent = {row: 0.0 for row, _ in PIECES}
 def timed(call, key):
     def run(*args, **kwargs):
         start = time.perf_counter()
         try: return call(*args, **kwargs)
-        finally: fd[key] += time.perf_counter() - start
+        finally: spent[key] += time.perf_counter() - start
     return run
-cli.nested_curvature_field = timed(cli.nested_curvature_field, FD[0])
-cli.delbar_norms = timed(cli.delbar_norms, FD[1])
+for row, name in PIECES: setattr(cli, name, timed(getattr(cli, name), row))
 run_analyze = cli.run_analyze
 def analyze(config):
     report = run_analyze(config); t.append(time.perf_counter()); return report
@@ -66,13 +67,16 @@ try:
     code = cli.main()
 finally:
     t.append(time.perf_counter())
-    with open(out, "w") as handle: handle.write(repr([t, [fd[key] for key in FD]]))
+    with open(out, "w") as handle: handle.write(repr([t, list(spent.values())]))
 sys.exit(code)
 """
 SRC, RUNS, SEED = str(Path(__file__).resolve().parents[1] / "src"), 30, 1
 PHASES = ("interpreter and site", "import numpy", "import bck.cli", "config and tasks", "report", "teardown")
-FD = ("nested route", "theorem55 CR probe")
-PROBE = f"FD = {FD!r}\n" + PROBE
+# the pieces of config and tasks timed in the child: (row, their name in bck.cli)
+PIECES = (("nested route", "nested_curvature_field"), ("theorem55 CR probe", "delbar_norms"),
+          ("Gram assembly", "gram"), ("psd_check", "psd_check"))
+PROBE = f"PIECES = {PIECES!r}\n" + PROBE
+ROWS = tuple(row for row, _ in PIECES)
 
 
 def command(stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:
@@ -84,15 +88,15 @@ def command(stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:
 
 def spawn(argv: list[str], env: dict, stamps: Path) -> list[float]:
     """One run: the lengths of its phases, then its wall time, then the
-    finite-difference pieces, in ms."""
+    timed pieces, in ms."""
     stamps.unlink(missing_ok=True)
     start = time.perf_counter()
     subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                    stderr=subprocess.DEVNULL)
     end = time.perf_counter()
-    stamped, fd = json.loads(stamps.read_text())
+    stamped, pieces = json.loads(stamps.read_text())
     marks = [start, *stamped, end]
-    return [1e3 * (b - a) for a, b in zip(marks, marks[1:])] + [1e3 * (end - start)] + [1e3 * s for s in fd]
+    return [1e3 * (b - a) for a, b in zip(marks, marks[1:])] + [1e3 * (end - start)] + [1e3 * s for s in pieces]
 
 
 def main() -> int:
@@ -115,11 +119,11 @@ def main() -> int:
                     argv = command(stamps, config, tmp / f"{workload}-{side}{i}", csv)
                     runs[side].append(spawn(argv, envs[side], stamps))
             print(f"{workload}, seed {SEED}, medians of {RUNS} (ms): cold / warm")
-            rows = [*PHASES, "wall", *FD]
-            for name in (*PHASES[:4], *FD, *PHASES[4:], "wall"):
+            rows = [*PHASES, "wall", *ROWS]
+            for name in (*PHASES[:4], *ROWS, *PHASES[4:], "wall"):
                 j = rows.index(name)
                 medians = [statistics.median(r[j] for r in runs[side]) for side in ("cold", "warm")]
-                label = f"  {name}" if name in FD else name
+                label = f"  {name}" if name in ROWS else name
                 print(f"  {label:22s} {medians[0]:6.1f} / {medians[1]:6.1f}")
     return 0
 

@@ -847,8 +847,9 @@ SECTIONS_D2 = {
 def test_analyze_makes_no_lapack_call_per_small_matrix(monkeypatch):
     # stacks of 1 x 1 and 2 x 2 fiber matrices, the Griffiths forms
     # included, take the closed forms of bck.linalg; LAPACK sees whole
-    # matrices only: the PSD Gram assembly and the 3 x 3 section Gram of
-    # either section kernel (checked once, at construction)
+    # matrices only: the 3 x 3 section Gram of either section kernel
+    # (checked once, at construction) and the disc's PSD Gram assembly,
+    # which a section kernel's PSD margin reads from its factor instead
     calls = []
     for name in ("svd", "solve", "inv", "eigvalsh", "eigh"):
 
@@ -857,7 +858,7 @@ def test_analyze_makes_no_lapack_call_per_small_matrix(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for overrides, n in ((SECTIONS_D2, 2), (GRASSMANN_D2, 1)):
+    for overrides, n, factored in ((SECTIONS_D2, 2, True), (GRASSMANN_D2, 1, True), ({}, 1, False)):
         tasks = [t for t in TASK_ORDER if n == 2 or t != "subbundle"]
         calls.clear()
         report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=tasks, **overrides)))
@@ -866,7 +867,7 @@ def test_analyze_makes_no_lapack_call_per_small_matrix(monkeypatch):
         gram = ("eigvalsh", (10 * n, 10 * n))
         allowed = {gram, ("eigvalsh", (3, 3))}
         assert set(calls) <= allowed, sorted(set(calls) - allowed)
-        assert calls.count(gram) == 1
+        assert calls.count(gram) == (0 if factored else 1), (overrides, calls)
 
 
 def test_subbundle_admissibility_and_premise_are_array_reductions(monkeypatch):

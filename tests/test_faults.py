@@ -33,6 +33,7 @@ import bck.forms
 import bck.selfcheck
 from bck.cli import AnalysisConfig, run_analyze
 from bck.forms import Form1, Form2, Stencil, replace
+from bck.kernels import SectionKernel, gram, psd_check
 
 from _fields import MappedKernel
 
@@ -448,3 +449,36 @@ def test_a_wrong_dbar_passes_selftest_and_fails_the_run():
     subbundle = sections["tasks"]["subbundle"]
     assert not subbundle["passed"]
     assert subbundle["data"]["max_identity_residual"] > sections["tolerances"]["subbundle"]
+
+
+class _OffFactor(SectionKernel):
+    """A section kernel plus 1e-6 I in every block: the assembly stays
+    Hermitian and positive semidefinite, but leaves the kernel's factor."""
+
+    def __init__(self, base: SectionKernel):
+        self.__dict__.update(vars(base))
+
+    def eval_many(self, z, w):
+        return super().eval_many(z, w) + 1e-6 * np.eye(self.fiber_dim)
+
+
+def test_a_section_kernel_whose_blocks_leave_its_factor_fails_psd():
+    # the "non-PSD kernel" row's wrapper has no factor and keeps eigvalsh;
+    # this fault is PSD, so only the factor's residual can catch it
+    config = AnalysisConfig.from_dict({
+        "kernel": {"variant": "universal_grassmann", "ambient_dim": 4, "rank": 2},
+        "grid": {"axes": [_axis(-0.5, 0.5, 2)] * 4},
+        "samples": {"psd_points": 20},
+        "tasks": ["psd"],
+    })
+    clean = run_analyze(config).data["tasks"]["psd"]
+    assert clean["passed"] and clean["gates"]["margin"] == {"tolerance": "psd", "passed": True}, clean
+    faulted = run_analyze(replace(config, kernel=_OffFactor(config.kernel))).data
+    entry = faulted["tasks"]["psd"]
+    assert entry["gates"]["margin"] == {"tolerance": "psd", "passed": False}, entry
+    assert (entry["passed"], faulted["exit_code"]) == (False, 1)
+    # ||1e-6 J (x) I_2||_F for the all-ones 20 x 20 J, summed over the row chunks
+    assert entry["data"]["margin"] == pytest.approx(-1e-6 * 20 * np.sqrt(2), rel=1e-6)
+    rng = np.random.default_rng(1)
+    g = gram(_OffFactor(config.kernel), rng.uniform(-0.5, 0.5, (20, 4)) + 1j * rng.uniform(-0.5, 0.5, (20, 4)))
+    assert psd_check(replace(g, factor=None)) >= -faulted["tolerances"]["psd"]  # the spectrum alone passes

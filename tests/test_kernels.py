@@ -284,6 +284,39 @@ def test_psd_margin_and_gate_match_the_hermitized_assembly(family, count, log_sk
         assert psd_check(g) == np.linalg.eigvalsh(hermitize(a))[0]
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["sections", "grassmann"]),
+    n=st.integers(1, 3),
+    m=st.integers(1, 5),
+    dim=st.integers(1, 2),
+    count=st.integers(1, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_psd_margin_of_a_section_kernel_bounds_its_spectrum_through_the_factor(family, n, m, dim, count, seed):
+    # the Gram assembly of a section kernel is X X* for the stack X of its
+    # frames: at most m x m, its margin is eigvalsh's; larger, X X* has
+    # least eigenvalue 0 and the margin -||G - X X*||_F bounds G's below
+    rng = np.random.default_rng(seed)
+    if family == "grassmann":
+        assume(n < m)
+        spec = universal_grassmann(m, n)
+    else:
+        b = 0.3 * cmat(rng, m, m)
+        sections = MatrixPolynomial.random(rng, dim, (n, m), degree=2, holomorphic=True)
+        spec = from_sections(sections, base_dim=dim, gram=np.eye(m) + b @ b.conj().T)
+    g = gram(spec, 0.5 * cmat(rng, count, spec.base_dim))
+    x, margin = g.factor, psd_check(g)
+    assert x.shape == (count * n, m)
+    if count * n <= m:
+        assert margin == np.linalg.eigvalsh(g.assembled)[0]
+        return
+    size = np.linalg.norm(g.assembled)
+    assert -1e-13 * size <= margin <= 0.0
+    dense = -np.linalg.norm(g.assembled - x @ x.conj().T)
+    assert margin == pytest.approx(dense, rel=1e-12, abs=1e-15 * size)
+
+
 def test_psd_stability_across_builtins():
     rng = np.random.default_rng(7)
     specs = [
