@@ -11,8 +11,10 @@ is run once from each tree's `src/` as
     bck analyze --config C --out R --csv D
 
 spawned with perfbench's launcher line, in a temporary directory.  The
-two runs must give the same exit code, the same report parsed as JSON
-with every `timing` entry removed, and the same CSV tables byte for byte.
+two runs must give the same exit code, the same report with every
+`timing` entry removed, each leaf compared by its JSON text (so -0.0 and
+0.0, 1 and 1.0, or true and 1 differ), and the same CSV tables byte for
+byte.
 Prints one line per (workload, seed), with each side's report size and,
 where the reports differ, each JSON path that the change has `added`,
 is `missing` or has `changed`, and the largest relative change
@@ -54,7 +56,8 @@ def analyze(tree: Path, config: Path, out: Path) -> dict:
 def json_paths(parent, change, path: str = "") -> list[tuple]:
     """(kind, path, p, c) at each path at which two JSON values differ: the
     kind `added`, `missing` or `changed`, and the two values there (None
-    where absent); lists of unequal length change as a whole."""
+    where absent); leaves differ when their JSON texts do, and lists of
+    unequal length change as a whole."""
     if isinstance(parent, dict) and isinstance(change, dict):
         found = []
         for key in sorted(set(parent) | set(change)):
@@ -66,7 +69,7 @@ def json_paths(parent, change, path: str = "") -> list[tuple]:
         return found
     if isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
         return [d for i, pair in enumerate(zip(parent, change)) for d in json_paths(*pair, f"{path}[{i}]")]
-    return [] if parent == change else [("changed", path, parent, change)]
+    return [] if json.dumps(parent) == json.dumps(change) else [("changed", path, parent, change)]
 
 
 def _number(value) -> bool:
@@ -141,7 +144,7 @@ def main(argv=None) -> int:
                 same = same and not found
                 sizes = " -> ".join(str(runs[side]["bytes"]) for side in SIDES)
                 verdict = "DIFFERS: " + ", ".join(found + ([drift] if drift else [])) if found else (
-                    f"same: exit {runs['change']['exit']}, report JSON-equal outside timing, "
+                    f"same: exit {runs['change']['exit']}, report text-identical outside timing, "
                     f"{len(runs['change']['tables'])} CSV tables byte-identical")
                 print(f"{workload} seed {seed}: {verdict}; report bytes {sizes}", flush=True)
     return 0 if same else 1

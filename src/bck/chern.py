@@ -202,7 +202,7 @@ class MetricField(Record):
 
 
 def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> MetricField:
-    """The Hermitian structure z -> (h0(z) kappa(z, z))^T induced by a kernel:
+    """The Hermitian structure z -> kappa(z, z)^T induced by a kernel:
     the Gram matrix of the holomorphic frame z -> conj K(., z) e_i, which is
     F* F for a section kernel E(z) E(w)* with the column frame F = E^T.
 
@@ -219,7 +219,7 @@ def metric_from_kernel(spec: KernelSpec, admissibility_tol: float = 1e-10) -> Me
                 f"kernel {spec.variant} is not admissible at {z[i]} "
                 f"(singular values in [{adm.smallest_singular_value[i]:.3e}, {adm.norm[i]:.3e}])"
             )
-        return np.swapaxes(mul(spec.fiber_metric_batch(z), blocks), -1, -2)
+        return np.swapaxes(blocks, -1, -2)
 
     return MetricField(
         func=None,

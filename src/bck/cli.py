@@ -696,17 +696,18 @@ def _run_context(config: AnalysisConfig, require_points: bool) -> tuple[RunConte
     `FdSteps.margin`, and the report's count of the points it drops, by reason."""
     margin, points = config.steps.margin, config.grid.points()
     used = clear_of_boundary(config.kernel, points, margin)
-    if require_points and not used.any():
-        raise DomainError(
-            "no grid point lies inside the kernel domain with the stencil margin "
-            f"{margin:.3e}"
-        )
     kept, outside = (int(np.count_nonzero(rows)) for rows in (used, ~inside_domain(config.kernel, points)))
+    near = len(points) - outside - kept
+    if require_points and not kept:
+        raise DomainError(
+            f"no grid point lies inside the kernel domain with the stencil margin {margin:.3e}: "
+            f"of {len(points)} points, {outside} lie outside the domain and {near} within the margin"
+        )
     return RunContext(config=config, points=points[used]), {
         "points_total": len(points),
         "points_used": kept,
         "points_outside_domain": outside,
-        "points_within_stencil_margin": len(points) - outside - kept,
+        "points_within_stencil_margin": near,
         "stencil_margin": margin,
         "order": "row-major over re/im of each axis in declaration order",
     }

@@ -1,13 +1,12 @@
 """Operator-valued reproducing kernels on complex chart domains.
 
 A kernel assigns to each ordered pair of chart points an n x n matrix
-kappa(z, w), the block of the kernel in a fixed trivialization.  The
-fiber inner product at z is (xi | eta)_z = eta* h0(z) xi with h0 the
-base fiber metric (identity for the trivial-bundle families); the kernel
-symmetry h0(t) kappa(t, s) = kappa(s, t)* h0(s) makes the weighted
-block matrix [h0(t_l) kappa(t_l, t_j)]_{l,j} Hermitian, and that matrix
-is exactly the quadratic form whose nonnegativity defines kernel
-positivity.
+kappa(z, w), the block of the kernel in a fixed trivialization, and
+fibers are paired by eta* xi: the kernel symmetry kappa(t, s) =
+kappa(s, t)* makes the block matrix [kappa(t_l, t_j)]_{l,j} Hermitian,
+the quadratic form whose nonnegativity defines kernel positivity.  A
+kernel paired through a fiber metric h0, (f | g)_z = g(z)* h0(z) f(z), is
+the kernel kappa(z, w) h0(w)^-1 here, with the same sections and norms.
 
 Built-in families:
 
@@ -23,10 +22,9 @@ Built-in families:
   to chew on.
 * user hooks wrapping arbitrary callables.
 
-Every family defines the stack methods `eval_many`, `fiber_metric_batch`,
-`contains_batch` and `boundary_distance_batch` (the last three have
-defaults); `KernelSpec` derives the one-point `eval`, `fiber_metric` and
-`contains` from them.  `UserKernel` wraps
+Every family defines the stack methods `eval_many`, `contains_batch` and
+`boundary_distance_batch` (the last two have defaults); `KernelSpec`
+derives the one-point `eval` and `contains` from them.  `UserKernel` wraps
 per-point callables, lifted to stacks by `forms.pointwise`, which checks
 the shape of every value.
 `KernelSpec.eval_batch` evaluates blocks over whole stacks of point pairs
@@ -97,12 +95,6 @@ class KernelSpec:
         """
         raise NotImplementedError(f"{type(self).__name__} does not define eval_many")
 
-    def fiber_metric_batch(self, z: np.ndarray) -> np.ndarray:
-        """Base Hermitian structure h0 over a stack of chart points,
-        (..., d) -> (..., n, n); the identity by default."""
-        n = self.fiber_dim
-        return np.broadcast_to(np.eye(n, dtype=complex), np.shape(z)[:-1] + (n, n))
-
     def contains_batch(self, z: np.ndarray) -> np.ndarray:
         """Domain membership over a stack of chart points (..., d) -> (...)
         booleans; all of C^d by default."""
@@ -118,9 +110,6 @@ class KernelSpec:
     def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Raw kernel block kappa(z, w) for one pair of chart points."""
         return self.eval_many(z, w)
-
-    def fiber_metric(self, z) -> np.ndarray:
-        return np.array(self.fiber_metric_batch(np.asarray(z, dtype=complex)))
 
     def contains(self, z) -> bool:
         return bool(self.contains_batch(np.asarray(z, dtype=complex)))
@@ -296,8 +285,8 @@ def universal_grassmann(ambient_dim: int, rank: int) -> SectionKernel:
 class UserKernel(KernelSpec):
     """Wrap arbitrary callables of one point (or pair) as a kernel: each
     given hook becomes its stack method through `forms.pointwise`, kernel
-    blocks and fiber metrics n x n (a scalar reads as 1 x 1), domain tests
-    and boundary distances scalars."""
+    blocks n x n (a scalar reads as 1 x 1), domain tests and boundary
+    distances scalars; a domain test alone gives boundary distance 0."""
 
     variant = "user_hook"
 
@@ -306,7 +295,7 @@ class UserKernel(KernelSpec):
         eval_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         fiber_dim: int,
         base_dim: int,
-        fiber_metric_fn=None,
+        *,
         contains_fn=None,
         boundary_distance_fn=None,
         holomorphic: bool = False,
@@ -316,10 +305,6 @@ class UserKernel(KernelSpec):
         self.holomorphic = bool(holomorphic)
         matrix = (self.fiber_dim, self.fiber_dim)
         self.eval_many = pointwise(lambda z, w: np.atleast_2d(eval_fn(z, w)), matrix, what="kernel block")
-        if fiber_metric_fn is not None:
-            self.fiber_metric_batch = pointwise(
-                lambda z: np.atleast_2d(fiber_metric_fn(z)), matrix, what="fiber metric"
-            )
         if contains_fn is not None:
             self.contains_batch = pointwise(contains_fn, (), bool, "domain test")
         if boundary_distance_fn is not None:
@@ -349,9 +334,6 @@ class DualKernel(KernelSpec):
     def eval_many(self, z, w):
         return np.conj(self.base.eval_many(np.conj(z), np.conj(w)))
 
-    def fiber_metric_batch(self, z):
-        return np.conj(self.base.fiber_metric_batch(np.conj(z)))
-
     def contains_batch(self, z):
         return self.base.contains_batch(np.conj(np.asarray(z, dtype=complex)))
 
@@ -373,13 +355,12 @@ class GramMatrix(Record):
     """The positivity quadratic form of a kernel over a finite point set.
 
     `assembled` is the Hermitian part of the (N n) x (N n) matrix whose
-    (l, j) block is h0(t_l) kappa(t_l, t_j), the kernel blocks weighted
-    by the fiber metrics; `defect` is the relative hermiticity defect
-    ||a - a*|| / max(1, ||a||) of that matrix before it was made
-    Hermitian.  The blocks themselves are
-    `spec.eval_batch(points[:, None], points[None])`.  `factor`, for a
-    `SectionKernel` only, is the (N n) x m stack X of its frames E(t) W:
-    the assembly is X X* when h0 = I, as for every `SectionKernel`.
+    (l, j) block is kappa(t_l, t_j), that is of
+    `spec.eval_batch(points[:, None], points[None])`; `defect` is the
+    relative hermiticity defect ||a - a*|| / max(1, ||a||) of that matrix
+    before it was made Hermitian.  `factor`, for a `SectionKernel` only,
+    is the (N n) x m stack X of its frames E(t) W, so that the assembly
+    is X X*.
     """
 
     points: np.ndarray  # (N, d)
@@ -392,21 +373,19 @@ _GRAM_CHUNKS = 8  # row chunks of the assembly: the kernel blocks of one chunk a
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Assemble the weighted kernel blocks over a point list, in place.
+    """Assemble the kernel blocks over a point list, in place.
 
-    The blocks are evaluated in chunks of rows and multiplied by h0
-    straight into the (N n) x (N n) layout; the matrix is then made
-    Hermitian tile by tile, so no full-size temporary is made.
+    The blocks are evaluated in chunks of rows straight into the
+    (N n) x (N n) layout; the matrix is then made Hermitian tile by tile,
+    so no full-size temporary is made.
     """
     pts = as_sample(points, spec.base_dim)
     n = spec.fiber_dim
     npts = pts.shape[0]
-    metrics = spec.fiber_metric_batch(pts)
     assembled = np.empty((npts * n, npts * n), dtype=complex)
     by_block = assembled.reshape(npts, n, npts, n).transpose(0, 2, 1, 3)
     for rows in _chunks(npts):
-        blocks = spec.eval_batch(pts[rows, None, :], pts[None, :, :])
-        mul(metrics[rows, None], blocks, out=by_block[rows])
+        by_block[rows] = spec.eval_batch(pts[rows, None, :], pts[None, :, :])
     defect = _hermitize_in_place(assembled, _chunks(npts, n))
     factor = spec.frame(pts).reshape(npts * n, -1) if isinstance(spec, SectionKernel) else None
     return GramMatrix(points=pts, assembled=assembled, defect=defect, factor=factor)
@@ -464,16 +443,14 @@ def rkhs_inner(spec: KernelSpec, left: tuple, right: tuple) -> complex:
     """Inner product of two kernel sections K_xi, K_eta.
 
     `left` is (xi, s) and `right` is (eta, t); the value is the fiber
-    pairing (kappa(t, s) xi | eta)_t, conjugate-symmetric in the two
+    pairing eta* kappa(t, s) xi, conjugate-symmetric in the two
     arguments.
     """
     xi, s = left
     eta, t = right
     xi = np.asarray(xi, dtype=complex).reshape(spec.fiber_dim)
     eta = np.asarray(eta, dtype=complex).reshape(spec.fiber_dim)
-    block = eval_kernel(spec, t, s)
-    h = spec.fiber_metric(as_point(t, spec.base_dim))
-    return complex(eta.conj() @ (h @ (block @ xi)))
+    return complex(eta.conj() @ (eval_kernel(spec, t, s) @ xi))
 
 
 class RkhsModel:
@@ -513,22 +490,20 @@ class RkhsModel:
 
 
 def reproducing_check(model: RkhsModel, coeffs, eta, t) -> float:
-    """Residual of the reproducing identity <f, K_eta> = (f(t) | eta)_t.
+    """Residual of the reproducing identity <f, K_eta> = eta* f(t).
 
     The left side is built by conjugate symmetry from the kernel sections
-    at the sample points, <K_(e_a, s_j), K_eta> = conj((kappa(s_j, t) eta
-    | e_a)_(s_j)), so it reads kappa(s_j, t) and h0(s_j); the right side
-    evaluates the span element at t through kappa(t, s_j) and then takes
-    the fiber inner product with h0(t).  The two agree only when the
-    kernel symmetry h0(t) kappa(t, s) = kappa(s, t)* h0(s) holds.
+    at the sample points, <K_(e_a, s_j), K_eta> = conj(e_a* kappa(s_j, t)
+    eta), so it reads kappa(s_j, t); the right side evaluates the span
+    element at t through kappa(t, s_j).  The two agree only when the
+    kernel symmetry kappa(t, s) = kappa(s, t)* holds.
     """
     spec = model.spec
     eta = np.asarray(eta, dtype=complex).reshape(spec.fiber_dim)
     c = np.asarray(coeffs, dtype=complex).reshape(-1, spec.fiber_dim)
     t = as_point(t, spec.base_dim)
-    pairing = spec.fiber_metric_batch(model.points) @ spec.eval_batch(model.points, t) @ eta
-    lhs = complex(np.sum(c * pairing.conj()))
-    rhs = complex(eta.conj() @ (spec.fiber_metric(t) @ model.evaluate(c, t)))
+    lhs = complex(np.sum(c * (spec.eval_batch(model.points, t) @ eta).conj()))
+    rhs = complex(eta.conj() @ model.evaluate(c, t))
     return abs(lhs - rhs)
 
 
@@ -598,7 +573,7 @@ def lemma51_consistency(
 ) -> Lemma51Report:
     """Cross-check four finite-dimensional invertibility criteria at s.
 
-    (1) injectivity of xi -> K_xi through the norm form h0(s) kappa(s, s)
+    (1) injectivity of xi -> K_xi through the norm form kappa(s, s)
     (its eigenvalue margin), (2) invertibility of kappa(s, s) by singular
     values, (3) surjectivity of kappa(s, s) by numerical row rank, and
     (4) surjectivity of the evaluation at s of the sampled section span
@@ -620,7 +595,7 @@ def lemma51_consistency(
     blocks = spec.eval_batch(s, np.array(sample))  # kappa(s, t) for t in the sample, s first
     block = blocks[0]
 
-    evals = np.linalg.eigvalsh(hermitize(spec.fiber_metric(s) @ block))
+    evals = np.linalg.eigvalsh(hermitize(block))
     injective = bool(evals[-1] > 0.0 and evals[0] >= tol * abs(evals[-1]))
     adm = AdmissibilityField.of_blocks(blocks[:1], tol).at(0)
     surjective = relative_rank(block, tol=tol) == n
@@ -641,15 +616,13 @@ def lemma51_consistency(
 
 
 def evaluation_adjoint_check(spec: KernelSpec, s, t, xi, eta) -> float:
-    """Residual of the adjoint identity <K_xi, K_eta> = (xi | kappa(s, t) eta)_s.
+    """Residual of the adjoint identity <K_xi, K_eta> = (kappa(s, t) eta)* xi.
 
     Both sides are computed independently: the left through the kernel
-    block at (t, s) and the fiber metric at t, the right through the
-    block at (s, t) and the metric at s.
+    block at (t, s), the right through the block at (s, t).
     """
     xi = np.asarray(xi, dtype=complex).reshape(spec.fiber_dim)
     eta = np.asarray(eta, dtype=complex).reshape(spec.fiber_dim)
     lhs = rkhs_inner(spec, (xi, s), (eta, t))
-    hs = spec.fiber_metric(as_point(s, spec.base_dim))
-    rhs = complex((eval_kernel(spec, s, t) @ eta).conj() @ (hs @ xi))
+    rhs = complex((eval_kernel(spec, s, t) @ eta).conj() @ xi)
     return abs(lhs - rhs)

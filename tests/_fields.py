@@ -9,7 +9,7 @@ import numpy as np
 
 from bck.chern import MetricField
 from bck.forms import Record
-from bck.kernels import KernelSpec, UserKernel
+from bck.kernels import KernelSpec
 from bck.polys import MatrixPolynomial
 
 
@@ -39,7 +39,7 @@ def workload_config(name: str, seed: int) -> dict:
 
 class MappedKernel(KernelSpec):
     """A kernel whose blocks are `blocks(z, w, base's blocks)`, with base's
-    fiber metric, domain and claim of holomorphy."""
+    domain and claim of holomorphy."""
 
     def __init__(self, base: KernelSpec, blocks):
         self.base, self.blocks = base, blocks
@@ -49,30 +49,11 @@ class MappedKernel(KernelSpec):
     def eval_many(self, z, w):
         return self.blocks(z, w, self.base.eval_many(z, w))
 
-    def fiber_metric_batch(self, z):
-        return self.base.fiber_metric_batch(z)
-
     def contains_batch(self, z):
         return self.base.contains_batch(z)
 
     def boundary_distance_batch(self, z):
         return self.base.boundary_distance_batch(z)
-
-
-def projection_grassmann(ambient_dim: int, rank: int) -> UserKernel:
-    """Gr(N, k) in its projection form, a kernel whose base fiber metric is
-    not the identity: kappa(z, w) = H(z)^-1 F(z)* F(w) on h0 = H = F(z)* F(z),
-    for the frame F = [I_k; B], B the chart point read row-major as an
-    (N - k) x k matrix.  h0 kappa is F(z)* F(w), so the kernel symmetry holds."""
-
-    def frame(z):
-        return np.vstack([np.eye(rank), np.reshape(z, (ambient_dim - rank, rank))])
-
-    def gram(z, w):
-        return frame(z).conj().T @ frame(w)
-
-    return UserKernel(lambda z, w: np.linalg.solve(gram(z, z), gram(z, w)), rank, (ambient_dim - rank) * rank,
-                      fiber_metric_fn=lambda z: gram(z, z))
 
 
 def cmat(rng, *shape):

@@ -38,21 +38,25 @@ def make_raising(where="eval"):
     )
 
 
-def make_misshapen(where="metric"):
+def make_misshapen(where="contains"):
     """A 2 x 2 kernel with one hook whose values have the wrong shape: a
-    fiber metric as a flat list or a row, or a domain test or boundary
-    distance with one value per fiber coordinate."""
-    wrong = {
-        "metric": lambda z: [1.0, 0.5, 0.5, 1.0],
-        "metric-row": lambda z: [[1.0, 0.5, 0.5, 1.0]],
-        "contains": lambda z: np.array([True, True]),
-        "distance": lambda z: np.ones(2),
-    }[where]
+    domain test or boundary distance with one value per fiber coordinate."""
+    wrong = {"contains": lambda z: np.array([True, True]), "distance": lambda z: np.ones(2)}[where]
     return UserKernel(
         lambda z, w: np.eye(2),
         fiber_dim=2,
         base_dim=1,
-        fiber_metric_fn=wrong if where.startswith("metric") else None,
         contains_fn=wrong if where == "contains" else None,
         boundary_distance_fn=wrong if where == "distance" else None,
+    )
+
+
+def make_domain_only():
+    """The nu = 1 disc kernel with a domain test and no boundary distance,
+    which then reads 0 at every point."""
+    return UserKernel(
+        lambda z, w: np.array([[1.0 / (1.0 - z[0] * np.conj(w[0]))]]),
+        fiber_dim=1,
+        base_dim=1,
+        contains_fn=lambda z: abs(z[0]) < 1.0,
     )

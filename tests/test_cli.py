@@ -400,22 +400,18 @@ def test_internal_errors_exit_4_without_a_traceback(tmp_path, capsys):
 @pytest.mark.parametrize(
     "where, message",
     [
-        ("metric", "fiber metric has shape (1, 4), expected (2, 2)"),
-        ("metric-row", "fiber metric has shape (1, 4), expected (2, 2)"),
         ("contains", "domain test has shape (2,), expected ()"),
         ("distance", "boundary distance has shape (2,), expected ()"),
     ],
-    ids=["metric", "metric-row", "contains", "distance"],
+    ids=["contains", "distance"],
 )
 def test_user_hook_values_of_the_wrong_shape_exit_4(tmp_path, capsys, where, message):
-    # a flat fiber metric [1, .5, .5, 1] must not be read as [[1, .5], [.5, 1]]
     hook = {"variant": "user_hook", "target": "_hook:make_misshapen", "params": {"where": where}}
     out = tmp_path / "report.json"
     code = main(["analyze", "--config", write_config(tmp_path, base_config(kernel=hook)), "--out", str(out)])
-    err = capsys.readouterr().err
-    # a metric fails inside its task, a domain hook while the grid is built
-    errors = [t["error"] for t in json.loads(out.read_text())["tasks"].values()] if out.exists() else [err]
-    assert code == 4 and errors == [message if out.exists() else f"structural error: {message}\n"]
+    # a domain hook fails while the grid is built, before any task runs
+    assert code == 4 and not out.exists()
+    assert capsys.readouterr().err == f"structural error: {message}\n"
 
 
 FUZZ_CONFIG = base_config(
@@ -706,6 +702,21 @@ def test_grid_reports_its_tolerances_and_dropped_points():
     for workload, dropped in workloads.items():
         config = AnalysisConfig.from_dict({**workload_config(workload, 1), "tasks": ["psd"]})
         assert tuple(run_analyze(config).data["grid"][key] for key in counts) == dropped
+
+
+def test_a_hook_without_a_boundary_distance_runs_only_the_gridless_tasks(tmp_path, capsys):
+    # a domain test alone gives boundary distance 0: all 25 points lie in
+    # the disc, and all 25 within the stencil margin, which the error names
+    hook = {"variant": "user_hook", "target": "_hook:make_domain_only"}
+    grid = {"axes": [{"re": [-0.5, 0.5], "im": [-0.5, 0.5], "re_res": 5, "im_res": 5}]}
+    path = write_config(tmp_path, base_config(kernel=hook, grid=grid))
+    assert main(["analyze", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "domain error: no grid point lies inside the kernel domain with the stencil margin 4.000e-04: "
+        "of 25 points, 0 lie outside the domain and 25 within the margin\n"
+    )
+    gridless = write_config(tmp_path, base_config(kernel=hook, grid=grid, tasks=["psd"]), "psd.json")
+    assert main(["analyze", "--config", gridless]) == 0
 
 
 def _witnessed(section: dict) -> list[tuple]:

@@ -10,7 +10,7 @@ import bck.forms
 import bck.kernels
 from hypothesis import assume, given, settings, strategies as st
 
-from bck.chern import metric_from_kernel
+from bck.chern import FdSteps, MetricField, curvature, metric_from_kernel
 from bck.errors import DomainError, StructuralError
 from bck.kernels import (
     AdmissibilityField,
@@ -33,10 +33,10 @@ from bck.kernels import (
     rkhs_inner,
     universal_grassmann,
 )
-from bck.linalg import hermiticity_defect, hermitize, mgs_orthonormalize, mul
+from bck.linalg import hermiticity_defect, hermitize, mgs_orthonormalize
 from bck.polys import MatrixPolynomial
 
-from _fields import bit_equal, cmat, full_rank_sections, projection_grassmann
+from _fields import bit_equal, cmat, disc_curvature, full_rank_sections
 
 
 def vandermonde_sections(m):
@@ -86,13 +86,11 @@ def test_section_kernel_with_gram_weights():
 
 
 def test_grassmann_kernel_diagonal_is_the_frame_gram():
-    # the section kernel of E = [I, B^T]: kappa(z, w) = 1 + z . conj(w) on
-    # Gr(3, 1), with the identity as base fiber metric
+    # the section kernel of E = [I, B^T]: kappa(z, w) = 1 + z . conj(w) on Gr(3, 1)
     k = universal_grassmann(3, 1)
     z, w = np.array([0.4 + 0.2j, -0.3j]), np.array([0.1, 0.2 - 0.5j])
     assert np.allclose(eval_kernel(k, z, z), np.array([[1 + 0.2 + 0.09]]), atol=1e-12)
     assert np.allclose(eval_kernel(k, z, w), np.array([[1 + z @ w.conj()]]), atol=1e-12)
-    assert np.array_equal(k.fiber_metric(z), np.eye(1))
 
 
 def test_polynomial_sections_are_holomorphic_only_without_conjugate_powers():
@@ -243,16 +241,13 @@ class _Skewed(KernelSpec):
     def eval_many(self, z, w):
         return self.base.eval_many(z, w) + self.skew
 
-    def fiber_metric_batch(self, z):
-        return self.base.fiber_metric_batch(z)
-
     def contains_batch(self, z):
         return self.base.contains_batch(z)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(["disc", "grassmann", "projection", "sections"]),
+    family=st.sampled_from(["disc", "grassmann", "sections"]),
     count=st.integers(1, 20),
     log_skew=st.one_of(st.just(None), st.floats(-15.0, -6.0)),
     seed=st.integers(0, 2**16),
@@ -263,14 +258,12 @@ def test_psd_margin_and_gate_match_the_hermitized_assembly(family, count, log_sk
         base, pts = DiscPowerKernel(2), disc_points(rng, count)
     elif family == "grassmann":
         base, pts = universal_grassmann(4, 2), 0.5 * cmat(rng, count, 4)
-    elif family == "projection":  # a fiber metric other than the identity
-        base, pts = projection_grassmann(4, 2), 0.5 * cmat(rng, count, 4)
     else:
         base, pts = _section_kernel(rng, 1, (2, 3)), 0.5 * cmat(rng, count, 1)
     n = base.fiber_dim
     skew = 0.0 if log_skew is None else 10.0**log_skew * cmat(rng, n, n)
     spec = _Skewed(base, skew)
-    blocks = mul(spec.fiber_metric_batch(pts)[:, None], spec.eval_batch(pts[:, None], pts[None]))
+    blocks = spec.eval_batch(pts[:, None], pts[None])
     a = blocks.transpose(0, 2, 1, 3).reshape(count * n, count * n)
     g = gram(spec, pts)
     assert np.array_equal(g.assembled, hermitize(a))
@@ -343,7 +336,7 @@ def test_kernel_hermitian_symmetry_invariant():
         ConstantKernel(np.array([[2.0, 1j], [-1j, 3.0]])),
         SectionKernel(full_rank_sections(rng, 1, 2)),
         universal_grassmann(3, 1),
-        projection_grassmann(4, 2),  # a fiber metric other than the identity
+        universal_grassmann(4, 2),
     ]
     for spec in specs:
         for _ in range(100):
@@ -351,9 +344,7 @@ def test_kernel_hermitian_symmetry_invariant():
                 z, w = disc_points(rng, 2)
             else:
                 z, w = 0.5 * cmat(rng, spec.base_dim), 0.5 * cmat(rng, spec.base_dim)
-            # adjoint with respect to the fiber inner products
-            lhs = np.linalg.solve(spec.fiber_metric(w), eval_kernel(spec, z, w).conj().T) @ spec.fiber_metric(z)
-            rhs = eval_kernel(spec, w, z)
+            lhs, rhs = eval_kernel(spec, z, w).conj().T, eval_kernel(spec, w, z)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12, spec.variant
 
 
@@ -384,7 +375,7 @@ def test_rkhs_inner_conjugate_symmetry():
 def test_rkhs_inner_grassmann_orthogonal_fibers():
     k = universal_grassmann(4, 2)
     z = 0.3 * cmat(np.random.default_rng(5), k.base_dim)
-    h = k.fiber_metric(z) @ eval_kernel(k, z, z)  # the norm form h0(z) kappa(z, z)
+    h = eval_kernel(k, z, z)  # the norm form kappa(z, z)
     xi = np.array([1.0, 0.0])
     # eta orthogonal to xi in the norm form at z: <K_xi, K_eta> = 0
     u = np.array([1.0, 1.0])
@@ -409,14 +400,65 @@ def test_reproducing_check_random_combination():
     assert resid <= 1e-9
 
 
-def test_reproducing_check_holds_with_a_fiber_metric():
-    # the projection form of the Grassmannian carries a non-trivial h0 on both sides
-    rng = np.random.default_rng(31)
-    k = projection_grassmann(4, 2)
-    model = RkhsModel(k, 0.3 * cmat(rng, 6, k.base_dim))
-    coeffs = cmat(rng, 6, 2)
-    resid = reproducing_check(model, coeffs, cmat(rng, 2), 0.3 * cmat(rng, k.base_dim))
-    assert resid <= 1e-9
+def _weighted_hardy():
+    # kappa(t, s) = h0(s) / (1 - t conj(s)) paired through h0 = e^{|z|^2}:
+    # holomorphic in t, with the Hardy space's sections and inner products
+    def h0(z):
+        return np.array([[np.exp(abs(z[0]) ** 2)]])
+
+    return (lambda t, s: h0(s) / (1.0 - t[0] * np.conj(s[0]))), h0
+
+
+def _weighted_sections():
+    # kappa(t, s) = E(t) E(s)* h0(s) paired through h0 = I + |s|^2 A, A >= 0
+    rng = np.random.default_rng(41)
+    sections, b = full_rank_sections(rng, 1, 2), cmat(rng, 2, 2)
+
+    def h0(z):
+        return np.eye(2) + abs(z[0]) ** 2 * (b @ b.conj().T)
+
+    return (lambda t, s: sections(t) @ sections(s).conj().T @ h0(s)), h0
+
+
+PAIRED = {"hardy": _weighted_hardy(), "sections-rank-2": _weighted_sections()}
+
+
+def _euclidean(kappa, h0) -> UserKernel:
+    """The kernel kappa(z, w) h0(w)^-1 that stands for kappa paired through
+    h0, (f | g)_z = g(z)* h0(z) f(z), on the unit disc."""
+    n = len(h0(np.zeros(1)))
+    return UserKernel(lambda z, w: kappa(z, w) @ np.linalg.inv(h0(w)), n, 1, contains_fn=lambda z: abs(z[0]) < 1.0,
+                      boundary_distance_fn=lambda z: 1.0 - abs(z[0]), holomorphic=True)
+
+
+@pytest.mark.parametrize("case", list(PAIRED))
+def test_a_fiber_metric_folds_into_the_kernel_with_the_same_inner_products(case):
+    # the section kappa(., s) xi of the h0 pairing is the section of
+    # h0(s) xi of the Euclidean kernel, and its inner products are the
+    # pairing's: <K_(xi, s), K_(eta, t)> = eta* h0(t) kappa(t, s) xi
+    kappa, h0 = PAIRED[case]
+    spec, rng = _euclidean(kappa, h0), np.random.default_rng(43)
+    for _ in range(10):
+        xi, eta = cmat(rng, spec.fiber_dim), cmat(rng, spec.fiber_dim)
+        s, t = disc_points(rng, 2, radius=0.6)
+        by_hand = eta.conj() @ h0(t) @ kappa(t, s) @ xi
+        value = rkhs_inner(spec, (h0(s) @ xi, s), (h0(t) @ eta, t))
+        assert abs(value - by_hand) <= 1e-12 * max(1.0, abs(by_hand))
+
+
+def test_a_fiber_metric_folded_into_the_kernel_gives_the_hardy_curvature():
+    # the rule h = (h0 kappa)^T, which read h0 beside the kernel, read
+    # dbar d log h0^2 = 2 more than the Hardy curvature at every point
+    kappa, h0 = PAIRED["hardy"]
+    spec = _euclidean(kappa, h0)
+    old = MetricField(func=lambda z: (h0(z) @ kappa(z, z)).T, dim=1, fiber_dim=1, domain=spec, name="h0 kappa")
+    rich = FdSteps(richardson=True)
+    for z in (0.0, 0.3 + 0.2j, 0.6j):
+        ref = disc_curvature(1, z)
+        value, old_value = (curvature(m, np.array([z]), rich).form.r11[0, 0, 0, 0]
+                            for m in (metric_from_kernel(spec), old))
+        assert abs(value - ref) / ref <= 1e-5
+        assert abs(old_value - ref - 2.0) <= 1e-5
 
 
 def test_reproducing_check_detects_broken_kernel_symmetry():

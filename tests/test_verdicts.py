@@ -12,9 +12,9 @@ c.  Where one does through a known defect, the case is a strict xfail that
 names its ROADMAP item.
 
 The frame law: a unitary change U of fiber frame maps the kernel blocks to
-U* kappa U and the fiber metric to U* h0 U, so the metric to U* h U, the
-same bundle in another frame; every decision stays, and the Griffiths
-margins are spectra of matrices that U conjugates.
+U* kappa U, so the metric to U^T h conj(U), the same bundle in another
+frame; every decision stays, and the Griffiths margins are spectra of
+matrices that the change conjugates.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from bck.kernels import KernelSpec, disc_power, universal_grassmann
 from bck.linalg import adjoint
 from bck.positivity import griffiths_verdict
 
-from _fields import MappedKernel, cmat, perfbench_workloads, projection_grassmann, workload_config
+from _fields import MappedKernel, cmat, perfbench_workloads, workload_config
 
 ITEM_19 = "ROADMAP item 19: a decision compares a quantity that scales with the kernel against an absolute threshold"
 
@@ -84,26 +84,18 @@ def test_recorded_seed_verdicts_differ_from_the_table_only_in_the_stale_rows():
     }
 
 
-class FrameChanged(MappedKernel):
-    """A kernel in the unitary fiber frame U: blocks U* kappa U and fiber
-    metric U* h0 U."""
-
-    def __init__(self, base: KernelSpec, u: np.ndarray):
-        super().__init__(base, lambda z, w, blocks: adjoint(u) @ blocks @ u)
-        self.u = u
-
-    def fiber_metric_batch(self, z):
-        return adjoint(self.u) @ self.base.fiber_metric_batch(z) @ self.u
+def _frame_changed(base: KernelSpec, u: np.ndarray) -> KernelSpec:
+    """A kernel in the unitary fiber frame U: blocks U* kappa U."""
+    return MappedKernel(base, lambda z, w, blocks: adjoint(u) @ blocks @ u)
 
 
 def _grassmann_32() -> AnalysisConfig:
-    # Gr(3, 2) in its projection form on a 3 x 3-per-axis grid in +-0.4:
-    # rank 2 with h0 != I
+    # Gr(3, 2) on a 3 x 3-per-axis grid in +-0.4: fiber rank 2
     cfg = workload_config("grassmann-d2", 1)
     axis = {"re": [-0.4, 0.4], "im": [-0.4, 0.4], "re_res": 3, "im_res": 3}
     cfg["kernel"]["rank"], cfg["grid"]["axes"] = 2, [axis, axis]
     cfg["tasks"] = ["psd", "admissibility", "connection", "curvature", "dual", "griffiths", "theorem55"]
-    return replace(AnalysisConfig.from_dict(cfg), kernel=projection_grassmann(3, 2))
+    return AnalysisConfig.from_dict(cfg)
 
 
 @pytest.mark.parametrize(
@@ -114,7 +106,7 @@ def _grassmann_32() -> AnalysisConfig:
 def test_a_unitary_change_of_fiber_frame_keeps_every_decision(config):
     u, _ = np.linalg.qr(cmat(np.random.default_rng(1), config.kernel.fiber_dim, config.kernel.fiber_dim))
     base = run_analyze(config)
-    moved = run_analyze(replace(config, kernel=FrameChanged(config.kernel, u)))
+    moved = run_analyze(replace(config, kernel=_frame_changed(config.kernel, u)))
     assert _decisions(moved) == _decisions(base)
     margin, moved_margin = (report.data["tasks"]["griffiths"]["data"]["min_margin"] for report in (base, moved))
     assert abs(moved_margin - margin) <= 1e-7 * max(1.0, abs(margin))
