@@ -27,9 +27,10 @@ Under config and tasks it prints, with the same clock, four pieces of
 it: the two pieces of finite-difference work that exact metric jets
 would replace, the nested curvature route (`cli.nested_curvature_field`)
 and `theorem55`'s Cauchy-Riemann probe (its `delbar_norms` calls), whose
-sum is the most that deleting that work could save on a workload; and
-the `psd` task's Gram assembly (`cli.gram`) and its margin
-(`cli.psd_check`).
+sum is the most that deleting that work could save on a workload; the
+`psd` task's one call, `cli.psd_margin`, and of that the Gram assembly
+(`kernels.gram`), which it makes only for a kernel without a section
+frame (a section kernel's margin walks the Gram tiles instead).
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ import time; t = [time.perf_counter()]
 import sys; out = sys.argv.pop(1); sys.path.insert(0, sys.argv.pop(1))
 import numpy; t.append(time.perf_counter())
 import bck.cli as cli; t.append(time.perf_counter())
-spent = {row: 0.0 for row, _ in PIECES}
+spent = {row: 0.0 for row, _, _ in PIECES}
 def timed(call, key):
     def run(*args, **kwargs):
         start = time.perf_counter()
         try: return call(*args, **kwargs)
         finally: spent[key] += time.perf_counter() - start
     return run
-for row, name in PIECES: setattr(cli, name, timed(getattr(cli, name), row))
+for row, module, name in PIECES:
+    module = sys.modules[module]; setattr(module, name, timed(getattr(module, name), row))
 run_analyze = cli.run_analyze
 def analyze(config):
     report = run_analyze(config); t.append(time.perf_counter()); return report
@@ -72,11 +74,11 @@ sys.exit(code)
 """
 SRC, RUNS, SEED = str(Path(__file__).resolve().parents[1] / "src"), 30, 1
 PHASES = ("interpreter and site", "import numpy", "import bck.cli", "config and tasks", "report", "teardown")
-# the pieces of config and tasks timed in the child: (row, their name in bck.cli)
-PIECES = (("nested route", "nested_curvature_field"), ("theorem55 CR probe", "delbar_norms"),
-          ("Gram assembly", "gram"), ("psd_check", "psd_check"))
+# the pieces of config and tasks timed in the child: (row, the module that calls them, their name there)
+PIECES = (("nested route", "bck.cli", "nested_curvature_field"), ("theorem55 CR probe", "bck.cli", "delbar_norms"),
+          ("psd_margin", "bck.cli", "psd_margin"), ("of which gram", "bck.kernels", "gram"))
 PROBE = f"PIECES = {PIECES!r}\n" + PROBE
-ROWS = tuple(row for row, _ in PIECES)
+ROWS = tuple(row for row, _, _ in PIECES)
 
 
 def command(stamps: Path, config: Path, out: Path, csv: bool) -> list[str]:

@@ -49,6 +49,7 @@ from .kernels import (
     gram,
     lemma51_consistency,
     psd_check,
+    psd_margin,
     reproducing_check,
     rkhs_inner,
     universal_grassmann,

@@ -55,8 +55,7 @@ from .kernels import (
     KernelSpec,
     SectionKernel,
     admissibility_field,
-    gram,
-    psd_check,
+    psd_margin,
     universal_grassmann,
 )
 from .linalg import Sampler, complex_normal
@@ -436,7 +435,7 @@ def _task_psd(ctx: RunContext) -> dict:
         z = u[..., 0] + 1j * u[..., 1]
         pts = np.concatenate([pts, z[ctx.kernel.contains_batch(z)]])
         drawn += count
-    data = {"margin": float(psd_check(gram(ctx.kernel, pts))), "sample_points": len(pts)}
+    data = {"margin": psd_margin(ctx.kernel, pts), "sample_points": len(pts)}
     return {"data": data, "gates": _decide(ctx, "psd", data)}
 
 

@@ -29,15 +29,21 @@ per-point callables, lifted to stacks by `forms.pointwise`, which checks
 the shape of every value.
 `KernelSpec.eval_batch` evaluates blocks over whole stacks of point pairs
 with the checks of `eval_kernel`.
+
+The Gram matrix of a kernel over a point list is walked by pairs of
+square tiles, each block evaluated once: `gram` assembles it from them,
+and `psd_margin` reads a section kernel's PSD margin from them and its
+frames without assembling it.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, StructuralError, require
+from .errors import BckError, DomainError, StructuralError, require
 from .forms import Record, as_point, as_points, as_sample, at_point, pointwise
 from .linalg import (
     Sampler,
@@ -67,6 +73,7 @@ __all__ = [
     "GramMatrix",
     "gram",
     "psd_check",
+    "psd_margin",
     "rkhs_inner",
     "RkhsModel",
     "reproducing_check",
@@ -358,84 +365,133 @@ class GramMatrix(Record):
     (l, j) block is kappa(t_l, t_j), that is of
     `spec.eval_batch(points[:, None], points[None])`; `defect` is the
     relative hermiticity defect ||a - a*|| / max(1, ||a||) of that matrix
-    before it was made Hermitian.  `factor`, for a `SectionKernel` only,
-    is the (N n) x m stack X of its frames E(t) W, so that the assembly
-    is X X*.
+    before it was made Hermitian.
     """
 
     points: np.ndarray  # (N, d)
     assembled: np.ndarray  # (N n, N n), Hermitian
     defect: float
-    factor: np.ndarray | None = None  # (N n, m)
 
 
-_GRAM_CHUNKS = 8  # row chunks of the assembly: the kernel blocks of one chunk are alive at a time
+_GRAM_TILE = 128  # matrix rows of a Gram tile: the blocks of one pair of tiles are alive at a time
 
 
-def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Assemble the kernel blocks over a point list, in place.
+def _gram_tiles(spec: KernelSpec, pts: np.ndarray):
+    """Walk the Gram matrix of `spec` over `pts` by pairs of square tiles
+    of at most `_GRAM_TILE` rows, (rows, cols) with cols at or after rows.
 
-    The blocks are evaluated in chunks of rows straight into the
-    (N n) x (N n) layout; the matrix is then made Hermitian tile by tile,
-    so no full-size temporary is made.
+    Yields the matrix slices rows and cols, the Hermitian part (x + y*) / 2
+    of the tile x at (rows, cols), y the tile at (cols, rows), in a buffer
+    the caller may write until the next step, and the pair's share of
+    ||a - a*||^2 and ||a||^2 for the raw matrix a.  Each block is evaluated
+    once.  A failing block raises the error of one row-major batch.
     """
-    pts = as_sample(points, spec.base_dim)
-    n = spec.fiber_dim
-    npts = pts.shape[0]
-    assembled = np.empty((npts * n, npts * n), dtype=complex)
-    by_block = assembled.reshape(npts, n, npts, n).transpose(0, 2, 1, 3)
-    for rows in _chunks(npts):
-        by_block[rows] = spec.eval_batch(pts[rows, None, :], pts[None, :, :])
-    defect = _hermitize_in_place(assembled, _chunks(npts, n))
-    factor = spec.frame(pts).reshape(npts * n, -1) if isinstance(spec, SectionKernel) else None
-    return GramMatrix(points=pts, assembled=assembled, defect=defect, factor=factor)
+    n, npts = spec.fiber_dim, len(pts)
+    # tiles of near equal sizes, each a multiple of 4 rows where the budget
+    # allows: BLAS takes a complex product 4 columns at a time, so the
+    # margin's X[rows] X[cols]* then rounds as one product over whole rows
+    most, unit = max(1, _GRAM_TILE // n), 4 // gcd(4, n)
+    unit = unit if unit <= most else 1
+    count = -(-npts // (most // unit * unit))
+    step = -(-npts // (count * unit)) * unit
+    cuts = [slice(p, p + step) for p in range(0, npts, step)]
+    buffers = [np.empty((step * n) ** 2, dtype=complex) for _ in range(3)]
+    try:
+        for i, rows in enumerate(cuts):
+            for cols in cuts[i:]:
+                upper, skew, norm = _hermitian_part(*_tile_pair(spec, pts[rows], pts[cols], cols is rows), buffers)
+                yield slice(rows.start * n, rows.stop * n), slice(cols.start * n, cols.stop * n), upper, skew, norm
+    except BckError:  # raise the error of one batch over all pairs: the row bands in order
+        for band in cuts:
+            spec.eval_batch(pts[band, None], pts[None])
+        raise
 
 
-def _chunks(npts: int, n: int = 1) -> list[slice]:
-    """The row chunks of an assembly over `npts` points with fiber `n`."""
-    step = -(-npts // _GRAM_CHUNKS) * n
-    return [slice(r, r + step) for r in range(0, npts * n, step)]
+def _tile_pair(spec: KernelSpec, s: np.ndarray, t: np.ndarray, diagonal: bool) -> tuple:
+    """The kernel blocks kappa(s_l, t_j) and kappa(t_j, s_l) of two point
+    lists, stacks (r, c, n, n) and (c, r, n, n), in as few batches as may
+    be: one on the diagonal (s is t) and for lists of one length."""
+    if diagonal:
+        x = spec.eval_batch(s[:, None], s[None])
+        return x, x
+    if len(s) == len(t):
+        return tuple(spec.eval_batch(np.stack([s, t])[:, :, None], np.stack([t, s])[:, None]))
+    return spec.eval_batch(s[:, None], t[None]), spec.eval_batch(t[:, None], s[None])
 
 
-def _hermitize_in_place(a: np.ndarray, cuts: list[slice]) -> float:
-    """Overwrite the square matrix `a` with its Hermitian part, one pair of
-    tiles (rows, cols) and (cols, rows) at a time, with the bits of
-    `hermitize`; return the relative defect of `a` as given."""
-    skew = norm = 0.0
-    for i, rows in enumerate(cuts):
-        for cols in cuts[i:]:
-            x, y = a[rows, cols], a[cols, rows]
-            mirror = cols is not rows  # then (cols, rows) is a second tile, holding -d*
-            d = x - adjoint(y)
-            skew += (1 + mirror) * np.vdot(d, d).real
-            norm += np.vdot(x, x).real + mirror * np.vdot(y, y).real
-            upper = 0.5 * (x + adjoint(y))
-            a[cols, rows] = 0.5 * (y + adjoint(x))
-            a[rows, cols] = upper
+def _hermitian_part(x: np.ndarray, y: np.ndarray, buffers: list[np.ndarray]) -> tuple:
+    """(x + y*) / 2 for a tile x and its mirror y, as block stacks, in the
+    layout of the matrix and in the third of `buffers`; the squared skew
+    and norm of the two tiles, or of one where y is x."""
+    (r, c, n, _), mirror = x.shape, y is not x
+    xm, d, upper = (b[: x.size].reshape(r, n, c, n) for b in buffers)
+    np.copyto(xm, x.transpose(0, 2, 1, 3))
+    np.conjugate(y.transpose(1, 3, 0, 2), out=upper)  # y* in the layout of the matrix
+    np.subtract(xm, upper, out=d)
+    skew = (1 + mirror) * np.vdot(d, d).real
+    norm = np.vdot(x, x).real + mirror * np.vdot(y, y).real
+    np.add(xm, upper, out=upper)
+    upper *= 0.5  # the bits of 0.5 * (x + y*)
+    return upper.reshape(r * n, c * n), skew, norm
+
+
+def _relative_defect(skew: float, norm: float) -> float:
+    """||a - a*|| / max(1, ||a||) from the squared skew and norm of a."""
     return float(np.sqrt(skew) / max(1.0, np.sqrt(norm)))
 
 
+def _require_hermitian(defect: float) -> None:
+    require(defect <= 1e-10, f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
+
+
+def gram(spec: KernelSpec, points) -> GramMatrix:
+    """Assemble the kernel blocks over a point list, Hermitian part and
+    defect, one pair of tiles at a time (`_gram_tiles`): no full-size
+    temporary is made besides the (N n) x (N n) result."""
+    pts = as_sample(points, spec.base_dim)
+    size = len(pts) * spec.fiber_dim
+    assembled = np.empty((size, size), dtype=complex)
+    skew = norm = 0.0
+    for rows, cols, upper, tile_skew, tile_norm in _gram_tiles(spec, pts):
+        assembled[cols, rows] = adjoint(upper)
+        assembled[rows, cols] = upper
+        skew, norm = skew + tile_skew, norm + tile_norm
+    return GramMatrix(points=pts, assembled=assembled, defect=_relative_defect(skew, norm))
+
+
 def psd_check(gram_matrix: GramMatrix) -> float:
-    """A lower bound on the least eigenvalue of the Hermitian Gram
-    assembly G: `eigvalsh`'s, or, when the factor X has m < N n columns,
-    -||G - X X*||_F by Weyl's inequality, X X* having least eigenvalue 0;
-    summed over `gram`'s row chunks, at O((N n)^2 m), not O((N n)^3).
+    """The least eigenvalue of the Hermitian Gram assembly, by `eigvalsh`.
 
     The caller compares the margin with its own tolerance.  Raises
     StructuralError if the raw assembly was not Hermitian within 1e-10
     (relative), which signals broken kernel symmetry rather than
     curable noise.
     """
-    defect = gram_matrix.defect
-    require(defect <= 1e-10, f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-10")
-    g, x = gram_matrix.assembled, gram_matrix.factor
-    if x is None or x.shape[1] >= x.shape[0]:
-        return float(np.linalg.eigvalsh(g)[0])
-    npts, xh, square = len(gram_matrix.points), adjoint(x), 0.0
-    for rows in _chunks(npts, len(g) // npts):
-        d = x[rows] @ xh
-        d -= g[rows]  # in place: the difference makes no second tile
-        square += np.vdot(d, d).real
+    _require_hermitian(gram_matrix.defect)
+    return float(np.linalg.eigvalsh(gram_matrix.assembled)[0])
+
+
+def psd_margin(spec: KernelSpec, points) -> float:
+    """A lower bound on the least eigenvalue of the Gram matrix G of
+    `spec` over a point list, with the structural check of `psd_check`.
+
+    For a `SectionKernel` whose frames X, `spec.frame(points)` as an
+    (N n) x m matrix, have m < N n, it is -||G - X X*||_F (Weyl: X X* has
+    least eigenvalue 0), summed over the Gram tiles in O((N n)^2 m) time
+    and in memory of X and a few tiles.  Otherwise `psd_check(gram(...))`.
+    """
+    pts = as_sample(points, spec.base_dim)
+    m = spec.section_count if isinstance(spec, SectionKernel) else None
+    if m is None or m >= len(pts) * spec.fiber_dim:
+        return psd_check(gram(spec, pts))
+    x = spec.frame(pts).reshape(-1, m)
+    xh = adjoint(x)
+    skew = norm = square = 0.0
+    for rows, cols, upper, tile_skew, tile_norm in _gram_tiles(spec, pts):
+        upper -= x[rows] @ xh[:, cols]
+        square += (1 + (cols != rows)) * np.vdot(upper, upper).real
+        skew, norm = skew + tile_skew, norm + tile_norm
+    _require_hermitian(_relative_defect(skew, norm))
     return -float(np.sqrt(square))
 
 

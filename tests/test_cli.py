@@ -33,7 +33,7 @@ from bck.cli import (
     run_selftest,
 )
 from bck.errors import DomainError, StructuralError
-from bck.kernels import UserKernel, gram, psd_check
+from bck.kernels import UserKernel, gram, psd_check, psd_margin
 from bck.linalg import Sampler
 from bck.selfcheck import run_selfcheck
 
@@ -541,7 +541,8 @@ def test_psd_sample_matches_point_by_point_rejection_loop(monkeypatch):
             rejected += 1
     assert rejected > 0
     sampled = []
-    monkeypatch.setattr(bck.cli, "gram", lambda spec, points: sampled.append(points) or gram(spec, points))
+    monkeypatch.setattr(bck.cli, "psd_margin",
+                        lambda spec, points: sampled.append(points) or psd_margin(spec, points))
     task = run_analyze(config).data["tasks"]["psd"]
     assert np.array_equal(sampled[0], pts)
     assert task["data"]["margin"] == psd_check(gram(config.kernel, np.array(pts)))
@@ -860,7 +861,7 @@ def test_analyze_makes_no_lapack_call_per_small_matrix(monkeypatch):
     # included, take the closed forms of bck.linalg; LAPACK sees whole
     # matrices only: the 3 x 3 section Gram of either section kernel
     # (checked once, at construction) and the disc's PSD Gram assembly,
-    # which a section kernel's PSD margin reads from its factor instead
+    # which a section kernel's PSD margin reads from its tiles and frames instead
     calls = []
     for name in ("svd", "solve", "inv", "eigvalsh", "eigh"):
 

@@ -171,6 +171,7 @@ BUILTIN_MAX_MIN = sorted([
     ("cli", "max(exit_code, code)"),
     ("cli", "max(exit_code, int(not passed))"),
     ("cli", "min(wanted - len(pts), 1000 * wanted - drawn)"),
+    ("kernels", "max(1, _GRAM_TILE // n)"),
     ("kernels", "max(z.ndim, w.ndim)"),
     ("kernels", "max(4, n + 2)"),
     ("linalg", "max(count, self._NORMALS)"),

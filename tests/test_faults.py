@@ -30,6 +30,7 @@ import pytest
 import bck.chern
 import bck.cli
 import bck.forms
+import bck.kernels
 import bck.selfcheck
 from bck.cli import AnalysisConfig, run_analyze
 from bck.forms import Form1, Form2, Stencil, replace
@@ -477,8 +478,39 @@ def test_a_section_kernel_whose_blocks_leave_its_factor_fails_psd():
     entry = faulted["tasks"]["psd"]
     assert entry["gates"]["margin"] == {"tolerance": "psd", "passed": False}, entry
     assert (entry["passed"], faulted["exit_code"]) == (False, 1)
-    # ||1e-6 J (x) I_2||_F for the all-ones 20 x 20 J, summed over the row chunks
+    # ||1e-6 J (x) I_2||_F for the all-ones 20 x 20 J, summed over the tiles
     assert entry["data"]["margin"] == pytest.approx(-1e-6 * 20 * np.sqrt(2), rel=1e-6)
     rng = np.random.default_rng(1)
     g = gram(_OffFactor(config.kernel), rng.uniform(-0.5, 0.5, (20, 4)) + 1j * rng.uniform(-0.5, 0.5, (20, 4)))
-    assert psd_check(replace(g, factor=None)) >= -faulted["tolerances"]["psd"]  # the spectrum alone passes
+    assert psd_check(g) >= -faulted["tolerances"]["psd"]  # the spectrum alone passes
+
+
+class _SkewedAcross(SectionKernel):
+    """A section kernel plus 1e-6 E_12 in the block kappa(z, w) where
+    Re z_0 > Re w_0: kappa(w, z) gains nothing, so the skew sits between
+    two points, and the block of one point with itself stays Hermitian."""
+
+    def __init__(self, base: SectionKernel):
+        self.__dict__.update(vars(base))
+
+    def eval_many(self, z, w):
+        above = np.real(np.asarray(z)[..., 0]) > np.real(np.asarray(w)[..., 0])
+        return super().eval_many(z, w) + 1e-6 * above[..., None, None] * np.eye(self.fiber_dim, k=1)
+
+
+def test_psd_reads_the_skew_of_the_mirror_tiles(monkeypatch):
+    # with tiles of one point every diagonal tile is Hermitian, and every
+    # skew pairs a tile above the diagonal with its mirror below: a walk
+    # that read the tiles above alone would pass this kernel
+    config = AnalysisConfig.from_dict({
+        "kernel": {"variant": "universal_grassmann", "ambient_dim": 4, "rank": 2},
+        "grid": {"axes": [_axis(-0.5, 0.5, 2)] * 4},
+        "samples": {"psd_points": 20},
+        "tasks": ["psd"],
+    })
+    monkeypatch.setattr(bck.kernels, "_GRAM_TILE", config.kernel.fiber_dim)
+    assert run_analyze(config).data["tasks"]["psd"]["passed"]
+    faulted = run_analyze(replace(config, kernel=_SkewedAcross(config.kernel))).data
+    entry = faulted["tasks"]["psd"]
+    assert (entry["passed"], entry["error_kind"], faulted["exit_code"]) == (False, "structural", 4), entry
+    assert "matrix is not Hermitian" in entry["error"], entry

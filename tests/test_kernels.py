@@ -29,6 +29,7 @@ from bck.kernels import (
     gram,
     lemma51_consistency,
     psd_check,
+    psd_margin,
     reproducing_check,
     rkhs_inner,
     universal_grassmann,
@@ -216,15 +217,17 @@ def _section_kernel(rng, dim, shape):
     return from_sections(MatrixPolynomial.random(rng, dim, shape, degree=2, holomorphic=True), base_dim=dim)
 
 
-def test_gram_and_psd_check_hold_little_more_than_one_gram_matrix():
+def test_gram_holds_little_more_than_one_gram_matrix():
+    # a section kernel's margin, which read its factor from this assembly,
+    # holds a few tiles instead: tests/test_tiles.py
     rng = np.random.default_rng(3)
     spec = _section_kernel(rng, 2, (2, 3))
     pts = 0.5 * cmat(rng, 200, 2)
     size = (200 * 2) ** 2 * 16
-    psd_check(gram(spec, pts))  # lazy imports and caches outside the trace
+    gram(spec, pts)  # lazy imports and caches outside the trace
     tracemalloc.start()
     try:
-        psd_check(gram(spec, pts))
+        gram(spec, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,9 +301,9 @@ def test_psd_margin_of_a_section_kernel_bounds_its_spectrum_through_the_factor(f
         b = 0.3 * cmat(rng, m, m)
         sections = MatrixPolynomial.random(rng, dim, (n, m), degree=2, holomorphic=True)
         spec = from_sections(sections, base_dim=dim, gram=np.eye(m) + b @ b.conj().T)
-    g = gram(spec, 0.5 * cmat(rng, count, spec.base_dim))
-    x, margin = g.factor, psd_check(g)
-    assert x.shape == (count * n, m)
+    pts = 0.5 * cmat(rng, count, spec.base_dim)
+    g, margin = gram(spec, pts), psd_margin(spec, pts)
+    x = spec.frame(pts).reshape(count * n, m)
     if count * n <= m:
         assert margin == np.linalg.eigvalsh(g.assembled)[0]
         return
