@@ -21,8 +21,9 @@ Everything is computed over whole arrays of points.  `metric_jet` is the
 one evaluation of a metric on a grid stencil: it evaluates the metric once
 on every stencil node of every point, splits the rows by node with
 `Stencil.by_node`, and returns a `MetricJet`.  The connection, the
-analytic curvature, the subbundle split and the dual check are reductions
-of a jet and evaluate nothing; the nested route builds its own jets.
+analytic curvature and the subbundle split are reductions of a jet, the
+dual check is a reduction of the analytic curvature, and none of them
+evaluates anything; the nested route builds its own jets.
 Field arrays put the point axis between the form indices and the fiber
 matrix, e.g. (d, N, n, n) for connection coefficients.  `field.at(i)` is
 the same field class at point i (`forms.at_point`), and the point
@@ -604,48 +605,44 @@ def subbundle_split(
 
 
 class DualCurvatureField(Record, frozen=True):
-    """Curvatures of a kernel metric and of its dual, pulled back to the
+    """The dual-bundle curvature of a kernel metric, pulled back to the
     original chart, with the residual of Theta_dual = -(h Theta h^-1)^T,
     over an array of points."""
 
-    theta_r11: np.ndarray  # (d, d, N, n, n)
     theta_dual_r11: np.ndarray  # (d, d, N, n, n), pulled back
     residual: np.ndarray  # (N,)
 
     at = at_point
 
 
-def dual_curvature_field(jet: MetricJet, theta: CurvatureField | None = None) -> DualCurvatureField:
+def dual_curvature_field(theta: CurvatureField) -> DualCurvatureField:
     """Check that the dual-bundle curvature is minus the transpose of the
-    original at every point of a second-order jet of a kernel metric.
+    original at every point of a curvature field of a kernel metric.
 
     The dual kernel lives on the conjugated chart, and its metric at
     conj(z) is conj(h(z)); as conjugation commutes with the Wirtinger
-    derivatives, its jet is this jet conjugated array by array.  Pulling
-    its (1,1) coefficients back to the original coordinates swaps the form
-    indices and flips the orientation sign, and leaves the operator values
-    as they are.  The metric identifies the dual kernel's frame with h
-    times the dual frame, in which the dual curvature is -Theta^T; so the
-    pulled-back coefficients must equal -(h Theta h^-1)^T.  `theta`, the
-    analytic curvature of the jet, is reused when given; one over other
-    points raises ValueError.  Chunks hold 4 (1 + d)^2 matrices a point.
+    derivatives, its jet is the jet of h conjugated array by array, and
+    the analytic curvature of that jet is conj(Theta) bit for bit.
+    Pulling its (1,1) coefficients back to the original coordinates swaps
+    the form indices and flips the orientation sign, and leaves the
+    operator values as they are.  The metric identifies the dual kernel's
+    frame with h times the dual frame, in which the dual curvature is
+    -Theta^T; so the pulled-back coefficients must equal
+    -(h Theta h^-1)^T, which is the pairing identity of h Theta weighted by
+    h^-1.  Chunks hold 4 (1 + d)^2 matrices a point.
     """
-    if jet.mixed is None:
-        raise ValueError("the analytic curvature needs a second-order metric jet")
-    if theta is not None and not np.array_equal(theta.points, jet.points):
-        raise ValueError("theta is a curvature field over other points")
 
     def chunk(rows) -> DualCurvatureField:
-        base = at_point(jet, rows)
-        field = analytic_curvature_field(base) if theta is None else at_point(theta, rows)
-        dual = MetricJet(*(np.conj(a) for a in (base.points, base.h, base.dp, base.dq, base.mixed)), None, None)
-        pulled = -np.swapaxes(analytic_curvature_field(dual).form.r11, 0, 1)
-        expected = -np.swapaxes(field.h @ field.form.r11 @ solve(field.h, np.eye(field.h.shape[-1])), -1, -2)
-        return DualCurvatureField(field.form.r11, pulled, _max_norm(pulled - expected))
+        field = at_point(theta, rows)
+        h, r11 = field.h, field.form.r11
+        pulled = -np.swapaxes(np.conj(r11), 0, 1)
+        expected = -np.swapaxes(h @ r11 @ solve(h, np.eye(h.shape[-1])), -1, -2)
+        return DualCurvatureField(pulled, _max_norm(pulled - expected))
 
-    return _chunked(chunk, len(jet.points), 4 * (1 + jet.points.shape[-1]) ** 2)
+    return _chunked(chunk, len(theta.points), 4 * (1 + theta.points.shape[-1]) ** 2)
 
 
 def dual_curvature_check(spec: KernelSpec, z, steps: FdSteps = FdSteps()) -> DualCurvatureField:
     """`dual_curvature_field` at one point z."""
-    return dual_curvature_field(metric_jet(metric_from_kernel(spec), as_point(z, spec.base_dim)[None], steps)).at(0)
+    jet = metric_jet(metric_from_kernel(spec), as_point(z, spec.base_dim)[None], steps)
+    return dual_curvature_field(analytic_curvature_field(jet)).at(0)

@@ -519,7 +519,7 @@ def _task_curvature(ctx: RunContext) -> dict:
 
 
 def _task_dual(ctx: RunContext) -> dict:
-    dual = dual_curvature_field(ctx.jet, ctx.analytic)
+    dual = dual_curvature_field(ctx.analytic)
     data = _extremes(ctx.points, max_residual=dual.residual)
     return {"data": data, "gates": _decide(ctx, "dual", data)}
 

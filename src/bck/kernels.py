@@ -150,8 +150,8 @@ class KernelSpec:
         shape, n = out.shape[max(z.ndim, w.ndim) - 1 :], self.fiber_dim
         if shape != (n, n):
             raise StructuralError(f"kernel block has shape {shape}, expected ({n}, {n})")
-        bad = ~np.isfinite(out).all(axis=(-2, -1))
-        if bad.any():  # the first pair in row-major order of the broadcast
+        if not np.isfinite(out).all():  # name the first pair in row-major order of the broadcast
+            bad = ~np.isfinite(out).all(axis=(-2, -1))
             i = np.unravel_index(np.argmax(bad), bad.shape)
             z, w = (np.broadcast_to(a, bad.shape + a.shape[-1:])[i] for a in (z, w))
             raise StructuralError(f"kernel block at ({z}, {w}) has non-finite entries")

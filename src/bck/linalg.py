@@ -207,23 +207,19 @@ def mgs_orthonormalize(a: np.ndarray, inner: np.ndarray | None = None) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of broadcast stacks (..., n, k) and (..., k, m).
 
     Each entry of the product is a sum over the inner index, formed over
-    the whole stack at once and written into `out` (allocated when None;
-    it may be a strided view, and must not overlap `a` or `b`).  `a @ b`
-    would make one small matrix product per matrix of the stack.
+    the whole stack at once.  `a @ b` would make one small matrix product
+    per matrix of the stack.
     """
     a, b = np.asarray(a), np.asarray(b)
     n, k, m = a.shape[-2], a.shape[-1], b.shape[-1]
     if b.shape[-2] != k:
         raise ValueError(f"inner dimensions differ: {a.shape} and {b.shape}")
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m)
-    if out is None:
-        out = np.empty(shape, dtype=np.result_type(a, b))
-    elif out.shape != shape:
-        raise ValueError(f"output has shape {out.shape}, expected {shape}")
+    out = np.empty(shape, dtype=np.result_type(a, b))
     term = np.empty(shape[:-2], dtype=out.dtype) if k > 1 else None
     for i in range(n):
         for j in range(m):

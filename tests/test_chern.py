@@ -498,7 +498,7 @@ def test_subbundle_induced_metric_checked_at_every_node():
 
 def test_dual_curvature_disc_origin():
     res = dual_curvature_check(DiscPowerKernel(1), np.zeros(1), RICH)
-    assert abs(res.theta_r11[0, 0, 0, 0] - 1.0) <= 1e-7
+    assert abs(curvature(disc_metric_field(1), np.zeros(1), RICH).form.r11[0, 0, 0, 0] - 1.0) <= 1e-7
     assert abs(res.theta_dual_r11[0, 0, 0, 0] + 1.0) <= 1e-7
     assert res.residual <= 1e-6
 
@@ -523,9 +523,11 @@ DUAL_POINTS_D2 = (np.array([0.1 + 0.2j, -0.2 + 0.1j]), np.array([0.3 - 0.1j, 0.2
 
 
 def test_dual_curvature_grassmannian_two_variables():
+    spec = universal_grassmann(3, 1)
     for z in DUAL_POINTS_D2:
-        res = dual_curvature_check(universal_grassmann(3, 1), z, RICH)
-        assert np.max(np.abs(res.theta_r11)) > 0.5  # curved, with off-diagonal form blocks
+        res = dual_curvature_check(spec, z, RICH)
+        theta = curvature(metric_from_kernel(spec), z, RICH)
+        assert np.max(np.abs(theta.form.r11)) > 0.5  # curved, with off-diagonal form blocks
         assert res.residual <= 1e-6
 
 
@@ -534,31 +536,8 @@ def test_dual_curvature_rank_two_sections_two_variables():
     spec = SectionKernel(full_rank_sections(rng, 2, 2), base_dim=2)
     for z in DUAL_POINTS_D2:
         res = dual_curvature_check(spec, z, RICH)
-        assert np.max(np.abs(res.theta_r11)) > 0.1
+        assert np.max(np.abs(curvature(metric_from_kernel(spec), z, RICH).form.r11)) > 0.1
         assert res.residual <= 1e-6
-
-
-def test_dual_curvature_field_rejects_a_field_over_other_points():
-    # a theta over the first point only, or over the points in another
-    # order, would be broadcast or misread as the analytic field at each
-    rng = np.random.default_rng(43)
-    spec = SectionKernel(full_rank_sections(rng, 2, 2), base_dim=2)
-    pts = np.array([[0.1 + 0.2j, -0.2 + 0.1j], [0.3 - 0.1j, 0.2j], [-0.25j, 0.1]])
-    jet = metric_jet(metric_from_kernel(spec), pts, RICH)
-    theta = analytic_curvature_field(jet)
-    assert np.max(dual_curvature_field(jet, theta).residual) <= 1e-6
-    for other in (theta.at(slice(0, 1)), theta.at(slice(None, None, -1))):
-        with pytest.raises(ValueError, match="other points"):
-            dual_curvature_field(jet, other)
-
-
-def test_dual_curvature_field_needs_a_second_order_jet():
-    m = metric_from_kernel(DiscPowerKernel(2))
-    pts = np.array([[0.1 + 0.2j], [-0.3]])
-    theta = analytic_curvature_field(metric_jet(m, pts, RICH))
-    for args in ((), (theta,)):
-        with pytest.raises(ValueError, match="needs a second-order metric jet"):
-            dual_curvature_field(metric_jet(m, pts, RICH, order=1), *args)
 
 
 DUAL_CASES = {
@@ -575,8 +554,8 @@ DUAL_CASES = {
 def test_dual_jet_is_the_conjugate_of_the_jet(case):
     # the dual kernel's metric at conj(z) is conj(h(z)), and conjugation
     # commutes with the Wirtinger derivatives: the dual kernel's own jet is
-    # the jet conjugated array by array, and its curvature gives
-    # dual_curvature_field's residual.  Its mixed derivative sums the
+    # the jet conjugated array by array, and its curvature, conj(Theta),
+    # gives dual_curvature_field's residual.  Its mixed derivative sums the
     # conjugate stencil's node pairs in another order, so it agrees only
     # to rounding; the residual, itself rounding (2e-9 on Gr(3, 2)), is
     # taken with the conjugated mixed array in its place
@@ -591,7 +570,27 @@ def test_dual_jet_is_the_conjugate_of_the_jet(case):
     dual = replace(dual, mixed=np.conj(jet.mixed))
     pulled = -np.swapaxes(analytic_curvature_field(dual).form.r11, 0, 1)
     expected = -np.swapaxes(theta.h @ theta.form.r11 @ solve(theta.h, np.eye(spec.fiber_dim)), -1, -2)
-    assert np.array_equal(dual_curvature_field(jet).residual, norms(pulled - expected).max(axis=(0, 1)))
+    assert np.array_equal(dual_curvature_field(theta).residual, norms(pulled - expected).max(axis=(0, 1)))
+
+
+CONJUGATION_CASES = {
+    **DUAL_CASES,
+    "sections-rank3": (SectionKernel(full_rank_sections(np.random.default_rng(5), 2, 3), base_dim=2),
+                       [[0.1 + 0.2j, -0.2 + 0.1j], [0.3 - 0.1j, -0.15 + 0.2j], [-0.25j, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONJUGATION_CASES))
+def test_the_curvature_of_the_conjugated_jet_is_the_conjugated_curvature(case):
+    # dual_curvature_field reads the dual kernel's curvature as conj(Theta):
+    # every closed form of the analytic expansion (division, the 2 x 2
+    # adjugate, LAPACK's solve for n >= 3, the products) commutes with
+    # conjugation bit for bit
+    spec, pts = CONJUGATION_CASES[case]
+    jet = metric_jet(metric_from_kernel(spec), np.array(pts, dtype=complex), RICH)
+    conjugated = MetricJet(*(np.conj(a) for a in (jet.points, jet.h, jet.dp, jet.dq, jet.mixed)), None, None)
+    theta = analytic_curvature_field(jet).form.r11
+    assert np.array_equal(analytic_curvature_field(conjugated).form.r11, np.conj(theta))
 
 
 def test_dual_curvature_field_reads_a_jet_without_node_values():
@@ -604,9 +603,9 @@ def test_dual_curvature_field_reads_a_jet_without_node_values():
     mixed = nu * s ** (-nu - 1) + nu * (nu + 1) * np.abs(z) ** 2 * s ** (-nu - 2)
     jet = MetricJet(z[:, None], *(a[..., None, None] for a in (
         s ** -nu, dp[None], np.conj(dp)[None], mixed[None, None])), None, None)
-    dual = dual_curvature_field(jet)
-    assert np.max(dual.residual) <= 1e-13
-    assert np.max(np.abs(dual.theta_r11[0, 0, :, 0, 0] / (nu / s**2) - 1)) <= 1e-13
+    theta = analytic_curvature_field(jet)
+    assert np.max(dual_curvature_field(theta).residual) <= 1e-13
+    assert np.max(np.abs(theta.form.r11[0, 0, :, 0, 0] / (nu / s**2) - 1)) <= 1e-13
 
 
 def test_connection_stencil_near_boundary_raises():

@@ -93,7 +93,7 @@ def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
     whole = griffiths_verdict(metric, analytic, pts, directions=5, seed=11)
     nested = nested_curvature_field(metric, pts, steps)
     split = subbundle_field(jet, _frame(spec.fiber_dim))
-    dual = dual_curvature_field(jet)
+    dual = dual_curvature_field(analytic)
     for rows_per_point in (len(whole.directions), _outer_nodes(spec.base_dim, steps), _jet_nodes(spec.base_dim, steps)):
         assert len(pts) * rows_per_point <= bck.chern._ROWS  # the references are one chunk
 
@@ -106,8 +106,7 @@ def test_chunk_boundaries_change_nothing(case, per_chunk, monkeypatch):
     monkeypatch.setattr(bck.chern, "_ROWS", per_chunk * _jet_nodes(spec.base_dim, steps))
     assert _same_fields(metric_jet(metric, pts, steps), jet)
     assert bit_equal(subbundle_field(jet, _frame(spec.fiber_dim)), split)
-    assert bit_equal(dual_curvature_field(jet), dual)
-    assert bit_equal(dual_curvature_field(jet, analytic), dual)
+    assert bit_equal(dual_curvature_field(analytic), dual)
 
 
 def test_hermiticity_failure_in_a_later_chunk_reports_the_worst_pair(monkeypatch):
@@ -263,7 +262,7 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
         analytic = analytic_curvature_field(jet)
         _, transient, _ = _traced(lambda: griffiths_verdict(metric, analytic, pts, directions=30, seed=1))
         griffiths.append(transient)
-        _, transient, _ = _traced(lambda: dual_curvature_field(jet, analytic))
+        _, transient, _ = _traced(lambda: dual_curvature_field(analytic))
         duals.append(transient)
         field, transient, retained = _traced(lambda: nested_curvature_field(metric, pts, RICH))
         nested.append(transient)
@@ -284,7 +283,7 @@ def test_transient_memory_is_a_constant_per_chunk(monkeypatch):
         "jet": rows * (1 + n * n) * 16,
         # a chunk's frame stack: an m x m matrix at every stencil node
         "subbundle": rows * m * m * 16,
-        # a chunk's conjugated jet and its curvature temporaries
+        # a chunk's curvature temporaries
         "dual": rows * n * n * 16,
     }
     assert [name for name in growth if growth[name] >= bound[name]] == [], (growth, bound)

@@ -807,6 +807,24 @@ def test_curvature_and_griffiths_computed_once_per_run(monkeypatch):
         assert "fields" in griffiths
 
 
+def test_curvature_and_dual_reduce_one_analytic_curvature(monkeypatch):
+    # the dual check reads the run's curvature, conjugated: no module
+    # builds a second analytic curvature for it
+    calls = []
+    for module in (bck.cli, bck.chern):
+
+        def counted(jet, _real=module.analytic_curvature_field):
+            calls.append(len(jet.points))
+            return _real(jet)
+
+        monkeypatch.setattr(module, "analytic_curvature_field", counted)
+    for overrides in ({}, GRASSMANN_D2):
+        calls.clear()
+        report = run_analyze(AnalysisConfig.from_dict(base_config(tasks=["curvature", "dual"], **overrides)))
+        assert all(entry["passed"] for entry in report.data["tasks"].values())
+        assert calls == [report.data["grid"]["points_used"]]
+
+
 @pytest.mark.parametrize("overrides, per_point", [
     ({}, 81 + 17),
     ({**GRASSMANN_D2, "fd_steps": {}}, 81 + 33),
@@ -816,7 +834,7 @@ def test_kernel_metric_rows_per_grid_point(monkeypatch, overrides, per_point):
     # with every task and a subbundle frame, a run evaluates the kernel
     # metric on the nested route's outer x inner nodes, (1 + 4d(1 + R))^2
     # rows per grid point, and once on its second-order jet's stencil; the
-    # dual check reads that jet, conjugated, and evaluates no dual metric
+    # dual check reads the curvature of that jet and evaluates no dual metric
     rows = {}
     real = bck.chern.MetricField.batch
 

@@ -175,7 +175,6 @@ BUILTIN_MAX_MIN = sorted([
     ("kernels", "max(z.ndim, w.ndim)"),
     ("kernels", "max(4, n + 2)"),
     ("linalg", "max(count, self._NORMALS)"),
-    ("polys", "max(map(len, factors), default=0)"),
     # step sizes: FdSteps.max_step and the Stencil radius
     ("chern", "max(self.first, self.second)"),
     ("forms", "max(self.radius, 2.0 * float(max(steps[k], steps[j])))"),

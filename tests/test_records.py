@@ -44,7 +44,7 @@ def _records() -> dict:
     found = [
         ctx.connection.form, ctx.analytic.form, ctx.steps, ctx.metric, ctx.jet, ctx.connection,
         ctx.analytic, subbundle_field(ctx.jet, lambda z: np.ones((len(z), 1, 1), dtype=complex)),
-        dual_curvature_field(ctx.jet), gram(spec, pts), ctx.admissibility,
+        dual_curvature_field(ctx.analytic), gram(spec, pts), ctx.admissibility,
         lemma51_consistency(spec, pts[0]), config.grid, triple_split(lambda v, w: v[0] * np.conj(w[0]), 1),
         ctx.griffiths, config, ctx, run_analyze(config),
     ]
